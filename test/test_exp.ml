@@ -130,26 +130,6 @@ let test_scenario_pooled_loss_rate () =
     true
     (p > 0.0 && p < 0.2)
 
-(* The freelist recycling of packet and event records must be invisible
-   to the simulation: same seeds, same results, pooled or not. *)
-let test_scenario_freelist_equivalence () =
-  let cfg = { quick_cfg with duration = 20.0 } in
-  let r_plain = S.run cfg in
-  Ebrc.Packet.set_pooling true;
-  Ebrc.Engine.set_pooling true;
-  let r_pooled =
-    Fun.protect
-      ~finally:(fun () ->
-        Ebrc.Packet.set_pooling false;
-        Ebrc.Engine.set_pooling false)
-      (fun () -> S.run cfg)
-  in
-  feq (S.mean_throughput r_plain.S.tfrc) (S.mean_throughput r_pooled.S.tfrc);
-  feq (S.mean_throughput r_plain.S.tcp) (S.mean_throughput r_pooled.S.tcp);
-  feq (S.pooled_loss_rate r_plain.S.tfrc) (S.pooled_loss_rate r_pooled.S.tfrc);
-  Alcotest.(check int)
-    "same drops" r_plain.S.queue_drops r_pooled.S.queue_drops
-
 let test_scenario_invalid_duration () =
   match S.run { quick_cfg with duration = 5.0; warmup = 10.0 } with
   | _ -> Alcotest.fail "expected Invalid_argument"
@@ -160,22 +140,48 @@ let test_bdp_and_rtt_helpers () =
   (* 15 Mb/s * 0.05 s / 8000 bits = 93.75 packets *)
   feq (S.bdp_packets quick_cfg) 93.75
 
-(* With lanes disabled every event goes through the binary heap; the
-   k-way merge must reproduce that schedule exactly, so a full scenario
-   serializes to the same bytes either way. *)
-let test_scenario_lanes_vs_heap_identical () =
-  let cfg = { quick_cfg with duration = 20.0 } in
-  (* Pin each arm's toggle and restore the environment's choice (the
-     suite also runs under EBRC_LANES=0). *)
-  let was = Ebrc.Engine.fast_lanes_enabled () in
-  Fun.protect ~finally:(fun () -> Ebrc.Engine.set_fast_lanes was)
-  @@ fun () ->
-  Ebrc.Engine.set_fast_lanes true;
-  let with_lanes = RC.serialize_result (S.run cfg) in
-  Ebrc.Engine.set_fast_lanes false;
-  let heap_only = RC.serialize_result (S.run cfg) in
-  Alcotest.(check bool) "bit-identical serialization" true
-    (String.equal with_lanes heap_only)
+(* Golden fixed-seed oracle: the serialized result and the cache key
+   of four configs covering DropTail, RED, the hybrid fluid background
+   and fault injection. Any change to dispatch order, RNG consumption,
+   the result codec or the key codec moves a digest. The values are
+   platform-pinned (x86-64, IEEE doubles); a deliberate simulator or
+   codec change must update them in the same commit. *)
+let test_scenario_golden_digests () =
+  let base =
+    { S.default_config with
+      duration = 20.0; warmup = 10.0; n_tfrc = 2; n_tcp = 2; seed = 7 }
+  in
+  let red = { base with S.queue = S.Red_auto { capacity = 0 } } in
+  let cases =
+    [
+      ( "droptail 100",
+        { base with S.queue = S.Drop_tail { capacity = 100 } },
+        "9bea3b84849ac96d97a0a49ad4766ec2",
+        "95e86abae84a8db2344dba0e7cce5a08" );
+      ( "red auto",
+        red,
+        "dc6c30727255ddbe9d4ccf358379b058",
+        "4ceedb23e1c8acaf741c21cb0cda2d68" );
+      ( "red + fluid background",
+        { red with S.background = Some (S.default_background ~flows:10_000) },
+        "67af8411c73b965f4ba602579d1cec62",
+        "3783df66781e8289f4fcec7aae0adff6" );
+      ( "robust blackout",
+        { S.robust_blackout_config with S.duration = 60.0; warmup = 15.0 },
+        "3138539c3562b5d4ac417bacbd9bce5a",
+        "a46d34ba47ce11d82a8d85fbab308181" );
+    ]
+  in
+  List.iter
+    (fun (name, cfg, result_digest, key_digest) ->
+      Alcotest.(check string)
+        (name ^ ": result digest")
+        result_digest
+        (Digest.to_hex (Digest.string (RC.serialize_result (S.run cfg))));
+      Alcotest.(check string)
+        (name ^ ": key digest")
+        key_digest (RC.digest_of_config cfg))
+    cases
 
 (* ------------------------- result cache ------------------------- *)
 
@@ -681,12 +687,10 @@ let () =
           Alcotest.test_case "determinism" `Quick test_scenario_determinism;
           Alcotest.test_case "seed sensitivity" `Quick test_scenario_seed_sensitivity;
           Alcotest.test_case "pooled loss rate" `Quick test_scenario_pooled_loss_rate;
-          Alcotest.test_case "freelist equivalence" `Quick
-            test_scenario_freelist_equivalence;
           Alcotest.test_case "invalid duration" `Quick test_scenario_invalid_duration;
           Alcotest.test_case "bdp/rtt helpers" `Quick test_bdp_and_rtt_helpers;
-          Alcotest.test_case "lanes vs heap identical" `Quick
-            test_scenario_lanes_vs_heap_identical;
+          Alcotest.test_case "golden digests" `Quick
+            test_scenario_golden_digests;
         ] );
       ( "result_cache",
         [
