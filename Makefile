@@ -1,34 +1,21 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all ci build test test-ablations serve-e2e chaos-e2e serve-demo bench bench-quick bench-full bench-scale bench-compare bench-trend figures validate report examples telemetry-demo status-demo clean
+.PHONY: all ci build test serve-e2e chaos-e2e serve-demo bench bench-quick bench-full bench-scale bench-compare bench-trend figures validate report examples telemetry-demo status-demo clean
 
 all: build
 
-# The full gate: build everything, run the test suites (including the
-# all-ablations-off leg), take a fresh bench record, and diff it
-# against the previous one (fails on hot-path regressions > 20% or
-# fixed-seed telemetry drift; set EBRC_COMPARE_WARN_ONLY=1 when a
-# simulator change makes drift intentional).
-ci: build test test-ablations serve-e2e chaos-e2e bench-quick bench-compare
+# The full gate: build everything, run the test suites, take a fresh
+# bench record, and diff it against the previous one (fails on
+# hot-path regressions > 20% or fixed-seed telemetry drift; set
+# EBRC_COMPARE_WARN_ONLY=1 when a simulator change makes drift
+# intentional).
+ci: build test serve-e2e chaos-e2e bench-quick bench-compare
 
 build:
 	dune build @all
 
 test:
 	dune runtest
-
-# The same suites with every ablatable fast path and the fault layer
-# disabled: lane merge off, geometric gap-skip off, fault injection
-# off. Guards the contract that each toggle is behaviour-preserving
-# (or, for EBRC_FAULTS, that disabling it reproduces fault-free runs).
-# A second leg turns off just the timing wheel so every suite also
-# runs against the pure-heap event core, and a third turns off the
-# hybrid packet/fluid layer so configs carrying a fluid background
-# degrade to bit-identical packet-only runs.
-test-ablations:
-	EBRC_LANES=0 EBRC_GAP_SKIP=0 EBRC_FAULTS=0 dune runtest --force
-	EBRC_WHEEL=0 dune runtest --force
-	EBRC_HYBRID=0 dune runtest --force
 
 # End-to-end check of the multi-process sweep service: serve a 6-task
 # manifest with 2 workers to completion, resume over a partial store,
@@ -68,15 +55,15 @@ bench-quick:
 bench-full:
 	EBRC_BENCH_FULL=1 dune exec bench/main.exe
 
-# Just the scale points: flows100k (packet-only scheduler), flows1m
-# (hybrid packet/fluid) and the EBRC_HYBRID=0 ablation. No JSON record.
+# Just the scale points: flows100k (packet-only scheduler) and flows1m
+# (hybrid packet/fluid). No JSON record.
 bench-scale:
 	EBRC_BENCH_ONLY=scale dune exec bench/main.exe
 
 # Diff the newest two BENCH_*.json records; exits non-zero when any
 # hot-path micro-benchmark regressed by more than 20%, a fixed-seed
-# counter drifted, or a determinism gate (wheel/faults/hybrid/stream
-# bit-identity) broke.
+# counter drifted, or a determinism gate (stream bit-identity, flows1m
+# reruns, sweep-service and chaos-soak store identity) broke.
 bench-compare:
 	dune exec bench/compare.exe
 

@@ -163,6 +163,29 @@ let compare_figure_seconds old_json new_json =
       compared faster slower (figure_skips new_json) absent
   end
 
+(* A/B blocks whose alternate code paths have been deleted. A baseline
+   record that still carries one is reported once as removed; there is
+   nothing left to compare it against. *)
+let retired_blocks =
+  [
+    "lanes_ablation";
+    "wheel_ablation";
+    "freelist_ablation";
+    "hybrid_ablation";
+    "faults_ablation";
+    "gap_skip_ablation";
+  ]
+
+let report_retired old_json new_json =
+  let gone =
+    List.filter
+      (fun name -> member name old_json <> None && member name new_json = None)
+      retired_blocks
+  in
+  if gone <> [] then
+    Printf.printf "  removed A/B blocks (not compared): %s\n\n"
+      (String.concat ", " gone)
+
 let () =
   match List.rev (bench_files ()) with
   | [] | [ _ ] ->
@@ -214,96 +237,15 @@ let () =
               Printf.printf "  parallel sweep (figure %s): %.2fx\n\n" fig sp
           | _ -> ())
       | None -> ());
-      (* Faults ablation: the disabled arm must stay byte-identical to
-         the fault-free run — a [false] here means the injection layer
-         leaks into unfaulted simulations, which is fatal regardless of
-         timing. Absent in pre-faults records; skipped then. *)
-      let faults_broken =
-        match member "faults_ablation" new_json with
-        | Some fa -> (
-            (match
-               ( member "scenario_none_ms" fa,
-                 member "scenario_enabled_ms" fa )
-             with
-            | Some (Num none_ms), Some (Num live_ms) ->
-                Printf.printf
-                  "  faults ablation: fault-free %.1f ms, live %.1f ms\n"
-                  none_ms live_ms
-            | _ -> ());
-            match member "bit_identical" fa with
-            | Some (Bool true) ->
-                Printf.printf
-                  "  faults ablation: disabled arm bit-identical to \
-                   fault-free\n\n";
-                false
-            | Some (Bool false) ->
-                Printf.printf
-                  "  faults ablation: FAIL — EBRC_FAULTS=0 run is NOT \
-                   byte-identical to the fault-free run\n\n";
-                true
-            | _ -> false)
-        | None -> false
-      in
-      (* Scheduler ablations: dispatch order must be bit-identical
-         across wheel / lanes / heap (and, at the 100k-flow scale
-         point, between wheel and heap fingerprints) — a [false] is
-         fatal regardless of timing, mirroring the faults gate. The
-         timing targets are reported but not fatal: they move with the
-         host. Absent in pre-wheel records; skipped then. *)
-      let wheel_broken =
-        match member "wheel_ablation" new_json with
-        | Some wa -> (
-            (match
-               (member "wheel_droptail_ms" wa, member "heap_droptail_ms" wa)
-             with
-            | Some (Num w), Some (Num h) ->
-                Printf.printf
-                  "  wheel ablation: droptail wheel %.1f ms, heap %.1f ms \
-                   (%.2fx vs heap; target < 7 ms %s)\n"
-                  w h (h /. w)
-                  (if w < 7.0 then "met" else "missed")
-            | _ -> ());
-            match member "bit_identical" wa with
-            | Some (Bool true) ->
-                Printf.printf
-                  "  wheel ablation: wheel/lanes/heap runs bit-identical\n";
-                false
-            | Some (Bool false) ->
-                Printf.printf
-                  "  wheel ablation: FAIL — wheel/lanes/heap runs are NOT \
-                   byte-identical\n";
-                true
-            | _ -> false)
-        | None -> false
-      in
-      let flows_broken =
-        match member "flows100k" new_json with
-        | Some fl -> (
-            (match
-               ( member "wheel_ns_per_packet" fl,
-                 member "heap_ns_per_packet" fl )
-             with
-            | Some (Num w), Some (Num h) ->
-                Printf.printf
-                  "  flows100k: wheel %.0f ns/packet, heap %.0f ns/packet \
-                   (%.2fx vs heap; halving target %s)\n"
-                  w h (h /. w)
-                  (if w <= 0.5 *. h then "met" else "missed")
-            | _ -> ());
-            match member "bit_identical" fl with
-            | Some (Bool true) ->
-                Printf.printf
-                  "  flows100k: wheel and heap dispatch fingerprints \
-                   identical\n\n";
-                false
-            | Some (Bool false) ->
-                Printf.printf
-                  "  flows100k: FAIL — wheel and heap dispatch fingerprints \
-                   differ\n\n";
-                true
-            | _ -> false)
-        | None -> false
-      in
+      report_retired old_json new_json;
+      (match member "flows100k" new_json with
+      | Some fl -> (
+          match member "wheel_ns_per_packet" fl with
+          | Some (Num w) ->
+              Printf.printf "  flows100k: %.0f ns/packet (informational)\n\n"
+                w
+          | _ -> ())
+      | None -> ());
       (* flows1m: informational timing for the hybrid scale point (the
          <= 2x ratio vs flows100k moves with the host), but fingerprint
          disagreement between equal-seed reruns is fatal — the hybrid
@@ -332,37 +274,6 @@ let () =
                 Printf.printf
                   "  flows1m: FAIL — equal-seed hybrid reruns disagree on \
                    the dispatch fingerprint\n";
-                true
-            | _ -> false)
-        | None -> false
-      in
-      (* Hybrid ablation: with EBRC_HYBRID=0 a config carrying a fluid
-         background must serialize byte-identically to the same config
-         with no background — a [false] means the hybrid layer leaks
-         into ablated runs, fatal regardless of timing. Absent in
-         pre-hybrid records; skipped then. *)
-      let hybrid_broken =
-        match member "hybrid_ablation" new_json with
-        | Some ha -> (
-            (match
-               ( member "scenario_none_ms" ha,
-                 member "scenario_enabled_ms" ha )
-             with
-            | Some (Num none_ms), Some (Num live_ms) ->
-                Printf.printf
-                  "  hybrid ablation: background-free %.1f ms, live %.1f ms\n"
-                  none_ms live_ms
-            | _ -> ());
-            match member "bit_identical" ha with
-            | Some (Bool true) ->
-                Printf.printf
-                  "  hybrid ablation: EBRC_HYBRID=0 arm bit-identical to \
-                   background-free\n\n";
-                false
-            | Some (Bool false) ->
-                Printf.printf
-                  "  hybrid ablation: FAIL — EBRC_HYBRID=0 run is NOT \
-                   byte-identical to the background-free run\n\n";
                 true
             | _ -> false)
         | None -> false
@@ -517,14 +428,10 @@ let () =
         | None -> false
       in
       let failed = ref false in
-      if faults_broken then failed := true;
       if service_broken then failed := true;
       if chaos_broken then failed := true;
       if stream_broken then failed := true;
-      if wheel_broken then failed := true;
-      if flows_broken then failed := true;
       if flows1m_broken then failed := true;
-      if hybrid_broken then failed := true;
       (match List.rev !regressions with
       | [] -> print_endline "bench-compare: OK, no hot-path regression > 20%"
       | rs ->

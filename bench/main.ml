@@ -259,9 +259,8 @@ let tests =
 
 (* Run the micro-benchmarks against both the monotonic clock and the
    minor-allocation counter, returning one (name, estimate) table per
-   measure. Allocation rates are the before/after evidence for the
-   simulator pooling work: a pooled hot path shows up directly as a
-   drop in minor words per run. *)
+   measure: an allocation change on a hot path shows up directly in
+   minor words per run. *)
 let benchmark () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
@@ -311,11 +310,6 @@ type frontier_point = {
   max_rel_err : float;      (* vs the exact SQRT closed form *)
 }
 
-type frontier = {
-  fixed_step_ns : float;    (* legacy RK4 at the old 1e-3 step *)
-  points : frontier_point list;
-}
-
 (* The SQRT formula admits an exact closed form for the cycle duration
    (Proposition 3), so it calibrates the adaptive engine: for each
    tolerance we measure the true cost of an *uncached* solve (distinct
@@ -331,18 +325,6 @@ let measure_ode_frontier () =
     let t0 = Unix.gettimeofday () in
     f ();
     (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
-  in
-  let fixed_step_ns =
-    let ths = thetas ~base:60.0 64 in
-    time_per_call
-      (fun () ->
-        Array.iter
-          (fun theta ->
-            ignore
-              (Ebrc.Comprehensive_control.cycle_duration_ode ~step:1e-3
-                 ~formula ~estimator ~theta ()))
-          ths)
-      64
   in
   let points =
     List.map
@@ -380,77 +362,13 @@ let measure_ode_frontier () =
     "#############################################################\n\
      # ODE engine: accuracy vs time (SQRT closed form as reference)\n\
      #############################################################\n\n";
-  Printf.printf "  fixed-step RK4 (step 1e-3)  %12.0f ns/solve\n" fixed_step_ns;
   List.iter
     (fun p ->
-      Printf.printf
-        "  adaptive rtol %.0e  %12.0f ns/solve  max rel err %.2e  (%.0fx \
-         vs fixed)\n"
-        p.rtol p.adaptive_ns p.max_rel_err
-        (fixed_step_ns /. p.adaptive_ns))
+      Printf.printf "  adaptive rtol %.0e  %12.0f ns/solve  max rel err %.2e\n"
+        p.rtol p.adaptive_ns p.max_rel_err)
     points;
   print_newline ();
-  { fixed_step_ns; points }
-
-(* ------------------------------------------------------------------ *)
-(* Freelist A/B: allocation rate and wall time, pooled vs not.         *)
-(* ------------------------------------------------------------------ *)
-
-type alloc_ab = {
-  unpooled_ms : float;
-  unpooled_mwords : float;     (* minor words per scenario run *)
-  pooled_ms : float;
-  pooled_mwords : float;
-}
-
-(* The packet/event freelists are off by default: recycled records are
-   tenured, so every boxed store into them pays a write barrier plus a
-   promotion, which measured slower than letting the records die in
-   the minor heap. This records both sides of that trade on one
-   scenario run so the regression guard keeps the decision honest. *)
-let measure_alloc_ab () =
-  let run_once () =
-    let cfg =
-      {
-        Ebrc.Scenario.default_config with
-        n_tfrc = 2;
-        n_tcp = 2;
-        queue = Ebrc.Scenario.Drop_tail { capacity = 100 };
-        duration = 10.0;
-        warmup = 2.0;
-        seed = 9;
-      }
-    in
-    ignore (Ebrc.Scenario.run cfg)
-  in
-  let measure () =
-    let reps = 5 in
-    let best = ref infinity in
-    let w0 = Gc.minor_words () in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      run_once ();
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    let words = (Gc.minor_words () -. w0) /. float_of_int reps in
-    (!best *. 1e3, words)
-  in
-  run_once ();
-  let unpooled_ms, unpooled_mwords = measure () in
-  Ebrc.Packet.set_pooling true;
-  Ebrc.Engine.set_pooling true;
-  run_once ();
-  let pooled_ms, pooled_mwords = measure () in
-  Ebrc.Packet.set_pooling false;
-  Ebrc.Engine.set_pooling false;
-  Printf.printf
-    "#############################################################\n\
-     # Packet/event freelist A/B (scenario run, best of 5)\n\
-     #############################################################\n\n\
-    \  unpooled (default)  %7.2f ms  %12.0f minor words/run\n\
-    \  pooled (EBRC_POOL)  %7.2f ms  %12.0f minor words/run\n\n"
-    unpooled_ms unpooled_mwords pooled_ms pooled_mwords;
-  { unpooled_ms; unpooled_mwords; pooled_ms; pooled_mwords }
+  points
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry ablation: compile-in instrumentation must be ~free when   *)
@@ -524,31 +442,19 @@ let measure_telemetry () =
   { telem_off_ms; telem_on_ms; telem_counters; telem_events }
 
 (* ------------------------------------------------------------------ *)
-(* FIFO-lane A/B: the k-way lane merge vs the pure binary heap.        *)
+(* Shared scenario config and best-of timer for the scenario arms.     *)
 (* ------------------------------------------------------------------ *)
 
-type lanes_ab = {
-  lane_droptail_ms : float;
-  heap_droptail_ms : float;
-  lane_red_ms : float;
-  heap_red_ms : float;
-  lanes_identical : bool;  (* serialized results byte-identical *)
-}
-
-(* Shared scenario configs and best-of timer for the scheduler A/Bs. *)
-let ab_cfg queue =
+let ab_droptail =
   {
     Ebrc.Scenario.default_config with
     n_tfrc = 2;
     n_tcp = 2;
-    queue;
+    queue = Ebrc.Scenario.Drop_tail { capacity = 100 };
     duration = 10.0;
     warmup = 2.0;
     seed = 9;
   }
-
-let ab_droptail = ab_cfg (Ebrc.Scenario.Drop_tail { capacity = 100 })
-let ab_red = ab_cfg (Ebrc.Scenario.Red_auto { capacity = 0 })
 
 let ab_best_of reps cfg =
   ignore (Ebrc.Scenario.run cfg);
@@ -559,52 +465,6 @@ let ab_best_of reps cfg =
     best := Float.min !best (Unix.gettimeofday () -. t0)
   done;
   !best *. 1e3
-
-(* The lane merge reproduces the heap's pop order exactly (lanes draw
-   tie-break tickets from the heap's own sequence counter), so besides
-   the timing both arms must serialize to the same bytes. The wheel is
-   held off for the whole measurement: in wheel mode no lane ever
-   registers, so lanes-vs-heap is only observable on the heap path. *)
-let measure_lanes_ab () =
-  Ebrc.Engine.set_wheel false;
-  let lane_droptail_ms, lane_red_ms, lane_bytes =
-    Fun.protect
-      ~finally:(fun () -> Ebrc.Engine.set_wheel true)
-      (fun () ->
-        let d = ab_best_of 7 ab_droptail in
-        let r = ab_best_of 7 ab_red in
-        let b =
-          Ebrc.Result_cache.serialize_result (Ebrc.Scenario.run ab_droptail)
-        in
-        (d, r, b))
-  in
-  Ebrc.Engine.set_wheel false;
-  Ebrc.Engine.set_fast_lanes false;
-  let heap_droptail_ms, heap_red_ms, heap_bytes =
-    Fun.protect
-      ~finally:(fun () ->
-        Ebrc.Engine.set_fast_lanes true;
-        Ebrc.Engine.set_wheel true)
-      (fun () ->
-        ( ab_best_of 7 ab_droptail,
-          ab_best_of 7 ab_red,
-          Ebrc.Result_cache.serialize_result (Ebrc.Scenario.run ab_droptail) ))
-  in
-  let lanes_identical = String.equal lane_bytes heap_bytes in
-  Printf.printf
-    "#############################################################\n\
-     # FIFO-lane A/B (scenario run, best of 7)\n\
-     #############################################################\n\n\
-    \  droptail: lanes %7.2f ms  heap %7.2f ms  speedup %.2fx\n\
-    \  red:      lanes %7.2f ms  heap %7.2f ms  speedup %.2fx\n\
-    \  bit-identical results: %b\n\n"
-    lane_droptail_ms heap_droptail_ms
-    (heap_droptail_ms /. lane_droptail_ms)
-    lane_red_ms heap_red_ms
-    (heap_red_ms /. lane_red_ms)
-    lanes_identical;
-  { lane_droptail_ms; heap_droptail_ms; lane_red_ms; heap_red_ms;
-    lanes_identical }
 
 (* ------------------------------------------------------------------ *)
 (* Streaming-telemetry ablation: the delta stream must cost nothing    *)
@@ -677,123 +537,41 @@ let measure_stream_ablation () =
   { stream_off_ms; stream_on_ms; stream_deltas; stream_identical }
 
 (* ------------------------------------------------------------------ *)
-(* Timing-wheel A/B: wheel vs FIFO lanes vs pure heap.                 *)
-(* ------------------------------------------------------------------ *)
-
-type wheel_ab = {
-  wheel_droptail_ms : float;
-  wheel_lanes_droptail_ms : float;
-  wheel_heap_droptail_ms : float;
-  wheel_red_ms : float;
-  wheel_lanes_red_ms : float;
-  wheel_heap_red_ms : float;
-  wheel_identical : bool;
-      (* droptail results byte-identical across all three schedulers *)
-}
-
-(* The wheel draws tie-break tickets from the heap's shared sequence
-   counter and extracts the exact (time, seq) minimum, so all three
-   scheduler modes must serialize a scenario to the same bytes; the
-   gate in bench/compare.ml treats anything else as fatal. *)
-let measure_wheel_ab () =
-  let run_mode ~wheel ~lanes =
-    Ebrc.Engine.set_wheel wheel;
-    Ebrc.Engine.set_fast_lanes lanes;
-    Fun.protect
-      ~finally:(fun () ->
-        Ebrc.Engine.set_wheel true;
-        Ebrc.Engine.set_fast_lanes true)
-      (fun () ->
-        let d = ab_best_of 7 ab_droptail in
-        let r = ab_best_of 7 ab_red in
-        let b =
-          Ebrc.Result_cache.serialize_result (Ebrc.Scenario.run ab_droptail)
-        in
-        (d, r, b))
-  in
-  let wheel_droptail_ms, wheel_red_ms, wheel_bytes =
-    run_mode ~wheel:true ~lanes:true
-  in
-  let wheel_lanes_droptail_ms, wheel_lanes_red_ms, lane_bytes =
-    run_mode ~wheel:false ~lanes:true
-  in
-  let wheel_heap_droptail_ms, wheel_heap_red_ms, heap_bytes =
-    run_mode ~wheel:false ~lanes:false
-  in
-  let wheel_identical =
-    String.equal wheel_bytes lane_bytes && String.equal wheel_bytes heap_bytes
-  in
-  Printf.printf
-    "#############################################################\n\
-     # Timing-wheel A/B (scenario run, best of 7)\n\
-     #############################################################\n\n\
-    \  droptail: wheel %7.2f ms  lanes %7.2f ms  heap %7.2f ms  \
-     speedup vs heap %.2fx\n\
-    \  red:      wheel %7.2f ms  lanes %7.2f ms  heap %7.2f ms  \
-     speedup vs heap %.2fx\n\
-    \  bit-identical results: %b\n\n"
-    wheel_droptail_ms wheel_lanes_droptail_ms wheel_heap_droptail_ms
-    (wheel_heap_droptail_ms /. wheel_droptail_ms)
-    wheel_red_ms wheel_lanes_red_ms wheel_heap_red_ms
-    (wheel_heap_red_ms /. wheel_red_ms)
-    wheel_identical;
-  { wheel_droptail_ms; wheel_lanes_droptail_ms; wheel_heap_droptail_ms;
-    wheel_red_ms; wheel_lanes_red_ms; wheel_heap_red_ms; wheel_identical }
-
-(* ------------------------------------------------------------------ *)
 (* 100k-flow scale point: scheduler cost with 10^5 pending events.     *)
 (* ------------------------------------------------------------------ *)
 
 type flows100k = {
   fl_flows : int;
   fl_events : int;
-  fl_wheel_ns : float;     (* ns per packet tick, wheel scheduler *)
-  fl_heap_ns : float;      (* ns per packet tick, pure heap *)
-  fl_identical : bool;     (* dispatch-order fingerprints equal *)
+  fl_wheel_ns : float;     (* ns per packet tick *)
 }
 
 (* Scenario benches hold a few dozen pending events — heap depth ~5 —
    so they can't see the scheduler's asymptotic cost. The flock pins
    ~10^5 events in the pending set, where a binary heap pays ~17
-   cache-missing sift levels per operation and the wheel stays O(1).
+   cache-missing sift levels per operation where the wheel stays O(1).
    Flock members are deliberately minimal (bump a sequence number,
    fold the dispatch fingerprint, reschedule) so ns/packet is
    scheduler cost, not protocol work. *)
 let measure_flows100k () =
   let flows = 100_000 and duration = 10.0 and seed = 1 in
-  let leg () =
-    let best = ref infinity in
-    let stats = ref None in
-    for _ = 1 to 3 do
-      Gc.full_major ();
-      let t0 = Unix.gettimeofday () in
-      let s = Ebrc.Flock.run ~flows ~duration ~seed () in
-      best := Float.min !best (Unix.gettimeofday () -. t0);
-      stats := Some s
-    done;
-    let s = Option.get !stats in
-    (!best *. 1e9 /. float s.Ebrc.Flock.events, s)
-  in
-  Ebrc.Engine.set_wheel true;
-  let fl_wheel_ns, wheel_stats = leg () in
-  Ebrc.Engine.set_wheel false;
-  let fl_heap_ns, heap_stats =
-    Fun.protect ~finally:(fun () -> Ebrc.Engine.set_wheel true) leg
-  in
-  let fl_identical =
-    wheel_stats.Ebrc.Flock.fingerprint = heap_stats.Ebrc.Flock.fingerprint
-    && wheel_stats.Ebrc.Flock.events = heap_stats.Ebrc.Flock.events
-  in
+  let best = ref infinity in
+  let events = ref 0 in
+  for _ = 1 to 3 do
+    Gc.full_major ();
+    let t0 = Unix.gettimeofday () in
+    let s = Ebrc.Flock.run ~flows ~duration ~seed () in
+    best := Float.min !best (Unix.gettimeofday () -. t0);
+    events := s.Ebrc.Flock.events
+  done;
+  let fl_wheel_ns = !best *. 1e9 /. float !events in
   Printf.printf
     "#############################################################\n\
      # 100k-flow scale point (%d flows, %d events, best of 3)\n\
      #############################################################\n\n\
-    \  wheel %7.1f ns/packet   heap %7.1f ns/packet   speedup %.2fx\n\
-    \  bit-identical dispatch order: %b\n\n"
-    flows wheel_stats.Ebrc.Flock.events fl_wheel_ns fl_heap_ns
-    (fl_heap_ns /. fl_wheel_ns) fl_identical;
-  { fl_flows = flows; fl_events = wheel_stats.Ebrc.Flock.events;
-    fl_wheel_ns; fl_heap_ns; fl_identical }
+    \  wheel %7.1f ns/packet\n\n"
+    flows !events fl_wheel_ns;
+  { fl_flows = flows; fl_events = !events; fl_wheel_ns }
 
 (* ------------------------------------------------------------------ *)
 (* flows1m: the hybrid packet/fluid scale point.                       *)
@@ -859,184 +637,6 @@ let measure_flows1m (packet_only : flows100k) =
   { f1_fg = fg_flows; f1_bg = bg_flows; f1_events = s.events;
     f1_ns_per_event; f1_ratio_vs_flows100k; f1_fluid_advances;
     f1_identical = !identical }
-
-(* ------------------------------------------------------------------ *)
-(* Hybrid ablation: background-free vs hybrid-disabled (must be byte-  *)
-(* identical) vs hybrid live.                                          *)
-(* ------------------------------------------------------------------ *)
-
-type hybrid_ablation = {
-  hyb_none_ms : float;      (* config carries no background *)
-  hyb_off_ms : float;       (* background configured, layer ablated *)
-  hyb_on_ms : float;        (* fluid background live *)
-  hyb_identical : bool;     (* disabled run == background-free run *)
-}
-
-(* The EBRC_HYBRID=0 contract: with the layer ablated, a config that
-   carries a fluid background must serialize byte-identically to the
-   same config with no background at all — nothing may attach to the
-   link or the engine. bench/compare.ml fails on a [false] here. *)
-let measure_hybrid_ablation () =
-  (* 8 background flows: enough to contend for the 15 Mb/s default
-     link without starving the foreground (10^4+ flows would pin the
-     fluid at its cap and the live arm would measure a degenerate,
-     nearly packet-free run). *)
-  let with_bg =
-    { (ab_cfg (Ebrc.Scenario.Red_auto { capacity = 0 })) with
-      Ebrc.Scenario.background =
-        Some (Ebrc.Scenario.default_background ~flows:8) }
-  in
-  let clean = { with_bg with Ebrc.Scenario.background = None } in
-  let prior = Ebrc.Fluid.enabled () in
-  Ebrc.Fluid.set_hybrid true;
-  let hyb_none_ms, hyb_on_ms, none_bytes =
-    Fun.protect
-      ~finally:(fun () -> Ebrc.Fluid.set_hybrid prior)
-      (fun () ->
-        ( ab_best_of 5 clean,
-          ab_best_of 5 with_bg,
-          Ebrc.Result_cache.serialize_result (Ebrc.Scenario.run clean) ))
-  in
-  Ebrc.Fluid.set_hybrid false;
-  let hyb_off_ms, off_bytes =
-    Fun.protect
-      ~finally:(fun () -> Ebrc.Fluid.set_hybrid prior)
-      (fun () ->
-        ( ab_best_of 5 with_bg,
-          Ebrc.Result_cache.serialize_result (Ebrc.Scenario.run with_bg) ))
-  in
-  let hyb_identical = String.equal none_bytes off_bytes in
-  Printf.printf
-    "#############################################################\n\
-     # Hybrid packet/fluid ablation (RED scenario, best of 5)\n\
-     #############################################################\n\n\
-    \  no background      %7.2f ms\n\
-    \  hybrid disabled    %7.2f ms (EBRC_HYBRID=0 arm)\n\
-    \  hybrid live        %7.2f ms (overhead %+.1f%%)\n\
-    \  disabled == background-free bytes: %b\n\n"
-    hyb_none_ms hyb_off_ms hyb_on_ms
-    (100.0 *. ((hyb_on_ms /. hyb_none_ms) -. 1.0))
-    hyb_identical;
-  { hyb_none_ms; hyb_off_ms; hyb_on_ms; hyb_identical }
-
-(* ------------------------------------------------------------------ *)
-(* Fault-injection A/B: fault-free vs faults-disabled (must be byte-   *)
-(* identical) vs faults live (cost of a blackout schedule).            *)
-(* ------------------------------------------------------------------ *)
-
-type faults_ab = {
-  faults_none_ms : float;      (* config carries no faults *)
-  faults_disabled_ms : float;  (* faults configured, layer ablated *)
-  faults_enabled_ms : float;   (* faults configured and live *)
-  faults_identical : bool;     (* disabled run == fault-free run, bytes *)
-}
-
-let measure_faults_ab () =
-  let faulted =
-    {
-      Ebrc.Scenario.default_config with
-      n_tfrc = 2;
-      n_tcp = 2;
-      duration = 60.0;
-      warmup = 15.0;
-      seed = 71;
-      faults =
-        Some
-          { Ebrc.Fault.none with
-            Ebrc.Fault.blackouts =
-              [ { Ebrc.Fault.start = 20.0; length = 8.0; period = 30.0 } ] };
-    }
-  in
-  let clean = { faulted with Ebrc.Scenario.faults = None } in
-  let best_of reps cfg =
-    ignore (Ebrc.Scenario.run cfg);
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (Ebrc.Scenario.run cfg);
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best *. 1e3
-  in
-  let faults_none_ms = best_of 5 clean in
-  let none_bytes = Ebrc.Result_cache.serialize_result (Ebrc.Scenario.run clean) in
-  let faults_enabled_ms = best_of 5 faulted in
-  Ebrc.Fault.set_enabled false;
-  let faults_disabled_ms, disabled_bytes =
-    Fun.protect
-      ~finally:(fun () -> Ebrc.Fault.set_enabled true)
-      (fun () ->
-        ( best_of 5 faulted,
-          Ebrc.Result_cache.serialize_result (Ebrc.Scenario.run faulted) ))
-  in
-  let faults_identical = String.equal none_bytes disabled_bytes in
-  Printf.printf
-    "#############################################################\n\
-     # Fault-injection A/B (blackout scenario, best of 5)\n\
-     #############################################################\n\n\
-    \  fault-free       %7.2f ms\n\
-    \  faults disabled  %7.2f ms (EBRC_FAULTS=0 arm)\n\
-    \  faults live      %7.2f ms (overhead %+.1f%%)\n\
-    \  disabled == fault-free bytes: %b\n\n"
-    faults_none_ms faults_disabled_ms faults_enabled_ms
-    (100.0 *. ((faults_enabled_ms /. faults_none_ms) -. 1.0))
-    faults_identical;
-  { faults_none_ms; faults_disabled_ms; faults_enabled_ms; faults_identical }
-
-(* ------------------------------------------------------------------ *)
-(* Geometric gap-skip A/B: one geometric draw per loss event vs one    *)
-(* uniform draw per packet.                                            *)
-(* ------------------------------------------------------------------ *)
-
-type gap_skip_ab = {
-  gap_skip_ns : float;        (* ns per offered packet *)
-  per_packet_ns : float;
-  gap_skip_drop_rate : float;
-  per_packet_drop_rate : float;
-}
-
-let measure_gap_skip () =
-  let n = 2_000_000 and p = 0.01 in
-  let pkt = Ebrc.Packet.data ~flow:0 ~seq:0 ~size:1000 ~sent_at:0.0 in
-  let run () =
-    let lm = Ebrc.Loss_module.bernoulli (Ebrc.Prng.create ~seed:13) ~p in
-    let dropped = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      if not (Ebrc.Loss_module.process lm pkt) then incr dropped
-    done;
-    let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n in
-    (ns, float_of_int !dropped /. float_of_int n)
-  in
-  let best_of reps =
-    ignore (run ());
-    let best_ns = ref infinity and rate = ref 0.0 in
-    for _ = 1 to reps do
-      let ns, r = run () in
-      if ns < !best_ns then begin
-        best_ns := ns;
-        rate := r
-      end
-    done;
-    (!best_ns, !rate)
-  in
-  let gap_skip_ns, gap_skip_drop_rate = best_of 5 in
-  Ebrc.Loss_module.set_gap_skip false;
-  let per_packet_ns, per_packet_drop_rate =
-    Fun.protect
-      ~finally:(fun () -> Ebrc.Loss_module.set_gap_skip true)
-      (fun () -> best_of 5)
-  in
-  Printf.printf
-    "#############################################################\n\
-     # Bernoulli loss sampling A/B (%d packets, p = %g, best of 5)\n\
-     #############################################################\n\n\
-    \  gap-skip    %6.2f ns/pkt  drop rate %.5f\n\
-    \  per-packet  %6.2f ns/pkt  drop rate %.5f\n\
-    \  speedup %.2fx (statistically equivalent, different RNG streams)\n\n"
-    n p gap_skip_ns gap_skip_drop_rate per_packet_ns per_packet_drop_rate
-    (per_packet_ns /. gap_skip_ns);
-  { gap_skip_ns; per_packet_ns; gap_skip_drop_rate; per_packet_drop_rate }
 
 (* ------------------------------------------------------------------ *)
 (* Scenario result cache: cold vs warm, with hit/miss counters.        *)
@@ -1467,9 +1067,8 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let write_json ~figure_seconds ~microbench ~frontier ~alloc ~telem ~stream
-    ~lanes ~wheel ~flows ~flows1m ~hybrid ~faults ~gap ~cache ~sweep ~service
-    ~chaos =
+let write_json ~figure_seconds ~microbench ~frontier ~telem ~stream ~flows
+    ~flows1m ~cache ~sweep ~service ~chaos =
   let ns_per_run, minor_per_run = microbench in
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
   let date =
@@ -1510,8 +1109,6 @@ let write_json ~figure_seconds ~microbench ~frontier ~alloc ~telem ~stream
       if v < 0.0005 then "\"skipped: sub-ms analytic figure\""
       else Printf.sprintf "%.3f" v);
   Printf.fprintf oc "  \"ode_frontier\": {\n";
-  Printf.fprintf oc "    \"fixed_step_ns_per_solve\": %.1f,\n"
-    frontier.fixed_step_ns;
   Printf.fprintf oc "    \"points\": [\n";
   List.iteri
     (fun i p ->
@@ -1519,18 +1116,9 @@ let write_json ~figure_seconds ~microbench ~frontier ~alloc ~telem ~stream
         "      { \"rtol\": %.0e, \"adaptive_ns_per_solve\": %.1f, \
          \"max_rel_err\": %.3e }%s\n"
         p.rtol p.adaptive_ns p.max_rel_err
-        (if i = List.length frontier.points - 1 then "" else ","))
-    frontier.points;
+        (if i = List.length frontier - 1 then "" else ","))
+    frontier;
   Printf.fprintf oc "    ]\n  },\n";
-  Printf.fprintf oc
-    "  \"freelist_ablation\": {\n\
-    \    \"unpooled_ms\": %.3f,\n\
-    \    \"unpooled_minor_words\": %.0f,\n\
-    \    \"pooled_ms\": %.3f,\n\
-    \    \"pooled_minor_words\": %.0f\n\
-    \  },\n"
-    alloc.unpooled_ms alloc.unpooled_mwords alloc.pooled_ms
-    alloc.pooled_mwords;
   Printf.fprintf oc
     "  \"telemetry_summary\": {\n\
     \    \"disabled_ms\": %.3f,\n\
@@ -1562,50 +1150,12 @@ let write_json ~figure_seconds ~microbench ~frontier ~alloc ~telem ~stream
     (100.0 *. ((stream.stream_on_ms /. stream.stream_off_ms) -. 1.0))
     stream.stream_deltas stream.stream_identical;
   Printf.fprintf oc
-    "  \"lanes_ablation\": {\n\
-    \    \"lane_droptail_ms\": %.3f,\n\
-    \    \"heap_droptail_ms\": %.3f,\n\
-    \    \"droptail_speedup\": %.3f,\n\
-    \    \"lane_red_ms\": %.3f,\n\
-    \    \"heap_red_ms\": %.3f,\n\
-    \    \"red_speedup\": %.3f,\n\
-    \    \"bit_identical\": %b\n\
-    \  },\n"
-    lanes.lane_droptail_ms lanes.heap_droptail_ms
-    (lanes.heap_droptail_ms /. lanes.lane_droptail_ms)
-    lanes.lane_red_ms lanes.heap_red_ms
-    (lanes.heap_red_ms /. lanes.lane_red_ms)
-    lanes.lanes_identical;
-  Printf.fprintf oc
-    "  \"wheel_ablation\": {\n\
-    \    \"wheel_droptail_ms\": %.3f,\n\
-    \    \"lanes_droptail_ms\": %.3f,\n\
-    \    \"heap_droptail_ms\": %.3f,\n\
-    \    \"droptail_speedup_vs_heap\": %.3f,\n\
-    \    \"wheel_red_ms\": %.3f,\n\
-    \    \"lanes_red_ms\": %.3f,\n\
-    \    \"heap_red_ms\": %.3f,\n\
-    \    \"red_speedup_vs_heap\": %.3f,\n\
-    \    \"bit_identical\": %b\n\
-    \  },\n"
-    wheel.wheel_droptail_ms wheel.wheel_lanes_droptail_ms
-    wheel.wheel_heap_droptail_ms
-    (wheel.wheel_heap_droptail_ms /. wheel.wheel_droptail_ms)
-    wheel.wheel_red_ms wheel.wheel_lanes_red_ms wheel.wheel_heap_red_ms
-    (wheel.wheel_heap_red_ms /. wheel.wheel_red_ms)
-    wheel.wheel_identical;
-  Printf.fprintf oc
     "  \"flows100k\": {\n\
     \    \"flows\": %d,\n\
     \    \"events\": %d,\n\
-    \    \"wheel_ns_per_packet\": %.2f,\n\
-    \    \"heap_ns_per_packet\": %.2f,\n\
-    \    \"speedup_vs_heap\": %.3f,\n\
-    \    \"bit_identical\": %b\n\
+    \    \"wheel_ns_per_packet\": %.2f\n\
     \  },\n"
-    flows.fl_flows flows.fl_events flows.fl_wheel_ns flows.fl_heap_ns
-    (flows.fl_heap_ns /. flows.fl_wheel_ns)
-    flows.fl_identical;
+    flows.fl_flows flows.fl_events flows.fl_wheel_ns;
   Printf.fprintf oc
     "  \"flows1m\": {\n\
     \    \"fg_flows\": %d,\n\
@@ -1619,35 +1169,6 @@ let write_json ~figure_seconds ~microbench ~frontier ~alloc ~telem ~stream
     flows1m.f1_fg flows1m.f1_bg flows1m.f1_events flows1m.f1_ns_per_event
     flows1m.f1_ratio_vs_flows100k flows1m.f1_fluid_advances
     flows1m.f1_identical;
-  Printf.fprintf oc
-    "  \"hybrid_ablation\": {\n\
-    \    \"scenario_none_ms\": %.3f,\n\
-    \    \"scenario_disabled_ms\": %.3f,\n\
-    \    \"scenario_enabled_ms\": %.3f,\n\
-    \    \"bit_identical\": %b\n\
-    \  },\n"
-    hybrid.hyb_none_ms hybrid.hyb_off_ms hybrid.hyb_on_ms
-    hybrid.hyb_identical;
-  Printf.fprintf oc
-    "  \"faults_ablation\": {\n\
-    \    \"scenario_none_ms\": %.3f,\n\
-    \    \"scenario_disabled_ms\": %.3f,\n\
-    \    \"scenario_enabled_ms\": %.3f,\n\
-    \    \"bit_identical\": %b\n\
-    \  },\n"
-    faults.faults_none_ms faults.faults_disabled_ms faults.faults_enabled_ms
-    faults.faults_identical;
-  Printf.fprintf oc
-    "  \"gap_skip_ablation\": {\n\
-    \    \"gap_skip_ns_per_packet\": %.2f,\n\
-    \    \"per_packet_ns_per_packet\": %.2f,\n\
-    \    \"speedup\": %.3f,\n\
-    \    \"gap_skip_drop_rate\": %.5f,\n\
-    \    \"per_packet_drop_rate\": %.5f\n\
-    \  },\n"
-    gap.gap_skip_ns gap.per_packet_ns
-    (gap.per_packet_ns /. gap.gap_skip_ns)
-    gap.gap_skip_drop_rate gap.per_packet_drop_rate;
   Printf.fprintf oc
     "  \"scenario_cache\": {\n\
     \    \"cold_ms\": %.3f,\n\
@@ -1711,24 +1232,19 @@ let write_json ~figure_seconds ~microbench ~frontier ~alloc ~telem ~stream
   Printf.printf "bench record written to %s\n" path
 
 let () =
-  (* EBRC_BENCH_ONLY=sweep|wheel|scale: a single measurement block, no
-     JSON — for iterating on the pool, the scheduler or the hybrid
-     engine without a full bench run. *)
+  (* EBRC_BENCH_ONLY=sweep|serve|chaos|wheel|scale: a single
+     measurement block, no JSON — for iterating on the pool, the fleet,
+     the scheduler or the hybrid engine without a full bench run. *)
   if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "sweep" then
     ignore (measure_parallel_sweep ())
   else if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "serve" then
     ignore (measure_sweep_service ())
   else if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "chaos" then
     ignore (measure_chaos_soak ())
-  else if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "wheel" then begin
-    ignore (measure_wheel_ab ());
+  else if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "wheel" then
     ignore (measure_flows100k ())
-  end
-  else if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "scale" then begin
-    let flows = measure_flows100k () in
-    ignore (measure_flows1m flows);
-    ignore (measure_hybrid_ablation ())
-  end
+  else if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "scale" then
+    ignore (measure_flows1m (measure_flows100k ()))
   else begin
     let figure_seconds = regenerate_figures () in
     (* The regeneration phase leaves every memoized scenario result
@@ -1739,22 +1255,15 @@ let () =
     let microbench = benchmark () in
     print_bench_results microbench;
     let frontier = measure_ode_frontier () in
-    let alloc = measure_alloc_ab () in
     let telem = measure_telemetry () in
     let stream = measure_stream_ablation () in
-    let lanes = measure_lanes_ab () in
-    let wheel = measure_wheel_ab () in
     let flows = measure_flows100k () in
     let flows1m = measure_flows1m flows in
-    let hybrid = measure_hybrid_ablation () in
-    let faults = measure_faults_ab () in
-    let gap = measure_gap_skip () in
     let cache = measure_cache () in
     let sweep = measure_parallel_sweep () in
     let service = measure_sweep_service () in
     let chaos = measure_chaos_soak () in
-    write_json ~figure_seconds ~microbench ~frontier ~alloc ~telem ~stream
-      ~lanes ~wheel ~flows ~flows1m ~hybrid ~faults ~gap ~cache ~sweep
-      ~service ~chaos;
+    write_json ~figure_seconds ~microbench ~frontier ~telem ~stream ~flows
+      ~flows1m ~cache ~sweep ~service ~chaos;
     print_endline "\nbench: done."
   end

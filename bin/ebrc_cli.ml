@@ -76,44 +76,13 @@ let no_cache_arg =
 
 let apply_cache no_cache = if no_cache then Ebrc.Result_cache.set_enabled false
 
-(* Event core: the timing wheel is on by default; --no-wheel (or
-   EBRC_WHEEL=0) drops every engine back to the pure binary heap.
-   Dispatch order is bit-identical either way — the toggle exists for
-   A/B timing and for isolating a suspected scheduler bug. *)
-let no_wheel_arg =
-  Arg.(
-    value & flag
-    & info [ "no-wheel" ]
-        ~doc:
-          "Schedule every event on the binary heap instead of the            hierarchical timing wheel (outputs are byte-identical either            way; see also EBRC_WHEEL=0).")
-
-let apply_wheel no_wheel = if no_wheel then Ebrc.Engine.set_wheel false
-
-(* Hybrid packet/fluid layer: on by default; --no-hybrid (or
-   EBRC_HYBRID=0) makes every scenario ignore its [background] config
-   and run packet-only — structurally inert, so such a run is
-   bit-identical to one whose config never had a background. *)
-let no_hybrid_arg =
-  Arg.(
-    value & flag
-    & info [ "no-hybrid" ]
-        ~doc:
-          "Disable the fluid background layer: scenarios run packet-only, \
-           ignoring any configured background aggregate (see also \
-           EBRC_HYBRID=0).")
-
-let apply_hybrid no_hybrid = if no_hybrid then Ebrc.Fluid.set_hybrid false
-
 (* Watchdog budgets (opt-in): cap every Engine.run in the process.
    Exceeding a budget raises Engine.Budget_exceeded — combine with
    --keep-going to salvage the remaining figures. *)
 let budget_args =
   let budget_conv what =
     let parse s =
-      match float_of_string_opt (String.trim s) with
-      | Some b when b > 0.0 && Float.is_finite b -> Ok b
-      | Some _ -> Error (`Msg (what ^ " budget must be a positive float"))
-      | None -> Error (`Msg (Printf.sprintf "invalid %s budget %S" what s))
+      Result.map_error (fun m -> `Msg m) (Ebrc.Engine.parse_budget ~what s)
     in
     Arg.conv ~docv:"SECONDS" (parse, Format.pp_print_float)
   in
@@ -319,8 +288,7 @@ let figure_cmd =
       & opt (some dir) None
       & info [ "csv" ] ~docv:"DIR" ~doc:"Also write each table as CSV into $(docv).")
   in
-  let run id full csv jobs no_cache no_wheel no_hybrid keep_going only_task
-      budgets telem obs =
+  let run id full csv jobs no_cache keep_going only_task budgets telem obs =
     let quick = not full in
     (* Unknown ids are a usage error: list the valid names and exit 2
        rather than surfacing an exception. *)
@@ -331,8 +299,6 @@ let figure_cmd =
     end;
     try
       apply_cache no_cache;
-      apply_wheel no_wheel;
-      apply_hybrid no_hybrid;
       apply_budgets budgets;
       apply_only_task only_task;
       let jobs = resolve_jobs jobs in
@@ -379,8 +345,8 @@ let figure_cmd =
     Term.(
       ret
         (const run $ id $ full $ csv $ jobs_arg $ no_cache_arg
-       $ no_wheel_arg $ no_hybrid_arg $ keep_going_arg $ only_task_arg
-       $ budget_args $ telemetry_args $ obs_args))
+       $ keep_going_arg $ only_task_arg $ budget_args $ telemetry_args
+       $ obs_args))
 
 (* --- list --- *)
 
@@ -652,11 +618,8 @@ let report_cmd =
       value & flag
       & info [ "full" ] ~doc:"Paper-scale sweeps instead of quick mode.")
   in
-  let run out ids full jobs no_cache no_wheel no_hybrid keep_going budgets
-      telem obs =
+  let run out ids full jobs no_cache keep_going budgets telem obs =
     apply_cache no_cache;
-    apply_wheel no_wheel;
-    apply_hybrid no_hybrid;
     apply_budgets budgets;
     let jobs = resolve_jobs jobs in
     with_observability ~cmd:"report"
@@ -686,9 +649,8 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:"Regenerate figures into a self-contained markdown report.")
     Term.(
-      const run $ out $ ids $ full $ jobs_arg $ no_cache_arg $ no_wheel_arg
-      $ no_hybrid_arg $ keep_going_arg $ budget_args $ telemetry_args
-      $ obs_args)
+      const run $ out $ ids $ full $ jobs_arg $ no_cache_arg $ keep_going_arg
+      $ budget_args $ telemetry_args $ obs_args)
 
 (* --- validate: assert the paper's qualitative claims --- *)
 
@@ -698,10 +660,8 @@ let validate_cmd =
       value & flag
       & info [ "full" ] ~doc:"Run the long (paper-scale) validations.")
   in
-  let run full jobs no_cache no_wheel no_hybrid telem obs =
+  let run full jobs no_cache telem obs =
     apply_cache no_cache;
-    apply_wheel no_wheel;
-    apply_hybrid no_hybrid;
     let jobs = resolve_jobs jobs in
     with_observability ~cmd:"validate"
       ~attrs:
@@ -724,8 +684,8 @@ let validate_cmd =
           gate).")
     Term.(
       ret
-        (const run $ full $ jobs_arg $ no_cache_arg $ no_wheel_arg
-       $ no_hybrid_arg $ telemetry_args $ obs_args))
+        (const run $ full $ jobs_arg $ no_cache_arg $ telemetry_args
+       $ obs_args))
 
 (* --- status: tail live telemetry streams --- *)
 
@@ -1106,13 +1066,11 @@ let worker_cmd =
             "Keep polling for new tasks instead of exiting once the \
              queue drains.")
   in
-  let run queue store id ttl retries poll max_tasks follow chaos no_wheel
-      no_hybrid budgets telem obs =
+  let run queue store id ttl retries poll max_tasks follow chaos budgets
+      telem obs =
     if ttl <= 0.0 then `Error (false, "ttl must be > 0")
     else if poll <= 0.0 then `Error (false, "poll must be > 0")
     else begin
-      apply_wheel no_wheel;
-      apply_hybrid no_hybrid;
       apply_budgets budgets;
       apply_chaos chaos;
       let d = Ebrc_serve.Worker.default ~queue_dir:queue in
@@ -1156,8 +1114,7 @@ let worker_cmd =
     Term.(
       ret
         (const run $ queue $ store $ id $ ttl $ retries $ poll $ max_tasks
-       $ follow $ chaos_arg $ no_wheel_arg $ no_hybrid_arg $ budget_args
-       $ telemetry_args $ obs_args))
+       $ follow $ chaos_arg $ budget_args $ telemetry_args $ obs_args))
 
 let scrub_cmd =
   let store =

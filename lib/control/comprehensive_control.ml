@@ -24,7 +24,7 @@ module Welford = Ebrc_stats.Welford
 module Cov_acc = Ebrc_stats.Cov_acc
 module Ode = Ebrc_numerics.Ode
 
-type engine = Closed_form | Ode_integration | Ode_fixed_step
+type engine = Closed_form | Ode_integration
 
 (* V_n of Proposition 3. thetahat1 = thetahat_{n+1}, thetahat0 =
    thetahat_n. Only valid for SQRT (c2 q terms vanish) and
@@ -64,26 +64,6 @@ let cycle_duration_closed ~formula ~estimator ~theta =
     base -. v_n ~formula ~w1 ~thetahat0 ~thetahat1
   else base
 
-(* Duration of cycle n by integrating the rate-growth ODE. Valid for any
-   formula f. theta(t) counts packets since the last loss event; the rate
-   is f(1/thetahat_n) until theta(t) reaches the threshold, then grows as
-   d theta/dt = f(1/(w1 theta + W_n)). *)
-let cycle_duration_ode ?(step = 1e-3) ~formula ~estimator ~theta () =
-  let thetahat0 = Loss_interval.estimate estimator in
-  let x0 = Formula.eval formula (1.0 /. thetahat0) in
-  let threshold = Loss_interval.open_interval_threshold estimator in
-  if theta <= threshold then theta /. x0
-  else begin
-    let u_n = threshold /. x0 in
-    let w1 = Loss_interval.first_weight estimator in
-    let w_n = Loss_interval.tail_weighted_sum estimator in
-    let deriv _t y = Formula.eval formula (1.0 /. ((w1 *. y) +. w_n)) in
-    let growth_time =
-      Ode.time_to_reach ~step deriv ~y0:threshold ~target:theta
-    in
-    u_n +. growth_time
-  end
-
 (* Memo cache for the adaptive growth-time integration. The growth time
    is a pure function of the derivative and the integration bounds,
    which are fully determined by the formula's constants, (w1, W_n), the
@@ -109,8 +89,12 @@ let memo_max_entries = 65_536
 let memo_table : (memo_key, float) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
 
-(* Duration of cycle n with the adaptive Dormand-Prince engine and the
-   per-(formula, estimator-state) memo cache; valid for any formula. *)
+(* Duration of cycle n by integrating the rate-growth ODE with the
+   adaptive Dormand-Prince engine and the per-(formula,
+   estimator-state) memo cache; valid for any formula f. theta(t)
+   counts packets since the last loss event; the rate is
+   f(1/thetahat_n) until theta(t) reaches the threshold, then grows as
+   d theta/dt = f(1/(w1 theta + W_n)). *)
 let cycle_duration_ode_adaptive ?(rtol = Ode.default_rtol)
     ?(atol = Ode.default_atol) ~formula ~estimator ~theta () =
   let thetahat0 = Loss_interval.estimate estimator in
@@ -163,7 +147,7 @@ type result = {
   cycles : int;
 }
 
-let simulate ?(engine = Closed_form) ?(warmup_cycles = 0) ?(ode_step = 1e-3)
+let simulate ?(engine = Closed_form) ?(warmup_cycles = 0)
     ?(ode_rtol = Ode.default_rtol) ~formula ~estimator ~process ~cycles () =
   if cycles < 2 then
     invalid_arg "Comprehensive_control.simulate: need >= 2 cycles";
@@ -173,7 +157,7 @@ let simulate ?(engine = Closed_form) ?(warmup_cycles = 0) ?(ode_step = 1e-3)
       invalid_arg
         "Comprehensive_control.simulate: closed form requires SQRT or \
          PFTK-simplified; use Ode_integration"
-  | (Ode_integration | Ode_fixed_step), _ -> ());
+  | Ode_integration, _ -> ());
   let l = Loss_interval.window estimator in
   for _ = 1 to l + warmup_cycles do
     Loss_interval.record estimator (Loss_process.next process)
@@ -191,8 +175,6 @@ let simulate ?(engine = Closed_form) ?(warmup_cycles = 0) ?(ode_step = 1e-3)
       | Ode_integration ->
           cycle_duration_ode_adaptive ~rtol:ode_rtol ~formula ~estimator
             ~theta ()
-      | Ode_fixed_step ->
-          cycle_duration_ode ~step:ode_step ~formula ~estimator ~theta ()
     in
     let x_n = Formula.eval formula (1.0 /. thetahat) in
     total_packets := !total_packets +. theta;

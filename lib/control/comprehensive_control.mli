@@ -1,15 +1,13 @@
 (** The comprehensive control (paper Eq. (4)): the basic control plus a
-    rate increase during long loss-free intervals, as in TFRC. Three
+    rate increase during long loss-free intervals, as in TFRC. Two
     cycle engines are provided: the Proposition-3 closed form (SQRT and
-    PFTK-simplified only), adaptive Dormand–Prince 5(4) integration of
-    the rate-growth ODE with a per-(formula, estimator-state) memo cache
-    (any formula; the default ODE engine), and the legacy fixed-step RK4
-    path kept for A/B validation. Tests cross-validate them. *)
+    PFTK-simplified only) and adaptive Dormand–Prince 5(4) integration
+    of the rate-growth ODE with a per-(formula, estimator-state) memo
+    cache (any formula). Tests cross-validate them. *)
 
 type engine =
   | Closed_form
   | Ode_integration  (** adaptive Dormand–Prince 5(4), memo-cached *)
-  | Ode_fixed_step  (** legacy RK4 at [ode_step], for A/B validation *)
 
 type result = {
   throughput : float;
@@ -38,16 +36,6 @@ val cycle_duration_closed :
 (** Sₙ for a cycle of θ packets via the closed form. Does not advance the
     estimator. *)
 
-val cycle_duration_ode :
-  ?step:float ->
-  formula:Ebrc_formulas.Formula.t ->
-  estimator:Ebrc_estimator.Loss_interval.t ->
-  theta:float ->
-  unit ->
-  float
-(** Sₙ by fixed-step RK4 integration of dθ/dt = f(1/(w₁θ + Wₙ)); works
-    for any formula. Legacy engine, kept for A/B validation. *)
-
 val cycle_duration_ode_adaptive :
   ?rtol:float ->
   ?atol:float ->
@@ -56,8 +44,9 @@ val cycle_duration_ode_adaptive :
   theta:float ->
   unit ->
   float
-(** Sₙ by adaptive Dormand–Prince 5(4) integration with dense-output
-    root finding for the threshold crossing; works for any formula.
+(** Sₙ by adaptive Dormand–Prince 5(4) integration of
+    dθ/dt = f(1/(w₁θ + Wₙ)) with dense-output root finding for the
+    threshold crossing; works for any formula.
     Defaults: [rtol = Ode.default_rtol] (1e-6), [atol = Ode.default_atol]
     (1e-9). Growth times are memo-cached per domain, keyed on the formula
     constants, (w₁, Wₙ), threshold, θ and [rtol] — which determine the
@@ -67,7 +56,6 @@ val cycle_duration_ode_adaptive :
 val simulate :
   ?engine:engine ->
   ?warmup_cycles:int ->
-  ?ode_step:float ->
   ?ode_rtol:float ->
   formula:Ebrc_formulas.Formula.t ->
   estimator:Ebrc_estimator.Loss_interval.t ->

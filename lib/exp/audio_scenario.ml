@@ -90,12 +90,12 @@ let run cfg =
      reads its own history — so only forward faults apply. *)
   let fault =
     match cfg.faults with
-    | Some fc when Fault.enabled () ->
+    | Some fc ->
         let inj =
           Fault.create ~engine ~rng:(Prng.stream ~root:cfg.seed 9001) fc
         in
         if Fault.active inj then Some inj else None
-    | _ -> None
+    | None -> None
   in
   let channel pkt =
     if Loss_module.process dropper pkt then

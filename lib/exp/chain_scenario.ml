@@ -106,12 +106,12 @@ let run cfg =
      stream-derived PRNG contract as Scenario. *)
   let fault =
     match cfg.faults with
-    | Some fc when Fault.enabled () ->
+    | Some fc ->
         let inj =
           Fault.create ~engine ~rng:(Prng.stream ~root:cfg.seed 9001) fc
         in
         if Fault.active inj then Some inj else None
-    | _ -> None
+    | None -> None
   in
   let send_link1 pkt = Link.send link1 pkt in
   let forward =
@@ -175,11 +175,10 @@ let run cfg =
   in
   Link.set_deliver link2 (fun pkt ->
       let f = pkt.Packet.flow in
-      (if f < cfg.n_tfrc then Tfrc_receiver.on_data (snd tfrc.(f)) pkt
-       else if f < cross_flow then
-         Tcp_receiver.on_data (snd tcp.(f - cfg.n_tfrc)) pkt
-       else () (* cross traffic sinks silently *));
-      Packet.release pkt);
+      if f < cfg.n_tfrc then Tfrc_receiver.on_data (snd tfrc.(f)) pkt
+      else if f < cross_flow then
+        Tcp_receiver.on_data (snd tcp.(f - cfg.n_tfrc)) pkt
+      else () (* cross traffic sinks silently *));
   Array.iter
     (fun (ts, _) ->
       let t0 = Prng.float_unit master in

@@ -1155,9 +1155,7 @@ let ablation_window_growth ?(jobs = 1) ~quick () =
     let sender = TS.create ~engine ~flow:0 () in
     let receiver = TR.create ~engine ~flow:0 () in
     TS.set_transmit sender (fun pkt -> Link.send link pkt);
-    Link.set_deliver link (fun pkt ->
-        TR.on_data receiver pkt;
-        Ebrc_net.Packet.release pkt);
+    Link.set_deliver link (fun pkt -> TR.on_data receiver pkt);
     TR.set_ack_sink receiver (fun ~acked ~dup ~echo ->
         ignore
           (Engine.schedule_after engine ~delay:0.025 (fun () ->
@@ -1362,9 +1360,7 @@ let ablation_tcp_variant ?(jobs = 1) ~quick () =
     let sender = TS.create ~variant ~engine ~flow:0 () in
     let receiver = TR.create ~engine ~flow:0 () in
     TS.set_transmit sender (fun pkt -> Link.send link pkt);
-    Link.set_deliver link (fun pkt ->
-        TR.on_data receiver pkt;
-        Ebrc_net.Packet.release pkt);
+    Link.set_deliver link (fun pkt -> TR.on_data receiver pkt);
     TR.set_ack_sink receiver (fun ~acked ~dup ~echo ->
         ignore
           (Engine.schedule_after engine ~delay:0.025 (fun () ->
@@ -1752,14 +1748,10 @@ let hybrid_agreement ?jobs:_ ~quick () =
       t ns
   in
   let note =
-    if Ebrc_net.Fluid.enabled () then
-      "both legs share seed, queue and foreground; only the background's \
-       representation changes (packets vs one ODE). Ratios near 1 mean \
-       the fluid is a faithful stand-in for the congestion the packet \
-       background would have caused"
-    else
-      "EBRC_HYBRID=0: the fluid leg ran packet-only, so the comparison \
-       is degenerate (fluid columns see no background at all)"
+    "both legs share seed, queue and foreground; only the background's \
+     representation changes (packets vs one ODE). Ratios near 1 mean \
+     the fluid is a faithful stand-in for the congestion the packet \
+     background would have caused"
   in
   [ Table.add_note t note ]
 

@@ -139,6 +139,7 @@ let formula_key (k : Ebrc_formulas.Formula.kind) =
   | Aimd { alpha; beta } -> Printf.sprintf "aimd:%h:%h" alpha beta
 
 module Fault = Ebrc_net.Fault
+module Fluid = Ebrc_net.Fluid
 
 let window_key (w : Fault.window) =
   Printf.sprintf "%h:%h:%h" w.Fault.start w.length w.period
@@ -170,25 +171,17 @@ let fault_config_key (fc : Fault.config) =
   Printf.sprintf "flaps=%s,bo=%s,spike=%s,re=%s,dup=%s" flaps blackouts spike
     reorder duplicate
 
-(* The key renders the EFFECTIVE fault config: with the layer disabled
-   (EBRC_FAULTS=0) a faulted config keys — and therefore caches —
-   identically to a fault-free one, matching what Scenario.run does. *)
-let effective_faults (cfg : Scenario.config) =
+let faults_key (cfg : Scenario.config) =
   match cfg.Scenario.faults with
-  | Some fc when Fault.enabled () -> fault_config_key fc
-  | _ -> "none"
+  | Some fc -> fault_config_key fc
+  | None -> "none"
 
-module Fluid = Ebrc_net.Fluid
-
-(* Same effective-config rule for the hybrid background: with the layer
-   disabled (EBRC_HYBRID=0) a hybrid config keys — and caches —
-   identically to a packet-only one, matching Scenario.run. *)
-let effective_background (cfg : Scenario.config) =
+let background_key (cfg : Scenario.config) =
   match cfg.Scenario.background with
-  | Some bg when Fluid.enabled () ->
+  | Some bg ->
       Printf.sprintf "%d:%h:%h" bg.Scenario.bg_flows bg.bg_share_cap
         bg.bg_resolution
-  | _ -> "none"
+  | None -> "none"
 
 let canonical_key (cfg : Scenario.config) =
   Printf.sprintf
@@ -198,7 +191,7 @@ let canonical_key (cfg : Scenario.config) =
     cfg.tfrc_l
     (formula_key cfg.tfrc_formula_kind)
     cfg.tfrc_comprehensive cfg.tfrc_conform_to_analysis cfg.reverse_jitter
-    cfg.duration cfg.warmup (effective_faults cfg) (effective_background cfg)
+    cfg.duration cfg.warmup (faults_key cfg) (background_key cfg)
 
 let digest_of_config cfg = Digest.to_hex (Digest.string (canonical_key cfg))
 

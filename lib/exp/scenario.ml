@@ -66,9 +66,8 @@ type config = {
                                      forward path + TFRC feedback path *)
   background : background option; (* fluid background aggregate sharing
                                      the bottleneck; like [faults], a run
-                                     with [None] — or with the layer
-                                     disabled via EBRC_HYBRID=0 — is
-                                     bit-identical to a packet-only run *)
+                                     with [None] is bit-identical to a
+                                     packet-only run *)
 }
 
 let default_config =
@@ -245,14 +244,14 @@ let run cfg =
     Formula.create ~rtt:rtt0 cfg.tfrc_formula_kind
   in
   (* Fluid background aggregate. Like the fault injector, it is only
-     constructed when configured AND globally enabled, and it draws no
-     randomness at all (its sync points are quantized event times), so
-     [background = None] — or EBRC_HYBRID=0 — leaves the packet-only
-     run bit-identical. The drop profile mirrors the packet queue so
-     both traffic classes see the same congestion signal. *)
+     constructed when configured, and it draws no randomness at all
+     (its sync points are quantized event times), so
+     [background = None] leaves the packet-only run bit-identical. The
+     drop profile mirrors the packet queue so both traffic classes see
+     the same congestion signal. *)
   let fluid =
     match cfg.background with
-    | Some bg when Fluid.enabled () ->
+    | Some bg ->
         let fl = Fluid.create (fluid_config cfg bg) in
         Link.attach_fluid link fl;
         Engine.set_advance_hook engine
@@ -261,7 +260,7 @@ let run cfg =
                Fluid.set_pkt_occupancy fl (Queue_discipline.occupancy queue);
                Fluid.sync fl ~now));
         Some fl
-    | _ -> None
+    | None -> None
   in
   (* Per-flow reverse delays with +/-reverse_jitter spread: breaks
      DropTail phase effects and, at larger spreads, exercises the
@@ -276,16 +275,15 @@ let run cfg =
   (* Fault injector. Its PRNG is a pure function of the scenario seed
      (Prng.stream, not a split of [master]), so configuring faults
      never perturbs the master draw sequence — and with faults absent
-     or globally disabled (EBRC_FAULTS=0) the run is bit-identical to
-     a fault-free one. *)
+     the run is bit-identical to a fault-free one. *)
   let fault =
     match cfg.faults with
-    | Some fc when Fault.enabled () ->
+    | Some fc ->
         let inj =
           Fault.create ~engine ~rng:(Prng.stream ~root:cfg.seed 9001) fc
         in
         if Fault.active inj then Some inj else None
-    | _ -> None
+    | None -> None
   in
   let send_link pkt = Link.send link pkt in
   let forward =
@@ -315,15 +313,12 @@ let run cfg =
         in
         let rd = reverse_delay () in
         Tfrc_sender.set_transmit ts forward;
-        (* Feedback is emitted in time order and delayed by the
-           per-flow constant [rd], so the reverse path is FIFO and can
-           ride a fast lane instead of the heap. A blackout filter
-           composes with that proof: it only removes pushes. *)
-        let fb_lane = Engine.lane engine in
+        (* Feedback travels the reverse path with the per-flow
+           constant delay [rd]. *)
         Tfrc_receiver.set_feedback_sink tr
           (feedback_sink (fun pkt ->
-               Engine.lane_push fb_lane
-                 ~at:(Engine.now engine +. rd)
+               Engine.schedule_unit engine
+                 ~at:(engine.Engine.now +. rd)
                  (fun () -> Tfrc_sender.on_packet ts pkt)));
         { ts; tr })
   in
@@ -341,12 +336,10 @@ let run cfg =
            TFRC-feedback-only, so TCP acks stay clean — the contrast
            isolates the nofeedback-timer mechanism. *)
         Tcp_sender.set_transmit cs forward;
-        (* Acks are generated at delivery times (monotone) and delayed
-           by the per-flow constant [rd] — FIFO, same as feedback. *)
-        let ack_lane = Engine.lane engine in
+        (* Acks take the same constant reverse delay as feedback. *)
         Tcp_receiver.set_ack_sink cr (fun ~acked ~dup ~echo ->
-            Engine.lane_push_after ack_lane ~delay:rd (fun () ->
-                Tcp_sender.on_ack cs ~acked ~dup ~echo));
+            Engine.schedule_unit engine ~at:(engine.Engine.now +. rd)
+              (fun () -> Tcp_sender.on_ack cs ~acked ~dup ~echo));
         { cs; cr })
   in
   (* --- optional Poisson probe: id n_tfrc + n_tcp --- *)
@@ -372,16 +365,13 @@ let run cfg =
   Link.set_deliver link (fun pkt ->
       let now = engine.Engine.now in
       let f = pkt.Packet.flow in
-      (if f < cfg.n_tfrc then Tfrc_receiver.on_data tfrc_flows.(f).tr pkt
-       else if f < cfg.n_tfrc + cfg.n_tcp then
-         Tcp_receiver.on_data tcp_flows.(f - cfg.n_tfrc).cr pkt
-       else
-         match probe with
-         | Some (_, sink) -> Gap_sink.on_packet sink ~now pkt
-         | None -> ());
-      (* Receivers read fields synchronously and never retain the
-         packet, so it can be recycled here. *)
-      Packet.release pkt);
+      if f < cfg.n_tfrc then Tfrc_receiver.on_data tfrc_flows.(f).tr pkt
+      else if f < cfg.n_tfrc + cfg.n_tcp then
+        Tcp_receiver.on_data tcp_flows.(f - cfg.n_tfrc).cr pkt
+      else
+        match probe with
+        | Some (_, sink) -> Gap_sink.on_packet sink ~now pkt
+        | None -> ());
   (* --- start: staggered over the first second to avoid lockstep --- *)
   Array.iter
     (fun fl ->

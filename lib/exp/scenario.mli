@@ -50,15 +50,13 @@ type config = {
           reordering, duplication on the forward path; one-way
           blackouts on the TFRC feedback path). The injector draws
           from [Prng.stream ~root:seed], so it never perturbs the
-          master sequence: a run with [faults = None] — or with the
-          layer disabled via [EBRC_FAULTS=0] — is bit-identical to a
-          fault-free run. *)
+          master sequence: a run with [faults = None] is bit-identical
+          to a fault-free run. *)
   background : background option;
       (** Fluid background aggregate sharing the bottleneck (the hybrid
-          packet/fluid engine). Like [faults], a run with [None] — or
-          with the layer disabled via [EBRC_HYBRID=0] — is bit-identical
-          to a packet-only run: nothing is attached to the link or the
-          engine. *)
+          packet/fluid engine). Like [faults], a run with [None] is
+          bit-identical to a packet-only run: nothing is attached to
+          the link or the engine. *)
 }
 
 val default_config : config

@@ -293,9 +293,7 @@ let checks : check list =
           let sender = TS.create ~engine ~flow:0 () in
           let receiver = TR.create ~engine ~flow:0 () in
           TS.set_transmit sender (fun pkt -> Link.send link pkt);
-          Link.set_deliver link (fun pkt ->
-        TR.on_data receiver pkt;
-        Ebrc_net.Packet.release pkt);
+          Link.set_deliver link (fun pkt -> TR.on_data receiver pkt);
           TR.set_ack_sink receiver (fun ~acked ~dup ~echo ->
               ignore
                 (Engine.schedule_after engine ~delay:0.025 (fun () ->

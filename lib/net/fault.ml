@@ -7,12 +7,11 @@
    - Episode windows (blackout/spike/reorder/duplicate) are pure
      arithmetic on simulated time: membership is a subtraction, an
      optional Float.rem, and a compare. No PRNG draws, no events.
-   - Only the flap state machine schedules events, and only on the
-     heap (schedule_unit): flap-perturbed deliveries, delay spikes and
-     reorder holds break the FIFO proof that fast lanes require.
-   - Inert injectors (EBRC_FAULTS=0 or an empty config) return the
-     underlying sink physically unchanged from wrap_*, so a disabled
-     run is bit-identical to one that never configured faults. *)
+   - Only the flap state machine, delay spikes and reorder holds
+     schedule events (schedule_unit).
+   - Inert injectors (an empty config) return the underlying sink
+     physically unchanged from wrap_*, so such a run is bit-identical
+     to one that never configured faults. *)
 
 module Engine = Ebrc_sim.Engine
 module Prng = Ebrc_rng.Prng
@@ -39,12 +38,6 @@ type config = {
 let none =
   { flaps = None; blackouts = []; spike = None; reorder = None;
     duplicate = None }
-
-(* Global ablation toggle, same shape as Loss_module.gap_skip /
-   Engine.set_fast_lanes. *)
-let enabled_flag = ref (Sys.getenv_opt "EBRC_FAULTS" <> Some "0")
-let set_enabled b = enabled_flag := b
-let enabled () = !enabled_flag
 
 type stats = {
   transitions : int;
@@ -177,7 +170,7 @@ and go_up t (f : flaps) =
 
 let create ~engine ~rng cfg =
   validate cfg;
-  let live = enabled () && not (is_empty cfg) in
+  let live = not (is_empty cfg) in
   let t =
     { engine; rng; cfg; live; link_up = true; parked_q = Queue.create ();
       s_transitions = 0; s_down_drops = 0; s_parked = 0; s_spiked = 0;
@@ -193,21 +186,7 @@ let create ~engine ~rng cfg =
 
 let active t = t.live
 
-let copy_packet (pkt : Packet.t) =
-  match pkt.kind with
-  | Packet.Data ->
-      (* Through the constructor so the copy participates in the
-         freelist like any other data packet. *)
-      Packet.data ~flow:pkt.flow ~seq:pkt.seq ~size:pkt.size
-        ~sent_at:(Packet.sent_at pkt)
-  | _ ->
-      (* [Packet.copy], not [{ pkt with ... }]: a record copy would
-         alias the timestamp cell with the original. *)
-      Packet.copy pkt
-
-(* Deliver one packet through the spike / reorder perturbations. Any
-   extra delay goes through the heap: a perturbed stream is no longer
-   FIFO, so it must not ride a lane. *)
+(* Deliver one packet through the spike / reorder perturbations. *)
 let emit t sink now (pkt : Packet.t) =
   let extra =
     match t.cfg.spike with
@@ -245,15 +224,14 @@ let forward t sink (pkt : Packet.t) =
         if Tm.is_on () then begin
           Tm.Counter.incr m_down_drops;
           Tm.event "fault.down_drop" ~time:now ~flow:pkt.flow
-        end;
-        Packet.release pkt
+        end
   end
   else begin
     (match t.cfg.duplicate with
      | Some (w, p) when in_window w now && Prng.float_unit t.rng < p ->
          t.s_duplicated <- t.s_duplicated + 1;
          if Tm.is_on () then Tm.Counter.incr m_duplicated;
-         emit t sink now (copy_packet pkt)
+         emit t sink now (Packet.copy pkt)
      | _ -> ());
     emit t sink now pkt
   end
@@ -274,8 +252,7 @@ let wrap_feedback t sink =
       if Tm.is_on () then begin
         Tm.Counter.incr m_blackout_drops;
         Tm.event "fault.blackout_drop" ~time:now ~flow:pkt.flow
-      end;
-      Packet.release pkt
+      end
     end
     else sink pkt
 

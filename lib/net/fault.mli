@@ -8,11 +8,11 @@
     schedule is a pure function of the scenario seed: running twice
     yields bit-identical traces and [fault.*] telemetry counters.
 
-    The whole layer is ablatable: with [EBRC_FAULTS=0] (or
-    {!set_enabled}[ false]) injectors are inert and {!wrap_forward} /
-    {!wrap_feedback} return the underlying sink physically unchanged —
-    zero extra closures, zero PRNG draws, zero events — so a disabled
-    run is bit-identical to one that never configured faults. *)
+    An injector built from an empty config ({!none}) is inert:
+    {!wrap_forward} / {!wrap_feedback} return the underlying sink
+    physically unchanged — zero extra closures, zero PRNG draws, zero
+    events — so such a run is bit-identical to one that never
+    configured faults. *)
 
 type flaps = {
   first_down : float;  (** time of the first down transition (s) *)
@@ -56,21 +56,15 @@ type config = {
 val none : config
 (** No faults; an injector created from [none] is inert. *)
 
-val set_enabled : bool -> unit
-(** Global ablation toggle (default on; set [EBRC_FAULTS=0] to
-    disable). Flip only between simulations. *)
-
-val enabled : unit -> bool
-
 type t
 
 val create : engine:Ebrc_sim.Engine.t -> rng:Ebrc_rng.Prng.t -> config -> t
 (** Validates the config ([Invalid_argument] on nonsense: negative
     times, [flap_jitter] outside [0, 1), probabilities outside [0, 1],
-    [0 < period < length]...). If faults are globally disabled or the
-    config is {!none}-shaped, the injector is inert: no events are
-    scheduled and [rng] is never consulted. Otherwise the flap state
-    machine (if any) is scheduled immediately. *)
+    [0 < period < length]...). If the config is {!none}-shaped, the
+    injector is inert: no events are scheduled and [rng] is never
+    consulted. Otherwise the flap state machine (if any) is scheduled
+    immediately. *)
 
 val active : t -> bool
 (** [false] for inert injectors. *)

@@ -26,11 +26,8 @@
    packet path: the queue discipline adds the fluid backlog to its
    occupancy when deciding drops (Queue_discipline.offer_fluid), and
    the link scales foreground service capacity by the share the fluid
-   is not using (Link.attach_fluid).
-
-   Like the wheel/lanes/faults layers, the whole component sits behind
-   a global toggle: with [EBRC_HYBRID=0] / [set_hybrid false] nothing
-   is ever attached and the packet path is structurally identical to a
+   is not using (Link.attach_fluid). A scenario without a background
+   attaches nothing, so its packet path is structurally identical to a
    fluid-free build. *)
 
 module Tm = Ebrc_telemetry.Telemetry
@@ -44,14 +41,6 @@ let m_steps =
 
 let m_queue =
   Tm.Gauge.make ~help:"fluid background backlog (packets)" "fluid.queue"
-
-(* Global A/B toggle (precedent: Fault.enabled, Engine.set_wheel).
-   Sampled by the scenario/bench when deciding whether to attach a
-   fluid background: with the toggle off nothing is created, so the
-   disabled path is structurally the packet-only engine. *)
-let enabled_flag = ref (Sys.getenv_opt "EBRC_HYBRID" <> Some "0")
-let set_hybrid b = enabled_flag := b
-let enabled () = !enabled_flag
 
 type drop_profile =
   | Tail of { ramp : float }

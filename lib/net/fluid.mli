@@ -13,17 +13,8 @@
 
     Every sync target is the sim time rounded down to a fixed
     resolution quantum — a pure function of event times, with no RNG —
-    so hybrid runs are bit-reproducible. The component is globally
-    gated ({!set_hybrid} / [EBRC_HYBRID=0]); when disabled nothing is
-    attached and the packet path is structurally identical to a
-    fluid-free build (the hybrid ablation). *)
-
-val set_hybrid : bool -> unit
-(** A/B toggle (default on; set [EBRC_HYBRID=0] to disable). Sampled
-    when a scenario or bench decides whether to attach a fluid
-    background. Flip only between simulations. *)
-
-val enabled : unit -> bool
+    so hybrid runs are bit-reproducible. A link with no fluid attached
+    is structurally the packet-only code path. *)
 
 (** Drop profile the fluid integrates through — mirror of the packet
     queue's discipline. *)

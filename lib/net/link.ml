@@ -10,14 +10,7 @@
    nothing. Delivery events are scheduled per packet (preserving exact
    event ordering), but share one thunk that pops the in-flight ring:
    sound because service completions are ordered and the propagation
-   delay is constant, so deliveries are FIFO.
-
-   That same FIFO proof lets both event streams ride Engine fast lanes
-   (O(1) ring push/pop) instead of the binary heap: service completions
-   are scheduled in nondecreasing time order (the server serializes
-   them) and deliveries are completions shifted by the constant
-   propagation delay. Fire order is bit-identical either way — lanes
-   merge with the heap on the heap's own (time, seq) tickets. *)
+   delay is constant, so deliveries are FIFO. *)
 
 module Engine = Ebrc_sim.Engine
 module Tm = Ebrc_telemetry.Telemetry
@@ -67,8 +60,6 @@ type t = {
   queue : Queue_discipline.t;
   rng : Ebrc_rng.Prng.t;
   needs_u : bool;                 (* discipline consumes the uniform? *)
-  svc_lane : Engine.lane;         (* FIFO service completions *)
-  del_lane : Engine.lane;         (* FIFO deliveries *)
   mutable busy : bool;
   backlog : ring;                 (* packets admitted by the discipline *)
   in_flight : ring;               (* served, awaiting propagation *)
@@ -83,8 +74,7 @@ type t = {
       (* Hybrid coupling: when attached, foreground drops see the fluid
          backlog, service is scaled by the foreground share, and every
          arrival feeds the fluid's input-rate estimate. [None] (the
-         default, and the only state when EBRC_HYBRID=0) leaves the
-         packet path structurally untouched. *)
+         default) leaves the packet path structurally untouched. *)
 }
 
 let transmission_time t pkt = float_of_int (Packet.bits pkt) /. t.rate_bps
@@ -108,7 +98,8 @@ let start_service t =
           Fluid.sync fl ~now:t.engine.Engine.now;
           tx /. Fluid.fg_share fl
     in
-    Engine.lane_push_after t.svc_lane ~delay:tx t.service_done
+    Engine.schedule_unit t.engine ~at:(t.engine.Engine.now +. tx)
+      t.service_done
   end
 
 let create ~engine ~rate_bps ~delay ~queue ~rng =
@@ -122,8 +113,6 @@ let create ~engine ~rate_bps ~delay ~queue ~rng =
       queue;
       rng;
       needs_u = Queue_discipline.needs_random queue;
-      svc_lane = Engine.lane engine;
-      del_lane = Engine.lane engine;
       busy = false;
       backlog = ring_create ();
       in_flight = ring_create ();
@@ -147,7 +136,8 @@ let create ~engine ~rate_bps ~delay ~queue ~rng =
       t.bytes_delivered <- t.bytes_delivered + pkt.Packet.size;
       if Atomic.get Tm.on then Tm.Counter.incr m_link_delivered;
       ring_push t.in_flight pkt;
-      Engine.lane_push_after t.del_lane ~delay:t.delay t.deliver_head;
+      Engine.schedule_unit t.engine ~at:(t.engine.Engine.now +. t.delay)
+        t.deliver_head;
       start_service t);
   t
 
@@ -164,8 +154,7 @@ let drop_pkt t ~now pkt =
     Tm.event "link.drop" ~time:now ~flow:pkt.Packet.flow
       ~value:(float_of_int pkt.Packet.seq)
   end;
-  t.on_drop pkt;
-  Packet.release pkt
+  t.on_drop pkt
 
 let send t pkt =
   let now = t.engine.Engine.now in

@@ -25,9 +25,8 @@ val attach_fluid : t -> Fluid.t -> unit
     decisions see the queue inflated by the fluid backlog
     ({!Queue_discipline.offer_fluid}), foreground service is scaled by
     {!Fluid.fg_share}, and every arrival feeds the fluid's input-rate
-    estimate. Never call this when {!Fluid.enabled} is false — the
-    unattached link is structurally the packet-only code path (the
-    EBRC_HYBRID ablation). *)
+    estimate. An unattached link is structurally the packet-only code
+    path. *)
 
 val fluid : t -> Fluid.t option
 

@@ -4,12 +4,11 @@
    taken to its memoryless limit), and a deterministic periodic dropper
    used in tests.
 
-   The Bernoulli dropper has two implementations. The per-packet path
-   draws one uniform per packet; the gap-skip path exploits the
-   memorylessness directly — the number of passed packets between
-   consecutive drops is Geometric(p), so it samples that gap once per
-   loss event and counts packets down. Same process in distribution
-   (pinned by a chi-square test), ~1/p fewer RNG draws. *)
+   The Bernoulli dropper exploits memorylessness: the number of passed
+   packets between consecutive drops is Geometric(p), so it samples
+   that gap once per loss event and counts packets down. Same process
+   in distribution as one uniform draw per packet (pinned against a
+   per-packet reference by a chi-square test), ~1/p fewer RNG draws. *)
 
 module Tm = Ebrc_telemetry.Telemetry
 
@@ -42,15 +41,7 @@ let check_p name p =
   if p < 0.0 || p >= 1.0 then
     invalid_arg ("Loss_module." ^ name ^ ": p must be in [0,1)")
 
-let bernoulli_per_packet rng ~p =
-  check_p "bernoulli" p;
-  {
-    pass = (fun _ -> not (Ebrc_rng.Dist.bernoulli rng ~p));
-    dropped = 0;
-    offered = 0;
-  }
-
-let bernoulli_gap rng ~p =
+let bernoulli rng ~p =
   check_p "bernoulli" p;
   if p = 0.0 then { pass = (fun _ -> true); dropped = 0; offered = 0 }
   else begin
@@ -75,17 +66,6 @@ let bernoulli_gap rng ~p =
       offered = 0;
     }
   end
-
-(* A/B toggle in the style of [Engine.set_fast_lanes]: gap skipping is
-   statistically (not bit-) equivalent to the per-packet draw — it
-   consumes the RNG differently — so the per-packet path stays
-   available as the ablation (EBRC_GAP_SKIP=0). *)
-let gap_skip = ref (Sys.getenv_opt "EBRC_GAP_SKIP" <> Some "0")
-let set_gap_skip b = gap_skip := b
-let gap_skip_enabled () = !gap_skip
-
-let bernoulli rng ~p =
-  if !gap_skip then bernoulli_gap rng ~p else bernoulli_per_packet rng ~p
 
 let periodic ~period =
   if period < 1 then invalid_arg "Loss_module.periodic: period must be >= 1";

@@ -13,26 +13,11 @@ val stats : t -> int * int
 
 val bernoulli : Ebrc_rng.Prng.t -> p:float -> t
 (** Each packet dropped independently with probability [p], regardless
-    of its length (RED packet-mode, memoryless limit). Dispatches to
-    {!bernoulli_gap} (default) or {!bernoulli_per_packet} depending on
-    {!set_gap_skip}. *)
-
-val bernoulli_per_packet : Ebrc_rng.Prng.t -> p:float -> t
-(** The direct implementation: one uniform draw per packet. Kept as
-    the ablation baseline for gap skipping. *)
-
-val bernoulli_gap : Ebrc_rng.Prng.t -> p:float -> t
-(** Gap-skip implementation: samples the Geometric(p) run of passed
-    packets once per loss event and counts down — one RNG draw per
-    loss event instead of per packet. Statistically equivalent to
-    {!bernoulli_per_packet} (identical process in distribution), but
-    consumes the RNG differently, so traces are not bit-identical. *)
-
-val set_gap_skip : bool -> unit
-(** A/B toggle for {!bernoulli} (default on; set [EBRC_GAP_SKIP=0] to
-    disable). Affects modules created after the call. *)
-
-val gap_skip_enabled : unit -> bool
+    of its length (RED packet-mode, memoryless limit). Samples the
+    Geometric(p) run of passed packets once per loss event and counts
+    down — one RNG draw per loss event instead of per packet. The same
+    process in distribution as one Bernoulli draw per packet, but it
+    consumes the RNG differently. *)
 
 val periodic : period:int -> t
 (** Drops every [period]-th packet — deterministic tests. *)

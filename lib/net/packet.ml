@@ -6,20 +6,9 @@
    by the forward bottleneck in our topologies).
 
    Float storage: [sent_at] lives in a one-cell flat float array
-   rather than a mutable record field. In a mixed int/float record the
-   float field is a boxed pointer, so every store allocates a fresh box
-   and (for tenured records) pays a write barrier; a flat float-array
-   cell is unboxed, so stores are plain memory writes. With that change a
-   recycled packet's refill — flow/seq/size ints, the constant [Data]
-   constructor, the sent_at cell — touches no GC machinery at all,
-   which is what makes the freelist below worth having.
-
-   Data packets — the per-event bulk of a simulation — can be recycled
-   through a per-domain freelist: [data] draws from it and [release]
-   returns to it. Terminal consumers (the scenario demux callbacks and
-   the link drop path) release; a packet must not be touched after
-   release. Ack/Feedback packets carry fresh payload records anyway and
-   are not pooled. *)
+   rather than a record field. In a mixed int/float record a float
+   field is a separately boxed value; the [ [| sent_at |] ] cell is
+   the same one allocation, but its float is stored unboxed. *)
 
 type kind =
   | Data
@@ -33,15 +22,14 @@ type kind =
     }
 
 type t = {
-  mutable flow : int;            (* flow identifier *)
-  mutable seq : int;             (* per-flow sequence number *)
-  mutable size : int;            (* bytes *)
-  mutable kind : kind;
+  flow : int;                    (* flow identifier *)
+  seq : int;                     (* per-flow sequence number *)
+  size : int;                    (* bytes *)
+  kind : kind;
   f : float array;               (* [0] = origination time (RTT samples) *)
 }
 
 let sent_at t = Array.unsafe_get t.f 0
-let set_sent_at t v = Array.unsafe_set t.f 0 v
 
 (* [ [| sent_at |] ] is an inline minor-heap allocation;
    [Float.Array.create] would be a C call per packet. *)
@@ -54,50 +42,9 @@ let copy pkt =
   { flow = pkt.flow; seq = pkt.seq; size = pkt.size; kind = pkt.kind;
     f = [| Array.unsafe_get pkt.f 0 |] }
 
-type pool = { mutable free : t array; mutable free_size : int }
-
-let pool_key : pool Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { free = Array.make 256 dummy; free_size = 0 })
-
-let pooling = ref (Sys.getenv_opt "EBRC_POOL" = Some "1")
-let set_pooling b = pooling := b
-
 let data ~flow ~seq ~size ~sent_at =
   if size <= 0 then invalid_arg "Packet.data: size must be positive";
-  if not !pooling then make ~flow ~seq ~size ~kind:Data ~sent_at
-  else begin
-    let p = Domain.DLS.get pool_key in
-    if p.free_size = 0 then make ~flow ~seq ~size ~kind:Data ~sent_at
-    else begin
-      let n = p.free_size - 1 in
-      p.free_size <- n;
-      let pkt = p.free.(n) in
-      p.free.(n) <- dummy;
-      (* Barrier-free refill: ints, a constant constructor, and an
-         unboxed float cell. *)
-      pkt.flow <- flow;
-      pkt.seq <- seq;
-      pkt.size <- size;
-      pkt.kind <- Data;
-      Array.unsafe_set pkt.f 0 sent_at;
-      pkt
-    end
-  end
-
-let release pkt =
-  match pkt.kind with
-  | Ack _ | Feedback _ -> ()
-  | Data ->
-      if !pooling && pkt != dummy then begin
-        let p = Domain.DLS.get pool_key in
-        if p.free_size = Array.length p.free then begin
-          let bigger = Array.make (2 * p.free_size) dummy in
-          Array.blit p.free 0 bigger 0 p.free_size;
-          p.free <- bigger
-        end;
-        p.free.(p.free_size) <- pkt;
-        p.free_size <- p.free_size + 1
-      end
+  make ~flow ~seq ~size ~kind:Data ~sent_at
 
 let ack ~flow ~seq ~acked ~dup ~sent_at =
   make ~flow ~seq ~size:40 ~kind:(Ack { acked; dup }) ~sent_at

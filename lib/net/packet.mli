@@ -11,51 +11,26 @@ type kind =
     }
 
 type t = {
-  mutable flow : int;
-  mutable seq : int;
-  mutable size : int;
-  mutable kind : kind;
+  flow : int;
+  seq : int;
+  size : int;
+  kind : kind;
   f : float array;  (** [0] = origination time; use {!sent_at}. *)
 }
-(** The origination timestamp lives in a one-cell flat float array
-    rather than a mutable float field: in a mixed int/float record the
-    float is boxed, so every store allocates and (on a tenured, pooled
-    record) pays a write barrier, while the flat-array cell is unboxed
-    and barrier-free. That makes a recycled packet's refill touch no
-    GC machinery at all. *)
 
 val sent_at : t -> float
 (** Origination time, for RTT samples. *)
 
-val set_sent_at : t -> float -> unit
-
 val data : flow:int -> seq:int -> size:int -> sent_at:float -> t
-(** Draws from the per-domain freelist when pooling is on; pair with
-    {!release} at the packet's terminal consumer to recycle. *)
-
-val release : t -> unit
-(** Return a [Data] packet to the per-domain freelist (no-op when
-    pooling is off). The packet must not be used afterwards. No-op for
-    Ack/Feedback packets, so demux code can release unconditionally. *)
-
-val set_pooling : bool -> unit
-(** Toggle the data-packet freelist ([EBRC_POOL=1] turns it on). Still
-    off by default. With [sent_at] unboxed the refill of a recycled
-    packet is barrier-free, which narrowed the gap the PR 2 ablation
-    measured (~40% wall overhead then, ~10% now, with ~40% fewer
-    minor words) — but fresh minor-heap packets still win on wall
-    time: bump allocation plus a young death is cheaper than two
-    freelist operations on tenured, cache-scattered records. Kept for
-    A/B measurement (bench/main.exe records both sides). Flip only
-    between simulations. *)
+(** A [Data] packet. Raises [Invalid_argument] unless [size > 0]. *)
 
 val dummy : t
-(** Placeholder for preallocated buffers; never enters the freelist. *)
+(** Placeholder for preallocated buffers. *)
 
 val copy : t -> t
 (** Deep copy (fresh record and timestamp cell); used by fault
     injection to duplicate packets without aliasing the original's
-    mutable state. The copy is never pool-owned until released. *)
+    state. *)
 
 val ack : flow:int -> seq:int -> acked:int -> dup:bool -> sent_at:float -> t
 (** 40-byte acknowledgment; [acked] is the cumulative ACK number. *)

@@ -192,7 +192,7 @@ let offer ?(bytes = 1000) t ~now ~u =
    depth inflated by [extra] — the fluid background backlog in packets
    (Fluid.queue_pkts). A separate entry point rather than a parameter
    on [offer], so the packet-only path above stays byte-for-byte the
-   pre-hybrid code: the structural half of the EBRC_HYBRID ablation. *)
+   pre-hybrid code. *)
 let offer_fluid ?(bytes = 1000) t ~now ~u ~extra =
   match t.kind with
   | Drop_tail ->

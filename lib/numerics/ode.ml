@@ -5,8 +5,8 @@
 
    Two engines are provided:
 
-   - classic fixed-step RK4 ([integrate], [time_to_reach]) — the original
-     engine, kept for A/B validation;
+   - classic fixed-step RK4 ([integrate], [time_to_reach]), the test
+     oracle for the adaptive engine;
    - an embedded Dormand–Prince 5(4) pair ([integrate_adaptive],
      [time_to_reach_adaptive]) with per-step error control, FSAL reuse,
      cubic-Hermite dense output, and a root-finding threshold-crossing

@@ -1,7 +1,8 @@
 (** Scalar ODE integration for the comprehensive-control growth equation
-    (Eq. 16): a classic fixed-step RK4 engine kept for A/B validation,
-    and an adaptive embedded Dormand–Prince 5(4) engine with per-step
-    error control, dense output, and a root-finding threshold solve. *)
+    (Eq. 16): an adaptive embedded Dormand–Prince 5(4) engine with
+    per-step error control, dense output, and a root-finding threshold
+    solve, and a classic fixed-step RK4 engine kept as its test
+    oracle. *)
 
 exception
   Step_limit_exceeded of { t : float; y : float; steps : int; what : string }

@@ -6,20 +6,17 @@
    the heap (O(1) cancel, lazily discarded on pop) — the standard
    technique for simulators with many retransmit-timer resets.
 
-   Event core v3: by default every bounded-horizon event rides a
-   hierarchical timing wheel ({!Timing_wheel}) with the binary heap
-   demoted to overflow/far-future duty; the PR 4 FIFO lanes are
-   subsumed (a wheel-mode lane is just a FIFO-contract checker in front
-   of the wheel). The wheel draws tie-break tickets from the heap's own
-   sequence counter and compares exact (time, seq) at extraction, so
-   the merged dispatch order — and therefore every trace, counter, and
-   figure byte — is identical to a pure-heap run ([EBRC_WHEEL=0]).
+   Every bounded-horizon event rides a hierarchical timing wheel
+   ({!Timing_wheel}); the binary heap holds only overflow (far-future,
+   non-finite, or behind-cursor) events. The wheel draws tie-break
+   tickets from the heap's own sequence counter and compares exact
+   (time, seq) at extraction, so the merged dispatch order is the one a
+   pure binary heap would produce.
 
    Hot-path allocation: wheel-accepted events store their fire thunk
-   directly in the slot arrays (no event record at all); heap events
-   can be recycled through a per-engine freelist (most callers never
-   cancel, so [schedule_unit] shares one never-cancelled handle), and
-   the run loop peeks/pops through allocation-free accessors. *)
+   directly in the slot arrays (no event record at all); never-cancelled
+   events share one sentinel handle ([schedule_unit]), and the run loop
+   peeks/pops through allocation-free accessors. *)
 
 module Tm = Ebrc_telemetry.Telemetry
 
@@ -46,33 +43,11 @@ type handle = { mutable cancelled : bool }
    cancelled. *)
 let no_handle = { cancelled = false }
 
-type event = { mutable fire : unit -> unit; mutable handle : handle }
+type event = { fire : unit -> unit; handle : handle }
 
-let nop () = ()
 let nop_hook (_ : float) = ()
 
-(* A fast lane is a growable FIFO ring of (time, seq, thunk) for event
-   streams the caller proves are time-ordered and never cancelled
-   (link service completions, constant-delay deliveries, fixed-delay
-   feedback). Push and pop are O(1); the run loop k-way-merges lane
-   heads with the heap top by (time, seq), and because lane pushes
-   draw tickets from the heap's own sequence counter the merged order
-   is bit-identical to what a pure-heap run would produce. *)
-type lane = {
-  l_eng : t;
-  mutable l_times : float array;
-  mutable l_seqs : int array;
-  mutable l_fires : (unit -> unit) array;
-  mutable l_head : int;
-  mutable l_len : int;
-  l_last : floatarray;
-      (* [0] = time of the newest entry; the FIFO guard. A floatarray
-         cell, not a mutable float field: it is stored on every push,
-         and a float field in this mixed record would be a boxed
-         pointer — allocation plus write barrier per store. *)
-}
-
-and t = {
+type t = {
   queue : event Event_queue.t;
   mutable now : float;
       (* Boxed field, deliberately: [now] is read (cross-module) far
@@ -81,12 +56,7 @@ and t = {
          because every [Engine.now] call would box a fresh float. *)
   mutable processed : int;
   mutable horizon : float;
-  mutable pool : event array;
-  mutable pool_size : int;
-  mutable lanes : lane array;
-  mutable n_lanes : int;
   wheel : handle Timing_wheel.t;
-  use_wheel : bool;  (* sampled from the global toggle at [create] *)
   mutable advance_hook : float -> unit;
       (* Called with the event time before each live event fires (the
          hybrid fluid advance). *)
@@ -101,29 +71,13 @@ and t = {
   mutable sample_period : float;
 }
 
-let dummy_event = { fire = nop; handle = no_handle }
-
-(* Global A/B toggle (precedent: set_fast_lanes, set_pooling). Sampled
-   once per engine at [create]: flip only between engine creations.
-   With the wheel off and lanes on, scheduling behaves exactly as in
-   the PR 4 event core; with both off, it is the pure-heap baseline.
-   All three modes fire the same events in the same order. *)
-let wheel_on = ref (Sys.getenv_opt "EBRC_WHEEL" <> Some "0")
-let set_wheel b = wheel_on := b
-let wheel_enabled () = !wheel_on
-
 let create () =
   {
     queue = Event_queue.create ();
     now = 0.0;
     processed = 0;
     horizon = infinity;
-    pool = Array.make 64 dummy_event;
-    pool_size = 0;
-    lanes = [||];
-    n_lanes = 0;
     wheel = Timing_wheel.create ~null:no_handle ();
-    use_wheel = !wheel_on;
     advance_hook = nop_hook;
     has_hook = false;
     sampler = nop_hook;
@@ -171,41 +125,7 @@ let fire_sampler t time =
 let now t = t.now
 let processed t = t.processed
 
-let pending t =
-  let n = ref (Event_queue.size t.queue + Timing_wheel.count t.wheel) in
-  for i = 0 to t.n_lanes - 1 do
-    n := !n + t.lanes.(i).l_len
-  done;
-  !n
-
-let pooling = ref (Sys.getenv_opt "EBRC_POOL" = Some "1")
-let set_pooling b = pooling := b
-
-let alloc_event t fire handle =
-  if (not !pooling) || t.pool_size = 0 then { fire; handle }
-  else begin
-    let n = t.pool_size - 1 in
-    t.pool_size <- n;
-    let ev = t.pool.(n) in
-    t.pool.(n) <- dummy_event;
-    ev.fire <- fire;
-    ev.handle <- handle;
-    ev
-  end
-
-let recycle t ev =
-  if not !pooling then ignore ev
-  else begin
-  ev.fire <- nop;
-  ev.handle <- no_handle;
-  if t.pool_size = Array.length t.pool then begin
-    let bigger = Array.make (2 * t.pool_size) dummy_event in
-    Array.blit t.pool 0 bigger 0 t.pool_size;
-    t.pool <- bigger
-  end;
-  t.pool.(t.pool_size) <- ev;
-  t.pool_size <- t.pool_size + 1
-  end
+let pending t = Event_queue.size t.queue + Timing_wheel.count t.wheel
 
 (* Call gated at each site ([if Atomic.get Tm.on then ...]): without
    flambda an intra-module call is never inlined, so the gate must
@@ -223,15 +143,14 @@ let check_at_fail t at =
        t.now)
 
 (* Insert with a caller-supplied handle. The [fits] check runs before
-   any ticket is drawn: a wheel-accepted event takes its ticket via
-   [Event_queue.take_seq], an overflow event lets the heap push draw
-   the very same counter value — so tickets are issued in scheduling
-   order regardless of destination, which is the whole bit-identity
-   argument. *)
+   any ticket is drawn: a wheel-accepted event takes its ticket from
+   the heap's [next_seq] counter, an overflow event lets the heap push
+   draw the very same counter value — so tickets are issued in
+   scheduling order regardless of destination, which is the whole
+   dispatch-order argument. *)
 let insert t ~at fire handle =
-  if t.use_wheel && Timing_wheel.try_push t.wheel t.queue ~now:t.now ~at fire handle
-  then ()
-  else Event_queue.push t.queue ~time:at (alloc_event t fire handle)
+  if not (Timing_wheel.try_push t.wheel t.queue ~now:t.now ~at fire handle)
+  then Event_queue.push t.queue ~time:at { fire; handle }
 
 let schedule t ~at fire =
   if not (at >= t.now) then check_at_fail t at;
@@ -247,200 +166,42 @@ let schedule_unit t ~at fire =
 
 (* A negative delay would silently schedule into the simulated past and
    a NaN delay would poison queue ordering; both are caller bugs, so
-   reject loudly rather than clamp. [not (delay >= 0)] catches both.
-   The message names the scheduler that rejected the delay — the
-   contract is identical on both, but a report against one mode should
-   say which event core it came from. *)
-let check_delay t delay =
+   reject loudly rather than clamp. [not (delay >= 0)] catches both. *)
+let check_delay delay =
   if not (delay >= 0.0) then
     invalid_arg
-      (Printf.sprintf
-         "Engine.schedule_after (%s scheduler): negative or NaN delay %g"
-         (if t.use_wheel then "wheel" else "heap")
-         delay)
+      (Printf.sprintf "Engine.schedule_after: negative or NaN delay %g" delay)
 
 let schedule_after t ~delay fire =
-  check_delay t delay;
+  check_delay delay;
   schedule t ~at:(t.now +. delay) fire
 
 let schedule_after_unit t ~delay fire =
-  check_delay t delay;
+  check_delay delay;
   schedule_unit t ~at:(t.now +. delay) fire
 
-(* ------------------------------ lanes ------------------------------ *)
-
-(* Global A/B toggle (precedent: Ode_fixed_step, set_pooling). With
-   lanes off every [lane_push] falls back to a plain heap push, which
-   consumes the same sequence ticket — the two modes fire the same
-   events in the same order and keep identical telemetry counters. *)
-let lanes_on = ref (Sys.getenv_opt "EBRC_LANES" <> Some "0")
-let set_fast_lanes b = lanes_on := b
-let fast_lanes_enabled () = !lanes_on
-
-let lane t =
-  if t.use_wheel then
-    (* Subsumed by the wheel: the lane keeps its FIFO-contract guard
-       ([l_last]) but holds no ring and is not registered, so the run
-       loop's lane scan stays empty and disappears from the hot path.
-       Pushes route through the wheel like any other event. *)
-    {
-      l_eng = t;
-      l_times = [||];
-      l_seqs = [||];
-      l_fires = [||];
-      l_head = 0;
-      l_len = 0;
-      l_last = Float.Array.make 1 neg_infinity;
-    }
-  else begin
-    let ln =
-      {
-        l_eng = t;
-        l_times = Array.make 64 0.0;
-        l_seqs = Array.make 64 0;
-        l_fires = Array.make 64 nop;
-        l_head = 0;
-        l_len = 0;
-        l_last = Float.Array.make 1 neg_infinity;
-      }
-    in
-    if t.n_lanes = Array.length t.lanes then begin
-      (* Filler slots hold the new lane; iteration is bounded by
-         [n_lanes] so they are never visited. *)
-      let bigger = Array.make (max 4 (2 * t.n_lanes)) ln in
-      Array.blit t.lanes 0 bigger 0 t.n_lanes;
-      t.lanes <- bigger
-    end;
-    t.lanes.(t.n_lanes) <- ln;
-    t.n_lanes <- t.n_lanes + 1;
-    ln
-  end
-
-let lane_depth ln = ln.l_len
-
-let lane_grow ln =
-  let cap = Array.length ln.l_times in
-  let times = Array.make (2 * cap) 0.0 in
-  let seqs = Array.make (2 * cap) 0 in
-  let fires = Array.make (2 * cap) nop in
-  for i = 0 to ln.l_len - 1 do
-    let j = (ln.l_head + i) mod cap in
-    times.(i) <- ln.l_times.(j);
-    seqs.(i) <- ln.l_seqs.(j);
-    fires.(i) <- ln.l_fires.(j)
-  done;
-  ln.l_times <- times;
-  ln.l_seqs <- seqs;
-  ln.l_fires <- fires;
-  ln.l_head <- 0
-
-let lane_push ln ~at fire =
-  let t = ln.l_eng in
-  if t.use_wheel then begin
-    (* Wheel mode keeps the lane's FIFO-contract check (callers still
-       promise time-ordered streams; a violation is a caller bug worth
-       catching in every mode) but the event itself rides the wheel. *)
-    if not (at >= t.now) then check_at_fail t at;
-    if at < Float.Array.unsafe_get ln.l_last 0 then
-      invalid_arg
-        (Printf.sprintf
-           "Engine.lane_push: time %g below lane tail %g (FIFO violated)" at
-           (Float.Array.unsafe_get ln.l_last 0));
-    Float.Array.unsafe_set ln.l_last 0 at;
-    insert t ~at fire no_handle;
-    if Atomic.get Tm.on then note_scheduled t
-  end
-  else if not !lanes_on then schedule_unit t ~at fire
-  else begin
-    if not (at >= t.now) then check_at_fail t at;
-    if at < Float.Array.unsafe_get ln.l_last 0 then
-      invalid_arg
-        (Printf.sprintf
-           "Engine.lane_push: time %g below lane tail %g (FIFO violated)" at
-           (Float.Array.unsafe_get ln.l_last 0));
-    let cap = Array.length ln.l_times in
-    if ln.l_len = cap then lane_grow ln;
-    let cap = Array.length ln.l_times in
-    let i = ln.l_head + ln.l_len in
-    let i = if i >= cap then i - cap else i in
-    ln.l_times.(i) <- at;
-    ln.l_seqs.(i) <- Event_queue.take_seq t.queue;
-    ln.l_fires.(i) <- fire;
-    ln.l_len <- ln.l_len + 1;
-    Float.Array.unsafe_set ln.l_last 0 at;
-    if Atomic.get Tm.on then note_scheduled t
-  end
-
-(* Every lane producer schedules at (now + constant delay); computing
-   the sum here spares each push a cross-module [now] call. The float
-   arithmetic is the same, so the resulting [at] — and the dispatch
-   order — is bit-identical to the two-call spelling. *)
-let lane_push_after ln ~delay fire =
-  lane_push ln ~at:(ln.l_eng.now +. delay) fire
-
-let lane_pop ln =
-  let i = ln.l_head in
-  let fire = ln.l_fires.(i) in
-  ln.l_fires.(i) <- nop;
-  let cap = Array.length ln.l_times in
-  ln.l_head <- (if i + 1 = cap then 0 else i + 1);
-  ln.l_len <- ln.l_len - 1;
-  fire
-
-(* Earliest source by (time, seq): 0 = heap, i+1 = lane i, -1 = empty.
-   Tail-recursive with unboxed float arguments — the hot loop calls
-   this once per event and it must not allocate. *)
-let rec scan_lanes t i best best_time best_seq =
-  if i >= t.n_lanes then best
-  else begin
-    let ln = t.lanes.(i) in
-    if ln.l_len > 0 then begin
-      let tm = ln.l_times.(ln.l_head) in
-      let sq = ln.l_seqs.(ln.l_head) in
-      if best < 0 || tm < best_time || (tm = best_time && sq < best_seq) then
-        scan_lanes t (i + 1) (i + 1) tm sq
-      else scan_lanes t (i + 1) best best_time best_seq
-    end
-    else scan_lanes t (i + 1) best best_time best_seq
-  end
-
-let select_source t =
-  let q = t.queue in
-  if t.n_lanes = 0 then (if q.Event_queue.size = 0 then -1 else 0)
-  else if q.Event_queue.size = 0 then scan_lanes t 0 (-1) infinity max_int
-  else
-    scan_lanes t 0 0
-      (Array.unsafe_get q.Event_queue.times 0)
-      (Array.unsafe_get q.Event_queue.seqs 0)
-
-(* Earliest source across wheel + heap + lanes: -2 = wheel, 0 = heap,
-   i+1 = lane i, -1 = everything empty. Returns a bare int (the caller
-   recomputes the time by branch) so the hot loop allocates nothing;
-   the wheel minimum is read through direct field loads because a
-   cross-module float-returning call would box its result on every
-   peek. In wheel mode no lane ever registers, so the merge is wheel
-   vs heap-overflow only. *)
+(* Earliest source by (time, seq): -2 = wheel, 0 = heap, -1 = both
+   empty. Returns a bare int (the caller recomputes the time by branch)
+   so the hot loop allocates nothing; the wheel minimum is read through
+   direct field loads because a cross-module float-returning call would
+   box its result on every peek. *)
 let select_all t =
-  if not t.use_wheel then select_source t
+  let w = t.wheel in
+  let q = t.queue in
+  if w.Timing_wheel.count0 = 0 && w.Timing_wheel.count1 = 0 then
+    (if q.Event_queue.size = 0 then -1 else 0)
   else begin
-    let w = t.wheel in
-    let q = t.queue in
-    if w.Timing_wheel.count0 = 0 && w.Timing_wheel.count1 = 0 then
-      (if q.Event_queue.size = 0 then -1 else 0)
+    Timing_wheel.ensure w;
+    if q.Event_queue.size = 0 then -2
     else begin
-      Timing_wheel.ensure w;
-      if q.Event_queue.size = 0 then -2
-      else begin
-        let wt = Float.Array.unsafe_get w.Timing_wheel.fmin 0 in
-        let ht = Array.unsafe_get q.Event_queue.times 0 in
-        if
-          wt < ht
-          || (wt = ht
-              && w.Timing_wheel.min_seq
-                 < Array.unsafe_get q.Event_queue.seqs 0)
-        then -2
-        else 0
-      end
+      let wt = Float.Array.unsafe_get w.Timing_wheel.fmin 0 in
+      let ht = Array.unsafe_get q.Event_queue.times 0 in
+      if
+        wt < ht
+        || (wt = ht
+            && w.Timing_wheel.min_seq < Array.unsafe_get q.Event_queue.seqs 0)
+      then -2
+      else 0
     end
   end
 
@@ -465,20 +226,30 @@ exception
     events : int;
   }
 
-let parse_budget var =
+let parse_budget ~what s =
+  match float_of_string_opt (String.trim s) with
+  | Some b when b > 0.0 && Float.is_finite b -> Ok b
+  | Some _ -> Error (what ^ " budget must be a positive float")
+  | None -> Error (Printf.sprintf "invalid %s budget %S" what s)
+
+let budget_of_env ~what var =
   match Sys.getenv_opt var with
   | None -> None
   | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some b when b > 0.0 && Float.is_finite b -> Some b
-      | _ -> None)
+      match parse_budget ~what s with
+      | Ok b -> Some b
+      | Error msg -> invalid_arg (var ^ ": " ^ msg))
 
 (* Process-wide defaults, applied when [run] is not given an explicit
    budget. Orchestration guards, not simulation parameters: a run that
    stays within budget is bit-identical to an unbudgeted one, which is
-   why budgets are deliberately absent from the result-cache key. *)
-let default_sim_budget = ref (parse_budget "EBRC_SIM_BUDGET")
-let default_wall_budget = ref (parse_budget "EBRC_WALL_BUDGET")
+   why budgets are deliberately absent from the result-cache key. A
+   malformed env value fails at startup rather than silently leaving
+   runs unbudgeted. *)
+let default_sim_budget = ref (budget_of_env ~what:"sim-time" "EBRC_SIM_BUDGET")
+
+let default_wall_budget =
+  ref (budget_of_env ~what:"wall-clock" "EBRC_WALL_BUDGET")
 
 let check_budget what = function
   | Some b when not (b > 0.0 && Float.is_finite b) ->
@@ -524,10 +295,7 @@ let run ?(until = infinity) ?(max_events = max_int) ?sim_budget ?wall_budget t
        else begin
          let time =
            if src = -2 then Float.Array.unsafe_get t.wheel.Timing_wheel.fmin 0
-           else if src = 0 then Array.unsafe_get t.queue.Event_queue.times 0
-           else
-             let ln = t.lanes.(src - 1) in
-             ln.l_times.(ln.l_head)
+           else Array.unsafe_get t.queue.Event_queue.times 0
          in
          if time > sim_deadline then begin
            (* [t.now] stays at the last fired event: the engine (and the
@@ -590,24 +358,9 @@ let run ?(until = infinity) ?(max_events = max_int) ?sim_budget ?wall_budget t
              end
            end
          end
-         else if src > 0 then begin
-           (* Lane events are never cancelled, so no discard branch. *)
-           let fire = lane_pop t.lanes.(src - 1) in
-           t.now <- time;
-           t.processed <- t.processed + 1;
-           if Atomic.get Tm.on then Tm.Counter.incr m_fired;
-           if time >= t.next_sample then fire_sampler t time;
-           if t.has_hook then t.advance_hook time;
-           fire ();
-           if t.processed >= max_events then begin
-             reason := Budget_exhausted;
-             continue := false
-           end
-         end
          else begin
            let ev = Event_queue.pop_exn t.queue in
            if ev.handle.cancelled then begin
-             recycle t ev;
              if Atomic.get Tm.on then Tm.Counter.incr m_discarded
            end
            else begin
@@ -616,9 +369,7 @@ let run ?(until = infinity) ?(max_events = max_int) ?sim_budget ?wall_budget t
              if Atomic.get Tm.on then Tm.Counter.incr m_fired;
              if time >= t.next_sample then fire_sampler t time;
              if t.has_hook then t.advance_hook time;
-             let fire = ev.fire in
-             recycle t ev;
-             fire ();
+             ev.fire ();
              if t.processed >= max_events then begin
                reason := Budget_exhausted;
                continue := false

@@ -4,20 +4,12 @@
 type handle
 type event
 
-type lane
-(** A FIFO fast lane; see below. *)
-
 type t = private {
   queue : event Event_queue.t;
   mutable now : float;
   mutable processed : int;
   mutable horizon : float;
-  mutable pool : event array;
-  mutable pool_size : int;
-  mutable lanes : lane array;
-  mutable n_lanes : int;
   wheel : handle Timing_wheel.t;
-  use_wheel : bool;
   mutable advance_hook : float -> unit;
   mutable has_hook : bool;
   mutable sampler : float -> unit;
@@ -32,27 +24,12 @@ type t = private {
     all mutation still goes through the API. *)
 
 val create : unit -> t
-
-val set_wheel : bool -> unit
-(** A/B toggle for event core v3 (default on; set [EBRC_WHEEL=0] to
-    disable). With the wheel on, every bounded-horizon event rides a
-    two-level hierarchical {!Timing_wheel} and the binary heap is
-    demoted to overflow/far-future duty; FIFO lanes are subsumed. The
+(** Every bounded-horizon event rides a two-level hierarchical
+    {!Timing_wheel}; the binary heap ([queue]) holds only overflow
+    events (far future, non-finite, or behind the wheel's cursor). The
     wheel draws tie-break tickets from the heap's sequence counter and
-    extracts by exact (time, seq), so all modes fire the same events
-    in the same order with identical telemetry counters — results are
-    bit-identical. Sampled once per engine at {!create}: flip only
-    between engine creations. *)
-
-val wheel_enabled : unit -> bool
-
-val set_pooling : bool -> unit
-(** Toggle event-record recycling through the per-engine freelist. Off
-    by default (or set [EBRC_POOL=1]): recycled records are tenured,
-    so storing each event's young closure into them pays a write
-    barrier and promotes the closure, which measured slower than
-    letting records die in the minor heap. Kept for A/B allocation
-    measurements. Flip only between simulations. *)
+    extracts by exact (time, seq), so the dispatch order is the one a
+    pure binary heap would produce. *)
 
 val now : t -> float
 val processed : t -> int
@@ -90,14 +67,12 @@ val schedule : t -> at:float -> (unit -> unit) -> handle
 
 val schedule_after : t -> delay:float -> (unit -> unit) -> handle
 (** Raises [Invalid_argument] if [delay] is negative or NaN — a
-    negative delay would otherwise schedule into the simulated past.
-    The contract holds identically on the wheel and heap paths; the
-    error message names which scheduler rejected the delay. *)
+    negative delay would otherwise schedule into the simulated past. *)
 
 val schedule_unit : t -> at:float -> (unit -> unit) -> unit
 (** Like {!schedule} for events that are never cancelled: shares one
-    sentinel handle and recycles event records through the engine's
-    freelist, so steady-state scheduling allocates nothing. *)
+    sentinel handle, so an event the wheel accepts allocates no record
+    at all. *)
 
 val schedule_after_unit : t -> delay:float -> (unit -> unit) -> unit
 
@@ -105,45 +80,6 @@ val cancel : handle -> unit
 (** O(1); the event is discarded lazily when popped. *)
 
 val is_cancelled : handle -> bool
-
-(** {2 FIFO fast lanes}
-
-    Event streams that are provably time-ordered and never cancelled —
-    link service completions, constant-propagation-delay deliveries,
-    fixed-delay feedback paths — can bypass the binary heap through a
-    lane: a growable ring with O(1) push/pop. The run loop k-way-merges
-    lane heads with the heap top by (time, seq), and lane pushes draw
-    tie-break tickets from the heap's own sequence counter, so the
-    merged fire order is bit-identical to a pure-heap run.
-
-    With the wheel enabled ({!set_wheel}) lanes are subsumed: a lane
-    still enforces its FIFO contract, but its events ride the wheel and
-    the lane scan vanishes from the run loop. {!lane_depth} is then
-    always 0. *)
-
-val set_fast_lanes : bool -> unit
-(** A/B toggle (default on; set [EBRC_LANES=0] to disable). With lanes
-    off, {!lane_push} falls back to a plain heap push that consumes
-    the same sequence ticket — same fire order, same telemetry
-    counters. Flip only between simulations. *)
-
-val fast_lanes_enabled : unit -> bool
-
-val lane : t -> lane
-(** Register a new FIFO lane on this engine. *)
-
-val lane_push : lane -> at:float -> (unit -> unit) -> unit
-(** Append an event to the lane. Raises [Invalid_argument] if [at] is
-    in the past, NaN, or below the lane's newest entry (the caller's
-    FIFO proof is violated). *)
-
-val lane_push_after : lane -> delay:float -> (unit -> unit) -> unit
-(** [lane_push_after ln ~delay fire] is exactly
-    [lane_push ln ~at:(now t +. delay) fire] — same float arithmetic,
-    so the schedule is bit-identical — minus one cross-module [now]
-    call on a very hot path. *)
-
-val lane_depth : lane -> int
 
 type stop_reason = Queue_empty | Horizon_reached | Budget_exhausted | Stopped
 
@@ -173,6 +109,19 @@ exception
             exceeded the budget; [Wall_clock]: elapsed wall seconds *)
     events : int;    (** events processed when the budget tripped *)
   }
+
+val parse_budget : what:string -> string -> (float, string) result
+(** Parse a budget in seconds: a positive finite float. The error
+    message names the budget kind [what] (["sim-time"] or
+    ["wall-clock"]); the CLI's [--sim-budget]/[--wall-budget] flags and
+    the env defaults share it. *)
+
+val budget_of_env : what:string -> string -> float option
+(** [budget_of_env ~what var] reads a budget from environment variable
+    [var]: [None] when unset. Raises [Invalid_argument] with
+    {!parse_budget}'s message, prefixed by [var], when the value is
+    malformed (["10s"], ["-1"], ...). The process-wide defaults below
+    are read this way at startup. *)
 
 val set_sim_budget : float option -> unit
 (** Process-wide default sim-time budget per [run] call, used when the

@@ -1,12 +1,11 @@
 (* Binary min-heap of timestamped events with stable FIFO tie-breaking.
 
-   Since event core v3 this heap serves overflow/far-future duty: the
-   engine routes bounded-horizon events onto a hierarchical timing
-   wheel and only events past the wheel window (or with the wheel
-   disabled) land here. The sequence counter below remains the single
-   source of tie-break tickets for every scheduler — wheel, lanes, and
-   heap — which is what keeps their merged dispatch order identical to
-   a pure-heap run.
+   This heap serves overflow/far-future duty: the engine routes
+   bounded-horizon events onto a hierarchical timing wheel and only
+   events past the wheel window land here. The sequence counter below
+   remains the single source of tie-break tickets for both — the wheel
+   draws from it inline — which is what keeps their merged dispatch
+   order identical to a pure-heap run.
 
    Ties matter: a packet arrival and a timer expiring at the same instant
    must be processed in schedule order for the simulation to be
@@ -122,14 +121,6 @@ let push t ~time payload =
   let i = t.size in
   t.size <- i + 1;
   sift_up t i time seq (Obj.repr payload)
-
-(* External FIFO lanes (Engine fast lanes) draw tie-break tickets from
-   the same counter as heap pushes, so a k-way merge by (time, seq)
-   across heap + lanes reproduces the pure-heap pop order exactly. *)
-let take_seq t =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  seq
 
 let peek_time t = if t.size = 0 then None else Some t.times.(0)
 

@@ -13,8 +13,8 @@ type 'a t = {
     consumers on the per-event path: the engine's run loop peeks
     [size]/[times.(0)]/[seqs.(0)] as direct loads, and
     {!Timing_wheel.try_push} draws a tie-break ticket inline (a load
-    and an increment of [next_seq], exactly what {!take_seq} does)
-    instead of paying a cross-module call per scheduled event. Treat
+    and an increment of [next_seq]) instead of paying a cross-module
+    call per scheduled event. Treat
     the fields as read-only everywhere else; [payloads] holds [Obj.t]
     by design (see the implementation) and must never be touched
     outside this module. *)
@@ -25,12 +25,6 @@ val is_empty : 'a t -> bool
 
 val push : 'a t -> time:float -> 'a -> unit
 (** Raises on NaN time. *)
-
-val take_seq : 'a t -> int
-(** Allocate the next FIFO tie-break ticket without pushing. External
-    schedulers (Engine fast lanes) that merge with this queue by
-    (time, seq) take tickets here so the merged pop order is exactly
-    the order a pure-heap run would produce. *)
 
 val peek_time : 'a t -> float option
 

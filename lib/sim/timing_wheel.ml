@@ -27,7 +27,8 @@
    engine — and a cascade relinks entries between levels without
    copying a single payload. Handles are stored only for cancellable
    entries ([flags] gates the read), which spares the write barrier on
-   the never-cancelled majority (lane traffic, unit timers).
+   the never-cancelled majority (link, pacing and feedback streams;
+   unit timers).
 
    Exactness: entries within one level-0 slot differ by < 2^-12 s but
    are compared by full (time, seq) when the minimum is extracted, so
@@ -357,7 +358,7 @@ let try_push t q ~now ~at fire handle =
     let s0 = int_of_float (at *. l0_scale) in
     let s1 = s0 asr l0_shift in
     if s1 >= t.cur1 && s1 - t.cur1 < n_slots then begin
-      (* Inline take_seq: same counter, same value, minus a call. *)
+      (* The heap's own ticket counter, drawn inline to spare a call. *)
       let seq = q.Event_queue.next_seq in
       q.Event_queue.next_seq <- seq + 1;
       insert_entry t s0 at seq fire handle (handle != t.null);

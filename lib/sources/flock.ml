@@ -94,19 +94,19 @@ type hybrid_stats = {
   delivered : int;
   dropped : int;
   fingerprint : int;      (* dispatch-order fold over send/deliver/drop *)
-  fluid : Fluid.stats option;  (* None when the hybrid layer is off *)
+  fluid : Fluid.stats option;  (* None when [bg_flows = 0] *)
 }
 
 (* Foreground flows tick at ~1 pkt/s each through a bottleneck sized at
    [capacity_factor] x their aggregate mean rate; the fluid background
    aggregates [bg_flows] AIMD flows contending for the same queue. With
-   the hybrid layer disabled (EBRC_HYBRID=0) no fluid is created and
-   this is a packet-only link bench over the same event population. *)
+   [bg_flows = 0] no fluid is created and this is a packet-only link
+   bench over the same event population. *)
 let run_hybrid ?(fg_flows = 20_000) ?(bg_flows = 200_000)
     ?(duration = 10.0) ?(seed = 1) ?(base_rtt = 0.1)
     ?(capacity_factor = 2.5) () =
   if fg_flows <= 0 then invalid_arg "Flock.run_hybrid: fg_flows";
-  if bg_flows <= 0 then invalid_arg "Flock.run_hybrid: bg_flows";
+  if bg_flows < 0 then invalid_arg "Flock.run_hybrid: bg_flows";
   let engine = Engine.create () in
   let rng = Prng.create ~seed in
   let pkt_size = 1000 in
@@ -124,7 +124,7 @@ let run_hybrid ?(fg_flows = 20_000) ?(bg_flows = 200_000)
       ~delay:(0.5 *. base_rtt) ~queue ~rng
   in
   let fluid =
-    if Fluid.enabled () then begin
+    if bg_flows > 0 then begin
       let fl =
         Fluid.create
           (Fluid.default ~flows:bg_flows ~capacity_pps ~base_rtt
@@ -149,8 +149,7 @@ let run_hybrid ?(fg_flows = 20_000) ?(bg_flows = 200_000)
   Link.set_deliver link (fun pkt ->
       delivered := !delivered + 1;
       fp :=
-        ((!fp * fnv_prime) + pkt.Packet.flow) * fnv_prime + pkt.Packet.seq;
-      Packet.release pkt);
+        ((!fp * fnv_prime) + pkt.Packet.flow) * fnv_prime + pkt.Packet.seq);
   Link.set_on_drop link (fun pkt ->
       dropped := !dropped + 1;
       (* Drops mix with the complemented sequence so a dropped and a

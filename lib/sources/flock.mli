@@ -36,9 +36,8 @@ val pool : t -> Flow_pool.t
 (** The flock's backing flow pool. *)
 
 val run : ?flows:int -> ?duration:float -> ?seed:int -> unit -> stats
-(** Convenience wrapper: fresh engine (current [Engine.set_wheel] /
-    lane settings apply), run to [duration] (default 10 s of simulated
-    time), return the tallies. *)
+(** Convenience wrapper: fresh engine, run to [duration] (default 10 s
+    of simulated time), return the tallies. *)
 
 (** {2 flows1m: the hybrid packet/fluid scale bench} *)
 
@@ -51,7 +50,7 @@ type hybrid_stats = {
   dropped : int;
   fingerprint : int; (** dispatch-order fold over deliveries and drops *)
   fluid : Ebrc_net.Fluid.stats option;
-      (** [None] when the hybrid layer is disabled. *)
+      (** [None] when [bg_flows = 0]. *)
 }
 
 val run_hybrid :
@@ -61,8 +60,8 @@ val run_hybrid :
     periodic flows send real packets through a DropTail bottleneck
     sized at [capacity_factor] (default 2.5) × their aggregate mean
     rate, while a fluid aggregate of [bg_flows] (default 200_000) AIMD
-    background flows contends for the same queue (when
-    {!Ebrc_net.Fluid.enabled}; otherwise the identical packet-only
-    bench runs with no fluid attached). Deliveries and drops fold into
-    the fingerprint, so repeated runs at equal seeds must agree —
-    the hybrid co-simulation's determinism check. *)
+    background flows contends for the same queue ([bg_flows = 0] runs
+    the identical packet-only bench with no fluid attached).
+    Deliveries and drops fold into the fingerprint, so repeated runs at
+    equal seeds must agree — the hybrid co-simulation's determinism
+    check. *)

@@ -20,7 +20,6 @@ type t = {
   mutable seq : int;
   mutable sent : int;
   mutable running : bool;
-  send_lane : Engine.lane;   (* pacing ticks: FIFO, never cancelled *)
 }
 
 let create ?(packet_size = 1000) ~engine ~flow ~rate ~pacing () =
@@ -36,7 +35,6 @@ let create ?(packet_size = 1000) ~engine ~flow ~rate ~pacing () =
     seq = 0;
     sent = 0;
     running = false;
-    send_lane = Engine.lane engine;
   }
 
 let set_transmit t f = t.transmit <- f
@@ -57,8 +55,9 @@ let send_loop t =
       t.seq <- t.seq + 1;
       t.sent <- t.sent + 1;
       t.transmit pkt;
-      (* Each tick pushes the next strictly later — FIFO per source. *)
-      Engine.lane_push_after t.send_lane ~delay:(next_gap t) tick
+      Engine.schedule_unit t.engine
+        ~at:(t.engine.Engine.now +. next_gap t)
+        tick
     end
   in
   tick ()

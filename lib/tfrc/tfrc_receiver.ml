@@ -23,7 +23,6 @@ type t = {
   mutable started : bool;
   mutable first_recv_at : float;
   mutable last_recv_at : float;
-  fb_lane : Engine.lane;     (* per-RTT report ticks: FIFO, never cancelled *)
 }
 
 let create ?(comprehensive = true) ~engine ~flow ~l ~rtt () =
@@ -43,7 +42,6 @@ let create ?(comprehensive = true) ~engine ~flow ~l ~rtt () =
     started = false;
     first_recv_at = nan;
     last_recv_at = nan;
-    fb_lane = Engine.lane engine;
   }
 
 let set_feedback_sink t f = t.send_feedback <- f
@@ -74,16 +72,14 @@ let emit_report t =
   t.send_feedback pkt
 
 let feedback_loop t =
-  (* One self-rescheduling thunk for the lifetime of the receiver. Each
-     tick pushes the next one strictly later (feedback_interval > 0), so
-     the per-receiver stream is FIFO and rides a lane. *)
+  (* One self-rescheduling thunk for the lifetime of the receiver. *)
   let rec tick () =
     emit_report t;
-    Engine.lane_push t.fb_lane
+    Engine.schedule_unit t.engine
       ~at:(t.engine.Engine.now +. t.feedback_interval)
       tick
   in
-  Engine.lane_push t.fb_lane
+  Engine.schedule_unit t.engine
     ~at:(t.engine.Engine.now +. t.feedback_interval)
     tick
 

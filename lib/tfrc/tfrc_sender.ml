@@ -55,7 +55,6 @@ type t = {
   mutable nofeedback_timer : Engine.handle option;
   mutable rate_halvings : int;
   mutable send_tick : unit -> unit;   (* preallocated send-loop thunk *)
-  send_lane : Engine.lane;            (* pacing ticks: FIFO, never cancelled *)
 }
 
 let rec create ?(packet_size = 1000) ?(conform_to_analysis = false)
@@ -92,7 +91,6 @@ let rec create ?(packet_size = 1000) ?(conform_to_analysis = false)
       nofeedback_timer = None;
       rate_halvings = 0;
       send_tick = (fun () -> ());
-      send_lane = Engine.lane engine;
     }
   in
   t.send_tick <- (fun () -> send_loop t);
@@ -112,9 +110,8 @@ and send_loop t =
        packet. *)
     let floor_ = if t.rate > t.min_rate then t.rate else t.min_rate in
     let gap = 1.0 /. floor_ in
-    (* Each tick schedules the next strictly later, and rate changes
-       only affect ticks not yet pushed — FIFO holds per sender. *)
-    Engine.lane_push_after t.send_lane ~delay:gap t.send_tick
+    Engine.schedule_unit t.engine ~at:(t.engine.Engine.now +. gap)
+      t.send_tick
   end
 
 let set_transmit t f = t.transmit <- f

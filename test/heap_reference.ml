@@ -1,0 +1,40 @@
+(* Reference model of the engine's dispatch contract: every event on
+   one binary heap, ordered by (time, scheduling order), with lazy
+   cancellation — the scheduler the timing wheel replaced. The wheel
+   tests run the same schedule programs through both and require
+   identical dispatch logs. *)
+
+module EQ = Ebrc.Event_queue
+
+type handle = { mutable cancelled : bool }
+type t = { queue : ((unit -> unit) * handle) EQ.t; mutable now : float }
+
+let create () = { queue = EQ.create (); now = 0.0 }
+let now t = t.now
+let cancel h = h.cancelled <- true
+
+let schedule t ~at fire =
+  if not (at >= t.now) then invalid_arg "Heap_reference.schedule: past time";
+  let h = { cancelled = false } in
+  EQ.push t.queue ~time:at (fire, h);
+  h
+
+let schedule_unit t ~at fire = ignore (schedule t ~at fire : handle)
+
+let schedule_after_unit t ~delay fire =
+  if not (delay >= 0.0) then
+    invalid_arg "Heap_reference.schedule_after_unit: negative delay";
+  schedule_unit t ~at:(t.now +. delay) fire
+
+let run t =
+  let rec loop () =
+    match EQ.pop t.queue with
+    | None -> ()
+    | Some (time, (fire, h)) ->
+        if not h.cancelled then begin
+          t.now <- time;
+          fire ()
+        end;
+        loop ()
+  in
+  loop ()

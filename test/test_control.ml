@@ -272,7 +272,7 @@ let test_cycle_duration_closed_vs_ode_single () =
     CC.cycle_duration_closed ~formula:pftk_simpl ~estimator ~theta
   in
   let s_ode =
-    CC.cycle_duration_ode ~step:1e-4 ~formula:pftk_simpl ~estimator ~theta ()
+    CC.cycle_duration_ode_adaptive ~formula:pftk_simpl ~estimator ~theta ()
   in
   feq ~eps:1e-3 s_closed s_ode
 
@@ -311,18 +311,6 @@ let test_adaptive_memo_deterministic () =
       ~theta ()
   in
   Alcotest.(check bool) "memo hit identical" true (s1 = s2 && s1 = s3)
-
-let test_fixed_step_engine_matches_closed () =
-  (* The legacy engine stays available behind Ode_fixed_step. *)
-  let a =
-    run_comprehensive ~seed:43 ~cycles:2000 ~engine:CC.Closed_form ~kind:F.Sqrt
-      ~l:8 ~p:0.05 ~cv:0.9 ()
-  in
-  let b =
-    run_comprehensive ~seed:43 ~cycles:2000 ~engine:CC.Ode_fixed_step
-      ~kind:F.Sqrt ~l:8 ~p:0.05 ~cv:0.9 ()
-  in
-  feq ~eps:1e-2 a.CC.throughput b.CC.throughput
 
 let test_closed_form_rejects_pftk_standard () =
   let rng = Prng.create ~seed:1 in
@@ -611,7 +599,6 @@ let () =
           Alcotest.test_case "closed vs ODE single cycle" `Quick test_cycle_duration_closed_vs_ode_single;
           Alcotest.test_case "adaptive vs closed (SQRT, 1e-6)" `Quick test_cycle_duration_adaptive_vs_closed_sqrt;
           Alcotest.test_case "adaptive memo deterministic" `Quick test_adaptive_memo_deterministic;
-          Alcotest.test_case "fixed-step engine A/B" `Quick test_fixed_step_engine_matches_closed;
           Alcotest.test_case "closed form rejects PFTK-std" `Quick test_closed_form_rejects_pftk_standard;
           Alcotest.test_case "V_n zero when estimates equal" `Quick test_v_n_zero_when_equal;
         ] );

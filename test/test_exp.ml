@@ -295,13 +295,7 @@ let test_cache_store_failure_degrades () =
 let test_cache_robust_roundtrip () =
   (* A faulted config round-trips through the disk store: the record
      carries tfrc_halvings and fault_stats, and the faulted and
-     fault-free configs get distinct digests. Pin the fault gate on so
-     the test also holds under the EBRC_FAULTS=0 ablation leg. *)
-  let was_enabled = Ebrc.Fault.enabled () in
-  Ebrc.Fault.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Ebrc.Fault.set_enabled was_enabled)
-  @@ fun () ->
+     fault-free configs get distinct digests. *)
   let robust =
     { Ebrc.Scenario.robust_blackout_config with
       Ebrc.Scenario.duration = 60.0;
@@ -321,53 +315,26 @@ let test_cache_robust_roundtrip () =
 
 (* ---------------------- hybrid packet/fluid ---------------------- *)
 
-let with_hybrid on f =
-  let before = Ebrc.Fluid.enabled () in
-  Ebrc.Fluid.set_hybrid on;
-  Fun.protect ~finally:(fun () -> Ebrc.Fluid.set_hybrid before) f
-
-(* The EBRC_HYBRID=0 ablation contract: with the layer disabled, a
-   config carrying a background is structurally the packet-only run —
-   byte-identical serialization AND an identical cache key. *)
-let test_hybrid_off_bit_identical () =
-  let cfg_bg =
-    { quick_cfg with
-      S.background = Some (S.default_background ~flows:50_000) }
-  in
-  let cfg_none = { quick_cfg with S.background = None } in
-  with_hybrid false (fun () ->
-      Alcotest.(check string) "digests collapse when disabled"
-        (RC.digest_of_config cfg_none)
-        (RC.digest_of_config cfg_bg);
-      let a = RC.serialize_result (S.run cfg_bg) in
-      let b = RC.serialize_result (S.run cfg_none) in
-      Alcotest.(check bool) "hybrid-off run bit-identical to packet-only"
-        true (String.equal a b));
-  with_hybrid true (fun () ->
-      Alcotest.(check bool) "digests differ when enabled" true
-        (RC.digest_of_config cfg_bg <> RC.digest_of_config cfg_none);
-      let r = S.run cfg_bg in
-      Alcotest.(check bool) "fluid stats present" true
-        (r.S.fluid_stats <> None))
-
 let test_hybrid_cache_roundtrip () =
-  (* fluid_stats round-trips byte-exactly through the disk store. *)
-  with_hybrid true (fun () ->
-      let cfg =
-        { cache_cfg with
-          S.background = Some (S.default_background ~flows:10_000) }
-      in
-      with_clean_cache (fun () ->
-          RC.set_dir (Some cache_dir);
-          let first = RC.serialize_result (RC.run cfg) in
-          Alcotest.(check bool) "result carries fluid stats" true
-            ((RC.run cfg).S.fluid_stats <> None);
-          RC.clear_memory ();
-          let from_disk = RC.serialize_result (RC.run cfg) in
-          Alcotest.(check bool) "hybrid disk hit byte-identical" true
-            (String.equal first from_disk);
-          Alcotest.(check int) "served from disk" 1
-            (RC.stats ()).RC.disk_hits))
+  (* fluid_stats round-trips byte-exactly through the disk store, and
+     the background is part of the key. *)
+  let cfg =
+    { cache_cfg with
+      S.background = Some (S.default_background ~flows:10_000) }
+  in
+  Alcotest.(check bool) "background changes the digest" true
+    (RC.digest_of_config cfg
+    <> RC.digest_of_config { cfg with S.background = None });
+  with_clean_cache (fun () ->
+      RC.set_dir (Some cache_dir);
+      let first = RC.serialize_result (RC.run cfg) in
+      Alcotest.(check bool) "result carries fluid stats" true
+        ((RC.run cfg).S.fluid_stats <> None);
+      RC.clear_memory ();
+      let from_disk = RC.serialize_result (RC.run cfg) in
+      Alcotest.(check bool) "hybrid disk hit byte-identical" true
+        (String.equal first from_disk);
+      Alcotest.(check int) "served from disk" 1 (RC.stats ()).RC.disk_hits)
 
 (* The hybrid validation gate (CI-enforced version of figure h1): the
    same background population simulated packet-exact (n extra TCP
@@ -378,7 +345,6 @@ let test_hybrid_cache_roundtrip () =
    metric) is much tighter because TFRC's formula response compensates
    for the p difference. *)
 let test_hybrid_matches_packet_background () =
-  with_hybrid true @@ fun () ->
   let base =
     { S.default_config with
       S.with_probe = false; duration = 120.0; warmup = 30.0 }
@@ -420,7 +386,6 @@ let test_hybrid_matches_packet_background () =
    Seeds pinned; capacity scales with N per the many-sources
    normalization. *)
 let test_hybrid_many_sources_limit () =
-  with_hybrid true @@ fun () ->
   let n = 100_000 in
   let bg = S.default_background ~flows:n in
   let cfg =
@@ -711,8 +676,6 @@ let () =
         ] );
       ( "hybrid",
         [
-          Alcotest.test_case "off = bit-identical packet-only" `Quick
-            test_hybrid_off_bit_identical;
           Alcotest.test_case "cache roundtrip" `Quick
             test_hybrid_cache_roundtrip;
           Alcotest.test_case "matches packet background" `Quick

@@ -2,19 +2,11 @@
    stepper, the fluid background aggregate (convergence to its analytic
    equilibrium, sync determinism, quantum gating), and the flows1m
    hybrid bench (determinism at equal seeds; the fluid visibly couples
-   when on). The scenario-level structural-inertness ablation
-   (EBRC_HYBRID=0 bit-identity) lives in test_exp. Toggle-sensitive
-   tests pin Fluid.set_hybrid and restore it, so the suite passes under
-   the EBRC_HYBRID=0 ablation leg. *)
+   against the same bench with no background). *)
 
 module Ode = Ebrc.Ode
 module Fluid = Ebrc.Fluid
 module Flock = Ebrc.Flock
-
-let with_hybrid on f =
-  let before = Fluid.enabled () in
-  Fluid.set_hybrid on;
-  Fun.protect ~finally:(fun () -> Fluid.set_hybrid before) f
 
 (* ------------------------- Ode.System ------------------------------ *)
 
@@ -127,58 +119,55 @@ let test_equilibrium_balances () =
     (Float.abs (eq.Fluid.eq_w -. sqrt (2.0 /. eq.Fluid.eq_p)) < 1e-9)
 
 let test_fluid_converges_to_equilibrium () =
-  with_hybrid true (fun () ->
-      let fl = Fluid.create test_cfg in
-      let t = ref 0.0 in
-      while !t < 120.0 -. 1e-9 do
-        t := !t +. 0.01;
-        Fluid.sync fl ~now:!t
-      done;
-      let eq = Fluid.equilibrium test_cfg in
-      let w = Fluid.window fl in
-      Alcotest.(check bool)
-        (Printf.sprintf "window %.3f near eq %.3f" w eq.Fluid.eq_w)
-        true
-        (Float.abs (w -. eq.Fluid.eq_w) /. eq.Fluid.eq_w < 0.25);
-      let p = Fluid.drop_prob fl in
-      Alcotest.(check bool)
-        (Printf.sprintf "drop prob %.4f near eq %.4f" p eq.Fluid.eq_p)
-        true
-        (Float.abs (p -. eq.Fluid.eq_p) /. eq.Fluid.eq_p < 0.5);
-      let st = Fluid.stats fl in
-      Alcotest.(check bool) "advances counted" true (st.Fluid.advances > 0);
-      Alcotest.(check bool)
-        "ODE steps bounded (resumable stepper reuses its step size)"
-        true
-        (st.Fluid.ode.Ode.accepted < 200_000))
+  let fl = Fluid.create test_cfg in
+  let t = ref 0.0 in
+  while !t < 120.0 -. 1e-9 do
+    t := !t +. 0.01;
+    Fluid.sync fl ~now:!t
+  done;
+  let eq = Fluid.equilibrium test_cfg in
+  let w = Fluid.window fl in
+  Alcotest.(check bool)
+    (Printf.sprintf "window %.3f near eq %.3f" w eq.Fluid.eq_w)
+    true
+    (Float.abs (w -. eq.Fluid.eq_w) /. eq.Fluid.eq_w < 0.25);
+  let p = Fluid.drop_prob fl in
+  Alcotest.(check bool)
+    (Printf.sprintf "drop prob %.4f near eq %.4f" p eq.Fluid.eq_p)
+    true
+    (Float.abs (p -. eq.Fluid.eq_p) /. eq.Fluid.eq_p < 0.5);
+  let st = Fluid.stats fl in
+  Alcotest.(check bool) "advances counted" true (st.Fluid.advances > 0);
+  Alcotest.(check bool)
+    "ODE steps bounded (resumable stepper reuses its step size)"
+    true
+    (st.Fluid.ode.Ode.accepted < 200_000)
 
 let test_fluid_sync_deterministic () =
-  with_hybrid true (fun () ->
-      let run () =
-        let fl = Fluid.create test_cfg in
-        for k = 1 to 500 do
-          Fluid.sync fl ~now:(0.0137 *. float_of_int k);
-          if k mod 50 = 0 then Fluid.on_packet_arrival fl;
-          if k mod 70 = 0 then Fluid.set_pkt_occupancy fl (k mod 11)
-        done;
-        (Fluid.window fl, Fluid.queue_pkts fl, Fluid.fg_rate fl)
-      in
-      let a = run () and b = run () in
-      Alcotest.(check bool) "bit-identical state" true (a = b))
+  let run () =
+    let fl = Fluid.create test_cfg in
+    for k = 1 to 500 do
+      Fluid.sync fl ~now:(0.0137 *. float_of_int k);
+      if k mod 50 = 0 then Fluid.on_packet_arrival fl;
+      if k mod 70 = 0 then Fluid.set_pkt_occupancy fl (k mod 11)
+    done;
+    (Fluid.window fl, Fluid.queue_pkts fl, Fluid.fg_rate fl)
+  in
+  let a = run () and b = run () in
+  Alcotest.(check bool) "bit-identical state" true (a = b)
 
 let test_fluid_quantum_gating () =
-  with_hybrid true (fun () ->
-      let fl = Fluid.create test_cfg in
-      Fluid.sync fl ~now:0.5;
-      let w = Fluid.window fl in
-      let st = Fluid.stats fl in
-      (* Sub-quantum nudges must not move the state. *)
-      Fluid.sync fl ~now:0.5001;
-      Fluid.sync fl ~now:0.5009;
-      Alcotest.(check (float 0.0)) "state unchanged" w (Fluid.window fl);
-      Alcotest.(check int)
-        "no extra advances" st.Fluid.advances
-        (Fluid.stats fl).Fluid.advances)
+  let fl = Fluid.create test_cfg in
+  Fluid.sync fl ~now:0.5;
+  let w = Fluid.window fl in
+  let st = Fluid.stats fl in
+  (* Sub-quantum nudges must not move the state. *)
+  Fluid.sync fl ~now:0.5001;
+  Fluid.sync fl ~now:0.5009;
+  Alcotest.(check (float 0.0)) "state unchanged" w (Fluid.window fl);
+  Alcotest.(check int)
+    "no extra advances" st.Fluid.advances
+    (Fluid.stats fl).Fluid.advances
 
 let test_fluid_validates () =
   Alcotest.check_raises "flows >= 1"
@@ -197,21 +186,22 @@ let hybrid_args =
     Flock.run_hybrid ~fg_flows:500 ~bg_flows:5_000 ~duration:2.0 ~seed:7 ()
 
 let test_hybrid_deterministic () =
-  with_hybrid true (fun () ->
-      let a = hybrid_args () and b = hybrid_args () in
-      Alcotest.(check int)
-        "fingerprints agree" a.Flock.fingerprint b.Flock.fingerprint;
-      Alcotest.(check int) "events agree" a.Flock.events b.Flock.events;
-      Alcotest.(check bool) "fluid stats present" true (a.Flock.fluid <> None);
-      Alcotest.(check bool) "packets flowed" true (a.Flock.delivered > 0))
+  let a = hybrid_args () and b = hybrid_args () in
+  Alcotest.(check int)
+    "fingerprints agree" a.Flock.fingerprint b.Flock.fingerprint;
+  Alcotest.(check int) "events agree" a.Flock.events b.Flock.events;
+  Alcotest.(check bool) "fluid stats present" true (a.Flock.fluid <> None);
+  Alcotest.(check bool) "packets flowed" true (a.Flock.delivered > 0)
 
 let test_hybrid_couples_when_on () =
-  let on = with_hybrid true hybrid_args in
-  let off = with_hybrid false hybrid_args in
-  Alcotest.(check bool) "fluid stats absent when off" true
+  let on = hybrid_args () in
+  let off =
+    Flock.run_hybrid ~fg_flows:500 ~bg_flows:0 ~duration:2.0 ~seed:7 ()
+  in
+  Alcotest.(check bool) "fluid stats absent without background" true
     (off.Flock.fluid = None);
   (* The fluid holds queue share and capacity: the foreground must see
-     a different (more contended) path when the hybrid layer is on. *)
+     a different (more contended) path when a background is present. *)
   Alcotest.(check bool)
     "coupling changes the foreground's fate" true
     (on.Flock.fingerprint <> off.Flock.fingerprint);

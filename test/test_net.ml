@@ -259,26 +259,25 @@ let test_periodic_dropper () =
     [ true; true; false; true; true; false; true; true; false ]
     verdicts
 
+(* Reference for the gap-skipping dropper: one Bernoulli draw per
+   packet, the direct reading of "each packet dropped independently
+   with probability p". *)
+let per_packet_verdicts rng ~p n =
+  List.init n (fun _ -> not (Ebrc.Dist.bernoulli rng ~p))
+
 let test_gap_skip_drop_rate_matches_per_packet () =
-  (* The gap-skipped sampler and the per-packet sampler draw different
-     random streams, so equivalence is statistical: both must hit the
-     target drop rate. *)
+  (* The gap-skipped sampler and the per-packet reference draw
+     different random streams, so equivalence is statistical: both
+     must hit the target drop rate. *)
   let n = 50_000 and p = 0.2 in
-  let rate_of lm =
+  let rate_of vs =
     let dropped =
-      List.fold_left (fun d pass -> if pass then d else d + 1) 0
-        (verdicts lm n)
+      List.fold_left (fun d pass -> if pass then d else d + 1) 0 vs
     in
     float_of_int dropped /. float_of_int n
   in
-  (* Pin the toggle for each arm and restore whatever the environment
-     selected (the suite also runs under EBRC_GAP_SKIP=0). *)
-  let was = LM.gap_skip_enabled () in
-  Fun.protect ~finally:(fun () -> LM.set_gap_skip was) @@ fun () ->
-  LM.set_gap_skip true;
-  let gap_rate = rate_of (LM.bernoulli (Prng.create ~seed:11) ~p) in
-  LM.set_gap_skip false;
-  let per_rate = rate_of (LM.bernoulli (Prng.create ~seed:11) ~p) in
+  let gap_rate = rate_of (verdicts (LM.bernoulli (Prng.create ~seed:11) ~p) n) in
+  let per_rate = rate_of (per_packet_verdicts (Prng.create ~seed:11) ~p n) in
   Alcotest.(check bool)
     (Printf.sprintf "gap-skip rate %.4f ~ %.1f" gap_rate p)
     true

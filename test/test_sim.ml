@@ -232,6 +232,28 @@ let test_engine_wall_watchdog () =
       Alcotest.(check bool) "elapsed reported" true (at >= 0.0);
       Alcotest.(check bool) "aborted early" true (events < 1_000_000)
 
+(* A malformed env budget must not silently leave runs unbudgeted: it
+   fails with the --sim-budget flag's message, naming the variable. *)
+let test_engine_budget_env () =
+  let var = "EBRC_TEST_ENV_BUDGET" in
+  Unix.putenv var "2.5";
+  Alcotest.(check (option (float 0.0)))
+    "valid value parses" (Some 2.5)
+    (E.budget_of_env ~what:"sim-time" var);
+  List.iter
+    (fun (value, msg) ->
+      Unix.putenv var value;
+      Alcotest.check_raises value (Invalid_argument (var ^ ": " ^ msg))
+        (fun () -> ignore (E.budget_of_env ~what:"sim-time" var)))
+    [
+      ("10s", "invalid sim-time budget \"10s\"");
+      ("-1", "sim-time budget must be a positive float");
+      ("inf", "sim-time budget must be a positive float");
+    ];
+  Alcotest.(check (option (float 0.0)))
+    "unset variable means no budget" None
+    (E.budget_of_env ~what:"sim-time" "EBRC_TEST_ENV_BUDGET_UNSET")
+
 let test_engine_budget_defaults () =
   (* set_sim_budget installs a process-wide default that run picks up
      when not given an explicit budget. *)
@@ -315,21 +337,25 @@ let test_engine_sampler_cleared () =
   | () -> Alcotest.fail "expected Invalid_argument (NaN period)"
   | exception Invalid_argument _ -> ()
 
-(* ------------------------- fast lanes -------------------------- *)
+(* ----------------------- constant-delay streams ------------------- *)
+
+(* Link service and propagation, pacing ticks, and TFRC feedback / TCP
+   ack deliveries are never cancelled and go through [schedule_unit].
+   The "lanes" suite name is historical: these streams once rode
+   dedicated FIFO rings. They share the wheel with cancellable events
+   and must interleave with them exactly by (time, scheduling order). *)
 
 let test_lane_merge_order () =
-  (* Interleave heap events and lane events at equal times: the merged
-     pop order must equal the push order, exactly as if everything had
-     gone through the heap. *)
+  (* Interleave handle events and unit events at equal times: the
+     dispatch order must equal the scheduling order. *)
   let e = E.create () in
-  let ln = E.lane e in
   let log = ref [] in
   let say v () = log := v :: !log in
   ignore (E.schedule e ~at:1.0 (say "h1"));
-  E.lane_push ln ~at:1.0 (say "l1");
+  E.schedule_unit e ~at:1.0 (say "l1");
   ignore (E.schedule e ~at:1.0 (say "h2"));
-  E.lane_push ln ~at:1.0 (say "l2");
-  E.lane_push ln ~at:2.0 (say "l3");
+  E.schedule_unit e ~at:1.0 (say "l2");
+  E.schedule_unit e ~at:2.0 (say "l3");
   ignore (E.schedule e ~at:2.0 (say "h3"));
   ignore (E.run e);
   Alcotest.(check (list string))
@@ -337,92 +363,56 @@ let test_lane_merge_order () =
     (List.rev !log)
 
 let test_lane_two_lanes_merge () =
+  (* Two streams, each advancing by its own constant delay, plus a
+     handle event: ties resolve by scheduling order across streams. *)
   let e = E.create () in
-  let a = E.lane e and b = E.lane e in
   let log = ref [] in
   let say v () = log := v :: !log in
-  E.lane_push a ~at:1.0 (say "a1");
-  E.lane_push b ~at:1.0 (say "b1");
+  let a ~delay v = E.schedule_after_unit e ~delay (say v) in
+  let b ~at v = E.schedule_unit e ~at (say v) in
+  a ~delay:1.0 "a1";
+  b ~at:1.0 "b1";
   ignore (E.schedule e ~at:1.0 (say "h1"));
-  E.lane_push b ~at:1.5 (say "b2");
-  E.lane_push a ~at:2.0 (say "a2");
+  b ~at:1.5 "b2";
+  a ~delay:2.0 "a2";
   ignore (E.run e);
   Alcotest.(check (list string))
-    "two lanes + heap" [ "a1"; "b1"; "h1"; "b2"; "a2" ]
+    "two streams + handle event" [ "a1"; "b1"; "h1"; "b2"; "a2" ]
     (List.rev !log)
-
-let test_lane_fifo_violation_rejected () =
-  (* The FIFO push constraint only exists on the real lane path, so pin
-     the toggle on (the suite also runs under EBRC_LANES=0). *)
-  let was = E.fast_lanes_enabled () in
-  E.set_fast_lanes true;
-  Fun.protect ~finally:(fun () -> E.set_fast_lanes was) @@ fun () ->
-  let e = E.create () in
-  let ln = E.lane e in
-  E.lane_push ln ~at:2.0 (fun () -> ());
-  (match E.lane_push ln ~at:1.0 (fun () -> ()) with
-  | () -> Alcotest.fail "expected Invalid_argument (FIFO violation)"
-  | exception Invalid_argument _ -> ());
-  match E.lane_push ln ~at:Float.nan (fun () -> ()) with
-  | () -> Alcotest.fail "expected Invalid_argument (NaN)"
-  | exception Invalid_argument _ -> ()
 
 let test_lane_past_rejected () =
   let e = E.create () in
-  let ln = E.lane e in
   ignore (E.schedule e ~at:5.0 (fun () ->
-      match E.lane_push ln ~at:1.0 (fun () -> ()) with
+      (match E.schedule_unit e ~at:1.0 (fun () -> ()) with
       | () -> Alcotest.fail "expected Invalid_argument (past)"
+      | exception Invalid_argument _ -> ());
+      match E.schedule_unit e ~at:Float.nan (fun () -> ()) with
+      | () -> Alcotest.fail "expected Invalid_argument (NaN)"
       | exception Invalid_argument _ -> ()));
   ignore (E.run e)
 
 let test_lane_ring_growth () =
-  (* Push far more entries than the initial ring capacity while the
-     engine drains; the chain must fire in order and count correctly. *)
+  (* 500 unit events inside the wheel window outgrow its initial
+     256-entry arena while pending; the stream must fire in order and
+     count correctly. *)
   let e = E.create () in
-  let ln = E.lane e in
-  let count = ref 0 in
+  let fired = ref [] in
   for i = 1 to 500 do
-    E.lane_push ln ~at:(float_of_int i) (fun () -> incr count)
+    E.schedule_unit e ~at:(0.01 *. float_of_int i) (fun () ->
+        fired := i :: !fired)
   done;
-  Alcotest.(check int) "pending counts lanes" 500 (E.pending e);
+  Alcotest.(check int) "pending counts unit events" 500 (E.pending e);
   ignore (E.run e);
-  Alcotest.(check int) "all fired" 500 !count;
+  Alcotest.(check (list int)) "all fired in order" (List.init 500 succ)
+    (List.rev !fired);
   Alcotest.(check int) "drained" 0 (E.pending e)
 
-let test_lane_disabled_fallback () =
-  (* With fast lanes disabled, lane_push degrades to heap scheduling —
-     and the observable order is unchanged. *)
-  let go () =
-    let e = E.create () in
-    let ln = E.lane e in
-    let log = ref [] in
-    let say v () = log := v :: !log in
-    ignore (E.schedule e ~at:1.0 (say "h1"));
-    E.lane_push ln ~at:1.0 (say "l1");
-    E.lane_push ln ~at:3.0 (say "l2");
-    ignore (E.schedule e ~at:2.0 (say "h2"));
-    ignore (E.run e);
-    List.rev !log
-  in
-  let was = E.fast_lanes_enabled () in
-  E.set_fast_lanes true;
-  let with_lanes = Fun.protect ~finally:(fun () -> E.set_fast_lanes was) go in
-  E.set_fast_lanes false;
-  let without =
-    Fun.protect ~finally:(fun () -> E.set_fast_lanes was) go
-  in
-  Alcotest.(check (list string)) "same order" with_lanes without;
-  Alcotest.(check (list string))
-    "expected order" [ "h1"; "l1"; "h2"; "l2" ] with_lanes
-
 let test_lane_horizon () =
-  (* A horizon between lane events pauses and resumes cleanly. *)
+  (* A horizon between unit events pauses and resumes cleanly. *)
   let e = E.create () in
-  let ln = E.lane e in
   let log = ref [] in
-  E.lane_push ln ~at:1.0 (fun () -> log := 1 :: !log);
-  E.lane_push ln ~at:10.0 (fun () -> log := 10 :: !log);
+  E.schedule_unit e ~at:1.0 (fun () -> log := 1 :: !log);
+  E.schedule_unit e ~at:10.0 (fun () -> log := 10 :: !log);
   let r1 = E.run ~until:5.0 e in
   Alcotest.(check bool) "horizon" true (r1 = E.Horizon_reached);
   Alcotest.(check (list int)) "only first" [ 1 ] (List.rev !log);
@@ -517,6 +507,7 @@ let () =
             test_engine_wall_watchdog;
           Alcotest.test_case "budget defaults" `Quick
             test_engine_budget_defaults;
+          Alcotest.test_case "budget env parse" `Quick test_engine_budget_env;
           Alcotest.test_case "self-scheduling chain" `Quick test_engine_self_scheduling_chain;
           Alcotest.test_case "simultaneous fifo" `Quick test_engine_simultaneous_fifo;
         ] );
@@ -524,12 +515,8 @@ let () =
         [
           Alcotest.test_case "merge order" `Quick test_lane_merge_order;
           Alcotest.test_case "two lanes merge" `Quick test_lane_two_lanes_merge;
-          Alcotest.test_case "fifo violation rejected" `Quick
-            test_lane_fifo_violation_rejected;
           Alcotest.test_case "past rejected" `Quick test_lane_past_rejected;
           Alcotest.test_case "ring growth" `Quick test_lane_ring_growth;
-          Alcotest.test_case "disabled fallback" `Quick
-            test_lane_disabled_fallback;
           Alcotest.test_case "horizon" `Quick test_lane_horizon;
           Alcotest.test_case "schedule_after contract" `Quick
             test_schedule_after_contract;
