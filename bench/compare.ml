@@ -351,19 +351,38 @@ let () =
          content-addressed store that must be byte-identical to a
          serial in-process run of the same manifest — disagreement
          means the service layer perturbs results, fatal regardless of
-         timing. The throughput and warm-resume numbers move with the
-         host and are informational. Absent in pre-service records;
-         skipped then. *)
+         timing. The throughput targets (2 workers never slower than
+         1; one worker within 1.3x of serial) move with the host and
+         are reported met or missed, not gated. Records from before
+         the 2-worker arm carry [worker4_seconds] and print their
+         1-vs-4 rates instead. Absent in pre-service records; skipped
+         then. *)
       let service_broken =
         match member "sweep_service" new_json with
         | Some sv -> (
+            let secs k =
+              match member k sv with
+              | Some (Num s) when s > 0.0 -> Some s
+              | _ -> None
+            in
+            let verdict ok = if ok then "met" else "missed" in
             (match
                ( member "tasks" sv,
-                 member "worker1_seconds" sv,
-                 member "worker4_seconds" sv )
+                 secs "serial_seconds",
+                 secs "worker1_seconds",
+                 secs "worker2_seconds",
+                 secs "worker4_seconds" )
              with
-            | Some (Num tasks), Some (Num w1), Some (Num w4)
-              when w1 > 0.0 && w4 > 0.0 ->
+            | Some (Num tasks), Some serial, Some w1, Some w2, _ ->
+                Printf.printf
+                  "  sweep service: %.0f tasks — %.1f tasks/s serial, %.1f \
+                   at 1 worker, %.1f at 2\n\
+                  \  sweep service: 2 workers >= 1 worker %s; overhead \
+                   %.2fx serial (<= 1.3x %s)\n"
+                  tasks (tasks /. serial) (tasks /. w1) (tasks /. w2)
+                  (verdict (w2 <= w1)) (w1 /. serial)
+                  (verdict (w1 /. serial <= 1.3))
+            | Some (Num tasks), _, Some w1, None, Some w4 ->
                 Printf.printf
                   "  sweep service: %.0f tasks — %.1f tasks/s at 1 worker, \
                    %.1f tasks/s at 4\n"
@@ -380,7 +399,7 @@ let () =
             match member "store_identical" sv with
             | Some (Bool true) ->
                 Printf.printf
-                  "  sweep service: 4-worker store byte-identical to the \
+                  "  sweep service: fleet store byte-identical to the \
                    serial in-process run\n\n";
                 false
             | Some (Bool false) ->

@@ -15,8 +15,9 @@
    Part 3 measures the domain-pool speedup on one figure sweep.
 
    Part 4 measures the multi-process sweep service (`ebrc serve` over
-   exec'd workers): tasks/sec at 1 vs 4 workers, warm-resume time, and
-   the serial-vs-fleet store byte-identity gate.
+   exec'd workers): tasks/s serial vs 1 vs 2 workers, the fleet
+   overhead ratio, warm-resume time, and the serial-vs-fleet store
+   byte-identity gate.
 
    Everything — per-test ns/run, per-figure regeneration seconds, the
    speedup and service records — lands in BENCH_<UTC-date>.json. *)
@@ -808,9 +809,9 @@ type sweep_service = {
   svc_tasks : int;
   svc_serial_seconds : float;    (* in-process run + store_to per task *)
   svc_worker1_seconds : float;   (* ebrc serve --workers 1, cold store *)
-  svc_worker4_seconds : float;   (* ebrc serve --workers 4, cold store *)
+  svc_worker2_seconds : float;   (* ebrc serve --workers 2, cold store *)
   svc_warm_resume_seconds : float; (* re-serve over the populated store *)
-  svc_store_identical : bool;    (* 4-worker store bytes == serial bytes *)
+  svc_store_identical : bool;    (* 2-worker store bytes == serial bytes *)
 }
 
 let rec rm_rf path =
@@ -856,14 +857,19 @@ let ebrc_binary () =
   in
   if Sys.file_exists p then Some p else None
 
+(* Each arm's time is its best of [svc_repeats] cold runs: the host's
+   other tenants only ever add time. *)
+let svc_repeats = 3
+
 let measure_sweep_service () =
-  let tasks = 6 in
-  (* Long enough that per-task simulation dominates worker spawn and
-     watch-loop overhead — the cold arms should measure compute. *)
-  let m = Ebrc_serve.Manifest.demo ~tasks ~duration:300.0 () in
+  (* Realistic task size: 60 simulated seconds is tens of ms of
+     compute, so the fleet's detection latency and per-task overhead
+     show against the serial arm rather than vanish under it. *)
+  let tasks = 20 in
+  let m = Ebrc_serve.Manifest.demo ~tasks ~duration:60.0 () in
   Printf.printf
     "#############################################################\n\
-     # Sweep service: %d tasks, serial vs 1 vs 4 workers, warm resume\n\
+     # Sweep service: %d x 60 s tasks, serial vs 1 vs 2 workers\n\
      #############################################################\n\n%!"
     tasks;
   let root =
@@ -874,24 +880,33 @@ let measure_sweep_service () =
   Unix.mkdir root 0o755;
   Fun.protect ~finally:(fun () -> rm_rf root)
   @@ fun () ->
+  let best f =
+    let rec go n acc = if n = 0 then acc else go (n - 1) (Float.min acc (f n)) in
+    go svc_repeats infinity
+  in
   (* Serial reference arm: run + publish in-process, no queue. *)
-  let serial_store = Filename.concat root "serial-store" in
-  Unix.mkdir serial_store 0o755;
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun cfg ->
-      Ebrc.Result_cache.store_to ~dir:serial_store cfg (Ebrc.Scenario.run cfg))
-    m.Ebrc_serve.Manifest.tasks;
-  let svc_serial_seconds = Unix.gettimeofday () -. t0 in
+  let serial_store n = Filename.concat root (Printf.sprintf "serial%d" n) in
+  let svc_serial_seconds =
+    best (fun n ->
+        let dir = serial_store n in
+        Unix.mkdir dir 0o755;
+        let t0 = Unix.gettimeofday () in
+        List.iter
+          (fun cfg ->
+            Ebrc.Result_cache.store_to ~dir cfg (Ebrc.Scenario.run cfg))
+          m.Ebrc_serve.Manifest.tasks;
+        Unix.gettimeofday () -. t0)
+  in
+  let rate s = float_of_int tasks /. s in
   match ebrc_binary () with
   | None ->
       Printf.printf
-        "  serial    %.2f s\n\
+        "  serial    %.1f tasks/s\n\
         \  service arms skipped: bin/ebrc_cli.exe not found next to the \
          bench binary\n\n"
-        svc_serial_seconds;
+        (rate svc_serial_seconds);
       { svc_tasks = tasks; svc_serial_seconds; svc_worker1_seconds = nan;
-        svc_worker4_seconds = nan; svc_warm_resume_seconds = nan;
+        svc_worker2_seconds = nan; svc_warm_resume_seconds = nan;
         svc_store_identical = false }
   | Some ebrc ->
       let manifest_path = Filename.concat root "sweep.json" in
@@ -914,31 +929,33 @@ let measure_sweep_service () =
         | _ -> Printf.eprintf "bench: ebrc serve exited abnormally\n%!");
         Unix.gettimeofday () -. t0
       in
-      let q1 = Filename.concat root "q1" and q4 = Filename.concat root "q4" in
-      let svc_worker1_seconds = serve ~queue:q1 ~workers:1 in
-      let svc_worker4_seconds = serve ~queue:q4 ~workers:4 in
-      let svc_warm_resume_seconds = serve ~queue:q4 ~workers:4 in
+      let queue workers n =
+        Filename.concat root (Printf.sprintf "q%d-%d" workers n)
+      in
+      let cold workers = best (fun n -> serve ~queue:(queue workers n) ~workers) in
+      let svc_worker1_seconds = cold 1 in
+      let svc_worker2_seconds = cold 2 in
+      let q2 = queue 2 1 in
+      let svc_warm_resume_seconds = serve ~queue:q2 ~workers:2 in
       Unix.close devnull;
       let svc_store_identical =
         String.equal
-          (store_fingerprint serial_store)
-          (store_fingerprint (Filename.concat q4 "store"))
+          (store_fingerprint (serial_store 1))
+          (store_fingerprint (Filename.concat q2 "store"))
       in
-      let rate s = float_of_int tasks /. s in
       Printf.printf
-        "  serial       %.2f s (%.1f tasks/s, in-process)\n\
-        \  1 worker     %.2f s (%.1f tasks/s)\n\
-        \  4 workers    %.2f s (%.1f tasks/s)\n\
-        \  warm resume  %.4f s (%.0fx faster than 4-worker cold)\n\
+        "  serial       %.1f tasks/s (in-process)\n\
+        \  1 worker     %.1f tasks/s (overhead %.2fx serial)\n\
+        \  2 workers    %.1f tasks/s\n\
+        \  warm resume  %.4f s (%.0fx faster than 2-worker cold)\n\
         \  store identical to serial: %b\n\n"
-        svc_serial_seconds (rate svc_serial_seconds)
-        svc_worker1_seconds (rate svc_worker1_seconds)
-        svc_worker4_seconds (rate svc_worker4_seconds)
-        svc_warm_resume_seconds
-        (svc_worker4_seconds /. svc_warm_resume_seconds)
+        (rate svc_serial_seconds) (rate svc_worker1_seconds)
+        (svc_worker1_seconds /. svc_serial_seconds)
+        (rate svc_worker2_seconds) svc_warm_resume_seconds
+        (svc_worker2_seconds /. svc_warm_resume_seconds)
         svc_store_identical;
       { svc_tasks = tasks; svc_serial_seconds; svc_worker1_seconds;
-        svc_worker4_seconds; svc_warm_resume_seconds; svc_store_identical }
+        svc_worker2_seconds; svc_warm_resume_seconds; svc_store_identical }
 
 (* Chaos soak: the same manifest served twice — once fault-free (the
    reference), once under the fault-injecting shim plus the chaos
@@ -1190,12 +1207,17 @@ let write_json ~figure_seconds ~microbench ~frontier ~telem ~stream ~flows
     (sweep.serial_seconds /. sweep.parallel_seconds)
     sweep.warm_lookup_seconds sweep.deterministic;
   let num f = if Float.is_finite f then Printf.sprintf "%.4f" f else "null" in
+  let tasks_per_s s = float_of_int service.svc_tasks /. s in
   Printf.fprintf oc
     "  \"sweep_service\": {\n\
     \    \"tasks\": %d,\n\
     \    \"serial_seconds\": %s,\n\
     \    \"worker1_seconds\": %s,\n\
-    \    \"worker4_seconds\": %s,\n\
+    \    \"worker2_seconds\": %s,\n\
+    \    \"serial_tasks_per_s\": %s,\n\
+    \    \"worker1_tasks_per_s\": %s,\n\
+    \    \"worker2_tasks_per_s\": %s,\n\
+    \    \"overhead_vs_serial\": %s,\n\
     \    \"warm_resume_seconds\": %s,\n\
     \    \"cold_over_warm\": %s,\n\
     \    \"store_identical\": %b\n\
@@ -1203,9 +1225,13 @@ let write_json ~figure_seconds ~microbench ~frontier ~telem ~stream ~flows
     service.svc_tasks
     (num service.svc_serial_seconds)
     (num service.svc_worker1_seconds)
-    (num service.svc_worker4_seconds)
+    (num service.svc_worker2_seconds)
+    (num (tasks_per_s service.svc_serial_seconds))
+    (num (tasks_per_s service.svc_worker1_seconds))
+    (num (tasks_per_s service.svc_worker2_seconds))
+    (num (service.svc_worker1_seconds /. service.svc_serial_seconds))
     (num service.svc_warm_resume_seconds)
-    (num (service.svc_worker4_seconds /. service.svc_warm_resume_seconds))
+    (num (service.svc_worker2_seconds /. service.svc_warm_resume_seconds))
     service.svc_store_identical;
   (* store_identical is null (not false) when the soak was skipped, so
      bench-compare can tell "not run" from "byte-identity broken". *)

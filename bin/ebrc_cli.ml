@@ -1049,7 +1049,11 @@ let worker_cmd =
     Arg.(
       value & opt float 0.2
       & info [ "poll" ] ~docv:"S"
-          ~doc:"Rescan period while the queue is fully leased.")
+          ~doc:
+            "Cap on the rescan period while every pending task is \
+             leased by a peer. Below the cap the period is an eighth of \
+             this worker's filtered task service time (at least 2 ms); \
+             the cap applies until the first task completes.")
   in
   let max_tasks =
     Arg.(

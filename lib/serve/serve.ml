@@ -60,50 +60,78 @@ let backoff n = Float.min 15.0 (0.5 *. Float.pow 2.0 (float_of_int n))
    backing up the per-digest poison one. *)
 let max_barren_restarts = 5
 
-(* Distinct digests: a manifest may repeat a config; identity is the
-   digest, so duplicates collapse to one task. *)
+(* Distinct (digest, config) pairs: a manifest may repeat a config;
+   identity is the digest, so duplicates collapse to one task. *)
 let distinct_tasks (m : Manifest.t) =
   let seen = Hashtbl.create 64 in
-  List.filter
+  List.filter_map
     (fun cfg ->
       let d = Manifest.digest cfg in
-      if Hashtbl.mem seen d then false
+      if Hashtbl.mem seen d then None
       else begin
         Hashtbl.add seen d ();
-        true
+        Some (d, cfg)
       end)
     m.Manifest.tasks
 
-let progress ~store_dir ~queue m =
-  let tasks = distinct_tasks m in
-  let published =
-    List.length (List.filter (fun c -> Rc.published ~dir:store_dir c) tasks)
-  in
+type watch = {
+  w_store : string;
+  w_queue : Task_queue.t;
+  w_tasks : (string * Ebrc_exp.Scenario.config) list;
+  w_seen : (string, unit) Hashtbl.t;  (** digests counted as published *)
+}
+
+let watch ~store_dir ~queue m =
+  { w_store = store_dir; w_queue = queue; w_tasks = distinct_tasks m;
+    w_seen = Hashtbl.create 64 }
+
+(* Queue state is re-listed every call; store records are re-loaded
+   only for digests not yet counted, unless [full]. *)
+let count ~full w =
+  if full then Hashtbl.reset w.w_seen;
+  List.iter
+    (fun (d, c) ->
+      if (not (Hashtbl.mem w.w_seen d)) && Rc.published ~dir:w.w_store c then
+        Hashtbl.replace w.w_seen d ())
+    w.w_tasks;
+  let q = w.w_queue in
   {
-    total = List.length tasks;
-    published;
-    queued = List.length (Task_queue.pending queue);
-    leased = Task_queue.leased queue;
-    failed = List.length (Task_queue.failed queue);
-    poisoned = List.length (Task_queue.poisoned queue);
+    total = List.length w.w_tasks;
+    published = Hashtbl.length w.w_seen;
+    queued = List.length (Task_queue.pending q);
+    leased = Task_queue.leased q;
+    failed = List.length (Task_queue.failed q);
+    poisoned = List.length (Task_queue.poisoned q);
   }
 
-let plan ?gc_max_age ~store_dir ~queue m =
+let poll w = count ~full:false w
+let verify w = count ~full:true w
+let progress ~store_dir ~queue m = verify (watch ~store_dir ~queue m)
+
+(* Digests found published here are counted in [w], so the first
+   [poll] does not load their records again. *)
+let plan_watch ?gc_max_age w =
+  let store_dir = w.w_store and queue = w.w_queue in
   ignore (Rc.gc_tmp ?max_age:gc_max_age store_dir);
   let outstanding = ref 0 in
   List.iter
-    (fun cfg ->
-      if not (Rc.published ~dir:store_dir cfg) then begin
+    (fun (digest, cfg) ->
+      if Rc.published ~dir:store_dir cfg then Hashtbl.replace w.w_seen digest ()
+      else begin
         incr outstanding;
-        let digest = Manifest.digest cfg in
-        (* Re-serving is the operator's retry: a poison verdict from a
-           previous invocation is cleared when its digest is enqueued
-           again. *)
+        (* Re-serving is the operator's retry: a poison verdict or
+           failure record from a previous invocation is cleared when
+           its digest is enqueued again — a stale one would count the
+           digest as settled while its retry still runs. *)
         Task_queue.clear_poison queue ~digest;
+        Task_queue.clear_failed queue ~digest;
         Task_queue.enqueue queue ~digest ~spec:(Manifest.task_to_json cfg)
       end)
-    (distinct_tasks m);
+    w.w_tasks;
   !outstanding
+
+let plan ?gc_max_age ~store_dir ~queue m =
+  plan_watch ?gc_max_age (watch ~store_dir ~queue m)
 
 (* ---------------------------- worker fleet ------------------------ *)
 
@@ -140,8 +168,21 @@ let spawn_worker cfg ~queue ~index =
        ]
       @ chaos_args)
   in
-  Unix.create_process Sys.executable_name argv Unix.stdin Unix.stdout
-    Unix.stderr
+  (* The worker's stdout is a pipe whose EOF tells the supervisor the
+     worker is exiting. Both ends are close-on-exec and the write end
+     is closed here once the child holds it: a later worker inheriting
+     it would keep the pipe open past this worker's exit. *)
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  match
+    Unix.create_process Sys.executable_name argv Unix.stdin out_w Unix.stderr
+  with
+  | pid ->
+      Unix.close out_w;
+      (pid, out_r)
+  | exception e ->
+      Unix.close out_r;
+      Unix.close out_w;
+      raise e
 
 (* Merge whatever the workers have streamed so far into one fleet
    view; tolerant of torn tails and missing files by construction. *)
@@ -188,6 +229,8 @@ type slot = {
   index : int;
   stream : string;
   mutable pid : int option;
+  mutable out : Unix.file_descr option;
+      (** read end of the worker's stdout; [None] once at EOF *)
   mutable beat : float;  (** wall time of the last observed heartbeat *)
   mutable stream_size : int;
   mutable deaths : int;  (** consecutive deaths without fleet progress *)
@@ -195,7 +238,33 @@ type slot = {
   mutable retired : bool;
 }
 
-let supervise cfg ~queue ~say m =
+(* Block until a live worker's stdout has bytes or EOF, or [timeout]
+   passes. Bytes are forwarded unchanged to our stdout; EOF (the
+   worker is exiting) closes the pipe, leaving the slot to be reaped
+   by the next tick. *)
+let wait_fleet slots timeout =
+  let live = Array.to_list slots |> List.filter_map (fun s -> s.out) in
+  if live = [] then Unix.sleepf timeout
+  else
+    match Unix.select live [] [] (Float.max 0.0 timeout) with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | ready, _, _ ->
+        let buf = Bytes.create 4096 in
+        Array.iter
+          (fun slot ->
+            match slot.out with
+            | Some fd when List.mem fd ready -> (
+                match Unix.read fd buf 0 (Bytes.length buf) with
+                | 0 | (exception Unix.Unix_error _) ->
+                    Unix.close fd;
+                    slot.out <- None
+                | n ->
+                    output stdout buf 0 n;
+                    flush stdout)
+            | _ -> ())
+          slots
+
+let supervise cfg ~queue ~say w =
   let strikes : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let tax =
     { t_restarts = 0; t_stall_kills = 0; t_chaos_kills = 0; t_strikes = 0 }
@@ -218,6 +287,7 @@ let supervise cfg ~queue ~say m =
           index = i;
           stream = stream_path queue i;
           pid = None;
+          out = None;
           beat = 0.0;
           stream_size = -1;
           deaths = 0;
@@ -226,7 +296,9 @@ let supervise cfg ~queue ~say m =
         })
   in
   let spawn slot =
-    slot.pid <- Some (spawn_worker cfg ~queue ~index:slot.index);
+    let pid, out = spawn_worker cfg ~queue ~index:slot.index in
+    slot.pid <- Some pid;
+    slot.out <- Some out;
     slot.beat <- Unix.gettimeofday ();
     slot.stream_size <- -1
   in
@@ -234,9 +306,7 @@ let supervise cfg ~queue ~say m =
   let cfg_of : (string, Ebrc_exp.Scenario.config) Hashtbl.t =
     Hashtbl.create 64
   in
-  List.iter
-    (fun c -> Hashtbl.replace cfg_of (Manifest.digest c) c)
-    (distinct_tasks m);
+  List.iter (fun (d, c) -> Hashtbl.replace cfg_of d c) w.w_tasks;
   (* Worker death with the slot's leases still on disk means the task
      under each lease may have killed the process: strike it, free the
      lease for the survivors, and poison it once it has demonstrably
@@ -307,26 +377,45 @@ let supervise cfg ~queue ~say m =
         end
     | exception Unix.Unix_error _ -> ()
   in
+  let settled p = p.published + p.failed + p.poisoned >= p.total in
   Array.iter spawn slots;
   say (Printf.sprintf "serve: spawned %d worker(s)" cfg.workers);
   let last_published = ref (-1) in
-  let rec watch last_line =
+  (* One tick per worker exit (pipe EOF) or [cfg.poll] seconds,
+     whichever comes first. *)
+  let rec tick last_line =
     let now = Unix.gettimeofday () in
-    let p = progress ~store_dir:cfg.store_dir ~queue m in
+    let p = poll w in
+    (* The incremental count trusts records once seen; a sweep is only
+       declared settled after a full re-verification of the store, so
+       a record lost after it was counted still fails the sweep. *)
+    let p = if settled p then verify w else p in
     if p.published > !last_published then begin
       if !last_published >= 0 then
         Array.iter (fun s -> s.deaths <- 0) slots;
       last_published := p.published
     end;
-    let line = progress_line p (fleet_view queue) in
+    (* Under --quiet the line is never printed: skip re-parsing every
+       worker stream for it. *)
+    let line =
+      progress_line p (if cfg.quiet then None else fleet_view queue)
+    in
     if line <> last_line then say line;
-    if p.published + p.failed + p.poisoned >= p.total then p
+    if settled p then p
     else begin
       let outstanding = p.queued > 0 || p.leased > 0 in
       Array.iter
         (fun slot ->
-          match slot.pid with
-          | Some pid -> (
+          match (slot.pid, slot.out) with
+          | Some pid, None ->
+              (* Stdout at EOF: the worker is exiting; reap it now. *)
+              let clean =
+                match Unix.waitpid [] pid with
+                | _, status -> status = Unix.WEXITED 0
+                | exception Unix.Unix_error _ -> false
+              in
+              handle_death slot ~now ~clean ~outstanding
+          | Some pid, Some _ ->
               heartbeat slot now;
               if cfg.watchdog > 0.0 && now -. slot.beat > cfg.watchdog
               then begin
@@ -338,16 +427,8 @@ let supervise cfg ~queue ~say m =
                 (try Unix.kill pid Sys.sigkill
                  with Unix.Unix_error _ -> ());
                 tax.t_stall_kills <- tax.t_stall_kills + 1
-              end;
-              match Unix.waitpid [ Unix.WNOHANG ] pid with
-              | 0, _ -> ()
-              | _, status ->
-                  handle_death slot ~now
-                    ~clean:(status = Unix.WEXITED 0)
-                    ~outstanding
-              | exception Unix.Unix_error _ ->
-                  handle_death slot ~now ~clean:false ~outstanding)
-          | None ->
+              end
+          | None, _ ->
               if (not slot.retired) && outstanding && now >= slot.spawn_after
               then begin
                 tax.t_restarts <- tax.t_restarts + 1;
@@ -381,38 +462,38 @@ let supervise cfg ~queue ~say m =
         p
       end
       else begin
-        Unix.sleepf cfg.poll;
-        watch line
+        wait_fleet slots cfg.poll;
+        tick line
       end
     end
   in
-  let p = watch "" in
+  let p = tick "" in
   (* Collect the fleet. Post-completion the queue has no task files,
      so live workers exit on their own; give them a grace period, then
      SIGKILL stragglers (a worker hung inside a poisoned task's
      simulation would otherwise wedge serve itself). *)
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec collect () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left > 0.0 && Array.exists (fun s -> s.out <> None) slots then begin
+      wait_fleet slots left;
+      collect ()
+    end
+  in
+  collect ();
   Array.iter
     (fun slot ->
       match slot.pid with
       | None -> ()
       | Some pid ->
-          let rec wait tries =
-            match Unix.waitpid [ Unix.WNOHANG ] pid with
-            | 0, _ ->
-                if tries <= 0 then begin
-                  (try Unix.kill pid Sys.sigkill
-                   with Unix.Unix_error _ -> ());
-                  try ignore (Unix.waitpid [] pid)
-                  with Unix.Unix_error _ -> ()
-                end
-                else begin
-                  Unix.sleepf 0.1;
-                  wait (tries - 1)
-                end
-            | _ -> ()
-            | exception Unix.Unix_error _ -> ()
-          in
-          wait 50)
+          (match slot.out with
+          | Some fd ->
+              (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+              Unix.close fd;
+              slot.out <- None
+          | None -> ());
+          (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+          slot.pid <- None)
     slots;
   (p, tax)
 
@@ -425,15 +506,14 @@ let run cfg =
       2
   | Ok m ->
       let queue = Task_queue.create ~dir:cfg.queue_dir () in
-      let outstanding =
-        plan ~gc_max_age:(2.0 *. cfg.ttl) ~store_dir:cfg.store_dir ~queue m
-      in
+      let w = watch ~store_dir:cfg.store_dir ~queue m in
+      let outstanding = plan_watch ~gc_max_age:(2.0 *. cfg.ttl) w in
       let say fmt =
         Printf.ksprintf
           (fun s -> if not cfg.quiet then print_endline s)
           fmt
       in
-      let p0 = progress ~store_dir:cfg.store_dir ~queue m in
+      let p0 = poll w in
       say "serve: %d task(s), %d already published, %d outstanding"
         p0.total p0.published outstanding;
       let finish ?tax p =
@@ -480,7 +560,7 @@ let run cfg =
         let p, tax =
           supervise cfg ~queue
             ~say:(fun s -> if not cfg.quiet then print_endline s)
-            m
+            w
         in
         finish ~tax p
       end

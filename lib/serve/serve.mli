@@ -3,6 +3,14 @@
     the content-addressed store, spawn and {e supervise} a fleet of
     worker processes, and watch the store until the sweep drains.
 
+    Wake model: each spawned worker's stdout is a pipe to the
+    supervisor, which blocks in [select] on those pipes with [poll] as
+    the timeout. A worker's output is forwarded unchanged; its EOF
+    means the worker is exiting, so it is reaped at once and the
+    completion check runs. Workers exit when the queue drains, so the
+    end of a sweep is detected at the last worker's exit, not at the
+    next timer tick.
+
     Because enqueueing consults the store first, sweeps are resumable
     and incremental for free: re-serving a manifest over a partial
     store enqueues only the missing tasks, and a fully published
@@ -37,7 +45,9 @@ type config = {
           report without waiting — external workers drain it. *)
   ttl : float;  (** lease lifetime handed to spawned workers *)
   retries : int;  (** per-task retry budget handed to spawned workers *)
-  poll : float;  (** watch-loop period, seconds *)
+  poll : float;
+      (** longest wait between supervisor ticks (watchdog, respawn,
+          chaos monkey), seconds; a worker exit wakes it sooner *)
   watchdog : float;
       (** stall detector: SIGKILL a worker whose stream has not grown
           for this many seconds. 0 disables stall detection. Must
@@ -68,13 +78,32 @@ type progress = {
   poisoned : int;  (** crash-loop circuit-breaker records *)
 }
 
+type watch
+(** A serve's view of one manifest's completion: the distinct digests
+    (computed once) and the set of digests already counted as
+    published. *)
+
+val watch : store_dir:string -> queue:Task_queue.t -> Manifest.t -> watch
+
+val poll : watch -> progress
+(** Incremental count: queue state is re-listed, but store records are
+    loaded and key-verified only for digests not yet counted as
+    published. A record lost after it was counted stays counted until
+    the next {!verify}. *)
+
+val verify : watch -> progress
+(** Full count: every digest's store record is re-verified and the
+    published set rebuilt. The supervisor runs it before declaring a
+    sweep settled. *)
+
 val progress : store_dir:string -> queue:Task_queue.t -> Manifest.t -> progress
+(** One-shot full count ({!verify} of a fresh {!watch}). *)
 
 val plan :
   ?gc_max_age:float -> store_dir:string -> queue:Task_queue.t -> Manifest.t -> int
 (** Enqueue every manifest task whose result is not already published
     (idempotent), returning how many are outstanding; poison verdicts
-    for re-enqueued digests are cleared. Also reclaims stale store tmp
+    and failure records for re-enqueued digests are cleared. Also reclaims stale store tmp
     files ({!Ebrc_exp.Result_cache.gc_tmp}; [run] passes
     [gc_max_age = 2 × ttl] so a live peer's in-flight publication is
     never swept). *)

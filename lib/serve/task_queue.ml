@@ -253,6 +253,7 @@ let record_messages dir ~path_of =
     (list_dir dir ~suffix:".json")
 
 let failed t = record_messages t.failed_dir ~path_of:(failed_path t)
+let clear_failed t ~digest = unlink_quiet (failed_path t digest)
 
 (* --------------------------- poison / reclaim --------------------- *)
 

@@ -71,6 +71,10 @@ val fail : t -> worker:string -> digest:string -> message:string -> unit
 val failed : t -> (string * string) list
 (** [(digest, message)] of terminally failed tasks, sorted. *)
 
+val clear_failed : t -> digest:string -> unit
+(** Remove a failure record (re-serving a manifest retries the
+    task). *)
+
 val poison : t -> digest:string -> message:string -> unit
 (** Record a crash-loop circuit-breaker verdict
     ([poisoned/<digest>.json]) and dequeue the task: used by the serve

@@ -53,6 +53,16 @@ let default ~queue_dir =
 
 type outcome = { ran : int; cached : int; failed : int }
 
+(* Rescan period while every pending task is leased by a live peer:
+   an eighth of the filtered service time, so a peer's completion (or
+   the queue draining) is noticed within ~1/8 of a task, floored at
+   2 ms so an idle worker cannot spin the queue directory, and capped
+   at [cap] (--poll), which also applies before the first sample. *)
+let rescan_period ~cap ~service =
+  match service with
+  | None -> cap
+  | Some s -> Float.min cap (Float.max 0.002 (s /. 8.0))
+
 let run cfg =
   (* 2 × lease ttl: a startup gc sweep must never reclaim a live
      peer's in-flight publication, and no publication outlives its
@@ -94,14 +104,23 @@ let run cfg =
   in
   let execute digest scenario_cfg =
     Stream.task ~key:digest ~phase:"leased" ();
+    let t0 = Unix.gettimeofday () in
     match
       Pool.run_isolated ~retries:cfg.retries pool (fun ~attempt:_ ->
           Scenario.run scenario_cfg)
     with
     | Ok r ->
+        let t1 = Unix.gettimeofday () in
         if publish scenario_cfg r then begin
+          let t2 = Unix.gettimeofday () in
           Task_queue.complete q ~digest;
-          Stream.task ~key:digest ~phase:"done" ();
+          Stream.task ~key:digest ~phase:"done"
+            ~attrs:
+              [
+                ("compute_s", Printf.sprintf "%.6f" (t1 -. t0));
+                ("publish_s", Printf.sprintf "%.6f" (t2 -. t1));
+              ]
+            ();
           if Tm.is_on () then Tm.Counter.incr m_ran;
           incr ran
         end
@@ -164,6 +183,14 @@ let run cfg =
             end
             else execute digest scenario_cfg)
   in
+  (* EWMA (weight 1/4) of claim→complete wall time over the tasks
+     this worker simulated; store-satisfied completions are not
+     service and are left out. *)
+  let service = ref None in
+  let observe dt =
+    service :=
+      Some (match !service with None -> dt | Some s -> s +. ((dt -. s) /. 4.0))
+  in
   let stop = ref false in
   while not !stop do
     Stream.wall_tick ();
@@ -181,7 +208,9 @@ let run cfg =
               | Busy | Gone -> ()
               | Claimed ->
                   progressed := true;
-                  run_claimed digest)
+                  let t0 = Unix.gettimeofday () and ran0 = !ran in
+                  run_claimed digest;
+                  if !ran > ran0 then observe (Unix.gettimeofday () -. t0))
           pending;
         if not (under_cap ()) then stop := true
         else if not !progressed then
@@ -189,7 +218,7 @@ let run cfg =
              leases have not yet expired): wait and rescan — never
              exit while task files remain, or a peer's SIGKILL would
              strand its task. *)
-          Unix.sleepf cfg.poll
+          Unix.sleepf (rescan_period ~cap:cfg.poll ~service:!service)
   done;
   Pool.shutdown pool;
   { ran = !ran; cached = !cached; failed = !failed }

@@ -21,7 +21,10 @@ type config = {
           a run that outlives its lease is merely re-runnable, not
           wrong. *)
   retries : int;  (** extra in-process attempts per crashing task *)
-  poll : float;  (** rescan sleep when everything pending is leased *)
+  poll : float;
+      (** cap on the rescan sleep when everything pending is leased
+          (see {!rescan_period}); also the idle sleep under
+          [exit_when_drained = false] *)
   max_tasks : int option;  (** stop after this many executed tasks *)
   exit_when_drained : bool;
       (** return once the queue has no task files left; otherwise keep
@@ -41,11 +44,22 @@ type outcome = {
   failed : int;  (** tasks this worker marked terminally failed *)
 }
 
+val rescan_period : cap:float -> service:float option -> float
+(** The rescan sleep while every pending task is leased by a live
+    peer: [cap] before any service-time sample ([service = None]),
+    otherwise [service / 8], at least 0.002 and at most [cap] (the cap
+    wins when it is below 2 ms). [service] is
+    the worker's EWMA (weight 1/4) of its own claim→complete wall
+    time. *)
+
 val run : config -> outcome
 (** Run the lease/execute/publish loop until the queue drains (or
     forever, per [exit_when_drained]). Startup reclaims stale store
     tmp files ({!Ebrc_exp.Result_cache.gc_tmp}, age threshold
-    [2 × ttl]). Never raises on task failure — crashing tasks are
+    [2 × ttl]). Each simulated task's [done] stream record carries
+    [compute_s] (the scenario run, retries included) and [publish_s]
+    (store write plus read-back verification), in wall seconds.
+    Never raises on task failure — crashing tasks are
     retried then recorded under [failed/], with a {!Flight} dump
     (digest, attempt count, chaos seed) when the recorder is armed.
 

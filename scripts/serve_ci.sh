@@ -3,7 +3,8 @@
 # docs promise: a fresh 6-task sweep completes with 2 workers, a
 # partial store resumes by recomputing only what is missing (and
 # byte-identically), --workers 0 is a warm resume over a complete
-# store, and a missing manifest exits 2.
+# store, re-serving retries a task left with a stale failure record,
+# and a missing manifest exits 2.
 set -eu
 
 EBRC=_build/default/bin/ebrc_cli.exe
@@ -41,7 +42,20 @@ ls "$STORE"/*.json | head -2 | while read -r f; do rm "$f"; done
 #    still exits 0 immediately.
 "$EBRC" serve "$MANIFEST" --workers 0 --quiet || fail "warm resume exited $?"
 
-# 4. Exit-code contract: a missing manifest is a usage error (2), not
+# 4. Retry over a stale failure record: a task that failed terminally
+#    in an earlier serve is retried by re-serving, and its old failure
+#    record must not count it as settled while the retry runs.
+VICTIM=$(ls "$STORE"/*.json | head -1)
+DIGEST=$(basename "$VICTIM" .json)
+rm "$VICTIM"
+mkdir -p "$QUEUE/failed"
+printf '{"schema":1,"digest":"%s","worker":"ci","message":"stale"}\n' "$DIGEST" \
+  > "$QUEUE/failed/$DIGEST.json"
+"$EBRC" serve "$MANIFEST" --workers 2 --quiet || fail "re-serve over a stale failure exited $?"
+[ "$(store_count)" = 6 ] || fail "retry did not refill the store ($(store_count) records)"
+[ "$(store_sum)" = "$SUM_FULL" ] || fail "retried store differs from original bytes"
+
+# 5. Exit-code contract: a missing manifest is a usage error (2), not
 #    a crash or a silent success.
 set +e
 "$EBRC" serve "$WORK/absent.json" --workers 0 --quiet 2>/dev/null
@@ -49,4 +63,4 @@ RC=$?
 set -e
 [ "$RC" = 2 ] || fail "missing manifest should exit 2, got $RC"
 
-echo "serve_ci: OK (fresh sweep, partial resume byte-identical, warm resume, exit codes)"
+echo "serve_ci: OK (fresh sweep, partial resume byte-identical, warm resume, stale-failure retry, exit codes)"

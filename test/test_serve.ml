@@ -478,6 +478,122 @@ let test_serve_progress_and_exit_codes () =
     (Serve.run
        { cfg with Serve.manifest_path = Filename.concat root "absent.json" })
 
+(* Regression: re-serving after a terminal failure must clear the
+   stale failure record along with re-enqueueing the digest, or the
+   watch loop counts it as both failed and pending and declares the
+   sweep settled while the retry still runs. *)
+let test_serve_replan_clears_failure () =
+  let root = tmp_dir "replan" in
+  let qdir = Filename.concat root "queue" in
+  let store = Filename.concat root "store" in
+  let q = Task_queue.create ~dir:qdir () in
+  ignore (Serve.plan ~store_dir:store ~queue:q demo_manifest);
+  let victim = List.hd (Task_queue.pending q) in
+  Task_queue.fail q ~worker:"w" ~digest:victim ~message:"boom";
+  let p = Serve.progress ~store_dir:store ~queue:q demo_manifest in
+  Alcotest.(check int) "failure recorded" 1 p.Serve.failed;
+  Alcotest.(check int) "re-plan re-enqueues the failed digest" 3
+    (Serve.plan ~store_dir:store ~queue:q demo_manifest);
+  let p = Serve.progress ~store_dir:store ~queue:q demo_manifest in
+  Alcotest.(check int) "stale failure record cleared" 0 p.Serve.failed;
+  Alcotest.(check int) "all tasks queued" 3 p.Serve.queued
+
+(* The supervisor's count trusts a record once seen; only [verify]
+   re-checks it, which is what catches a record lost after counting. *)
+let test_serve_incremental_progress () =
+  let root = tmp_dir "watch" in
+  let store = Filename.concat root "store" in
+  let q = Task_queue.create ~dir:(Filename.concat root "queue") () in
+  ignore (Serve.plan ~store_dir:store ~queue:q demo_manifest);
+  let w = Serve.watch ~store_dir:store ~queue:q demo_manifest in
+  Alcotest.(check int) "nothing published yet" 0 (Serve.poll w).Serve.published;
+  let cfg = List.hd demo_manifest.Manifest.tasks in
+  Rc.store_to ~dir:store cfg (Scenario.run cfg);
+  Alcotest.(check int) "record published between polls is counted" 1
+    (Serve.poll w).Serve.published;
+  Sys.remove (Filename.concat store (Manifest.digest cfg ^ ".json"));
+  Alcotest.(check int) "incremental poll keeps the counted record" 1
+    (Serve.poll w).Serve.published;
+  Alcotest.(check int) "full pass catches the lost record" 0
+    (Serve.verify w).Serve.published;
+  Alcotest.(check int) "and the next poll agrees" 0
+    (Serve.poll w).Serve.published
+
+let test_worker_rescan_period () =
+  let cap = 0.2 in
+  Alcotest.(check (float 0.0)) "cap before any sample" cap
+    (Worker.rescan_period ~cap ~service:None);
+  Alcotest.(check (float 1e-12)) "tracks service / 8" 0.005
+    (Worker.rescan_period ~cap ~service:(Some 0.04));
+  Alcotest.(check (float 0.0)) "floored at 2 ms" 0.002
+    (Worker.rescan_period ~cap ~service:(Some 0.001));
+  Alcotest.(check (float 0.0)) "never above the cap" cap
+    (Worker.rescan_period ~cap ~service:(Some 100.0));
+  List.iter
+    (fun s ->
+      let r = Worker.rescan_period ~cap ~service:(Some s) in
+      Alcotest.(check bool)
+        (Printf.sprintf "service %g within [2 ms, cap]" s)
+        true
+        (r >= 0.002 && r <= cap))
+    [ 0.0; 1e-6; 0.016; 0.5; 1.6; 1.7; 1e9 ]
+
+(* Each simulated task's done record carries its compute and publish
+   wall time, and the status reader still folds the stream. *)
+let test_worker_phase_latency () =
+  let root = tmp_dir "phases" in
+  let qdir = Filename.concat root "queue" in
+  let store = Filename.concat root "store" in
+  let q = Task_queue.create ~dir:qdir () in
+  ignore (Serve.plan ~store_dir:store ~queue:q demo_manifest);
+  let path = Filename.concat root "worker.jsonl" in
+  Ebrc.Telemetry_stream.enable ~path ~period_sim:1.0 ~period_wall:0.5;
+  let o =
+    Fun.protect ~finally:Ebrc.Telemetry_stream.disable (fun () ->
+        let o =
+          Worker.run { (Worker.default ~queue_dir:qdir) with store_dir = store }
+        in
+        Ebrc.Telemetry_stream.finalize ();
+        o)
+  in
+  Alcotest.(check int) "ran all" 3 o.Worker.ran;
+  let lines =
+    let ic = open_in_bin path in
+    let body =
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> really_input_string ic (in_channel_length ic))
+    in
+    String.split_on_char '\n' body |> List.filter (fun l -> l <> "")
+  in
+  let module J = Ebrc_obs.Json in
+  let dones =
+    List.filter_map
+      (fun l ->
+        match J.parse l with
+        | Ok j
+          when J.member "type" j = Some (J.Str "task")
+               && J.member "phase" j = Some (J.Str "done") ->
+            Some j
+        | _ -> None)
+      lines
+  in
+  Alcotest.(check int) "one done record per task" 3 (List.length dones);
+  List.iter
+    (fun j ->
+      List.iter
+        (fun attr ->
+          match J.member attr j with
+          | Some (J.Num x) ->
+              Alcotest.(check bool) (attr ^ " non-negative") true (x >= 0.0)
+          | _ -> Alcotest.failf "done record lacks numeric %s" attr)
+        [ "compute_s"; "publish_s" ])
+    dones;
+  let view = Ebrc_obs.Status.of_lines lines in
+  Alcotest.(check (list string)) "status folds every task to done"
+    [ "done"; "done"; "done" ]
+    (List.map (fun r -> r.Ebrc_obs.Status.phase) view.Ebrc_obs.Status.tasks)
+
 let test_serve_backoff () =
   Alcotest.(check (float 1e-9)) "first respawn" 0.5 (Serve.backoff 0);
   Alcotest.(check (float 1e-9)) "doubles" 1.0 (Serve.backoff 1);
@@ -524,11 +640,18 @@ let () =
           Alcotest.test_case "killed-worker recovery" `Quick
             test_worker_killed_recovery;
           Alcotest.test_case "bad spec" `Quick test_worker_records_bad_spec;
+          Alcotest.test_case "rescan period" `Quick test_worker_rescan_period;
+          Alcotest.test_case "phase latency attrs" `Quick
+            test_worker_phase_latency;
         ] );
       ( "serve",
         [
           Alcotest.test_case "progress and exit codes" `Quick
             test_serve_progress_and_exit_codes;
           Alcotest.test_case "restart backoff" `Quick test_serve_backoff;
+          Alcotest.test_case "re-plan clears failure" `Quick
+            test_serve_replan_clears_failure;
+          Alcotest.test_case "incremental progress" `Quick
+            test_serve_incremental_progress;
         ] );
     ]
