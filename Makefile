@@ -19,8 +19,9 @@ test:
 
 # End-to-end check of the multi-process sweep service: serve a 6-task
 # manifest with 2 workers to completion, resume over a partial store,
-# warm-resume with --workers 0, and assert the exit-code contract
-# (0 = all published, 2 = bad manifest).
+# warm-resume with --workers 0, retry a task left with a stale failure
+# record, and assert the exit-code contract (0 = all published, 2 =
+# bad manifest).
 serve-e2e: build
 	sh scripts/serve_ci.sh
 
