@@ -16,9 +16,17 @@
 
 open Ebrc_obs.Json
 
+(* Every gate below reads numbers as floats; integral values parse as
+   [Int], so fold them back into [Num] once here. *)
+let rec as_floats = function
+  | Int i -> Num (float_of_int i)
+  | List xs -> List (List.map as_floats xs)
+  | Obj kvs -> Obj (List.map (fun (k, v) -> (k, as_floats v)) kvs)
+  | j -> j
+
 let parse_json path s =
   match Ebrc_obs.Json.parse s with
-  | Ok v -> v
+  | Ok v -> as_floats v
   | Error e ->
       Printf.eprintf "bench-compare: %s: %s\n" path e;
       exit 1

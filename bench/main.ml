@@ -1073,19 +1073,9 @@ let measure_chaos_soak () =
 (* BENCH_<UTC-date>.json.                                              *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_json ~figure_seconds ~microbench ~frontier ~telem ~stream ~flows
     ~flows1m ~cache ~sweep ~service ~chaos =
+  let module J = Ebrc_obs.Json in
   let ns_per_run, minor_per_run = microbench in
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
   let date =
@@ -1099,161 +1089,145 @@ let write_json ~figure_seconds ~microbench ~frontier ~telem ~stream ~flows
     Printf.sprintf "BENCH_%sT%02d%02d%02dZ.json" date tm.Unix.tm_hour
       tm.Unix.tm_min tm.Unix.tm_sec
   in
-  let oc = open_out path in
-  let field_block name kvs fmt =
-    Printf.fprintf oc "  %S: {\n" name;
-    List.iteri
-      (fun i (k, v) ->
-        Printf.fprintf oc "    \"%s\": %s%s\n" (json_escape k) (fmt v)
-          (if i = List.length kvs - 1 then "" else ","))
-      kvs;
-    Printf.fprintf oc "  },\n"
+  let num f = J.Num f and int n = J.Int n and bool b = J.Bool b in
+  let table f kvs = J.Obj (List.map (fun (k, v) -> (k, f v)) kvs) in
+  let pct on off = num (100.0 *. ((on /. off) -. 1.0)) in
+  let tasks_per_s s = num (float_of_int service.svc_tasks /. s) in
+  let record =
+    J.Obj
+      [
+        ("date", J.Str date);
+        ("mode", J.Str (if quick then "quick" else "full"));
+        ("jobs", int jobs);
+        ("recommended_domains", int (Domain.recommended_domain_count ()));
+        ("microbench_ns_per_run", table num ns_per_run);
+        ("microbench_minor_words_per_run", table num minor_per_run);
+        (* Analytic figures finish in well under a millisecond; a bare
+           number would record a misleading ~0, so those carry an
+           explicit skip reason (a string, which bench-compare
+           recognizes and sets aside) rather than a null that reads
+           like a missing measurement. *)
+        ( "figure_regeneration_seconds",
+          table
+            (fun v ->
+              if v < 0.0005 then J.Str "skipped: sub-ms analytic figure"
+              else num v)
+            figure_seconds );
+        ( "ode_frontier",
+          J.Obj
+            [
+              ( "points",
+                J.List
+                  (List.map
+                     (fun p ->
+                       J.Obj
+                         [
+                           ("rtol", num p.rtol);
+                           ("adaptive_ns_per_solve", num p.adaptive_ns);
+                           ("max_rel_err", num p.max_rel_err);
+                         ])
+                     frontier) );
+            ] );
+        ( "telemetry_summary",
+          J.Obj
+            [
+              ("disabled_ms", num telem.telem_off_ms);
+              ("enabled_ms", num telem.telem_on_ms);
+              ("overhead_pct", pct telem.telem_on_ms telem.telem_off_ms);
+              ("events", int telem.telem_events);
+              (* The cache.* counters from the warm-cache measurement
+                 ride in the same table so one record carries all
+                 fixed-seed totals. *)
+              ( "counters",
+                table int (telem.telem_counters @ cache.cache_counters) );
+            ] );
+        ( "stream_ablation",
+          J.Obj
+            [
+              ("scenario_off_ms", num stream.stream_off_ms);
+              ("scenario_streaming_ms", num stream.stream_on_ms);
+              ("overhead_pct", pct stream.stream_on_ms stream.stream_off_ms);
+              ("delta_records", int stream.stream_deltas);
+              ("bit_identical", bool stream.stream_identical);
+            ] );
+        ( "flows100k",
+          J.Obj
+            [
+              ("flows", int flows.fl_flows);
+              ("events", int flows.fl_events);
+              ("wheel_ns_per_packet", num flows.fl_wheel_ns);
+            ] );
+        ( "flows1m",
+          J.Obj
+            [
+              ("fg_flows", int flows1m.f1_fg);
+              ("bg_flows", int flows1m.f1_bg);
+              ("events", int flows1m.f1_events);
+              ("ns_per_event", num flows1m.f1_ns_per_event);
+              ("ratio_vs_flows100k", num flows1m.f1_ratio_vs_flows100k);
+              ("fluid_advances", int flows1m.f1_fluid_advances);
+              ("bit_identical", bool flows1m.f1_identical);
+            ] );
+        ( "scenario_cache",
+          J.Obj
+            [
+              ("cold_ms", num cache.cache_cold_ms);
+              ("warm_two_lookups_ms", num cache.cache_warm_ms);
+            ] );
+        ( "parallel_figure_sweep",
+          J.Obj
+            [
+              ("figure", J.Str sweep.figure);
+              ("jobs", int sweep.par_jobs);
+              ("serial_seconds", num sweep.serial_seconds);
+              ("parallel_seconds", num sweep.parallel_seconds);
+              ("speedup", num (sweep.serial_seconds /. sweep.parallel_seconds));
+              ("warm_lookup_figure", J.Str "17");
+              ("warm_lookup_seconds", num sweep.warm_lookup_seconds);
+              ("deterministic", bool sweep.deterministic);
+            ] );
+        ( "sweep_service",
+          J.Obj
+            [
+              ("tasks", int service.svc_tasks);
+              ("serial_seconds", num service.svc_serial_seconds);
+              ("worker1_seconds", num service.svc_worker1_seconds);
+              ("worker2_seconds", num service.svc_worker2_seconds);
+              ("serial_tasks_per_s", tasks_per_s service.svc_serial_seconds);
+              ("worker1_tasks_per_s", tasks_per_s service.svc_worker1_seconds);
+              ("worker2_tasks_per_s", tasks_per_s service.svc_worker2_seconds);
+              ( "overhead_vs_serial",
+                num (service.svc_worker1_seconds /. service.svc_serial_seconds)
+              );
+              ("warm_resume_seconds", num service.svc_warm_resume_seconds);
+              ( "cold_over_warm",
+                num
+                  (service.svc_worker2_seconds
+                 /. service.svc_warm_resume_seconds) );
+              ("store_identical", bool service.svc_store_identical);
+            ] );
+        (* store_identical is null (not false) when the soak was
+           skipped, so bench-compare can tell "not run" from
+           "byte-identity broken". *)
+        ( "chaos_soak",
+          J.Obj
+            [
+              ("tasks", int chaos.cs_tasks);
+              ("baseline_seconds", num chaos.cs_baseline_seconds);
+              ("soak_seconds", num chaos.cs_soak_seconds);
+              ("resume_seconds", num chaos.cs_resume_seconds);
+              ("soak_exit", int chaos.cs_soak_exit);
+              ("scrub_quarantined", int chaos.cs_scrub_quarantined);
+              ( "store_identical",
+                if Float.is_finite chaos.cs_soak_seconds then
+                  bool chaos.cs_store_identical
+                else J.Null );
+            ] );
+      ]
   in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"date\": %S,\n" date;
-  Printf.fprintf oc "  \"mode\": %S,\n" (if quick then "quick" else "full");
-  Printf.fprintf oc "  \"jobs\": %d,\n" jobs;
-  Printf.fprintf oc "  \"recommended_domains\": %d,\n"
-    (Domain.recommended_domain_count ());
-  field_block "microbench_ns_per_run" ns_per_run (Printf.sprintf "%.1f");
-  field_block "microbench_minor_words_per_run" minor_per_run
-    (Printf.sprintf "%.1f");
-  (* Analytic figures finish in well under a millisecond; "%.3f" would
-     record a misleading 0.000, so those carry an explicit skip reason
-     (a string, which bench-compare recognizes and sets aside) rather
-     than a bare null that reads like a missing measurement. *)
-  field_block "figure_regeneration_seconds" figure_seconds (fun v ->
-      if v < 0.0005 then "\"skipped: sub-ms analytic figure\""
-      else Printf.sprintf "%.3f" v);
-  Printf.fprintf oc "  \"ode_frontier\": {\n";
-  Printf.fprintf oc "    \"points\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.fprintf oc
-        "      { \"rtol\": %.0e, \"adaptive_ns_per_solve\": %.1f, \
-         \"max_rel_err\": %.3e }%s\n"
-        p.rtol p.adaptive_ns p.max_rel_err
-        (if i = List.length frontier - 1 then "" else ","))
-    frontier;
-  Printf.fprintf oc "    ]\n  },\n";
-  Printf.fprintf oc
-    "  \"telemetry_summary\": {\n\
-    \    \"disabled_ms\": %.3f,\n\
-    \    \"enabled_ms\": %.3f,\n\
-    \    \"overhead_pct\": %.2f,\n\
-    \    \"events\": %d,\n\
-    \    \"counters\": {\n"
-    telem.telem_off_ms telem.telem_on_ms
-    (100.0 *. ((telem.telem_on_ms /. telem.telem_off_ms) -. 1.0))
-    telem.telem_events;
-  (* The cache.* counters from the warm-cache measurement ride in the
-     same counters table so one record carries all fixed-seed totals. *)
-  let counters = telem.telem_counters @ cache.cache_counters in
-  List.iteri
-    (fun i (k, v) ->
-      Printf.fprintf oc "      \"%s\": %d%s\n" (json_escape k) v
-        (if i = List.length counters - 1 then "" else ","))
-    counters;
-  Printf.fprintf oc "    }\n  },\n";
-  Printf.fprintf oc
-    "  \"stream_ablation\": {\n\
-    \    \"scenario_off_ms\": %.3f,\n\
-    \    \"scenario_streaming_ms\": %.3f,\n\
-    \    \"overhead_pct\": %.2f,\n\
-    \    \"delta_records\": %d,\n\
-    \    \"bit_identical\": %b\n\
-    \  },\n"
-    stream.stream_off_ms stream.stream_on_ms
-    (100.0 *. ((stream.stream_on_ms /. stream.stream_off_ms) -. 1.0))
-    stream.stream_deltas stream.stream_identical;
-  Printf.fprintf oc
-    "  \"flows100k\": {\n\
-    \    \"flows\": %d,\n\
-    \    \"events\": %d,\n\
-    \    \"wheel_ns_per_packet\": %.2f\n\
-    \  },\n"
-    flows.fl_flows flows.fl_events flows.fl_wheel_ns;
-  Printf.fprintf oc
-    "  \"flows1m\": {\n\
-    \    \"fg_flows\": %d,\n\
-    \    \"bg_flows\": %d,\n\
-    \    \"events\": %d,\n\
-    \    \"ns_per_event\": %.2f,\n\
-    \    \"ratio_vs_flows100k\": %.3f,\n\
-    \    \"fluid_advances\": %d,\n\
-    \    \"bit_identical\": %b\n\
-    \  },\n"
-    flows1m.f1_fg flows1m.f1_bg flows1m.f1_events flows1m.f1_ns_per_event
-    flows1m.f1_ratio_vs_flows100k flows1m.f1_fluid_advances
-    flows1m.f1_identical;
-  Printf.fprintf oc
-    "  \"scenario_cache\": {\n\
-    \    \"cold_ms\": %.3f,\n\
-    \    \"warm_two_lookups_ms\": %.3f\n\
-    \  },\n"
-    cache.cache_cold_ms cache.cache_warm_ms;
-  Printf.fprintf oc
-    "  \"parallel_figure_sweep\": {\n\
-    \    \"figure\": %S,\n\
-    \    \"jobs\": %d,\n\
-    \    \"serial_seconds\": %.3f,\n\
-    \    \"parallel_seconds\": %.3f,\n\
-    \    \"speedup\": %.3f,\n\
-    \    \"warm_lookup_figure\": \"17\",\n\
-    \    \"warm_lookup_seconds\": %.5f,\n\
-    \    \"deterministic\": %b\n\
-    \  },\n"
-    sweep.figure sweep.par_jobs sweep.serial_seconds sweep.parallel_seconds
-    (sweep.serial_seconds /. sweep.parallel_seconds)
-    sweep.warm_lookup_seconds sweep.deterministic;
-  let num f = if Float.is_finite f then Printf.sprintf "%.4f" f else "null" in
-  let tasks_per_s s = float_of_int service.svc_tasks /. s in
-  Printf.fprintf oc
-    "  \"sweep_service\": {\n\
-    \    \"tasks\": %d,\n\
-    \    \"serial_seconds\": %s,\n\
-    \    \"worker1_seconds\": %s,\n\
-    \    \"worker2_seconds\": %s,\n\
-    \    \"serial_tasks_per_s\": %s,\n\
-    \    \"worker1_tasks_per_s\": %s,\n\
-    \    \"worker2_tasks_per_s\": %s,\n\
-    \    \"overhead_vs_serial\": %s,\n\
-    \    \"warm_resume_seconds\": %s,\n\
-    \    \"cold_over_warm\": %s,\n\
-    \    \"store_identical\": %b\n\
-    \  },\n"
-    service.svc_tasks
-    (num service.svc_serial_seconds)
-    (num service.svc_worker1_seconds)
-    (num service.svc_worker2_seconds)
-    (num (tasks_per_s service.svc_serial_seconds))
-    (num (tasks_per_s service.svc_worker1_seconds))
-    (num (tasks_per_s service.svc_worker2_seconds))
-    (num (service.svc_worker1_seconds /. service.svc_serial_seconds))
-    (num service.svc_warm_resume_seconds)
-    (num (service.svc_worker2_seconds /. service.svc_warm_resume_seconds))
-    service.svc_store_identical;
-  (* store_identical is null (not false) when the soak was skipped, so
-     bench-compare can tell "not run" from "byte-identity broken". *)
-  Printf.fprintf oc
-    "  \"chaos_soak\": {\n\
-    \    \"tasks\": %d,\n\
-    \    \"baseline_seconds\": %s,\n\
-    \    \"soak_seconds\": %s,\n\
-    \    \"resume_seconds\": %s,\n\
-    \    \"soak_exit\": %d,\n\
-    \    \"scrub_quarantined\": %d,\n\
-    \    \"store_identical\": %s\n\
-    \  }\n"
-    chaos.cs_tasks
-    (num chaos.cs_baseline_seconds)
-    (num chaos.cs_soak_seconds)
-    (num chaos.cs_resume_seconds)
-    chaos.cs_soak_exit chaos.cs_scrub_quarantined
-    (if Float.is_finite chaos.cs_soak_seconds then
-       string_of_bool chaos.cs_store_identical
-     else "null");
-  Printf.fprintf oc "}\n";
+  let oc = open_out path in
+  output_string oc (J.print record);
+  output_char oc '\n';
   close_out oc;
   Printf.printf "bench record written to %s\n" path
 

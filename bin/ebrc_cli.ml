@@ -1134,7 +1134,7 @@ let scrub_cmd =
       & opt (some string) None
       & info [ "quarantine" ] ~docv:"DIR"
           ~doc:
-            "Where corrupt records are moved (default: \
+            "Where corrupt and stale records are moved (default: \
              $(i,STORE)/quarantine). Nothing is ever deleted.")
   in
   let run store quarantine chaos =
@@ -1142,16 +1142,24 @@ let scrub_cmd =
     if not (Sys.file_exists store) then
       `Error (false, Printf.sprintf "no such store: %s" store)
     else begin
-      let r = Ebrc.Result_cache.scrub ?quarantine ~dir:store () in
+      let module Rc = Ebrc.Result_cache in
+      let r = Rc.scrub ?quarantine ~dir:store () in
+      let stale d = List.mem d r.Rc.scrub_stale in
       List.iter
         (fun digest ->
-          Printf.printf "scrub: quarantined %s -> %s\n" digest
-            r.Ebrc.Result_cache.scrub_dir)
-        r.Ebrc.Result_cache.scrub_quarantined;
-      Printf.printf "scrub: %d record(s) checked, %d ok, %d quarantined\n"
-        r.Ebrc.Result_cache.scrub_checked r.Ebrc.Result_cache.scrub_ok
-        (List.length r.Ebrc.Result_cache.scrub_quarantined);
-      if r.Ebrc.Result_cache.scrub_quarantined <> [] then exit 1;
+          Printf.printf "scrub: quarantined %s (%s) -> %s\n" digest
+            (if stale digest then "stale version" else "corrupt")
+            r.Rc.scrub_dir)
+        r.Rc.scrub_quarantined;
+      let n_quarantined = List.length r.Rc.scrub_quarantined in
+      let n_stale = List.length r.Rc.scrub_stale in
+      Printf.printf "scrub: %d record(s) checked, %d ok, %d quarantined%s\n"
+        r.Rc.scrub_checked r.Rc.scrub_ok n_quarantined
+        (if n_quarantined = 0 then ""
+         else
+           Printf.sprintf " (%d stale version, %d corrupt)" n_stale
+             (n_quarantined - n_stale));
+      if n_quarantined > 0 then exit 1;
       `Ok ()
     end
   in
@@ -1159,10 +1167,11 @@ let scrub_cmd =
     (Cmd.info "scrub"
        ~doc:
          "Verify every record in a sweep result store against its \
-          content digest and schema; corrupt or truncated records are \
-          moved to quarantine/ (never deleted) so re-serving the \
-          manifest recomputes exactly the damaged digests. Exit 1 when \
-          anything was quarantined.")
+          content digest, schema and version tag; corrupt, truncated \
+          and stale-version records (written by another code version) \
+          are moved to quarantine/ (never deleted) and reported as \
+          such, so re-serving the manifest recomputes exactly those \
+          digests. Exit 1 when anything was quarantined.")
     Term.(ret (const run $ store $ quarantine $ chaos_arg))
 
 let main =

@@ -87,6 +87,7 @@ module Many_sources = Ebrc_analysis.Many_sources
 module Design = Ebrc_analysis.Design
 module Scenario = Ebrc_exp.Scenario
 module Result_cache = Ebrc_exp.Result_cache
+module Codec = Ebrc_exp.Codec
 module Audio_scenario = Ebrc_exp.Audio_scenario
 module Chain_scenario = Ebrc_exp.Chain_scenario
 module Paths = Ebrc_exp.Paths

@@ -96,7 +96,7 @@ let generate_result ?(options = default_options) () =
       [
         ( "ids",
           Printf.sprintf "\"%s\""
-            (Ebrc_telemetry.Export.json_escape
+            (Ebrc_obs.Json.escape
                (String.concat " " options.ids)) );
         ("quick", string_of_bool options.quick);
         ( "jobs",

@@ -1,13 +1,18 @@
 (** Content-addressed scenario result cache.
 
-    A canonical digest of the full scenario configuration (seed, link,
-    queue discipline, flow mix, TFRC estimator/formula parameters,
-    durations) plus a code-version tag keys an in-memory memo and an
-    optional on-disk store, so [report], [figures] and [bench] never
-    pay for the same simulation twice. [Scenario.run] is deterministic
-    in its config, so a hit is byte-identical to a fresh run; floats
-    are stored as hex-float strings for exact round-trips (including
-    nan/infinity). Safe to call from parallel sweep workers. *)
+    The key of a config is its {!Codec.encode} bytes — the same bytes
+    as its sweep-manifest task — and keys an in-memory memo and an
+    optional on-disk store of one record per [MD5(key)], so [report],
+    [figures] and [bench] never pay for the same simulation twice.
+    [Scenario.run] is deterministic in its config, so a hit is
+    byte-identical to a fresh run; floats are stored as hex-float
+    strings for exact round-trips (including nan/infinity). Safe to
+    call from parallel sweep workers.
+
+    A store record is one compact JSON line
+    [{"schema":1,"version":<code_version>,"key":<config>,"result":<result>}].
+    The version tag is checked on every load: a record written by other
+    code reads as a miss (and as "stale version" to {!scrub}). *)
 
 val run : Scenario.config -> Scenario.result
 (** Memo lookup, then disk lookup (when a cache directory is set),
@@ -30,9 +35,15 @@ val dir : unit -> string option
 val clear_memory : unit -> unit
 (** Drop the in-memory memo (the disk store is untouched). *)
 
+val code_version : string
+(** The version tag every record carries; bumped whenever
+    [Scenario.run]'s observable behaviour or the record format
+    changes. *)
+
 val digest_of_config : Scenario.config -> string
-(** Hex digest of the canonical key — the on-disk record is
-    [<digest>.json] under the cache directory. *)
+(** Hex MD5 of [Codec.encode cfg] — the on-disk record is
+    [<digest>.json] under the cache directory, and the sweep service
+    names the task by it. *)
 
 val serialize_result : Scenario.result -> string
 (** The exact JSON payload stored on disk; also useful for
@@ -47,7 +58,7 @@ val serialize_result : Scenario.result -> string
 
 val load_from : dir:string -> Scenario.config -> Scenario.result option
 (** Load and fully verify (schema, version tag, full key) the record
-    for this config; [None] when absent or corrupt. *)
+    for this config; [None] when absent, stale or corrupt. *)
 
 val store_to : dir:string -> Scenario.config -> Scenario.result -> unit
 (** Publish a result into [dir] with the atomic tmp+rename discipline
@@ -78,14 +89,19 @@ type scrub_report = {
   scrub_quarantined : string list;
       (** digests whose records were moved to quarantine, sorted by
           store order *)
+  scrub_stale : string list;
+      (** the quarantined digests whose record is intact but carries
+          another version tag than {!code_version}; the rest of
+          [scrub_quarantined] is corrupt *)
   scrub_dir : string;  (** the quarantine directory used *)
 }
 
 val scrub : ?quarantine:string -> dir:string -> unit -> scrub_report
 (** Verify every record in the store against the digest its file name
-    claims: JSON parse, schema number, code-version tag, MD5 of the
-    embedded key, and a full result decode. Corrupt or truncated
-    records are moved — never deleted — into [quarantine] (default
+    claims: JSON parse, schema number, code-version tag, a key that
+    decodes as a config, MD5 of the key's codec bytes, and a full
+    result decode. Stale-version, corrupt or truncated records are
+    moved — never deleted — into [quarantine] (default
     [dir/quarantine]), so re-serving the manifest recomputes exactly
     the quarantined digests. Emits [scrub.checked] / [scrub.ok] /
     [scrub.quarantined] telemetry. Invariant (property-tested):

@@ -1,10 +1,11 @@
-(* Recursive-descent JSON reader. The inputs are this repo's own
-   bench/stream files (small: at most a few MB), so clarity beats
-   zero-copy cleverness. *)
+(* Recursive-descent JSON reader and compact printer. The inputs are
+   this repo's own manifests, store records, bench and stream files
+   (small: at most a few MB), so clarity beats zero-copy cleverness. *)
 
 type t =
   | Null
   | Bool of bool
+  | Int of int
   | Num of float
   | Str of string
   | List of t list
@@ -91,9 +92,19 @@ let parse s =
     while !pos < n && num_char s.[!pos] do
       advance ()
     done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
+    let lit = String.sub s start (!pos - start) in
+    (* An integer literal that fits stays exact: routing it through a
+       float would round anything above 2^53. "-0" is the float. *)
+    let integral =
+      lit <> "-0"
+      && String.for_all (fun c -> c <> '.' && c <> 'e' && c <> 'E') lit
+    in
+    match if integral then int_of_string_opt lit else None with
+    | Some i -> Int i
+    | None -> (
+        match float_of_string_opt lit with
+        | Some f -> Num f
+        | None -> fail "bad number")
   in
   let rec parse_value () =
     skip_ws ();
@@ -165,12 +176,16 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let to_float = function Num f -> Some f | Null -> Some nan | _ -> None
-let to_int = function Num f when Float.is_integer f -> Some (int_of_float f) | _ -> None
+let to_float = function
+  | Num f -> Some f
+  | Int i -> Some (float_of_int i)
+  | Null -> Some nan
+  | _ -> None
+
+let to_int = function Int i -> Some i | _ -> None
 let to_string = function Str s -> Some s | _ -> None
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
+let add_escaped buf s =
   String.iter
     (function
       | '"' -> Buffer.add_string buf "\\\""
@@ -181,5 +196,53 @@ let escape s =
       | c when Char.code c < 0x20 ->
           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
-    s;
+    s
+
+let escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  add_escaped buf s;
+  Buffer.contents buf
+
+(* Shortest of %.15g / %.16g / %.17g that reads back to the same
+   double; JSON has no non-finite numbers, so those print as null. *)
+let number f =
+  if not (Float.is_finite f) then "null"
+  else
+    let rec go p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p >= 17 || float_of_string s = f then s else go (p + 1)
+    in
+    go 15
+
+let rec write buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Num f -> Buffer.add_string buf (number f)
+  | Str s ->
+      Buffer.add_char buf '"';
+      add_escaped buf s;
+      Buffer.add_char buf '"'
+  | List xs ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char buf ',';
+          write buf x)
+        xs;
+      Buffer.add_char buf ']'
+  | Obj kvs ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          write buf (Str k);
+          Buffer.add_char buf ':';
+          write buf v)
+        kvs;
+      Buffer.add_char buf '}'
+
+let print j =
+  let buf = Buffer.create 256 in
+  write buf j;
   Buffer.contents buf

@@ -1,13 +1,17 @@
-(** Minimal JSON reader for the repo's own machine outputs (bench
-    records, telemetry streams): a full parser for the JSON those
-    writers produce, with permissive number handling and no
+(** The repo's one JSON implementation: a reader for its own machine
+    outputs (manifests, store records, bench records, telemetry
+    streams) and the compact printer their writers share. No
     dependencies. Not a general-purpose validator — unknown escapes
-    pass through and numbers are whatever [float_of_string] accepts. *)
+    pass through and non-integer numbers are whatever
+    [float_of_string] accepts. *)
 
 type t =
   | Null
   | Bool of bool
-  | Num of float
+  | Int of int
+      (** An integer literal that fits in an OCaml [int], read exactly
+          (no rounding above 2{^53}). *)
+  | Num of float  (** Any other number. *)
   | Str of string
   | List of t list
   | Obj of (string * t) list
@@ -17,13 +21,24 @@ val parse : string -> (t, string) result
     offset. Trailing whitespace is allowed, trailing content is an
     error. *)
 
+val print : t -> string
+(** Compact rendering: no whitespace, fields in list order, [Num]
+    as the shortest of [%.15g]/[%.16g]/[%.17g] that reads back to the
+    same double, and non-finite [Num] as [null]. [parse] of a printed
+    value prints back to the same bytes. *)
+
 val member : string -> t -> t option
 (** Field lookup on [Obj]; [None] on anything else. *)
 
 val to_float : t -> float option
-(** [Num]; also [Null] → [nan] (our writers emit [null] for
-    non-finite floats). *)
+(** [Num] and [Int]; also [Null] → [nan] (the printer emits [null]
+    for non-finite floats). *)
 
 val to_int : t -> int option
+(** [Int] only: a fractional or out-of-range literal is not an int. *)
+
 val to_string : t -> string option
+
 val escape : string -> string
+(** The body of a JSON string literal: quote, backslash and control
+    characters escaped, every other byte as is. *)

@@ -34,6 +34,7 @@ type view = {
 
 let scalar_to_string = function
   | Json.Str s -> s
+  | Json.Int i -> string_of_int i
   | Json.Num f ->
       if Float.is_integer f && Float.abs f < 1e15 then
         Printf.sprintf "%.0f" f

@@ -144,33 +144,27 @@ let render ~files series =
   Buffer.contents buf
 
 let to_json ~files ~warnings series =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"records\": [";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf (Printf.sprintf "\"%s\"" (Json.escape f)))
-    files;
-  Buffer.add_string buf "],\n  \"warnings\": [";
-  List.iteri
-    (fun i w ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf (Printf.sprintf "\"%s\"" (Json.escape w)))
-    warnings;
-  Buffer.add_string buf "],\n  \"series\": [";
-  let num f = if Float.is_finite f then Printf.sprintf "%.17g" f else "null" in
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    {\"key\": \"%s\", \"group\": \"%s\", \"n\": %d, \"first\": \
-            %s, \"last\": %s, \"best\": %s, \"slope\": %s, \"regressed\": %b, \
-            \"improved\": %b, \"changed\": %b}"
-           (Json.escape s.key)
-           (match s.group with Ns -> "ns" | Counter -> "counter")
-           s.n (num s.first) (num s.last) (num s.best) (num s.slope)
-           s.regressed s.improved s.changed))
-    series;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+  let strs l = Json.List (List.map (fun s -> Json.Str s) l) in
+  let series_json s =
+    Json.Obj
+      [
+        ("key", Str s.key);
+        ("group", Str (match s.group with Ns -> "ns" | Counter -> "counter"));
+        ("n", Int s.n);
+        ("first", Num s.first);
+        ("last", Num s.last);
+        ("best", Num s.best);
+        ("slope", Num s.slope);
+        ("regressed", Bool s.regressed);
+        ("improved", Bool s.improved);
+        ("changed", Bool s.changed);
+      ]
+  in
+  Json.print
+    (Obj
+       [
+         ("records", strs files);
+         ("warnings", strs warnings);
+         ("series", List (List.map series_json series));
+       ])
+  ^ "\n"

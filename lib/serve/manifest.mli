@@ -4,33 +4,29 @@
     A manifest is a JSON object
 
     {v
-    {"schema": 1, "codec": "ebrc-manifest-v1", "tasks": [<config>, ...]}
+    {"schema":1,"codec":"ebrc-manifest-v1","tasks":[
+    <task>,
+    ...
+    ]}
     v}
 
-    where each [<config>] is a complete {!Ebrc_exp.Scenario.config}
-    rendered with every float as a hex-float string, so a config
-    round-trips bit-exactly and its content key — the existing
-    {!Ebrc_exp.Result_cache} digest — is identical on every machine
-    that loads the manifest. The task list is ordered, but order only
-    affects scheduling preference: task identity is the digest, so
-    duplicated configs collapse to one result record. *)
+    where each [<task>] line is {!Ebrc_exp.Codec.encode} of a complete
+    {!Ebrc_exp.Scenario.config}. Those bytes are also the task's
+    {!Ebrc_exp.Result_cache} key, so its digest
+    ({!Ebrc_exp.Result_cache.digest_of_config}) is identical on every
+    machine that loads the manifest. The task list is ordered, but
+    order only affects scheduling preference: task identity is the
+    digest, so duplicated configs collapse to one result record. *)
 
 type t = { tasks : Ebrc_exp.Scenario.config list }
-
-val digest : Ebrc_exp.Scenario.config -> string
-(** The content key of one task: {!Ebrc_exp.Result_cache.digest_of_config}. *)
-
-val task_to_json : Ebrc_exp.Scenario.config -> string
-(** One config as a canonical single-line JSON object (the payload of
-    a queue task file). *)
-
-val task_of_json : string -> (Ebrc_exp.Scenario.config, string) result
 
 val to_json : t -> string
 (** Canonical rendering: loading and re-saving a manifest is
     byte-identical. *)
 
 val of_json : string -> (t, string) result
+(** The error names the offending field, e.g.
+    ["tasks[2].queue.capacity: expected an integer"]. *)
 
 val save : path:string -> t -> unit
 (** Atomic tmp+rename write. *)

@@ -66,7 +66,7 @@ let distinct_tasks (m : Manifest.t) =
   let seen = Hashtbl.create 64 in
   List.filter_map
     (fun cfg ->
-      let d = Manifest.digest cfg in
+      let d = Rc.digest_of_config cfg in
       if Hashtbl.mem seen d then None
       else begin
         Hashtbl.add seen d ();
@@ -125,7 +125,7 @@ let plan_watch ?gc_max_age w =
            digest as settled while its retry still runs. *)
         Task_queue.clear_poison queue ~digest;
         Task_queue.clear_failed queue ~digest;
-        Task_queue.enqueue queue ~digest ~spec:(Manifest.task_to_json cfg)
+        Task_queue.enqueue queue ~digest ~spec:(Ebrc_exp.Codec.encode cfg)
       end)
     w.w_tasks;
   !outstanding

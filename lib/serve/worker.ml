@@ -167,10 +167,10 @@ let run cfg =
            completed it; drop our stray lease. *)
         Task_queue.release q ~digest
     | Some spec -> (
-        match Manifest.task_of_json spec with
+        match Ebrc_exp.Codec.decode spec with
         | Error msg -> mark_failed digest ("unparsable task spec: " ^ msg)
         | Ok scenario_cfg ->
-            if Manifest.digest scenario_cfg <> digest then
+            if Rc.digest_of_config scenario_cfg <> digest then
               mark_failed digest "task spec does not match its digest"
             else if Rc.published ~dir:cfg.store_dir scenario_cfg then begin
               (* Resume path: already in the store — complete without

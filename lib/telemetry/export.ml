@@ -2,20 +2,7 @@
    ints and registered metric names, so escaping is the only subtlety
    (and NaN/infinity, which JSON lacks — emitted as null). *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Ebrc_obs.Json
 
 let num f =
   if Float.is_finite f then
@@ -41,7 +28,7 @@ let with_out path f =
 let metric_line buf (s : Telemetry.snapshot) =
   Buffer.add_string buf
     (Printf.sprintf "{\"type\":%S,\"name\":\"%s\",\"count\":%d"
-       (kind_name s.snap_kind) (json_escape s.snap_name) s.count);
+       (kind_name s.snap_kind) (Json.escape s.snap_name) s.count);
   (match s.snap_kind with
   | Telemetry.Counter -> ()
   | Telemetry.Gauge | Telemetry.Histogram ->
@@ -69,13 +56,13 @@ let metric_line buf (s : Telemetry.snapshot) =
   end;
   if s.snap_help <> "" then
     Buffer.add_string buf
-      (Printf.sprintf ",\"help\":\"%s\"" (json_escape s.snap_help));
+      (Printf.sprintf ",\"help\":\"%s\"" (Json.escape s.snap_help));
   Buffer.add_string buf "}\n"
 
 let event_line buf (e : Telemetry.event) =
   Buffer.add_string buf
     (Printf.sprintf "{\"type\":\"event\",\"t\":%s,\"kind\":\"%s\"" (num e.time)
-       (json_escape e.ev));
+       (Json.escape e.ev));
   if e.flow >= 0 then
     Buffer.add_string buf (Printf.sprintf ",\"flow\":%d" e.flow);
   Buffer.add_string buf (Printf.sprintf ",\"value\":%s" (num e.value));
@@ -85,7 +72,7 @@ let event_line buf (e : Telemetry.event) =
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
         Buffer.add_string buf
-          (Printf.sprintf "\"%s\":%s" (json_escape k) (num v)))
+          (Printf.sprintf "\"%s\":%s" (Json.escape k) (num v)))
       e.attrs;
     Buffer.add_char buf '}'
   end;
@@ -96,7 +83,7 @@ let span_line buf (s : Telemetry.span) =
     (Printf.sprintf
        "{\"type\":\"span\",\"name\":\"%s\",\"cat\":\"%s\",\"begin_s\":%s,\
         \"dur_s\":%s,\"dom\":%d}\n"
-       (json_escape s.span_name) (json_escape s.cat) (num s.t0)
+       (Json.escape s.span_name) (Json.escape s.cat) (num s.t0)
        (num (s.t1 -. s.t0))
        s.dom)
 
@@ -146,7 +133,7 @@ let write_chrome_trace ~path () =
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%s,\
             \"dur\":%s,\"pid\":1,\"tid\":%d}"
-           (json_escape s.span_name) (json_escape s.cat)
+           (Json.escape s.span_name) (Json.escape s.cat)
            (num ((s.t0 -. epoch) *. 1e6))
            (num (Float.max 0.0 (s.t1 -. s.t0) *. 1e6))
            s.dom))
@@ -158,7 +145,7 @@ let write_chrome_trace ~path () =
            "{\"name\":\"%s\",\"cat\":\"sim\",\"ph\":\"i\",\"s\":\"g\",\
             \"ts\":%s,\"pid\":2,\"tid\":%d,\"args\":{\"flow\":%d,\
             \"value\":%s}}"
-           (json_escape e.ev)
+           (Json.escape e.ev)
            (num (e.time *. 1e6))
            (max 0 e.flow) e.flow (num e.value)))
     events;

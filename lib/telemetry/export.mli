@@ -24,8 +24,6 @@ val summary : unit -> string
     Shared by the streaming and flight-recorder sinks so every
     observability file speaks the same dialect. *)
 
-val json_escape : string -> string
-
 val num : float -> string
 (** Round-trippable double rendering ([%.17g], integral values
     trimmed); non-finite floats become [null]. *)

@@ -54,16 +54,16 @@ let dump ~reason ~attrs exn =
     String.concat ""
       (List.map
          (fun (k, v) ->
-           Printf.sprintf ",\"%s\":\"%s\"" (Export.json_escape k)
-             (Export.json_escape v))
+           Printf.sprintf ",\"%s\":\"%s\"" (Ebrc_obs.Json.escape k)
+             (Ebrc_obs.Json.escape v))
          attrs)
   in
   Buffer.add_string buf
     (Printf.sprintf
        "{\"type\":\"flight\",\"schema\":1,\"reason\":\"%s\",\"exn\":\"%s\",\
         \"t_wall\":%s,\"pid\":%d%s}\n"
-       (Export.json_escape reason)
-       (Export.json_escape (Printexc.to_string exn))
+       (Ebrc_obs.Json.escape reason)
+       (Ebrc_obs.Json.escape (Printexc.to_string exn))
        (Export.num now) (Unix.getpid ()) attr_fields);
   List.iter
     (fun l ->

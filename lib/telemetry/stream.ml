@@ -4,7 +4,7 @@
    payloads so deltas telescope exactly, and (c) a canonicalising
    finalize pass so pool interleaving never shows in the bytes. *)
 
-let esc = Export.json_escape
+module Json = Ebrc_obs.Json
 let num = Export.num
 
 (* ------------------------------------------------------------------ *)
@@ -110,10 +110,11 @@ let manifest ~cmd ?(attrs = []) () =
   if Atomic.get on then begin
     let buf = Buffer.create 128 in
     Buffer.add_string buf
-      (Printf.sprintf "{\"type\":\"manifest\",\"cmd\":\"%s\"" (esc cmd));
+      (Printf.sprintf "{\"type\":\"manifest\",\"cmd\":\"%s\""
+         (Json.escape cmd));
     List.iter
       (fun (k, v) ->
-        Buffer.add_string buf (Printf.sprintf ",\"%s\":%s" (esc k) v))
+        Buffer.add_string buf (Printf.sprintf ",\"%s\":%s" (Json.escape k) v))
       attrs;
     Buffer.add_char buf '}';
     emit (Buffer.contents buf)
@@ -125,7 +126,7 @@ let figure_event ~id ~phase ?tables () =
     Buffer.add_string buf
       (Printf.sprintf
          "{\"type\":\"figure\",\"id\":\"%s\",\"phase\":\"%s\",\"t_wall\":%s"
-         (esc id) (esc phase)
+         (Json.escape id) (Json.escape phase)
          (num (Telemetry.wall_now ())));
     (match tables with
     | Some n -> Buffer.add_string buf (Printf.sprintf ",\"tables\":%d" n)
@@ -143,11 +144,11 @@ let task ~key ~phase ?(attrs = []) () =
     Buffer.add_string buf
       (Printf.sprintf
          "{\"type\":\"task\",\"id\":\"%s\",\"phase\":\"%s\",\"t_wall\":%s"
-         (esc key) (esc phase)
+         (Json.escape key) (Json.escape phase)
          (num (Telemetry.wall_now ())));
     List.iter
       (fun (k, v) ->
-        Buffer.add_string buf (Printf.sprintf ",\"%s\":%s" (esc k) v))
+        Buffer.add_string buf (Printf.sprintf ",\"%s\":%s" (Json.escape k) v))
       attrs;
     Buffer.add_char buf '}';
     emit (Buffer.contents buf)
@@ -165,7 +166,7 @@ let progress_line now =
         if not !first then Buffer.add_char buf ',';
         first := false;
         Buffer.add_string buf
-          (Printf.sprintf "\"%s\":%d" (esc s.snap_name) s.count)
+          (Printf.sprintf "\"%s\":%d" (Json.escape s.snap_name) s.count)
       end)
     (Telemetry.snapshot ());
   Buffer.add_string buf "}}";
@@ -195,7 +196,7 @@ let run_start ~key =
   if Atomic.get on then
     emit
       (Printf.sprintf "{\"type\":\"run_start\",\"run\":\"%s\",\"seq\":0}"
-         (esc key));
+         (Json.escape key));
   r
 
 (* Diff of two name-sorted local-totals lists: (name, kind, d_count)
@@ -228,7 +229,7 @@ let add_kind_section buf label kind deltas =
     List.iteri
       (fun i (n, _, d) ->
         if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (esc n) d))
+        Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (Json.escape n) d))
       rows;
     Buffer.add_char buf '}'
   end
@@ -245,7 +246,7 @@ let delta_record r ~typ ~t_sim ~events ~pending ~ok =
     (Printf.sprintf
        "{\"type\":\"%s\",\"run\":\"%s\",\"seq\":%d,\"t_sim\":%s,\
         \"d_events\":%d,\"pending\":%d"
-       typ (esc r.key) r.seq (num t_sim) d_events pending);
+       typ (Json.escape r.key) r.seq (num t_sim) d_events pending);
   (match ok with
   | Some b -> Buffer.add_string buf (Printf.sprintf ",\"ok\":%b" b)
   | None -> ());

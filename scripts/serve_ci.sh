@@ -4,7 +4,7 @@
 # partial store resumes by recomputing only what is missing (and
 # byte-identically), --workers 0 is a warm resume over a complete
 # store, re-serving retries a task left with a stale failure record,
-# and a missing manifest exits 2.
+# a missing manifest exits 2, and seeds above 2^53 stay exact.
 set -eu
 
 EBRC=_build/default/bin/ebrc_cli.exe
@@ -19,7 +19,8 @@ STORE="$QUEUE/store"
 
 fail() { echo "serve_ci: FAIL: $*"; exit 1; }
 
-store_count() { ls "$STORE" 2>/dev/null | grep -c '\.json$' || true; }
+store_count_in() { ls "$1" 2>/dev/null | grep -c '\.json$' || true; }
+store_count() { store_count_in "$STORE"; }
 store_sum() { cat $(ls "$STORE"/*.json | sort) | cksum; }
 
 # 1. Fresh sweep: 6 tasks, 2 workers, must complete with exit 0 and
@@ -63,4 +64,17 @@ RC=$?
 set -e
 [ "$RC" = 2 ] || fail "missing manifest should exit 2, got $RC"
 
-echo "serve_ci: OK (fresh sweep, partial resume byte-identical, warm resume, stale-failure retry, exit codes)"
+# 6. Exact integers: seeds above 2^53 are not doubles. Two consecutive
+#    large seeds must stay two tasks, each stored under its own exact
+#    seed, not rounded onto a shared neighbour.
+BIG="$WORK/big.json"
+BIGSTORE="$WORK/bigq/store"
+"$EBRC" manifest "$BIG" --tasks 2 --seed0 1152921504606846977 --duration 2 >/dev/null
+"$EBRC" serve "$BIG" --workers 1 --quiet --queue "$WORK/bigq" || fail "large-seed serve exited $?"
+[ "$(store_count_in "$BIGSTORE")" = 2 ] || fail "large-seed sweep should store 2 records, got $(store_count_in "$BIGSTORE")"
+for S in 1152921504606846977 1152921504606846978; do
+  [ "$(grep -l "\"seed\":$S," "$BIGSTORE"/*.json | wc -l)" = 1 ] \
+    || fail "no store record carries the exact seed $S"
+done
+
+echo "serve_ci: OK (fresh sweep, partial resume byte-identical, warm resume, stale-failure retry, exit codes, exact large seeds)"

@@ -267,6 +267,52 @@ let test_scrub_clean_store () =
   Alcotest.(check bool) "empty store is fine" true
     ((Rc.scrub ~dir:(tmp_dir "scrub-empty") ()).Rc.scrub_checked = 0)
 
+(* A record in the previous (v6) store format — key as a flat string,
+   file named by its MD5 — is intact but stale: scrub must name it
+   "stale version", not corrupt, and still only move it to quarantine. *)
+let test_scrub_stale_version () =
+  let records = Lazy.force pristine in
+  let dir = tmp_dir "scrub-stale" in
+  let write name bytes =
+    let oc = open_out_bin (Filename.concat dir (name ^ ".json")) in
+    output_string oc bytes;
+    close_out oc
+  in
+  List.iter (fun (d, bytes) -> write d bytes) records;
+  let cfg = List.hd scrub_manifest.Manifest.tasks in
+  let v6_key =
+    Printf.sprintf
+      "ebrc-scenario-v6;seed=%d;bps=%h;owd=%h;queue=dt:25;pkt=%d;ntfrc=%d;\
+       ntcp=%d;probe=%b;l=%d;formula=pftk;compr=%b;conform=%b;jitter=%h;\
+       dur=%h;warm=%h;faults=none;bg=none"
+      cfg.Scenario.seed cfg.bottleneck_bps cfg.one_way_delay cfg.packet_size
+      cfg.n_tfrc cfg.n_tcp cfg.with_probe cfg.tfrc_l cfg.tfrc_comprehensive
+      cfg.tfrc_conform_to_analysis cfg.reverse_jitter cfg.duration cfg.warmup
+  in
+  let v6_digest = Digest.to_hex (Digest.string v6_key) in
+  write v6_digest
+    (Printf.sprintf
+       "{\"schema\":1,\"version\":\"ebrc-scenario-v6\",\"key\":\"%s\",\"result\":%s}\n"
+       v6_key
+       (Rc.serialize_result (Scenario.run cfg)));
+  let rep = Rc.scrub ~dir () in
+  let n = List.length records in
+  Alcotest.(check int) "all checked" (n + 1) rep.Rc.scrub_checked;
+  Alcotest.(check int) "current records ok" n rep.Rc.scrub_ok;
+  Alcotest.(check (list string)) "v6 record quarantined" [ v6_digest ]
+    rep.Rc.scrub_quarantined;
+  Alcotest.(check (list string)) "reported as stale" [ v6_digest ]
+    rep.Rc.scrub_stale;
+  Alcotest.(check bool) "moved, not deleted" true
+    (Sys.file_exists (Filename.concat rep.Rc.scrub_dir (v6_digest ^ ".json")));
+  (* A damaged current-version record is corrupt, not stale. *)
+  let d, bytes = List.hd records in
+  write d (String.sub bytes 0 40);
+  let rep = Rc.scrub ~dir () in
+  Alcotest.(check (list string)) "truncated record quarantined" [ d ]
+    rep.Rc.scrub_quarantined;
+  Alcotest.(check (list string)) "and not reported stale" [] rep.Rc.scrub_stale
+
 (* ------------------------ flight recorder -------------------------- *)
 
 let test_flight_attrs () =
@@ -307,6 +353,7 @@ let () =
       ( "scrub",
         [
           Alcotest.test_case "clean store" `Quick test_scrub_clean_store;
+          Alcotest.test_case "stale version" `Quick test_scrub_stale_version;
           QCheck_alcotest.to_alcotest scrub_partition;
         ] );
       ( "flight",

@@ -145,7 +145,8 @@ let test_bdp_and_rtt_helpers () =
    and fault injection. Any change to dispatch order, RNG consumption,
    the result codec or the key codec moves a digest. The values are
    platform-pinned (x86-64, IEEE doubles); a deliberate simulator or
-   codec change must update them in the same commit. *)
+   codec change must update them in the same commit. The key digest is
+   MD5 of the config's Codec bytes (its manifest task line). *)
 let test_scenario_golden_digests () =
   let base =
     { S.default_config with
@@ -157,19 +158,19 @@ let test_scenario_golden_digests () =
       ( "droptail 100",
         { base with S.queue = S.Drop_tail { capacity = 100 } },
         "9bea3b84849ac96d97a0a49ad4766ec2",
-        "95e86abae84a8db2344dba0e7cce5a08" );
+        "df5ca06a76a467a06c1a1c674a6b4ffe" );
       ( "red auto",
         red,
         "dc6c30727255ddbe9d4ccf358379b058",
-        "4ceedb23e1c8acaf741c21cb0cda2d68" );
+        "579932c8e65cb8d0d287e08f6a0f1a54" );
       ( "red + fluid background",
         { red with S.background = Some (S.default_background ~flows:10_000) },
         "67af8411c73b965f4ba602579d1cec62",
-        "3783df66781e8289f4fcec7aae0adff6" );
+        "d0d401f3ae11240513f9825a0c12bb4e" );
       ( "robust blackout",
         { S.robust_blackout_config with S.duration = 60.0; warmup = 15.0 },
         "3138539c3562b5d4ac417bacbd9bce5a",
-        "a46d34ba47ce11d82a8d85fbab308181" );
+        "82c18448c52168a8fabea5f91e87ee75" );
     ]
   in
   List.iter

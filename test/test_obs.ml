@@ -16,12 +16,12 @@ let ok s =
 let test_json_values () =
   Alcotest.(check bool) "null" true (ok "null" = J.Null);
   Alcotest.(check bool) "bool" true (ok " true " = J.Bool true);
-  Alcotest.(check bool) "int" true (ok "42" = J.Num 42.0);
+  Alcotest.(check bool) "int" true (ok "42" = J.Int 42);
   Alcotest.(check bool) "neg float" true (ok "-2.5e3" = J.Num (-2500.0));
   Alcotest.(check bool) "string escapes" true
     (ok "\"a\\\"b\\n\"" = J.Str "a\"b\n");
   Alcotest.(check bool) "array" true
-    (ok "[1, 2]" = J.List [ J.Num 1.0; J.Num 2.0 ]);
+    (ok "[1, 2.0]" = J.List [ J.Int 1; J.Num 2.0 ]);
   match ok "{\"k\": {\"n\": 7}}" |> J.member "k" with
   | Some inner -> (
       match J.member "n" inner with

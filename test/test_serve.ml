@@ -10,6 +10,8 @@ module Worker = Ebrc_serve.Worker
 module Serve = Ebrc_serve.Serve
 module Scenario = Ebrc.Scenario
 module Rc = Ebrc.Result_cache
+module Codec = Ebrc.Codec
+module Fault = Ebrc.Fault
 
 let tmp_dir =
   let counter = ref 0 in
@@ -96,19 +98,313 @@ let test_manifest_roundtrip () =
         (Manifest.to_json m');
       Alcotest.(check (list string))
         "digests survive the round-trip"
-        (List.map Manifest.digest m.Manifest.tasks)
-        (List.map Manifest.digest m'.Manifest.tasks)
+        (List.map Rc.digest_of_config m.Manifest.tasks)
+        (List.map Rc.digest_of_config m'.Manifest.tasks)
 
-let test_manifest_ornate_task () =
-  let json = Manifest.task_to_json ornate_config in
-  match Manifest.task_of_json json with
-  | Error e -> Alcotest.failf "task_of_json failed: %s" e
-  | Ok c ->
-      Alcotest.(check bool) "config round-trips exactly" true
-        (c = ornate_config);
-      Alcotest.(check string) "digest is stable"
-        (Manifest.digest ornate_config)
-        (Manifest.digest c)
+(* Seeds above 2^53 are not representable as doubles: a reader that
+   routes JSON integers through floats collapses consecutive seeds
+   into one task. *)
+let test_manifest_large_seeds () =
+  let seed0 = 1152921504606846977 in
+  let m = Manifest.demo ~tasks:2 ~seed0 () in
+  match Manifest.of_json (Manifest.to_json m) with
+  | Error e -> Alcotest.failf "of_json failed: %s" e
+  | Ok m' ->
+      Alcotest.(check (list int)) "seeds read back exactly"
+        [ seed0; seed0 + 1 ]
+        (List.map (fun c -> c.Scenario.seed) m'.Manifest.tasks);
+      Alcotest.(check int) "two distinct tasks" 2
+        (List.length
+           (List.sort_uniq String.compare
+              (List.map Rc.digest_of_config m'.Manifest.tasks)))
+
+(* ------------------------------ codec ----------------------------- *)
+
+(* Random configs over every queue, formula, fault and background
+   variant, full-range ints and the floats a hand-rolled codec gets
+   wrong: signed zeros, subnormals, infinities and nan. *)
+let gen_config =
+  let open QCheck.Gen in
+  let int =
+    oneof [ int; small_signed_int; oneofl [ min_int; max_int; 0; -1 ] ]
+  in
+  let float =
+    oneof
+      [
+        float;
+        oneofl
+          [ 0.0; -0.0; 4.9e-324; -2.2e-310; Float.min_float; infinity;
+            neg_infinity; nan; Float.max_float; 0.1 ];
+      ]
+  in
+  let window =
+    map3 (fun start length period -> { Fault.start; length; period })
+      float float float
+  in
+  let red =
+    let+ min_th = float and+ max_th = float and+ max_p = float
+    and+ wq = float and+ byte_mode = bool and+ mean_pktsize = int
+    and+ gentle = bool in
+    { Ebrc.Queue_discipline.min_th; max_th; max_p; wq; byte_mode;
+      mean_pktsize; gentle }
+  in
+  let queue =
+    oneof
+      [
+        map (fun capacity -> Scenario.Drop_tail { capacity }) int;
+        map (fun capacity -> Scenario.Red_auto { capacity }) int;
+        map2 (fun capacity params -> Scenario.Red_manual { capacity; params })
+          int red;
+      ]
+  in
+  let formula =
+    oneof
+      [
+        oneofl Ebrc.Formula.[ Sqrt; Pftk_standard; Pftk_simplified ];
+        map2 (fun alpha beta -> Ebrc.Formula.Aimd { alpha; beta }) float float;
+      ]
+  in
+  let faults =
+    let+ flaps =
+      opt
+        (let+ first_down = float and+ down_mean = float and+ up_mean = float
+         and+ flap_jitter = float and+ park = bool in
+         { Fault.first_down; down_mean; up_mean; flap_jitter; park })
+    and+ blackouts = list_size (int_bound 3) window
+    and+ spike = opt (pair window float)
+    and+ reorder = opt (triple window float float)
+    and+ duplicate = opt (pair window float) in
+    { Fault.flaps; blackouts; spike; reorder; duplicate }
+  in
+  let background =
+    map3
+      (fun bg_flows bg_share_cap bg_resolution ->
+        { Scenario.bg_flows; bg_share_cap; bg_resolution })
+      int float float
+  in
+  let+ seed = int and+ bottleneck_bps = float and+ one_way_delay = float
+  and+ queue = queue and+ packet_size = int and+ n_tfrc = int
+  and+ n_tcp = int and+ with_probe = bool and+ tfrc_l = int
+  and+ tfrc_formula_kind = formula and+ tfrc_comprehensive = bool
+  and+ tfrc_conform_to_analysis = bool and+ reverse_jitter = float
+  and+ duration = float and+ warmup = float and+ faults = opt faults
+  and+ background = opt background in
+  { Scenario.seed; bottleneck_bps; one_way_delay; queue; packet_size; n_tfrc;
+    n_tcp; with_probe; tfrc_l; tfrc_formula_kind; tfrc_comprehensive;
+    tfrc_conform_to_analysis; reverse_jitter; duration; warmup; faults;
+    background }
+
+let arb_config = QCheck.make ~print:Codec.encode gen_config
+
+(* [compare] equates nan with nan but also 0.0 with -0.0, so the bytes
+   are compared too. *)
+let roundtrips c =
+  match Codec.decode (Codec.encode c) with
+  | Ok c' -> compare c' c = 0 && Codec.encode c' = Codec.encode c
+  | Error _ -> false
+
+let test_codec_roundtrip () =
+  Alcotest.(check bool) "ornate config round-trips" true
+    (roundtrips ornate_config);
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"decode (encode c) = c" ~count:500 arb_config
+       roundtrips)
+
+(* One mutation per config field, each guaranteed to change it
+   (bitwise: 0.0 becomes -0.0); [None] when the field is absent from
+   this config's variant. *)
+let mutations : (Scenario.config -> Scenario.config option) list =
+  let f x = if Float.is_nan x then 0.0 else Float.neg x in
+  let red (c : Scenario.config) g =
+    match c.queue with
+    | Scenario.Red_manual { capacity; params } ->
+        Some { c with queue = Scenario.Red_manual { capacity; params = g params } }
+    | _ -> None
+  in
+  let aimd (c : Scenario.config) g =
+    match c.tfrc_formula_kind with
+    | Ebrc.Formula.Aimd { alpha; beta } ->
+        let alpha, beta = g (alpha, beta) in
+        Some { c with tfrc_formula_kind = Ebrc.Formula.Aimd { alpha; beta } }
+    | _ -> None
+  in
+  let faults (c : Scenario.config) g =
+    Option.bind c.faults (fun fc ->
+        Option.map (fun fc -> { c with faults = Some fc }) (g fc))
+  in
+  let flaps c g =
+    faults c (fun fc ->
+        Option.map (fun fl -> { fc with Fault.flaps = Some (g fl) }) fc.Fault.flaps)
+  in
+  let win (w : Fault.window) = { w with Fault.start = f w.Fault.start } in
+  let bg (c : Scenario.config) g =
+    Option.map (fun b -> { c with background = Some (g b) }) c.background
+  in
+  Scenario.
+    [
+      (fun c -> Some { c with seed = c.seed + 1 });
+      (fun c -> Some { c with bottleneck_bps = f c.bottleneck_bps });
+      (fun c -> Some { c with one_way_delay = f c.one_way_delay });
+      (fun c ->
+        Some
+          {
+            c with
+            queue =
+              (match c.queue with
+              | Drop_tail { capacity } -> Drop_tail { capacity = capacity + 1 }
+              | Red_auto { capacity } -> Red_auto { capacity = capacity + 1 }
+              | Red_manual r -> Red_manual { r with capacity = r.capacity + 1 });
+          });
+      (fun c ->
+        Some
+          {
+            c with
+            queue =
+              (match c.queue with
+              | Drop_tail { capacity } -> Red_auto { capacity }
+              | Red_auto { capacity } | Red_manual { capacity; _ } ->
+                  Drop_tail { capacity });
+          });
+      (fun c -> red c (fun p -> { p with min_th = f p.min_th }));
+      (fun c -> red c (fun p -> { p with max_th = f p.max_th }));
+      (fun c -> red c (fun p -> { p with max_p = f p.max_p }));
+      (fun c -> red c (fun p -> { p with wq = f p.wq }));
+      (fun c -> red c (fun p -> { p with byte_mode = not p.byte_mode }));
+      (fun c -> red c (fun p -> { p with mean_pktsize = p.mean_pktsize + 1 }));
+      (fun c -> red c (fun p -> { p with gentle = not p.gentle }));
+      (fun c -> Some { c with packet_size = c.packet_size + 1 });
+      (fun c -> Some { c with n_tfrc = c.n_tfrc + 1 });
+      (fun c -> Some { c with n_tcp = c.n_tcp + 1 });
+      (fun c -> Some { c with with_probe = not c.with_probe });
+      (fun c -> Some { c with tfrc_l = c.tfrc_l + 1 });
+      (fun c ->
+        Some
+          {
+            c with
+            tfrc_formula_kind =
+              (match c.tfrc_formula_kind with
+              | Ebrc.Formula.Sqrt -> Ebrc.Formula.Pftk_standard
+              | Pftk_standard -> Pftk_simplified
+              | Pftk_simplified | Aimd _ -> Sqrt);
+          });
+      (fun c -> aimd c (fun (a, b) -> (f a, b)));
+      (fun c -> aimd c (fun (a, b) -> (a, f b)));
+      (fun c -> Some { c with tfrc_comprehensive = not c.tfrc_comprehensive });
+      (fun c ->
+        Some
+          { c with tfrc_conform_to_analysis = not c.tfrc_conform_to_analysis });
+      (fun c -> Some { c with reverse_jitter = f c.reverse_jitter });
+      (fun c -> Some { c with duration = f c.duration });
+      (fun c -> Some { c with warmup = f c.warmup });
+      (fun c ->
+        Some
+          {
+            c with
+            faults = (match c.faults with None -> Some Fault.none | Some _ -> None);
+          });
+      (fun c ->
+        faults c (fun fc ->
+            Some
+              {
+                fc with
+                Fault.flaps =
+                  (match fc.Fault.flaps with
+                  | None ->
+                      Some
+                        { Fault.first_down = 0.0; down_mean = 0.0;
+                          up_mean = 0.0; flap_jitter = 0.0; park = false }
+                  | Some _ -> None);
+              }));
+      (fun c -> flaps c (fun fl -> { fl with first_down = f fl.Fault.first_down }));
+      (fun c -> flaps c (fun fl -> { fl with down_mean = f fl.Fault.down_mean }));
+      (fun c -> flaps c (fun fl -> { fl with up_mean = f fl.Fault.up_mean }));
+      (fun c -> flaps c (fun fl -> { fl with flap_jitter = f fl.Fault.flap_jitter }));
+      (fun c -> flaps c (fun fl -> { fl with park = not fl.Fault.park }));
+      (fun c ->
+        faults c (fun fc ->
+            let w = { Fault.start = 0.0; length = 0.0; period = 0.0 } in
+            Some { fc with Fault.blackouts = w :: fc.Fault.blackouts }));
+      (fun c ->
+        faults c (fun fc ->
+            match fc.Fault.blackouts with
+            | w :: ws -> Some { fc with blackouts = win w :: ws }
+            | [] -> None));
+      (fun c ->
+        faults c (fun fc ->
+            match fc.Fault.blackouts with
+            | w :: ws ->
+                Some { fc with blackouts = { w with length = f w.Fault.length } :: ws }
+            | [] -> None));
+      (fun c ->
+        faults c (fun fc ->
+            match fc.Fault.blackouts with
+            | w :: ws ->
+                Some { fc with blackouts = { w with period = f w.Fault.period } :: ws }
+            | [] -> None));
+      (fun c ->
+        faults c (fun fc ->
+            Option.map (fun (w, d) -> { fc with Fault.spike = Some (win w, d) })
+              fc.Fault.spike));
+      (fun c ->
+        faults c (fun fc ->
+            Option.map (fun (w, d) -> { fc with Fault.spike = Some (w, f d) })
+              fc.Fault.spike));
+      (fun c ->
+        faults c (fun fc ->
+            Option.map
+              (fun (w, p, h) -> { fc with Fault.reorder = Some (win w, p, h) })
+              fc.Fault.reorder));
+      (fun c ->
+        faults c (fun fc ->
+            Option.map
+              (fun (w, p, h) -> { fc with Fault.reorder = Some (w, f p, h) })
+              fc.Fault.reorder));
+      (fun c ->
+        faults c (fun fc ->
+            Option.map
+              (fun (w, p, h) -> { fc with Fault.reorder = Some (w, p, f h) })
+              fc.Fault.reorder));
+      (fun c ->
+        faults c (fun fc ->
+            Option.map
+              (fun (w, p) -> { fc with Fault.duplicate = Some (win w, p) })
+              fc.Fault.duplicate));
+      (fun c ->
+        faults c (fun fc ->
+            Option.map
+              (fun (w, p) -> { fc with Fault.duplicate = Some (w, f p) })
+              fc.Fault.duplicate));
+      (fun c ->
+        Some
+          {
+            c with
+            background =
+              (match c.background with
+              | None -> Some (default_background ~flows:1)
+              | Some _ -> None);
+          });
+      (fun c -> bg c (fun b -> { b with bg_flows = b.bg_flows + 1 }));
+      (fun c -> bg c (fun b -> { b with bg_share_cap = f b.bg_share_cap }));
+      (fun c -> bg c (fun b -> { b with bg_resolution = f b.bg_resolution }));
+    ]
+
+let mutations_move_digest c =
+  let d = Rc.digest_of_config c in
+  List.for_all
+    (fun m ->
+      match m c with None -> true | Some c' -> Rc.digest_of_config c' <> d)
+    mutations
+
+let test_codec_injective () =
+  Alcotest.(check bool) "every ornate-config mutation moves its digest" true
+    (mutations_move_digest ornate_config);
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"single-field mutations move the digest"
+       ~count:300 arb_config mutations_move_digest);
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"distinct configs, distinct digests" ~count:500
+       (QCheck.pair arb_config arb_config) (fun (a, b) ->
+         compare a b = 0 || Rc.digest_of_config a <> Rc.digest_of_config b))
 
 let test_manifest_file_io () =
   let dir = tmp_dir "manifest" in
@@ -128,9 +424,29 @@ let test_manifest_rejects_junk () =
   (match Manifest.of_json "{\"schema\":1,\"codec\":\"nope\",\"tasks\":[]}" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong codec accepted");
-  match Manifest.task_of_json "{\"seed\":1}" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated task accepted"
+  (match Codec.decode "{\"seed\":1}" with
+  | Error e ->
+      Alcotest.(check bool) ("error names a missing field: " ^ e) true
+        (String.ends_with ~suffix:": missing" e && e <> ": missing")
+  | Ok _ -> Alcotest.fail "truncated task accepted");
+  let module J = Ebrc_obs.Json in
+  let set k v = List.map (fun (k', v') -> (k', if k' = k then v else v')) in
+  let bad =
+    match Codec.to_json ornate_config with
+    | J.Obj kvs ->
+        J.Obj
+          (List.map
+             (function
+               | "queue", J.Obj q -> ("queue", J.Obj (set "capacity" (J.Num 6.5) q))
+               | kv -> kv)
+             kvs)
+    | _ -> Alcotest.fail "config is not an object"
+  in
+  match Codec.of_json bad with
+  | Error e ->
+      Alcotest.(check string) "nested error names the path"
+        "queue.capacity: expected an integer" e
+  | Ok _ -> Alcotest.fail "fractional capacity accepted"
 
 (* ---------------------------- task queue -------------------------- *)
 
@@ -394,8 +710,8 @@ let test_worker_drains_queue () =
     (Serve.plan ~store_dir:store ~queue:q demo_manifest);
   List.iter
     (fun cfg ->
-      Task_queue.enqueue q ~digest:(Manifest.digest cfg)
-        ~spec:(Manifest.task_to_json cfg))
+      Task_queue.enqueue q ~digest:(Rc.digest_of_config cfg)
+        ~spec:(Codec.encode cfg))
     demo_manifest.Manifest.tasks;
   let o2 =
     Worker.run { (Worker.default ~queue_dir:qdir) with store_dir = store }
@@ -511,7 +827,7 @@ let test_serve_incremental_progress () =
   Rc.store_to ~dir:store cfg (Scenario.run cfg);
   Alcotest.(check int) "record published between polls is counted" 1
     (Serve.poll w).Serve.published;
-  Sys.remove (Filename.concat store (Manifest.digest cfg ^ ".json"));
+  Sys.remove (Filename.concat store (Rc.digest_of_config cfg ^ ".json"));
   Alcotest.(check int) "incremental poll keeps the counted record" 1
     (Serve.poll w).Serve.published;
   Alcotest.(check int) "full pass catches the lost record" 0
@@ -583,8 +899,8 @@ let test_worker_phase_latency () =
     (fun j ->
       List.iter
         (fun attr ->
-          match J.member attr j with
-          | Some (J.Num x) ->
+          match Option.bind (J.member attr j) J.to_float with
+          | Some x ->
               Alcotest.(check bool) (attr ^ " non-negative") true (x >= 0.0)
           | _ -> Alcotest.failf "done record lacks numeric %s" attr)
         [ "compute_s"; "publish_s" ])
@@ -611,7 +927,10 @@ let () =
       ( "manifest",
         [
           Alcotest.test_case "roundtrip" `Quick test_manifest_roundtrip;
-          Alcotest.test_case "ornate task" `Quick test_manifest_ornate_task;
+          Alcotest.test_case "large seeds exact" `Quick
+            test_manifest_large_seeds;
+          Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
+          Alcotest.test_case "codec injective" `Quick test_codec_injective;
           Alcotest.test_case "file io" `Quick test_manifest_file_io;
           Alcotest.test_case "rejects junk" `Quick test_manifest_rejects_junk;
         ] );

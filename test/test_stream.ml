@@ -113,7 +113,7 @@ let test_stream_schema () =
       let j = parse first in
       Alcotest.(check string) "first line is meta" "meta" (record_type j);
       match J.member "schema" j with
-      | Some (J.Num _) -> ()
+      | Some (J.Int _) -> ()
       | _ -> Alcotest.fail "meta line missing schema")
   | [] -> Alcotest.fail "empty stream");
   (match List.rev lines with

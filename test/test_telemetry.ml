@@ -247,136 +247,13 @@ let test_scenario_counters_j1_vs_j4 () =
 (* Export schemas.                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Minimal JSON reader (same shape as bench/compare.ml's) so the
-   exported files are validated as JSON, not just greppable text. *)
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
+(* Exported files are validated as JSON, not just greppable text. *)
+module J = Ebrc_obs.Json
 
-exception Parse_error of string
+let parse s =
+  match J.parse s with Ok j -> j | Error e -> Alcotest.failf "bad JSON: %s" e
 
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg =
-    raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos))
-  in
-  let peek () = if !pos < n then s.[!pos] else '\000' in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | ' ' | '\t' | '\n' | '\r' ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = c then advance () else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | c -> Buffer.add_char buf c);
-          advance ();
-          go ()
-      | '\000' -> fail "unterminated string"
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while num_char (peek ()) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let literal word v =
-    String.iter expect word;
-    v
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then (
-          advance ();
-          Obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | '}' ->
-                advance ();
-                Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then (
-          advance ();
-          List [])
-        else
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                elements (v :: acc)
-            | ']' ->
-                advance ();
-                List (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements []
-    | '"' -> Str (parse_string ())
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | 'n' -> literal "null" Null
-    | _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member name = function Obj kvs -> List.assoc_opt name kvs | _ -> None
+let member = J.member
 
 let read_file path =
   let ic = open_in_bin path in
@@ -408,9 +285,9 @@ let test_jsonl_schema () =
   let seen = Hashtbl.create 8 in
   List.iter
     (fun line ->
-      let j = parse_json line in
+      let j = parse line in
       match member "type" j with
-      | Some (Str ty) ->
+      | Some (J.Str ty) ->
           Hashtbl.replace seen ty ();
           let require k =
             if member k j = None then
@@ -436,8 +313,8 @@ let test_jsonl_schema () =
       Alcotest.(check bool) (ty ^ " line present") true (Hashtbl.mem seen ty))
     [ "meta"; "counter"; "histogram"; "event"; "span" ];
   (* First line is the meta header, so consumers can sniff the schema. *)
-  match parse_json (List.hd lines) |> member "type" with
-  | Some (Str "meta") -> ()
+  match parse (List.hd lines) |> member "type" with
+  | Some (J.Str "meta") -> ()
   | _ -> Alcotest.fail "first line must be the meta record"
 
 let test_chrome_trace_schema () =
@@ -447,9 +324,9 @@ let test_chrome_trace_schema () =
   Fun.protect ~finally:(fun () -> Sys.remove path)
   @@ fun () ->
   Export.write_chrome_trace ~path ();
-  let j = parse_json (read_file path) in
+  let j = parse (read_file path) in
   match member "traceEvents" j with
-  | Some (List evs) ->
+  | Some (J.List evs) ->
       Alcotest.(check bool) "has events" true (List.length evs > 2);
       List.iter
         (fun ev ->
@@ -459,13 +336,13 @@ let test_chrome_trace_schema () =
                 Alcotest.failf "trace event missing %S" k)
             [ "name"; "ph"; "pid" ];
           match member "ph" ev with
-          | Some (Str ("X" | "i" | "M")) -> ()
-          | Some (Str ph) -> Alcotest.failf "unexpected phase %S" ph
+          | Some (J.Str ("X" | "i" | "M")) -> ()
+          | Some (J.Str ph) -> Alcotest.failf "unexpected phase %S" ph
           | _ -> Alcotest.fail "phase not a string")
         evs;
       (* The recorded span and instant event must both be present. *)
       let has name =
-        List.exists (fun ev -> member "name" ev = Some (Str name)) evs
+        List.exists (fun ev -> member "name" ev = Some (J.Str name)) evs
       in
       Alcotest.(check bool) "span present" true (has "test.export.span");
       Alcotest.(check bool) "event present" true (has "test.export.event")
