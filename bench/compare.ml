@@ -286,6 +286,22 @@ let () =
             | _ -> false)
         | None -> false
       in
+      (* The telemetry overhead budget: recording on within 10% and a
+         live stream within 15% of the silent run (same config, same
+         seed). Host-dependent, so reported met or missed, not gated. *)
+      (let overhead block =
+         match Option.bind (member block new_json) (member "overhead_pct") with
+         | Some (Num p) -> Some p
+         | _ -> None
+       in
+       let verdict ok = if ok then "met" else "missed" in
+       match (overhead "telemetry_summary", overhead "stream_ablation") with
+       | Some t, Some st ->
+           Printf.printf
+             "  overhead budget: telemetry %+.1f%% (<= 10%% %s), streaming \
+              %+.1f%% (<= 15%% %s)\n"
+             t (verdict (t <= 10.0)) st (verdict (st <= 15.0))
+       | _ -> ());
       (* Streaming ablation: two gates. The streamed run must
          serialize byte-identically to the silent run — observation
          may not perturb the simulation, fatal when false. And the

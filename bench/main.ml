@@ -372,8 +372,8 @@ let measure_ode_frontier () =
   points
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry ablation: compile-in instrumentation must be ~free when   *)
-(* disabled (the ISSUE budget is <= 2% on the DropTail hot path), and  *)
+(* Telemetry ablation: recording on must stay within 10% of the silent *)
+(* DropTail run (bench-compare reports the budget met or missed), and  *)
 (* the enabled counter totals at a fixed seed are deterministic, so    *)
 (* they double as a scientific drift detector for bench-compare.       *)
 (* ------------------------------------------------------------------ *)
@@ -385,39 +385,54 @@ type telemetry_ab = {
   telem_events : int;                    (* events emitted (incl. dropped) *)
 }
 
+(* ------------------------------------------------------------------ *)
+(* Shared scenario config and timer for the two overhead ablations.    *)
+(* ------------------------------------------------------------------ *)
+
+let ab_droptail =
+  {
+    Ebrc.Scenario.default_config with
+    n_tfrc = 2;
+    n_tcp = 2;
+    queue = Ebrc.Scenario.Drop_tail { capacity = 100 };
+    duration = 10.0;
+    warmup = 2.0;
+    seed = 9;
+  }
+
+(* Best-of-[reps] wall ms of the silent run and of the run with [arm]
+   switched on, the two alternating run by run: on a shared host,
+   speed drifts over seconds, and timing one arm's block after the
+   other's charged that drift to the overhead. [arm true] switches the
+   measured arm on before its run, [arm false] off after it. Each arm
+   runs once untimed first. *)
+let ab_pair reps cfg ~arm =
+  let time () =
+    let t0 = Unix.gettimeofday () in
+    ignore (Ebrc.Scenario.run cfg);
+    (Unix.gettimeofday () -. t0) *. 1e3
+  in
+  let off = ref infinity and on = ref infinity in
+  for rep = 0 to reps do
+    let t = time () in
+    arm true;
+    let t' = time () in
+    arm false;
+    if rep > 0 then begin
+      off := Float.min !off t;
+      on := Float.min !on t'
+    end
+  done;
+  (!off, !on)
+
 let measure_telemetry () =
-  let run_once () =
-    let cfg =
-      {
-        Ebrc.Scenario.default_config with
-        n_tfrc = 2;
-        n_tcp = 2;
-        queue = Ebrc.Scenario.Drop_tail { capacity = 100 };
-        duration = 10.0;
-        warmup = 2.0;
-        seed = 9;
-      }
-    in
-    ignore (Ebrc.Scenario.run cfg)
+  let telem_off_ms, telem_on_ms =
+    ab_pair 5 ab_droptail ~arm:Ebrc.Telemetry.set_enabled
   in
-  let best_of reps =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      run_once ();
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best *. 1e3
-  in
-  run_once ();
-  let telem_off_ms = best_of 5 in
+  (* Deterministic totals: one fresh recording of the same seed. *)
   Ebrc.Telemetry.set_enabled true;
   Ebrc.Telemetry.reset ();
-  run_once ();
-  let telem_on_ms = best_of 5 in
-  (* Deterministic totals: one fresh recording of the same seed. *)
-  Ebrc.Telemetry.reset ();
-  run_once ();
+  ignore (Ebrc.Scenario.run ab_droptail);
   let telem_counters =
     List.filter_map
       (fun s ->
@@ -433,7 +448,7 @@ let measure_telemetry () =
   Ebrc.Telemetry.reset ();
   Printf.printf
     "#############################################################\n\
-     # Telemetry ablation (DropTail scenario, best of 5)\n\
+     # Telemetry ablation (DropTail scenario, best of 5, arms alternated)\n\
      #############################################################\n\n\
     \  disabled  %7.2f ms\n\
     \  enabled   %7.2f ms  (+%.1f%%, %d counters, %d events)\n\n"
@@ -441,31 +456,6 @@ let measure_telemetry () =
     (100.0 *. ((telem_on_ms /. telem_off_ms) -. 1.0))
     (List.length telem_counters) telem_events;
   { telem_off_ms; telem_on_ms; telem_counters; telem_events }
-
-(* ------------------------------------------------------------------ *)
-(* Shared scenario config and best-of timer for the scenario arms.     *)
-(* ------------------------------------------------------------------ *)
-
-let ab_droptail =
-  {
-    Ebrc.Scenario.default_config with
-    n_tfrc = 2;
-    n_tcp = 2;
-    queue = Ebrc.Scenario.Drop_tail { capacity = 100 };
-    duration = 10.0;
-    warmup = 2.0;
-    seed = 9;
-  }
-
-let ab_best_of reps cfg =
-  ignore (Ebrc.Scenario.run cfg);
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    ignore (Ebrc.Scenario.run cfg);
-    best := Float.min !best (Unix.gettimeofday () -. t0)
-  done;
-  !best *. 1e3
 
 (* ------------------------------------------------------------------ *)
 (* Streaming-telemetry ablation: the delta stream must cost nothing    *)
@@ -482,30 +472,34 @@ type stream_ablation = {
 
 let measure_stream_ablation () =
   let module Stream = Ebrc.Telemetry_stream in
-  (* Baseline arm: everything off. This is the configuration every
+  (* Baseline arm: everything off — the configuration every
      non-observed run pays for, so bench/compare.ml holds it against
-     the telemetry ablation's own disabled_ms (same config, same
-     seed). *)
-  let stream_off_ms = ab_best_of 5 ab_droptail in
-  let off_bytes =
-    Ebrc.Result_cache.serialize_result (Ebrc.Scenario.run ab_droptail)
-  in
-  (* Live arm: registry on, stream on, wall progress off (progress
+     the telemetry ablation's own disabled_ms (same config, same seed).
+     Live arm: registry on, stream on, wall progress off (progress
      records are wall-dependent; the sim-time deltas are the product
      being priced here). *)
   let path = Filename.temp_file "ebrc_stream_ab" ".jsonl" in
-  Ebrc.Telemetry.set_enabled true;
-  Ebrc.Telemetry.reset ();
-  Stream.enable ~path ~period_sim:1.0 ~period_wall:0.0;
-  let stream_on_ms, on_bytes =
+  let arm on =
+    if on then begin
+      Ebrc.Telemetry.set_enabled true;
+      Stream.enable ~path ~period_sim:1.0 ~period_wall:0.0
+    end
+    else begin
+      Stream.disable ();
+      Ebrc.Telemetry.set_enabled false;
+      Ebrc.Telemetry.reset ()
+    end
+  in
+  let stream_off_ms, stream_on_ms = ab_pair 5 ab_droptail ~arm in
+  let off_bytes =
+    Ebrc.Result_cache.serialize_result (Ebrc.Scenario.run ab_droptail)
+  in
+  arm true;
+  let on_bytes =
     Fun.protect
-      ~finally:(fun () ->
-        Stream.disable ();
-        Ebrc.Telemetry.set_enabled false;
-        Ebrc.Telemetry.reset ())
+      ~finally:(fun () -> arm false)
       (fun () ->
-        ( ab_best_of 5 ab_droptail,
-          Ebrc.Result_cache.serialize_result (Ebrc.Scenario.run ab_droptail) ))
+        Ebrc.Result_cache.serialize_result (Ebrc.Scenario.run ab_droptail))
   in
   let stream_deltas =
     let ic = open_in path in
@@ -527,7 +521,7 @@ let measure_stream_ablation () =
   let stream_identical = String.equal off_bytes on_bytes in
   Printf.printf
     "#############################################################\n\
-     # Streaming-telemetry ablation (DropTail scenario, best of 5)\n\
+     # Streaming-telemetry ablation (DropTail scenario, best of 5, arms alternated)\n\
      #############################################################\n\n\
     \  silent              %7.2f ms\n\
     \  streaming (1 s)     %7.2f ms  (+%.1f%%, %d delta records)\n\

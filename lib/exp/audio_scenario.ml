@@ -79,6 +79,7 @@ let run cfg =
         let ref_size = max 1 (int_of_float (fixed_units *. 100.0)) in
         Loss_module.bernoulli_bytes rng ~p_ref:cfg.drop_p ~ref_size
   in
+  Loss_module.add_probes dropper engine.Engine.probes;
   (* Rate samples restricted to the measurement window, with the
      estimator value at each loss event for the CV statistic. *)
   let rate_sum = ref 0.0 and rate_n = ref 0 in

@@ -18,21 +18,6 @@
 module Tm = Ebrc_telemetry.Telemetry
 module Chaos = Ebrc_chaos.Io_fault
 
-let m_hits = Tm.Counter.make ~help:"scenario cache memo hits" "cache.hits"
-
-let m_disk_hits =
-  Tm.Counter.make ~help:"scenario cache disk hits" "cache.disk_hits"
-
-let m_misses =
-  Tm.Counter.make ~help:"scenario cache misses (full runs)" "cache.misses"
-
-let m_stores =
-  Tm.Counter.make ~help:"scenario cache disk records written" "cache.stores"
-
-let m_corrupt =
-  Tm.Counter.make ~help:"corrupt scenario cache records ignored"
-    "cache.corrupt"
-
 let m_bytes_read =
   Tm.Counter.make ~help:"scenario cache bytes read from disk"
     "cache.bytes_read"
@@ -40,10 +25,6 @@ let m_bytes_read =
 let m_bytes_written =
   Tm.Counter.make ~help:"scenario cache bytes written to disk"
     "cache.bytes_written"
-
-let m_store_errors =
-  Tm.Counter.make ~help:"scenario cache disk-store failures"
-    "cache.store_errors"
 
 let m_tmp_reclaimed =
   Tm.Counter.make ~help:"stale cache tmp files reclaimed at startup"
@@ -92,6 +73,23 @@ let s_misses = ref 0
 let s_stores = ref 0
 let s_corrupt = ref 0
 let s_store_errors = ref 0
+
+(* One count per cache event: [stats] reads these refs, and so do the
+   [cache.*] telemetry names, as process-wide probes ([Tm.reset] zeroes
+   them through [reset_stats]). *)
+let () =
+  List.iter
+    (fun (name, help, r) ->
+      Tm.Probe.add Tm.Probe.process (Tm.Probe.counter ~help name) (fun () -> !r))
+    [
+      ("cache.hits", "scenario cache memo hits", s_hits);
+      ("cache.disk_hits", "scenario cache disk hits", s_disk_hits);
+      ("cache.misses", "scenario cache misses (full runs)", s_misses);
+      ("cache.stores", "scenario cache disk records written", s_stores);
+      ("cache.corrupt", "corrupt scenario cache records ignored", s_corrupt);
+      ("cache.store_errors", "scenario cache disk-store failures",
+       s_store_errors);
+    ]
 let store_warned = ref false
 
 let locked f =
@@ -120,6 +118,8 @@ let reset_stats () =
       s_corrupt := 0;
       s_store_errors := 0;
       store_warned := false)
+
+let () = Tm.on_reset reset_stats
 
 (* ------------------------------ key ------------------------------- *)
 
@@ -320,12 +320,14 @@ let disk_load ~dir ~key digest =
     | Valid (k, r) when k = key -> Some r
     | _ | (exception _) ->
         locked (fun () -> incr s_corrupt);
-        if Tm.is_on () then Tm.Counter.incr m_corrupt;
         None
 
 let disk_store ~dir ~cfg digest r =
   match
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    (* Two workers publishing their first records race to create the
+       store; the loser's mkdir failing on an existing dir is fine. *)
+    (if not (Sys.file_exists dir) then
+       try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ());
     let path = Filename.concat dir (digest ^ ".json") in
     let tmp =
       Filename.concat dir
@@ -345,10 +347,7 @@ let disk_store ~dir ~cfg digest r =
   with
   | n ->
       locked (fun () -> incr s_stores);
-      if Tm.is_on () then begin
-        Tm.Counter.incr m_stores;
-        Tm.Counter.add m_bytes_written n
-      end
+      if Tm.is_on () then Tm.Counter.add m_bytes_written n
   | exception e ->
       (* A read-only or vanished cache directory (or a full disk) must
          never fail the experiment — the result is still returned from
@@ -363,8 +362,7 @@ let disk_store ~dir ~cfg digest r =
                continuing with the in-memory cache only\n\
                %!"
               dir (Printexc.to_string e)
-          end);
-      if Tm.is_on () then Tm.Counter.incr m_store_errors
+          end)
 
 (* ------------------------ store as a service ---------------------- *)
 
@@ -511,7 +509,6 @@ let run cfg =
     match locked (fun () -> Hashtbl.find_opt memo key) with
     | Some r ->
         locked (fun () -> incr s_hits);
-        if Tm.is_on () then Tm.Counter.incr m_hits;
         r
     | None -> (
         let digest = digest_of_key key in
@@ -525,14 +522,12 @@ let run cfg =
             locked (fun () ->
                 incr s_disk_hits;
                 Hashtbl.replace memo key r);
-            if Tm.is_on () then Tm.Counter.incr m_disk_hits;
             r
         | None ->
             let r = Scenario.run cfg in
             locked (fun () ->
                 incr s_misses;
                 Hashtbl.replace memo key r);
-            if Tm.is_on () then Tm.Counter.incr m_misses;
             (match !dir_ref with
             | None -> ()
             | Some dir -> disk_store ~dir ~cfg digest r);

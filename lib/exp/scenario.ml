@@ -204,22 +204,14 @@ let run cfg =
   if cfg.duration <= cfg.warmup then
     invalid_arg "Scenario.run: duration must exceed warmup";
   let engine = Engine.create () in
-  (* Live-stream sampling: the engine fires the sampler at sim-time
-     boundaries (deterministic; see Engine.set_sampler), and the
-     sampler reads only this domain's metric shards, so the emitted
-     deltas are exactly this run's contribution. *)
-  let stream_run =
-    if Stream.sim_active () then begin
-      let r = Stream.run_start ~key:(stream_key cfg) in
-      Engine.set_sampler engine ~period:(Stream.sim_period ()) (fun b ->
-          Stream.sample r ~t_sim:b ~events:engine.Engine.processed
-            ~pending:(Engine.pending engine));
-      Some r
-    end
-    else None
-  in
+  (* Live-stream sampling, attached once every component has
+     registered its probes (below): the engine fires the sampler at
+     sim-time boundaries (deterministic; see Engine.set_sampler), and
+     the sampler reads only this engine's probes, so the emitted deltas
+     are exactly this run's. *)
+  let stream_run = ref None in
   let stream_end ~ok =
-    match stream_run with
+    match !stream_run with
     | Some r ->
         Stream.run_end r ~t_sim:(Engine.now engine)
           ~events:engine.Engine.processed
@@ -387,6 +379,13 @@ let run cfg =
   | Some (src, _) ->
       ignore (Engine.schedule engine ~at:0.5 (fun () -> Probe_source.start src))
   | None -> ());
+  if Stream.sim_active () then begin
+    let r = Stream.run_start ~key:(stream_key cfg) engine.Engine.probes in
+    Engine.set_sampler engine ~period:(Stream.sim_period ()) (fun b ->
+        Stream.sample r ~t_sim:b ~events:engine.Engine.processed
+          ~pending:(Engine.pending engine));
+    stream_run := Some r
+  end;
   (* --- warmup phase, snapshot, measurement phase --- *)
   guarded_run ~until:cfg.warmup;
   let probe_recv_snapshot = ref 0 and probe_ivs_snapshot = ref 0 in

@@ -65,23 +65,24 @@ type t = {
   mutable s_blackout_drops : int;
 }
 
-let m_transitions =
-  Tm.Counter.make ~help:"fault: link up/down transitions" "fault.transitions"
-let m_down_drops =
-  Tm.Counter.make ~help:"fault: packets dropped while link down"
-    "fault.down_drops"
-let m_parked =
-  Tm.Counter.make ~help:"fault: packets parked while link down" "fault.parked"
-let m_spiked =
-  Tm.Counter.make ~help:"fault: packets given a delay spike" "fault.spiked"
-let m_reordered =
-  Tm.Counter.make ~help:"fault: packets held back for reordering"
-    "fault.reordered"
-let m_duplicated =
-  Tm.Counter.make ~help:"fault: duplicate copies injected" "fault.duplicated"
-let m_blackout_drops =
-  Tm.Counter.make ~help:"fault: feedback packets dropped in blackouts"
-    "fault.blackout_drops"
+let probe_keys =
+  [
+    ("fault.transitions", "fault: link up/down transitions",
+     fun t -> t.s_transitions);
+    ("fault.down_drops", "fault: packets dropped while link down",
+     fun t -> t.s_down_drops);
+    ("fault.parked", "fault: packets parked while link down",
+     fun t -> t.s_parked);
+    ("fault.spiked", "fault: packets given a delay spike",
+     fun t -> t.s_spiked);
+    ("fault.reordered", "fault: packets held back for reordering",
+     fun t -> t.s_reordered);
+    ("fault.duplicated", "fault: duplicate copies injected",
+     fun t -> t.s_duplicated);
+    ("fault.blackout_drops", "fault: feedback packets dropped in blackouts",
+     fun t -> t.s_blackout_drops);
+  ]
+  |> List.map (fun (name, help, get) -> (Tm.Probe.counter ~help name, get))
 
 let check_window what (w : window) =
   if not (Float.is_finite w.start) || w.start < 0.0 then
@@ -144,10 +145,7 @@ let rec go_down t (f : flaps) =
   t.link_up <- false;
   t.s_transitions <- t.s_transitions + 1;
   let now = Engine.now t.engine in
-  if Tm.is_on () then begin
-    Tm.Counter.incr m_transitions;
-    Tm.event "fault.link_down" ~time:now
-  end;
+  if Tm.is_on () then Tm.event "fault.link_down" ~time:now;
   let dt = sample_duration t f.down_mean f.flap_jitter in
   Engine.schedule_unit t.engine ~at:(now +. dt) (fun () -> go_up t f)
 
@@ -156,10 +154,8 @@ and go_up t (f : flaps) =
   t.s_transitions <- t.s_transitions + 1;
   let now = Engine.now t.engine in
   let flushed = Queue.length t.parked_q in
-  if Tm.is_on () then begin
-    Tm.Counter.incr m_transitions;
-    Tm.event "fault.link_up" ~time:now ~value:(float_of_int flushed)
-  end;
+  if Tm.is_on () then
+    Tm.event "fault.link_up" ~time:now ~value:(float_of_int flushed);
   (* Re-offer parked packets in global FIFO order at the up instant. *)
   while not (Queue.is_empty t.parked_q) do
     let pkt, sink = Queue.pop t.parked_q in
@@ -176,6 +172,9 @@ let create ~engine ~rng cfg =
       s_transitions = 0; s_down_drops = 0; s_parked = 0; s_spiked = 0;
       s_reordered = 0; s_duplicated = 0; s_blackout_drops = 0 }
   in
+  List.iter
+    (fun (key, get) -> Tm.Probe.add engine.Engine.probes key (fun () -> get t))
+    probe_keys;
   (if live then
      match cfg.flaps with
      | None -> ()
@@ -192,7 +191,6 @@ let emit t sink now (pkt : Packet.t) =
     match t.cfg.spike with
     | Some (w, d) when in_window w now ->
         t.s_spiked <- t.s_spiked + 1;
-        if Tm.is_on () then Tm.Counter.incr m_spiked;
         d
     | _ -> 0.0
   in
@@ -201,7 +199,6 @@ let emit t sink now (pkt : Packet.t) =
     | Some (w, p, hold) when in_window w now ->
         if Prng.float_unit t.rng < p then begin
           t.s_reordered <- t.s_reordered + 1;
-          if Tm.is_on () then Tm.Counter.incr m_reordered;
           extra +. hold
         end
         else extra
@@ -217,20 +214,16 @@ let forward t sink (pkt : Packet.t) =
     match t.cfg.flaps with
     | Some { park = true; _ } ->
         t.s_parked <- t.s_parked + 1;
-        if Tm.is_on () then Tm.Counter.incr m_parked;
         Queue.add (pkt, sink) t.parked_q
     | _ ->
         t.s_down_drops <- t.s_down_drops + 1;
-        if Tm.is_on () then begin
-          Tm.Counter.incr m_down_drops;
+        if Tm.is_on () then
           Tm.event "fault.down_drop" ~time:now ~flow:pkt.flow
-        end
   end
   else begin
     (match t.cfg.duplicate with
      | Some (w, p) when in_window w now && Prng.float_unit t.rng < p ->
          t.s_duplicated <- t.s_duplicated + 1;
-         if Tm.is_on () then Tm.Counter.incr m_duplicated;
          emit t sink now (Packet.copy pkt)
      | _ -> ());
     emit t sink now pkt
@@ -249,10 +242,8 @@ let wrap_feedback t sink =
     let now = Engine.now t.engine in
     if List.exists (fun w -> in_window w now) t.cfg.blackouts then begin
       t.s_blackout_drops <- t.s_blackout_drops + 1;
-      if Tm.is_on () then begin
-        Tm.Counter.incr m_blackout_drops;
+      if Tm.is_on () then
         Tm.event "fault.blackout_drop" ~time:now ~flow:pkt.flow
-      end
     end
     else sink pkt
 

@@ -91,5 +91,6 @@ type stats = {
 }
 
 val stats : t -> stats
-(** Injector-local counts (always maintained, independent of the
-    telemetry runtime gate; the [fault.*] counters mirror them). *)
+(** Injector-local counts, always maintained; the [fault.*] telemetry
+    counters are probes over them, registered in the engine's probe
+    set by {!create}. *)

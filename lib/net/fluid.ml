@@ -33,14 +33,14 @@
 module Tm = Ebrc_telemetry.Telemetry
 module Ode = Ebrc_numerics.Ode
 
-let m_advances =
-  Tm.Counter.make ~help:"fluid background sync advances" "fluid.advances"
+let k_advances =
+  Tm.Probe.counter ~help:"fluid background sync advances" "fluid.advances"
 
-let m_steps =
-  Tm.Counter.make ~help:"fluid ODE accepted steps" "fluid.steps"
+let k_steps = Tm.Probe.counter ~help:"fluid ODE accepted steps" "fluid.steps"
 
-let m_queue =
-  Tm.Gauge.make ~help:"fluid background backlog (packets)" "fluid.queue"
+let k_queue =
+  Tm.Probe.gauge ~help:"fluid background backlog (packets, rounded)"
+    "fluid.queue"
 
 type drop_profile =
   | Tail of { ramp : float }
@@ -139,8 +139,6 @@ type t = {
   mutable advances : int;
   mutable util_int : float;     (* integral of bg utilization over time *)
   mutable drop_int : float;     (* integral of p over time *)
-  mutable steps_noted : int;    (* accepted steps already counted in
-                                   telemetry (stats may be called twice) *)
 }
 
 let create ?(t0 = 0.0) cfg =
@@ -192,7 +190,6 @@ let create ?(t0 = 0.0) cfg =
     advances = 0;
     util_int = 0.0;
     drop_int = 0.0;
-    steps_noted = 0;
   }
 
 let config t = t.cfg
@@ -264,12 +261,14 @@ let sync t ~now =
     t.util_int <- t.util_int +. (util t *. dt);
     t.drop_int <- t.drop_int +. (drop_prob t *. dt);
     t.advances <- t.advances + 1;
-    t.synced_to <- target;
-    if Atomic.get Tm.on then begin
-      Tm.Counter.incr m_advances;
-      Tm.Gauge.set m_queue (queue_pkts t)
-    end
+    t.synced_to <- target
   end
+
+let add_probes t set =
+  Tm.Probe.add set k_advances (fun () -> t.advances);
+  Tm.Probe.add set k_steps (fun () ->
+      (Ode.System.stats t.sys).Ode.accepted);
+  Tm.Probe.add set k_queue (fun () -> Float.to_int (Float.round (queue_pkts t)))
 
 type stats = {
   advances : int;
@@ -283,10 +282,6 @@ type stats = {
 
 let stats t =
   let ode = Ode.System.stats t.sys in
-  if Atomic.get Tm.on then begin
-    Tm.Counter.add m_steps (ode.Ode.accepted - t.steps_noted);
-    t.steps_noted <- ode.Ode.accepted
-  end;
   let span = t.synced_to -. t.t0 in
   {
     advances = t.advances;

@@ -104,6 +104,11 @@ type stats = {
 
 val stats : t -> stats
 
+val add_probes : t -> Ebrc_telemetry.Telemetry.Probe.set -> unit
+(** Register [fluid.advances], [fluid.steps] (accepted ODE steps) and
+    the [fluid.queue] level (backlog rounded to packets) in a probe
+    set; {!Link.attach_fluid} does this for the link's engine. *)
+
 (** {2 Analytic equilibrium} *)
 
 type equilibrium = {

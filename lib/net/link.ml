@@ -15,11 +15,13 @@
 module Engine = Ebrc_sim.Engine
 module Tm = Ebrc_telemetry.Telemetry
 
-let m_link_drops =
-  Tm.Counter.make ~help:"packets dropped at link ingress" "link.drops"
+(* Every ingress drop is its queue's Drop verdict, so [link.drops]
+   reads the queue's own drop count. *)
+let k_link_drops =
+  Tm.Probe.counter ~help:"packets dropped at link ingress" "link.drops"
 
-let m_link_delivered =
-  Tm.Counter.make ~help:"packets delivered downstream" "link.delivered"
+let k_link_delivered =
+  Tm.Probe.counter ~help:"packets delivered downstream" "link.delivered"
 
 (* Growable FIFO ring of packets. Capacity is always a power of two
    (64, doubled), so index wrap is a mask, not a division. *)
@@ -126,6 +128,10 @@ let create ~engine ~rate_bps ~delay ~queue ~rng =
       fluid = None;
     }
   in
+  let probes = engine.Engine.probes in
+  Tm.Probe.add probes k_link_delivered (fun () -> t.delivered);
+  Tm.Probe.add probes k_link_drops (fun () -> Queue_discipline.drops queue);
+  Queue_discipline.add_probes queue probes;
   t.deliver_head <- (fun () -> t.deliver (ring_pop t.in_flight));
   t.service_done <-
     (fun () ->
@@ -134,7 +140,6 @@ let create ~engine ~rate_bps ~delay ~queue ~rng =
       t.in_service <- Packet.dummy;
       t.delivered <- t.delivered + 1;
       t.bytes_delivered <- t.bytes_delivered + pkt.Packet.size;
-      if Atomic.get Tm.on then Tm.Counter.incr m_link_delivered;
       ring_push t.in_flight pkt;
       Engine.schedule_unit t.engine ~at:(t.engine.Engine.now +. t.delay)
         t.deliver_head;
@@ -144,16 +149,16 @@ let create ~engine ~rate_bps ~delay ~queue ~rng =
 let set_deliver t f = t.deliver <- f
 let set_on_drop t f = t.on_drop <- f
 
-let attach_fluid t fl = t.fluid <- Some fl
+let attach_fluid t fl =
+  t.fluid <- Some fl;
+  Fluid.add_probes fl t.engine.Engine.probes
 let fluid t = t.fluid
 
 let drop_pkt t ~now pkt =
-  if Atomic.get Tm.on then begin
-    Tm.Counter.incr m_link_drops;
-    (* The per-flow attribution the counters cannot carry. *)
+  (* The per-flow attribution the counters cannot carry. *)
+  if Atomic.get Tm.on then
     Tm.event "link.drop" ~time:now ~flow:pkt.Packet.flow
-      ~value:(float_of_int pkt.Packet.seq)
-  end;
+      ~value:(float_of_int pkt.Packet.seq);
   t.on_drop pkt
 
 let send t pkt =

@@ -10,6 +10,9 @@ val create :
   queue:Queue_discipline.t ->
   rng:Ebrc_rng.Prng.t ->
   t
+(** Registers [link.delivered], [link.drops] (the queue's drop count:
+    every ingress drop is its Drop verdict) and the queue's own probes
+    in the engine's probe set. *)
 
 val set_deliver : t -> (Packet.t -> unit) -> unit
 (** Downstream delivery callback (after service + propagation). *)
@@ -26,7 +29,7 @@ val attach_fluid : t -> Fluid.t -> unit
     ({!Queue_discipline.offer_fluid}), foreground service is scaled by
     {!Fluid.fg_share}, and every arrival feeds the fluid's input-rate
     estimate. An unattached link is structurally the packet-only code
-    path. *)
+    path. The fluid's probes join the link's engine. *)
 
 val fluid : t -> Fluid.t option
 

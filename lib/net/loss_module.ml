@@ -12,12 +12,12 @@
 
 module Tm = Ebrc_telemetry.Telemetry
 
-let m_offered =
-  Tm.Counter.make ~help:"packets offered to loss modules"
+let k_offered =
+  Tm.Probe.counter ~help:"packets offered to loss modules"
     "loss_module.offered"
 
-let m_drops =
-  Tm.Counter.make ~help:"packets dropped by loss modules" "loss_module.drops"
+let k_drops =
+  Tm.Probe.counter ~help:"packets dropped by loss modules" "loss_module.drops"
 
 type t = {
   mutable pass : Packet.t -> bool;   (* true = forward, false = drop *)
@@ -27,13 +27,15 @@ type t = {
 
 let stats t = (t.offered, t.dropped)
 
+let add_probes t set =
+  Tm.Probe.add set k_offered (fun () -> t.offered);
+  Tm.Probe.add set k_drops (fun () -> t.dropped)
+
 let process t pkt =
   t.offered <- t.offered + 1;
-  if Tm.is_on () then Tm.Counter.incr m_offered;
   if t.pass pkt then true
   else begin
     t.dropped <- t.dropped + 1;
-    if Tm.is_on () then Tm.Counter.incr m_drops;
     false
   end
 

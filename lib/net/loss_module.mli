@@ -5,11 +5,14 @@ type t
 
 val process : t -> Packet.t -> bool
 (** [true] = forward, [false] = dropped. Updates the per-module
-    counters and the [loss_module.offered] / [loss_module.drops]
-    telemetry counters. *)
+    counters. *)
 
 val stats : t -> int * int
 (** (offered, dropped). *)
+
+val add_probes : t -> Ebrc_telemetry.Telemetry.Probe.set -> unit
+(** Register [loss_module.offered] / [loss_module.drops] over the
+    module's counters in a probe set (the engine's, for a run). *)
 
 val bernoulli : Ebrc_rng.Prng.t -> p:float -> t
 (** Each packet dropped independently with probability [p], regardless

@@ -10,24 +10,24 @@
 
 module Tm = Ebrc_telemetry.Telemetry
 
-let m_enqueues =
-  Tm.Counter.make ~help:"packets admitted by any queue discipline"
+let k_enqueues =
+  Tm.Probe.counter ~help:"packets admitted by any queue discipline"
     "queue.enqueues"
 
-let m_drops =
-  Tm.Counter.make ~help:"packets dropped by any queue discipline" "queue.drops"
+let k_drops =
+  Tm.Probe.counter ~help:"packets dropped by any queue discipline"
+    "queue.drops"
 
-let m_red_early =
-  Tm.Counter.make ~help:"RED probabilistic (early) drops"
+let k_red_early =
+  Tm.Probe.counter ~help:"RED probabilistic (early) drops"
     "queue.red_early_drops"
 
-let m_red_forced =
-  Tm.Counter.make ~help:"RED forced drops (buffer full or above max_th)"
+let k_red_forced =
+  Tm.Probe.counter ~help:"RED forced drops (buffer full or above max_th)"
     "queue.red_forced_drops"
 
-let m_occupancy =
-  Tm.Gauge.make ~help:"queue occupancy sampled at every enqueue (packets)"
-    "queue.occupancy"
+let k_occupancy =
+  Tm.Probe.gauge ~help:"queue occupancy (packets)" "queue.occupancy"
 
 type decision = Enqueue | Drop
 
@@ -63,6 +63,8 @@ type t = {
   mutable idle_since : float option; (* start of the current idle period *)
   mutable drops : int;
   mutable enqueues : int;
+  mutable red_early : int;           (* RED drops below the forced wall *)
+  mutable red_forced : int;          (* RED drops at the wall or full *)
   service_rate : float;              (* pkt/s, for RED idle compensation *)
 }
 
@@ -87,8 +89,17 @@ let create ?(service_rate = 0.0) ~capacity kind =
     idle_since = None;
     drops = 0;
     enqueues = 0;
+    red_early = 0;
+    red_forced = 0;
     service_rate;
   }
+
+let add_probes t set =
+  Tm.Probe.add set k_enqueues (fun () -> t.enqueues);
+  Tm.Probe.add set k_drops (fun () -> t.drops);
+  Tm.Probe.add set k_red_early (fun () -> t.red_early);
+  Tm.Probe.add set k_red_forced (fun () -> t.red_forced);
+  Tm.Probe.add set k_occupancy (fun () -> t.occupancy)
 
 let occupancy t = t.occupancy
 let capacity t = t.capacity
@@ -124,16 +135,11 @@ let offer ?(bytes = 1000) t ~now ~u =
   | Drop_tail ->
       if t.occupancy >= t.capacity then begin
         t.drops <- t.drops + 1;
-        if Atomic.get Tm.on then Tm.Counter.incr m_drops;
         Drop
       end
       else begin
         t.occupancy <- t.occupancy + 1;
         t.enqueues <- t.enqueues + 1;
-        if Atomic.get Tm.on then begin
-          Tm.Counter.incr m_enqueues;
-          Tm.Gauge.set m_occupancy (float_of_int t.occupancy)
-        end;
         Enqueue
       end
   | Red p ->
@@ -173,17 +179,11 @@ let offer ?(bytes = 1000) t ~now ~u =
       | Drop ->
           t.drops <- t.drops + 1;
           t.count <- 0;
-          if Atomic.get Tm.on then begin
-            Tm.Counter.incr m_drops;
-            Tm.Counter.incr (if !forced then m_red_forced else m_red_early)
-          end
+          if !forced then t.red_forced <- t.red_forced + 1
+          else t.red_early <- t.red_early + 1
       | Enqueue ->
           t.occupancy <- t.occupancy + 1;
           t.enqueues <- t.enqueues + 1;
-          if Atomic.get Tm.on then begin
-            Tm.Counter.incr m_enqueues;
-            Tm.Gauge.set m_occupancy (float_of_int t.occupancy)
-          end;
           if t.avg >= p.min_th then ()
           else t.count <- -1);
       verdict
@@ -198,16 +198,11 @@ let offer_fluid ?(bytes = 1000) t ~now ~u ~extra =
   | Drop_tail ->
       if float_of_int t.occupancy +. extra >= float_of_int t.capacity then begin
         t.drops <- t.drops + 1;
-        if Atomic.get Tm.on then Tm.Counter.incr m_drops;
         Drop
       end
       else begin
         t.occupancy <- t.occupancy + 1;
         t.enqueues <- t.enqueues + 1;
-        if Atomic.get Tm.on then begin
-          Tm.Counter.incr m_enqueues;
-          Tm.Gauge.set m_occupancy (float_of_int t.occupancy +. extra)
-        end;
         Enqueue
       end
   | Red p ->
@@ -262,17 +257,11 @@ let offer_fluid ?(bytes = 1000) t ~now ~u ~extra =
       | Drop ->
           t.drops <- t.drops + 1;
           t.count <- 0;
-          if Atomic.get Tm.on then begin
-            Tm.Counter.incr m_drops;
-            Tm.Counter.incr (if !forced then m_red_forced else m_red_early)
-          end
+          if !forced then t.red_forced <- t.red_forced + 1
+          else t.red_early <- t.red_early + 1
       | Enqueue ->
           t.occupancy <- t.occupancy + 1;
           t.enqueues <- t.enqueues + 1;
-          if Atomic.get Tm.on then begin
-            Tm.Counter.incr m_enqueues;
-            Tm.Gauge.set m_occupancy (float_of_int t.occupancy +. extra)
-          end;
           if t.avg >= p.min_th then ()
           else t.count <- -1);
       verdict

@@ -57,6 +57,13 @@ val departure : t -> now:float -> unit
 val occupancy : t -> int
 val capacity : t -> int
 val drops : t -> int
+
 val enqueues : t -> int
 val average_queue : t -> float
 (** RED's EWMA average (0 for DropTail). *)
+
+val add_probes : t -> Ebrc_telemetry.Telemetry.Probe.set -> unit
+(** Register [queue.enqueues], [queue.drops], [queue.red_early_drops],
+    [queue.red_forced_drops] and the [queue.occupancy] level (packets,
+    fluid backlog excluded) in a probe set; {!Link.create} does this
+    for its engine. *)

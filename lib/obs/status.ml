@@ -56,108 +56,141 @@ let counters_of j =
         fields
   | _ -> []
 
-let of_lines lines =
-  let runs : (string, run_row) Hashtbl.t = Hashtbl.create 16 in
-  let run_order = ref [] in
-  let figs : (string, figure_row) Hashtbl.t = Hashtbl.create 16 in
-  let fig_order = ref [] in
-  let tasks : (string, figure_row) Hashtbl.t = Hashtbl.create 16 in
-  let task_order = ref [] in
-  let manifest = ref [] in
-  let first_progress = ref None in
-  let last_progress = ref None in
-  let finished = ref false in
-  let skipped = ref 0 in
-  let on_run j ~ended =
-    match (sget j "run", iget j "seq") with
-    | Some key, Some seq ->
-        let prev = Hashtbl.find_opt runs key in
-        if prev = None then run_order := key :: !run_order;
-        let base =
-          match prev with
-          | Some r -> r
-          | None ->
-              { run_key = key; seq = 0; t_sim = 0.0; events = 0; pending = 0;
-                ended = false; run_ok = false }
-        in
-        let t_sim =
-          match fget j "t_sim" with Some t -> t | None -> base.t_sim
-        in
-        let d_events =
-          match iget j "d_events" with Some d -> d | None -> 0
-        in
-        let pending =
-          match iget j "pending" with Some p -> p | None -> base.pending
-        in
-        let run_ok =
-          match Json.member "ok" j with Some (Json.Bool b) -> b | _ -> base.run_ok
-        in
-        Hashtbl.replace runs key
-          { base with seq = max base.seq seq; t_sim;
-            events = base.events + d_events; pending;
-            ended = base.ended || ended; run_ok }
-    | _ -> incr skipped
-  in
-  (* Figure and task records share one lifecycle shape: id + phase +
-     wall clock, with figures additionally carrying a table count.
-     [start] names the phase whose wall clock anchors elapsed time. *)
-  let on_lifecycle tbl order j ~start =
-    match (sget j "id", sget j "phase") with
-    | Some id, Some phase ->
-        let t = match fget j "t_wall" with Some t -> t | None -> nan in
-        let prev = Hashtbl.find_opt tbl id in
-        if prev = None then order := id :: !order;
-        let base =
-          match prev with
-          | Some f -> f
-          | None ->
-              { fig_id = id; phase; t_start = nan; t_last = t; tables = 0 }
-        in
-        let t_start = if phase = start then t else base.t_start in
-        let tables =
-          match iget j "tables" with Some n -> n | None -> base.tables
-        in
-        Hashtbl.replace tbl id
-          { base with phase; t_start; t_last = t; tables }
-    | _ -> incr skipped
-  in
-  List.iter
-    (fun line ->
-      if String.trim line <> "" then
-        match Json.parse line with
-        | Error _ -> incr skipped
-        | Ok j -> (
-            match sget j "type" with
-            | Some "run_start" -> on_run j ~ended:false
-            | Some "delta" -> on_run j ~ended:false
-            | Some "run_end" -> on_run j ~ended:true
-            | Some "figure" -> on_lifecycle figs fig_order j ~start:"start"
-            | Some "task" -> on_lifecycle tasks task_order j ~start:"leased"
-            | Some "progress" ->
-                let p =
-                  ( (match fget j "t_wall" with Some t -> t | None -> nan),
-                    counters_of j )
-                in
-                if !first_progress = None then first_progress := Some p;
-                last_progress := Some p
-            | Some "manifest" -> (
-                match j with
-                | Json.Obj fields ->
-                    manifest :=
-                      List.filter_map
-                        (fun (k, v) ->
-                          if k = "type" then None
-                          else Some (k, scalar_to_string v))
-                        fields
-                | _ -> ())
-            | Some "stream_end" -> finished := true
-            | Some _ | None -> ()))
-    lines;
+(* The fold behind [of_lines], kept open so a caller can feed a growing
+   file a line at a time (the serve watcher's incremental fleet view).
+   Row values are immutable, so a copy only duplicates the tables. *)
+type fold = {
+  run_tbl : (string, run_row) Hashtbl.t;
+  mutable run_order : string list;
+  fig_tbl : (string, figure_row) Hashtbl.t;
+  mutable fig_order : string list;
+  tasks_tbl : (string, figure_row) Hashtbl.t;
+  mutable task_order : string list;
+  mutable manifest_f : (string * string) list;
+  mutable first_progress : (float * (string * int) list) option;
+  mutable last_progress : (float * (string * int) list) option;
+  mutable finished_f : bool;
+  mutable skipped_f : int;
+}
+
+let fold () =
+  {
+    run_tbl = Hashtbl.create 16;
+    run_order = [];
+    fig_tbl = Hashtbl.create 16;
+    fig_order = [];
+    tasks_tbl = Hashtbl.create 16;
+    task_order = [];
+    manifest_f = [];
+    first_progress = None;
+    last_progress = None;
+    finished_f = false;
+    skipped_f = 0;
+  }
+
+let copy_fold f =
+  {
+    f with
+    run_tbl = Hashtbl.copy f.run_tbl;
+    fig_tbl = Hashtbl.copy f.fig_tbl;
+    tasks_tbl = Hashtbl.copy f.tasks_tbl;
+  }
+
+let on_run f j ~ended =
+  match (sget j "run", iget j "seq") with
+  | Some key, Some seq ->
+      let prev = Hashtbl.find_opt f.run_tbl key in
+      if prev = None then f.run_order <- key :: f.run_order;
+      let base =
+        match prev with
+        | Some r -> r
+        | None ->
+            { run_key = key; seq = 0; t_sim = 0.0; events = 0; pending = 0;
+              ended = false; run_ok = false }
+      in
+      let t_sim =
+        match fget j "t_sim" with Some t -> t | None -> base.t_sim
+      in
+      let d_events =
+        match iget j "d_events" with Some d -> d | None -> 0
+      in
+      let pending =
+        match iget j "pending" with Some p -> p | None -> base.pending
+      in
+      let run_ok =
+        match Json.member "ok" j with Some (Json.Bool b) -> b | _ -> base.run_ok
+      in
+      Hashtbl.replace f.run_tbl key
+        { base with seq = max base.seq seq; t_sim;
+          events = base.events + d_events; pending;
+          ended = base.ended || ended; run_ok }
+  | _ -> f.skipped_f <- f.skipped_f + 1
+
+(* Figure and task records share one lifecycle shape: id + phase +
+   wall clock, with figures additionally carrying a table count.
+   [start] names the phase whose wall clock anchors elapsed time.
+   Returns the new row order. *)
+let on_lifecycle f tbl order j ~start =
+  match (sget j "id", sget j "phase") with
+  | Some id, Some phase ->
+      let t = match fget j "t_wall" with Some t -> t | None -> nan in
+      let prev = Hashtbl.find_opt tbl id in
+      let order = if prev = None then id :: order else order in
+      let base =
+        match prev with
+        | Some r -> r
+        | None ->
+            { fig_id = id; phase; t_start = nan; t_last = t; tables = 0 }
+      in
+      let t_start = if phase = start then t else base.t_start in
+      let tables =
+        match iget j "tables" with Some n -> n | None -> base.tables
+      in
+      Hashtbl.replace tbl id { base with phase; t_start; t_last = t; tables };
+      order
+  | _ ->
+      f.skipped_f <- f.skipped_f + 1;
+      order
+
+let add_line f line =
+  if String.trim line <> "" then
+    match Json.parse line with
+    | Error _ -> f.skipped_f <- f.skipped_f + 1
+    | Ok j -> (
+        match sget j "type" with
+        | Some "run_start" -> on_run f j ~ended:false
+        | Some "delta" -> on_run f j ~ended:false
+        | Some "run_end" -> on_run f j ~ended:true
+        | Some "figure" ->
+            f.fig_order <- on_lifecycle f f.fig_tbl f.fig_order j ~start:"start"
+        | Some "task" ->
+            f.task_order <-
+              on_lifecycle f f.tasks_tbl f.task_order j ~start:"leased"
+        | Some "progress" ->
+            let p =
+              ( (match fget j "t_wall" with Some t -> t | None -> nan),
+                counters_of j )
+            in
+            if f.first_progress = None then f.first_progress <- Some p;
+            f.last_progress <- Some p
+        | Some "manifest" -> (
+            match j with
+            | Json.Obj fields ->
+                f.manifest_f <-
+                  List.filter_map
+                    (fun (k, v) ->
+                      if k = "type" then None else Some (k, scalar_to_string v))
+                    fields
+            | _ -> ())
+        | Some "stream_end" -> f.finished_f <- true
+        | Some _ | None -> ())
+
+let view_of f =
   let counters, t_progress =
-    match !last_progress with Some (t, c) -> (c, t) | None -> ([], nan)
+    match f.last_progress with Some (t, c) -> (c, t) | None -> ([], nan)
   in
   let rate name =
-    match (!first_progress, !last_progress) with
+    match (f.first_progress, f.last_progress) with
     | Some (t0, c0), Some (t1, c1) when t1 > t0 -> (
         match (List.assoc_opt name c0, List.assoc_opt name c1) with
         | Some a, Some b -> float_of_int (b - a) /. (t1 -. t0)
@@ -176,20 +209,53 @@ let of_lines lines =
         float_of_int (max 0 (submitted - tasks)) /. task_rate
     | _ -> nan
   in
+  let rows tbl order = List.rev_map (fun k -> Hashtbl.find tbl k) order in
   {
-    manifest = !manifest;
-    runs =
-      List.rev_map (fun k -> Hashtbl.find runs k) !run_order;
-    figures = List.rev_map (fun k -> Hashtbl.find figs k) !fig_order;
-    tasks = List.rev_map (fun k -> Hashtbl.find tasks k) !task_order;
+    manifest = f.manifest_f;
+    runs = rows f.run_tbl f.run_order;
+    figures = rows f.fig_tbl f.fig_order;
+    tasks = rows f.tasks_tbl f.task_order;
     counters;
     event_rate;
     task_rate;
     eta;
     t_progress;
-    finished = !finished;
-    skipped = !skipped;
+    finished = f.finished_f;
+    skipped = f.skipped_f;
   }
+
+let of_lines lines =
+  let f = fold () in
+  List.iter (add_line f) lines;
+  view_of f
+
+(* Bytes of a growing file, folded a complete line at a time; the
+   bytes after the last newline wait for the rest of their line. *)
+type tail = { tf : fold; mutable partial : string }
+
+let tail () = { tf = fold (); partial = "" }
+
+let feed t chunk =
+  let s = t.partial ^ chunk in
+  let rec go start =
+    match String.index_from_opt s start '\n' with
+    | Some nl ->
+        add_line t.tf (String.sub s start (nl - start));
+        go (nl + 1)
+    | None -> t.partial <- String.sub s start (String.length s - start)
+  in
+  go 0
+
+(* A pending partial line is read the way [read_file] reads a last
+   line without its newline: folded on a copy, so a torn record counts
+   as skipped now and is folded whole once the rest arrives. *)
+let tail_view t =
+  if String.trim t.partial = "" then view_of t.tf
+  else begin
+    let f = copy_fold t.tf in
+    add_line f t.partial;
+    view_of f
+  end
 
 (* Combine per-worker views into one fleet view: the serve watcher
    reads one stream file per worker and wants a single snapshot.

@@ -47,6 +47,25 @@ type view = {
 
 val of_lines : string list -> view
 
+(** {1 Incremental reading}
+
+    For a reader that polls a growing stream file: feed it only the
+    bytes appended since the last poll. *)
+
+type tail
+(** A fold over a byte stream: every complete line is folded once,
+    the bytes after the last newline are held for the next {!feed}. *)
+
+val tail : unit -> tail
+
+val feed : tail -> string -> unit
+(** Append bytes (any chunking, lines may span calls). *)
+
+val tail_view : tail -> view
+(** The view of every byte fed so far. It equals {!read_file} of a
+    file holding those bytes: a pending partial last line is read as
+    {!read_file} reads it (a torn record is one [skipped] line). *)
+
 val merge : view list -> view
 (** Fold per-worker views into one fleet snapshot (the serve watcher
     reads one stream file per worker): counters sum by key, row lists

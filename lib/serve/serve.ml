@@ -184,9 +184,56 @@ let spawn_worker cfg ~queue ~index =
       Unix.close out_w;
       raise e
 
+(* Incremental fleet view: each worker stream is folded once. A tick
+   reads only the bytes appended since the last one (a torn last line
+   waits in the tail for its remainder). A stream replaced under its
+   name — finalize's canonical rewrite is a rename — shows as a new
+   inode and is refolded from byte 0; a respawned slot's fresh file
+   could reuse the old inode, so [spawn] forgets that follower. *)
+type follower = {
+  mutable ino : int;
+  mutable offset : int;
+  mutable tail : Status.tail;
+}
+
+let follow (followers : (string, follower) Hashtbl.t) path =
+  let f =
+    match Hashtbl.find_opt followers path with
+    | Some f -> f
+    | None ->
+        let f = { ino = -1; offset = 0; tail = Status.tail () } in
+        Hashtbl.replace followers path f;
+        f
+  in
+  match Unix.stat path with
+  | exception Unix.Unix_error _ -> None
+  | st -> (
+      if st.Unix.st_ino <> f.ino || st.Unix.st_size < f.offset then begin
+        f.ino <- st.Unix.st_ino;
+        f.offset <- 0;
+        f.tail <- Status.tail ()
+      end;
+      let size = st.Unix.st_size in
+      match
+        if size > f.offset then begin
+          let ic = open_in_bin path in
+          Fun.protect
+            ~finally:(fun () -> close_in_noerr ic)
+            (fun () ->
+              seek_in ic f.offset;
+              Status.feed f.tail (really_input_string ic (size - f.offset)));
+          f.offset <- size
+        end
+      with
+      | () -> Some (Status.tail_view f.tail)
+      | exception (Sys_error _ | End_of_file) ->
+          (* Replaced or truncated mid-read: start over next tick. *)
+          Hashtbl.remove followers path;
+          None)
+
 (* Merge whatever the workers have streamed so far into one fleet
    view; tolerant of torn tails and missing files by construction. *)
-let fleet_view queue =
+let fleet_view followers queue =
   let dir = Task_queue.streams_dir queue in
   match Sys.readdir dir with
   | exception Sys_error _ -> None
@@ -195,10 +242,7 @@ let fleet_view queue =
         Array.to_list entries
         |> List.filter (fun e -> Filename.check_suffix e ".jsonl")
         |> List.sort String.compare
-        |> List.filter_map (fun e ->
-               match Status.read_file (Filename.concat dir e) with
-               | Ok v -> Some v
-               | Error _ -> None)
+        |> List.filter_map (fun e -> follow followers (Filename.concat dir e))
       in
       if views = [] then None else Some (Status.merge views)
 
@@ -295,7 +339,9 @@ let supervise cfg ~queue ~say w =
           retired = false;
         })
   in
+  let followers = Hashtbl.create 8 in
   let spawn slot =
+    Hashtbl.remove followers slot.stream;
     let pid, out = spawn_worker cfg ~queue ~index:slot.index in
     slot.pid <- Some pid;
     slot.out <- Some out;
@@ -395,10 +441,10 @@ let supervise cfg ~queue ~say w =
         Array.iter (fun s -> s.deaths <- 0) slots;
       last_published := p.published
     end;
-    (* Under --quiet the line is never printed: skip re-parsing every
-       worker stream for it. *)
+    (* Under --quiet the line is never printed: skip reading the
+       worker streams for it. *)
     let line =
-      progress_line p (if cfg.quiet then None else fleet_view queue)
+      progress_line p (if cfg.quiet then None else fleet_view followers queue)
     in
     if line <> last_line then say line;
     if settled p then p

@@ -20,21 +20,21 @@
 
 module Tm = Ebrc_telemetry.Telemetry
 
-(* Registered once at module init; recording is gated on
-   [Atomic.get Tm.on] so the disabled hot path pays one atomic load and a
-   branch per instrumentation point. *)
-let m_scheduled =
-  Tm.Counter.make ~help:"events pushed onto the simulator queue"
+(* Probe keys: the engine keeps the counts itself ([processed],
+   [discarded], the heap's ticket counter) and the telemetry layer
+   reads them — the run loop never touches the registry. *)
+let k_scheduled =
+  Tm.Probe.counter ~help:"events pushed onto the simulator queue"
     "sim.events_scheduled"
 
-let m_fired = Tm.Counter.make ~help:"events executed" "sim.events_fired"
+let k_fired = Tm.Probe.counter ~help:"events executed" "sim.events_fired"
 
-let m_discarded =
-  Tm.Counter.make ~help:"cancelled events lazily discarded on pop"
+let k_discarded =
+  Tm.Probe.counter ~help:"cancelled events lazily discarded on pop"
     "sim.events_discarded"
 
-let m_depth =
-  Tm.Gauge.make ~help:"event-queue depth sampled at every schedule"
+let k_depth =
+  Tm.Probe.gauge ~help:"event-queue depth (cancelled entries included)"
     "sim.queue_depth"
 
 type handle = { mutable cancelled : bool }
@@ -69,21 +69,40 @@ type t = {
       (* Next sampling boundary; [infinity] when no sampler is set, so
          the disabled run-loop cost is one float compare per event. *)
   mutable sample_period : float;
+  mutable discarded : int;  (* cancelled events dropped at pop *)
+  probes : Tm.Probe.set;
+      (* This run's probes: the engine's own counts, the wheel's, and
+         those of every component built on this engine. *)
 }
 
+let pending t = Event_queue.size t.queue + Timing_wheel.count t.wheel
+
 let create () =
-  {
-    queue = Event_queue.create ();
-    now = 0.0;
-    processed = 0;
-    horizon = infinity;
-    wheel = Timing_wheel.create ~null:no_handle ();
-    advance_hook = nop_hook;
-    has_hook = false;
-    sampler = nop_hook;
-    next_sample = infinity;
-    sample_period = 0.0;
-  }
+  let t =
+    {
+      queue = Event_queue.create ();
+      now = 0.0;
+      processed = 0;
+      horizon = infinity;
+      wheel = Timing_wheel.create ~null:no_handle ();
+      advance_hook = nop_hook;
+      has_hook = false;
+      sampler = nop_hook;
+      next_sample = infinity;
+      sample_period = 0.0;
+      discarded = 0;
+      probes = Tm.Probe.create ();
+    }
+  in
+  (* Every schedule draws exactly one tie-break ticket from the heap's
+     counter, wheel-bound or not, so the counter is the schedule
+     count. *)
+  Tm.Probe.add t.probes k_scheduled (fun () -> t.queue.Event_queue.next_seq);
+  Tm.Probe.add t.probes k_fired (fun () -> t.processed);
+  Tm.Probe.add t.probes k_discarded (fun () -> t.discarded);
+  Tm.Probe.add t.probes k_depth (fun () -> pending t);
+  Timing_wheel.add_probes t.wheel t.probes;
+  t
 
 let set_advance_hook t = function
   | None ->
@@ -125,15 +144,6 @@ let fire_sampler t time =
 let now t = t.now
 let processed t = t.processed
 
-let pending t = Event_queue.size t.queue + Timing_wheel.count t.wheel
-
-(* Call gated at each site ([if Atomic.get Tm.on then ...]): without
-   flambda an intra-module call is never inlined, so the gate must
-   live in the caller for the disabled path to cost one load. *)
-let note_scheduled t =
-  Tm.Counter.incr m_scheduled;
-  Tm.Gauge.set m_depth (float_of_int (pending t))
-
 (* Cold path of the past/NaN check. The compare itself ([at >= t.now],
    which also rejects NaN) is inlined at each call site — without
    flambda a [check_at] helper would cost a call per schedule. *)
@@ -156,13 +166,11 @@ let schedule t ~at fire =
   if not (at >= t.now) then check_at_fail t at;
   let handle = { cancelled = false } in
   insert t ~at fire handle;
-  if Atomic.get Tm.on then note_scheduled t;
   handle
 
 let schedule_unit t ~at fire =
   if not (at >= t.now) then check_at_fail t at;
-  insert t ~at fire no_handle;
-  if Atomic.get Tm.on then note_scheduled t
+  insert t ~at fire no_handle
 
 (* A negative delay would silently schedule into the simulated past and
    a NaN delay would poison queue ordering; both are caller bugs, so
@@ -264,6 +272,13 @@ let set_wall_budget b =
   check_budget "wall-clock" b;
   default_wall_budget := b
 
+(* The run's counts go into the totals before the flight dump, so the
+   postmortem shows what the aborted run did. *)
+let budget_abort t e =
+  Tm.Probe.absorb t.probes;
+  Ebrc_telemetry.Flight.on_exn ~reason:"engine.budget" e;
+  raise e
+
 let run ?(until = infinity) ?(max_events = max_int) ?sim_budget ?wall_budget t
     =
   check_budget "sim-time" sim_budget;
@@ -306,8 +321,7 @@ let run ?(until = infinity) ?(max_events = max_int) ?sim_budget ?wall_budget t
                { kind = Sim_time; budget = Option.get sim_budget; at = time;
                  events = t.processed }
            in
-           Ebrc_telemetry.Flight.on_exn ~reason:"engine.budget" e;
-           raise e
+           budget_abort t e
          end;
          (match wall_budget with
           | Some b when t.processed land 1023 = 0 ->
@@ -318,8 +332,7 @@ let run ?(until = infinity) ?(max_events = max_int) ?sim_budget ?wall_budget t
                     { kind = Wall_clock; budget = b; at = elapsed;
                       events = t.processed }
                 in
-                Ebrc_telemetry.Flight.on_exn ~reason:"engine.budget" e;
-                raise e
+                budget_abort t e
               end
           | _ -> ());
          if time > until then begin
@@ -342,13 +355,10 @@ let run ?(until = infinity) ?(max_events = max_int) ?sim_budget ?wall_budget t
              && (w.Timing_wheel.handles.(idx)).cancelled
            in
            let fire = Timing_wheel.drop_min t.wheel in
-           if cancelled then begin
-             if Atomic.get Tm.on then Tm.Counter.incr m_discarded
-           end
+           if cancelled then t.discarded <- t.discarded + 1
            else begin
              t.now <- time;
              t.processed <- t.processed + 1;
-             if Atomic.get Tm.on then Tm.Counter.incr m_fired;
              if time >= t.next_sample then fire_sampler t time;
              if t.has_hook then t.advance_hook time;
              fire ();
@@ -360,13 +370,10 @@ let run ?(until = infinity) ?(max_events = max_int) ?sim_budget ?wall_budget t
          end
          else begin
            let ev = Event_queue.pop_exn t.queue in
-           if ev.handle.cancelled then begin
-             if Atomic.get Tm.on then Tm.Counter.incr m_discarded
-           end
+           if ev.handle.cancelled then t.discarded <- t.discarded + 1
            else begin
              t.now <- time;
              t.processed <- t.processed + 1;
-             if Atomic.get Tm.on then Tm.Counter.incr m_fired;
              if time >= t.next_sample then fire_sampler t time;
              if t.has_hook then t.advance_hook time;
              ev.fire ();
@@ -378,5 +385,15 @@ let run ?(until = infinity) ?(max_events = max_int) ?sim_budget ?wall_budget t
          end
        end
      done
-   with Stop -> reason := Stopped);
+   with
+   | Stop -> reason := Stopped
+   | e ->
+       (* Count what ran before the failure; a budget abort already
+          did, ahead of its flight dump. *)
+       let bt = Printexc.get_raw_backtrace () in
+       (match e with
+        | Budget_exceeded _ -> ()
+        | _ -> Tm.Probe.absorb t.probes);
+       Printexc.raise_with_backtrace e bt);
+  Tm.Probe.absorb t.probes;
   !reason

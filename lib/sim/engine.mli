@@ -15,13 +15,21 @@ type t = private {
   mutable sampler : float -> unit;
   mutable next_sample : float;
   mutable sample_period : float;
+  mutable discarded : int;
+  probes : Ebrc_telemetry.Telemetry.Probe.set;
 }
 (** Exposed [private] (precedent: {!Timing_wheel.t}) so per-packet
     callers can read the clock as a direct field load
     ([eng.Engine.now]): without flambda a cross-module call cannot be
     inlined, and the simulator reads the clock several times per
     event. [private] keeps every field read-only outside this module —
-    all mutation still goes through the API. *)
+    all mutation still goes through the API.
+
+    [probes] is the run's telemetry probe set: the engine registers
+    [sim.events_scheduled] (the heap's ticket counter),
+    [sim.events_fired] ([processed]), [sim.events_discarded]
+    ([discarded]), the [sim.queue_depth] level and the wheel's counts,
+    and every component built on the engine adds its own. *)
 
 val create : unit -> t
 (** Every bounded-horizon event rides a two-level hierarchical
@@ -138,4 +146,6 @@ val run :
 (** Drain the queue until empty, the time horizon, or the event budget.
     A horizon-interrupted run can be resumed with a later [until].
     [?sim_budget]/[?wall_budget] override the process-wide watchdog
-    defaults for this call; see {!Budget_exceeded}. *)
+    defaults for this call; see {!Budget_exceeded}. On return — and
+    on any exception — the call's growth of [probes] is absorbed into
+    the process-wide telemetry totals (when telemetry is on). *)

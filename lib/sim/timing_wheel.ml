@@ -50,15 +50,15 @@
 
 module Tm = Ebrc_telemetry.Telemetry
 
-let m_pushed =
-  Tm.Counter.make ~help:"events accepted by the timing wheel" "wheel.pushed"
+let k_pushed =
+  Tm.Probe.counter ~help:"events accepted by the timing wheel" "wheel.pushed"
 
-let m_rotations =
-  Tm.Counter.make ~help:"level-1 slots cascaded into level 0"
+let k_rotations =
+  Tm.Probe.counter ~help:"level-1 slots cascaded into level 0"
     "wheel.rotations"
 
-let m_overflowed =
-  Tm.Counter.make
+let k_overflowed =
+  Tm.Probe.counter
     ~help:"events outside the wheel window, routed to the overflow heap"
     "wheel.overflowed"
 
@@ -125,6 +125,9 @@ type 'h t = {
       (* scratch for the carry-propagation merge sort: [sort_runs.(i)]
          holds a sorted run of 2^i entries, -1 when empty; always all
          -1 between calls *)
+  mutable pushed : int;
+  mutable rotations : int;
+  mutable overflowed : int;
 }
 
 let min_time t = Float.Array.unsafe_get t.fmin 0
@@ -168,7 +171,15 @@ let create ~null () =
     min_seq = 0;
     sorted_slot = -1;
     sort_runs = Array.make 48 (-1);
+    pushed = 0;
+    rotations = 0;
+    overflowed = 0;
   }
+
+let add_probes t set =
+  Tm.Probe.add set k_pushed (fun () -> t.pushed);
+  Tm.Probe.add set k_rotations (fun () -> t.rotations);
+  Tm.Probe.add set k_overflowed (fun () -> t.overflowed)
 
 let count t = t.count0 + t.count1
 let is_empty t = t.count0 = 0 && t.count1 = 0
@@ -258,7 +269,7 @@ let first_occ_from occ start =
 
 let fits t ~now ~at =
   if not (Float.is_finite at) then begin
-    if Atomic.get Tm.on then Tm.Counter.incr m_overflowed;
+    t.overflowed <- t.overflowed + 1;
     false
   end
   else begin
@@ -270,7 +281,7 @@ let fits t ~now ~at =
     end;
     let s1 = int_of_float (at *. l1_scale) in
     let ok = s1 >= t.cur1 && s1 - t.cur1 < n_slots in
-    if (not ok) && Atomic.get Tm.on then Tm.Counter.incr m_overflowed;
+    if not ok then t.overflowed <- t.overflowed + 1;
     ok
   end
 
@@ -329,7 +340,7 @@ let insert_entry t s0 time seq fire handle cancellable =
     Array.unsafe_set t.abs1 rel s1;
     t.count1 <- t.count1 + 1
   end;
-  if Atomic.get Tm.on then Tm.Counter.incr m_pushed
+  t.pushed <- t.pushed + 1
 
 (* Precondition: {!fits} just returned [true] for this time (and no
    push or pop intervened). [seq] is the caller's tie-break ticket,
@@ -347,7 +358,7 @@ let push t ~time ~seq fire handle =
    order. *)
 let try_push t q ~now ~at fire handle =
   if not (Float.is_finite at) then begin
-    if Atomic.get Tm.on then Tm.Counter.incr m_overflowed;
+    t.overflowed <- t.overflowed + 1;
     false
   end
   else begin
@@ -365,7 +376,7 @@ let try_push t q ~now ~at fire handle =
       true
     end
     else begin
-      if Atomic.get Tm.on then Tm.Counter.incr m_overflowed;
+      t.overflowed <- t.overflowed + 1;
       false
     end
   end
@@ -402,7 +413,7 @@ let cascade t s1abs =
   t.count0 <- t.count0 + n;
   t.floor_w <- 0;
   t.sorted_slot <- -1; (* level 0 now holds a fresh window's entries *)
-  if Atomic.get Tm.on then Tm.Counter.incr m_rotations
+  t.rotations <- t.rotations + 1
 
 (* (time, seq)-minimum of one slot list, published into the min cache
    together with its list predecessor (so {!drop_min} unlinks in O(1)

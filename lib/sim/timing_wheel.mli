@@ -28,8 +28,10 @@
     returns (wheel non-empty), [min_time]/[min_seq]/[min_idx] are valid
     until the next {!drop_min}.
 
-    Telemetry: [wheel.pushed], [wheel.rotations] (level-1 slots
-    cascaded), [wheel.overflowed] (events {!fits} rejected). *)
+    Telemetry: [pushed], [rotations] (level-1 slots cascaded) and
+    [overflowed] (events {!fits} rejected) are read through
+    {!add_probes} as [wheel.pushed], [wheel.rotations] and
+    [wheel.overflowed]. *)
 
 type 'h t = private {
   null : 'h;
@@ -72,6 +74,9 @@ type 'h t = private {
           above *)
   sort_runs : int array;
       (** merge-sort scratch ladder; all -1 between operations *)
+  mutable pushed : int;
+  mutable rotations : int;
+  mutable overflowed : int;
 }
 
 val min_time : 'h t -> float
@@ -81,6 +86,9 @@ val create : null:'h -> unit -> 'h t
 (** [null] is the filler stored in empty arena cells (it must be a
     value the caller never dereferences through). An entry pushed with
     the [null] handle is treated as non-cancellable. *)
+
+val add_probes : 'h t -> Ebrc_telemetry.Telemetry.Probe.set -> unit
+(** Register the wheel's [wheel.*] counters in a probe set. *)
 
 val count : 'h t -> int
 val is_empty : 'h t -> bool

@@ -43,13 +43,15 @@ let create ?(comprehensive = false) ?(l = 4) ?(base_size = 100)
     ?(initial_units = 1.0) ~engine ~flow ~period ~formula ~rtt () =
   if period <= 0.0 then invalid_arg "Audio_source.create: period <= 0";
   if base_size <= 0 then invalid_arg "Audio_source.create: base_size <= 0";
+  let history = Loss_history.create ~comprehensive ~l ~rtt () in
+  Loss_history.add_probes history engine.Engine.probes;
   {
     engine;
     flow;
     period;
     base_size;
     formula;
-    history = Loss_history.create ~comprehensive ~l ~rtt ();
+    history;
     transmit = (fun _ -> ());
     seq = 0;
     sent = 0;

@@ -19,15 +19,15 @@ module Engine = Ebrc_sim.Engine
 module Packet = Ebrc_net.Packet
 module Tm = Ebrc_telemetry.Telemetry
 
-let m_timeouts =
-  Tm.Counter.make ~help:"TCP retransmission timeouts" "tcp.timeouts"
+let k_timeouts =
+  Tm.Probe.counter ~help:"TCP retransmission timeouts" "tcp.timeouts"
 
-let m_fast_retx =
-  Tm.Counter.make ~help:"TCP fast retransmits (3 dup ACKs)"
+let k_fast_retx =
+  Tm.Probe.counter ~help:"TCP fast retransmits (3 dup ACKs)"
     "tcp.fast_retransmits"
 
-let m_cwnd_halved =
-  Tm.Counter.make ~help:"congestion-window reductions (timeout or recovery)"
+let k_cwnd_halved =
+  Tm.Probe.counter ~help:"congestion-window reductions (timeout or recovery)"
     "tcp.cwnd_halvings"
 
 type phase = Slow_start | Congestion_avoidance | Fast_recovery
@@ -75,6 +75,7 @@ type t = {
 let create ?(packet_size = 1000) ?(initial_cwnd = 2.0) ?(max_window = 1e9)
     ?(min_rto = 0.2) ?(variant = Reno) ~engine ~flow () =
   if packet_size <= 0 then invalid_arg "Tcp_sender.create: packet_size <= 0";
+  let t =
   {
     engine;
     flow;
@@ -109,6 +110,14 @@ let create ?(packet_size = 1000) ?(initial_cwnd = 2.0) ?(max_window = 1e9)
     rtt_acc = Ebrc_stats.Welford.create ();
     on_rate_sample = (fun _ -> ());
   }
+  in
+  let probes = engine.Engine.probes in
+  Tm.Probe.add probes k_timeouts (fun () -> t.timeouts);
+  Tm.Probe.add probes k_fast_retx (fun () -> t.fast_retransmits);
+  (* Every timeout and every fast retransmit halves the window. *)
+  Tm.Probe.add probes k_cwnd_halved (fun () ->
+      t.timeouts + t.fast_retransmits);
+  t
 
 let set_transmit t f = t.transmit <- f
 let set_rate_sample_hook t f = t.on_rate_sample <- f
@@ -179,12 +188,9 @@ and on_timeout t =
   t.timer <- None;
   if flight_size t > 0 then begin
     t.timeouts <- t.timeouts + 1;
-    if Tm.is_on () then begin
-      Tm.Counter.incr m_timeouts;
-      Tm.Counter.incr m_cwnd_halved;
+    if Tm.is_on () then
       Tm.event "tcp.timeout" ~time:(t.engine.Engine.now) ~flow:t.flow
-        ~value:t.cwnd
-    end;
+        ~value:t.cwnd;
     note_congestion_event t;
     t.ssthresh <- Float.max (float_of_int (flight_size t) /. 2.0) 2.0;
     t.cwnd <- 1.0;
@@ -218,12 +224,9 @@ let update_rtt t sample =
 
 let enter_fast_recovery t =
   t.fast_retransmits <- t.fast_retransmits + 1;
-  if Tm.is_on () then begin
-    Tm.Counter.incr m_fast_retx;
-    Tm.Counter.incr m_cwnd_halved;
+  if Tm.is_on () then
     Tm.event "tcp.fast_retransmit" ~time:(t.engine.Engine.now) ~flow:t.flow
-      ~value:t.cwnd
-  end;
+      ~value:t.cwnd;
   note_congestion_event t;
   t.ssthresh <- Float.max (float_of_int (flight_size t) /. 2.0) 2.0;
   (match t.variant with

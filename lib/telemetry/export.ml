@@ -45,15 +45,6 @@ let metric_line buf (s : Telemetry.snapshot) =
         s.buckets;
       Buffer.add_char buf ']'
   | Telemetry.Counter | Telemetry.Gauge -> ());
-  if s.per_domain <> [] then begin
-    Buffer.add_string buf ",\"per_domain\":{";
-    List.iteri
-      (fun i (d, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Printf.sprintf "\"%d\":%s" d (num v)))
-      s.per_domain;
-    Buffer.add_char buf '}'
-  end;
   if s.snap_help <> "" then
     Buffer.add_string buf
       (Printf.sprintf ",\"help\":\"%s\"" (Json.escape s.snap_help));

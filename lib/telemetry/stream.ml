@@ -184,60 +184,63 @@ let wall_tick () =
 (* Per-run delta sampling.                                             *)
 (* ------------------------------------------------------------------ *)
 
+module Probe = Telemetry.Probe
+
+(* The probe view is fixed at run start; every sample reads it into
+   [cur] and diffs against [prev] — no registry, no lock, no lists. *)
 type run = {
-  key : string;
+  key : string;             (* JSON-escaped *)
+  view : Probe.view;
+  labels : string array;    (* pre-rendered ["name":] per metric *)
+  prev : int array;
+  cur : int array;
   mutable seq : int;
-  mutable prev : (string * Telemetry.kind * int * float) list;
   mutable prev_events : int;
 }
 
-let run_start ~key =
-  let r = { key; seq = 0; prev = Telemetry.local_totals (); prev_events = 0 } in
+let run_start ~key probes =
+  let view = Probe.view probes in
+  let n = Probe.size view in
+  let r =
+    {
+      key = Json.escape key;
+      view;
+      labels =
+        Array.init n (fun i ->
+            Printf.sprintf "\"%s\":" (Json.escape (Probe.name view i)));
+      (* Zero baselines: the probed components were built for this run,
+         so everything they counted belongs to it. *)
+      prev = Array.make n 0;
+      cur = Array.make n 0;
+      seq = 0;
+      prev_events = 0;
+    }
+  in
   if Atomic.get on then
     emit
       (Printf.sprintf "{\"type\":\"run_start\",\"run\":\"%s\",\"seq\":0}"
-         (Json.escape key));
+         r.key);
   r
 
-(* Diff of two name-sorted local-totals lists: (name, kind, d_count)
-   for every metric whose sample/counter count advanced. Counts are
-   monotonic between samples (counters and histogram/gauge sample
-   counts only ever increment), so [cur] dominates [prev]. *)
-let diff prev cur =
-  let rec walk prev cur acc =
-    match (prev, cur) with
-    | _, [] -> List.rev acc
-    | [], (n, k, c, _) :: cur' ->
-        walk [] cur' (if c <> 0 then (n, k, c) :: acc else acc)
-    | (np, _, cp, _) :: prev', ((nc, kc, cc, _) :: cur' as cur0) ->
-        let o = compare np nc in
-        if o = 0 then
-          walk prev' cur'
-            (if cc - cp <> 0 then (nc, kc, cc - cp) :: acc else acc)
-        else if o < 0 then
-          (* metric vanished from the local view: impossible while the
-             registry is stable; skip defensively. *)
-          walk prev' cur0 acc
-        else walk prev cur' (if cc <> 0 then (nc, kc, cc) :: acc else acc)
-  in
-  walk prev cur []
-
-let add_kind_section buf label kind deltas =
-  let rows = List.filter (fun (_, k, _) -> k = kind) deltas in
-  if rows <> [] then begin
-    Buffer.add_string buf (Printf.sprintf ",\"%s\":{" label);
-    List.iteri
-      (fun i (n, _, d) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (Json.escape n) d))
-      rows;
-    Buffer.add_char buf '}'
-  end
+(* One section ([open_] is its [,"label":{] prefix): counters as
+   non-zero deltas, gauges as levels; omitted when empty. *)
+let add_section buf r open_ ~counters =
+  let first = ref true in
+  for i = 0 to Array.length r.cur - 1 do
+    let v = if counters then r.cur.(i) - r.prev.(i) else r.cur.(i) in
+    if (Probe.kind r.view i = Telemetry.Counter) = counters
+       && (v <> 0 || not counters)
+    then begin
+      Buffer.add_string buf (if !first then open_ else ",");
+      first := false;
+      Buffer.add_string buf r.labels.(i);
+      Buffer.add_string buf (string_of_int v)
+    end
+  done;
+  if not !first then Buffer.add_char buf '}'
 
 let delta_record r ~typ ~t_sim ~events ~pending ~ok =
-  let cur = Telemetry.local_totals () in
-  let deltas = diff r.prev cur in
-  r.prev <- cur;
+  Probe.read r.view r.cur;
   r.seq <- r.seq + 1;
   let d_events = events - r.prev_events in
   r.prev_events <- events;
@@ -246,14 +249,14 @@ let delta_record r ~typ ~t_sim ~events ~pending ~ok =
     (Printf.sprintf
        "{\"type\":\"%s\",\"run\":\"%s\",\"seq\":%d,\"t_sim\":%s,\
         \"d_events\":%d,\"pending\":%d"
-       typ (Json.escape r.key) r.seq (num t_sim) d_events pending);
+       typ r.key r.seq (num t_sim) d_events pending);
   (match ok with
   | Some b -> Buffer.add_string buf (Printf.sprintf ",\"ok\":%b" b)
   | None -> ());
-  add_kind_section buf "counters" Telemetry.Counter deltas;
-  add_kind_section buf "gauges" Telemetry.Gauge deltas;
-  add_kind_section buf "hists" Telemetry.Histogram deltas;
+  add_section buf r ",\"counters\":{" ~counters:true;
+  add_section buf r ",\"gauges\":{" ~counters:false;
   Buffer.add_char buf '}';
+  Array.blit r.cur 0 r.prev 0 (Array.length r.cur);
   emit (Buffer.contents buf)
 
 let sample r ~t_sim ~events ~pending =
@@ -274,68 +277,79 @@ let recent () =
       let k = min n recent_cap in
       List.init k (fun i -> recent_ring.((n - k + i) mod recent_cap)))
 
-(* Tiny field scanners for our own writer's output (fields are rendered
-   by [emit]ers above, so the shapes are known; this is not a JSON
-   parser). *)
-let field_string line name =
-  let pat = Printf.sprintf "\"%s\":\"" name in
-  let plen = String.length pat and llen = String.length line in
-  let rec find i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then begin
-      let b = Buffer.create 16 in
-      let rec scan j =
-        if j >= llen then None
-        else
-          match line.[j] with
-          | '"' -> Some (Buffer.contents b)
-          | '\\' when j + 1 < llen ->
-              Buffer.add_char b line.[j + 1];
-              scan (j + 2)
-          | c ->
-              Buffer.add_char b c;
-              scan (j + 1)
-      in
-      scan (i + plen)
-    end
-    else find (i + 1)
-  in
-  find 0
+(* Field scanners for our own writer's output (fields are rendered by
+   the [emit]ers above, so the shapes are known; this is not a JSON
+   parser). They compare in place and allocate only the value they
+   return: finalize runs them once per line. *)
 
-let field_int line name =
-  let pat = Printf.sprintf "\"%s\":" name in
-  let plen = String.length pat and llen = String.length line in
-  let rec find i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then begin
-      let j = ref (i + plen) in
-      let b = Buffer.create 8 in
-      if !j < llen && line.[!j] = '-' then begin
-        Buffer.add_char b '-';
-        incr j
-      end;
-      while !j < llen && line.[!j] >= '0' && line.[!j] <= '9' do
-        Buffer.add_char b line.[!j];
-        incr j
-      done;
-      int_of_string_opt (Buffer.contents b)
-    end
-    else find (i + 1)
+let occurs_at line i pat =
+  let m = String.length pat in
+  i + m <= String.length line
+  && (let rec eq j = j = m || (line.[i + j] = pat.[j] && eq (j + 1)) in
+      eq 0)
+
+(* Index just past the first occurrence of [pat] in [line], or -1. *)
+let find_after line pat =
+  let rec go i =
+    if i + String.length pat > String.length line then -1
+    else if occurs_at line i pat then i + String.length pat
+    else go (i + 1)
   in
-  find 0
+  go 0
+
+(* The string value starting just past its opening quote, unescaped by
+   dropping each backslash; [None] when unterminated. *)
+let string_at line pos =
+  let n = String.length line and b = Buffer.create 32 in
+  let rec scan j =
+    if j >= n then None
+    else
+      match line.[j] with
+      | '"' -> Some (Buffer.contents b)
+      | '\\' when j + 1 < n ->
+          Buffer.add_char b line.[j + 1];
+          scan (j + 2)
+      | c ->
+          Buffer.add_char b c;
+          scan (j + 1)
+  in
+  scan pos
+
+let int_at line pos =
+  let n = String.length line in
+  let j = ref (if pos < n && line.[pos] = '-' then pos + 1 else pos) in
+  while !j < n && line.[!j] >= '0' && line.[!j] <= '9' do
+    incr j
+  done;
+  int_of_string_opt (String.sub line pos (!j - pos))
 
 let record_rank line =
-  match field_string line "type" with
-  | Some "run_start" -> Some 0
-  | Some "delta" -> Some 1
-  | Some "run_end" -> Some 2
-  | _ -> None
+  let p = find_after line "\"type\":\"" in
+  if p < 0 then None
+  else if occurs_at line p "run_start\"" then Some 0
+  else if occurs_at line p "delta\"" then Some 1
+  else if occurs_at line p "run_end\"" then Some 2
+  else None
+
+(* (run key, seq, rank): the canonical order of run records. *)
+let run_sort_key line rank =
+  let field pat read =
+    let p = find_after line pat in
+    if p < 0 then None else read line p
+  in
+  ( Option.value (field "\"run\":\"" string_at) ~default:"",
+    Option.value (field "\"seq\":" int_at) ~default:0,
+    rank )
 
 let finalize () =
   let p = locked (fun () -> !path_v) in
   match p with
   | None -> ()
   | Some p ->
+      (* Closing totals: a short invocation may never reach a second
+         rate-limited progress record, and readers take the counters
+         from the last one. *)
+      if !wall_period_v > 0.0 then emit (progress_line (Telemetry.wall_now ()));
       Atomic.set on false;
       locked (fun () ->
           close_chan ();
@@ -352,16 +366,18 @@ let finalize () =
                done
              with End_of_file -> ())
        with Sys_error _ -> ());
-      let lines = List.rev !lines in
-      let fixed, runs =
-        List.partition (fun l -> record_rank l = None) lines
+      let fixed = ref [] and runs = ref [] in
+      List.iter
+        (fun l ->
+          match record_rank l with
+          | None -> fixed := l :: !fixed
+          | Some rank -> runs := (run_sort_key l rank, l) :: !runs)
+        !lines;
+      let runs =
+        List.stable_sort (fun (a, _) (b, _) -> compare a b) !runs
+        |> List.map snd
       in
-      let key l =
-        ( (match field_string l "run" with Some k -> k | None -> ""),
-          (match field_int l "seq" with Some s -> s | None -> 0),
-          match record_rank l with Some r -> r | None -> 3 )
-      in
-      let runs = List.stable_sort (fun a b -> compare (key a) (key b)) runs in
+      let fixed = !fixed in
       let tmp = p ^ ".tmp" in
       let oc = open_out tmp in
       Fun.protect

@@ -24,13 +24,13 @@
     whole records (the last line may be missing, never torn mid-write
     beyond the final line).
 
-    Delta records carry {e integer} fields only (counter deltas, gauge
-    sample-count deltas, histogram count deltas): integers telescope
-    exactly, so summed deltas equal the final snapshot bit-for-bit and
-    are independent of domain scheduling. Float sums are deliberately
-    omitted — a domain-local float accumulator includes contributions
-    from other runs scheduled on the same domain, which would break the
-    [-j1]-vs-[-jN] contract. *)
+    Delta records carry {e integer} fields only, read from the run's
+    probe set ({!Telemetry.Probe}): counter deltas since the previous
+    sample, which telescope exactly — summed deltas equal the run's
+    contribution to the final snapshot bit-for-bit — and gauge levels
+    at the sample instant. A run's probes belong to its own engine, so
+    the records depend only on the simulation, never on which pool
+    domain ran it or what ran there before. *)
 
 val enable : path:string -> period_sim:float -> period_wall:float -> unit
 (** Open [path] (append/create) and start streaming. [period_sim] is
@@ -82,28 +82,28 @@ val wall_tick : unit -> unit
 (** {1 Per-run delta sampling} *)
 
 type run
-(** Mutable cursor for one simulation run on the calling domain:
-    remembers the domain-local metric totals at the last sample so the
-    next sample can emit just the diff. A domain executes one run at a
-    time, which is what makes domain-local deltas equal that run's own
-    contribution regardless of pool scheduling. *)
+(** Cursor for one simulation run: the run's probe view, fixed at
+    {!run_start}, and the counter values at the last sample, so the
+    next sample can emit just the diff. *)
 
-val run_start : key:string -> run
+val run_start : key:string -> Telemetry.Probe.set -> run
 (** Start a run stream keyed by [key] (a config-derived identity,
-    stable across schedules). Captures the domain-local baseline
-    without emitting it — baselines depend on what ran earlier on this
-    domain and must stay out of the file. *)
+    stable across schedules) over the run's probe set. Call it once
+    every component of the run is built: the view is fixed here, and
+    probes added later are not streamed. Counter baselines are zero —
+    the probed components were built for this run. *)
 
 val sample : run -> t_sim:float -> events:int -> pending:int -> unit
-(** Append a [delta] record at simulated time [t_sim]: integer metric
-    deltas since the previous sample, plus the run's cumulative engine
-    event count [events] (streamed as a delta) and current event-queue
-    depth [pending]. *)
+(** Append a [delta] record at simulated time [t_sim]: counter deltas
+    since the previous sample and gauge levels now, plus the run's
+    cumulative engine event count [events] (streamed as a delta) and
+    current event-queue depth [pending]. Reads the probes into
+    preallocated arrays; the only allocation is the line itself. *)
 
 val run_end : run -> t_sim:float -> events:int -> pending:int -> ok:bool -> unit
-(** Append the final [run_end] record (same delta payload plus
-    [ok]). After this the summed deltas of the run equal its total
-    contribution exactly. *)
+(** Append the final [run_end] record (same payload plus [ok]). After
+    this the summed deltas of the run equal its total contribution
+    exactly. *)
 
 (** {1 Reading back} *)
 
@@ -112,7 +112,8 @@ val recent : unit -> string list
     flight recorder's view of "what was happening". *)
 
 val finalize : unit -> unit
-(** Close the stream and rewrite the file in canonical order:
+(** Append a closing [progress] record (unless wall progress is off),
+    then close the stream and rewrite the file in canonical order:
     non-run records (meta/manifest/progress/figure) keep their
     original order, run records are stably sorted by
     (run key, seq, record rank), and a [stream_end] record is

@@ -1,25 +1,28 @@
-(* Runtime-gated metrics and event tracing.
+(* Process-wide metrics and event tracing. See telemetry.mli for the
+   probe/push split; the load-bearing choices here are (a) the
+   simulator never touches this registry on its hot path — its counts
+   are fields on the components, read through probes — and (b) every
+   registry write takes one mutex, which the remaining push sites
+   (fleet activity, loss-interval histograms, structured events) hit
+   at most a few times per simulated round trip.
 
-   Recording path: one atomic load (the enable gate); when enabled,
-   the recording domain reaches its private shard of the metric
-   through domain-local storage — no locks, no shared cache lines —
-   and mutates plain int fields / an unboxed float array. Shards are
-   registered with their metric under a mutex exactly once per
-   (metric, domain) pair; readers take the same mutex only to walk
-   the shard lists.
-
-   Merged counter and bucket totals are integer sums over shards, so
-   they do not depend on how the recording work was partitioned
-   across domains — the property the -j1-vs-jN determinism tests
-   pin. *)
+   Totals are integer sums, so they do not depend on how runs were
+   partitioned across domains — the property the -j1-vs-jN
+   determinism tests pin. *)
 
 let on = Atomic.make false
 let set_enabled b = Atomic.set on b
 let is_on () = Atomic.get on
 let wall_now = Unix.gettimeofday
 
+let mutex = Mutex.create ()
+
+let locked f =
+  Mutex.lock mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
+
 (* ------------------------------------------------------------------ *)
-(* Metrics.                                                            *)
+(* Registry.                                                           *)
 (* ------------------------------------------------------------------ *)
 
 type kind = Counter | Gauge | Histogram
@@ -40,28 +43,24 @@ let bucket_of v =
 
 let bucket_lower i = Float.ldexp 1.0 (i - bucket_offset)
 
-type shard = {
-  dom : int;                 (* id of the domain that owns the shard *)
-  mutable icount : int;      (* counter value / number of samples *)
-  stats : float array;       (* [| sum; min; max |] — unboxed *)
-  bkts : int array;          (* [||] unless the metric is a histogram *)
-}
-
+(* All mutable fields are guarded by [mutex]. *)
 type metric = {
-  id : int;
   mname : string;
   mkind : kind;
   mhelp : string;
-  mutable shards : shard list;   (* guarded by [reg_mutex] *)
+  mutable count : int;   (* counter value / number of samples *)
+  stats : float array;   (* [| sum; min; max |] — unboxed *)
+  bkts : int array;      (* [||] unless the metric is a histogram *)
 }
 
-let reg_mutex = Mutex.create ()
 let metrics : (string, metric) Hashtbl.t = Hashtbl.create 64
-let next_id = ref 0
 
-let locked f =
-  Mutex.lock reg_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock reg_mutex) f
+let clear_metric m =
+  m.count <- 0;
+  m.stats.(0) <- 0.0;
+  m.stats.(1) <- infinity;
+  m.stats.(2) <- neg_infinity;
+  Array.fill m.bkts 0 (Array.length m.bkts) 0
 
 let register kind ?(help = "") name =
   locked (fun () ->
@@ -74,75 +73,28 @@ let register kind ?(help = "") name =
           m
       | None ->
           let m =
-            { id = !next_id; mname = name; mkind = kind; mhelp = help;
-              shards = [] }
+            { mname = name; mkind = kind; mhelp = help; count = 0;
+              stats = [| 0.0; infinity; neg_infinity |];
+              bkts =
+                (match kind with
+                | Histogram -> Array.make n_buckets 0
+                | Counter | Gauge -> [||]) }
           in
-          incr next_id;
           Hashtbl.add metrics name m;
           m)
 
-(* ------------------------------------------------------------------ *)
-(* Domain-local state: one shard slot per metric id, one event ring.   *)
-(* ------------------------------------------------------------------ *)
+(* Callers hold [mutex]. *)
+let record_sample m v =
+  m.count <- m.count + 1;
+  let st = m.stats in
+  st.(0) <- st.(0) +. v;
+  if v < st.(1) then st.(1) <- v;
+  if v > st.(2) then st.(2) <- v
 
-type event = {
-  time : float;
-  ev : string;
-  flow : int;
-  value : float;
-  attrs : (string * float) list;
-}
-
-type ring = {
-  rdom : int;
-  mutable evs : event array;
-  mutable start : int;       (* index of the oldest retained event *)
-  mutable rlen : int;
-  mutable rdropped : int;
-}
-
-type domain_state = {
-  mutable slots : shard option array;  (* metric id -> this domain's shard *)
-  mutable ring : ring option;
-}
-
-let dls : domain_state Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { slots = [||]; ring = None })
-
-let new_shard m =
-  let buckets =
-    match m.mkind with Histogram -> Array.make n_buckets 0 | _ -> [||]
-  in
-  let s =
-    { dom = (Domain.self () :> int); icount = 0;
-      stats = [| 0.0; infinity; neg_infinity |]; bkts = buckets }
-  in
-  locked (fun () -> m.shards <- s :: m.shards);
-  s
-
-let local_shard m =
-  let st = Domain.DLS.get dls in
-  let slots = st.slots in
-  if m.id < Array.length slots then
-    match Array.unsafe_get slots m.id with
-    | Some s -> s
-    | None ->
-        let s = new_shard m in
-        slots.(m.id) <- Some s;
-        s
-  else begin
-    let bigger = Array.make (max (m.id + 1) ((2 * Array.length slots) + 8)) None in
-    Array.blit slots 0 bigger 0 (Array.length slots);
-    st.slots <- bigger;
-    let s = new_shard m in
-    bigger.(m.id) <- Some s;
-    s
-  end
-
-(* Quantile over merged log2 buckets: find the bucket where the
-   cumulative count crosses [q * total] and interpolate linearly inside
-   its [lo, 2*lo) range. Exact only up to bucket resolution (a factor
-   of 2), which is the deal the log2 layout already made. *)
+(* Quantile over log2 buckets: find the bucket where the cumulative
+   count crosses [q * total] and interpolate linearly inside its
+   [lo, 2*lo) range. Exact only up to bucket resolution (a factor of
+   2), which is the deal the log2 layout already made. *)
 let quantile_of_buckets buckets q =
   let total = Array.fold_left (fun acc (_, c) -> acc + c) 0 buckets in
   if total = 0 then nan
@@ -167,53 +119,24 @@ let quantile_of_buckets buckets q =
     find 0 0.0
   end
 
+(* Non-empty buckets as (lower bound, count), increasing. *)
+let bucket_list m =
+  let out = ref [] in
+  for i = n_buckets - 1 downto 0 do
+    if m.bkts.(i) > 0 then out := (bucket_lower i, m.bkts.(i)) :: !out
+  done;
+  Array.of_list !out
+
+let read_count m = locked (fun () -> m.count)
+
 module Counter = struct
   type t = metric
 
   let make ?help name = register Counter ?help name
-
-  let add m n =
-    if Atomic.get on then begin
-      let s = local_shard m in
-      s.icount <- s.icount + n
-    end
-
+  let add m n = if Atomic.get on then locked (fun () -> m.count <- m.count + n)
   let incr m = add m 1
-
-  let value m =
-    locked (fun () -> List.fold_left (fun acc s -> acc + s.icount) 0 m.shards)
-
+  let value = read_count
   let name m = m.mname
-end
-
-module Gauge = struct
-  type t = metric
-
-  let make ?help name = register Gauge ?help name
-
-  let set m v =
-    if Atomic.get on then begin
-      let s = local_shard m in
-      s.icount <- s.icount + 1;
-      let st = s.stats in
-      if v < st.(1) then st.(1) <- v;
-      if v > st.(2) then st.(2) <- v
-    end
-
-  let samples m =
-    locked (fun () -> List.fold_left (fun acc s -> acc + s.icount) 0 m.shards)
-
-  let fold_stat i cmp m =
-    locked (fun () ->
-        List.fold_left
-          (fun acc s -> if s.icount = 0 then acc else cmp acc s.stats.(i))
-          nan m.shards)
-
-  let max_value m =
-    fold_stat 2 (fun a b -> if Float.is_nan a || b > a then b else a) m
-
-  let min_value m =
-    fold_stat 1 (fun a b -> if Float.is_nan a || b < a then b else a) m
 end
 
 module Histogram = struct
@@ -222,39 +145,82 @@ module Histogram = struct
   let make ?help name = register Histogram ?help name
 
   let observe m v =
-    if Atomic.get on then begin
-      let s = local_shard m in
-      s.icount <- s.icount + 1;
-      let st = s.stats in
-      st.(0) <- st.(0) +. v;
-      if v < st.(1) then st.(1) <- v;
-      if v > st.(2) then st.(2) <- v;
-      let b = bucket_of v in
-      s.bkts.(b) <- s.bkts.(b) + 1
-    end
-
-  let count m =
-    locked (fun () -> List.fold_left (fun acc s -> acc + s.icount) 0 m.shards)
-
-  let sum m =
-    locked (fun () ->
-        List.fold_left (fun acc s -> acc +. s.stats.(0)) 0.0 m.shards)
-
-  let quantile m q =
-    let buckets =
+    if Atomic.get on then
       locked (fun () ->
-          let merged = Array.make n_buckets 0 in
-          List.iter
-            (fun s ->
-              Array.iteri (fun i c -> merged.(i) <- merged.(i) + c) s.bkts)
-            m.shards;
-          let out = ref [] in
-          for i = n_buckets - 1 downto 0 do
-            if merged.(i) > 0 then out := (bucket_lower i, merged.(i)) :: !out
-          done;
-          Array.of_list !out)
-    in
-    quantile_of_buckets buckets q
+          record_sample m v;
+          let b = bucket_of v in
+          m.bkts.(b) <- m.bkts.(b) + 1)
+  let count = read_count
+  let sum m = locked (fun () -> m.stats.(0))
+  let quantile m q = quantile_of_buckets (locked (fun () -> bucket_list m)) q
+end
+
+(* ------------------------------------------------------------------ *)
+(* Probes.                                                             *)
+(* ------------------------------------------------------------------ *)
+
+module Probe = struct
+  type key = metric
+
+  let counter ?help name = register Counter ?help name
+  let gauge ?help name = register Gauge ?help name
+
+  (* One entry per key: its getters, and for a counter the value
+     already added to the totals. *)
+  type entry = {
+    key : metric;
+    mutable gets : (unit -> int) list;
+    mutable absorbed : int;
+  }
+
+  type view = entry array  (* sorted by name *)
+
+  type set = { mutable entries : entry list; mutable cached : view option }
+
+  let create () = { entries = []; cached = None }
+
+  let add s key get =
+    (match List.find_opt (fun e -> e.key == key) s.entries with
+    | Some e -> e.gets <- get :: e.gets
+    | None -> s.entries <- { key; gets = [ get ]; absorbed = 0 } :: s.entries);
+    s.cached <- None
+
+  let view s =
+    match s.cached with
+    | Some v -> v
+    | None ->
+        let v = Array.of_list s.entries in
+        Array.sort (fun a b -> compare a.key.mname b.key.mname) v;
+        s.cached <- Some v;
+        v
+
+  let value e = List.fold_left (fun acc get -> acc + get ()) 0 e.gets
+  let size = Array.length
+  let name (v : view) i = v.(i).key.mname
+  let kind (v : view) i = v.(i).key.mkind
+
+  let read (v : view) out =
+    for i = 0 to Array.length v - 1 do
+      Array.unsafe_set out i (value (Array.unsafe_get v i))
+    done
+
+  let process = create ()
+
+  let absorb s =
+    if Atomic.get on then begin
+      let v = view s in
+      let cur = Array.map value v in
+      locked (fun () ->
+          Array.iteri
+            (fun i e ->
+              match e.key.mkind with
+              | Counter ->
+                  e.key.count <- e.key.count + cur.(i) - e.absorbed;
+                  e.absorbed <- cur.(i)
+              | Gauge -> record_sample e.key (float_of_int cur.(i))
+              | Histogram -> ())
+            v)
+    end
 end
 
 (* ------------------------------------------------------------------ *)
@@ -269,150 +235,129 @@ type snapshot = {
   sum : float;
   min_v : float;
   max_v : float;
-  per_domain : (int * float) list;
   buckets : (float * int) array;
 }
 
-let snapshot_metric m =
-  (* Shards are merged in a fixed (sorted-by-domain) order so the
-     float reductions are reproducible for a given shard population. *)
-  let shards =
-    List.sort (fun a b -> compare a.dom b.dom) m.shards
-  in
-  let count = List.fold_left (fun acc s -> acc + s.icount) 0 shards in
-  let sum = List.fold_left (fun acc s -> acc +. s.stats.(0)) 0.0 shards in
-  let fold i cmp =
-    List.fold_left
-      (fun acc s -> if s.icount = 0 then acc else cmp acc s.stats.(i))
-      nan shards
-  in
-  let min_v = fold 1 (fun a b -> if Float.is_nan a || b < a then b else a) in
-  let max_v = fold 2 (fun a b -> if Float.is_nan a || b > a then b else a) in
-  let per_domain =
-    List.filter_map
-      (fun s ->
-        if s.icount = 0 then None
-        else
-          let primary =
-            match m.mkind with
-            | Histogram -> s.stats.(0)
-            | Counter | Gauge -> float_of_int s.icount
-          in
-          Some (s.dom, primary))
-      shards
-  in
-  let buckets =
-    match m.mkind with
-    | Histogram ->
-        let merged = Array.make n_buckets 0 in
-        List.iter
-          (fun s ->
-            Array.iteri (fun i c -> merged.(i) <- merged.(i) + c) s.bkts)
-          shards;
-        let out = ref [] in
-        for i = n_buckets - 1 downto 0 do
-          if merged.(i) > 0 then out := (bucket_lower i, merged.(i)) :: !out
-        done;
-        Array.of_list !out
-    | Counter | Gauge -> [||]
-  in
-  {
-    snap_name = m.mname;
-    snap_kind = m.mkind;
-    snap_help = m.mhelp;
-    count;
-    sum;
-    min_v;
-    max_v;
-    per_domain;
-    buckets;
-  }
-
 let snapshot () =
-  locked (fun () ->
-      Hashtbl.fold (fun _ m acc -> snapshot_metric m :: acc) metrics [])
-  |> List.sort (fun a b -> compare a.snap_name b.snap_name)
-
-(* The calling domain's shard values, for the stream sampler: a domain
-   runs one scenario at a time, so deltas of these totals over a run
-   are exactly that run's contribution — independent of which domain
-   the pool scheduled it on. *)
-let local_totals () =
-  let slots = (Domain.DLS.get dls).slots in
-  let n = Array.length slots in
+  let live =
+    Array.map (fun e -> (e.Probe.key, Probe.value e)) (Probe.view Probe.process)
+  in
   locked (fun () ->
       Hashtbl.fold
-        (fun _ m acc ->
-          if m.id < n then
-            match slots.(m.id) with
-            | Some s when s.icount > 0 -> (m.mname, m.mkind, s.icount, s.stats.(0)) :: acc
-            | _ -> acc
-          else acc)
+        (fun _ (m : metric) acc ->
+          let has = m.count > 0 in
+          {
+            snap_name = m.mname;
+            snap_kind = m.mkind;
+            snap_help = m.mhelp;
+            count =
+              Array.fold_left
+                (fun n (k, v) -> if k == m then n + v else n)
+                m.count live;
+            sum = (match m.mkind with Histogram -> m.stats.(0) | _ -> 0.0);
+            min_v = (if has then m.stats.(1) else nan);
+            max_v = (if has then m.stats.(2) else nan);
+            buckets =
+              (match m.mkind with
+              | Histogram -> bucket_list m
+              | Counter | Gauge -> [||]);
+          }
+          :: acc)
         metrics [])
-  |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
+  |> List.sort (fun a b -> compare a.snap_name b.snap_name)
 
 (* ------------------------------------------------------------------ *)
-(* Event rings.                                                        *)
+(* Event ring.                                                         *)
 (* ------------------------------------------------------------------ *)
+
+type event = {
+  time : float;
+  ev : string;
+  flow : int;
+  value : float;
+  attrs : (string * float) list;
+}
+
+(* The ring is a struct of arrays: recording stores the floats unboxed
+   and the ints in place, so an event allocates nothing that outlives
+   the call — a record per event would be promoted into the major heap
+   and marked there for as long as the ring holds it. Under [mutex];
+   allocated on the first event. *)
+type ring = {
+  times : float array;
+  kinds : string array;
+  flows : int array;
+  values : float array;
+  attrss : (string * float) list array;
+}
 
 let event_capacity = ref 65536
-let rings : ring list ref = ref []   (* guarded by [reg_mutex] *)
-
-let dummy_event = { time = 0.0; ev = ""; flow = -1; value = 0.0; attrs = [] }
-
-let new_ring st =
-  let r =
-    { rdom = (Domain.self () :> int);
-      evs = Array.make !event_capacity dummy_event;
-      start = 0; rlen = 0; rdropped = 0 }
-  in
-  locked (fun () -> rings := r :: !rings);
-  st.ring <- Some r;
-  r
+let ring = ref None
+let ev_start = ref 0   (* index of the oldest retained event *)
+let ev_len = ref 0
+let ev_dropped = ref 0
 
 let event ?(flow = -1) ?(value = 0.0) ?(attrs = []) ev ~time =
   if Atomic.get on then begin
-    let st = Domain.DLS.get dls in
-    let r = match st.ring with Some r -> r | None -> new_ring st in
-    let cap = Array.length r.evs in
-    let e = { time; ev; flow; value; attrs } in
-    if r.rlen = cap then begin
-      (* Full: overwrite the oldest. *)
-      r.evs.(r.start) <- e;
-      r.start <- (r.start + 1) mod cap;
-      r.rdropped <- r.rdropped + 1
-    end
-    else begin
-      r.evs.((r.start + r.rlen) mod cap) <- e;
-      r.rlen <- r.rlen + 1
-    end
+    Mutex.lock mutex;
+    let r =
+      match !ring with
+      | Some r -> r
+      | None ->
+          let n = !event_capacity in
+          let r =
+            { times = Array.make n 0.0; kinds = Array.make n "";
+              flows = Array.make n 0; values = Array.make n 0.0;
+              attrss = Array.make n [] }
+          in
+          ring := Some r;
+          r
+    in
+    let cap = Array.length r.times in
+    let i =
+      if !ev_len = cap then begin
+        (* Full: overwrite the oldest. *)
+        let i = !ev_start in
+        ev_start := (i + 1) mod cap;
+        incr ev_dropped;
+        i
+      end
+      else begin
+        incr ev_len;
+        (!ev_start + !ev_len - 1) mod cap
+      end
+    in
+    r.times.(i) <- time;
+    r.kinds.(i) <- ev;
+    r.flows.(i) <- flow;
+    r.values.(i) <- value;
+    r.attrss.(i) <- attrs;
+    Mutex.unlock mutex
   end
 
 let events () =
-  let all =
-    locked (fun () ->
-        List.concat_map
-          (fun r ->
-            List.init r.rlen (fun i ->
-                r.evs.((r.start + i) mod Array.length r.evs)))
-          !rings)
-  in
-  List.sort compare all
+  locked (fun () ->
+      match !ring with
+      | None -> []
+      | Some r ->
+          List.init !ev_len (fun k ->
+              let i = (!ev_start + k) mod Array.length r.times in
+              { time = r.times.(i); ev = r.kinds.(i); flow = r.flows.(i);
+                value = r.values.(i); attrs = r.attrss.(i) }))
+  |> List.sort compare
 
-let events_dropped () =
-  locked (fun () -> List.fold_left (fun acc r -> acc + r.rdropped) 0 !rings)
+let events_dropped () = locked (fun () -> !ev_dropped)
+
+let clear_events () =
+  ev_start := 0;
+  ev_len := 0;
+  ev_dropped := 0
 
 let set_event_capacity n =
-  let n = max 16 n in
   locked (fun () ->
-      event_capacity := n;
-      List.iter
-        (fun r ->
-          r.evs <- Array.make n dummy_event;
-          r.start <- 0;
-          r.rlen <- 0;
-          r.rdropped <- 0)
-        !rings)
+      event_capacity := max 16 n;
+      ring := None;
+      clear_events ())
 
 (* ------------------------------------------------------------------ *)
 (* Spans.                                                              *)
@@ -426,7 +371,7 @@ type span = {
   dom : int;
 }
 
-let span_log : span list ref = ref []   (* guarded by [reg_mutex] *)
+let span_log : span list ref = ref []   (* guarded by [mutex] *)
 
 let with_span ?(cat = "span") name f =
   if not (Atomic.get on) then f ()
@@ -448,23 +393,17 @@ let spans () = locked (fun () -> List.rev !span_log)
 (* Reset.                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let reset_hooks : (unit -> unit) list ref = ref []   (* guarded by [mutex] *)
+
+let on_reset f = locked (fun () -> reset_hooks := f :: !reset_hooks)
+
 let reset () =
-  locked (fun () ->
-      Hashtbl.iter
-        (fun _ m ->
-          List.iter
-            (fun s ->
-              s.icount <- 0;
-              s.stats.(0) <- 0.0;
-              s.stats.(1) <- infinity;
-              s.stats.(2) <- neg_infinity;
-              Array.fill s.bkts 0 (Array.length s.bkts) 0)
-            m.shards)
-        metrics;
-      List.iter
-        (fun r ->
-          r.start <- 0;
-          r.rlen <- 0;
-          r.rdropped <- 0)
-        !rings;
-      span_log := [])
+  let hooks =
+    locked (fun () ->
+        Hashtbl.iter (fun _ m -> clear_metric m) metrics;
+        clear_events ();
+        span_log := [];
+        !reset_hooks)
+  in
+  (* Outside the lock: a hook takes its owner's own lock. *)
+  List.iter (fun f -> f ()) hooks

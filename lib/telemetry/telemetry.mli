@@ -1,56 +1,65 @@
-(** Always-available, near-zero-overhead metrics and structured event
-    tracing for the simulator, the protocols and the domain pool.
+(** Process-wide metrics and structured event tracing for the
+    simulator, the protocols, the sweep fleet and the domain pool.
 
-    The layer is compile-in but runtime-gated: every recording
-    primitive first reads one global atomic flag ({!is_on}) and does
-    nothing when telemetry is disabled (the default), so instrumented
-    hot paths cost one load-and-branch. When enabled, recording is
-    O(1) and lock-free per domain: each metric keeps one shard per
-    recording domain (reached through domain-local storage, so pool
-    workers never contend on a cache line), and shards are merged only
-    on read.
+    Two ways a count reaches the registry:
+
+    - {e Probes} (pull). The simulator's hot-path counts (events,
+      wheel, link, queue, TCP, TFRC, fluid, faults, loss modules) are
+      plain [mutable int] fields on the component that owns them,
+      bumped unconditionally. Each component registers read-only
+      getters over those fields ({!Probe.add}) in a run-local
+      {!Probe.set} owned by its engine. The engine adds the run's
+      growth into the process-wide totals once per [run] call
+      ({!Probe.absorb}); the stream sampler reads the same getters at
+      sim-time boundaries. Recording therefore costs an integer
+      increment whether telemetry is on or off.
+    - {e Push} ({!Counter}, {!Histogram}). Low-rate fleet activity
+      (cache, pool, worker, task queue, chaos) and event-shaped data
+      (loss-interval histograms) record directly into the registry
+      under one lock, gated on {!is_on}.
 
     Determinism contract: counter values and histogram bucket/count
-    totals are integer sums over shards, so they are independent of
-    how work was partitioned across domains — a sweep recorded under
-    [Pool] with 1 or N domains yields bit-identical totals (histogram
-    [sum] is a float and is likewise partition-independent whenever
-    the observed values add exactly, e.g. small integers; wall-clock
-    observations are inherently run-dependent).
+    totals are integer sums, so they do not depend on how runs were
+    partitioned across domains — a sweep recorded under [Pool] with 1
+    or N domains yields bit-identical totals.
 
     Readers ({!snapshot}, {!events}, {!spans}, {!reset}) are intended
-    for quiescent points — between pool jobs or after a run — where
-    the pool's own synchronisation has published all worker writes. *)
+    for quiescent points — between pool jobs or after a run. *)
 
 val set_enabled : bool -> unit
 (** Turn recording on or off (off at startup). Flip only at quiescent
-    points; instrumentation sites see the change on their next
-    record. *)
+    points: an engine absorbs its probes at the end of each [run]
+    while recording is on, so a run straddling a flip is counted by
+    the state at its end. *)
 
 val is_on : unit -> bool
 
 val on : bool Atomic.t
-(** The enable gate behind {!is_on}. Hot paths may read it directly
-    ([Atomic.get Telemetry.on]): [Atomic.get] is a compiler primitive,
-    so the check compiles to one load-and-branch even without
-    cross-module inlining, where calling {!is_on} would cost a
-    function call per instrumentation site. Treat as read-only —
-    writes go through {!set_enabled}. *)
+(** The enable gate behind {!is_on}, for event-recording sites that
+    read it directly ([Atomic.get Telemetry.on] compiles to one load
+    and branch). Treat as read-only — writes go through
+    {!set_enabled}. *)
 
 val wall_now : unit -> float
 (** Wall-clock seconds ([Unix.gettimeofday]); the clock used by spans
     and by the pool's chunk timings. *)
 
 val reset : unit -> unit
-(** Zero every metric shard and clear the event rings and span log.
-    Registered metric handles stay valid. Call only when no other
-    domain is recording. *)
+(** Zero every registered metric, clear the event ring and span log,
+    and run the {!on_reset} hooks (which zero the counts behind
+    {!Probe.process}). Handles stay valid. *)
+
+val on_reset : (unit -> unit) -> unit
+(** Register a hook {!reset} runs: the owner of process-wide probed
+    counts zeroes them there. *)
 
 (** {1 Metrics} *)
 
 type kind = Counter | Gauge | Histogram
 
 module Counter : sig
+  (** A push counter, for low-rate activity outside the simulator. *)
+
   type t
 
   val make : ?help:string -> string -> t
@@ -62,23 +71,6 @@ module Counter : sig
   val add : t -> int -> unit
   val value : t -> int
   val name : t -> string
-end
-
-module Gauge : sig
-  (** A sampled level (queue depth, backlog): each [set] records one
-      sample; reads expose the extremes, which are partition- and
-      order-independent, unlike "last value". *)
-
-  type t
-
-  val make : ?help:string -> string -> t
-  val set : t -> float -> unit
-  val samples : t -> int
-
-  val max_value : t -> float
-  (** High-water mark over all samples; [nan] when none. *)
-
-  val min_value : t -> float
 end
 
 module Histogram : sig
@@ -95,10 +87,60 @@ module Histogram : sig
 
   val quantile : t -> float -> float
   (** [quantile h q] for [q] in [[0, 1]] (clamped): the cumulative
-      count over the merged log2 buckets crosses [q * count] in some
-      bucket [[lo, 2*lo)]; the result interpolates linearly within it.
-      Deterministic across domain partitions (bucket counts are integer
-      sums); accurate to bucket resolution. [nan] when empty. *)
+      count over the log2 buckets crosses [q * count] in some bucket
+      [[lo, 2*lo)]; the result interpolates linearly within it.
+      Accurate to bucket resolution. [nan] when empty. *)
+end
+
+module Probe : sig
+  (** Read-only getters over counts a component keeps itself. *)
+
+  type key
+  (** A registered pull metric: name, kind and help text. Declared
+      once per module, like a push counter. *)
+
+  val counter : ?help:string -> string -> key
+  (** Find-or-create a counter-kind metric read through probes. The
+      getters must be monotone: absorbs and stream deltas are
+      differences of successive reads. *)
+
+  val gauge : ?help:string -> string -> key
+  (** Find-or-create a gauge-kind metric: the getter returns a level
+      (queue depth, backlog), read at each stream sample and recorded
+      at each absorb; the snapshot keeps the number of recorded levels
+      and their extremes, which do not depend on run order. *)
+
+  type set
+  (** The probes of one simulation, owned by its engine. Probes of
+      the same key add up (two links' deliveries are one
+      [link.delivered]). *)
+
+  val create : unit -> set
+  val add : set -> key -> (unit -> int) -> unit
+
+  val process : set
+  (** Probes over process-wide components (the result cache's
+      tallies). {!snapshot} reads them live; nothing absorbs them; their
+      owner zeroes them from an {!on_reset} hook. *)
+
+  val absorb : set -> unit
+  (** When recording is on: add each counter's growth since the
+      previous absorb into the process-wide totals, and record each
+      gauge's current level as one sample. No-op when off. *)
+
+  type view
+  (** A set's probes grouped by key and sorted by name — the stream
+      sampler's read order. Keys added to the set after the view was
+      taken are not in it. *)
+
+  val view : set -> view
+  val size : view -> int
+  val name : view -> int -> string
+  val kind : view -> int -> kind
+
+  val read : view -> int array -> unit
+  (** Current value of every metric of the view, by index, into a
+      caller-preallocated array of length {!size}. Allocation-free. *)
 end
 
 type snapshot = {
@@ -109,32 +151,19 @@ type snapshot = {
   sum : float;          (** histogram sum of observations; 0 otherwise *)
   min_v : float;        (** [nan] when no samples *)
   max_v : float;        (** [nan] when no samples *)
-  per_domain : (int * float) list;
-      (** Per recording-domain primary total (counter count, histogram
-          sum, gauge sample count), keyed by domain id — the
-          per-domain utilization view for pool timings. *)
   buckets : (float * int) array;
       (** Non-empty only for histograms: (bucket lower bound, count)
           for each non-zero bucket, in increasing bound order. *)
 }
 
 val snapshot : unit -> snapshot list
-(** Merged view of every registered metric, sorted by name. *)
+(** Every registered metric, sorted by name. *)
 
 val quantile_of_buckets : (float * int) array -> float -> float
 (** The interpolation behind {!Histogram.quantile}, usable directly on
     a {!snapshot}'s [buckets] array (so exporters can print percentiles
     without re-reading the registry). [nan] when the total count is
     zero. *)
-
-val local_totals : unit -> (string * kind * int * float) list
-(** The {e calling domain's} shard of every metric it has recorded to:
-    [(name, kind, count, sum)] sorted by name ([sum] is 0 except for
-    histograms). This is the stream sampler's read primitive: a domain
-    executes one simulation at a time, so deltas of these totals across
-    a run are exactly that run's contribution, independent of which
-    pool domain the run was scheduled on — the property behind the
-    [-j1]-vs[-jN] byte-identity of sim-time-cadenced streams. *)
 
 (** {1 Structured events} *)
 
@@ -149,20 +178,19 @@ type event = {
 val event :
   ?flow:int -> ?value:float -> ?attrs:(string * float) list ->
   string -> time:float -> unit
-(** Append a structured event to the recording domain's ring buffer.
-    When a ring is full the oldest event is overwritten (counted by
+(** Append a structured event to the process-wide ring buffer. When
+    the ring is full the oldest event is overwritten (counted by
     {!events_dropped}), so memory stays bounded. No-op when
     disabled. *)
 
 val events : unit -> event list
-(** All retained events, merged across domains and sorted by
-    (time, kind, flow, value). *)
+(** All retained events, sorted by (time, kind, flow, value). *)
 
 val events_dropped : unit -> int
 
 val set_event_capacity : int -> unit
-(** Per-domain ring capacity (default 65536, minimum 16). Resizes and
-    clears existing rings; call only when quiescent. *)
+(** Ring capacity (default 65536, minimum 16). Resizes and clears the
+    ring; call only when quiescent. *)
 
 (** {1 Spans (wall-clock timers)} *)
 

@@ -18,12 +18,12 @@ module Loss_interval = Ebrc_estimator.Loss_interval
 module Floatbuf = Ebrc_stats.Floatbuf
 module Tm = Ebrc_telemetry.Telemetry
 
-let m_loss_events =
-  Tm.Counter.make ~help:"TFRC loss events (one-RTT aggregated)"
+let k_loss_events =
+  Tm.Probe.counter ~help:"TFRC loss events (one-RTT aggregated)"
     "tfrc.loss_events"
 
-let m_wali_updates =
-  Tm.Counter.make ~help:"WALI estimator updates (completed intervals)"
+let k_wali_updates =
+  Tm.Probe.counter ~help:"WALI estimator updates (completed intervals)"
     "tfrc.wali_updates"
 
 let m_intervals =
@@ -64,6 +64,11 @@ let create ?(comprehensive = true) ?(discounting = false) ~l ~rtt () =
     intervals = Floatbuf.create ();
   }
 
+(* Every completed interval is one estimator update. *)
+let add_probes t set =
+  Tm.Probe.add set k_loss_events (fun () -> t.event_count);
+  Tm.Probe.add set k_wali_updates (fun () -> Floatbuf.length t.intervals)
+
 let set_rtt t rtt = if rtt > 0.0 then t.rtt <- rtt
 
 let record_loss_event t ~now =
@@ -77,18 +82,13 @@ let record_loss_event t ~now =
       end;
       Floatbuf.add t.intervals theta;
       Loss_interval.record t.estimator theta;
-      if Tm.is_on () then begin
-        Tm.Counter.incr m_wali_updates;
-        Tm.Histogram.observe m_intervals theta
-      end;
+      Tm.Histogram.observe m_intervals theta;
       t.discount <- 1.0
     end;
-    if Tm.is_on () then begin
-      Tm.Counter.incr m_loss_events;
-      (* value = the open interval this event closes, in packets *)
+    (* value = the open interval this event closes, in packets *)
+    if Tm.is_on () then
       Tm.event "tfrc.loss_event" ~time:now
-        ~value:(float_of_int t.packets_since_event)
-    end;
+        ~value:(float_of_int t.packets_since_event);
     t.event_count <- t.event_count + 1;
     t.packets_since_event <- 0;
     t.last_event_at <- now

@@ -15,6 +15,11 @@ val create :
     estimate tracks improving conditions faster; the factor resets at
     the next loss event. *)
 
+val add_probes : t -> Ebrc_telemetry.Telemetry.Probe.set -> unit
+(** Register [tfrc.loss_events] ({!event_count}) and
+    [tfrc.wali_updates] ({!interval_count}) in a probe set — the
+    owning endpoint's engine's. *)
+
 val set_rtt : t -> float -> unit
 
 val on_packet : t -> now:float -> seq:int -> unit

@@ -26,10 +26,12 @@ type t = {
 }
 
 let create ?(comprehensive = true) ~engine ~flow ~l ~rtt () =
+  let history = Loss_history.create ~comprehensive ~l ~rtt () in
+  Loss_history.add_probes history engine.Engine.probes;
   {
     engine;
     flow;
-    history = Loss_history.create ~comprehensive ~l ~rtt ();
+    history;
     feedback_interval = rtt;
     send_feedback = (fun _ -> ());
     feedback_seq = 0;

@@ -19,16 +19,17 @@ module Formula = Ebrc_formulas.Formula
 module Welford = Ebrc_stats.Welford
 module Tm = Ebrc_telemetry.Telemetry
 
-let m_rate_changes =
-  Tm.Counter.make ~help:"TFRC sender rate updates (formula or slow-start)"
+let k_rate_changes =
+  Tm.Probe.counter ~help:"TFRC sender rate updates (formula or slow-start)"
     "tfrc.rate_changes"
 
-let m_halvings =
-  Tm.Counter.make ~help:"nofeedback-timer rate halvings"
+let k_halvings =
+  Tm.Probe.counter ~help:"nofeedback-timer rate halvings"
     "tfrc.nofeedback_halvings"
 
-let m_feedbacks =
-  Tm.Counter.make ~help:"receiver feedback reports processed" "tfrc.feedbacks"
+let k_feedbacks =
+  Tm.Probe.counter ~help:"receiver feedback reports processed"
+    "tfrc.feedbacks"
 
 type t = {
   engine : Engine.t;
@@ -45,6 +46,7 @@ type t = {
   mutable saw_loss : bool;
   mutable last_recv_rate : float;
   mutable feedbacks : int;
+  mutable rate_changes : int;
   rate_stats : Welford.t;
   rtt_stats : Welford.t;
   mutable on_rate_change : float -> unit;
@@ -81,6 +83,7 @@ let rec create ?(packet_size = 1000) ?(conform_to_analysis = false)
     saw_loss = false;
     last_recv_rate = 0.0;
     feedbacks = 0;
+    rate_changes = 0;
     rate_stats = Welford.create ();
     rtt_stats = Welford.create ();
     on_rate_change = (fun _ -> ());
@@ -94,6 +97,10 @@ let rec create ?(packet_size = 1000) ?(conform_to_analysis = false)
     }
   in
   t.send_tick <- (fun () -> send_loop t);
+  let probes = engine.Engine.probes in
+  Tm.Probe.add probes k_rate_changes (fun () -> t.rate_changes);
+  Tm.Probe.add probes k_halvings (fun () -> t.rate_halvings);
+  Tm.Probe.add probes k_feedbacks (fun () -> t.feedbacks);
   t
 
 and send_loop t =
@@ -128,10 +135,9 @@ let set_rate t rate =
   let rate = Float.min (Float.max rate t.min_rate) t.max_rate in
   t.rate <- rate;
   Welford.add t.rate_stats rate;
-  if Atomic.get Tm.on then begin
-    Tm.Counter.incr m_rate_changes;
-    Tm.event "tfrc.rate" ~time:(t.engine.Engine.now) ~flow:t.flow ~value:rate
-  end;
+  t.rate_changes <- t.rate_changes + 1;
+  if Atomic.get Tm.on then
+    Tm.event "tfrc.rate" ~time:(t.engine.Engine.now) ~flow:t.flow ~value:rate;
   t.on_rate_change rate
 
 (* The RFC 3448 nofeedback timer: if no receiver report arrives for
@@ -155,11 +161,9 @@ let rec arm_nofeedback_timer t =
              t.nofeedback_timer <- None;
              if t.running then begin
                t.rate_halvings <- t.rate_halvings + 1;
-               if Atomic.get Tm.on then begin
-                 Tm.Counter.incr m_halvings;
+               if Atomic.get Tm.on then
                  Tm.event "tfrc.nofeedback_halving"
-                   ~time:(t.engine.Engine.now) ~flow:t.flow ~value:t.rate
-               end;
+                   ~time:(t.engine.Engine.now) ~flow:t.flow ~value:t.rate;
                set_rate t (t.rate /. 2.0);
                arm_nofeedback_timer t
              end))
@@ -182,7 +186,6 @@ let stop t =
 
 let on_feedback t ~p_estimate ~recv_rate ~rtt_echo ~hold =
   t.feedbacks <- t.feedbacks + 1;
-  if Atomic.get Tm.on then Tm.Counter.incr m_feedbacks;
   arm_nofeedback_timer t;
   let now = t.engine.Engine.now in
   (* Exclude the receiver hold time from the RTT sample — without this

@@ -4,7 +4,8 @@
 # partial store resumes by recomputing only what is missing (and
 # byte-identically), --workers 0 is a warm resume over a complete
 # store, re-serving retries a task left with a stale failure record,
-# a missing manifest exits 2, and seeds above 2^53 stay exact.
+# a missing manifest exits 2, seeds above 2^53 stay exact, and the
+# workers' telemetry streams read back as a finished, all-done fleet.
 set -eu
 
 EBRC=_build/default/bin/ebrc_cli.exe
@@ -77,4 +78,27 @@ for S in 1152921504606846977 1152921504606846978; do
     || fail "no store record carries the exact seed $S"
 done
 
-echo "serve_ci: OK (fresh sweep, partial resume byte-identical, warm resume, stale-failure retry, exit codes, exact large seeds)"
+# 7. Fleet telemetry flows: every worker streams, and `ebrc status`
+#    over the worker streams of a 2-worker sweep shows every task done,
+#    every stream finished and simulated events in the merged counters.
+FLEET="$WORK/fleet.json"
+FLEETQ="$WORK/fleetq"
+"$EBRC" manifest "$FLEET" --tasks 6 --seed0 77 --duration 5 >/dev/null
+"$EBRC" serve "$FLEET" --workers 2 --quiet --queue "$FLEETQ" || fail "fleet serve exited $?"
+"$EBRC" status --once "$FLEETQ"/streams/worker-*.jsonl > "$WORK/status.out" \
+  || fail "status --once exited $?"
+[ "$(wc -l < "$WORK/status.out")" = 2 ] || fail "expected 2 worker streams: $(cat "$WORK/status.out")"
+[ "$(grep -c '"finished":true' "$WORK/status.out" || true)" = 2 ] \
+  || fail "a worker stream is not finished"
+PHASES=$(grep -o '"phase":"[a-z-]*"' "$WORK/status.out" || true)
+[ "$(echo "$PHASES" | grep -c '"phase":"done"' || true)" = 6 ] \
+  || fail "expected 6 done tasks, got: $PHASES"
+[ "$(echo "$PHASES" | grep -vc '"phase":"done"' || true)" = 0 ] \
+  || fail "a task is not done: $PHASES"
+FIRED=0
+for N in $(grep -o '"sim.events_fired":[0-9]*' "$WORK/status.out" | cut -d: -f2); do
+  FIRED=$((FIRED + N))
+done
+[ "$FIRED" -gt 0 ] || fail "no sim.events_fired in the merged worker counters"
+
+echo "serve_ci: OK (fresh sweep, partial resume byte-identical, warm resume, stale-failure retry, exit codes, exact large seeds, fleet telemetry)"

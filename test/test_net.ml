@@ -354,8 +354,13 @@ let test_loss_module_telemetry_counters () =
       Tm.set_enabled false;
       Tm.reset ())
     (fun () ->
+      (* The module counts; the run's engine absorbs its probes into
+         the totals when a run ends. *)
       let lm = LM.periodic ~period:3 in
+      let engine = Ebrc.Engine.create () in
+      LM.add_probes lm engine.Ebrc.Engine.probes;
       ignore (verdicts lm 9);
+      ignore (Ebrc.Engine.run engine : Ebrc.Engine.stop_reason);
       let count name =
         match
           List.find_opt (fun s -> s.Tm.snap_name = name) (Tm.snapshot ())

@@ -61,49 +61,100 @@ let streamed_run () =
   Sys.remove path;
   (ls, snap)
 
+let section_ints j section =
+  match J.member section j with
+  | Some (J.Obj kvs) ->
+      List.map
+        (fun (name, v) ->
+          match J.to_int v with
+          | Some d -> (name, d)
+          | None -> Alcotest.failf "non-integer %s value for %s" section name)
+        kvs
+  | _ -> []
+
 let test_deltas_sum_to_snapshot () =
   let lines, snap = streamed_run () in
-  (* Accumulate every per-name integer delta across delta + run_end
-     records; integers telescope, so per streamed name the sum must
-     equal the final merged snapshot's count exactly. *)
+  (* Counter deltas telescope: per streamed name, the sum over every
+     delta + run_end record equals the final snapshot's count
+     exactly. *)
   let totals : (string, int) Hashtbl.t = Hashtbl.create 32 in
   let n_deltas = ref 0 in
+  let last_levels = ref [] in
   List.iter
     (fun line ->
       let j = parse line in
       match record_type j with
-      | "delta" | "run_end" ->
+      | ("delta" | "run_end") as ty ->
           incr n_deltas;
           List.iter
-            (fun section ->
-              match J.member section j with
-              | Some (J.Obj kvs) ->
-                  List.iter
-                    (fun (name, v) ->
-                      match J.to_int v with
-                      | Some d ->
-                          Hashtbl.replace totals name
-                            (d + Option.value ~default:0
-                                   (Hashtbl.find_opt totals name))
-                      | None ->
-                          Alcotest.failf "non-integer delta for %s" name)
-                    kvs
-              | _ -> ())
-            [ "counters"; "gauges"; "hists" ]
+            (fun (name, d) ->
+              Hashtbl.replace totals name
+                (d + Option.value ~default:0 (Hashtbl.find_opt totals name)))
+            (section_ints j "counters");
+          let levels = section_ints j "gauges" in
+          List.iter
+            (fun (name, v) ->
+              if v < 0 then Alcotest.failf "negative level %d for %s" v name)
+            levels;
+          if ty = "run_end" then last_levels := levels
       | _ -> ())
     lines;
   Alcotest.(check bool) "several sampled records" true (!n_deltas >= 3);
-  Alcotest.(check bool) "streamed some metrics" true
+  Alcotest.(check bool) "streamed some counters" true
     (Hashtbl.length totals > 0);
+  let find name =
+    match List.find_opt (fun s -> s.Tm.snap_name = name) snap with
+    | Some s -> s
+    | None -> Alcotest.failf "streamed metric %s missing from snapshot" name
+  in
   Hashtbl.iter
     (fun name total ->
-      match List.find_opt (fun s -> s.Tm.snap_name = name) snap with
-      | Some s ->
-          Alcotest.(check int)
-            (name ^ " deltas sum to final snapshot")
-            s.Tm.count total
-      | None -> Alcotest.failf "streamed metric %s missing from snapshot" name)
-    totals
+      Alcotest.(check int)
+        (name ^ " deltas sum to final snapshot")
+        (find name).Tm.count total)
+    totals;
+  (* Gauges are levels. The engine records one per run call into the
+     totals — Scenario.run makes two, warmup and measurement — and the
+     run_end record streams the last of them. *)
+  Alcotest.(check bool) "run_end carries gauge levels" true
+    (!last_levels <> []);
+  List.iter
+    (fun (name, level) ->
+      let s = find name in
+      Alcotest.(check int) (name ^ " levels recorded") 2 s.Tm.count;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s run_end level %d is a recorded level" name level)
+        true
+        (float_of_int level = s.Tm.min_v || float_of_int level = s.Tm.max_v))
+    !last_levels
+
+(* The counters sections of this streamed run, pinned to the digest of
+   the same sections as written by the push-counter implementation the
+   probes replaced: the probes reproduce every value at every sample. *)
+let test_counter_sections_pinned () =
+  let lines, _ = streamed_run () in
+  let sections =
+    List.filter_map
+      (fun line ->
+        match record_type (parse line) with
+        | "delta" | "run_end" -> (
+            let key = "\"counters\":{" in
+            let n = String.length key in
+            let rec find i =
+              if i + n > String.length line then None
+              else if String.sub line i n = key then Some i
+              else find (i + 1)
+            in
+            match find 0 with
+            | Some i -> Some (String.sub line i (String.index_from line i '}' - i + 1))
+            | None -> Some "")
+        | _ -> None)
+      lines
+  in
+  Alcotest.(check int) "sampled records" 8 (List.length sections);
+  Alcotest.(check string) "counters sections digest"
+    "6f20a5865bfd2b16cab99ae7beac8e0b"
+    (Digest.to_hex (Digest.string (String.concat "\n" sections)))
 
 let test_stream_schema () =
   let lines, _ = streamed_run () in
@@ -170,6 +221,130 @@ let test_stream_j1_vs_j4 () =
   let s4 = stream_bytes ~domains:4 in
   Alcotest.(check bool) "non-trivial stream" true (String.length s1 > 200);
   Alcotest.(check string) "byte-identical across -j" s1 s4
+
+(* Finalize's canonical order on a shuffled multi-run stream: four
+   interleaved runs (one key with an escaped quote, one with seqs past
+   9) among non-run records that must keep their places. The output
+   digest is pinned to the bytes the previous (allocating) scanner
+   wrote for this fixture, and the order is re-derived from parsed
+   records as a reference. *)
+let finalize_fixture =
+  [
+    {|{"type":"meta","schema":1,"source":"ebrc_stream"}|};
+    {|{"type":"run_end","run":"s1:n1+1:d4:w1:dt50","seq":5,"t_sim":4,"d_events":1,"pending":0,"ok":true,"counters":{"sim.events_fired":1}}|};
+    {|{"type":"run_end","run":"s3:n1+0:d9:w1:dt9","seq":13,"t_sim":13,"d_events":0,"pending":0,"ok":false}|};
+    {|{"type":"delta","run":"s2:n2+2+p:d4:w1:reda0:f","seq":1,"t_sim":0.5,"d_events":7,"pending":3,"counters":{"sim.events_fired":7}}|};
+    {|{"type":"manifest","cmd":"figure","id":"fig3"}|};
+    {|{"type":"delta","run":"a\"q","seq":1,"t_sim":0.5,"d_events":7,"pending":3,"counters":{"sim.events_fired":7}}|};
+    {|{"type":"delta","run":"s2:n2+2+p:d4:w1:reda0:f","seq":4,"t_sim":2,"d_events":28,"pending":3,"counters":{"sim.events_fired":28}}|};
+    {|{"type":"run_end","run":"s10:n1+1:d4:w1:dt50","seq":4,"t_sim":4,"d_events":1,"pending":0,"ok":true,"counters":{"sim.events_fired":1}}|};
+    {|{"type":"delta","run":"s3:n1+0:d9:w1:dt9","seq":8,"t_sim":8,"d_events":1,"pending":1}|};
+    {|{"type":"run_end","run":"a\"q","seq":3,"t_sim":4,"d_events":1,"pending":0,"ok":true,"counters":{"sim.events_fired":1}}|};
+    {|{"type":"delta","run":"s10:n1+1:d4:w1:dt50","seq":2,"t_sim":1,"d_events":14,"pending":3,"counters":{"sim.events_fired":14}}|};
+    {|{"type":"progress","t_wall":1.5,"counters":{"sim.events_fired":10}}|};
+    {|{"type":"run_start","run":"s2:n2+2+p:d4:w1:reda0:f","seq":0}|};
+    {|{"type":"delta","run":"a\"q","seq":2,"t_sim":1,"d_events":14,"pending":3,"counters":{"sim.events_fired":14}}|};
+    {|{"type":"run_start","run":"s1:n1+1:d4:w1:dt50","seq":0}|};
+    {|{"type":"delta","run":"s3:n1+0:d9:w1:dt9","seq":6,"t_sim":6,"d_events":1,"pending":1}|};
+    {|{"type":"delta","run":"s2:n2+2+p:d4:w1:reda0:f","seq":3,"t_sim":1.5,"d_events":21,"pending":3,"counters":{"sim.events_fired":21}}|};
+    {|{"type":"delta","run":"s10:n1+1:d4:w1:dt50","seq":3,"t_sim":1.5,"d_events":21,"pending":3,"counters":{"sim.events_fired":21}}|};
+    {|{"type":"run_start","run":"a\"q","seq":0}|};
+    {|{"type":"run_start","run":"s3:n1+0:d9:w1:dt9","seq":0}|};
+    {|{"type":"figure","id":"fig3","phase":"start","t_wall":1.25}|};
+    {|{"type":"delta","run":"s3:n1+0:d9:w1:dt9","seq":9,"t_sim":9,"d_events":1,"pending":1}|};
+    {|{"type":"delta","run":"s3:n1+0:d9:w1:dt9","seq":5,"t_sim":5,"d_events":1,"pending":1}|};
+    {|{"type":"delta","run":"s3:n1+0:d9:w1:dt9","seq":2,"t_sim":2,"d_events":1,"pending":1}|};
+    {|{"type":"run_end","run":"s2:n2+2+p:d4:w1:reda0:f","seq":6,"t_sim":4,"d_events":1,"pending":0,"ok":true,"counters":{"sim.events_fired":1}}|};
+    {|{"type":"delta","run":"s3:n1+0:d9:w1:dt9","seq":10,"t_sim":10,"d_events":1,"pending":1}|};
+    {|{"type":"delta","run":"s10:n1+1:d4:w1:dt50","seq":1,"t_sim":0.5,"d_events":7,"pending":3,"counters":{"sim.events_fired":7}}|};
+    {|{"type":"delta","run":"s3:n1+0:d9:w1:dt9","seq":4,"t_sim":4,"d_events":1,"pending":1}|};
+    {|{"type":"delta","run":"s3:n1+0:d9:w1:dt9","seq":3,"t_sim":3,"d_events":1,"pending":1}|};
+    {|{"type":"task","id":"abc","phase":"done","t_wall":2.5,"run":"zzz"}|};
+    {|{"type":"delta","run":"s2:n2+2+p:d4:w1:reda0:f","seq":2,"t_sim":1,"d_events":14,"pending":3,"counters":{"sim.events_fired":14}}|};
+    {|{"type":"delta","run":"s1:n1+1:d4:w1:dt50","seq":2,"t_sim":1,"d_events":14,"pending":3,"counters":{"sim.events_fired":14}}|};
+    {|{"type":"delta","run":"s1:n1+1:d4:w1:dt50","seq":1,"t_sim":0.5,"d_events":7,"pending":3,"counters":{"sim.events_fired":7}}|};
+    {|{"type":"delta","run":"s3:n1+0:d9:w1:dt9","seq":11,"t_sim":11,"d_events":1,"pending":1}|};
+    {|{"type":"delta","run":"s2:n2+2+p:d4:w1:reda0:f","seq":5,"t_sim":2.5,"d_events":35,"pending":3,"counters":{"sim.events_fired":35}}|};
+    {|{"type":"delta","run":"s3:n1+0:d9:w1:dt9","seq":7,"t_sim":7,"d_events":1,"pending":1}|};
+    {|{"type":"delta","run":"s1:n1+1:d4:w1:dt50","seq":3,"t_sim":1.5,"d_events":21,"pending":3,"counters":{"sim.events_fired":21}}|};
+    {|{"type":"delta","run":"s3:n1+0:d9:w1:dt9","seq":1,"t_sim":1,"d_events":1,"pending":1}|};
+    {|{"type":"figure","id":"fig3","phase":"done","t_wall":3.5,"tables":2}|};
+    {|{"type":"run_start","run":"s10:n1+1:d4:w1:dt50","seq":0}|};
+    {|{"type":"delta","run":"s3:n1+0:d9:w1:dt9","seq":12,"t_sim":12,"d_events":1,"pending":1}|};
+    {|{"type":"delta","run":"s1:n1+1:d4:w1:dt50","seq":4,"t_sim":2,"d_events":28,"pending":3,"counters":{"sim.events_fired":28}}|};
+  ]
+
+let test_finalize_fixture () =
+  scrub ();
+  let path = Filename.temp_file "ebrc_finalize" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out_bin path in
+  List.iter (fun l -> output_string oc (l ^ "\n")) finalize_fixture;
+  close_out oc;
+  Stream.enable ~path ~period_sim:0.0 ~period_wall:0.0;
+  Stream.finalize ();
+  let out = read_file path in
+  Alcotest.(check string) "finalized bytes digest"
+    "850921389a88f02d42ddb46a77b9e70f"
+    (Digest.to_hex (Digest.string out));
+  let rank j =
+    match record_type j with
+    | "run_start" -> Some 0
+    | "delta" -> Some 1
+    | "run_end" -> Some 2
+    | _ -> None
+  in
+  let fixed, runs =
+    List.partition (fun l -> rank (parse l) = None) finalize_fixture
+  in
+  let key l =
+    let j = parse l in
+    ( Option.get (Option.bind (J.member "run" j) J.to_string),
+      Option.get (Option.bind (J.member "seq" j) J.to_int),
+      Option.get (rank j) )
+  in
+  let runs = List.stable_sort (fun a b -> compare (key a) (key b)) runs in
+  Alcotest.(check (list string)) "fixed records, then runs by (key, seq, rank)"
+    (fixed @ runs @ [ "{\"type\":\"stream_end\"}" ])
+    (lines_of path)
+
+(* The serve watcher's incremental fold: a real stream plus a torn last
+   line, fed in chunks of several sizes; after every chunk the view
+   equals Status.read_file of the bytes fed so far. *)
+let test_status_tail_fold () =
+  let module S = Ebrc_obs.Status in
+  let lines, _ = streamed_run () in
+  let bytes = String.concat "\n" lines ^ "\n{\"type\":\"delta\",\"ru" in
+  let path = Filename.temp_file "ebrc_tail" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let view_of_prefix n =
+    let oc = open_out_bin path in
+    output_string oc (String.sub bytes 0 n);
+    close_out oc;
+    match S.read_file path with
+    | Ok v -> v
+    | Error e -> Alcotest.fail e
+  in
+  let same what a b =
+    Alcotest.(check string) what (S.render_json a) (S.render_json b);
+    Alcotest.(check int) (what ^ " skipped") a.S.skipped b.S.skipped;
+    Alcotest.(check bool) (what ^ " finished") a.S.finished b.S.finished
+  in
+  List.iter
+    (fun chunk ->
+      let t = S.tail () in
+      let fed = ref 0 in
+      while !fed < String.length bytes do
+        let n = min chunk (String.length bytes - !fed) in
+        S.feed t (String.sub bytes !fed n);
+        fed := !fed + n;
+        if chunk >= 64 || !fed = String.length bytes then
+          same
+            (Printf.sprintf "chunk %d at byte %d" chunk !fed)
+            (view_of_prefix !fed) (S.tail_view t)
+      done;
+      Alcotest.(check int) "torn tail skipped" 1 (S.tail_view t).S.skipped)
+    [ 1; 7; 64; 333; String.length bytes ]
 
 let test_flight_dump_on_budget () =
   scrub ();
@@ -315,6 +490,10 @@ let () =
           Alcotest.test_case "schema" `Quick test_stream_schema;
           Alcotest.test_case "-j1 vs -j4 byte-identical" `Slow
             test_stream_j1_vs_j4;
+          Alcotest.test_case "counters sections pinned" `Quick
+            test_counter_sections_pinned;
+          Alcotest.test_case "finalize shuffled fixture" `Quick
+            test_finalize_fixture;
         ] );
       ( "flight",
         [
@@ -328,5 +507,7 @@ let () =
           Alcotest.test_case "view over a real stream" `Quick test_status_view;
           Alcotest.test_case "task rows and fleet merge" `Quick
             test_status_tasks_and_merge;
+          Alcotest.test_case "incremental tail fold" `Quick
+            test_status_tail_fold;
         ] );
     ]
