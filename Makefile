@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all ci build test serve-e2e chaos-e2e serve-demo bench bench-quick bench-full bench-scale bench-compare bench-trend figures validate report examples telemetry-demo status-demo clean
+.PHONY: all ci build test serve-e2e chaos-e2e figures-e2e serve-demo bench bench-quick bench-full bench-scale bench-compare bench-trend figures validate report examples telemetry-demo status-demo clean
 
 all: build
 
@@ -9,7 +9,7 @@ all: build
 # hot-path regressions > 20% or fixed-seed telemetry drift; set
 # EBRC_COMPARE_WARN_ONLY=1 when a simulator change makes drift
 # intentional).
-ci: build test serve-e2e chaos-e2e bench-quick bench-compare
+ci: build test serve-e2e chaos-e2e figures-e2e bench-quick bench-compare
 
 build:
 	dune build @all
@@ -31,6 +31,14 @@ serve-e2e: build
 # fault-free reference run.
 chaos-e2e: build
 	sh scripts/chaos_ci.sh
+
+# Every figure as one batch, cache off, on 1 and on 2 domains: the
+# two outputs must be byte-identical.
+figures-e2e: build
+	dune exec bin/ebrc_cli.exe -- figure all --no-cache -j 1 > figures-j1.out
+	dune exec bin/ebrc_cli.exe -- figure all --no-cache -j 2 > figures-j2.out
+	cmp figures-j1.out figures-j2.out
+	rm -f figures-j1.out figures-j2.out
 
 # The sweep service end to end, human-sized: write a demo manifest,
 # serve it with 2 workers (live fleet progress), then re-serve to show
@@ -83,9 +91,9 @@ validate:
 report:
 	dune exec bin/ebrc_cli.exe -- report -o report.md
 
-# Run one figure with full telemetry: structured events + per-figure
-# spans land in telemetry.jsonl / trace.json, and a summary table is
-# printed on exit.
+# Run one figure with full telemetry: structured events + the figure
+# batch's span land in telemetry.jsonl / trace.json, and a summary
+# table is printed on exit.
 telemetry-demo:
 	dune exec bin/ebrc_cli.exe -- figure 17 \
 	  --telemetry telemetry.jsonl --trace trace.json --telemetry-summary
@@ -93,7 +101,7 @@ telemetry-demo:
 	@echo "telemetry.jsonl : one JSON object per line (metrics, spans, events)"
 	@echo "trace.json      : Chrome trace_event format -- open chrome://tracing"
 	@echo "                  (or https://ui.perfetto.dev) and load the file to"
-	@echo "                  see per-figure spans and simulated-time events."
+	@echo "                  see the batch span and simulated-time events."
 
 # Live observability end to end: stream a figure run to ebrc.stream,
 # then render the finished stream with `ebrc status` (while a run is
@@ -117,4 +125,4 @@ examples:
 
 clean:
 	dune clean
-	rm -rf serve-demo.json serve-demo.json.queue
+	rm -rf serve-demo.json serve-demo.json.queue figures-j1.out figures-j2.out

@@ -242,7 +242,8 @@ let () =
       | Some sweep -> (
           match (member "figure" sweep, member "speedup" sweep) with
           | Some (Str fig), Some (Num sp) ->
-              Printf.printf "  parallel sweep (figure %s): %.2fx\n\n" fig sp
+              Printf.printf "  figure %s speedup %.2fx (>= 1.6x %s)\n\n" fig sp
+                (if sp >= 1.6 then "met" else "missed")
           | _ -> ())
       | None -> ());
       report_retired old_json new_json;

@@ -12,7 +12,8 @@
    DESIGN.md (closed-form vs ODE comprehensive engine, DropTail vs
    RED).
 
-   Part 3 measures the domain-pool speedup on one figure sweep.
+   Part 3 measures the domain-pool speedup of `figure all`: every
+   figure's work as one batch.
 
    Part 4 measures the multi-process sweep service (`ebrc serve` over
    exec'd workers): tasks/s serial vs 1 vs 2 workers, the fleet
@@ -42,10 +43,10 @@ let regenerate_figures () =
     (if quick then "quick" else "FULL")
     jobs;
   List.map
-    (fun (id, desc, runner) ->
+    (fun (id, desc, _) ->
       Printf.printf "--- figure %s: %s ---\n%!" id desc;
       let t0 = Unix.gettimeofday () in
-      let tables = runner ?jobs:(Some jobs) ~quick () in
+      let tables = Ebrc.Figures.run_one ~jobs ~quick id in
       List.iter Ebrc.Table.print tables;
       let seconds = Unix.gettimeofday () -. t0 in
       Printf.printf "(figure %s regenerated in %.1f s)\n\n%!" id seconds;
@@ -701,7 +702,7 @@ let measure_cache () =
   { cache_cold_ms; cache_warm_ms; cache_counters }
 
 (* ------------------------------------------------------------------ *)
-(* Part 3: domain-pool speedup on a real figure sweep.                 *)
+(* Part 3: domain-pool speedup of the whole figure batch.              *)
 (* ------------------------------------------------------------------ *)
 
 type speedup = {
@@ -713,32 +714,29 @@ type speedup = {
   deterministic : bool;       (* tables byte-identical at 1 and N jobs *)
 }
 
-(* Figure 6 is simulator-heavy — every sweep point is a full
-   packet-level scenario run — and its quick grid (9 points) clears
-   the figure runners' serial-fallback threshold, so the pool actually
-   engages (figure 17's quick grid of 4 does not: timing it compares
-   serial against serial). The shared pool is warmed (spawned and
+(* `figure all` is the end-to-end row: every runner's declared work
+   runs as one deduplicated batch, so the speedup covers the whole
+   suite rather than one grid. The shared pool is warmed (spawned and
    exercised) before any timing, runs alternate serial/parallel, and
    each mode reports its best of [reps].
 
    Honesty of the recorded speedup: both compute arms run with the
    result cache disabled AND the in-memory memo cleared before every
    leg, so they time simulation, never lookups. The separate
-   [warm_lookup_seconds] arm times a memoized figure (17 — its points
-   all route through Result_cache; figure 6's audio runs do not) with
-   a warm memo — published so the record shows the lookup-vs-compute
-   gap instead of silently blending the two. The [deterministic] flag
-   asserts the pool's contract: tables byte-identical at 1 and N
-   jobs. *)
+   [warm_lookup_seconds] arm times a memoized figure (17 — all its
+   points are scenarios) with a warm memo — published so the record
+   shows the lookup-vs-compute gap instead of silently blending the
+   two. The [deterministic] flag asserts the pool's contract: tables
+   byte-identical at 1 and N jobs. *)
 let measure_parallel_sweep () =
-  let fig = "6" in
+  let fig = "all" in
   let fig_warm = "17" in
   let par_jobs = max 2 (min 4 jobs) in
   let reps = 5 in
   Ebrc.Result_cache.set_enabled false;
   Printf.printf
     "#############################################################\n\
-     # Parallel figure sweep: figure %s at 1 vs %d jobs (best of %d)\n\
+     # Parallel figure batch: figure %s at 1 vs %d jobs (best of %d)\n\
      #############################################################\n\n%!"
     fig par_jobs reps;
   let pool = Ebrc.Pool.shared ~domains:par_jobs () in
@@ -753,7 +751,7 @@ let measure_parallel_sweep () =
     Ebrc.Result_cache.clear_memory ();
     Gc.full_major ();
     let t0 = Unix.gettimeofday () in
-    let tables = Ebrc.Figures.run_one ~jobs ~quick:true fig in
+    let tables = Ebrc.Figures.run_all ~jobs ~quick:true () in
     (Unix.gettimeofday () -. t0, csv_of tables)
   in
   (* Untimed warm-up of both paths. *)

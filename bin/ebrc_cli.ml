@@ -120,19 +120,6 @@ let keep_going_arg =
           "Do not abort on the first failing figure: render the survivors, \
            print a structured failure summary, and exit non-zero.")
 
-let only_task_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "only-task" ] ~docv:"N"
-        ~doc:
-          "Replay only task $(docv) of crash-isolated sweeps (the index \
-           reported by a failed run); every other task is skipped. See \
-           also EBRC_ONLY_TASK.")
-
-let apply_only_task only =
-  Option.iter (fun n -> Ebrc.Pool.set_only_task (Some n)) only
-
 let print_failures (failures : Ebrc.Figures.failure list) =
   List.iter
     (fun (f : Ebrc.Figures.failure) ->
@@ -288,7 +275,7 @@ let figure_cmd =
       & opt (some dir) None
       & info [ "csv" ] ~docv:"DIR" ~doc:"Also write each table as CSV into $(docv).")
   in
-  let run id full csv jobs no_cache keep_going only_task budgets telem obs =
+  let run id full csv jobs no_cache keep_going budgets telem obs =
     let quick = not full in
     (* Unknown ids are a usage error: list the valid names and exit 2
        rather than surfacing an exception. *)
@@ -300,7 +287,6 @@ let figure_cmd =
     try
       apply_cache no_cache;
       apply_budgets budgets;
-      apply_only_task only_task;
       let jobs = resolve_jobs jobs in
       with_observability ~cmd:"figure"
         ~attrs:
@@ -312,28 +298,22 @@ let figure_cmd =
         obs
       @@ fun () ->
       with_telemetry telem @@ fun () ->
-      if keep_going then begin
-        let tables, failures =
-          if id = "all" then Ebrc.Figures.run_all_keep_going ~jobs ~quick ()
-          else
-            match Ebrc.Figures.run_one_result ~jobs ~quick id with
-            | Ok tables -> (tables, [])
-            | Error f -> ([], [ f ])
-        in
-        print_tables ?csv_dir:csv tables;
-        if failures = [] then `Ok ()
-        else begin
-          print_failures failures;
-          exit 1
-        end
-      end
+      let ids = if id = "all" then Ebrc.Figures.ids () else [ id ] in
+      let results = Ebrc.Figures.run ~jobs ~quick ids in
+      let tables, failures =
+        List.partition_map
+          (function
+            | _, Ok tables -> Left tables
+            | _, Error (f : Ebrc.Figures.failure) ->
+                if not keep_going then raise f.exn;
+                Right f)
+          results
+      in
+      print_tables ?csv_dir:csv (List.concat tables);
+      if failures = [] then `Ok ()
       else begin
-        let tables =
-          if id = "all" then Ebrc.Figures.run_all ~jobs ~quick ()
-          else Ebrc.Figures.run_one ~jobs ~quick id
-        in
-        print_tables ?csv_dir:csv tables;
-        `Ok ()
+        print_failures failures;
+        exit 1
       end
     with Invalid_argument msg -> `Error (false, msg)
   in
@@ -345,7 +325,7 @@ let figure_cmd =
     Term.(
       ret
         (const run $ id $ full $ csv $ jobs_arg $ no_cache_arg
-       $ keep_going_arg $ only_task_arg $ budget_args $ telemetry_args
+       $ keep_going_arg $ budget_args $ telemetry_args
        $ obs_args))
 
 (* --- list --- *)

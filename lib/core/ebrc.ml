@@ -21,8 +21,8 @@
     - The paper's evaluation: {!Breakdown} (the four TCP-friendliness
       sub-conditions), {!Few_flows} (Claim 4), {!Many_sources}
       (Claim 3), {!Scenario} / {!Audio_scenario} / {!Paths} (experiment
-      setups), {!Figures} (one runner per paper figure), {!Table}
-      (result rendering). *)
+      setups), {!Figures} (one runner per paper figure, declaring its
+      {!Work}), {!Table} (result rendering). *)
 
 (* Foundations *)
 module Descriptive = Ebrc_stats.Descriptive
@@ -91,6 +91,7 @@ module Codec = Ebrc_exp.Codec
 module Audio_scenario = Ebrc_exp.Audio_scenario
 module Chain_scenario = Ebrc_exp.Chain_scenario
 module Paths = Ebrc_exp.Paths
+module Work = Ebrc_exp.Work
 module Figures = Ebrc_exp.Figures
 module Table = Ebrc_exp.Table
 module Report = Ebrc_exp.Report

@@ -1,7 +1,8 @@
-(* One runner per paper figure/table. Every runner returns Table.t
-   values whose rows are the series the paper plots; `quick` shrinks
-   grids and run lengths so the whole suite fits in a benchmark run,
-   while the full mode reproduces the paper-scale sweeps.
+(* One runner per paper figure/table. A runner declares its scenario
+   runs and seeded tasks as [Work.t] and projects their results to
+   Table.t values whose rows are the series the paper plots; `quick`
+   shrinks grids and run lengths so the whole suite fits in a benchmark
+   run, while the full mode reproduces the paper-scale sweeps.
 
    The experiment index lives in DESIGN.md; paper-vs-measured notes in
    EXPERIMENTS.md. *)
@@ -19,7 +20,6 @@ module Descriptive = Ebrc_stats.Descriptive
 module Breakdown = Ebrc_analysis.Breakdown
 module Few_flows = Ebrc_analysis.Few_flows
 module Many_sources = Ebrc_analysis.Many_sources
-module Pool = Ebrc_parallel.Pool
 module Tm = Ebrc_telemetry.Telemetry
 
 let m_figures_run =
@@ -30,63 +30,39 @@ let m_tables =
 
 let cell = Table.cell_float
 
-(* Order-preserving parallel map over the points of a sweep. Every
-   point must be self-contained — its own PRNG seed derived from the
-   point's coordinates, no shared mutable state — so the output list is
-   identical for every [jobs], and tables built from it are
-   byte-identical to the sequential run. *)
-(* Sweeps below this many points stay serial: the job handoff to
-   parked workers costs more than it saves on tiny grids. Raised from 4
-   after a bench record caught figure 3's quick sweep at 0.44x with 2
-   jobs — its flattened 25-point grid cleared the old threshold, but at
-   ~3 ms a point the pool handoff dominated. Figure 3 now hands the
-   pool whole rows (see below), and any sweep shorter than 8 tasks is
-   assumed to be in the same fine-grained regime. *)
-let par_threshold = 8
+let table ~title ~header rows =
+  List.fold_left Table.add_row (Table.create ~title ~header) rows
 
-let par_map ~jobs f xs =
-  if jobs <= 1 || List.compare_length_with xs par_threshold < 0 then
-    List.map f xs
-  else Pool.map_list (Pool.shared ~domains:jobs ()) f xs
-
-(* Split [xs] after its first [n] elements — used to slice a flat
-   row-major sweep result back into table rows. *)
-let rec take_drop n xs =
-  if n = 0 then ([], xs)
-  else
-    match xs with
-    | [] -> ([], [])
-    | x :: tl ->
-        let a, b = take_drop (n - 1) tl in
-        (x :: a, b)
+(* Declaration helpers. [let+] projects a declared result; [tasks]
+   declares one self-contained task per element. *)
+let ( let+ ) w f = Work.map f w
+let each f xs = Work.list (List.map f xs)
+let tasks f xs = each (fun x -> Work.task (fun () -> f x)) xs
 
 (* ------------------------------------------------------------------ *)
 (* Figure 1: the functionals x -> f(1/x) and x -> 1/f(1/x).            *)
 (* ------------------------------------------------------------------ *)
 
-let fig1 ?jobs:_ ~quick:_ () =
+let fig1 ~quick:_ =
+  Work.task @@ fun () ->
   let formulas =
     List.map (fun k -> Formula.create ~rtt:1.0 k) Formula.all_paper_kinds
   in
   let xs = [ 1.5; 2.0; 3.0; 5.0; 8.0; 12.0; 20.0; 30.0; 50.0 ] in
   let t =
-    Table.create ~title:"Figure 1: f(1/x) and 1/f(1/x) (r=1, q=4r)"
+    table ~title:"Figure 1: f(1/x) and 1/f(1/x) (r=1, q=4r)"
       ~header:
         ("x"
         :: List.concat_map
              (fun f -> [ Formula.name f ^ " f(1/x)"; Formula.name f ^ " g(x)" ])
              formulas)
-  in
-  let t =
-    List.fold_left
-      (fun t x ->
-        Table.add_row t
-          (cell ~decimals:1 x
-          :: List.concat_map
-               (fun f ->
-                 [ cell (Formula.h f x); cell (Formula.g f x) ])
-               formulas))
-      t xs
+      (List.map
+         (fun x ->
+           cell ~decimals:1 x
+           :: List.concat_map
+                (fun f -> [ cell (Formula.h f x); cell (Formula.g f x) ])
+                formulas)
+         xs)
   in
   let verdicts =
     List.map
@@ -108,7 +84,8 @@ let fig1 ?jobs:_ ~quick:_ () =
 (* Figure 2: convex closure of g for PFTK-standard; r = 1.0026.        *)
 (* ------------------------------------------------------------------ *)
 
-let fig2 ?jobs:_ ~quick () =
+let fig2 ~quick =
+  Work.task @@ fun () ->
   (* The paper's Figure 2 places the PFTK-standard convexity kink at
      x = 3.375, i.e. at x = c2^2 with b = 1 acknowledged packet per ACK;
      we reproduce that parameterisation (with b = 2 the same kink sits
@@ -118,29 +95,23 @@ let fig2 ?jobs:_ ~quick () =
   let lo = 3.25 and hi = 3.5 in
   let ratio = Convexity.deviation_ratio ~samples (Formula.g f) ~lo ~hi in
   let closure = Convexity.convex_closure ~samples (Formula.g f) ~lo ~hi in
-  let t =
-    Table.create
-      ~title:"Figure 2: g vs its convex closure g** (PFTK-standard)"
-      ~header:[ "x"; "g(x)"; "g**(x)"; "g/g**" ]
-  in
   let n = 11 in
   let t =
-    List.fold_left
-      (fun t i ->
-        let x = lo +. (float_of_int i *. (hi -. lo) /. float_of_int (n - 1)) in
-        let g = Formula.g f x in
-        let g2 = Convexity.closure_eval closure x in
-        Table.add_row t
-          [ cell ~decimals:4 x; cell g; cell g2; cell ~decimals:5 (g /. g2) ])
-      t
-      (List.init n Fun.id)
+    table ~title:"Figure 2: g vs its convex closure g** (PFTK-standard)"
+      ~header:[ "x"; "g(x)"; "g**(x)"; "g/g**" ]
+      (List.init n (fun i ->
+           let x =
+             lo +. (float_of_int i *. (hi -. lo) /. float_of_int (n - 1))
+           in
+           let g = Formula.g f x in
+           let g2 = Convexity.closure_eval closure x in
+           [ cell ~decimals:4 x; cell g; cell g2; cell ~decimals:5 (g /. g2) ]))
   in
-  let t =
+  [
     Table.add_note t
       (Printf.sprintf "deviation-from-convexity ratio r = %.5f (paper: 1.0026)"
-         ratio)
-  in
-  [ t ]
+         ratio);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Figures 3 & 4: basic-control numerical experiments.                 *)
@@ -153,90 +124,59 @@ let run_basic ~seed ~kind ~l ~p ~cv ~cycles =
   let estimator = Loss_interval.of_tfrc ~l in
   Basic_control.simulate ~formula ~estimator ~process ~cycles ()
 
-let fig3 ?(jobs = 1) ~quick () =
-  let cycles = if quick then 20_000 else 400_000 in
+(* One row per [x] and one task per (x, L) cell: normalized throughput
+   against the estimator window L = 1..16. *)
+let l_grid ~title ~label xs point =
   let ls = [ 1; 2; 4; 8; 16 ] in
+  let+ rows = each (fun x -> tasks (point x) ls) xs in
+  table ~title
+    ~header:(label :: List.map (fun l -> Printf.sprintf "L=%d" l) ls)
+    (List.map2
+       (fun x row -> cell ~decimals:2 x :: List.map (cell ~decimals:3) row)
+       xs rows)
+
+let fig3 ~quick =
+  let cycles = if quick then 20_000 else 400_000 in
   let ps =
     if quick then [ 0.02; 0.1; 0.2; 0.3; 0.4 ]
     else [ 0.01; 0.02; 0.05; 0.1; 0.15; 0.2; 0.25; 0.3; 0.35; 0.4 ]
   in
   let cv = 1.0 -. (1.0 /. 1000.0) in
   let make kind title =
-    (* One parallel task per p-row, not per point: a quick-mode point
-       is ~3 ms of work, and at that grain the pool's job handoff
-       dominated (a recorded 0.44x "speedup" at 2 jobs). Rows are
-       self-contained — each point reseeds from its own coordinates —
-       so tables stay byte-identical at any job count. Quick mode's 5
-       rows fall under [par_threshold] and run serial by design. *)
-    let rows =
-      par_map ~jobs
-        (fun p ->
-          List.map
-            (fun l ->
-              (run_basic ~seed:(1000 + l) ~kind ~l ~p ~cv ~cycles)
-                .Basic_control.normalized)
-            ls)
-        ps
-    in
-    let t =
-      Table.create ~title
-        ~header:("p" :: List.map (fun l -> Printf.sprintf "L=%d" l) ls)
-    in
-    List.fold_left2
-      (fun t p row ->
-        Table.add_row t
-          (cell ~decimals:2 p :: List.map (cell ~decimals:3) row))
-      t ps rows
+    l_grid ~title ~label:"p" ps (fun p l ->
+        (run_basic ~seed:(1000 + l) ~kind ~l ~p ~cv ~cycles)
+          .Basic_control.normalized)
   in
-  [
-    make Formula.Sqrt
-      "Figure 3 (left): basic control, SQRT — normalized throughput vs p";
-    make Formula.Pftk_simplified
-      "Figure 3 (right): basic control, PFTK-simplified — normalized \
-       throughput vs p";
-  ]
+  Work.list
+    [
+      make Formula.Sqrt
+        "Figure 3 (left): basic control, SQRT — normalized throughput vs p";
+      make Formula.Pftk_simplified
+        "Figure 3 (right): basic control, PFTK-simplified — normalized \
+         throughput vs p";
+    ]
 
-let fig4 ?(jobs = 1) ~quick () =
+let fig4 ~quick =
   let cycles = if quick then 20_000 else 400_000 in
-  let ls = [ 1; 2; 4; 8; 16 ] in
   let cvs =
     if quick then [ 0.2; 0.5; 0.8; 0.99 ]
     else [ 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 0.99 ]
   in
   let make p title =
-    let grid = List.concat_map (fun cv -> List.map (fun l -> (cv, l)) ls) cvs in
-    let vals =
-      par_map ~jobs
-        (fun (cv, l) ->
-          (run_basic ~seed:(2000 + l) ~kind:Formula.Pftk_simplified ~l ~p ~cv
-             ~cycles)
-            .Basic_control.normalized)
-        grid
-    in
-    let t =
-      Table.create ~title
-        ~header:("cv" :: List.map (fun l -> Printf.sprintf "L=%d" l) ls)
-    in
-    let width = List.length ls in
-    let t, _ =
-      List.fold_left
-        (fun (t, vals) cv ->
-          let row, rest = take_drop width vals in
-          ( Table.add_row t
-              (cell ~decimals:2 cv :: List.map (cell ~decimals:3) row),
-            rest ))
-        (t, vals) cvs
-    in
-    t
+    l_grid ~title ~label:"cv" cvs (fun cv l ->
+        (run_basic ~seed:(2000 + l) ~kind:Formula.Pftk_simplified ~l ~p ~cv
+           ~cycles)
+          .Basic_control.normalized)
   in
-  [
-    make 0.01
-      "Figure 4 (top): basic control, PFTK-simplified, p=1/100 — normalized \
-       throughput vs cv";
-    make 0.1
-      "Figure 4 (bottom): basic control, PFTK-simplified, p=1/10 — normalized \
-       throughput vs cv";
-  ]
+  Work.list
+    [
+      make 0.01
+        "Figure 4 (top): basic control, PFTK-simplified, p=1/100 — \
+         normalized throughput vs cv";
+      make 0.1
+        "Figure 4 (bottom): basic control, PFTK-simplified, p=1/10 — \
+         normalized throughput vs cv";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Shared bottleneck sweep for Figures 5, 7, 8, 9.                     *)
@@ -257,265 +197,197 @@ type sweep_point = {
   tcp_formula_rate : float;   (* f(p', r') *)
 }
 
-let sweep_cache : (string, sweep_point list) Hashtbl.t = Hashtbl.create 8
-
-let bottleneck_sweep ?(jobs = 1) ~quick () =
-  let key = if quick then "quick" else "full" in
-  match Hashtbl.find_opt sweep_cache key with
-  | Some pts -> pts
-  | None ->
-      let ls = if quick then [ 2; 8 ] else [ 2; 4; 8; 16 ] in
-      let ns = if quick then [ 4; 24 ] else [ 2; 4; 8; 16; 32; 64; 96 ] in
-      let duration = if quick then 80.0 else 400.0 in
-      let warmup = if quick then 20.0 else 80.0 in
-      (* Each (L, N) point owns its seed and its whole simulation; the
-         cache is touched only here on the calling domain. *)
-      let pts =
-        par_map ~jobs
-          (fun (l, n) ->
-                let cfg =
-                  {
-                    Scenario.default_config with
-                    seed = 42 + (100 * l) + n;
-                    n_tfrc = n;
-                    n_tcp = n;
-                    with_probe = true;
-                    tfrc_l = l;
-                    duration;
-                    warmup;
-                  }
-                in
-                let r = Result_cache.run cfg in
-                let formula =
-                  Formula.create ~rtt:(Scenario.base_rtt cfg)
-                    cfg.tfrc_formula_kind
-                in
-                let pairs = Scenario.pooled_pairs r.tfrc in
-                let tfrc_p = Scenario.pooled_loss_rate r.tfrc in
-                let tfrc_rtt = Scenario.mean_rtt r.tfrc in
-                let tfrc_normalized =
-                  if tfrc_p <= 0.0 then nan
-                  else
-                    Scenario.mean_throughput r.tfrc
-                    /. Formula.eval
-                         (Formula.with_rtt formula ~rtt:tfrc_rtt)
-                         tfrc_p
-                in
-                let cov_norm =
-                  if Array.length pairs < 2 then nan
-                  else
-                    let thetas = Array.map snd pairs in
-                    let hats = Array.map fst pairs in
-                    Descriptive.covariance thetas hats *. tfrc_p *. tfrc_p
-                in
-                let tcp_p = Scenario.pooled_loss_rate r.tcp in
-                let tcp_rtt = Scenario.mean_rtt r.tcp in
-                let tcp_formula_rate =
-                  if tcp_p <= 0.0 then nan
-                  else
-                    Formula.eval (Formula.with_rtt formula ~rtt:tcp_rtt) tcp_p
-                in
-                {
-                  l;
-                  n;
-                  tfrc_p;
-                  tcp_p;
-                  probe_p =
-                    (match r.probe with
-                    | Some m -> m.loss_event_rate
-                    | None -> nan);
-                  tfrc_x = Scenario.mean_throughput r.tfrc;
-                  tcp_x = Scenario.mean_throughput r.tcp;
-                  tfrc_rtt;
-                  tcp_rtt;
-                  tfrc_normalized;
-                  cov_norm;
-                  tcp_formula_rate;
-                })
-          (List.concat_map (fun l -> List.map (fun n -> (l, n)) ns) ls)
+(* Figures 5, 7, 8 and 9 each declare this sweep; a batch running
+   several of them runs each point once. *)
+let bottleneck_sweep ~quick =
+  let ls = if quick then [ 2; 8 ] else [ 2; 4; 8; 16 ] in
+  let ns = if quick then [ 4; 24 ] else [ 2; 4; 8; 16; 32; 64; 96 ] in
+  let duration = if quick then 80.0 else 400.0 in
+  let warmup = if quick then 20.0 else 80.0 in
+  each
+    (fun (l, n) ->
+      let cfg =
+        {
+          Scenario.default_config with
+          seed = 42 + (100 * l) + n;
+          n_tfrc = n;
+          n_tcp = n;
+          with_probe = true;
+          tfrc_l = l;
+          duration;
+          warmup;
+        }
       in
-      Hashtbl.replace sweep_cache key pts;
-      pts
+      let+ r = Work.scenario cfg in
+      let formula =
+        Formula.create ~rtt:(Scenario.base_rtt cfg) cfg.tfrc_formula_kind
+      in
+      let pairs = Scenario.pooled_pairs r.tfrc in
+      let tfrc_p = Scenario.pooled_loss_rate r.tfrc in
+      let tfrc_rtt = Scenario.mean_rtt r.tfrc in
+      let tfrc_normalized =
+        if tfrc_p <= 0.0 then nan
+        else
+          Scenario.mean_throughput r.tfrc
+          /. Formula.eval (Formula.with_rtt formula ~rtt:tfrc_rtt) tfrc_p
+      in
+      let cov_norm =
+        if Array.length pairs < 2 then nan
+        else
+          let thetas = Array.map snd pairs in
+          let hats = Array.map fst pairs in
+          Descriptive.covariance thetas hats *. tfrc_p *. tfrc_p
+      in
+      let tcp_p = Scenario.pooled_loss_rate r.tcp in
+      let tcp_rtt = Scenario.mean_rtt r.tcp in
+      let tcp_formula_rate =
+        if tcp_p <= 0.0 then nan
+        else Formula.eval (Formula.with_rtt formula ~rtt:tcp_rtt) tcp_p
+      in
+      {
+        l;
+        n;
+        tfrc_p;
+        tcp_p;
+        probe_p =
+          (match r.probe with Some m -> m.loss_event_rate | None -> nan);
+        tfrc_x = Scenario.mean_throughput r.tfrc;
+        tcp_x = Scenario.mean_throughput r.tcp;
+        tfrc_rtt;
+        tcp_rtt;
+        tfrc_normalized;
+        cov_norm;
+        tcp_formula_rate;
+      })
+    (List.concat_map (fun l -> List.map (fun n -> (l, n)) ns) ls)
 
-let fig5 ?(jobs = 1) ~quick () =
-  let pts = bottleneck_sweep ~jobs ~quick () in
-  let t1 =
-    Table.create
+let fig5 ~quick =
+  let+ pts = bottleneck_sweep ~quick in
+  let rows value =
+    List.map
+      (fun pt ->
+        [ string_of_int pt.l; string_of_int pt.n; cell ~decimals:5 pt.tfrc_p;
+          value pt ])
+      pts
+  in
+  [
+    table
       ~title:
         "Figure 5 (top): TFRC over RED bottleneck — normalized throughput vs p"
       ~header:[ "L"; "N"; "p"; "x/f(p,r)" ]
-  in
-  let t2 =
-    Table.create
-      ~title:"Figure 5 (bottom): cov[theta,thetahat] p^2 vs p"
+      (rows (fun pt -> cell ~decimals:3 pt.tfrc_normalized));
+    table ~title:"Figure 5 (bottom): cov[theta,thetahat] p^2 vs p"
       ~header:[ "L"; "N"; "p"; "cov*p^2" ]
-  in
-  let t1, t2 =
-    List.fold_left
-      (fun (t1, t2) pt ->
-        ( Table.add_row t1
-            [
-              string_of_int pt.l;
-              string_of_int pt.n;
-              cell ~decimals:5 pt.tfrc_p;
-              cell ~decimals:3 pt.tfrc_normalized;
-            ],
-          Table.add_row t2
-            [
-              string_of_int pt.l;
-              string_of_int pt.n;
-              cell ~decimals:5 pt.tfrc_p;
-              cell ~decimals:4 pt.cov_norm;
-            ] ))
-      (t1, t2) pts
-  in
-  [ t1; t2 ]
+      (rows (fun pt -> cell ~decimals:4 pt.cov_norm));
+  ]
 
-let fig7 ?(jobs = 1) ~quick () =
-  let pts = bottleneck_sweep ~jobs ~quick () in
-  let t =
-    Table.create
+let fig7 ~quick =
+  let+ pts = bottleneck_sweep ~quick in
+  [
+    table
       ~title:
         "Figure 7: loss-event rates of TFRC (p), TCP (p'), Poisson (p'') vs \
          number of connections"
       ~header:
         [ "L"; "connections"; "p (TFRC)"; "p' (TCP)"; "p'' (Poisson)";
           "p'<=p<=p''" ]
-  in
-  let t =
-    List.fold_left
-      (fun t pt ->
-        let ordered =
-          (not (Float.is_nan pt.probe_p))
-          && pt.tcp_p <= pt.tfrc_p *. 1.10
-          && pt.tfrc_p <= pt.probe_p *. 1.10
-        in
-        Table.add_row t
-          [
-            string_of_int pt.l;
-            string_of_int (2 * pt.n);
-            cell ~decimals:5 pt.tfrc_p;
-            cell ~decimals:5 pt.tcp_p;
-            cell ~decimals:5 pt.probe_p;
-            (if ordered then "yes" else "no");
-          ])
-      t pts
-  in
-  [ t ]
+      (List.map
+         (fun pt ->
+           let ordered =
+             (not (Float.is_nan pt.probe_p))
+             && pt.tcp_p <= pt.tfrc_p *. 1.10
+             && pt.tfrc_p <= pt.probe_p *. 1.10
+           in
+           [
+             string_of_int pt.l;
+             string_of_int (2 * pt.n);
+             cell ~decimals:5 pt.tfrc_p;
+             cell ~decimals:5 pt.tcp_p;
+             cell ~decimals:5 pt.probe_p;
+             (if ordered then "yes" else "no");
+           ])
+         pts);
+  ]
 
-let fig8 ?(jobs = 1) ~quick () =
-  let pts = bottleneck_sweep ~jobs ~quick () in
-  let t =
-    Table.create
-      ~title:"Figure 8: TFRC/TCP throughput ratio vs number of connections"
+let fig8 ~quick =
+  let+ pts = bottleneck_sweep ~quick in
+  [
+    table ~title:"Figure 8: TFRC/TCP throughput ratio vs number of connections"
       ~header:[ "L"; "connections"; "x(TFRC)/x(TCP)" ]
-  in
-  let t =
-    List.fold_left
-      (fun t pt ->
-        Table.add_row t
-          [
-            string_of_int pt.l;
-            string_of_int (2 * pt.n);
-            cell ~decimals:3 (pt.tfrc_x /. pt.tcp_x);
-          ])
-      t pts
-  in
-  [ t ]
+      (List.map
+         (fun pt ->
+           [
+             string_of_int pt.l;
+             string_of_int (2 * pt.n);
+             cell ~decimals:3 (pt.tfrc_x /. pt.tcp_x);
+           ])
+         pts);
+  ]
 
-let fig9 ?(jobs = 1) ~quick () =
-  let pts = bottleneck_sweep ~jobs ~quick () in
-  let t =
-    Table.create
-      ~title:
-        "Figure 9: TCP throughput vs PFTK-standard prediction f(p', r')"
+let fig9 ~quick =
+  let+ pts = bottleneck_sweep ~quick in
+  [
+    table
+      ~title:"Figure 9: TCP throughput vs PFTK-standard prediction f(p', r')"
       ~header:[ "L"; "N"; "f(p',r') pkt/s"; "measured x' pkt/s"; "x'/f" ]
-  in
-  let t =
-    List.fold_left
-      (fun t pt ->
-        Table.add_row t
-          [
-            string_of_int pt.l;
-            string_of_int pt.n;
-            cell ~decimals:1 pt.tcp_formula_rate;
-            cell ~decimals:1 pt.tcp_x;
-            cell ~decimals:3 (pt.tcp_x /. pt.tcp_formula_rate);
-          ])
-      t pts
-  in
-  [ t ]
+      (List.map
+         (fun pt ->
+           [
+             string_of_int pt.l;
+             string_of_int pt.n;
+             cell ~decimals:1 pt.tcp_formula_rate;
+             cell ~decimals:1 pt.tcp_x;
+             cell ~decimals:3 (pt.tcp_x /. pt.tcp_formula_rate);
+           ])
+         pts);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6: the Claim-2 audio experiments.                            *)
 (* ------------------------------------------------------------------ *)
 
-let fig6 ?(jobs = 1) ~quick () =
+let fig6 ~quick =
   let drop_ps =
     if quick then [ 0.02; 0.1; 0.2 ]
     else [ 0.01; 0.02; 0.05; 0.1; 0.15; 0.2; 0.25 ]
   in
   let kinds = Formula.all_paper_kinds in
   let duration = if quick then 600.0 else 4000.0 in
-  let t1 =
-    Table.create
+  let+ rows =
+    each
+      (fun p ->
+        tasks
+          (fun kind ->
+            Audio_scenario.run
+              {
+                Audio_scenario.default_config with
+                drop_p = p;
+                formula_kind = kind;
+                duration;
+                warmup = duration /. 10.0;
+              })
+          kinds)
+      drop_ps
+  in
+  let make ~title value =
+    table ~title
+      ~header:
+        ("p (drop prob)"
+        :: List.map (fun k -> Formula.name (Formula.create k)) kinds)
+      (List.map2
+         (fun p rs -> cell ~decimals:2 p :: List.map value rs)
+         drop_ps rows)
+  in
+  [
+    make
       ~title:
         "Figure 6 (top): audio source over Bernoulli dropper — normalized \
          throughput vs p (L=4, basic control)"
-      ~header:("p (drop prob)" :: List.map (fun k ->
-          Formula.name (Formula.create k)) kinds)
-  in
-  let t2 =
-    Table.create
-      ~title:"Figure 6 (bottom): squared CV of thetahat vs p"
-      ~header:("p (drop prob)" :: List.map (fun k ->
-          Formula.name (Formula.create k)) kinds)
-  in
-  let flat =
-    par_map ~jobs
-      (fun (p, kind) ->
-        Audio_scenario.run
-          {
-            Audio_scenario.default_config with
-            drop_p = p;
-            formula_kind = kind;
-            duration;
-            warmup = duration /. 10.0;
-          })
-      (List.concat_map (fun p -> List.map (fun k -> (p, k)) kinds) drop_ps)
-  in
-  let results =
-    let width = List.length kinds in
-    fst
-      (List.fold_left
-         (fun (acc, flat) p ->
-           let rs, rest = take_drop width flat in
-           (acc @ [ (p, rs) ], rest))
-         ([], flat) drop_ps)
-  in
-  let t1 =
-    List.fold_left
-      (fun t (p, rs) ->
-        Table.add_row t
-          (cell ~decimals:2 p
-          :: List.map
-               (fun (r : Audio_scenario.result) ->
-                 cell ~decimals:3 r.normalized_throughput)
-               rs))
-      t1 results
-  in
-  let t2 =
-    List.fold_left
-      (fun t (p, rs) ->
-        Table.add_row t
-          (cell ~decimals:2 p
-          :: List.map
-               (fun (r : Audio_scenario.result) ->
-                 cell ~decimals:4 r.cv2_thetahat)
-               rs))
-      t2 results
-  in
-  [ t1; t2 ]
+      (fun (r : Audio_scenario.result) ->
+        cell ~decimals:3 r.normalized_throughput);
+    make ~title:"Figure 6 (bottom): squared CV of thetahat vs p"
+      (fun (r : Audio_scenario.result) -> cell ~decimals:4 r.cv2_thetahat);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Figures 10-16, 18, 19: path-profile experiments.                    *)
@@ -528,120 +400,106 @@ type path_point = {
   path_cov_norm : float;
 }
 
-let path_cache : (string, path_point list) Hashtbl.t = Hashtbl.create 16
-
-let run_profile ?(jobs = 1) ~quick (profile : Paths.profile) =
-  let key = profile.Paths.name ^ if quick then ":q" else ":f" in
-  match Hashtbl.find_opt path_cache key with
-  | Some pts -> pts
-  | None ->
-      let duration = if quick then 80.0 else 400.0 in
-      let warmup = if quick then 20.0 else 80.0 in
-      let n_grid =
-        if quick then
-          match profile.Paths.n_grid with
-          | a :: _ :: b :: _ -> [ a; b ]
-          | l -> l
-        else profile.Paths.n_grid
+(* Figures 10-16, 18 and 19 declare overlapping profiles; a batch
+   running several of them runs each point once. *)
+let run_profile ~quick (profile : Paths.profile) =
+  let duration = if quick then 80.0 else 400.0 in
+  let warmup = if quick then 20.0 else 80.0 in
+  let n_grid =
+    if quick then
+      match profile.Paths.n_grid with a :: _ :: b :: _ -> [ a; b ] | l -> l
+    else profile.Paths.n_grid
+  in
+  let point n =
+    let cfg = Paths.to_config ~duration ~warmup profile ~n in
+    let+ r = Work.scenario cfg in
+    let tfrc_p = Scenario.pooled_loss_rate r.tfrc in
+    let tcp_p = Scenario.pooled_loss_rate r.tcp in
+    if tfrc_p <= 0.0 || tcp_p <= 0.0 then None
+    else begin
+      let formula =
+        Formula.create ~rtt:(Scenario.base_rtt cfg)
+          cfg.Scenario.tfrc_formula_kind
       in
-      let point n =
-            let cfg = Paths.to_config ~duration ~warmup profile ~n in
-            let r = Result_cache.run cfg in
-            let tfrc_p = Scenario.pooled_loss_rate r.tfrc in
-            let tcp_p = Scenario.pooled_loss_rate r.tcp in
-            if tfrc_p <= 0.0 || tcp_p <= 0.0 then None
-            else begin
-              let formula =
-                Formula.create ~rtt:(Scenario.base_rtt cfg)
-                  cfg.Scenario.tfrc_formula_kind
-              in
-              let b =
-                Breakdown.create
-                  ~ebrc:
-                    {
-                      Breakdown.throughput = Scenario.mean_throughput r.tfrc;
-                      p = tfrc_p;
-                      rtt = Scenario.mean_rtt r.tfrc;
-                    }
-                  ~tcp:
-                    {
-                      Breakdown.throughput = Scenario.mean_throughput r.tcp;
-                      p = tcp_p;
-                      rtt = Scenario.mean_rtt r.tcp;
-                    }
-                  ~formula
-              in
-              let pairs = Scenario.pooled_pairs r.tfrc in
-              let cov_norm =
-                if Array.length pairs < 2 then nan
-                else
-                  Descriptive.covariance (Array.map snd pairs)
-                    (Array.map fst pairs)
-                  *. tfrc_p *. tfrc_p
-              in
-              Some
-                { pn = n; ebrc_p = tfrc_p; breakdown = b;
-                  path_cov_norm = cov_norm }
-            end
+      let b =
+        Breakdown.create
+          ~ebrc:
+            {
+              Breakdown.throughput = Scenario.mean_throughput r.tfrc;
+              p = tfrc_p;
+              rtt = Scenario.mean_rtt r.tfrc;
+            }
+          ~tcp:
+            {
+              Breakdown.throughput = Scenario.mean_throughput r.tcp;
+              p = tcp_p;
+              rtt = Scenario.mean_rtt r.tcp;
+            }
+          ~formula
       in
-      let pts = List.filter_map Fun.id (par_map ~jobs point n_grid) in
-      Hashtbl.replace path_cache key pts;
-      pts
+      let pairs = Scenario.pooled_pairs r.tfrc in
+      let cov_norm =
+        if Array.length pairs < 2 then nan
+        else
+          Descriptive.covariance (Array.map snd pairs) (Array.map fst pairs)
+          *. tfrc_p *. tfrc_p
+      in
+      Some { pn = n; ebrc_p = tfrc_p; breakdown = b; path_cov_norm = cov_norm }
+    end
+  in
+  Work.map (List.filter_map Fun.id) (each point n_grid)
 
-let fig10 ?(jobs = 1) ~quick () =
+(* One row (profile name, N, value) per point of several profiles. *)
+let profile_table ~quick ~title ~header profiles value =
+  let+ pts = each (run_profile ~quick) profiles in
+  table ~title ~header
+    (List.concat
+       (List.map2
+          (fun profile ->
+            List.map (fun pt ->
+                [ profile.Paths.name; string_of_int pt.pn; value pt ]))
+          profiles pts))
+
+let friendliness pt =
+  cell ~decimals:3 (Breakdown.friendliness_ratio pt.breakdown)
+
+let fig10 ~quick =
   (* Lab, Internet and the cable-modem receiver — the paper's three
      panels of Figure 10. *)
   let profiles =
     Paths.lab_profiles ~pkt:1000 @ Paths.internet_profiles
     @ [ Paths.cable_modem ]
   in
-  let t =
-    Table.create
+  let+ t =
+    profile_table ~quick
       ~title:
         "Figure 10: normalized covariance cov[theta,thetahat] p^2 per path"
       ~header:[ "path"; "N"; "cov*p^2" ]
-  in
-  let t =
-    List.fold_left
-      (fun t profile ->
-        let pts = run_profile ~jobs ~quick profile in
-        List.fold_left
-          (fun t pt ->
-            Table.add_row t
-              [
-                profile.Paths.name;
-                string_of_int pt.pn;
-                cell ~decimals:4 pt.path_cov_norm;
-              ])
-          t pts)
-      t profiles
+      profiles
+      (fun pt -> cell ~decimals:4 pt.path_cov_norm)
   in
   [ Table.add_note t "paper: mostly near zero; noticeably negative for UMELB \
                       (batch losses)" ]
 
 let breakdown_table ~title pts =
-  let t =
-    Table.create ~title
-      ~header:
-        [ "N"; "p"; "x/f(p,r)"; "p'/p"; "r'/r"; "x'/f(p',r')"; "x/x'" ]
-  in
-  List.fold_left
-    (fun t pt ->
-      let b = pt.breakdown in
-      Table.add_row t
-        [
-          string_of_int pt.pn;
-          cell ~decimals:5 pt.ebrc_p;
-          cell ~decimals:3 (Breakdown.conservativeness_ratio b);
-          cell ~decimals:3 (Breakdown.loss_rate_ratio b);
-          cell ~decimals:3 (Breakdown.rtt_ratio b);
-          cell ~decimals:3 (Breakdown.tcp_obedience_ratio b);
-          cell ~decimals:3 (Breakdown.friendliness_ratio b);
-        ])
-    t pts
+  table ~title
+    ~header:[ "N"; "p"; "x/f(p,r)"; "p'/p"; "r'/r"; "x'/f(p',r')"; "x/x'" ]
+    (List.map
+       (fun pt ->
+         let b = pt.breakdown in
+         [
+           string_of_int pt.pn;
+           cell ~decimals:5 pt.ebrc_p;
+           cell ~decimals:3 (Breakdown.conservativeness_ratio b);
+           cell ~decimals:3 (Breakdown.loss_rate_ratio b);
+           cell ~decimals:3 (Breakdown.rtt_ratio b);
+           cell ~decimals:3 (Breakdown.tcp_obedience_ratio b);
+           cell ~decimals:3 (Breakdown.friendliness_ratio b);
+         ])
+       pts)
 
-let fig_profile_breakdown ~jobs ~quick ~fig_id profile =
-  let pts = run_profile ~jobs ~quick profile in
+let fig_profile_breakdown ~quick ~fig_id profile =
+  let+ pts = run_profile ~quick profile in
   [
     breakdown_table
       ~title:
@@ -652,201 +510,136 @@ let fig_profile_breakdown ~jobs ~quick ~fig_id profile =
       pts;
   ]
 
-let fig11 ?(jobs = 1) ~quick () =
-  let t =
-    Table.create
+let fig11 ~quick =
+  let+ t =
+    profile_table ~quick
       ~title:"Figure 11: Internet paths — TFRC/TCP throughput ratio vs p"
       ~header:[ "path"; "N"; "x/x'" ]
-  in
-  let t =
-    List.fold_left
-      (fun t profile ->
-        let pts = run_profile ~jobs ~quick profile in
-        List.fold_left
-          (fun t pt ->
-            Table.add_row t
-              [
-                profile.Paths.name;
-                string_of_int pt.pn;
-                cell ~decimals:3 (Breakdown.friendliness_ratio pt.breakdown);
-              ])
-          t pts)
-      t Paths.internet_profiles
+      Paths.internet_profiles friendliness
   in
   [ t ]
 
-let fig12 ?(jobs = 1) ~quick () =
-  fig_profile_breakdown ~jobs ~quick ~fig_id:12 Paths.inria
+let fig12 ~quick = fig_profile_breakdown ~quick ~fig_id:12 Paths.inria
+let fig13 ~quick = fig_profile_breakdown ~quick ~fig_id:13 Paths.kth
+let fig14 ~quick = fig_profile_breakdown ~quick ~fig_id:14 Paths.umass
+let fig15 ~quick = fig_profile_breakdown ~quick ~fig_id:15 Paths.umelb
 
-let fig13 ?(jobs = 1) ~quick () =
-  fig_profile_breakdown ~jobs ~quick ~fig_id:13 Paths.kth
-
-let fig14 ?(jobs = 1) ~quick () =
-  fig_profile_breakdown ~jobs ~quick ~fig_id:14 Paths.umass
-
-let fig15 ?(jobs = 1) ~quick () =
-  fig_profile_breakdown ~jobs ~quick ~fig_id:15 Paths.umelb
-
-let fig16 ?(jobs = 1) ~quick () =
-  let profiles = [ Paths.lab_droptail ~capacity:100; Paths.lab_red ~pkt:1000 ] in
-  let t =
-    Table.create
+let fig16 ~quick =
+  let+ t =
+    profile_table ~quick
       ~title:"Figure 16: lab — TFRC/TCP throughput ratio vs p"
       ~header:[ "queue"; "N"; "x/x'" ]
-  in
-  let t =
-    List.fold_left
-      (fun t profile ->
-        let pts = run_profile ~jobs ~quick profile in
-        List.fold_left
-          (fun t pt ->
-            Table.add_row t
-              [
-                profile.Paths.name;
-                string_of_int pt.pn;
-                cell ~decimals:3 (Breakdown.friendliness_ratio pt.breakdown);
-              ])
-          t pts)
-      t profiles
+      [ Paths.lab_droptail ~capacity:100; Paths.lab_red ~pkt:1000 ]
+      friendliness
   in
   [ t ]
 
-let fig18 ?(jobs = 1) ~quick () =
-  fig_profile_breakdown ~jobs ~quick ~fig_id:18
-    (Paths.lab_droptail ~capacity:100)
+let fig18 ~quick =
+  fig_profile_breakdown ~quick ~fig_id:18 (Paths.lab_droptail ~capacity:100)
 
-let fig19 ?(jobs = 1) ~quick () =
-  fig_profile_breakdown ~jobs ~quick ~fig_id:19 (Paths.lab_red ~pkt:1000)
+let fig19 ~quick =
+  fig_profile_breakdown ~quick ~fig_id:19 (Paths.lab_red ~pkt:1000)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 17 + Claim 4: loss-event-rate ratio over a DropTail link.    *)
 (* ------------------------------------------------------------------ *)
 
-let fig17 ?(jobs = 1) ~quick () =
+let fig17 ~quick =
   let buffers = if quick then [ 25; 100 ] else [ 10; 25; 50; 100; 200; 300 ] in
   let duration = if quick then 120.0 else 600.0 in
   let warmup = duration /. 5.0 in
-  let isolated_run ~buffer ~tfrc =
-    let cfg =
+  let run ~seed ~buffer ~n_tfrc ~n_tcp =
+    Work.scenario
       {
         Scenario.default_config with
-        seed = 4242 + buffer + if tfrc then 1 else 0;
+        seed;
         bottleneck_bps = 10e6;
         queue = Scenario.Drop_tail { capacity = buffer };
-        n_tfrc = (if tfrc then 1 else 0);
-        n_tcp = (if tfrc then 0 else 1);
+        n_tfrc;
+        n_tcp;
         with_probe = false;
         duration;
         warmup;
       }
-    in
-    let r = Result_cache.run cfg in
-    if tfrc then Scenario.mean_loss_rate r.tfrc
-    else Scenario.mean_loss_rate r.tcp
   in
-  let t1 =
-    Table.create
-      ~title:"Figure 17 (left): p'/p, TCP and TFRC each alone on DropTail(b)"
-      ~header:[ "b (packets)"; "p' (TCP alone)"; "p (TFRC alone)"; "p'/p" ]
+  (* One row (b, p', p, p'/p) per buffer. *)
+  let ratio_table ~title ~header rates =
+    table ~title ~header
+      (List.map2
+         (fun b (p', p) ->
+           [
+             string_of_int b;
+             cell ~decimals:5 p';
+             cell ~decimals:5 p;
+             cell ~decimals:3 (if p > 0.0 then p' /. p else nan);
+           ])
+         buffers rates)
   in
   let isolated =
-    par_map ~jobs
-      (fun (b, tfrc) -> isolated_run ~buffer:b ~tfrc)
-      (List.concat_map (fun b -> [ (b, false); (b, true) ]) buffers)
+    each
+      (fun b ->
+        let+ tcp, tfrc =
+          Work.both
+            (run ~seed:(4242 + b) ~buffer:b ~n_tfrc:0 ~n_tcp:1)
+            (run ~seed:(4242 + b + 1) ~buffer:b ~n_tfrc:1 ~n_tcp:0)
+        in
+        ( Scenario.mean_loss_rate tcp.Scenario.tcp,
+          Scenario.mean_loss_rate tfrc.Scenario.tfrc ))
+      buffers
   in
-  let t1, _ =
-    List.fold_left
-      (fun (t, vals) b ->
-        match vals with
-        | p' :: p :: rest ->
-            ( Table.add_row t
-                [
-                  string_of_int b;
-                  cell ~decimals:5 p';
-                  cell ~decimals:5 p;
-                  cell ~decimals:3 (if p > 0.0 then p' /. p else nan);
-                ],
-              rest )
-        | _ -> assert false)
-      (t1, isolated) buffers
+  let competing =
+    each
+      (fun b ->
+        let+ r = run ~seed:(777 + b) ~buffer:b ~n_tfrc:1 ~n_tcp:1 in
+        (Scenario.mean_loss_rate r.tcp, Scenario.mean_loss_rate r.tfrc))
+      buffers
   in
-  let t2 =
-    Table.create
+  let+ isolated, competing = Work.both isolated competing in
+  [
+    ratio_table
+      ~title:"Figure 17 (left): p'/p, TCP and TFRC each alone on DropTail(b)"
+      ~header:[ "b (packets)"; "p' (TCP alone)"; "p (TFRC alone)"; "p'/p" ]
+      isolated;
+    ratio_table
       ~title:
         "Figure 17 (right): p'/p, one TCP and one TFRC competing on \
          DropTail(b)"
       ~header:[ "b (packets)"; "p' (TCP)"; "p (TFRC)"; "p'/p" ]
-  in
-  let competing =
-    par_map ~jobs
-      (fun b ->
-        let cfg =
-          {
-            Scenario.default_config with
-            seed = 777 + b;
-            bottleneck_bps = 10e6;
-            queue = Scenario.Drop_tail { capacity = b };
-            n_tfrc = 1;
-            n_tcp = 1;
-            with_probe = false;
-            duration;
-            warmup;
-          }
-        in
-        let r = Result_cache.run cfg in
-        (Scenario.mean_loss_rate r.tcp, Scenario.mean_loss_rate r.tfrc))
-      buffers
-  in
-  let t2 =
-    List.fold_left2
-      (fun t b (p', p) ->
-        Table.add_row t
-          [
-            string_of_int b;
-            cell ~decimals:5 p';
-            cell ~decimals:5 p;
-            cell ~decimals:3 (if p > 0.0 then p' /. p else nan);
-          ])
-      t2 buffers competing
-  in
-  [ t1; t2 ]
+      competing;
+  ]
 
-let table_c4 ?jobs:_ ~quick:_ () =
+let table_c4 ~quick:_ =
+  Work.task @@ fun () ->
   let t =
-    Table.create
+    table
       ~title:
         "Claim 4 closed form: p'/p = 4/(1+beta)^2 (analytic vs deterministic \
          simulation; the paper prints (1-beta) but its 16/9 value confirms \
          (1+beta))"
       ~header:
         [ "beta"; "p' (AIMD)"; "p (EBRC)"; "ratio analytic"; "ratio simulated" ]
-  in
-  let t =
-    List.fold_left
-      (fun t beta ->
-        let params = { Few_flows.alpha = 1.0; beta; capacity = 100.0 } in
-        let p' = Few_flows.aimd_loss_event_rate params in
-        let p = Few_flows.ebrc_loss_event_rate params in
-        let sim_ratio =
-          Few_flows.simulate_aimd ~cycles:500 params
-          /. Few_flows.simulate_ebrc ~cycles:500 params
-        in
-        Table.add_row t
-          [
-            cell ~decimals:2 beta;
-            cell p';
-            cell p;
-            cell ~decimals:4 (Few_flows.loss_rate_ratio ~beta);
-            cell ~decimals:4 sim_ratio;
-          ])
-      t [ 0.125; 0.25; 0.5; 0.75 ]
+      (List.map
+         (fun beta ->
+           let params = { Few_flows.alpha = 1.0; beta; capacity = 100.0 } in
+           let sim_ratio =
+             Few_flows.simulate_aimd ~cycles:500 params
+             /. Few_flows.simulate_ebrc ~cycles:500 params
+           in
+           [
+             cell ~decimals:2 beta;
+             cell (Few_flows.aimd_loss_event_rate params);
+             cell (Few_flows.ebrc_loss_event_rate params);
+             cell ~decimals:4 (Few_flows.loss_rate_ratio ~beta);
+             cell ~decimals:4 sim_ratio;
+           ])
+         [ 0.125; 0.25; 0.5; 0.75 ])
   in
   [ Table.add_note t "beta = 1/2 gives 16/9 = 1.7778, the paper's headline" ]
 
-let table_one ?jobs:_ ~quick:_ () = [ Paths.table_one () ]
+let table_one ~quick:_ = Work.task (fun () -> [ Paths.table_one () ])
 
 (* Claim 3 analytic check: the many-sources limit ordering. *)
-let table_c3 ?(jobs = 1) ~quick () =
+let table_c3 ~quick =
   let cp =
     [|
       { Many_sources.p_i = 0.001; pi_i = 0.5 };
@@ -863,18 +656,10 @@ let table_c3 ?(jobs = 1) ~quick () =
     Many_sources.limit_loss_event_rate cp
       ~rates:(Many_sources.responsive_profile cp ~formula_rate)
   in
-  let t =
-    Table.create
-      ~title:
-        "Claim 3: many-sources limit — loss-event rate vs responsiveness \
-         (Eq. 13)"
-      ~header:
-        [ "responsiveness"; "p (limit)"; "p (Monte-Carlo)"; "within bounds" ]
-  in
   let steps = if quick then 20_000 else 200_000 in
   let resps = [ 0.0; 0.25; 0.5; 0.75; 1.0 ] in
-  let rows =
-    par_map ~jobs
+  let+ rows =
+    tasks
       (fun resp ->
         let rates =
           Many_sources.partially_responsive_profile cp ~formula_rate
@@ -889,17 +674,22 @@ let table_c3 ?(jobs = 1) ~quick () =
       resps
   in
   let t =
-    List.fold_left
-      (fun t (resp, p_lim, mc_p) ->
-        let ok = p' <= p_lim +. 1e-12 && p_lim <= p'' +. 1e-12 in
-        Table.add_row t
-          [
-            cell ~decimals:2 resp;
-            cell ~decimals:5 p_lim;
-            cell ~decimals:5 mc_p;
-            (if ok then "yes" else "no");
-          ])
-      t rows
+    table
+      ~title:
+        "Claim 3: many-sources limit — loss-event rate vs responsiveness \
+         (Eq. 13)"
+      ~header:
+        [ "responsiveness"; "p (limit)"; "p (Monte-Carlo)"; "within bounds" ]
+      (List.map
+         (fun (resp, p_lim, mc_p) ->
+           let ok = p' <= p_lim +. 1e-12 && p_lim <= p'' +. 1e-12 in
+           [
+             cell ~decimals:2 resp;
+             cell ~decimals:5 p_lim;
+             cell ~decimals:5 mc_p;
+             (if ok then "yes" else "no");
+           ])
+         rows)
   in
   [
     Table.add_note t
@@ -914,15 +704,8 @@ let table_c3 ?(jobs = 1) ~quick () =
    decaying TFRC weights concentrate mass on recent intervals (higher
    estimator variability than uniform at equal L), so Claim 1 predicts
    the TFRC weighting to be slightly more conservative. *)
-let ablation_weights ?(jobs = 1) ~quick () =
+let ablation_weights ~quick =
   let cycles = if quick then 30_000 else 300_000 in
-  let t =
-    Table.create
-      ~title:
-        "Ablation A1: estimator weights (TFRC decaying vs uniform) — basic \
-         control, PFTK-simplified, p = 0.1, cv = 0.9"
-      ~header:[ "L"; "x/f(p) TFRC weights"; "x/f(p) uniform weights" ]
-  in
   let run_with ~weights ~seed =
     let rng = Prng.create ~seed in
     let process = Loss_process.iid_shifted_exponential rng ~p:0.1 ~cv:0.9 in
@@ -931,35 +714,33 @@ let ablation_weights ?(jobs = 1) ~quick () =
     (Basic_control.simulate ~formula ~estimator ~process ~cycles ())
       .Basic_control.normalized
   in
-  let ls = [ 2; 4; 8; 16 ] in
-  let rows =
-    par_map ~jobs
+  let+ rows =
+    tasks
       (fun l ->
-        ( l,
-          run_with ~weights:(Weights.tfrc l) ~seed:(3 + l),
-          run_with ~weights:(Weights.uniform l) ~seed:(3 + l) ))
-      ls
-  in
-  let t =
-    List.fold_left
-      (fun t (l, tfrc_v, uniform_v) ->
-        Table.add_row t
-          [
-            string_of_int l;
-            cell ~decimals:3 tfrc_v;
-            cell ~decimals:3 uniform_v;
-          ])
-      t rows
+        [
+          string_of_int l;
+          cell ~decimals:3 (run_with ~weights:(Weights.tfrc l) ~seed:(3 + l));
+          cell ~decimals:3
+            (run_with ~weights:(Weights.uniform l) ~seed:(3 + l));
+        ])
+      [ 2; 4; 8; 16 ]
   in
   [
-    Table.add_note t
+    Table.add_note
+      (table
+         ~title:
+           "Ablation A1: estimator weights (TFRC decaying vs uniform) — basic \
+            control, PFTK-simplified, p = 0.1, cv = 0.9"
+         ~header:[ "L"; "x/f(p) TFRC weights"; "x/f(p) uniform weights" ]
+         rows)
       "uniform weights smooth more at equal L, so they are slightly less \
        conservative (Claim 1, second bullet)";
   ]
 
 (* A2: Eq. (12) -> Eq. (13) convergence as the congestion-process
    timescale separates from the control timescale. *)
-let ablation_eq12 ?jobs:_ ~quick:_ () =
+let ablation_eq12 ~quick:_ =
+  Work.task @@ fun () ->
   let cp =
     [|
       { Many_sources.p_i = 0.001; pi_i = 0.5 };
@@ -973,44 +754,32 @@ let ablation_eq12 ?jobs:_ ~quick:_ () =
         Formula.eval formula p)
   in
   let limit = Many_sources.limit_loss_event_rate cp ~rates in
-  let t =
-    Table.create
+  [
+    table
       ~title:
         "Ablation A2: Eq. (12) with finite sojourns -> Eq. (13) limit (b_i \
          -> 1)"
       ~header:[ "mean sojourn"; "p (Eq. 12)"; "p (Eq. 13 limit)"; "rel. gap" ]
-  in
-  let t =
-    List.fold_left
-      (fun t sojourn ->
-        let p12 =
-          Many_sources.finite_timescale_loss_event_rate cp ~rates
-            ~mean_sojourn:sojourn
-        in
-        Table.add_row t
-          [
-            cell ~decimals:0 sojourn;
-            cell ~decimals:6 p12;
-            cell ~decimals:6 limit;
-            cell ~decimals:4 (abs_float (p12 -. limit) /. limit);
-          ])
-      t
-      [ 1.0; 10.0; 100.0; 1000.0; 10000.0 ]
-  in
-  [ t ]
+      (List.map
+         (fun sojourn ->
+           let p12 =
+             Many_sources.finite_timescale_loss_event_rate cp ~rates
+               ~mean_sojourn:sojourn
+           in
+           [
+             cell ~decimals:0 sojourn;
+             cell ~decimals:6 p12;
+             cell ~decimals:6 limit;
+             cell ~decimals:4 (abs_float (p12 -. limit) /. limit);
+           ])
+         [ 1.0; 10.0; 100.0; 1000.0; 10000.0 ]);
+  ]
 
 (* A3: Claim-2 audio source over a packet-mode vs byte-mode dropper.
    Byte mode penalises long packets, creating the negative rate/duration
    correlation that restores conservativeness under PFTK heavy loss. *)
-let ablation_dropper_mode ?(jobs = 1) ~quick () =
+let ablation_dropper_mode ~quick =
   let duration = if quick then 800.0 else 4000.0 in
-  let t =
-    Table.create
-      ~title:
-        "Ablation A3: audio source, packet-mode vs byte-mode dropper \
-         (PFTK-simplified, heavy loss)"
-      ~header:[ "drop p"; "x/f(p) packet mode"; "x/f(p) byte mode" ]
-  in
   let run mode p =
     (Audio_scenario.run
        {
@@ -1023,26 +792,24 @@ let ablation_dropper_mode ?(jobs = 1) ~quick () =
        })
       .Audio_scenario.normalized_throughput
   in
-  let ps = [ 0.1; 0.2 ] in
-  let rows =
-    par_map ~jobs
+  let+ rows =
+    tasks
       (fun p ->
-        (p, run Audio_scenario.Packet_mode p, run Audio_scenario.Byte_mode p))
-      ps
-  in
-  let t =
-    List.fold_left
-      (fun t (p, packet_v, byte_v) ->
-        Table.add_row t
-          [
-            cell ~decimals:2 p;
-            cell ~decimals:3 packet_v;
-            cell ~decimals:3 byte_v;
-          ])
-      t rows
+        [
+          cell ~decimals:2 p;
+          cell ~decimals:3 (run Audio_scenario.Packet_mode p);
+          cell ~decimals:3 (run Audio_scenario.Byte_mode p);
+        ])
+      [ 0.1; 0.2 ]
   in
   [
-    Table.add_note t
+    Table.add_note
+      (table
+         ~title:
+           "Ablation A3: audio source, packet-mode vs byte-mode dropper \
+            (PFTK-simplified, heavy loss)"
+         ~header:[ "drop p"; "x/f(p) packet mode"; "x/f(p) byte mode" ]
+         rows)
       "packet mode: cov[X,S] = 0 and the Theorem-2 overshoot stays within a \
        few percent. Byte mode makes the per-packet loss probability depend \
        on the control itself (bigger packets dropped more): the loss-event \
@@ -1053,33 +820,33 @@ let ablation_dropper_mode ?(jobs = 1) ~quick () =
 
 (* A4: the paper's undisplayed competition experiment — one AIMD and
    one EBRC sharing a fluid link. *)
-let ablation_competition ?jobs:_ ~quick () =
+let ablation_competition ~quick =
   let cycles = if quick then 500 else 5000 in
-  let t =
-    Table.create
-      ~title:
-        "Ablation A4: one AIMD + one EBRC sharing a fluid link — p'/p vs the \
-         isolated closed form"
-      ~header:
-        [ "beta"; "p'/p isolated (analytic)"; "p'/p competing (simulated)";
-          "AIMD traffic share" ]
-  in
-  let t =
-    List.fold_left
-      (fun t beta ->
-        let params = { Few_flows.alpha = 1.0; beta; capacity = 100.0 } in
-        let r = Few_flows.simulate_competition ~cycles params in
-        Table.add_row t
-          [
-            cell ~decimals:2 beta;
-            cell ~decimals:3 (Few_flows.loss_rate_ratio ~beta);
-            cell ~decimals:3 r.Few_flows.ratio;
-            cell ~decimals:3 r.Few_flows.aimd_share;
-          ])
-      t [ 0.25; 0.5; 0.75 ]
+  let+ rows =
+    tasks
+      (fun beta ->
+        let r =
+          Few_flows.simulate_competition ~cycles
+            { Few_flows.alpha = 1.0; beta; capacity = 100.0 }
+        in
+        [
+          cell ~decimals:2 beta;
+          cell ~decimals:3 (Few_flows.loss_rate_ratio ~beta);
+          cell ~decimals:3 r.Few_flows.ratio;
+          cell ~decimals:3 r.Few_flows.aimd_share;
+        ])
+      [ 0.25; 0.5; 0.75 ]
   in
   [
-    Table.add_note t
+    Table.add_note
+      (table
+         ~title:
+           "Ablation A4: one AIMD + one EBRC sharing a fluid link — p'/p vs \
+            the isolated closed form"
+         ~header:
+           [ "beta"; "p'/p isolated (analytic)"; "p'/p competing (simulated)";
+             "AIMD traffic share" ]
+         rows)
       "paper: 'the deviation of the loss-event rates does hold, but it is \
        somewhat less pronounced' in competition — both flows see every \
        shared congestion event, so the simulated ratio collapses toward 1";
@@ -1088,42 +855,23 @@ let ablation_competition ?jobs:_ ~quick () =
 (* A5: Figure 3 under the comprehensive control — the variant the paper
    describes as "qualitatively the same, but the effects are less
    pronounced" (its tech-report Figure 4). *)
-let ablation_comprehensive_fig3 ?(jobs = 1) ~quick () =
+let ablation_comprehensive_fig3 ~quick =
   let cycles = if quick then 15_000 else 150_000 in
-  let ls = [ 1; 2; 4; 8; 16 ] in
   let ps = if quick then [ 0.02; 0.1; 0.3 ] else [ 0.01; 0.02; 0.05; 0.1; 0.2; 0.3; 0.4 ] in
   let cv = 1.0 -. (1.0 /. 1000.0) in
-  let t =
-    Table.create
+  let+ t =
+    l_grid
       ~title:
         "Ablation A5: Figure 3 under the comprehensive control \
          (PFTK-simplified) — less pronounced conservativeness"
-      ~header:("p" :: List.map (fun l -> Printf.sprintf "L=%d" l) ls)
-  in
-  let grid = List.concat_map (fun p -> List.map (fun l -> (p, l)) ls) ps in
-  let vals =
-    par_map ~jobs
-      (fun (p, l) ->
+      ~label:"p" ps
+      (fun p l ->
         let rng = Prng.create ~seed:(5000 + l) in
         let process = Loss_process.iid_shifted_exponential rng ~p ~cv in
         let formula = Formula.create ~rtt:1.0 Formula.Pftk_simplified in
         let estimator = Loss_interval.of_tfrc ~l in
-        let r =
-          Comprehensive_control.simulate ~formula ~estimator ~process ~cycles
-            ()
-        in
-        r.Comprehensive_control.normalized)
-      grid
-  in
-  let width = List.length ls in
-  let t, _ =
-    List.fold_left
-      (fun (t, vals) p ->
-        let row, rest = take_drop width vals in
-        ( Table.add_row t
-            (cell ~decimals:2 p :: List.map (cell ~decimals:3) row),
-          rest ))
-      (t, vals) ps
+        (Comprehensive_control.simulate ~formula ~estimator ~process ~cycles ())
+          .Comprehensive_control.normalized)
   in
   [
     Table.add_note t
@@ -1137,7 +885,7 @@ let ablation_comprehensive_fig3 ?(jobs = 1) ~quick () =
    congestion-avoidance ascents of a single TCP flow over a DropTail
    bottleneck and report the second-half/first-half slope ratio of the
    longest ascent (1 = linear, < 1 = concave/sub-linear). *)
-let ablation_window_growth ?(jobs = 1) ~quick () =
+let ablation_window_growth ~quick =
   let module Engine = Ebrc_sim.Engine in
   let module Link = Ebrc_net.Link in
   let module QD = Ebrc_net.Queue_discipline in
@@ -1177,34 +925,25 @@ let ablation_window_growth ?(jobs = 1) ~quick () =
     ignore (Engine.schedule engine ~at:0.0 (fun () -> TS.start sender));
     ignore (Engine.run ~until:duration engine);
     if Trace.length !current > Trace.length !best then best := !current;
-    (TS.loss_events sender, Trace.length !best,
-     Trace.growth_linearity !best)
-  in
-  let t =
-    Table.create
-      ~title:
-        "Ablation A6: TCP congestion-avoidance window growth linearity \
-         (Section IV-B conjecture)"
-      ~header:
-        [ "DropTail buffer"; "loss events"; "ascent samples";
-          "slope ratio (2nd/1st half)" ]
+    [
+      string_of_int buffer;
+      string_of_int (TS.loss_events sender);
+      string_of_int (Trace.length !best);
+      cell ~decimals:3 (Trace.growth_linearity !best);
+    ]
   in
   let buffers = if quick then [ 50; 200 ] else [ 25; 50; 100; 200; 400 ] in
-  let rows = par_map ~jobs (fun buffer -> run ~buffer) buffers in
-  let t =
-    List.fold_left2
-      (fun t buffer (events, samples, ratio) ->
-        Table.add_row t
-          [
-            string_of_int buffer;
-            string_of_int events;
-            string_of_int samples;
-            cell ~decimals:3 ratio;
-          ])
-      t buffers rows
-  in
+  let+ rows = tasks (fun buffer -> run ~buffer) buffers in
   [
-    Table.add_note t
+    Table.add_note
+      (table
+         ~title:
+           "Ablation A6: TCP congestion-avoidance window growth linearity \
+            (Section IV-B conjecture)"
+         ~header:
+           [ "DropTail buffer"; "loss events"; "ascent samples";
+             "slope ratio (2nd/1st half)" ]
+         rows)
       "ratio < 1 = sub-linear growth at large windows (self-induced queueing \
        delay stretches the RTT), the paper's explanation for TCP falling \
        short of the PFTK formula";
@@ -1214,7 +953,7 @@ let ablation_window_growth ?(jobs = 1) ~quick () =
    the [Zhang et al.] evidence behind condition (C1): lag-k
    autocorrelations of TFRC's loss intervals on a shared bottleneck are
    small. *)
-let ablation_autocovariance ?jobs:_ ~quick () =
+let ablation_autocovariance ~quick =
   let duration = if quick then 120.0 else 600.0 in
   let cfg =
     {
@@ -1226,31 +965,30 @@ let ablation_autocovariance ?jobs:_ ~quick () =
       warmup = duration /. 5.0;
     }
   in
-  let r = Result_cache.run cfg in
-  let t =
-    Table.create
-      ~title:
-        "Ablation A7: lag-k autocorrelation of TFRC loss-event intervals \
-         (the [18] evidence for (C1))"
-      ~header:[ "flow"; "intervals"; "lag 1"; "lag 2"; "lag 4"; "lag 8" ]
-  in
-  let t =
-    Array.fold_left
-      (fun t (m : Scenario.flow_measure) ->
+  let+ r = Work.scenario cfg in
+  let rows =
+    List.filter_map
+      (fun (m : Scenario.flow_measure) ->
         let ivs = m.loss_intervals in
-        if Array.length ivs < 20 then t
+        if Array.length ivs < 20 then None
         else
-          Table.add_row t
+          Some
             (string_of_int m.flow
             :: string_of_int (Array.length ivs)
             :: List.map
                  (fun lag ->
                    cell ~decimals:3 (Descriptive.autocorrelation ivs ~lag))
                  [ 1; 2; 4; 8 ]))
-      t r.tfrc
+      (Array.to_list r.tfrc)
   in
   [
-    Table.add_note t
+    Table.add_note
+      (table
+         ~title:
+           "Ablation A7: lag-k autocorrelation of TFRC loss-event intervals \
+            (the [18] evidence for (C1))"
+         ~header:[ "flow"; "intervals"; "lag 1"; "lag 2"; "lag 4"; "lag 8" ]
+         rows)
       "small autocorrelations mean the moving-average estimator is a poor \
        predictor of the next interval — condition (C1) — and Theorem 1 \
        yields conservativeness";
@@ -1258,19 +996,11 @@ let ablation_autocovariance ?jobs:_ ~quick () =
 
 (* A8: exact quadrature vs Monte Carlo for the iid Prop-1 collapse —
    validates both engines against each other. *)
-let ablation_exact_vs_mc ?(jobs = 1) ~quick () =
+let ablation_exact_vs_mc ~quick =
   let cycles = if quick then 100_000 else 1_000_000 in
   let formula = Formula.create ~rtt:1.0 Formula.Pftk_simplified in
-  let t =
-    Table.create
-      ~title:
-        "Ablation A8: exact Erlang quadrature vs Monte Carlo (basic control, \
-         uniform weights, PFTK-simplified, p = 0.1, cv = 0.9)"
-      ~header:[ "L"; "x/f(p) exact"; "x/f(p) Monte Carlo"; "rel. error" ]
-  in
-  let ls = [ 1; 2; 4; 8; 16 ] in
-  let rows =
-    par_map ~jobs
+  let+ rows =
+    tasks
       (fun l ->
         let exact =
           Ebrc_control.Exact.normalized_throughput ~formula ~l ~p:0.1 ~cv:0.9
@@ -1284,59 +1014,59 @@ let ablation_exact_vs_mc ?(jobs = 1) ~quick () =
           (Basic_control.simulate ~formula ~estimator ~process ~cycles ())
             .Basic_control.normalized
         in
-        (l, exact, mc))
-      ls
+        [
+          string_of_int l;
+          cell ~decimals:4 exact;
+          cell ~decimals:4 mc;
+          cell ~decimals:4 (abs_float (mc -. exact) /. exact);
+        ])
+      [ 1; 2; 4; 8; 16 ]
   in
-  let t =
-    List.fold_left
-      (fun t (l, exact, mc) ->
-        Table.add_row t
-          [
-            string_of_int l;
-            cell ~decimals:4 exact;
-            cell ~decimals:4 mc;
-            cell ~decimals:4 (abs_float (mc -. exact) /. exact);
-          ])
-      t rows
-  in
-  [ t ]
+  [
+    table
+      ~title:
+        "Ablation A8: exact Erlang quadrature vs Monte Carlo (basic control, \
+         uniform weights, PFTK-simplified, p = 0.1, cv = 0.9)"
+      ~header:[ "L"; "x/f(p) exact"; "x/f(p) Monte Carlo"; "rel. error" ]
+      rows;
+  ]
 
 (* A9: the two-router chain — where do losses happen and does the
    TFRC/TCP comparison survive a second congestion point? *)
-let ablation_chain ?jobs:_ ~quick () =
+let ablation_chain ~quick =
   let duration = if quick then 60.0 else 300.0 in
-  let t =
-    Table.create
-      ~title:
-        "Ablation A9: two-router chain — single vs dual bottleneck (+30% \
-         cross traffic on link 2)"
-      ~header:
-        [ "setup"; "drops L1"; "drops L2"; "TFRC x (pkt/s)"; "TCP x (pkt/s)";
-          "p (TFRC)"; "p' (TCP)" ]
-  in
-  let run name cfg =
-    let r = Chain_scenario.run cfg in
-    [
-      name;
-      string_of_int r.Chain_scenario.drops_link1;
-      string_of_int r.drops_link2;
-      cell ~decimals:1 r.tfrc.throughput_pps;
-      cell ~decimals:1 r.tcp.throughput_pps;
-      cell ~decimals:5 r.tfrc.loss_event_rate;
-      cell ~decimals:5 r.tcp.loss_event_rate;
-    ]
-  in
   let base =
     { Chain_scenario.default_config with duration; warmup = duration /. 4.0 }
   in
-  let t =
-    Table.add_row t
-      (run "single bottleneck (fast L2)"
-         { base with link2_bps = 100e6; cross_rate_fraction = 0.0 })
+  let+ rows =
+    tasks
+      (fun (name, cfg) ->
+        let r = Chain_scenario.run cfg in
+        [
+          name;
+          string_of_int r.Chain_scenario.drops_link1;
+          string_of_int r.drops_link2;
+          cell ~decimals:1 r.tfrc.throughput_pps;
+          cell ~decimals:1 r.tcp.throughput_pps;
+          cell ~decimals:5 r.tfrc.loss_event_rate;
+          cell ~decimals:5 r.tcp.loss_event_rate;
+        ])
+      [
+        ( "single bottleneck (fast L2)",
+          { base with link2_bps = 100e6; cross_rate_fraction = 0.0 } );
+        ("dual bottleneck + cross", base);
+      ]
   in
-  let t = Table.add_row t (run "dual bottleneck + cross" base) in
   [
-    Table.add_note t
+    Table.add_note
+      (table
+         ~title:
+           "Ablation A9: two-router chain — single vs dual bottleneck (+30% \
+            cross traffic on link 2)"
+         ~header:
+           [ "setup"; "drops L1"; "drops L2"; "TFRC x (pkt/s)";
+             "TCP x (pkt/s)"; "p (TFRC)"; "p' (TCP)" ]
+         rows)
       "the paper's lab used the second router purely as a delay element \
        (the first row); the second row shows the loss process becoming a \
        superposition of two congestion points";
@@ -1345,14 +1075,14 @@ let ablation_chain ?jobs:_ ~quick () =
 (* A10: TCP variant sensitivity — does the Reno/Tahoe recovery style
    change the loss-event rates and formula obedience that drive the
    paper's sub-conditions 2 and 4? *)
-let ablation_tcp_variant ?(jobs = 1) ~quick () =
+let ablation_tcp_variant ~quick =
   let module Engine = Ebrc_sim.Engine in
   let module Link = Ebrc_net.Link in
   let module QD = Ebrc_net.Queue_discipline in
   let module TS = Ebrc_tcp.Tcp_sender in
   let module TR = Ebrc_tcp.Tcp_receiver in
   let duration = if quick then 120.0 else 600.0 in
-  let run ~variant =
+  let run (name, variant) =
     let engine = Engine.create () in
     let rng = Prng.create ~seed:7 in
     let queue = QD.create ~service_rate:1250.0 ~capacity:60 QD.Drop_tail in
@@ -1375,37 +1105,26 @@ let ablation_tcp_variant ?(jobs = 1) ~quick () =
         Formula.eval (Formula.create ~rtt Formula.Pftk_standard) p
       else nan
     in
-    (p, x, x /. f, TS.timeouts sender, TS.fast_retransmits sender)
+    [
+      name;
+      cell ~decimals:5 p;
+      cell ~decimals:1 x;
+      cell ~decimals:3 (x /. f);
+      string_of_int (TS.timeouts sender);
+      string_of_int (TS.fast_retransmits sender);
+    ]
   in
-  let t =
-    Table.create
-      ~title:
-        "Ablation A10: TCP recovery variant alone on a DropTail bottleneck \
-         — loss-event rate and formula obedience"
-      ~header:
-        [ "variant"; "p'"; "x' (pkt/s)"; "x'/f(p',r')"; "timeouts";
-          "fast rtx" ]
-  in
-  let variants = [ ("Reno/NewReno", TS.Reno); ("Tahoe", TS.Tahoe) ] in
-  let rows =
-    par_map ~jobs (fun (name, variant) -> (name, run ~variant)) variants
-  in
-  let t =
-    List.fold_left
-      (fun t (name, (p, x, obed, timeouts, frtx)) ->
-        Table.add_row t
-          [
-            name;
-            cell ~decimals:5 p;
-            cell ~decimals:1 x;
-            cell ~decimals:3 obed;
-            string_of_int timeouts;
-            string_of_int frtx;
-          ])
-      t rows
-  in
+  let+ rows = tasks run [ ("Reno/NewReno", TS.Reno); ("Tahoe", TS.Tahoe) ] in
   [
-    Table.add_note t
+    Table.add_note
+      (table
+         ~title:
+           "Ablation A10: TCP recovery variant alone on a DropTail \
+            bottleneck — loss-event rate and formula obedience"
+         ~header:
+           [ "variant"; "p'"; "x' (pkt/s)"; "x'/f(p',r')"; "timeouts";
+             "fast rtx" ]
+         rows)
       "the PFTK formula models Reno; Tahoe's slow-start restarts change \
        both p' and the obedience ratio — sub-conditions 2 and 4 are \
        implementation-sensitive, reinforcing the paper's warning";
@@ -1414,36 +1133,29 @@ let ablation_tcp_variant ?(jobs = 1) ~quick () =
 (* A11: the paper's "further study" direction — conservativeness as a
    design objective. The advisor picks the smallest estimator window
    meeting a worst-case efficiency target over an operating region. *)
-let ablation_design_advisor ?jobs:_ ~quick:_ () =
+let ablation_design_advisor ~quick:_ =
+  Work.task @@ fun () ->
   let module Dz = Ebrc_analysis.Design in
   let formula = Formula.create ~rtt:0.1 Formula.Pftk_standard in
-  let t =
-    Table.create
-      ~title:
-        "Ablation A11: design advisor — smallest window L meeting a \
-         worst-case efficiency target (PFTK-standard, p in {0.01..0.2}, \
-         cv = 0.9)"
-      ~header:[ "target x/f(p)"; "recommended L"; "achieved worst case" ]
-  in
-  let t =
-    List.fold_left
-      (fun t target ->
-        match Dz.recommend_window ~formula ~target () with
-        | Some r ->
-            Table.add_row t
-              [
-                cell ~decimals:2 target;
-                string_of_int r.Dz.l;
-                cell ~decimals:3 r.Dz.efficiency;
-              ]
-        | None ->
-            Table.add_row t
-              [ cell ~decimals:2 target; "unreachable (l_max)"; "-" ])
-      t
+  let rows =
+    List.map
+      (fun target ->
+        cell ~decimals:2 target
+        ::
+        (match Dz.recommend_window ~formula ~target () with
+        | Some r -> [ string_of_int r.Dz.l; cell ~decimals:3 r.Dz.efficiency ]
+        | None -> [ "unreachable (l_max)"; "-" ]))
       [ 0.5; 0.7; 0.8; 0.9; 0.95 ]
   in
   [
-    Table.add_note t
+    Table.add_note
+      (table
+         ~title:
+           "Ablation A11: design advisor — smallest window L meeting a \
+            worst-case efficiency target (PFTK-standard, p in {0.01..0.2}, \
+            cv = 0.9)"
+         ~header:[ "target x/f(p)"; "recommended L"; "achieved worst case" ]
+         rows)
       "the conclusion's design alternative, implemented: pick L for a \
        provable conservativeness/efficiency trade-off instead of tuning \
        for TCP-friendliness";
@@ -1453,54 +1165,45 @@ let ablation_design_advisor ?jobs:_ ~quick:_ () =
    observed the r'/r comparison empirically; here we sweep the per-flow
    reverse-delay spread and watch how the RTT ratio and the headline
    friendliness ratio move. *)
-let ablation_rtt_heterogeneity ?(jobs = 1) ~quick () =
+let ablation_rtt_heterogeneity ~quick =
   let duration = if quick then 80.0 else 400.0 in
-  let t =
-    Table.create
-      ~title:
-        "Ablation A12: per-flow RTT heterogeneity - r'/r and the \
-         friendliness ratio vs reverse-delay spread"
-      ~header:
-        [ "jitter"; "rtt TFRC (ms)"; "rtt TCP (ms)"; "r'/r"; "x/x'" ]
-  in
   let jitters = if quick then [ 0.0; 0.3 ] else [ 0.0; 0.1; 0.3; 0.6 ] in
-  let rows =
-    par_map ~jobs
+  let+ rows =
+    each
       (fun jitter ->
-        let cfg =
-          {
-            Scenario.default_config with
-            seed = 61;
-            n_tfrc = 4;
-            n_tcp = 4;
-            with_probe = false;
-            reverse_jitter = jitter;
-            duration;
-            warmup = duration /. 4.0;
-          }
+        let+ r =
+          Work.scenario
+            {
+              Scenario.default_config with
+              seed = 61;
+              n_tfrc = 4;
+              n_tcp = 4;
+              with_probe = false;
+              reverse_jitter = jitter;
+              duration;
+              warmup = duration /. 4.0;
+            }
         in
-        let r = Result_cache.run cfg in
-        ( jitter,
-          Scenario.mean_rtt r.tfrc,
-          Scenario.mean_rtt r.tcp,
-          Scenario.mean_throughput r.tfrc /. Scenario.mean_throughput r.tcp ))
+        let rtt_tfrc = Scenario.mean_rtt r.tfrc
+        and rtt_tcp = Scenario.mean_rtt r.tcp in
+        [
+          cell ~decimals:2 jitter;
+          cell ~decimals:1 (1000.0 *. rtt_tfrc);
+          cell ~decimals:1 (1000.0 *. rtt_tcp);
+          cell ~decimals:3 (rtt_tcp /. rtt_tfrc);
+          cell ~decimals:3
+            (Scenario.mean_throughput r.tfrc /. Scenario.mean_throughput r.tcp);
+        ])
       jitters
   in
-  let t =
-    List.fold_left
-      (fun t (jitter, rtt_tfrc, rtt_tcp, ratio) ->
-        Table.add_row t
-          [
-            cell ~decimals:2 jitter;
-            cell ~decimals:1 (1000.0 *. rtt_tfrc);
-            cell ~decimals:1 (1000.0 *. rtt_tcp);
-            cell ~decimals:3 (rtt_tcp /. rtt_tfrc);
-            cell ~decimals:3 ratio;
-          ])
-      t rows
-  in
   [
-    Table.add_note t
+    Table.add_note
+      (table
+         ~title:
+           "Ablation A12: per-flow RTT heterogeneity - r'/r and the \
+            friendliness ratio vs reverse-delay spread"
+         ~header:[ "jitter"; "rtt TFRC (ms)"; "rtt TCP (ms)"; "r'/r"; "x/x'" ]
+         rows)
       "the paper observed RTT deviations but found them not to dominate \
        friendliness; the spread here perturbs r'/r by a few percent while \
        the throughput ratio moves much less than the loss-rate effects of \
@@ -1510,7 +1213,7 @@ let ablation_rtt_heterogeneity ?(jobs = 1) ~quick () =
 (* A13: loss-process family sensitivity — the same basic control and
    operating point driven by different interval laws; the covariance
    column explains each outcome through Theorem 1 / Claim 1. *)
-let ablation_loss_families ?(jobs = 1) ~quick () =
+let ablation_loss_families ~quick =
   let cycles = if quick then 50_000 else 400_000 in
   let formula = Formula.create ~rtt:1.0 Formula.Pftk_simplified in
   let p = 0.05 in
@@ -1535,39 +1238,34 @@ let ablation_loss_families ?(jobs = 1) ~quick () =
          Loss_process.ar1 (Prng.create ~seed) ~p ~rho:0.8 ~sigma:0.4);
     ]
   in
-  let t =
-    Table.create
-      ~title:
-        "Ablation A13: loss-process families under the basic control \
-         (PFTK-simplified, L=8, target p=0.05)"
-      ~header:
-        [ "process"; "p observed"; "x/f(p)"; "cov[th,th^]p^2"; "cv[th^]" ]
-  in
-  let rows =
-    par_map ~jobs
+  let+ rows =
+    tasks
       (fun (name, mk) ->
         let process = mk 97 in
         let estimator = Loss_interval.of_tfrc ~l:8 in
-        (name, Basic_control.simulate ~formula ~estimator ~process ~cycles ()))
+        let r =
+          Basic_control.simulate ~formula ~estimator ~process ~cycles ()
+        in
+        [
+          name;
+          cell ~decimals:4 r.Basic_control.p_observed;
+          cell ~decimals:3 r.Basic_control.normalized;
+          cell ~decimals:4
+            (r.Basic_control.cov_theta_thetahat
+            *. r.Basic_control.p_observed *. r.Basic_control.p_observed);
+          cell ~decimals:3 r.Basic_control.cv_thetahat;
+        ])
       processes
   in
-  let t =
-    List.fold_left
-      (fun t (name, r) ->
-        Table.add_row t
-          [
-            name;
-            cell ~decimals:4 r.Basic_control.p_observed;
-            cell ~decimals:3 r.Basic_control.normalized;
-            cell ~decimals:4
-              (r.Basic_control.cov_theta_thetahat
-              *. r.Basic_control.p_observed *. r.Basic_control.p_observed);
-            cell ~decimals:3 r.Basic_control.cv_thetahat;
-          ])
-      t rows
-  in
   [
-    Table.add_note t
+    Table.add_note
+      (table
+         ~title:
+           "Ablation A13: loss-process families under the basic control \
+            (PFTK-simplified, L=8, target p=0.05)"
+         ~header:
+           [ "process"; "p observed"; "x/f(p)"; "cov[th,th^]p^2"; "cv[th^]" ]
+         rows)
       "iid families (cov ~ 0): conservative per Theorem 1; positively \
        correlated families (gilbert, ar1) escape the theorem's hypotheses \
        but PFTK's convexity penalty keeps them below f(p) here (Claim 1: \
@@ -1603,19 +1301,25 @@ let robust_row label (cfg : Scenario.config) (r : Scenario.result) =
     stat (fun s -> s.Ebrc_net.Fault.blackout_drops);
   ]
 
-let robust_header =
-  [ "variant"; "tfrc x (pps)"; "p"; "x/f(p,r)"; "halvings"; "flaps";
-    "down pkts"; "blackout drops" ]
-
 let robust_compare ~title ~note cfg =
-  let faulted = Result_cache.run cfg in
-  let clean = Result_cache.run { cfg with Scenario.faults = None } in
-  let t = Table.create ~title ~header:robust_header in
-  let t = Table.add_row t (robust_row "faulted" cfg faulted) in
-  let t = Table.add_row t (robust_row "fault-free" cfg clean) in
-  [ Table.add_note t note ]
+  let+ faulted, clean =
+    Work.both (Work.scenario cfg)
+      (Work.scenario { cfg with Scenario.faults = None })
+  in
+  [
+    Table.add_note
+      (table ~title
+         ~header:
+           [ "variant"; "tfrc x (pps)"; "p"; "x/f(p,r)"; "halvings"; "flaps";
+             "down pkts"; "blackout drops" ]
+         [
+           robust_row "faulted" cfg faulted;
+           robust_row "fault-free" cfg clean;
+         ])
+      note;
+  ]
 
-let robust_blackout ?jobs:_ ~quick:_ () =
+let robust_blackout ~quick:_ =
   robust_compare Scenario.robust_blackout_config
     ~title:
       "Robust: recurring one-way feedback blackouts (15 s every 50 s)"
@@ -1625,7 +1329,7 @@ let robust_blackout ?jobs:_ ~quick:_ () =
        fault-free); TCP acks are not blacked out, isolating the TFRC \
        mechanism"
 
-let robust_flaps ?jobs:_ ~quick:_ () =
+let robust_flaps ~quick:_ =
   robust_compare Scenario.robust_flaps_config
     ~title:"Robust: random link up/down flaps (outages ~1.5 s, up ~8 s)"
     ~note:
@@ -1633,43 +1337,45 @@ let robust_flaps ?jobs:_ ~quick:_ () =
        process and stays at or below the formula rate (x/f(p,r) <= ~1, \
        the paper's conservativeness under stress)"
 
-let robust_chaos ?jobs:_ ~quick:_ () =
+let robust_chaos ~quick:_ =
   let cfg = Scenario.robust_chaos_config in
-  (* Determinism demonstrated the hard way: two full runs (bypassing
-     the cache, which would make the equality trivial), compared on
-     their exact serialized bytes. *)
-  let r1 = Scenario.run cfg in
-  let r2 = Scenario.run cfg in
+  (* Determinism demonstrated the hard way: two full runs as tasks
+     (bypassing the cache and the batch's dedup, either of which would
+     make the equality trivial), compared on their exact serialized
+     bytes. *)
+  let fresh = Work.task (fun () -> Scenario.run cfg) in
+  let+ r1, r2 = Work.both fresh fresh in
   let identical =
     String.equal
       (Result_cache.serialize_result r1)
       (Result_cache.serialize_result r2)
   in
-  let t =
-    Table.create
-      ~title:
-        "Robust: chaos episodes (flaps+park, delay spikes, reordering, \
-         duplication, blackout)"
-      ~header:[ "metric"; "value" ]
-  in
-  let stat name f =
+  let stat (name, f) =
     [ name;
       (match r1.Scenario.fault_stats with
       | None -> "-"
       | Some s -> string_of_int (f s)) ]
   in
-  let t = Table.add_row t (stat "flap transitions" (fun s -> s.Ebrc_net.Fault.transitions)) in
-  let t = Table.add_row t (stat "packets parked" (fun s -> s.Ebrc_net.Fault.parked)) in
-  let t = Table.add_row t (stat "delay-spiked" (fun s -> s.Ebrc_net.Fault.spiked)) in
-  let t = Table.add_row t (stat "reordered" (fun s -> s.Ebrc_net.Fault.reordered)) in
-  let t = Table.add_row t (stat "duplicated" (fun s -> s.Ebrc_net.Fault.duplicated)) in
-  let t = Table.add_row t (stat "blackout drops" (fun s -> s.Ebrc_net.Fault.blackout_drops)) in
+  let module F = Ebrc_net.Fault in
   let t =
-    Table.add_row t [ "nofeedback halvings"; string_of_int r1.tfrc_halvings ]
-  in
-  let t =
-    Table.add_row t
-      [ "rerun bit-identical"; (if identical then "yes" else "NO") ]
+    table
+      ~title:
+        "Robust: chaos episodes (flaps+park, delay spikes, reordering, \
+         duplication, blackout)"
+      ~header:[ "metric"; "value" ]
+      (List.map stat
+         [
+           ("flap transitions", fun s -> s.F.transitions);
+           ("packets parked", fun s -> s.F.parked);
+           ("delay-spiked", fun s -> s.F.spiked);
+           ("reordered", fun s -> s.F.reordered);
+           ("duplicated", fun s -> s.F.duplicated);
+           ("blackout drops", fun s -> s.F.blackout_drops);
+         ]
+      @ [
+          [ "nofeedback halvings"; string_of_int r1.tfrc_halvings ];
+          [ "rerun bit-identical"; (if identical then "yes" else "NO") ];
+        ])
   in
   [ Table.add_note t
       "every fault draw comes from Prng.stream of the scenario seed, so \
@@ -1689,7 +1395,7 @@ let robust_chaos ?jobs:_ ~quick:_ () =
    exists. (The fluid is a mean-field model, so small n is its worst
    case; the CI tolerance in test_fluid/test_exp is calibrated
    accordingly and this table is the human-readable view.) *)
-let hybrid_agreement ?jobs:_ ~quick () =
+let hybrid_agreement ~quick =
   let dur = if quick then 120.0 else 300.0 in
   let base =
     {
@@ -1712,40 +1418,39 @@ let hybrid_agreement ?jobs:_ ~quick () =
     in
     (p, norm)
   in
-  let ns = if quick then [ 4; 8 ] else [ 4; 8; 16 ] in
+  let+ rows =
+    each
+      (fun n ->
+        let+ pkt, fl =
+          Work.both
+            (Work.scenario
+               { base with Scenario.n_tcp = base.Scenario.n_tcp + n })
+            (Work.scenario
+               {
+                 base with
+                 Scenario.background =
+                   Some (Scenario.default_background ~flows:n);
+               })
+        in
+        let p_pkt, x_pkt = measure pkt and p_fl, x_fl = measure fl in
+        [
+          string_of_int n;
+          cell ~decimals:4 p_pkt; cell ~decimals:4 p_fl;
+          cell ~decimals:3 x_pkt; cell ~decimals:3 x_fl;
+          cell ~decimals:3 (p_fl /. p_pkt);
+          cell ~decimals:3 (x_fl /. x_pkt);
+        ])
+      (if quick then [ 4; 8 ] else [ 4; 8; 16 ])
+  in
   let t =
-    Table.create
+    table
       ~title:
         "Hybrid validation: n background flows, packet-exact vs fluid \
          aggregate"
       ~header:
         [ "bg flows"; "pkt p"; "fluid p"; "pkt x/f"; "fluid x/f";
           "p ratio"; "x/f ratio" ]
-  in
-  let t =
-    List.fold_left
-      (fun t n ->
-        let pkt =
-          Result_cache.run
-            { base with Scenario.n_tcp = base.Scenario.n_tcp + n }
-        in
-        let fl =
-          Result_cache.run
-            {
-              base with
-              Scenario.background = Some (Scenario.default_background ~flows:n);
-            }
-        in
-        let p_pkt, x_pkt = measure pkt and p_fl, x_fl = measure fl in
-        Table.add_row t
-          [
-            string_of_int n;
-            cell ~decimals:4 p_pkt; cell ~decimals:4 p_fl;
-            cell ~decimals:3 x_pkt; cell ~decimals:3 x_fl;
-            cell ~decimals:3 (p_fl /. p_pkt);
-            cell ~decimals:3 (x_fl /. x_pkt);
-          ])
-      t ns
+      rows
   in
   let note =
     "both legs share seed, queue and foreground; only the background's \
@@ -1763,7 +1468,7 @@ let hybrid_agreement ?jobs:_ ~quick () =
    rate). The simulated fluid endpoint is compared against its analytic
    equilibrium, and the ODE-cost columns show why this scales: stepper
    work is independent of N. *)
-let hybrid_scale ?jobs:_ ~quick () =
+let hybrid_scale ~quick =
   let dur = if quick then 60.0 else 180.0 in
   let base n =
     {
@@ -1778,39 +1483,33 @@ let hybrid_scale ?jobs:_ ~quick () =
   let ns =
     if quick then [ 10_000; 100_000 ] else [ 10_000; 100_000; 1_000_000 ]
   in
+  let point n =
+    let bg = Scenario.default_background ~flows:n in
+    let cfg = { (base n) with Scenario.background = Some bg } in
+    let+ r = Work.scenario cfg in
+    let x = cell ~decimals:1 (Scenario.mean_throughput r.Scenario.tfrc) in
+    match r.Scenario.fluid_stats with
+    | None -> [ string_of_int n; "-"; "-"; "-"; "-"; x; "-"; "-" ]
+    | Some s ->
+        let eq = Ebrc_net.Fluid.equilibrium (Scenario.fluid_config cfg bg) in
+        [
+          string_of_int n;
+          cell ~decimals:3 s.Ebrc_net.Fluid.w;
+          cell ~decimals:3 eq.Ebrc_net.Fluid.eq_w;
+          cell ~decimals:4 s.Ebrc_net.Fluid.mean_drop;
+          cell ~decimals:4 eq.Ebrc_net.Fluid.eq_p;
+          x;
+          string_of_int s.Ebrc_net.Fluid.ode.Ebrc_numerics.Ode.accepted;
+          string_of_int s.Ebrc_net.Fluid.advances;
+        ]
+  in
+  let+ rows = each point ns in
   let t =
-    Table.create
-      ~title:"Hybrid scale: N-flow fluid background vs analytic equilibrium"
+    table ~title:"Hybrid scale: N-flow fluid background vs analytic equilibrium"
       ~header:
         [ "N"; "sim w"; "eq w"; "sim drop"; "eq p"; "tfrc x (pps)";
           "ode steps"; "syncs" ]
-  in
-  let t =
-    List.fold_left
-      (fun t n ->
-        let bg = Scenario.default_background ~flows:n in
-        let cfg = { (base n) with Scenario.background = Some bg } in
-        let r = Result_cache.run cfg in
-        match r.Scenario.fluid_stats with
-        | None ->
-            Table.add_row t
-              [ string_of_int n; "-"; "-"; "-"; "-";
-                cell ~decimals:1 (Scenario.mean_throughput r.Scenario.tfrc);
-                "-"; "-" ]
-        | Some s ->
-            let eq = Ebrc_net.Fluid.equilibrium (Scenario.fluid_config cfg bg) in
-            Table.add_row t
-              [
-                string_of_int n;
-                cell ~decimals:3 s.Ebrc_net.Fluid.w;
-                cell ~decimals:3 eq.Ebrc_net.Fluid.eq_w;
-                cell ~decimals:4 s.Ebrc_net.Fluid.mean_drop;
-                cell ~decimals:4 eq.Ebrc_net.Fluid.eq_p;
-                cell ~decimals:1 (Scenario.mean_throughput r.Scenario.tfrc);
-                string_of_int s.Ebrc_net.Fluid.ode.Ebrc_numerics.Ode.accepted;
-                string_of_int s.Ebrc_net.Fluid.advances;
-              ])
-      t ns
+      rows
   in
   [ Table.add_note t
       "bottleneck scales with N (constant per-flow share), so the fixed \
@@ -1824,7 +1523,7 @@ let hybrid_scale ?jobs:_ ~quick () =
 (* Registry.                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type runner = ?jobs:int -> quick:bool -> unit -> Table.t list
+type runner = quick:bool -> Table.t list Work.t
 
 let registry : (string * string * runner) list =
   [
@@ -1891,54 +1590,16 @@ let find id =
 let ids () = List.map (fun (id, _, _) -> id) registry
 let describe () = List.map (fun (id, d, _) -> (id, d)) registry
 
-(* Span-wrapped execution: per-figure wall time lands in the trace and
-   the summary whenever telemetry is enabled; the counters make the
-   replication count visible to bench-compare. *)
-let run_runner ~id (runner : runner) ?jobs ~quick () =
-  Ebrc_telemetry.Stream.figure_event ~id ~phase:"start" ();
-  match
-    Tm.with_span ~cat:"figure" ("figure:" ^ id) (fun () ->
-        let tables = runner ?jobs ~quick () in
-        if Tm.is_on () then begin
-          Tm.Counter.incr m_figures_run;
-          Tm.Counter.add m_tables (List.length tables)
-        end;
-        tables)
-  with
-  | tables ->
-      Ebrc_telemetry.Stream.figure_event ~id ~phase:"done"
-        ~tables:(List.length tables) ();
-      tables
-  | exception e ->
-      Ebrc_telemetry.Stream.figure_event ~id ~phase:"failed" ();
-      Ebrc_telemetry.Flight.on_exn ~reason:("figure:" ^ id) e;
-      raise e
+(* --------------------------- running ----------------------------- *)
 
-let run_one ?jobs ~quick id =
-  match find id with
-  | Some runner -> run_runner ~id runner ?jobs ~quick ()
-  | None -> invalid_arg ("Figures.run_one: unknown figure id " ^ id)
+type failure = {
+  failed_id : string;
+  message : string;
+  exn : exn;
+  backtrace : string;
+}
 
-let run_all ?jobs ~quick () =
-  List.concat_map
-    (fun (id, _, runner) -> run_runner ~id runner ?jobs ~quick ())
-    registry
-
-(* ------------------------- keep-going mode ------------------------- *)
-
-type failure = { failed_id : string; message : string; backtrace : string }
-
-(* A Pool.Task_failed already names the replication that died; surface
-   that (plus the replay knob) instead of a bare exception string. *)
 let describe_exn = function
-  | Pool.Task_failed e ->
-      Printf.sprintf
-        "task #%d (seed %d, %d attempt%s) failed: %s — replay just this \
-         task with --only-task %d"
-        e.Pool.t_index e.Pool.t_seed e.Pool.t_attempts
-        (if e.Pool.t_attempts = 1 then "" else "s")
-        (Printexc.to_string e.Pool.t_exn)
-        e.Pool.t_index
   | Ebrc_sim.Engine.Budget_exceeded { kind; budget; at; events } ->
       let what, unit_ =
         match kind with
@@ -1950,32 +1611,75 @@ let describe_exn = function
         what budget at unit_ events
   | e -> Printexc.to_string e
 
-let run_runner_result ~id runner ?jobs ~quick () =
-  match run_runner ~id runner ?jobs ~quick () with
-  | tables -> Ok tables
-  | exception e ->
-      let backtrace = Printexc.get_backtrace () in
-      Error { failed_id = id; message = describe_exn e; backtrace }
+(* A failed leaf names the figures that declared it, its kind and, for
+   a scenario, its cache digest. *)
+let failure_of id (e : Work.error) =
+  {
+    failed_id = id;
+    message =
+      Printf.sprintf "%s of figure%s %s failed: %s" e.leaf
+        (if List.length e.owners > 1 then "s" else "")
+        (String.concat " " e.owners) (describe_exn e.exn);
+    exn = e.exn;
+    backtrace = Printexc.raw_backtrace_to_string e.backtrace;
+  }
 
-let run_one_result ?jobs ~quick id =
-  match find id with
-  | Some runner -> run_runner_result ~id runner ?jobs ~quick ()
-  | None ->
-      Error
-        {
-          failed_id = id;
-          message =
-            Printf.sprintf "unknown figure id %S; valid ids: %s" id
-              (String.concat " " (ids ()));
-          backtrace = "";
-        }
-
-let run_all_keep_going ?jobs ~quick () =
-  let tables = ref [] and failures = ref [] in
+(* The one sweep path: every entry's work runs as one batch. The batch
+   gets one span; each figure still streams start and done/failed. *)
+let run_batch ?jobs ~quick entries =
   List.iter
-    (fun (id, _, runner) ->
-      match run_runner_result ~id runner ?jobs ~quick () with
-      | Ok ts -> tables := ts :: !tables
-      | Error f -> failures := f :: !failures)
-    registry;
-  (List.concat (List.rev !tables), List.rev !failures)
+    (fun (id, _) -> Ebrc_telemetry.Stream.figure_event ~id ~phase:"start" ())
+    entries;
+  let results =
+    Tm.with_span ~cat:"figure" "figures:batch" (fun () ->
+        Work.run ?jobs
+          (List.map
+             (fun (id, (runner : runner)) -> (id, runner ~quick))
+             entries))
+  in
+  List.map
+    (fun (id, r) ->
+      match r with
+      | Ok tables ->
+          if Tm.is_on () then begin
+            Tm.Counter.incr m_figures_run;
+            Tm.Counter.add m_tables (List.length tables)
+          end;
+          Ebrc_telemetry.Stream.figure_event ~id ~phase:"done"
+            ~tables:(List.length tables) ();
+          (id, Ok tables)
+      | Error e ->
+          Ebrc_telemetry.Stream.figure_event ~id ~phase:"failed" ();
+          Ebrc_telemetry.Flight.on_exn ~reason:("figure:" ^ id) e.Work.exn;
+          (id, Error (failure_of id e)))
+    results
+
+let unknown id =
+  let message =
+    Printf.sprintf "unknown figure id %S; valid ids: %s" id
+      (String.concat " " (ids ()))
+  in
+  { failed_id = id; message; exn = Invalid_argument message; backtrace = "" }
+
+let run ?jobs ~quick ids =
+  let known =
+    List.filter_map (fun id -> Option.map (fun r -> (id, r)) (find id)) ids
+  in
+  let results = run_batch ?jobs ~quick known in
+  List.map
+    (fun id ->
+      match List.assoc_opt id results with
+      | Some r -> (id, r)
+      | None -> (id, Error (unknown id)))
+    ids
+
+(* Raise the first failure's original exception, as a direct run
+   would have. *)
+let tables_exn results =
+  List.concat_map
+    (function _, Ok tables -> tables | _, Error f -> raise f.exn)
+    results
+
+let run_one ?jobs ~quick id = tables_exn (run ?jobs ~quick [ id ])
+
+let run_all ?jobs ~quick () = tables_exn (run ?jobs ~quick (ids ()))

@@ -3,12 +3,14 @@
     sweeps. The experiment index lives in DESIGN.md, the
     paper-vs-measured record in EXPERIMENTS.md.
 
-    [jobs] (default 1) fans the runner's sweep points out over that
-    many domains. Every point derives its PRNG from its own
-    coordinates and results are assembled in grid order, so the tables
-    are byte-identical for every [jobs]. *)
+    A runner runs nothing: it declares its scenario runs and seeded
+    tasks as {!Work.t} and projects them to tables. {!run_batch} runs
+    the work of any set of runners as one deduplicated pool job over
+    [jobs] domains (default 1); every leaf derives its PRNG from its
+    own coordinates, so the tables are byte-identical for every
+    [jobs]. *)
 
-type runner = ?jobs:int -> quick:bool -> unit -> Table.t list
+type runner = quick:bool -> Table.t list Work.t
 
 val registry : (string * string * runner) list
 (** (figure id, description, runner). Ids: "1".."19", "t1", "c3",
@@ -16,79 +18,34 @@ val registry : (string * string * runner) list
 
 val ids : unit -> string list
 val describe : unit -> (string * string) list
-
 val find : string -> runner option
-val run_one : ?jobs:int -> quick:bool -> string -> Table.t list
-(** Raises [Invalid_argument] on an unknown id. *)
-
-val run_all : ?jobs:int -> quick:bool -> unit -> Table.t list
-
-(** {2 Keep-going mode}
-
-    Crash-isolated variants for hardened orchestration: a failing
-    runner becomes a structured {!failure} (with [Pool.Task_failed]
-    errors rendered as a replayable task #/seed report) instead of
-    killing the whole generation. *)
 
 type failure = {
   failed_id : string;
-  message : string;    (** human-readable cause, with replay hints *)
+  message : string;
+      (** the failed leaf (scenario digest or task number), the figures
+          that declared it, and the cause *)
+  exn : exn;  (** the original exception *)
   backtrace : string;  (** empty unless backtrace recording is on *)
 }
 
-val run_runner_result :
-  id:string -> runner -> ?jobs:int -> quick:bool -> unit ->
-  (Table.t list, failure) result
+val run_batch :
+  ?jobs:int -> quick:bool -> (string * runner) list ->
+  (string * (Table.t list, failure) result) list
+(** Run every entry's work as one batch ({!Work.run}), then project
+    each entry in order. A failed leaf fails exactly the entries that
+    declared it; the others still render. Streams a [start] figure
+    event per entry before the batch and [done]/[failed] after it. *)
 
-val run_one_result :
-  ?jobs:int -> quick:bool -> string -> (Table.t list, failure) result
-(** Unknown ids become [Error] (listing the valid ids), not an
-    exception. *)
+val run :
+  ?jobs:int -> quick:bool -> string list ->
+  (string * (Table.t list, failure) result) list
+(** {!run_batch} over registry ids, in the order given. An unknown id
+    becomes an [Error] listing the valid ids. *)
 
-val run_all_keep_going :
-  ?jobs:int -> quick:bool -> unit -> Table.t list * failure list
-(** Run the whole registry; surviving figures' tables in registry
-    order plus one {!failure} per runner that raised. *)
+val run_one : ?jobs:int -> quick:bool -> string -> Table.t list
+(** Raises [Invalid_argument] on an unknown id, and a failed figure's
+    original exception. *)
 
-(** Individual runners (exposed for tests and the bench harness). *)
-
-val fig1 : runner
-val fig2 : runner
-val fig3 : runner
-val fig4 : runner
-val fig5 : runner
-val fig6 : runner
-val fig7 : runner
-val fig8 : runner
-val fig9 : runner
-val fig10 : runner
-val fig11 : runner
-val fig12 : runner
-val fig13 : runner
-val fig14 : runner
-val fig15 : runner
-val fig16 : runner
-val fig17 : runner
-val fig18 : runner
-val fig19 : runner
-val table_one : runner
-val table_c3 : runner
-val table_c4 : runner
-val ablation_weights : runner
-val ablation_eq12 : runner
-val ablation_dropper_mode : runner
-val ablation_competition : runner
-val ablation_comprehensive_fig3 : runner
-val ablation_window_growth : runner
-val ablation_autocovariance : runner
-val ablation_exact_vs_mc : runner
-val ablation_chain : runner
-val ablation_tcp_variant : runner
-val ablation_design_advisor : runner
-val ablation_rtt_heterogeneity : runner
-val ablation_loss_families : runner
-val robust_blackout : runner
-val robust_flaps : runner
-val robust_chaos : runner
-val hybrid_agreement : runner
-val hybrid_scale : runner
+val run_all : ?jobs:int -> quick:bool -> unit -> Table.t list
+(** The whole registry as one batch; raises like {!run_one}. *)

@@ -1,7 +1,7 @@
 (* Markdown report generator: runs any subset of the figure registry
-   and renders one self-contained document with the tables, notes and
-   timing, suitable for committing next to EXPERIMENTS.md or attaching
-   to a CI run. *)
+   as one batch and renders one self-contained document with the
+   tables, notes and total time, suitable for committing next to
+   EXPERIMENTS.md or attaching to a CI run. *)
 
 module Tm = Ebrc_telemetry.Telemetry
 
@@ -75,7 +75,7 @@ type options = {
   ids : string list;          (* empty = whole registry *)
   quick : bool;
   heading : string;
-  jobs : int option;          (* None = sequential *)
+  jobs : int option;          (* batch domains; None = sequential *)
   keep_going : bool;          (* failing figures become FAILED sections *)
 }
 
@@ -113,31 +113,24 @@ let generate_result ?(options = default_options) () =
         EXPERIMENTS.md for the paper-vs-measured record.\n\n"
        (if options.quick then "quick (scaled-down sweeps)"
         else "full (paper-scale sweeps)"));
-  let entries =
-    match options.ids with
-    | [] -> Figures.registry
-    | ids ->
-        List.filter_map
-          (fun id ->
-            List.find_opt (fun (fid, _, _) -> fid = id) Figures.registry)
-          ids
-  in
+  let ids = match options.ids with [] -> Figures.ids () | ids -> ids in
+  let known = List.filter (fun id -> Figures.find id <> None) ids in
+  (* One batch for the whole report. In keep-going mode a failed
+     figure renders as a FAILED section and the rest survives. *)
+  let t0 = Unix.gettimeofday () in
+  let results = Figures.run ?jobs:options.jobs ~quick:options.quick known in
+  let seconds = Unix.gettimeofday () -. t0 in
+  if not options.keep_going then
+    List.iter
+      (function _, Error (f : Figures.failure) -> raise f.exn | _ -> ())
+      results;
+  let describe = Figures.describe () in
   let failures = ref [] in
   List.iter
-    (fun (id, desc, runner) ->
-      Buffer.add_string buf (Printf.sprintf "## Figure %s — %s\n\n" id desc);
-      let t0 = Unix.gettimeofday () in
-      (* Route through the Figures entry points so report runs get
-         per-figure spans. In keep-going mode a raising runner renders
-         as a FAILED section and the rest of the report survives. *)
-      let outcome =
-        if options.keep_going then
-          Figures.run_runner_result ~id runner ?jobs:options.jobs
-            ~quick:options.quick ()
-        else
-          Ok (Figures.run_one ?jobs:options.jobs ~quick:options.quick id)
-      in
-      (match outcome with
+    (fun (id, outcome) ->
+      Buffer.add_string buf
+        (Printf.sprintf "## Figure %s — %s\n\n" id (List.assoc id describe));
+      match outcome with
       | Ok tables ->
           List.iter
             (fun t ->
@@ -152,11 +145,9 @@ let generate_result ?(options = default_options) () =
       | Error (f : Figures.failure) ->
           failures := f :: !failures;
           Buffer.add_string buf
-            (Printf.sprintf "### **FAILED**\n\n> %s\n\n" f.Figures.message));
-      Buffer.add_string buf
-        (Printf.sprintf "_regenerated in %.1f s_\n\n"
-           (Unix.gettimeofday () -. t0)))
-    entries;
+            (Printf.sprintf "### **FAILED**\n\n> %s\n\n" f.Figures.message))
+    results;
+  Buffer.add_string buf (Printf.sprintf "_regenerated in %.1f s_\n\n" seconds);
   let failures = List.rev !failures in
   (if failures <> [] then begin
      Buffer.add_string buf "## Failure summary\n\n";

@@ -1,11 +1,13 @@
 (** Markdown report generator: run a subset of the figure registry and
-    render one self-contained document (tables, notes, timing). *)
+    render one self-contained document (tables, notes, total time). The
+    selected figures run as one {!Figures.run_batch}. *)
 
 type options = {
   ids : string list;   (** Figure ids to include; empty = whole registry. *)
   quick : bool;
   heading : string;
-  jobs : int option;   (** Worker domains per runner; [None] = sequential. *)
+  jobs : int option;
+      (** Domains for the report's one figure batch; [None] = sequential. *)
   keep_going : bool;
       (** When true, a raising runner renders as a FAILED section (and a
           trailing failure summary) instead of aborting the report. *)

@@ -1,9 +1,9 @@
-(* Fixed-size domain pool with chunked work-stealing.
+(* Fixed-size domain pool with dynamic work-sharing.
 
    Workers are spawned once and parked on a condition variable between
    jobs; a job is an index range [0, length) that workers (and the
-   submitting caller) drain by fetch-and-add on an atomic cursor, a
-   chunk of indices at a time. Task results are written into
+   submitting caller) drain by fetch-and-add on an atomic cursor, one
+   index at a time. Task results are written into
    caller-owned slots keyed by task index, never appended, so the
    output order is independent of the schedule — that, plus per-task
    PRNG streams (Prng.stream), is what makes parallel sweeps
@@ -31,7 +31,6 @@ let m_tasks_submitted =
 type job = {
   run_chunk : int -> int -> unit;  (* process indices [lo, hi) *)
   length : int;
-  chunk : int;
   cursor : int Atomic.t;
   submitter : int;                 (* domain id of the submitting caller *)
   mutable finished_workers : int;  (* protected by the pool lock *)
@@ -60,11 +59,15 @@ let default_jobs () =
 let execute job =
   let continue = ref true in
   while !continue do
-    let lo = Atomic.fetch_and_add job.cursor job.chunk in
+    (* One index per grab: every caller's tasks are simulations or
+       sweep points (milliseconds), so the atomic costs nothing beside
+       them, and a longest-first batch then ends without one domain
+       still working through a large chunk. *)
+    let lo = Atomic.fetch_and_add job.cursor 1 in
     if lo >= job.length || Atomic.get job.failure <> None then
       continue := false
     else begin
-      let hi = min job.length (lo + job.chunk) in
+      let hi = lo + 1 in
       let telem = Tm.is_on () in
       let t0 = if telem then Tm.wall_now () else 0.0 in
       (try job.run_chunk lo hi
@@ -130,7 +133,7 @@ let create ?domains () =
 let domains t = t.n_domains
 
 (* Run [run_chunk] over the index range [0, length). The caller drains
-   chunks alongside the workers, then waits for every worker to retire
+   indices alongside the workers, then waits for every worker to retire
    from the job before returning (so results are published and the
    pool can accept the next job). *)
 let check_open t =
@@ -161,9 +164,6 @@ let run t ~length run_chunk =
         {
           run_chunk;
           length;
-          (* Small chunks (several per domain) absorb task-duration
-             skew without much cursor contention. *)
-          chunk = max 1 (length / (t.n_domains * 4));
           cursor = Atomic.make 0;
           submitter = (Domain.self () :> int);
           finished_workers = 0;
@@ -203,7 +203,6 @@ type task_error = {
 }
 
 exception Task_failed of task_error
-exception Task_skipped
 
 let () =
   Printexc.register_printer (function
@@ -212,7 +211,6 @@ let () =
           (Printf.sprintf
              "Pool.Task_failed (task #%d, seed %d, attempt %d): %s" e.t_index
              e.t_seed e.t_attempts (Printexc.to_string e.t_exn))
-    | Task_skipped -> Some "Pool.Task_skipped (only-task filter)"
     | _ -> None)
 
 let m_task_failures =
@@ -222,74 +220,47 @@ let m_task_retries =
   Tm.Counter.make ~help:"task attempts retried after a failure"
     "pool.task_retries"
 
-let only_task_ref =
-  ref
-    (match Sys.getenv_opt "EBRC_ONLY_TASK" with
-    | Some s -> int_of_string_opt (String.trim s)
-    | None -> None)
-
-let set_only_task o = only_task_ref := o
-let only_task () = !only_task_ref
-
-let try_init_gen ~honor_only ?(retries = 0) ?seed_of t n f =
+let try_init ?(retries = 0) ?seed_of t n f =
   check_open t;
   if n < 0 then invalid_arg "Pool.try_init: negative length";
   if retries < 0 then invalid_arg "Pool.try_init: negative retries";
   let seed_of = match seed_of with Some g -> g | None -> fun i -> i in
-  let only = if honor_only then !only_task_ref else None in
   if n = 0 then [||]
   else begin
-    let nowhere = Printexc.get_callstack 0 in
-    let placeholder =
-      Error
-        { t_index = -1; t_seed = 0; t_attempts = 0; t_exn = Task_skipped;
-          t_backtrace = nowhere }
-    in
-    let results = Array.make n placeholder in
+    let results = Array.make n None in
     (* [one] never raises, so a crashing task can neither abort its
-       chunk-mates nor poison the job: every sibling still runs and
+       siblings nor poison the job: every sibling still runs and
        publishes its own Ok/Error slot. *)
     let one i =
-      match only with
-      | Some k when k <> i ->
-          Error
-            { t_index = i; t_seed = seed_of i; t_attempts = 0;
-              t_exn = Task_skipped; t_backtrace = nowhere }
-      | _ ->
-          let rec attempt a =
-            match f ~attempt:a i with
-            | v -> Ok v
-            | exception e ->
-                let bt = Printexc.get_raw_backtrace () in
-                if a < retries then begin
-                  if Tm.is_on () then Tm.Counter.incr m_task_retries;
-                  attempt (a + 1)
-                end
-                else begin
-                  if Tm.is_on () then Tm.Counter.incr m_task_failures;
-                  Error
-                    { t_index = i; t_seed = seed_of i; t_attempts = a + 1;
-                      t_exn = e; t_backtrace = bt }
-                end
-          in
-          attempt 0
+      let rec attempt a =
+        match f ~attempt:a i with
+        | v -> Ok v
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            if a < retries then begin
+              if Tm.is_on () then Tm.Counter.incr m_task_retries;
+              attempt (a + 1)
+            end
+            else begin
+              if Tm.is_on () then Tm.Counter.incr m_task_failures;
+              Error
+                { t_index = i; t_seed = seed_of i; t_attempts = a + 1;
+                  t_exn = e; t_backtrace = bt }
+            end
+      in
+      attempt 0
     in
     run t ~length:n (fun lo hi ->
         for i = lo to hi - 1 do
-          results.(i) <- one i
+          results.(i) <- Some (one i)
         done);
-    results
+    Array.map Option.get results
   end
 
-let try_init ?retries ?seed_of t n f =
-  try_init_gen ~honor_only:true ?retries ?seed_of t n f
-
-(* Single-task crash isolation for callers that are not sweeps — the
-   serve worker leases one task at a time and must not be filtered by
-   a sweep-replay EBRC_ONLY_TASK left in the environment. *)
+(* Single-task crash isolation for callers that are not sweeps (the
+   serve worker leases one task at a time). *)
 let run_isolated ?retries t f =
-  (try_init_gen ~honor_only:false ?retries t 1 (fun ~attempt _ ->
-       f ~attempt)).(0)
+  (try_init ?retries t 1 (fun ~attempt _ -> f ~attempt)).(0)
 
 (* Lowest failing index, so the raised error is deterministic (the old
    first-failure-wins atomic depended on the chunk schedule). *)
@@ -310,13 +281,13 @@ let reap results =
 
 let map t f xs =
   let n = Array.length xs in
-  reap (try_init_gen ~honor_only:false t n (fun ~attempt:_ i -> f xs.(i)))
+  reap (try_init t n (fun ~attempt:_ i -> f xs.(i)))
 
 let map_list t f xs = Array.to_list (map t f (Array.of_list xs))
 
 let init t n f =
   if n < 0 then invalid_arg "Pool.init: negative length";
-  reap (try_init_gen ~honor_only:false t n (fun ~attempt:_ i -> f i))
+  reap (try_init t n (fun ~attempt:_ i -> f i))
 
 let shutdown t =
   Mutex.lock t.lock;

@@ -1,9 +1,9 @@
 (** Fixed-size OCaml 5 domain pool for embarrassingly parallel sweeps.
 
     The experiment layer runs large grids of independent simulations
-    (per-figure parameter sweeps, Monte-Carlo replications). This pool
-    fans such grids out over [domains] domains with chunked
-    work-stealing over an atomic index.
+    (the figure batch, Monte-Carlo replications). This pool fans such
+    grids out over [domains] domains, each domain taking the next task
+    index from a shared atomic cursor.
 
     Determinism contract: [map]/[init] write each task's result into
     the slot of its task index, and every stochastic task must derive
@@ -30,13 +30,11 @@ val default_jobs : unit -> int
 (** {2 Crash isolation}
 
     Every task runs under a per-task exception barrier: a crashing
-    task never aborts its chunk-mates, and all sibling results are
+    task never aborts its siblings, and all sibling results are
     preserved. {!try_init} exposes the per-task [result]s directly;
     [map]/[init] are built on it and raise {!Task_failed} carrying the
     lowest failing index (deterministic, unlike a first-observed
-    race), its seed, and the original exception + backtrace — enough
-    to replay exactly one task with {!set_only_task} /
-    [--only-task]. *)
+    race), its seed, and the original exception + backtrace. *)
 
 type task_error = {
   t_index : int;       (** task index within the job *)
@@ -48,9 +46,6 @@ type task_error = {
 
 exception Task_failed of task_error
 
-exception Task_skipped
-(** The [t_exn] of tasks filtered out by {!set_only_task}. *)
-
 val try_init :
   ?retries:int -> ?seed_of:(int -> int) -> t -> int ->
   (attempt:int -> int -> 'a) -> ('a, task_error) result array
@@ -61,25 +56,15 @@ val try_init :
     task can derive a fresh PRNG sub-stream per attempt, e.g.
     [Prng.stream ~root (seed_of i + attempt)]. [seed_of] (default
     [Fun.id]) records each task's seed in its [task_error] so a crash
-    report identifies the replication. Honors {!set_only_task}:
-    filtered tasks return [Error] with [t_exn = Task_skipped]. *)
+    report identifies the replication. *)
 
 val run_isolated :
   ?retries:int -> t -> (attempt:int -> 'a) -> ('a, task_error) result
 (** One task under the same per-task exception barrier as {!try_init}:
     [Ok] of the value or [Error] describing the final failure, with
     [retries] extra attempts (the attempt number lets the task derive
-    a fresh PRNG sub-stream). Unlike {!try_init} it ignores
-    {!set_only_task} — it serves callers (the sweep-service worker)
-    whose unit of replay is not a sweep index. *)
-
-val set_only_task : int option -> unit
-(** Replay filter for {!try_init} (env default: [EBRC_ONLY_TASK]):
-    when set, only the matching task index actually runs — the knob
-    that makes a [Task_failed] report replayable in isolation. Ignored
-    by [map]/[init]. *)
-
-val only_task : unit -> int option
+    a fresh PRNG sub-stream). It serves callers (the sweep-service
+    worker) whose unit of work is not a sweep index. *)
 
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Order-preserving parallel [Array.map]. Tasks are crash-isolated:

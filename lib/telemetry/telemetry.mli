@@ -205,7 +205,7 @@ type span = {
 val with_span : ?cat:string -> string -> (unit -> 'a) -> 'a
 (** Time [f] on the wall clock and record a span (also on exception).
     Calls [f] directly when disabled. Spans are coarse-grained
-    (per-figure, per-report) and go through a small lock. *)
+    (a figure batch, a report) and go through a small lock. *)
 
 val spans : unit -> span list
 (** Recorded spans in completion order. *)

@@ -7,7 +7,7 @@ module A = Ebrc.Audio_scenario
 module P = Ebrc.Paths
 module Fig = Ebrc.Figures
 module RC = Ebrc.Result_cache
-module Pool = Ebrc.Pool
+module Work = Ebrc.Work
 
 let feq ?(eps = 1e-9) a b =
   Alcotest.(check bool)
@@ -497,58 +497,77 @@ let test_registry_unknown () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+let has needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let test_run_one_result_unknown () =
-  match Fig.run_one_result ~quick:true "nope" with
-  | Ok _ -> Alcotest.fail "expected Error"
-  | Error f ->
+  match Fig.run ~quick:true [ "nope" ] with
+  | [ (_, Error f) ] ->
       Alcotest.(check string) "failure id" "nope" f.Fig.failed_id;
-      let has needle hay =
-        let nl = String.length needle and hl = String.length hay in
-        let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-        go 0
-      in
       Alcotest.(check bool) "message lists valid ids" true
         (has "valid" f.Fig.message && has "t1" f.Fig.message)
+  | _ -> Alcotest.fail "expected one Error"
+
+let one_cell v = T.add_row (T.create ~title:"ok" ~header:[ "v" ]) [ v ]
 
 let test_run_runner_result_failure () =
-  (* A runner that dies inside a pool sweep must surface the failing
-     task's index and seed with a replay hint, not a bare exception. *)
+  (* One failing task leaf fails exactly the figure that declared it,
+     and the failure names the leaf; a sibling figure in the same
+     batch still renders. *)
   let boom : Fig.runner =
-   fun ?jobs ~quick () ->
-    ignore quick;
-    Pool.with_pool ?domains:jobs (fun pool ->
-        ignore
-          (Pool.init pool 8 (fun i ->
-               if i = 5 then failwith "injected crash" else i)));
-    []
+   fun ~quick:_ ->
+    Work.map
+      (fun (a, b) -> [ one_cell a; one_cell b ])
+      (Work.both
+         (Work.task (fun () -> "1"))
+         (Work.task (fun () -> failwith "injected crash")))
   in
-  match Fig.run_runner_result ~id:"boom" boom ~jobs:2 ~quick:true () with
-  | Ok _ -> Alcotest.fail "expected Error"
-  | Error f ->
-      let has needle hay =
-        let nl = String.length needle and hl = String.length hay in
-        let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-        go 0
-      in
+  let ok : Fig.runner =
+   fun ~quick:_ -> Work.map (fun v -> [ one_cell v ]) (Work.task (fun () -> "2"))
+  in
+  match Fig.run_batch ~jobs:2 ~quick:true [ ("boom", boom); ("ok", ok) ] with
+  | [ ("boom", Error f); ("ok", Ok [ _ ]) ] ->
       Alcotest.(check string) "failure id" "boom" f.Fig.failed_id;
-      Alcotest.(check bool) "message names the task" true
-        (has "task #5" f.Fig.message);
-      Alcotest.(check bool) "message suggests --only-task" true
-        (has "--only-task 5" f.Fig.message)
+      Alcotest.(check bool)
+        ("message names the leaf: " ^ f.Fig.message)
+        true
+        (has "task #2 of figure boom failed" f.Fig.message
+        && has "injected crash" f.Fig.message)
+  | _ -> Alcotest.fail "expected boom to fail and ok to render"
 
 let test_run_all_keep_going_collects () =
-  (* Break one registry entry's pool sweep indirectly by running a
-     tiny fake registry through run_runner_result; then check the real
-     keep-going driver over two known-good cheap ids. *)
   let ok : Fig.runner =
-   fun ?jobs ~quick () ->
-    ignore jobs;
-    ignore quick;
-    [ T.add_row (T.create ~title:"ok" ~header:[ "v" ]) [ "1" ] ]
+   fun ~quick:_ -> Work.map (fun v -> [ one_cell v ]) (Work.task (fun () -> "1"))
   in
-  match Fig.run_runner_result ~id:"ok" ok ~quick:true () with
-  | Error _ -> Alcotest.fail "good runner must succeed"
-  | Ok tables -> Alcotest.(check int) "tables pass through" 1 (List.length tables)
+  match Fig.run_batch ~quick:true [ ("ok", ok) ] with
+  | [ ("ok", Ok tables) ] ->
+      Alcotest.(check int) "tables pass through" 1 (List.length tables)
+  | _ -> Alcotest.fail "good runner must succeed"
+
+let test_batch_dedups_scenarios () =
+  (* Figures 5/7/8/9 declare the same bottleneck sweep and 10/11/12
+     overlapping path profiles: one batch runs each distinct config
+     once, so a cold memo sees exactly one miss per config and no
+     hits. *)
+  let ids = [ "5"; "7"; "8"; "9"; "10"; "11"; "12" ] in
+  let distinct =
+    List.concat_map
+      (fun id -> Work.configs ((Option.get (Fig.find id)) ~quick:true))
+      ids
+    |> List.map Ebrc.Codec.encode |> List.sort_uniq String.compare
+    |> List.length
+  in
+  with_clean_cache (fun () ->
+      List.iter
+        (fun (id, r) ->
+          Alcotest.(check bool) ("figure " ^ id ^ " rendered") true
+            (Result.is_ok r))
+        (Fig.run ~jobs:2 ~quick:true ids);
+      let st = RC.stats () in
+      Alcotest.(check int) "misses = distinct configs" distinct st.RC.misses;
+      Alcotest.(check int) "no memo hits" 0 st.RC.hits)
 
 let test_analytic_figures_run () =
   (* The cheap, purely analytic figures should run here; the DES sweeps
@@ -703,6 +722,8 @@ let () =
             test_run_runner_result_failure;
           Alcotest.test_case "good runner passes through" `Quick
             test_run_all_keep_going_collects;
+          Alcotest.test_case "batch dedups scenarios" `Quick
+            test_batch_dedups_scenarios;
           Alcotest.test_case "analytic figures" `Quick test_analytic_figures_run;
           Alcotest.test_case "fig2 ratio" `Quick test_fig2_ratio_note;
           Alcotest.test_case "validate cheap checks" `Quick test_validate_cheap_checks;

@@ -132,29 +132,6 @@ let test_retries_with_fresh_attempt () =
           Alcotest.(check int) "attempts counted" 3 e.Pool.t_attempts;
           Alcotest.(check int) "custom seed recorded" 1007 e.Pool.t_seed)
 
-let test_only_task_filter () =
-  Pool.set_only_task (Some 3);
-  Fun.protect
-    ~finally:(fun () -> Pool.set_only_task None)
-    (fun () ->
-      Pool.with_pool ~domains:2 (fun pool ->
-          let results = Pool.try_init pool 6 (fun ~attempt:_ i -> i) in
-          Array.iteri
-            (fun i r ->
-              match r with
-              | Ok v ->
-                  Alcotest.(check int) "only the selected task ran" 3 i;
-                  Alcotest.(check int) "selected task value" 3 v
-              | Error e ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf "task %d skipped" i)
-                    true
-                    (i <> 3 && e.Pool.t_exn = Pool.Task_skipped))
-            results;
-          (* map/init ignore the filter *)
-          check_int_list "map_list unaffected by only-task" [ 1; 2; 3 ]
-            (Pool.map_list pool succ [ 0; 1; 2 ])))
-
 (* ------------------------ pool reuse ----------------------------- *)
 
 let test_pool_reuse () =
@@ -196,6 +173,26 @@ let test_figure_determinism () =
     "figure 3 identical at jobs=1 and jobs=4" (figure_csv ~jobs:1 "3")
     (figure_csv ~jobs:4 "3")
 
+let test_batch_determinism () =
+  (* One multi-figure batch with the cache off, covering every leaf
+     kind: Monte-Carlo tasks (3, c3), audio tasks (6), scenarios (17),
+     a direct-engine task (a6) and chain tasks (a9). *)
+  let ids = [ "3"; "6"; "17"; "a6"; "a9"; "c3" ] in
+  let batch_csv ~jobs =
+    Ebrc.Figures.run ~jobs ~quick:true ids
+    |> List.concat_map (function
+         | _, Ok tables -> List.map Ebrc.Table.to_csv tables
+         | id, Error _ -> Alcotest.failf "figure %s failed" id)
+    |> String.concat "\n"
+  in
+  Ebrc.Result_cache.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Ebrc.Result_cache.set_enabled true)
+    (fun () ->
+      Alcotest.(check string)
+        "batch identical at jobs=1 and jobs=4" (batch_csv ~jobs:1)
+        (batch_csv ~jobs:4))
+
 let test_monte_carlo_determinism () =
   let cp : Ebrc.Many_sources.congestion_process =
     [|
@@ -232,8 +229,6 @@ let () =
             test_try_init_isolates;
           Alcotest.test_case "retries with fresh attempt" `Quick
             test_retries_with_fresh_attempt;
-          Alcotest.test_case "only-task replay filter" `Quick
-            test_only_task_filter;
           Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
           Alcotest.test_case "shutdown idempotent" `Quick
             test_shutdown_idempotent;
@@ -242,6 +237,8 @@ let () =
         [
           Alcotest.test_case "figure 3 jobs=1 vs jobs=4" `Slow
             test_figure_determinism;
+          Alcotest.test_case "figure batch jobs=1 vs jobs=4" `Slow
+            test_batch_determinism;
           Alcotest.test_case "monte carlo jobs=1 vs jobs=4" `Quick
             test_monte_carlo_determinism;
         ] );
