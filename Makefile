@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all ci build test serve-e2e chaos-e2e figures-e2e serve-demo bench bench-quick bench-full bench-scale bench-compare bench-trend figures validate report examples telemetry-demo status-demo clean
+.PHONY: all ci build json-lint test serve-e2e chaos-e2e figures-e2e serve-demo bench bench-quick bench-full bench-scale bench-compare bench-trend figures validate report examples telemetry-demo status-demo clean
 
 all: build
 
@@ -9,10 +9,19 @@ all: build
 # hot-path regressions > 20% or fixed-seed telemetry drift; set
 # EBRC_COMPARE_WARN_ONLY=1 when a simulator change makes drift
 # intentional).
-ci: build test serve-e2e chaos-e2e figures-e2e bench-quick bench-compare
+ci: build json-lint test serve-e2e chaos-e2e figures-e2e bench-quick bench-compare
 
 build:
 	dune build @all
+
+# One JSON printer: every machine-output writer builds an
+# Ebrc_obs.Json.t and renders it with Json.print. Fails on a format
+# template that builds a JSON object or field ({\" or \":%) anywhere
+# in lib/, bin/ or bench/ outside the printer itself and the manifest
+# envelope.
+json-lint:
+	@! grep -rnE --include='*.ml' '\{\\"|\\":%' lib bin bench \
+	  | grep -v -e '^lib/obs/json\.ml:' -e '^lib/serve/manifest\.ml:'
 
 test:
 	dune runtest

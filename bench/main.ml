@@ -507,12 +507,12 @@ let measure_stream_ablation () =
     let n = ref 0 in
     (try
        while true do
-         let line = input_line ic in
-         let tag = "{\"type\":\"delta\"" in
-         if
-           String.length line >= String.length tag
-           && String.sub line 0 (String.length tag) = tag
-         then incr n
+         match Ebrc_obs.Json.parse (input_line ic) with
+         | Ok j
+           when Ebrc_obs.Json.member "type" j = Some (Ebrc_obs.Json.Str "delta")
+           ->
+             incr n
+         | Ok _ | Error _ -> ()
        done
      with End_of_file -> ());
     close_in ic;

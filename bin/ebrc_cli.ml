@@ -2,6 +2,7 @@
    figure or table, list the experiment registry, or run a quick demo. *)
 
 open Cmdliner
+module Json = Ebrc_obs.Json
 
 (* Shared -j/--jobs flag: number of worker domains for the sweep
    runners. 0 (the default) means "auto": all recommended domains.
@@ -291,9 +292,9 @@ let figure_cmd =
       with_observability ~cmd:"figure"
         ~attrs:
           [
-            ("id", Printf.sprintf "%S" id);
-            ("quick", string_of_bool quick);
-            ("jobs", string_of_int jobs);
+            ("id", Json.Str id);
+            ("quick", Json.Bool quick);
+            ("jobs", Json.Int jobs);
           ]
         obs
       @@ fun () ->
@@ -605,9 +606,9 @@ let report_cmd =
     with_observability ~cmd:"report"
       ~attrs:
         [
-          ("out", Printf.sprintf "%S" out);
-          ("quick", string_of_bool (not full));
-          ("jobs", string_of_int jobs);
+          ("out", Json.Str out);
+          ("quick", Json.Bool (not full));
+          ("jobs", Json.Int jobs);
         ]
       obs
     @@ fun () ->
@@ -645,7 +646,7 @@ let validate_cmd =
     let jobs = resolve_jobs jobs in
     with_observability ~cmd:"validate"
       ~attrs:
-        [ ("quick", string_of_bool (not full)); ("jobs", string_of_int jobs) ]
+        [ ("quick", Json.Bool (not full)); ("jobs", Json.Int jobs) ]
       obs
     @@ fun () ->
     with_telemetry telem @@ fun () ->
@@ -716,9 +717,9 @@ let status_cmd =
           (fun f ->
             match read f with
             | Some v ->
-                let body = String.trim (Ebrc_obs.Status.render_json v) in
-                Printf.printf "{\"file\":\"%s\",\"status\":%s}\n"
-                  (Ebrc_obs.Json.escape f) body
+                let status = Ebrc_obs.Status.to_json v in
+                print_endline
+                  Json.(print (Obj [ ("file", Str f); ("status", status) ]))
             | None -> ())
           files;
         `Ok ()
@@ -1074,8 +1075,8 @@ let worker_cmd =
       with_observability ~cmd:"worker"
         ~attrs:
           [
-            ("queue", Printf.sprintf "%S" queue);
-            ("worker", Printf.sprintf "%S" cfg.Ebrc_serve.Worker.worker_id);
+            ("queue", Json.Str queue);
+            ("worker", Json.Str cfg.Ebrc_serve.Worker.worker_id);
           ]
         obs
       @@ fun () ->

@@ -94,14 +94,10 @@ let generate_result ?(options = default_options) () =
   Ebrc_telemetry.Stream.manifest ~cmd:"report"
     ~attrs:
       [
-        ( "ids",
-          Printf.sprintf "\"%s\""
-            (Ebrc_obs.Json.escape
-               (String.concat " " options.ids)) );
-        ("quick", string_of_bool options.quick);
-        ( "jobs",
-          match options.jobs with Some j -> string_of_int j | None -> "1" );
-        ("keep_going", string_of_bool options.keep_going);
+        ("ids", Ebrc_obs.Json.Str (String.concat " " options.ids));
+        ("quick", Ebrc_obs.Json.Bool options.quick);
+        ("jobs", Ebrc_obs.Json.Int (Option.value ~default:1 options.jobs));
+        ("keep_going", Ebrc_obs.Json.Bool options.keep_going);
       ]
     ();
   let buf = Buffer.create 8192 in

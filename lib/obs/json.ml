@@ -185,28 +185,39 @@ let to_float = function
 let to_int = function Int i -> Some i | _ -> None
 let to_string = function Str s -> Some s | _ -> None
 
-let add_escaped buf s =
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+(* Most strings (metric names, run keys, digests) need no escaping:
+   those are copied in one blit. *)
+let rec plain s i =
+  i = String.length s
+  || (let c = s.[i] in
+      c <> '"' && c <> '\\' && c >= ' ' && plain s (i + 1))
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  add_escaped buf s;
-  Buffer.contents buf
+let add_string buf s =
+  Buffer.add_char buf '"';
+  if plain s 0 then Buffer.add_string buf s
+  else
+    String.iter
+      (function
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+  Buffer.add_char buf '"'
 
 (* Shortest of %.15g / %.16g / %.17g that reads back to the same
-   double; JSON has no non-finite numbers, so those print as null. *)
+   double; JSON has no non-finite numbers, so those print as null.
+   A non-zero integral double below 1e15 is exactly what %.15g prints
+   for it, so it skips the sprintf and the read-back (zero takes the
+   slow path to keep -0's sign). *)
 let number f =
-  if not (Float.is_finite f) then "null"
+  if Float.is_integer f && Float.abs f < 1e15 && f <> 0.0 then
+    string_of_int (int_of_float f)
+  else if not (Float.is_finite f) then "null"
   else
     let rec go p =
       let s = Printf.sprintf "%.*g" p f in
@@ -219,10 +230,7 @@ let rec write buf = function
   | Bool b -> Buffer.add_string buf (string_of_bool b)
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Num f -> Buffer.add_string buf (number f)
-  | Str s ->
-      Buffer.add_char buf '"';
-      add_escaped buf s;
-      Buffer.add_char buf '"'
+  | Str s -> add_string buf s
   | List xs ->
       Buffer.add_char buf '[';
       List.iteri
@@ -236,7 +244,7 @@ let rec write buf = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          write buf (Str k);
+          add_string buf k;
           Buffer.add_char buf ':';
           write buf v)
         kvs;

@@ -402,60 +402,28 @@ let render v =
       (Printf.sprintf "(%d unparsable line(s) skipped)\n" v.skipped);
   Buffer.contents buf
 
-let render_json v =
-  let buf = Buffer.create 2048 in
-  let num f = if Float.is_finite f then Printf.sprintf "%.17g" f else "null" in
-  Buffer.add_string buf "{";
-  Buffer.add_string buf "\"manifest\":{";
-  List.iteri
-    (fun i (k, s) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape s)))
-    v.manifest;
-  Buffer.add_string buf "},\"figures\":[";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"id\":\"%s\",\"phase\":\"%s\",\"t_start\":%s,\"t_last\":%s,\
-            \"tables\":%d}"
-           (Json.escape f.fig_id) (Json.escape f.phase) (num f.t_start)
-           (num f.t_last) f.tables))
-    v.figures;
-  Buffer.add_string buf "],\"tasks\":[";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"id\":\"%s\",\"phase\":\"%s\",\"t_start\":%s,\"t_last\":%s}"
-           (Json.escape f.fig_id) (Json.escape f.phase) (num f.t_start)
-           (num f.t_last)))
-    v.tasks;
-  Buffer.add_string buf "],\"runs\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"run\":\"%s\",\"seq\":%d,\"t_sim\":%s,\"events\":%d,\
-            \"pending\":%d,\"ended\":%b,\"ok\":%b}"
-           (Json.escape r.run_key) r.seq (num r.t_sim) r.events r.pending
-           r.ended r.run_ok))
-    v.runs;
-  Buffer.add_string buf "],\"counters\":{";
-  List.iteri
-    (fun i (k, n) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (Json.escape k) n))
-    v.counters;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "},\"event_rate\":%s,\"task_rate\":%s,\"eta_s\":%s,\"t_progress\":%s,\
-        \"finished\":%b,\"skipped\":%d}"
-       (num v.event_rate) (num v.task_rate) (num v.eta) (num v.t_progress)
-       v.finished v.skipped);
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+let to_json v =
+  let open Json in
+  let row f extra =
+    Obj
+      ([ ("id", Str f.fig_id); ("phase", Str f.phase);
+         ("t_start", Num f.t_start); ("t_last", Num f.t_last) ]
+      @ extra)
+  in
+  let run r =
+    Obj
+      [ ("run", Str r.run_key); ("seq", Int r.seq); ("t_sim", Num r.t_sim);
+        ("events", Int r.events); ("pending", Int r.pending);
+        ("ended", Bool r.ended); ("ok", Bool r.run_ok) ]
+  in
+  Obj
+    [ ("manifest", Obj (List.map (fun (k, s) -> (k, Str s)) v.manifest));
+      ( "figures",
+        List (List.map (fun f -> row f [ ("tables", Int f.tables) ]) v.figures)
+      );
+      ("tasks", List (List.map (fun f -> row f []) v.tasks));
+      ("runs", List (List.map run v.runs));
+      ("counters", Obj (List.map (fun (k, n) -> (k, Int n)) v.counters));
+      ("event_rate", Num v.event_rate); ("task_rate", Num v.task_rate);
+      ("eta_s", Num v.eta); ("t_progress", Num v.t_progress);
+      ("finished", Bool v.finished); ("skipped", Int v.skipped) ]

@@ -80,5 +80,6 @@ val read_file : string -> (view, string) result
 val render : view -> string
 (** Human-readable live view. *)
 
-val render_json : view -> string
-(** Machine-readable one-object rendering (for [--once]). *)
+val to_json : view -> Json.t
+(** Machine-readable form of the view (for [--once]); non-finite
+    rates and times print as [null]. *)

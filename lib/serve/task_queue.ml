@@ -142,10 +142,15 @@ let leased t = List.length (list_dir t.leases_dir ~suffix:".lease")
 
 type claim_outcome = Claimed | Busy | Gone
 
+(* Lease, failure and poison bodies: one schema-1 object per file. *)
+let record fields = Json.(print (Obj (("schema", Int 1) :: fields))) ^ "\n"
+
+(* The deadline is an exact hex float, in a string. *)
 let lease_body ~worker ~deadline =
-  Printf.sprintf
-    "{\"schema\":1,\"worker\":\"%s\",\"pid\":%d,\"deadline\":\"%h\"}\n"
-    (Json.escape worker) (Unix.getpid ()) deadline
+  Json.(
+    record
+      [ ("worker", Str worker); ("pid", Int (Unix.getpid ()));
+        ("deadline", Str (Printf.sprintf "%h" deadline)) ])
 
 (* O_EXCL create: the one atomic "exactly one winner" primitive the
    whole queue rests on. Under chaos the body may land torn
@@ -229,8 +234,10 @@ let complete t ~digest =
 
 let fail t ~worker ~digest ~message =
   atomic_write_retry (failed_path t digest)
-    (Printf.sprintf "{\"schema\":1,\"digest\":\"%s\",\"worker\":\"%s\",\"message\":\"%s\"}\n"
-       digest (Json.escape worker) (Json.escape message));
+    Json.(
+      record
+        [ ("digest", Str digest); ("worker", Str worker);
+          ("message", Str message) ]);
   unlink_quiet (task_path t digest);
   unlink_quiet (lease_path t digest);
   if Tm.is_on () then Tm.Counter.incr m_failed
@@ -261,8 +268,7 @@ let poisoned_path t digest = Filename.concat t.poisoned_dir (digest ^ ".json")
 
 let poison t ~digest ~message =
   atomic_write_retry (poisoned_path t digest)
-    (Printf.sprintf "{\"schema\":1,\"digest\":\"%s\",\"message\":\"%s\"}\n"
-       digest (Json.escape message));
+    (record [ ("digest", Json.Str digest); ("message", Json.Str message) ]);
   unlink_quiet (task_path t digest);
   unlink_quiet (lease_path t digest);
   if Tm.is_on () then Tm.Counter.incr m_poisoned

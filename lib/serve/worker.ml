@@ -4,6 +4,7 @@ module Rc = Ebrc_exp.Result_cache
 module Scenario = Ebrc_exp.Scenario
 module Tm = Ebrc_telemetry.Telemetry
 module Stream = Ebrc_telemetry.Stream
+module Json = Ebrc_obs.Json
 module Flight = Ebrc_telemetry.Flight
 module Pool = Ebrc_parallel.Pool
 module Chaos = Ebrc_chaos.Io_fault
@@ -117,8 +118,8 @@ let run cfg =
           Stream.task ~key:digest ~phase:"done"
             ~attrs:
               [
-                ("compute_s", Printf.sprintf "%.6f" (t1 -. t0));
-                ("publish_s", Printf.sprintf "%.6f" (t2 -. t1));
+                ("compute_s", Json.Num (t1 -. t0));
+                ("publish_s", Json.Num (t2 -. t1));
               ]
             ();
           if Tm.is_on () then Tm.Counter.incr m_ran;
@@ -177,7 +178,7 @@ let run cfg =
                  simulating. *)
               Task_queue.complete q ~digest;
               Stream.task ~key:digest ~phase:"done"
-                ~attrs:[ ("cached", "true") ] ();
+                ~attrs:[ ("cached", Json.Bool true) ] ();
               if Tm.is_on () then Tm.Counter.incr m_cached;
               incr cached
             end

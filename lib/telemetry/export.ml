@@ -1,16 +1,9 @@
-(* Telemetry sinks. Hand-rolled JSON emission: the values are floats,
-   ints and registered metric names, so escaping is the only subtlety
-   (and NaN/infinity, which JSON lacks — emitted as null). *)
+(* Telemetry sinks. Every record is built as a [Json.t] and rendered
+   by [Json.print], which owns the string escaping and the float
+   format (shortest round-trip; NaN/infinity, which JSON lacks, as
+   null). *)
 
 module Json = Ebrc_obs.Json
-
-let num f =
-  if Float.is_finite f then
-    (* %.17g round-trips doubles; trim the common integral case. *)
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.0f" f
-    else Printf.sprintf "%.17g" f
-  else "null"
 
 let kind_name = function
   | Telemetry.Counter -> "counter"
@@ -21,73 +14,60 @@ let with_out path f =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
 
+let add_line buf j =
+  Buffer.add_string buf (Json.print j);
+  Buffer.add_char buf '\n'
+
 (* ------------------------------------------------------------------ *)
 (* JSONL.                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let metric_line buf (s : Telemetry.snapshot) =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"type\":%S,\"name\":\"%s\",\"count\":%d"
-       (kind_name s.snap_kind) (Json.escape s.snap_name) s.count);
-  (match s.snap_kind with
-  | Telemetry.Counter -> ()
-  | Telemetry.Gauge | Telemetry.Histogram ->
-      Buffer.add_string buf
-        (Printf.sprintf ",\"min\":%s,\"max\":%s" (num s.min_v) (num s.max_v)));
-  (match s.snap_kind with
-  | Telemetry.Histogram ->
-      Buffer.add_string buf (Printf.sprintf ",\"sum\":%s" (num s.sum));
-      Buffer.add_string buf ",\"buckets\":[";
-      Array.iteri
-        (fun i (lo, c) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "[%s,%d]" (num lo) c))
-        s.buckets;
-      Buffer.add_char buf ']'
-  | Telemetry.Counter | Telemetry.Gauge -> ());
-  if s.snap_help <> "" then
-    Buffer.add_string buf
-      (Printf.sprintf ",\"help\":\"%s\"" (Json.escape s.snap_help));
-  Buffer.add_string buf "}\n"
+let metric (s : Telemetry.snapshot) =
+  let open Json in
+  let range = [ ("min", Num s.min_v); ("max", Num s.max_v) ] in
+  let buckets =
+    Array.to_list (Array.map (fun (lo, c) -> List [ Num lo; Int c ]) s.buckets)
+  in
+  let fields =
+    match s.snap_kind with
+    | Telemetry.Counter -> []
+    | Telemetry.Gauge -> range
+    | Telemetry.Histogram ->
+        range @ [ ("sum", Num s.sum); ("buckets", List buckets) ]
+  in
+  Obj
+    ([ ("type", Str (kind_name s.snap_kind)); ("name", Str s.snap_name);
+       ("count", Int s.count) ]
+    @ fields
+    @ if s.snap_help = "" then [] else [ ("help", Str s.snap_help) ])
 
-let event_line buf (e : Telemetry.event) =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"type\":\"event\",\"t\":%s,\"kind\":\"%s\"" (num e.time)
-       (Json.escape e.ev));
-  if e.flow >= 0 then
-    Buffer.add_string buf (Printf.sprintf ",\"flow\":%d" e.flow);
-  Buffer.add_string buf (Printf.sprintf ",\"value\":%s" (num e.value));
-  if e.attrs <> [] then begin
-    Buffer.add_string buf ",\"attrs\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf "\"%s\":%s" (Json.escape k) (num v)))
-      e.attrs;
-    Buffer.add_char buf '}'
-  end;
-  Buffer.add_string buf "}\n"
+let event (e : Telemetry.event) =
+  let open Json in
+  Obj
+    ([ ("type", Str "event"); ("t", Num e.time); ("kind", Str e.ev) ]
+    @ (if e.flow >= 0 then [ ("flow", Int e.flow) ] else [])
+    @ [ ("value", Num e.value) ]
+    @
+    if e.attrs = [] then []
+    else [ ("attrs", Obj (List.map (fun (k, v) -> (k, Num v)) e.attrs)) ])
 
-let span_line buf (s : Telemetry.span) =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"type\":\"span\",\"name\":\"%s\",\"cat\":\"%s\",\"begin_s\":%s,\
-        \"dur_s\":%s,\"dom\":%d}\n"
-       (Json.escape s.span_name) (Json.escape s.cat) (num s.t0)
-       (num (s.t1 -. s.t0))
-       s.dom)
+let span (s : Telemetry.span) =
+  let open Json in
+  Obj
+    [ ("type", Str "span"); ("name", Str s.span_name); ("cat", Str s.cat);
+      ("begin_s", Num s.t0); ("dur_s", Num (s.t1 -. s.t0)); ("dom", Int s.dom) ]
 
 let write_jsonl ~path () =
   let buf = Buffer.create 65536 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"type\":\"meta\",\"schema\":1,\"source\":\"ebrc_telemetry\",\
-        \"events_dropped\":%d}\n"
-       (Telemetry.events_dropped ()));
-  List.iter (metric_line buf) (Telemetry.snapshot ());
-  List.iter (span_line buf) (Telemetry.spans ());
-  List.iter (event_line buf) (Telemetry.events ());
+  add_line buf
+    Json.(
+      Obj
+        [ ("type", Str "meta"); ("schema", Int 1);
+          ("source", Str "ebrc_telemetry");
+          ("events_dropped", Int (Telemetry.events_dropped ())) ]);
+  List.iter (fun s -> add_line buf (metric s)) (Telemetry.snapshot ());
+  List.iter (fun s -> add_line buf (span s)) (Telemetry.spans ());
+  List.iter (fun e -> add_line buf (event e)) (Telemetry.events ());
   with_out path (fun oc -> Buffer.output_buffer oc buf)
 
 (* ------------------------------------------------------------------ *)
@@ -96,52 +76,45 @@ let write_jsonl ~path () =
 
 let write_chrome_trace ~path () =
   let spans = Telemetry.spans () in
-  let events = Telemetry.events () in
   (* Spans carry absolute wall-clock epochs; rebase so the trace
      starts near ts 0 and stays readable. *)
   let epoch =
     List.fold_left (fun acc (s : Telemetry.span) -> Float.min acc s.t0)
       infinity spans
   in
-  let buf = Buffer.create 65536 in
-  let sep = ref "" in
-  let add_record s =
-    Buffer.add_string buf !sep;
-    Buffer.add_string buf "\n    ";
-    Buffer.add_string buf s;
-    sep := ","
+  let open Json in
+  let process pid name =
+    Obj
+      [ ("name", Str "process_name"); ("ph", Str "M"); ("pid", Int pid);
+        ("tid", Int 0); ("args", Obj [ ("name", Str name) ]) ]
   in
-  Buffer.add_string buf "{\"traceEvents\": [";
-  add_record
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-     \"args\":{\"name\":\"wall clock (spans)\"}}";
-  add_record
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\
-     \"args\":{\"name\":\"simulated time (events)\"}}";
-  List.iter
-    (fun (s : Telemetry.span) ->
-      add_record
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%s,\
-            \"dur\":%s,\"pid\":1,\"tid\":%d}"
-           (Json.escape s.span_name) (Json.escape s.cat)
-           (num ((s.t0 -. epoch) *. 1e6))
-           (num (Float.max 0.0 (s.t1 -. s.t0) *. 1e6))
-           s.dom))
-    spans;
-  List.iter
-    (fun (e : Telemetry.event) ->
-      add_record
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"sim\",\"ph\":\"i\",\"s\":\"g\",\
-            \"ts\":%s,\"pid\":2,\"tid\":%d,\"args\":{\"flow\":%d,\
-            \"value\":%s}}"
-           (Json.escape e.ev)
-           (num (e.time *. 1e6))
-           (max 0 e.flow) e.flow (num e.value)))
-    events;
-  Buffer.add_string buf "\n  ],\n  \"displayTimeUnit\": \"ms\"\n}\n";
-  with_out path (fun oc -> Buffer.output_buffer oc buf)
+  let slice (s : Telemetry.span) =
+    Obj
+      [ ("name", Str s.span_name); ("cat", Str s.cat); ("ph", Str "X");
+        ("ts", Num ((s.t0 -. epoch) *. 1e6));
+        ("dur", Num (Float.max 0.0 (s.t1 -. s.t0) *. 1e6));
+        ("pid", Int 1); ("tid", Int s.dom) ]
+  in
+  let instant (e : Telemetry.event) =
+    Obj
+      [ ("name", Str e.ev); ("cat", Str "sim"); ("ph", Str "i");
+        ("s", Str "g"); ("ts", Num (e.time *. 1e6)); ("pid", Int 2);
+        ("tid", Int (max 0 e.flow));
+        ("args", Obj [ ("flow", Int e.flow); ("value", Num e.value) ]) ]
+  in
+  let trace =
+    Obj
+      [ ( "traceEvents",
+          List
+            (process 1 "wall clock (spans)"
+            :: process 2 "simulated time (events)"
+            :: List.map slice spans
+            @ List.map instant (Telemetry.events ())) );
+        ("displayTimeUnit", Str "ms") ]
+  in
+  with_out path (fun oc ->
+      output_string oc (print trace);
+      output_char oc '\n')
 
 (* ------------------------------------------------------------------ *)
 (* Summary.                                                            *)

@@ -1,7 +1,9 @@
-(* Flight recorder. The dump reuses Export's line builders so the
+(* Flight recorder. The dump reuses Export's records so the
    postmortem file speaks the same JSONL dialect as --telemetry-json,
    prefixed with the stream's recent lines (already self-describing
    records) for the "what was happening" context. *)
+
+module Json = Ebrc_obs.Json
 
 let enabled = Atomic.make false
 let mutex = Mutex.create ()
@@ -50,21 +52,13 @@ let dump ~reason ~attrs exn =
   in
   let path = Filename.concat !dir name in
   let buf = Buffer.create 65536 in
-  let attr_fields =
-    String.concat ""
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf ",\"%s\":\"%s\"" (Ebrc_obs.Json.escape k)
-             (Ebrc_obs.Json.escape v))
-         attrs)
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"type\":\"flight\",\"schema\":1,\"reason\":\"%s\",\"exn\":\"%s\",\
-        \"t_wall\":%s,\"pid\":%d%s}\n"
-       (Ebrc_obs.Json.escape reason)
-       (Ebrc_obs.Json.escape (Printexc.to_string exn))
-       (Export.num now) (Unix.getpid ()) attr_fields);
+  Export.add_line buf
+    Json.(
+      Obj
+        ([ ("type", Str "flight"); ("schema", Int 1); ("reason", Str reason);
+           ("exn", Str (Printexc.to_string exn)); ("t_wall", Num now);
+           ("pid", Int (Unix.getpid ())) ]
+        @ List.map (fun (k, v) -> (k, Str v)) attrs));
   List.iter
     (fun l ->
       if l <> "" then begin
@@ -72,15 +66,16 @@ let dump ~reason ~attrs exn =
         Buffer.add_char buf '\n'
       end)
     (Stream.recent ());
-  List.iter (Export.metric_line buf) (Telemetry.snapshot ());
-  List.iter (Export.span_line buf) (Telemetry.spans ());
+  List.iter (fun s -> Export.add_line buf (Export.metric s))
+    (Telemetry.snapshot ());
+  List.iter (fun s -> Export.add_line buf (Export.span s)) (Telemetry.spans ());
   let events = Telemetry.events () in
   let n = List.length events in
   let events =
     if n <= max_events then events
     else List.filteri (fun i _ -> i >= n - max_events) events
   in
-  List.iter (Export.event_line buf) events;
+  List.iter (fun e -> Export.add_line buf (Export.event e)) events;
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
   Fun.protect

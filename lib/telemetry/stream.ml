@@ -5,7 +5,6 @@
    finalize pass so pool interleaving never shows in the bytes. *)
 
 module Json = Ebrc_obs.Json
-let num = Export.num
 
 (* ------------------------------------------------------------------ *)
 (* Global state.                                                       *)
@@ -32,9 +31,14 @@ let recent_cap = 64
 let recent_ring = Array.make recent_cap ""
 let recent_n = ref 0
 
-(* [line] has no trailing newline. *)
-let emit line =
+(* One record per line; [Json.print] never emits a newline. *)
+let output_line oc record =
+  output_string oc (Json.print record);
+  output_char oc '\n'
+
+let emit record =
   if Atomic.get on then
+    let line = Json.print record in
     locked (fun () ->
         (match !chan with
         | Some oc ->
@@ -82,24 +86,35 @@ let enable ~path:p ~period_sim ~period_wall =
       recent_n := 0;
       Atomic.set last_wall 0.0;
       if out_channel_length oc = 0 then begin
-        output_string oc
-          "{\"type\":\"meta\",\"schema\":1,\"source\":\"ebrc_stream\"}\n";
+        output_line oc
+          Json.(
+            Obj
+              [ ("type", Str "meta"); ("schema", Int 1);
+                ("source", Str "ebrc_stream") ]);
         flush oc
       end);
   Atomic.set on true
+
+(* A malformed period fails at startup, naming the variable, rather
+   than silently streaming at the default. *)
+let period_of_env name default =
+  match Sys.getenv_opt name with
+  | None | Some "" -> default
+  | Some v -> (
+      match float_of_string_opt v with
+      | Some f when Float.is_finite f && f >= 0.0 -> f
+      | _ ->
+          invalid_arg
+            (Printf.sprintf
+               "%s: expected a finite number of seconds >= 0, got %S" name v))
 
 let enable_from_env () =
   match Sys.getenv_opt "EBRC_STREAM" with
   | None | Some "" -> false
   | Some p ->
-      let fenv name default =
-        match Sys.getenv_opt name with
-        | None | Some "" -> default
-        | Some v -> ( match float_of_string_opt v with Some f -> f | None -> default)
-      in
-      enable ~path:p
-        ~period_sim:(fenv "EBRC_STREAM_PERIOD" 1.0)
-        ~period_wall:(fenv "EBRC_STREAM_WALL" 0.5);
+      let period_sim = period_of_env "EBRC_STREAM_PERIOD" 1.0 in
+      let period_wall = period_of_env "EBRC_STREAM_WALL" 0.5 in
+      enable ~path:p ~period_sim ~period_wall;
       true
 
 (* ------------------------------------------------------------------ *)
@@ -107,77 +122,48 @@ let enable_from_env () =
 (* ------------------------------------------------------------------ *)
 
 let manifest ~cmd ?(attrs = []) () =
-  if Atomic.get on then begin
-    let buf = Buffer.create 128 in
-    Buffer.add_string buf
-      (Printf.sprintf "{\"type\":\"manifest\",\"cmd\":\"%s\""
-         (Json.escape cmd));
-    List.iter
-      (fun (k, v) ->
-        Buffer.add_string buf (Printf.sprintf ",\"%s\":%s" (Json.escape k) v))
-      attrs;
-    Buffer.add_char buf '}';
-    emit (Buffer.contents buf)
-  end
+  if Atomic.get on then
+    emit Json.(Obj (("type", Str "manifest") :: ("cmd", Str cmd) :: attrs))
+
+(* Figure and task lifecycle records: id + phase + wall clock, so
+   `ebrc status` folds them the same way, under their own type tag. *)
+let lifecycle typ ~id ~phase extra =
+  let open Json in
+  emit
+    (Obj
+       ([ ("type", Str typ); ("id", Str id); ("phase", Str phase);
+          ("t_wall", Num (Telemetry.wall_now ())) ]
+       @ extra))
 
 let figure_event ~id ~phase ?tables () =
-  if Atomic.get on then begin
-    let buf = Buffer.create 96 in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "{\"type\":\"figure\",\"id\":\"%s\",\"phase\":\"%s\",\"t_wall\":%s"
-         (Json.escape id) (Json.escape phase)
-         (num (Telemetry.wall_now ())));
-    (match tables with
-    | Some n -> Buffer.add_string buf (Printf.sprintf ",\"tables\":%d" n)
-    | None -> ());
-    Buffer.add_char buf '}';
-    emit (Buffer.contents buf)
-  end
+  if Atomic.get on then
+    lifecycle "figure" ~id ~phase
+      (match tables with Some n -> [ ("tables", Json.Int n) ] | None -> [])
 
-(* Task lifecycle records for the sweep-service worker: same shape as
-   figure records (id + phase + wall clock) so `ebrc status` folds
-   them the same way, under their own type tag. *)
+(* The sweep-service worker's lease/done/failed transitions. *)
 let task ~key ~phase ?(attrs = []) () =
-  if Atomic.get on then begin
-    let buf = Buffer.create 96 in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "{\"type\":\"task\",\"id\":\"%s\",\"phase\":\"%s\",\"t_wall\":%s"
-         (Json.escape key) (Json.escape phase)
-         (num (Telemetry.wall_now ())));
-    List.iter
-      (fun (k, v) ->
-        Buffer.add_string buf (Printf.sprintf ",\"%s\":%s" (Json.escape k) v))
-      attrs;
-    Buffer.add_char buf '}';
-    emit (Buffer.contents buf)
-  end
+  if Atomic.get on then lifecycle "task" ~id:key ~phase attrs
 
-let progress_line now =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"type\":\"progress\",\"t_wall\":%s,\"counters\":{"
-       (num now));
-  let first = ref true in
-  List.iter
-    (fun (s : Telemetry.snapshot) ->
-      if s.snap_kind = Telemetry.Counter && s.count > 0 then begin
-        if not !first then Buffer.add_char buf ',';
-        first := false;
-        Buffer.add_string buf
-          (Printf.sprintf "\"%s\":%d" (Json.escape s.snap_name) s.count)
-      end)
-    (Telemetry.snapshot ());
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+let progress_record now =
+  let counters =
+    List.filter_map
+      (fun (s : Telemetry.snapshot) ->
+        if s.snap_kind = Telemetry.Counter && s.count > 0 then
+          Some (s.snap_name, Json.Int s.count)
+        else None)
+      (Telemetry.snapshot ())
+  in
+  Json.(
+    Obj
+      [ ("type", Str "progress"); ("t_wall", Num now);
+        ("counters", Obj counters) ])
 
 let wall_tick () =
   if Atomic.get on && !wall_period_v > 0.0 then begin
     let now = Telemetry.wall_now () in
     let last = Atomic.get last_wall in
     if now -. last >= !wall_period_v && Atomic.compare_and_set last_wall last now
-    then emit (progress_line now)
+    then emit (progress_record now)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -187,11 +173,10 @@ let wall_tick () =
 module Probe = Telemetry.Probe
 
 (* The probe view is fixed at run start; every sample reads it into
-   [cur] and diffs against [prev] — no registry, no lock, no lists. *)
+   [cur] and diffs against [prev] — no registry, no lock. *)
 type run = {
-  key : string;             (* JSON-escaped *)
+  key : string;
   view : Probe.view;
-  labels : string array;    (* pre-rendered ["name":] per metric *)
   prev : int array;
   cur : int array;
   mutable seq : int;
@@ -203,11 +188,8 @@ let run_start ~key probes =
   let n = Probe.size view in
   let r =
     {
-      key = Json.escape key;
+      key;
       view;
-      labels =
-        Array.init n (fun i ->
-            Printf.sprintf "\"%s\":" (Json.escape (Probe.name view i)));
       (* Zero baselines: the probed components were built for this run,
          so everything they counted belongs to it. *)
       prev = Array.make n 0;
@@ -218,46 +200,42 @@ let run_start ~key probes =
   in
   if Atomic.get on then
     emit
-      (Printf.sprintf "{\"type\":\"run_start\",\"run\":\"%s\",\"seq\":0}"
-         r.key);
+      Json.(Obj [ ("type", Str "run_start"); ("run", Str key); ("seq", Int 0) ]);
   r
 
-(* One section ([open_] is its [,"label":{] prefix): counters as
-   non-zero deltas, gauges as levels; omitted when empty. *)
-let add_section buf r open_ ~counters =
-  let first = ref true in
-  for i = 0 to Array.length r.cur - 1 do
-    let v = if counters then r.cur.(i) - r.prev.(i) else r.cur.(i) in
-    if (Probe.kind r.view i = Telemetry.Counter) = counters
-       && (v <> 0 || not counters)
-    then begin
-      Buffer.add_string buf (if !first then open_ else ",");
-      first := false;
-      Buffer.add_string buf r.labels.(i);
-      Buffer.add_string buf (string_of_int v)
-    end
-  done;
-  if not !first then Buffer.add_char buf '}'
+(* One section: counters as non-zero deltas, gauges as levels, in view
+   order; omitted when empty. *)
+let section r name ~counters =
+  let rec fields i acc =
+    if i < 0 then acc
+    else
+      let v = if counters then r.cur.(i) - r.prev.(i) else r.cur.(i) in
+      if (Probe.kind r.view i = Telemetry.Counter) = counters
+         && (v <> 0 || not counters)
+      then fields (i - 1) ((Probe.name r.view i, Json.Int v) :: acc)
+      else fields (i - 1) acc
+  in
+  match fields (Array.length r.cur - 1) [] with
+  | [] -> []
+  | fs -> [ (name, Json.Obj fs) ]
 
 let delta_record r ~typ ~t_sim ~events ~pending ~ok =
   Probe.read r.view r.cur;
   r.seq <- r.seq + 1;
   let d_events = events - r.prev_events in
   r.prev_events <- events;
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"type\":\"%s\",\"run\":\"%s\",\"seq\":%d,\"t_sim\":%s,\
-        \"d_events\":%d,\"pending\":%d"
-       typ r.key r.seq (num t_sim) d_events pending);
-  (match ok with
-  | Some b -> Buffer.add_string buf (Printf.sprintf ",\"ok\":%b" b)
-  | None -> ());
-  add_section buf r ",\"counters\":{" ~counters:true;
-  add_section buf r ",\"gauges\":{" ~counters:false;
-  Buffer.add_char buf '}';
+  let record =
+    let open Json in
+    Obj
+      ([ ("type", Str typ); ("run", Str r.key); ("seq", Int r.seq);
+         ("t_sim", Num t_sim); ("d_events", Int d_events);
+         ("pending", Int pending) ]
+      @ (match ok with Some b -> [ ("ok", Bool b) ] | None -> [])
+      @ section r "counters" ~counters:true
+      @ section r "gauges" ~counters:false)
+  in
   Array.blit r.cur 0 r.prev 0 (Array.length r.cur);
-  emit (Buffer.contents buf)
+  emit record
 
 let sample r ~t_sim ~events ~pending =
   if Atomic.get on then
@@ -277,8 +255,8 @@ let recent () =
       let k = min n recent_cap in
       List.init k (fun i -> recent_ring.((n - k + i) mod recent_cap)))
 
-(* Field scanners for our own writer's output (fields are rendered by
-   the [emit]ers above, so the shapes are known; this is not a JSON
+(* Field scanners for our own writer's output (records are printed by
+   [Json.print], so the shapes are known; this is not a JSON
    parser). They compare in place and allocate only the value they
    return: finalize runs them once per line. *)
 
@@ -349,7 +327,8 @@ let finalize () =
       (* Closing totals: a short invocation may never reach a second
          rate-limited progress record, and readers take the counters
          from the last one. *)
-      if !wall_period_v > 0.0 then emit (progress_line (Telemetry.wall_now ()));
+      if !wall_period_v > 0.0 then
+        emit (progress_record (Telemetry.wall_now ()));
       Atomic.set on false;
       locked (fun () ->
           close_chan ();
@@ -388,5 +367,5 @@ let finalize () =
               output_string oc l;
               output_char oc '\n')
             (fixed @ runs);
-          output_string oc "{\"type\":\"stream_end\"}\n");
+          output_line oc (Json.Obj [ ("type", Json.Str "stream_end") ]));
       Sys.rename tmp p

@@ -18,7 +18,8 @@
       excluded from the determinism contract (disable with
       [period_wall = 0] when byte-identity matters).
 
-    Every record is one self-describing JSON object per line, appended
+    Every record is one self-describing JSON object per line, built as
+    an {!Ebrc_obs.Json.t} and rendered by [Json.print], appended
     under a single mutex with an immediate flush, so concurrent pool
     domains never interleave partial lines and a reader always sees
     whole records (the last line may be missing, never torn mid-write
@@ -44,7 +45,9 @@ val enable_from_env : unit -> bool
 (** Honour [EBRC_STREAM] (stream file path; unset/empty = off),
     [EBRC_STREAM_PERIOD] (sim period, default 1.0) and
     [EBRC_STREAM_WALL] (wall period, default 0.5). Returns whether
-    streaming was enabled. *)
+    streaming was enabled.
+    @raise Invalid_argument naming the variable when a period is not
+    a finite number >= 0. *)
 
 val disable : unit -> unit
 (** Stop streaming and close the file (no reordering; see
@@ -60,20 +63,21 @@ val sim_period : unit -> float
 
 val path : unit -> string option
 
-val manifest : cmd:string -> ?attrs:(string * string) list -> unit -> unit
-(** Append a [manifest] record describing the invocation ([attrs] are
-    pre-rendered JSON values keyed by field name). *)
+val manifest :
+  cmd:string -> ?attrs:(string * Ebrc_obs.Json.t) list -> unit -> unit
+(** Append a [manifest] record describing the invocation: [cmd], then
+    [attrs] as fields in list order. *)
 
 val figure_event : id:string -> phase:string -> ?tables:int -> unit -> unit
 (** Append a [figure] lifecycle record; [phase] is ["start"], ["done"]
     or ["failed"]. *)
 
-val task : key:string -> phase:string -> ?attrs:(string * string) list ->
+val task :
+  key:string -> phase:string -> ?attrs:(string * Ebrc_obs.Json.t) list ->
   unit -> unit
 (** Append a [task] lifecycle record (the sweep-service worker's
     lease/done/failed transitions), keyed by the task's content
-    digest. [attrs] are pre-rendered JSON values keyed by field
-    name. *)
+    digest; [attrs] follow as fields in list order. *)
 
 val wall_tick : unit -> unit
 (** Rate-limited wall-clock progress probe (see module doc). Cheap
@@ -98,7 +102,8 @@ val sample : run -> t_sim:float -> events:int -> pending:int -> unit
     since the previous sample and gauge levels now, plus the run's
     cumulative engine event count [events] (streamed as a delta) and
     current event-queue depth [pending]. Reads the probes into
-    preallocated arrays; the only allocation is the line itself. *)
+    preallocated arrays; the only allocation is the record and its
+    line. *)
 
 val run_end : run -> t_sim:float -> events:int -> pending:int -> ok:bool -> unit
 (** Append the final [run_end] record (same payload plus [ok]). After

@@ -20,6 +20,8 @@ let test_json_values () =
   Alcotest.(check bool) "neg float" true (ok "-2.5e3" = J.Num (-2500.0));
   Alcotest.(check bool) "string escapes" true
     (ok "\"a\\\"b\\n\"" = J.Str "a\"b\n");
+  Alcotest.(check bool) "\\u escapes: below 0x80 a byte, above '?'" true
+    (ok "\"\\u0041\\u00e9\"" = J.Str "A?");
   Alcotest.(check bool) "array" true
     (ok "[1, 2.0]" = J.List [ J.Int 1; J.Num 2.0 ]);
   match ok "{\"k\": {\"n\": 7}}" |> J.member "k" with
@@ -39,7 +41,8 @@ let test_json_errors () =
   bad "{";
   bad "[1,]";
   bad "\"unterminated";
-  bad "1 2" (* trailing content *)
+  bad "1 2" (* trailing content *);
+  bad "\"\\q\"" (* unknown escape *)
 
 let test_json_accessors () =
   Alcotest.(check (option int)) "to_int rejects fraction" None
@@ -48,7 +51,8 @@ let test_json_accessors () =
     (match J.to_float J.Null with Some f -> Float.is_nan f | None -> false);
   Alcotest.(check (option string)) "to_string" (Some "x")
     (J.to_string (J.Str "x"));
-  Alcotest.(check string) "escape" "a\\\"b\\\\c" (J.escape "a\"b\\c")
+  Alcotest.(check string) "print escapes strings" "\"a\\\"b\\\\c\\n\\u0001\""
+    (J.print (J.Str "a\"b\\c\n\001"))
 
 (* -------------------------- bench records ------------------------- *)
 

@@ -549,6 +549,56 @@ let test_queue_torn_grace_config () =
     Task_queue.Claimed
     (Task_queue.claim q ~worker:"w" ~ttl:60.0 ~digest:"t1")
 
+(* Lease, failure and poison bodies keep the bytes of their original
+   printf templates, escapes included; the lease deadline is a hex
+   float in a string. *)
+let test_queue_record_bodies () =
+  let dir = tmp_dir "bodies" in
+  let q = Task_queue.create ~dir () in
+  let body sub name =
+    let ic = open_in_bin (Filename.concat (Filename.concat dir sub) name) in
+    let text =
+      Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+      really_input_string ic (in_channel_length ic)
+    in
+    (* Canonical form: the printer reproduces the body exactly. *)
+    (match Ebrc_obs.Json.parse text with
+    | Ok j ->
+        Alcotest.(check string) (name ^ " canonical") text
+          (Ebrc_obs.Json.print j ^ "\n")
+    | Error e -> Alcotest.failf "%s: %s" name e);
+    text
+  in
+  let awkward = "w\"1\\\195\169\n\001" in
+  let escaped = {|w\"1\\é\n\u0001|} in
+  Task_queue.enqueue q ~digest:"d1" ~spec:"{}";
+  Task_queue.enqueue q ~digest:"d2" ~spec:"{}";
+  ignore (Task_queue.claim q ~worker:awkward ~ttl:60.0 ~digest:"d1");
+  let lease = body "leases" "d1.lease" in
+  let deadline =
+    match Ebrc_obs.Json.(Result.map (member "deadline") (parse lease)) with
+    | Ok (Some (Ebrc_obs.Json.Str d)) -> d
+    | _ -> Alcotest.failf "lease without a deadline: %s" lease
+  in
+  Alcotest.(check string) "lease body"
+    (Printf.sprintf
+       "{\"schema\":1,\"worker\":\"%s\",\"pid\":%d,\"deadline\":\"%s\"}\n"
+       escaped (Unix.getpid ()) deadline)
+    lease;
+  Alcotest.(check string) "deadline is %h" deadline
+    (Printf.sprintf "%h" (float_of_string deadline));
+  Task_queue.fail q ~worker:awkward ~digest:"d1" ~message:awkward;
+  Alcotest.(check string) "failure body"
+    (Printf.sprintf
+       "{\"schema\":1,\"digest\":\"d1\",\"worker\":\"%s\",\"message\":\"%s\"}\n"
+       escaped escaped)
+    (body "failed" "d1.json");
+  Task_queue.poison q ~digest:"d2" ~message:awkward;
+  Alcotest.(check string) "poison body"
+    (Printf.sprintf "{\"schema\":1,\"digest\":\"d2\",\"message\":\"%s\"}\n"
+       escaped)
+    (body "poisoned" "d2.json")
+
 let test_queue_poison_lifecycle () =
   let q = Task_queue.create ~dir:(tmp_dir "poison") () in
   Task_queue.enqueue q ~digest:"bad" ~spec:"{}";
@@ -944,6 +994,7 @@ let () =
             test_queue_torn_grace_config;
           Alcotest.test_case "poison lifecycle" `Quick
             test_queue_poison_lifecycle;
+          Alcotest.test_case "record bodies" `Quick test_queue_record_bodies;
           Alcotest.test_case "reclaim worker" `Quick test_queue_reclaim_worker;
           Alcotest.test_case "fork contention" `Quick
             test_queue_fork_contention;

@@ -46,6 +46,52 @@ let parse line =
 let record_type j =
   match J.member "type" j with Some (J.Str t) -> t | _ -> "?"
 
+(* Every writer's output is in the printer's canonical form. *)
+let canonical line =
+  Alcotest.(check string) "print (parse line) = line" line
+    (J.print (parse line))
+
+(* A name every string escape applies to, and floats whose shortest
+   round-trip form differs from a fixed-precision one. *)
+let awkward = "q\"b\\n\n\001\195\169"
+let awkward_floats = [ 0.1; 1.0 /. 3.0; nan; 1e300 ]
+
+(* One record of every stream type, each carrying [awkward] names and
+   [awkward_floats]; returns the finalized lines. *)
+let awkward_stream () =
+  scrub ();
+  let path = Filename.temp_file "ebrc_stream_awkward" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path; scrub ()) @@ fun () ->
+  Tm.set_enabled true;
+  (* A wall period no tick reaches: only finalize's closing progress
+     record is written. *)
+  Stream.enable ~path ~period_sim:1.0 ~period_wall:1e12;
+  Tm.Counter.incr (Tm.Counter.make ("test.stream." ^ awkward));
+  let floats =
+    List.mapi (fun i v -> (Printf.sprintf "f%d" i, J.Num v)) awkward_floats
+  in
+  Stream.manifest ~cmd:awkward ~attrs:((awkward, J.Str awkward) :: floats) ();
+  Stream.figure_event ~id:awkward ~phase:"start" ();
+  Stream.figure_event ~id:awkward ~phase:"done" ~tables:2 ();
+  Stream.task ~key:awkward ~phase:"leased" ();
+  Stream.task ~key:awkward ~phase:"done" ~attrs:floats ();
+  let probes = Tm.Probe.create () in
+  let n = ref 0 in
+  Tm.Probe.add probes
+    (Tm.Probe.counter ("test.stream.c." ^ awkward))
+    (fun () -> !n);
+  Tm.Probe.add probes (Tm.Probe.gauge ("test.stream.g." ^ awkward)) (fun () ->
+      7);
+  let run = Stream.run_start ~key:awkward probes in
+  List.iteri
+    (fun i t_sim ->
+      n := !n + i + 1;
+      Stream.sample run ~t_sim ~events:(10 * (i + 1)) ~pending:i)
+    awkward_floats;
+  Stream.run_end run ~t_sim:1e300 ~events:50 ~pending:0 ~ok:true;
+  Stream.finalize ();
+  lines_of path
+
 (* Run one streamed scenario and return (stream lines, counter-kind
    snapshot totals by name, gauge+histogram sample counts by name). *)
 let streamed_run () =
@@ -195,7 +241,15 @@ let test_stream_schema () =
       | "meta" | "stream_end" -> ()
       | other -> Alcotest.failf "unexpected record type %S" other)
     lines;
-  Alcotest.(check bool) "run_end present" true !seen_end
+  Alcotest.(check bool) "run_end present" true !seen_end;
+  List.iter canonical lines;
+  let awkward_lines = awkward_stream () in
+  List.iter canonical awkward_lines;
+  Alcotest.(check (list string)) "every record type, in canonical order"
+    [ "meta"; "manifest"; "figure"; "figure"; "task"; "task"; "progress";
+      "run_start"; "delta"; "delta"; "delta"; "delta"; "run_end";
+      "stream_end" ]
+    (List.map (fun l -> record_type (parse l)) awkward_lines)
 
 (* The -j determinism contract: the same four scenarios streamed under
    a 1-domain and a 4-domain pool must produce byte-identical files
@@ -326,7 +380,9 @@ let test_status_tail_fold () =
     | Error e -> Alcotest.fail e
   in
   let same what a b =
-    Alcotest.(check string) what (S.render_json a) (S.render_json b);
+    Alcotest.(check string) what
+      (J.print (S.to_json a))
+      (J.print (S.to_json b));
     Alcotest.(check int) (what ^ " skipped") a.S.skipped b.S.skipped;
     Alcotest.(check bool) (what ^ " finished") a.S.finished b.S.finished
   in
@@ -380,6 +436,7 @@ let test_flight_dump_on_budget () =
           | Some (J.Str _) -> ()
           | _ -> Alcotest.fail "dump missing exn")
       | [] -> Alcotest.fail "empty flight dump");
+      List.iter canonical lines;
       (* The postmortem carries the merged metric snapshot. *)
       Alcotest.(check bool) "snapshot lines present" true
         (List.exists (fun l -> record_type (parse l) = "counter") lines)
@@ -394,15 +451,57 @@ let test_flight_dedups_same_exn () =
       Flight.set_dir ".";
       scrub ())
   @@ fun () ->
-  let e = Failure "flight-dedup-probe" in
-  Flight.on_exn ~reason:"test.first" e;
+  let e = Failure awkward in
+  Flight.on_exn ~reason:"test.first" ~attrs:[ (awkward, awkward) ] e;
   let p1 = Flight.last_dump () in
   Flight.on_exn ~reason:"test.second" e;
   let p2 = Flight.last_dump () in
   (match p1 with
-  | Some p -> if Sys.file_exists p then Sys.remove p
+  | Some p ->
+      let header = List.hd (lines_of p) in
+      Sys.remove p;
+      canonical header;
+      Alcotest.(check (option string)) "header attr" (Some awkward)
+        (Option.bind (J.member awkward (parse header)) J.to_string)
   | None -> Alcotest.fail "first on_exn produced no dump");
   Alcotest.(check bool) "same exception dumps once" true (p1 = p2)
+
+(* A malformed or negative period fails when the stream is armed from
+   the environment, naming the variable, instead of falling back to
+   the default or raising from [enable]. *)
+let test_env_periods () =
+  scrub ();
+  let path = Filename.temp_file "ebrc_stream_env" ".jsonl" in
+  let periods = [ "EBRC_STREAM_PERIOD"; "EBRC_STREAM_WALL" ] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun v -> Unix.putenv v "") ("EBRC_STREAM" :: periods);
+      scrub ();
+      Sys.remove path)
+  @@ fun () ->
+  Unix.putenv "EBRC_STREAM" path;
+  List.iter
+    (fun (var, value) ->
+      List.iter (fun v -> Unix.putenv v "") periods;
+      Unix.putenv var value;
+      Alcotest.check_raises (var ^ "=" ^ value)
+        (Invalid_argument
+           (Printf.sprintf
+              "%s: expected a finite number of seconds >= 0, got %S" var value))
+        (fun () -> ignore (Stream.enable_from_env ())))
+    [
+      ("EBRC_STREAM_PERIOD", "1s");
+      ("EBRC_STREAM_PERIOD", "-1");
+      ("EBRC_STREAM_WALL", "fast");
+      ("EBRC_STREAM_WALL", "-0.5");
+      ("EBRC_STREAM_WALL", "nan");
+    ];
+  Alcotest.(check bool) "nothing armed" false (Stream.active ());
+  Unix.putenv "EBRC_STREAM_PERIOD" "0.25";
+  Unix.putenv "EBRC_STREAM_WALL" "0";
+  Alcotest.(check bool) "well-formed values arm the stream" true
+    (Stream.enable_from_env ());
+  Alcotest.(check (float 0.0)) "sim period" 0.25 (Stream.sim_period ())
 
 let test_status_view () =
   let lines, _ = streamed_run () in
@@ -421,13 +520,28 @@ let test_status_view () =
   (* A torn tail (mid-write read) is skipped, not fatal. *)
   let torn = Ebrc_obs.Status.of_lines (lines @ [ "{\"type\":\"del" ]) in
   Alcotest.(check int) "torn tail skipped" 1 torn.Ebrc_obs.Status.skipped;
-  (* The machine rendering is itself valid JSON. *)
-  match J.parse (Ebrc_obs.Status.render_json v) with
-  | Ok j -> (
-      match J.member "finished" j with
-      | Some (J.Bool true) -> ()
-      | _ -> Alcotest.fail "render_json finished flag wrong")
-  | Error e -> Alcotest.failf "render_json not valid JSON: %s" e
+  (* The machine rendering carries the view. *)
+  let rendered = J.print (Ebrc_obs.Status.to_json v) in
+  canonical rendered;
+  match J.member "finished" (parse rendered) with
+  | Some (J.Bool true) -> ()
+  | _ -> Alcotest.fail "to_json finished flag wrong"
+
+(* Manifest and task values with every string escape in them fold back
+   to the same values: none of the lines is skipped as unparsable. *)
+let test_status_awkward_values () =
+  let module S = Ebrc_obs.Status in
+  let v = S.of_lines (awkward_stream ()) in
+  Alcotest.(check int) "no skipped lines" 0 v.S.skipped;
+  Alcotest.(check (option string)) "manifest cmd" (Some awkward)
+    (List.assoc_opt "cmd" v.S.manifest);
+  Alcotest.(check (option string)) "manifest attr" (Some awkward)
+    (List.assoc_opt awkward v.S.manifest);
+  Alcotest.(check (list string)) "task and figure ids" [ awkward; awkward ]
+    (List.map (fun r -> r.S.fig_id) (v.S.tasks @ v.S.figures));
+  Alcotest.(check (list string)) "run key" [ awkward ]
+    (List.map (fun r -> r.S.run_key) v.S.runs);
+  canonical (J.print (S.to_json v))
 
 (* Task lifecycle records (the sweep-service worker's stream) and the
    multi-worker merge the serve watcher builds on. *)
@@ -494,6 +608,7 @@ let () =
             test_counter_sections_pinned;
           Alcotest.test_case "finalize shuffled fixture" `Quick
             test_finalize_fixture;
+          Alcotest.test_case "env periods validated" `Quick test_env_periods;
         ] );
       ( "flight",
         [
@@ -509,5 +624,7 @@ let () =
             test_status_tasks_and_merge;
           Alcotest.test_case "incremental tail fold" `Quick
             test_status_tail_fold;
+          Alcotest.test_case "escaped values fold" `Quick
+            test_status_awkward_values;
         ] );
     ]

@@ -391,13 +391,32 @@ let read_file path =
   close_in ic;
   s
 
+(* A name every string escape applies to, and floats whose shortest
+   round-trip form differs from a fixed-precision one. *)
+let awkward = "q\"b\\n\n\001\195\169"
+let awkward_floats = [ 0.1; 1.0 /. 3.0; nan; 1e300 ]
+
 let populate () =
   let c = Tm.Counter.make "test.export.counter" in
   let h = Tm.Histogram.make "test.export.histogram" in
   Tm.Counter.add c 5;
   Tm.Histogram.observe h 2.0;
   Tm.event "test.export.event" ~time:1.5 ~flow:3 ~value:9.0;
-  ignore (Tm.with_span ~cat:"test" "test.export.span" Fun.id)
+  ignore (Tm.with_span ~cat:"test" "test.export.span" Fun.id);
+  Tm.Counter.incr (Tm.Counter.make ~help:awkward ("test.export." ^ awkward));
+  let h' = Tm.Histogram.make ("test.export.hist." ^ awkward) in
+  List.iter (Tm.Histogram.observe h') [ 0.1; 1.0 /. 3.0; 1e300 ];
+  List.iter
+    (fun v ->
+      Tm.event ("test.export." ^ awkward) ~time:v ~value:v
+        ~attrs:(List.map (fun v -> (awkward, v)) awkward_floats))
+    awkward_floats;
+  ignore (Tm.with_span ~cat:awkward ("test.export." ^ awkward) Fun.id)
+
+(* Every writer's output is in the printer's canonical form. *)
+let canonical line =
+  Alcotest.(check string) "print (parse line) = line" line
+    (J.print (parse line))
 
 let test_jsonl_schema () =
   with_telemetry_on @@ fun () ->
@@ -414,6 +433,7 @@ let test_jsonl_schema () =
   let seen = Hashtbl.create 8 in
   List.iter
     (fun line ->
+      canonical line;
       let j = parse line in
       match member "type" j with
       | Some (J.Str ty) ->
@@ -453,7 +473,11 @@ let test_chrome_trace_schema () =
   Fun.protect ~finally:(fun () -> Sys.remove path)
   @@ fun () ->
   Export.write_chrome_trace ~path ();
-  let j = parse (read_file path) in
+  let text = read_file path in
+  Alcotest.(check bool) "one line" true
+    (String.index_opt text '\n' = Some (String.length text - 1));
+  canonical (String.trim text);
+  let j = parse text in
   match member "traceEvents" j with
   | Some (J.List evs) ->
       Alcotest.(check bool) "has events" true (List.length evs > 2);
