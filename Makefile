@@ -41,13 +41,17 @@ serve-e2e: build
 chaos-e2e: build
 	sh scripts/chaos_ci.sh
 
-# Every figure as one batch, cache off, on 1 and on 2 domains: the
-# two outputs must be byte-identical.
+# Every figure as one batch, then every validation check as one batch,
+# cache off, on 1 and on 2 domains: each pair of outputs must be
+# byte-identical.
 figures-e2e: build
 	dune exec bin/ebrc_cli.exe -- figure all --no-cache -j 1 > figures-j1.out
 	dune exec bin/ebrc_cli.exe -- figure all --no-cache -j 2 > figures-j2.out
 	cmp figures-j1.out figures-j2.out
-	rm -f figures-j1.out figures-j2.out
+	dune exec bin/ebrc_cli.exe -- validate --no-cache -j 1 > validate-j1.out
+	dune exec bin/ebrc_cli.exe -- validate --no-cache -j 2 > validate-j2.out
+	cmp validate-j1.out validate-j2.out
+	rm -f figures-j1.out figures-j2.out validate-j1.out validate-j2.out
 
 # The sweep service end to end, human-sized: write a demo manifest,
 # serve it with 2 workers (live fleet progress), then re-serve to show
@@ -134,4 +138,5 @@ examples:
 
 clean:
 	dune clean
-	rm -rf serve-demo.json serve-demo.json.queue figures-j1.out figures-j2.out
+	rm -rf serve-demo.json serve-demo.json.queue figures-j1.out figures-j2.out \
+	  validate-j1.out validate-j2.out

@@ -740,7 +740,7 @@ let measure_parallel_sweep () =
      #############################################################\n\n%!"
     fig par_jobs reps;
   let pool = Ebrc.Pool.shared ~domains:par_jobs () in
-  ignore (Ebrc.Pool.map pool (fun x -> x * x) (Array.init 64 Fun.id));
+  ignore (Ebrc.Pool.init pool 64 (fun x -> x * x));
   let csv_of tables = String.concat "\n" (List.map Ebrc.Table.to_csv tables) in
   let time_run ~jobs =
     (* Per-leg clear: even with the cache disabled nothing is memoized,

@@ -253,6 +253,16 @@ let print_tables ?csv_dir tables =
 
 (* --- figure --- *)
 
+(* Unknown figure ids are a usage error: list the valid names and exit
+   2 rather than surfacing an exception. *)
+let require_known_ids ~valid ids =
+  match List.find_opt (fun id -> not (List.mem id valid)) ids with
+  | None -> ()
+  | Some id ->
+      Printf.eprintf "ebrc: unknown figure id %S; valid ids are:\n  %s\n%!" id
+        (String.concat " " valid);
+      exit 2
+
 let figure_cmd =
   let id =
     Arg.(
@@ -278,13 +288,7 @@ let figure_cmd =
   in
   let run id full csv jobs no_cache keep_going budgets telem obs =
     let quick = not full in
-    (* Unknown ids are a usage error: list the valid names and exit 2
-       rather than surfacing an exception. *)
-    if id <> "all" && not (List.mem id (Ebrc.Figures.ids ())) then begin
-      Printf.eprintf "ebrc: unknown figure id %S; valid ids are:\n  %s\n%!" id
-        (String.concat " " (Ebrc.Figures.ids () @ [ "all" ]));
-      exit 2
-    end;
+    require_known_ids ~valid:(Ebrc.Figures.ids () @ [ "all" ]) [ id ];
     try
       apply_cache no_cache;
       apply_budgets budgets;
@@ -600,6 +604,7 @@ let report_cmd =
       & info [ "full" ] ~doc:"Paper-scale sweeps instead of quick mode.")
   in
   let run out ids full jobs no_cache keep_going budgets telem obs =
+    require_known_ids ~valid:(Ebrc.Figures.ids ()) ids;
     apply_cache no_cache;
     apply_budgets budgets;
     let jobs = resolve_jobs jobs in
@@ -650,7 +655,9 @@ let validate_cmd =
       obs
     @@ fun () ->
     with_telemetry telem @@ fun () ->
-    let outcomes = Ebrc.Validate.run_all ~quick:(not full) ~jobs () in
+    let outcomes =
+      Ebrc.Validate.run ~jobs ~quick:(not full) Ebrc.Validate.checks
+    in
     Ebrc.Table.print (Ebrc.Validate.to_table outcomes);
     if Ebrc.Validate.all_passed outcomes then begin
       print_endline "all claims validated";

@@ -22,7 +22,6 @@
 module Prng = Ebrc_rng.Prng
 module Dist = Ebrc_rng.Dist
 module Loss_interval = Ebrc_estimator.Loss_interval
-module Pool = Ebrc_parallel.Pool
 
 type state = {
   p_i : float;            (* loss-event rate (per packet) in this state *)
@@ -159,33 +158,3 @@ let monte_carlo rng (cp : congestion_process) ~rates ~mean_sojourn ~steps =
   { observed_p = float_of_int !events /. !packets; events = !events;
     packets = !packets }
 
-(* Batched Monte-Carlo: split [steps] across [batches] independent
-   chunks, each with its own (root_seed, batch-index) PRNG stream, and
-   fan the chunks out over [jobs] domains. Chunk b gets
-   steps/batches (+1 for b < steps mod batches) sojourns; counts are
-   combined in batch-index order. Because each chunk's stream and step
-   count are functions of (root_seed, b) alone, the result is
-   bit-identical for every [jobs], including the sequential run. *)
-let monte_carlo_batched ?(jobs = 1) ~root_seed (cp : congestion_process)
-    ~rates ~mean_sojourn ~steps ~batches =
-  if batches < 1 then invalid_arg "Many_sources.monte_carlo_batched: batches < 1";
-  if steps < batches then
-    invalid_arg "Many_sources.monte_carlo_batched: steps < batches";
-  let base = steps / batches and extra = steps mod batches in
-  let one b =
-    let rng = Prng.stream ~root:root_seed b in
-    let chunk = base + if b < extra then 1 else 0 in
-    monte_carlo rng cp ~rates ~mean_sojourn ~steps:chunk
-  in
-  let parts =
-    if jobs <= 1 || batches < 4 then Array.init batches one
-    else Pool.init (Pool.shared ~domains:jobs ()) batches one
-  in
-  let events = ref 0 and packets = ref 0.0 in
-  Array.iter
-    (fun (r : mc_result) ->
-      events := !events + r.events;
-      packets := !packets +. r.packets)
-    parts;
-  { observed_p = float_of_int !events /. !packets; events = !events;
-    packets = !packets }

@@ -51,17 +51,3 @@ val monte_carlo :
   mc_result
 (** Monte-Carlo sampling of the congestion process by a source with the
     given rate profile; converges to [limit_loss_event_rate]. *)
-
-val monte_carlo_batched :
-  ?jobs:int ->
-  root_seed:int ->
-  congestion_process ->
-  rates:float array ->
-  mean_sojourn:float ->
-  steps:int ->
-  batches:int ->
-  mc_result
-(** {!monte_carlo} split into [batches] independent chunks, each drawing
-    from its own [Prng.stream ~root:root_seed] stream, fanned out over
-    [jobs] domains (default 1) and recombined in batch order — so the
-    result is bit-identical for every [jobs]. *)

@@ -21,7 +21,6 @@ module Loss_process = Ebrc_lossproc.Loss_process
 module Welford = Ebrc_stats.Welford
 module Cov_acc = Ebrc_stats.Cov_acc
 module Prng = Ebrc_rng.Prng
-module Pool = Ebrc_parallel.Pool
 
 type result = {
   throughput : float;          (* time-average send rate, packets/s *)
@@ -91,25 +90,6 @@ let simulate ?(warmup_cycles = 0) ?(collect_pairs = false) ~formula ~estimator
     palm_mean_rate = Welford.mean w_rate;
     rate_duration_pairs = pairs;
   }
-
-(* Monte-Carlo replication driver: [replications] independent copies of
-   [simulate], each built from its own (root_seed, index) PRNG stream,
-   fanned out over [jobs] domains. Replication i's stream never depends
-   on how many draws the others made, and results land in slot i, so
-   the returned array is bit-identical for every [jobs] — including the
-   sequential [jobs = 1] run. *)
-let simulate_replications ?(jobs = 1) ?(warmup_cycles = 0) ~root_seed
-    ~replications ~formula ~make_estimator ~make_process ~cycles () =
-  if replications < 1 then
-    invalid_arg "Basic_control.simulate_replications: replications < 1";
-  let one i =
-    let rng = Prng.stream ~root:root_seed i in
-    let process = make_process rng in
-    let estimator = make_estimator i in
-    simulate ~warmup_cycles ~formula ~estimator ~process ~cycles ()
-  in
-  if jobs <= 1 || replications < 4 then Array.init replications one
-  else Pool.init (Pool.shared ~domains:jobs ()) replications one
 
 (* Exact Proposition-1 throughput for a *given* finite trajectory of
    loss-event intervals: E[theta_0] / E[theta_0 / f(1/thetahat_0)],

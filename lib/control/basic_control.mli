@@ -30,23 +30,6 @@ val simulate :
 (** Run [cycles] loss-event cycles after warming the estimator with one
     full window (plus [warmup_cycles] extra). *)
 
-val simulate_replications :
-  ?jobs:int ->
-  ?warmup_cycles:int ->
-  root_seed:int ->
-  replications:int ->
-  formula:Ebrc_formulas.Formula.t ->
-  make_estimator:(int -> Ebrc_estimator.Loss_interval.t) ->
-  make_process:(Ebrc_rng.Prng.t -> Ebrc_lossproc.Loss_process.t) ->
-  cycles:int ->
-  unit ->
-  result array
-(** [replications] independent copies of {!simulate} fanned out over
-    [jobs] domains (default 1). Replication [i] draws from the
-    independent stream [Prng.stream ~root:root_seed i] and its result
-    is stored at index [i], so the output is bit-identical for every
-    [jobs]. *)
-
 val palm_throughput :
   formula:Ebrc_formulas.Formula.t ->
   weights:float array ->

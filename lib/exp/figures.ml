@@ -84,17 +84,25 @@ let fig1 ~quick:_ =
 (* Figure 2: convex closure of g for PFTK-standard; r = 1.0026.        *)
 (* ------------------------------------------------------------------ *)
 
+(* The paper's Figure 2 places the PFTK-standard convexity kink at
+   x = 3.375, i.e. at x = c2^2 with b = 1 acknowledged packet per ACK;
+   we reproduce that parameterisation (with b = 2 the same kink sits at
+   x = 6.75 and the analysis is unchanged). *)
+let kink_g () = Formula.g (Formula.create ~rtt:1.0 ~b:1.0 Formula.Pftk_standard)
+let kink_samples ~quick = if quick then 8192 else 65536
+let kink_lo = 3.25
+let kink_hi = 3.5
+
+let deviation_ratio ~quick =
+  Convexity.deviation_ratio ~samples:(kink_samples ~quick) (kink_g ())
+    ~lo:kink_lo ~hi:kink_hi
+
 let fig2 ~quick =
   Work.task @@ fun () ->
-  (* The paper's Figure 2 places the PFTK-standard convexity kink at
-     x = 3.375, i.e. at x = c2^2 with b = 1 acknowledged packet per ACK;
-     we reproduce that parameterisation (with b = 2 the same kink sits
-     at x = 6.75 and the analysis is unchanged). *)
-  let f = Formula.create ~rtt:1.0 ~b:1.0 Formula.Pftk_standard in
-  let samples = if quick then 8192 else 65536 in
-  let lo = 3.25 and hi = 3.5 in
-  let ratio = Convexity.deviation_ratio ~samples (Formula.g f) ~lo ~hi in
-  let closure = Convexity.convex_closure ~samples (Formula.g f) ~lo ~hi in
+  let g = kink_g () and lo = kink_lo and hi = kink_hi in
+  let closure =
+    Convexity.convex_closure ~samples:(kink_samples ~quick) g ~lo ~hi
+  in
   let n = 11 in
   let t =
     table ~title:"Figure 2: g vs its convex closure g** (PFTK-standard)"
@@ -103,14 +111,15 @@ let fig2 ~quick =
            let x =
              lo +. (float_of_int i *. (hi -. lo) /. float_of_int (n - 1))
            in
-           let g = Formula.g f x in
-           let g2 = Convexity.closure_eval closure x in
-           [ cell ~decimals:4 x; cell g; cell g2; cell ~decimals:5 (g /. g2) ]))
+           let gx = g x and g2 = Convexity.closure_eval closure x in
+           [
+             cell ~decimals:4 x; cell gx; cell g2; cell ~decimals:5 (gx /. g2);
+           ]))
   in
   [
     Table.add_note t
       (Printf.sprintf "deviation-from-convexity ratio r = %.5f (paper: 1.0026)"
-         ratio);
+         (deviation_ratio ~quick));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -608,6 +617,26 @@ let fig17 ~quick =
       competing;
   ]
 
+type claim4 = {
+  p_aimd : float;
+  p_ebrc : float;
+  analytic : float;
+  simulated : float;
+}
+
+(* One row of c4: the closed form p'/p = 4/(1+beta)^2 and the ratio of
+   the deterministic cycle simulations. *)
+let claim4 ~beta =
+  let params = { Few_flows.alpha = 1.0; beta; capacity = 100.0 } in
+  {
+    p_aimd = Few_flows.aimd_loss_event_rate params;
+    p_ebrc = Few_flows.ebrc_loss_event_rate params;
+    analytic = Few_flows.loss_rate_ratio ~beta;
+    simulated =
+      Few_flows.simulate_aimd ~cycles:500 params
+      /. Few_flows.simulate_ebrc ~cycles:500 params;
+  }
+
 let table_c4 ~quick:_ =
   Work.task @@ fun () ->
   let t =
@@ -620,17 +649,13 @@ let table_c4 ~quick:_ =
         [ "beta"; "p' (AIMD)"; "p (EBRC)"; "ratio analytic"; "ratio simulated" ]
       (List.map
          (fun beta ->
-           let params = { Few_flows.alpha = 1.0; beta; capacity = 100.0 } in
-           let sim_ratio =
-             Few_flows.simulate_aimd ~cycles:500 params
-             /. Few_flows.simulate_ebrc ~cycles:500 params
-           in
+           let r = claim4 ~beta in
            [
              cell ~decimals:2 beta;
-             cell (Few_flows.aimd_loss_event_rate params);
-             cell (Few_flows.ebrc_loss_event_rate params);
-             cell ~decimals:4 (Few_flows.loss_rate_ratio ~beta);
-             cell ~decimals:4 sim_ratio;
+             cell r.p_aimd;
+             cell r.p_ebrc;
+             cell ~decimals:4 r.analytic;
+             cell ~decimals:4 r.simulated;
            ])
          [ 0.125; 0.25; 0.5; 0.75 ])
   in
@@ -638,39 +663,56 @@ let table_c4 ~quick:_ =
 
 let table_one ~quick:_ = Work.task (fun () -> [ Paths.table_one () ])
 
+(* Claim 3's congestion process and PFTK-standard rate (r = 50 ms),
+   shared by c3 and A2. *)
+let claim3_process =
+  [|
+    { Many_sources.p_i = 0.001; pi_i = 0.5 };
+    { Many_sources.p_i = 0.01; pi_i = 0.3 };
+    { Many_sources.p_i = 0.05; pi_i = 0.2 };
+  |]
+
+let claim3_rate p =
+  Formula.eval (Formula.create ~rtt:0.05 Formula.Pftk_standard) p
+
+type claim3 = {
+  p_responsive : float;
+  p_partial : float;
+  p_poisson : float;
+  partial_rates : float array;
+}
+
+(* The Eq. (13) limits of the fully responsive, the partially
+   responsive and the Poisson source on Claim 3's process. *)
+let claim3 ~responsiveness =
+  let cp = claim3_process and formula_rate = claim3_rate in
+  let limit rates = Many_sources.limit_loss_event_rate cp ~rates in
+  let partial_rates =
+    Many_sources.partially_responsive_profile cp ~formula_rate ~responsiveness
+  in
+  {
+    p_responsive = limit (Many_sources.responsive_profile cp ~formula_rate);
+    p_partial = limit partial_rates;
+    p_poisson = limit (Many_sources.poisson_profile cp);
+    partial_rates;
+  }
+
 (* Claim 3 analytic check: the many-sources limit ordering. *)
 let table_c3 ~quick =
-  let cp =
-    [|
-      { Many_sources.p_i = 0.001; pi_i = 0.5 };
-      { Many_sources.p_i = 0.01; pi_i = 0.3 };
-      { Many_sources.p_i = 0.05; pi_i = 0.2 };
-    |]
-  in
-  let formula = Formula.create ~rtt:0.05 Formula.Pftk_standard in
-  let formula_rate p = Formula.eval formula p in
-  let p'' =
-    Many_sources.limit_loss_event_rate cp ~rates:(Many_sources.poisson_profile cp)
-  in
-  let p' =
-    Many_sources.limit_loss_event_rate cp
-      ~rates:(Many_sources.responsive_profile cp ~formula_rate)
-  in
+  let bounds = claim3 ~responsiveness:0.0 in
+  let p' = bounds.p_responsive and p'' = bounds.p_poisson in
   let steps = if quick then 20_000 else 200_000 in
   let resps = [ 0.0; 0.25; 0.5; 0.75; 1.0 ] in
   let+ rows =
     tasks
       (fun resp ->
-        let rates =
-          Many_sources.partially_responsive_profile cp ~formula_rate
-            ~responsiveness:resp
-        in
-        let p_lim = Many_sources.limit_loss_event_rate cp ~rates in
+        let c = claim3 ~responsiveness:resp in
         let rng = Prng.create ~seed:(int_of_float (resp *. 1000.0)) in
         let mc =
-          Many_sources.monte_carlo rng cp ~rates ~mean_sojourn:100.0 ~steps
+          Many_sources.monte_carlo rng claim3_process ~rates:c.partial_rates
+            ~mean_sojourn:100.0 ~steps
         in
-        (resp, p_lim, mc.Many_sources.observed_p))
+        (resp, c.p_partial, mc.Many_sources.observed_p))
       resps
   in
   let t =
@@ -741,18 +783,8 @@ let ablation_weights ~quick =
    timescale separates from the control timescale. *)
 let ablation_eq12 ~quick:_ =
   Work.task @@ fun () ->
-  let cp =
-    [|
-      { Many_sources.p_i = 0.001; pi_i = 0.5 };
-      { Many_sources.p_i = 0.01; pi_i = 0.3 };
-      { Many_sources.p_i = 0.05; pi_i = 0.2 };
-    |]
-  in
-  let formula = Formula.create ~rtt:0.05 Formula.Pftk_standard in
-  let rates =
-    Many_sources.responsive_profile cp ~formula_rate:(fun p ->
-        Formula.eval formula p)
-  in
+  let cp = claim3_process in
+  let rates = Many_sources.responsive_profile cp ~formula_rate:claim3_rate in
   let limit = Many_sources.limit_loss_event_rate cp ~rates in
   [
     table
@@ -820,15 +852,16 @@ let ablation_dropper_mode ~quick =
 
 (* A4: the paper's undisplayed competition experiment — one AIMD and
    one EBRC sharing a fluid link. *)
+let competition ~quick ~beta =
+  Few_flows.simulate_competition
+    ~cycles:(if quick then 500 else 5000)
+    { Few_flows.alpha = 1.0; beta; capacity = 100.0 }
+
 let ablation_competition ~quick =
-  let cycles = if quick then 500 else 5000 in
   let+ rows =
     tasks
       (fun beta ->
-        let r =
-          Few_flows.simulate_competition ~cycles
-            { Few_flows.alpha = 1.0; beta; capacity = 100.0 }
-        in
+        let r = competition ~quick ~beta in
         [
           cell ~decimals:2 beta;
           cell ~decimals:3 (Few_flows.loss_rate_ratio ~beta);
@@ -879,6 +912,74 @@ let ablation_comprehensive_fig3 ~quick =
        Proposition 2";
   ]
 
+module Tcp_sender = Ebrc_tcp.Tcp_sender
+
+type lone_tcp = {
+  loss_events : int;
+  loss_event_rate : float;
+  received : int;
+  mean_rtt : float;
+  timeouts : int;
+  fast_retransmits : int;
+  ascent_samples : int;
+  slope_ratio : float;
+}
+
+(* One TCP flow alone on a 10 Mb/s DropTail([buffer]) bottleneck with
+   25 ms one-way delays, the setup of A6, A10 and the Section IV-B
+   check. Cwnd samples taken in congestion avoidance are segmented into
+   ascents by loss events; the longest one is kept. *)
+let lone_tcp ~variant ~seed ~buffer ~duration =
+  let module Engine = Ebrc_sim.Engine in
+  let module Link = Ebrc_net.Link in
+  let module QD = Ebrc_net.Queue_discipline in
+  let module TS = Tcp_sender in
+  let module TR = Ebrc_tcp.Tcp_receiver in
+  let module Trace = Ebrc_sim.Trace in
+  let engine = Engine.create () in
+  let rng = Prng.create ~seed in
+  let queue = QD.create ~service_rate:1250.0 ~capacity:buffer QD.Drop_tail in
+  let link = Link.create ~engine ~rate_bps:10e6 ~delay:0.025 ~queue ~rng in
+  let sender = TS.create ~variant ~engine ~flow:0 () in
+  let receiver = TR.create ~engine ~flow:0 () in
+  TS.set_transmit sender (fun pkt -> Link.send link pkt);
+  Link.set_deliver link (fun pkt -> TR.on_data receiver pkt);
+  TR.set_ack_sink receiver (fun ~acked ~dup ~echo ->
+      ignore
+        (Engine.schedule_after engine ~delay:0.025 (fun () ->
+             TS.on_ack sender ~acked ~dup ~echo)));
+  let current = ref (Trace.create ()) in
+  let best = ref (Trace.create ()) in
+  let last_events = ref 0 in
+  TS.set_rate_sample_hook sender (fun w ->
+      let ev = TS.loss_events sender in
+      if ev <> !last_events then begin
+        last_events := ev;
+        if Trace.length !current > Trace.length !best then best := !current;
+        current := Trace.create ()
+      end;
+      if TS.phase sender = TS.Congestion_avoidance then
+        Trace.record !current ~time:(Engine.now engine) ~value:w);
+  ignore (Engine.schedule engine ~at:0.0 (fun () -> TS.start sender));
+  ignore (Engine.run ~until:duration engine);
+  if Trace.length !current > Trace.length !best then best := !current;
+  {
+    loss_events = TS.loss_events sender;
+    loss_event_rate = TS.loss_event_rate sender;
+    received = TR.received receiver;
+    mean_rtt = TS.mean_rtt sender;
+    timeouts = TS.timeouts sender;
+    fast_retransmits = TS.fast_retransmits sender;
+    ascent_samples = Trace.length !best;
+    slope_ratio = Trace.growth_linearity !best;
+  }
+
+let lone_duration ~quick = if quick then 120.0 else 600.0
+
+let window_growth ~quick ~buffer =
+  lone_tcp ~variant:Tcp_sender.Reno ~seed:31 ~buffer
+    ~duration:(lone_duration ~quick)
+
 (* A6: the Section-IV-B conjecture — when TCP's window is large (few
    competing flows), its growth over time is sub-linear, which is why
    TCP can fall short of the PFTK formula. We trace cwnd during
@@ -886,54 +987,19 @@ let ablation_comprehensive_fig3 ~quick =
    bottleneck and report the second-half/first-half slope ratio of the
    longest ascent (1 = linear, < 1 = concave/sub-linear). *)
 let ablation_window_growth ~quick =
-  let module Engine = Ebrc_sim.Engine in
-  let module Link = Ebrc_net.Link in
-  let module QD = Ebrc_net.Queue_discipline in
-  let module TS = Ebrc_tcp.Tcp_sender in
-  let module TR = Ebrc_tcp.Tcp_receiver in
-  let module Trace = Ebrc_sim.Trace in
-  let duration = if quick then 120.0 else 600.0 in
-  let run ~buffer =
-    let engine = Engine.create () in
-    let rng = Prng.create ~seed:31 in
-    let queue = QD.create ~service_rate:1250.0 ~capacity:buffer QD.Drop_tail in
-    let link =
-      Link.create ~engine ~rate_bps:10e6 ~delay:0.025 ~queue ~rng
-    in
-    let sender = TS.create ~engine ~flow:0 () in
-    let receiver = TR.create ~engine ~flow:0 () in
-    TS.set_transmit sender (fun pkt -> Link.send link pkt);
-    Link.set_deliver link (fun pkt -> TR.on_data receiver pkt);
-    TR.set_ack_sink receiver (fun ~acked ~dup ~echo ->
-        ignore
-          (Engine.schedule_after engine ~delay:0.025 (fun () ->
-               TS.on_ack sender ~acked ~dup ~echo)));
-    (* Segment cwnd ascents by loss events; keep the longest. *)
-    let current = ref (Trace.create ()) in
-    let best = ref (Trace.create ()) in
-    let last_events = ref 0 in
-    TS.set_rate_sample_hook sender (fun w ->
-        let ev = TS.loss_events sender in
-        if ev <> !last_events then begin
-          last_events := ev;
-          if Trace.length !current > Trace.length !best then
-            best := !current;
-          current := Trace.create ()
-        end;
-        if TS.phase sender = TS.Congestion_avoidance then
-          Trace.record !current ~time:(Engine.now engine) ~value:w);
-    ignore (Engine.schedule engine ~at:0.0 (fun () -> TS.start sender));
-    ignore (Engine.run ~until:duration engine);
-    if Trace.length !current > Trace.length !best then best := !current;
-    [
-      string_of_int buffer;
-      string_of_int (TS.loss_events sender);
-      string_of_int (Trace.length !best);
-      cell ~decimals:3 (Trace.growth_linearity !best);
-    ]
-  in
   let buffers = if quick then [ 50; 200 ] else [ 25; 50; 100; 200; 400 ] in
-  let+ rows = tasks (fun buffer -> run ~buffer) buffers in
+  let+ rows =
+    tasks
+      (fun buffer ->
+        let r = window_growth ~quick ~buffer in
+        [
+          string_of_int buffer;
+          string_of_int r.loss_events;
+          string_of_int r.ascent_samples;
+          cell ~decimals:3 r.slope_ratio;
+        ])
+      buffers
+  in
   [
     Table.add_note
       (table
@@ -995,25 +1061,23 @@ let ablation_autocovariance ~quick =
   ]
 
 (* A8: exact quadrature vs Monte Carlo for the iid Prop-1 collapse —
-   validates both engines against each other. *)
+   validates both engines against each other. [exact_vs_mc] is one row:
+   (exact, Monte-Carlo) x/f(p) with uniform weights over window [l]. *)
+let exact_vs_mc ~cycles ~l =
+  let formula = Formula.create ~rtt:1.0 Formula.Pftk_simplified in
+  let rng = Prng.create ~seed:770 in
+  let process = Loss_process.iid_shifted_exponential rng ~p:0.1 ~cv:0.9 in
+  let estimator = Loss_interval.create ~weights:(Weights.uniform l) in
+  ( Ebrc_control.Exact.normalized_throughput ~formula ~l ~p:0.1 ~cv:0.9,
+    (Basic_control.simulate ~formula ~estimator ~process ~cycles ())
+      .Basic_control.normalized )
+
 let ablation_exact_vs_mc ~quick =
   let cycles = if quick then 100_000 else 1_000_000 in
-  let formula = Formula.create ~rtt:1.0 Formula.Pftk_simplified in
   let+ rows =
     tasks
       (fun l ->
-        let exact =
-          Ebrc_control.Exact.normalized_throughput ~formula ~l ~p:0.1 ~cv:0.9
-        in
-        let rng = Prng.create ~seed:770 in
-        let process = Loss_process.iid_shifted_exponential rng ~p:0.1 ~cv:0.9 in
-        let estimator =
-          Loss_interval.create ~weights:(Ebrc_estimator.Weights.uniform l)
-        in
-        let mc =
-          (Basic_control.simulate ~formula ~estimator ~process ~cycles ())
-            .Basic_control.normalized
-        in
+        let exact, mc = exact_vs_mc ~cycles ~l in
         [
           string_of_int l;
           cell ~decimals:4 exact;
@@ -1076,33 +1140,14 @@ let ablation_chain ~quick =
    change the loss-event rates and formula obedience that drive the
    paper's sub-conditions 2 and 4? *)
 let ablation_tcp_variant ~quick =
-  let module Engine = Ebrc_sim.Engine in
-  let module Link = Ebrc_net.Link in
-  let module QD = Ebrc_net.Queue_discipline in
-  let module TS = Ebrc_tcp.Tcp_sender in
-  let module TR = Ebrc_tcp.Tcp_receiver in
-  let duration = if quick then 120.0 else 600.0 in
+  let duration = lone_duration ~quick in
   let run (name, variant) =
-    let engine = Engine.create () in
-    let rng = Prng.create ~seed:7 in
-    let queue = QD.create ~service_rate:1250.0 ~capacity:60 QD.Drop_tail in
-    let link = Link.create ~engine ~rate_bps:10e6 ~delay:0.025 ~queue ~rng in
-    let sender = TS.create ~variant ~engine ~flow:0 () in
-    let receiver = TR.create ~engine ~flow:0 () in
-    TS.set_transmit sender (fun pkt -> Link.send link pkt);
-    Link.set_deliver link (fun pkt -> TR.on_data receiver pkt);
-    TR.set_ack_sink receiver (fun ~acked ~dup ~echo ->
-        ignore
-          (Engine.schedule_after engine ~delay:0.025 (fun () ->
-               TS.on_ack sender ~acked ~dup ~echo)));
-    ignore (Engine.schedule engine ~at:0.0 (fun () -> TS.start sender));
-    ignore (Engine.run ~until:duration engine);
-    let p = TS.loss_event_rate sender in
-    let x = float_of_int (TR.received receiver) /. duration in
-    let rtt = TS.mean_rtt sender in
+    let r = lone_tcp ~variant ~seed:7 ~buffer:60 ~duration in
+    let p = r.loss_event_rate in
+    let x = float_of_int r.received /. duration in
     let f =
       if p > 0.0 then
-        Formula.eval (Formula.create ~rtt Formula.Pftk_standard) p
+        Formula.eval (Formula.create ~rtt:r.mean_rtt Formula.Pftk_standard) p
       else nan
     in
     [
@@ -1110,11 +1155,14 @@ let ablation_tcp_variant ~quick =
       cell ~decimals:5 p;
       cell ~decimals:1 x;
       cell ~decimals:3 (x /. f);
-      string_of_int (TS.timeouts sender);
-      string_of_int (TS.fast_retransmits sender);
+      string_of_int r.timeouts;
+      string_of_int r.fast_retransmits;
     ]
   in
-  let+ rows = tasks run [ ("Reno/NewReno", TS.Reno); ("Tahoe", TS.Tahoe) ] in
+  let+ rows =
+    tasks run
+      [ ("Reno/NewReno", Tcp_sender.Reno); ("Tahoe", Tcp_sender.Tahoe) ]
+  in
   [
     Table.add_note
       (table

@@ -9,8 +9,9 @@ type options = {
   jobs : int option;
       (** Domains for the report's one figure batch; [None] = sequential. *)
   keep_going : bool;
-      (** When true, a raising runner renders as a FAILED section (and a
-          trailing failure summary) instead of aborting the report. *)
+      (** When true, a raising runner or an unknown id renders as a
+          FAILED section (and a trailing failure summary) instead of
+          aborting the report. *)
 }
 
 val default_options : options
@@ -31,6 +32,3 @@ val save_result :
   ?options:options -> path:string -> unit -> Figures.failure list
 (** Write the report and return the keep-going failures so callers can
     reflect them in the exit code. *)
-
-val markdown_of_table : Table.t -> string
-(** GitHub-flavoured markdown rendering of a single table. *)

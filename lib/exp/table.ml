@@ -70,6 +70,14 @@ let to_csv t =
   let line cells = String.concat "," (List.map csv_escape cells) in
   String.concat "\n" (line t.header :: List.map line t.rows) ^ "\n"
 
+let to_markdown t =
+  let line cells = "| " ^ String.concat " | " cells ^ " |\n" in
+  String.concat ""
+    ((("### " ^ t.title ^ "\n\n") :: line t.header
+     :: ("|" ^ String.concat "|" (List.map (fun _ -> "---") t.header) ^ "|\n")
+     :: List.map line t.rows)
+    @ ("\n" :: List.map (fun n -> "> " ^ n ^ "\n\n") t.notes))
+
 let save_csv t ~path =
   let oc = open_out path in
   Fun.protect

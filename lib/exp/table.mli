@@ -1,4 +1,4 @@
-(** Plain-text table and CSV rendering for experiment output. *)
+(** Plain-text, CSV and markdown rendering for experiment output. *)
 
 type t
 
@@ -14,4 +14,9 @@ val cell_float : ?decimals:int -> float -> string
 val to_string : t -> string
 val print : t -> unit
 val to_csv : t -> string
+
+val to_markdown : t -> string
+(** GitHub-flavoured markdown: the title as a level-3 heading, the
+    table, then each note as a quote. Cells are written verbatim. *)
+
 val save_csv : t -> path:string -> unit

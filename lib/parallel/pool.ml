@@ -279,12 +279,6 @@ let reap results =
       raise exn
   | None -> Array.map (function Ok v -> v | Error _ -> assert false) results
 
-let map t f xs =
-  let n = Array.length xs in
-  reap (try_init t n (fun ~attempt:_ i -> f xs.(i)))
-
-let map_list t f xs = Array.to_list (map t f (Array.of_list xs))
-
 let init t n f =
   if n < 0 then invalid_arg "Pool.init: negative length";
   reap (try_init t n (fun ~attempt:_ i -> f i))

@@ -1,11 +1,11 @@
 (** Fixed-size OCaml 5 domain pool for embarrassingly parallel sweeps.
 
     The experiment layer runs large grids of independent simulations
-    (the figure batch, Monte-Carlo replications). This pool fans such
+    (the leaves of a figure or validation batch). This pool fans such
     grids out over [domains] domains, each domain taking the next task
     index from a shared atomic cursor.
 
-    Determinism contract: [map]/[init] write each task's result into
+    Determinism contract: [try_init]/[init] write each task's result into
     the slot of its task index, and every stochastic task must derive
     its own generator from its index (see {!Ebrc_rng.Prng.stream}), so
     the output is bit-identical to the sequential run regardless of
@@ -32,7 +32,7 @@ val default_jobs : unit -> int
     Every task runs under a per-task exception barrier: a crashing
     task never aborts its siblings, and all sibling results are
     preserved. {!try_init} exposes the per-task [result]s directly;
-    [map]/[init] are built on it and raise {!Task_failed} carrying the
+    {!init} is built on it and raises {!Task_failed} carrying the
     lowest failing index (deterministic, unlike a first-observed
     race), its seed, and the original exception + backtrace. *)
 
@@ -66,17 +66,10 @@ val run_isolated :
     a fresh PRNG sub-stream). It serves callers (the sweep-service
     worker) whose unit of work is not a sweep index. *)
 
-val map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Order-preserving parallel [Array.map]. Tasks are crash-isolated:
-    if any raise, the whole job still drains, then {!Task_failed} for
-    the lowest failing index is raised in the caller; the pool remains
-    usable. *)
-
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving parallel [List.map]. *)
-
 val init : t -> int -> (int -> 'a) -> 'a array
-(** Parallel [Array.init], same failure contract as {!map}. *)
+(** Parallel [Array.init]. Tasks are crash-isolated: if any raise, the
+    whole job still drains, then {!Task_failed} for the lowest failing
+    index is raised in the caller; the pool remains usable. *)
 
 val shutdown : t -> unit
 (** Join all workers. Idempotent; using the pool afterwards raises

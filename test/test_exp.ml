@@ -580,33 +580,78 @@ let test_analytic_figures_run () =
         && List.for_all (fun t -> String.length (T.to_string t) > 0) tables))
     [ "1"; "2"; "t1"; "c3"; "c4"; "a2"; "a4"; "a11" ]
 
-let test_validate_cheap_checks () =
-  (* Run the three cheapest validation checks directly. *)
-  let by_id id =
-    List.find (fun c -> c.Ebrc.Validate.id = id) Ebrc.Validate.checks
-  in
-  List.iter
-    (fun id ->
-      let c = by_id id in
-      let passed, evidence = c.Ebrc.Validate.run ~quick:true in
-      Alcotest.(check bool) (id ^ ": " ^ evidence) true passed)
-    [ "prop4-ratio"; "f1-conditions"; "sqrt-invariance";
-      "claim4-closed-form"; "competition-collapse"; "claim3-ordering" ]
+(* Every check's quick-mode evidence, pinned: defining an experiment
+   once for a figure and a check must not move either. *)
+let validate_quick_evidence =
+  [
+    ("prop4-ratio", "measured r = 1.00260");
+    ("f1-conditions", "convexity classifier on x in [1.5, 1000]");
+    ("thm1-conservative", "worst normalized = 0.978");
+    ("claim1-l-ordering", "L=2: 0.186 < L=8: 0.745 < L=16: 0.876");
+    ("claim1-p-ordering", "p=0.02: 0.928 > p=0.3: 0.463");
+    ("sqrt-invariance", "exact: 0.925614 vs 0.925614");
+    ("claim2-crossover", "SQRT: 0.981 <= 1 < PFTK: 1.060");
+    ("claim3-ordering", "p' = 0.00385 < p = 0.00721 < p'' = 0.01350");
+    ("claim3-bottleneck", "p' = 0.0041, p = 0.0043, p'' = 0.0033 (50% slack)");
+    ("claim4-closed-form", "analytic 1.7778, simulated 1.7819");
+    ("prop2-comprehensive", "comprehensive 0.928 >= basic 0.874");
+    ("exact-vs-mc", "exact 0.7758 vs MC 0.7749");
+    ("iv-b-sublinear", "slope ratio (2nd/1st half) = 0.725 < 1");
+    ("competition-collapse", "competing 1.002 < isolated 1.778");
+    ("feller-ordering", "E0[X] = 2.67 >= x_bar = 2.51");
+  ]
 
-let test_validate_table_renders () =
-  let c =
-    List.find (fun c -> c.Ebrc.Validate.id = "f1-conditions")
-      Ebrc.Validate.checks
+let test_validate_all_checks () =
+  (* All checks as one batch, cache off so both runs compute every
+     leaf: every check passes, with the same verdicts and evidence at
+     1 and 4 domains. *)
+  let module V = Ebrc.Validate in
+  let verdicts outcomes =
+    List.map (fun (o : V.outcome) -> (o.check.id, o.passed, o.evidence))
+      outcomes
   in
-  let passed, evidence = c.Ebrc.Validate.run ~quick:true in
-  let outcome =
-    { Ebrc.Validate.check = c; passed; evidence; seconds = 0.0 }
+  with_clean_cache (fun () ->
+      RC.set_enabled false;
+      let j1 = V.run ~jobs:1 ~quick:true V.checks in
+      let j4 = V.run ~jobs:4 ~quick:true V.checks in
+      List.iter
+        (fun (id, passed, evidence) ->
+          Alcotest.(check bool) (id ^ ": " ^ evidence) true passed)
+        (verdicts j1);
+      Alcotest.(check bool) "all passed" true (V.all_passed j1);
+      Alcotest.(check (list (triple string bool string)))
+        "jobs=1 = jobs=4" (verdicts j1) (verdicts j4);
+      Alcotest.(check (list (pair string string)))
+        "evidence unchanged" validate_quick_evidence
+        (List.map (fun (id, _, e) -> (id, e)) (verdicts j1));
+      Alcotest.(check string) "no wall-clock column" "check,verdict,evidence"
+        (List.hd (String.split_on_char '\n' (T.to_csv (V.to_table j1)))))
+
+let test_validate_raising_check () =
+  (* A raising leaf and a raising projection each fail only their own
+     check. *)
+  let module V = Ebrc.Validate in
+  let f1 = List.find (fun (c : V.check) -> c.id = "f1-conditions") V.checks in
+  let boom =
+    { V.id = "boom"; claim = "leaf raises";
+      run = (fun ~quick:_ -> Work.task (fun () -> failwith "boom")) }
   in
-  let t = Ebrc.Validate.to_table [ outcome ] in
-  Alcotest.(check bool) "renders" true
-    (String.length (T.to_string t) > 50);
-  Alcotest.(check bool) "all passed" true
-    (Ebrc.Validate.all_passed [ outcome ])
+  let bad_projection =
+    { V.id = "bad-projection"; claim = "projection raises";
+      run =
+        (fun ~quick:_ ->
+          Work.map (fun () -> invalid_arg "projection") (Work.task ignore)) }
+  in
+  match V.run ~jobs:2 ~quick:true [ boom; f1; bad_projection ] with
+  | [ b; f; p ] ->
+      Alcotest.(check (pair bool string)) "leaf FAIL"
+        (false, "raised Failure(\"boom\")") (b.passed, b.evidence);
+      Alcotest.(check bool) "sibling passes" true f.passed;
+      Alcotest.(check (pair bool string)) "projection FAIL"
+        (false, "raised Invalid_argument(\"projection\")")
+        (p.passed, p.evidence);
+      Alcotest.(check bool) "not all passed" false (V.all_passed [ b; f; p ])
+  | _ -> Alcotest.fail "one outcome per check"
 
 let test_mc_figures_values_sane () =
   (* The Monte-Carlo-only figures run fast in quick mode; check every
@@ -726,8 +771,9 @@ let () =
             test_batch_dedups_scenarios;
           Alcotest.test_case "analytic figures" `Quick test_analytic_figures_run;
           Alcotest.test_case "fig2 ratio" `Quick test_fig2_ratio_note;
-          Alcotest.test_case "validate cheap checks" `Quick test_validate_cheap_checks;
-          Alcotest.test_case "validate table" `Quick test_validate_table_renders;
+          Alcotest.test_case "validate all checks" `Quick test_validate_all_checks;
+          Alcotest.test_case "validate raising check" `Quick
+            test_validate_raising_check;
           Alcotest.test_case "MC figures sane" `Quick test_mc_figures_values_sane;
         ] );
     ]

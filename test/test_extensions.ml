@@ -410,10 +410,16 @@ let test_report_generates_markdown () =
   Alcotest.(check bool) "has c4" true (contains "16/9")
 
 let test_report_markdown_of_table () =
-  let t = Ebrc.Table.create ~title:"x" ~header:[ "a"; "b" ] in
-  let t = Ebrc.Table.add_row t [ "1"; "2" ] in
-  let md = Ebrc.Report.markdown_of_table t in
-  Alcotest.(check string) "markdown" "| a | b |\n|---|---|\n| 1 | 2 |\n" md
+  let module T = Ebrc.Table in
+  let t = T.add_row (T.create ~title:"x" ~header:[ "a"; "b" ]) [ "1"; "2" ] in
+  Alcotest.(check string) "markdown"
+    "### x\n\n| a | b |\n|---|---|\n| 1 | 2 |\n\n" (T.to_markdown t);
+  (* Cells and notes are written verbatim: quotes and commas survive. *)
+  let t = T.add_note (T.add_row t [ "say \"hi\", ok"; "3" ]) "n, \"q\"" in
+  Alcotest.(check string) "quoted cell"
+    "### x\n\n| a | b |\n|---|---|\n| 1 | 2 |\n| say \"hi\", ok | 3 |\n\n\
+     > n, \"q\"\n\n"
+    (T.to_markdown t)
 
 (* ------------------------ chain scenario ------------------------ *)
 

@@ -75,15 +75,25 @@ let test_table_save_csv () =
   Alcotest.(check string) "header line" "a,b" line1
 
 let test_report_filters_unknown_ids () =
-  (* Unknown ids are silently skipped; known ones included. *)
-  let doc =
-    Ebrc.Report.generate
-      ~options:
-        { Ebrc.Report.default_options with ids = [ "zzz"; "c4" ] }
-      ()
+  (* An unknown id fails the report like any failed figure: it raises,
+     or in keep-going mode becomes a FAILED section next to the known
+     ones. It is never silently dropped. *)
+  let options =
+    { Ebrc.Report.default_options with ids = [ "zzz"; "c4" ] }
   in
+  (match Ebrc.Report.generate ~options () with
+  | _ -> Alcotest.fail "an unknown id must fail the report"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) "lists the valid ids" true
+        (contains msg "valid ids: 1 2 3"));
+  let doc, failures =
+    Ebrc.Report.generate_result ~options:{ options with keep_going = true } ()
+  in
+  Alcotest.(check (list string)) "zzz failed" [ "zzz" ]
+    (List.map (fun (f : Ebrc.Figures.failure) -> f.failed_id) failures);
   Alcotest.(check bool) "c4 included" true (contains doc "Figure c4");
-  Alcotest.(check bool) "zzz absent" false (contains doc "zzz")
+  Alcotest.(check bool) "zzz FAILED section" true
+    (contains doc "## Figure zzz — unknown id\n\n### **FAILED**")
 
 (* --------------------------- validation -------------------------- *)
 

@@ -14,28 +14,16 @@ let collatz_len n =
   let rec go steps n = if n <= 1 then steps else go (steps + 1) (if n mod 2 = 0 then n / 2 else (3 * n) + 1) in
   go 0 n
 
-let test_map_matches_sequential () =
-  let input = List.init 257 (fun i -> i + 1) in
-  let expected = List.map collatz_len input in
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          check_int_list
-            (Printf.sprintf "map_list at %d domains" domains)
-            expected
-            (Pool.map_list pool collatz_len input)))
-    [ 1; 2; 8 ]
-
-let test_map_array () =
-  let input = Array.init 100 (fun i -> float_of_int i) in
-  let f x = sin x +. (x *. x) in
-  let expected = Array.map f input in
+let test_init_matches_sequential () =
+  (* Uneven integer work and float results, at 1, 2 and 8 domains. *)
+  let f i = sin (float_of_int i) +. float_of_int (collatz_len (i + 1)) in
+  let expected = Array.init 257 f in
   List.iter
     (fun domains ->
       Pool.with_pool ~domains (fun pool ->
           check_float_array
-            (Printf.sprintf "map at %d domains" domains)
-            expected (Pool.map pool f input)))
+            (Printf.sprintf "init at %d domains" domains)
+            expected (Pool.init pool 257 f)))
     [ 1; 2; 8 ]
 
 let test_init () =
@@ -47,8 +35,8 @@ let test_init () =
 
 let test_empty_and_singleton () =
   Pool.with_pool ~domains:3 (fun pool ->
-      check_int_list "empty" [] (Pool.map_list pool succ []);
-      check_int_list "singleton" [ 2 ] (Pool.map_list pool succ [ 1 ]))
+      check_int_list "empty" [] (Array.to_list (Pool.init pool 0 succ));
+      check_int_list "singleton" [ 1 ] (Array.to_list (Pool.init pool 1 succ)))
 
 (* ------------------- exception propagation ---------------------- *)
 
@@ -72,7 +60,7 @@ let test_exception_propagates () =
             (e.Pool.t_exn = Boom 37));
       (* the pool survives a failed job *)
       check_int_list "usable after exception" [ 1; 2; 3 ]
-        (Pool.map_list pool succ [ 0; 1; 2 ]))
+        (Array.to_list (Pool.init pool 3 succ)))
 
 let test_lowest_failure_wins () =
   (* Several tasks fail; the reported index must deterministically be
@@ -153,7 +141,7 @@ let test_shutdown_idempotent () =
   Pool.shutdown pool;
   let raised =
     try
-      ignore (Pool.map_list pool succ [ 1 ]);
+      ignore (Pool.init pool 1 succ);
       false
     with Invalid_argument _ -> true
   in
@@ -193,31 +181,13 @@ let test_batch_determinism () =
         "batch identical at jobs=1 and jobs=4" (batch_csv ~jobs:1)
         (batch_csv ~jobs:4))
 
-let test_monte_carlo_determinism () =
-  let cp : Ebrc.Many_sources.congestion_process =
-    [|
-      { p_i = 0.01; pi_i = 0.5 };
-      { p_i = 0.05; pi_i = 0.3 };
-      { p_i = 0.2; pi_i = 0.2 };
-    |]
-  in
-  let run jobs =
-    Ebrc.Many_sources.monte_carlo_batched ~jobs ~root_seed:77 cp
-      ~rates:[| 2.0; 1.0; 0.5 |] ~mean_sojourn:5.0 ~steps:400 ~batches:8
-  in
-  let r1 = run 1 and r4 = run 4 in
-  Alcotest.(check bool) "batched MC identical at jobs=1 and jobs=4" true
-    (r1 = r4)
-
 let () =
   Alcotest.run "parallel"
     [
       ( "pool",
         [
-          Alcotest.test_case "map_list = List.map (1/2/8 domains)" `Quick
-            test_map_matches_sequential;
-          Alcotest.test_case "map = Array.map (1/2/8 domains)" `Quick
-            test_map_array;
+          Alcotest.test_case "init = Array.init (1/2/8 domains)" `Quick
+            test_init_matches_sequential;
           Alcotest.test_case "init = Array.init" `Quick test_init;
           Alcotest.test_case "empty and singleton" `Quick
             test_empty_and_singleton;
@@ -239,7 +209,5 @@ let () =
             test_figure_determinism;
           Alcotest.test_case "figure batch jobs=1 vs jobs=4" `Slow
             test_batch_determinism;
-          Alcotest.test_case "monte carlo jobs=1 vs jobs=4" `Quick
-            test_monte_carlo_determinism;
         ] );
     ]
