@@ -623,9 +623,35 @@ let test_validate_all_checks () =
         "jobs=1 = jobs=4" (verdicts j1) (verdicts j4);
       Alcotest.(check (list (pair string string)))
         "evidence unchanged" validate_quick_evidence
-        (List.map (fun (id, _, e) -> (id, e)) (verdicts j1));
-      Alcotest.(check string) "no wall-clock column" "check,verdict,evidence"
-        (List.hd (String.split_on_char '\n' (T.to_csv (V.to_table j1)))))
+        (List.map (fun (id, _, e) -> (id, e)) (verdicts j1)))
+
+let test_validate_cheap_checks () =
+  (* The six cheapest checks as a batch of their own: a subset of
+     [checks] passes with the same evidence as in the full batch. *)
+  let module V = Ebrc.Validate in
+  let ids =
+    [ "prop4-ratio"; "f1-conditions"; "sqrt-invariance";
+      "claim4-closed-form"; "competition-collapse"; "claim3-ordering" ]
+  in
+  let cheap =
+    List.map (fun id -> List.find (fun (c : V.check) -> c.id = id) V.checks) ids
+  in
+  List.iter
+    (fun (o : V.outcome) ->
+      Alcotest.(check bool) (o.check.id ^ ": " ^ o.evidence) true o.passed;
+      Alcotest.(check string) (o.check.id ^ " evidence")
+        (List.assoc o.check.id validate_quick_evidence) o.evidence)
+    (V.run ~jobs:2 ~quick:true cheap)
+
+let test_validate_table_renders () =
+  let module V = Ebrc.Validate in
+  let f1 = List.find (fun (c : V.check) -> c.id = "f1-conditions") V.checks in
+  let outcomes = V.run ~quick:true [ f1 ] in
+  let t = V.to_table outcomes in
+  Alcotest.(check bool) "renders" true (String.length (T.to_string t) > 50);
+  Alcotest.(check string) "no wall-clock column" "check,verdict,evidence"
+    (List.hd (String.split_on_char '\n' (T.to_csv t)));
+  Alcotest.(check bool) "all passed" true (V.all_passed outcomes)
 
 let test_validate_raising_check () =
   (* A raising leaf and a raising projection each fail only their own
@@ -771,6 +797,8 @@ let () =
             test_batch_dedups_scenarios;
           Alcotest.test_case "analytic figures" `Quick test_analytic_figures_run;
           Alcotest.test_case "fig2 ratio" `Quick test_fig2_ratio_note;
+          Alcotest.test_case "validate cheap checks" `Quick test_validate_cheap_checks;
+          Alcotest.test_case "validate table" `Quick test_validate_table_renders;
           Alcotest.test_case "validate all checks" `Quick test_validate_all_checks;
           Alcotest.test_case "validate raising check" `Quick
             test_validate_raising_check;
