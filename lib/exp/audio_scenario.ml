@@ -100,15 +100,14 @@ let run cfg =
   in
   let channel pkt =
     if Loss_module.process dropper pkt then
-      ignore
-        (Engine.schedule_after engine ~delay:cfg.one_way_delay (fun () ->
-             let before =
-               Loss_history.event_count (Audio_source.history source)
-             in
-             Audio_source.on_receiver_packet source ~seq:pkt.Ebrc_net.Packet.seq;
-             let hist = Audio_source.history source in
-             if measuring () && Loss_history.event_count hist > before then
-               thetahats := Loss_history.average_interval hist :: !thetahats))
+      Engine.schedule_after_unit engine ~delay:cfg.one_way_delay (fun () ->
+          let before =
+            Loss_history.event_count (Audio_source.history source)
+          in
+          Audio_source.on_receiver_packet source ~seq:pkt.Ebrc_net.Packet.seq;
+          let hist = Audio_source.history source in
+          if measuring () && Loss_history.event_count hist > before then
+            thetahats := Loss_history.average_interval hist :: !thetahats)
   in
   let channel =
     match fault with Some f -> Fault.wrap_forward f channel | None -> channel
@@ -121,10 +120,10 @@ let run cfg =
       channel pkt);
   (* Counters snapshotted at warmup for the empirical loss-event rate. *)
   let ivs_at_warmup = ref 0 in
-  ignore (Engine.schedule engine ~at:cfg.warmup (fun () ->
+  Engine.schedule_unit engine ~at:cfg.warmup (fun () ->
       ivs_at_warmup :=
         Array.length
-          (Loss_history.completed_intervals (Audio_source.history source))));
+          (Loss_history.completed_intervals (Audio_source.history source)));
   Audio_source.start source;
   ignore (Engine.run ~until:cfg.duration engine);
   let hist = Audio_source.history source in

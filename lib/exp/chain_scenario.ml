@@ -136,9 +136,8 @@ let run cfg =
         Tfrc_sender.set_transmit ts forward;
         Tfrc_receiver.set_feedback_sink tr
           (feedback_sink (fun pkt ->
-               ignore
-                 (Engine.schedule_after engine ~delay:rd (fun () ->
-                      Tfrc_sender.on_packet ts pkt))));
+               Engine.schedule_after_unit engine ~delay:rd (fun () ->
+                   Tfrc_sender.on_packet ts pkt)));
         (ts, tr))
   in
   let tcp =
@@ -149,9 +148,8 @@ let run cfg =
         let rd = reverse_delay () in
         Tcp_sender.set_transmit cs forward;
         Tcp_receiver.set_ack_sink cr (fun ~acked ~dup ~echo ->
-            ignore
-              (Engine.schedule_after engine ~delay:rd (fun () ->
-                   Tcp_sender.on_ack cs ~acked ~dup ~echo)));
+            Engine.schedule_after_unit engine ~delay:rd (fun () ->
+                Tcp_sender.on_ack cs ~acked ~dup ~echo));
         (cs, cr))
   in
   let cross_flow = cfg.n_tfrc + cfg.n_tcp in
@@ -182,16 +180,16 @@ let run cfg =
   Array.iter
     (fun (ts, _) ->
       let t0 = Prng.float_unit master in
-      ignore (Engine.schedule engine ~at:t0 (fun () -> Tfrc_sender.start ts)))
+      Engine.schedule_unit engine ~at:t0 (fun () -> Tfrc_sender.start ts))
     tfrc;
   Array.iter
     (fun (cs, _) ->
       let t0 = Prng.float_unit master in
-      ignore (Engine.schedule engine ~at:t0 (fun () -> Tcp_sender.start cs)))
+      Engine.schedule_unit engine ~at:t0 (fun () -> Tcp_sender.start cs))
     tcp;
   (match cross with
   | Some src ->
-      ignore (Engine.schedule engine ~at:0.2 (fun () -> Probe_source.start src))
+      Engine.schedule_unit engine ~at:0.2 (fun () -> Probe_source.start src)
   | None -> ());
   ignore (Engine.run ~until:cfg.warmup engine);
   let snap_recv_tfrc = Array.map (fun (_, tr) -> Tfrc_receiver.received tr) tfrc in

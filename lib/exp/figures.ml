@@ -945,9 +945,8 @@ let lone_tcp ~variant ~seed ~buffer ~duration =
   TS.set_transmit sender (fun pkt -> Link.send link pkt);
   Link.set_deliver link (fun pkt -> TR.on_data receiver pkt);
   TR.set_ack_sink receiver (fun ~acked ~dup ~echo ->
-      ignore
-        (Engine.schedule_after engine ~delay:0.025 (fun () ->
-             TS.on_ack sender ~acked ~dup ~echo)));
+      Engine.schedule_after_unit engine ~delay:0.025 (fun () ->
+          TS.on_ack sender ~acked ~dup ~echo));
   let current = ref (Trace.create ()) in
   let best = ref (Trace.create ()) in
   let last_events = ref 0 in
@@ -960,7 +959,7 @@ let lone_tcp ~variant ~seed ~buffer ~duration =
       end;
       if TS.phase sender = TS.Congestion_avoidance then
         Trace.record !current ~time:(Engine.now engine) ~value:w);
-  ignore (Engine.schedule engine ~at:0.0 (fun () -> TS.start sender));
+  Engine.schedule_unit engine ~at:0.0 (fun () -> TS.start sender);
   ignore (Engine.run ~until:duration engine);
   if Trace.length !current > Trace.length !best then best := !current;
   {

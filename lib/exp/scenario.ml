@@ -368,16 +368,16 @@ let run cfg =
   Array.iter
     (fun fl ->
       let t0 = Prng.float_unit master in
-      ignore (Engine.schedule engine ~at:t0 (fun () -> Tfrc_sender.start fl.ts)))
+      Engine.schedule_unit engine ~at:t0 (fun () -> Tfrc_sender.start fl.ts))
     tfrc_flows;
   Array.iter
     (fun fl ->
       let t0 = Prng.float_unit master in
-      ignore (Engine.schedule engine ~at:t0 (fun () -> Tcp_sender.start fl.cs)))
+      Engine.schedule_unit engine ~at:t0 (fun () -> Tcp_sender.start fl.cs))
     tcp_flows;
   (match probe with
   | Some (src, _) ->
-      ignore (Engine.schedule engine ~at:0.5 (fun () -> Probe_source.start src))
+      Engine.schedule_unit engine ~at:0.5 (fun () -> Probe_source.start src)
   | None -> ());
   if Stream.sim_active () then begin
     let r = Stream.run_start ~key:(stream_key cfg) engine.Engine.probes in

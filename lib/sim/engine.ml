@@ -1,22 +1,29 @@
 (* Discrete-event simulation engine.
 
    Events are thunks scheduled at absolute times; [run] drains the queue
-   until a time horizon or event budget is hit. Cancellation is by
-   generation counter: a [handle] is invalidated rather than removed from
-   the heap (O(1) cancel, lazily discarded on pop) — the standard
-   technique for simulators with many retransmit-timer resets.
+   until a time horizon or event budget is hit. Anything that may be
+   stopped or moved before it fires is a re-armable {!timer}: each arm
+   draws its tie-break ticket at arm time, a re-arm to a later deadline
+   only moves the timer's stored (deadline, ticket) — the queued entry
+   re-inserts itself there when it pops early — and a disarm is a flag
+   write. Retransmit and delayed-ACK timers, which are re-armed on
+   nearly every ACK and rarely expire, thus cost a ticket and two field
+   writes per re-arm instead of a queued entry to cascade, pop and
+   throw away (Varghese & Lauck's start/stop-dominated case).
 
    Every bounded-horizon event rides a hierarchical timing wheel
    ({!Timing_wheel}); the binary heap holds only overflow (far-future,
    non-finite, or behind-cursor) events. The wheel draws tie-break
    tickets from the heap's own sequence counter and compares exact
    (time, seq) at extraction, so the merged dispatch order is the one a
-   pure binary heap would produce.
+   pure binary heap would produce — with a timer firing at the
+   (deadline, ticket) of its last arm, as if every re-arm were a cancel
+   plus a fresh schedule.
 
-   Hot-path allocation: wheel-accepted events store their fire thunk
-   directly in the slot arrays (no event record at all); never-cancelled
-   events share one sentinel handle ([schedule_unit]), and the run loop
-   peeks/pops through allocation-free accessors. *)
+   Hot-path allocation: wheel-accepted unit events store their fire
+   thunk directly in the slot arrays (no record at all); a timer is one
+   record allocated when its owner is built, and arming it allocates
+   nothing. The run loop peeks/pops through allocation-free accessors. *)
 
 module Tm = Ebrc_telemetry.Telemetry
 
@@ -24,31 +31,43 @@ module Tm = Ebrc_telemetry.Telemetry
    [discarded], the heap's ticket counter) and the telemetry layer
    reads them — the run loop never touches the registry. *)
 let k_scheduled =
-  Tm.Probe.counter ~help:"events pushed onto the simulator queue"
+  Tm.Probe.counter ~help:"events scheduled and timers armed"
     "sim.events_scheduled"
 
 let k_fired = Tm.Probe.counter ~help:"events executed" "sim.events_fired"
 
 let k_discarded =
-  Tm.Probe.counter ~help:"cancelled events lazily discarded on pop"
+  Tm.Probe.counter
+    ~help:"disarmed or superseded timer entries lazily discarded on pop"
     "sim.events_discarded"
 
 let k_depth =
-  Tm.Probe.gauge ~help:"event-queue depth (cancelled entries included)"
+  Tm.Probe.gauge ~help:"event-queue depth (stale timer entries included)"
     "sim.queue_depth"
 
-type handle = { mutable cancelled : bool }
+(* A timer is queued as at most one live entry (time, seq) with
+   (time, seq) <= (deadline, ticket) of its current arm; entries it
+   left behind by re-arming earlier are orphans, told apart by seq. *)
+type timer = {
+  action : unit -> unit;
+  at : floatarray;
+      (* [0] = deadline of the current arm, [1] = time of the live
+         entry. Cells, not mutable float fields: a float field in this
+         mixed record would box on every arm. *)
+  mutable ticket : int;  (* ticket of the current arm; -1 = disarmed *)
+  mutable entry : int;  (* seq of the live queued entry; -1 = none *)
+}
 
-(* Shared sentinel for events scheduled without a handle; never
-   cancelled. *)
-let no_handle = { cancelled = false }
+let timer action =
+  { action; at = Float.Array.make 2 0.0; ticket = -1; entry = -1 }
 
-type event = { fire : unit -> unit; handle : handle }
+(* Filler for the wheel's empty and unit-event cells; never armed. *)
+let null_timer = timer ignore
 
 let nop_hook (_ : float) = ()
 
 type t = {
-  queue : event Event_queue.t;
+  queue : timer Event_queue.t;
   mutable now : float;
       (* Boxed field, deliberately: [now] is read (cross-module) far
          more often than it is stored, and returning the field is just
@@ -56,7 +75,7 @@ type t = {
          because every [Engine.now] call would box a fresh float. *)
   mutable processed : int;
   mutable horizon : float;
-  wheel : handle Timing_wheel.t;
+  wheel : timer Timing_wheel.t;
   mutable advance_hook : float -> unit;
       (* Called with the event time before each live event fires (the
          hybrid fluid advance). *)
@@ -69,7 +88,8 @@ type t = {
       (* Next sampling boundary; [infinity] when no sampler is set, so
          the disabled run-loop cost is one float compare per event. *)
   mutable sample_period : float;
-  mutable discarded : int;  (* cancelled events dropped at pop *)
+  mutable discarded : int;
+      (* popped entries of disarmed timers, and orphans *)
   probes : Tm.Probe.set;
       (* This run's probes: the engine's own counts, the wheel's, and
          those of every component built on this engine. *)
@@ -84,7 +104,7 @@ let create () =
       now = 0.0;
       processed = 0;
       horizon = infinity;
-      wheel = Timing_wheel.create ~null:no_handle ();
+      wheel = Timing_wheel.create ~null:null_timer ();
       advance_hook = nop_hook;
       has_hook = false;
       sampler = nop_hook;
@@ -94,9 +114,9 @@ let create () =
       probes = Tm.Probe.create ();
     }
   in
-  (* Every schedule draws exactly one tie-break ticket from the heap's
-     counter, wheel-bound or not, so the counter is the schedule
-     count. *)
+  (* Every schedule and every arm draws exactly one tie-break ticket
+     from the heap's counter, wheel-bound or not (a deferred re-insert
+     reuses its arm's), so the counter is the schedule count. *)
   Tm.Probe.add t.probes k_scheduled (fun () -> t.queue.Event_queue.next_seq);
   Tm.Probe.add t.probes k_fired (fun () -> t.processed);
   Tm.Probe.add t.probes k_discarded (fun () -> t.discarded);
@@ -152,25 +172,52 @@ let check_at_fail t at =
     (Printf.sprintf "Engine.schedule: time %g is in the past (now %g)" at
        t.now)
 
-(* Insert with a caller-supplied handle. The [fits] check runs before
-   any ticket is drawn: a wheel-accepted event takes its ticket from
-   the heap's [next_seq] counter, an overflow event lets the heap push
-   draw the very same counter value — so tickets are issued in
-   scheduling order regardless of destination, which is the whole
-   dispatch-order argument. *)
-let insert t ~at fire handle =
-  if not (Timing_wheel.try_push t.wheel t.queue ~now:t.now ~at fire handle)
-  then Event_queue.push t.queue ~time:at { fire; handle }
-
-let schedule t ~at fire =
-  if not (at >= t.now) then check_at_fail t at;
-  let handle = { cancelled = false } in
-  insert t ~at fire handle;
-  handle
-
+(* Unit events: the [fits] check runs before any ticket is drawn — a
+   wheel-accepted event takes its ticket from the heap's [next_seq]
+   counter inside [try_push], an overflow event draws the very same
+   counter value here — so tickets are issued in scheduling order
+   regardless of destination, which is the whole dispatch-order
+   argument. On the heap a unit event rides a fresh timer, armed and
+   queued at its ticket. *)
 let schedule_unit t ~at fire =
   if not (at >= t.now) then check_at_fail t at;
-  insert t ~at fire no_handle
+  if not (Timing_wheel.try_push t.wheel t.queue ~now:t.now ~at fire) then begin
+    let q = t.queue in
+    let seq = q.Event_queue.next_seq in
+    q.Event_queue.next_seq <- seq + 1;
+    let tm = timer fire in
+    tm.ticket <- seq;
+    tm.entry <- seq;
+    Event_queue.push_seq q ~time:at ~seq tm
+  end
+
+(* Queue [tm]'s live entry at (at, seq): the wheel when it fits, the
+   overflow heap otherwise. *)
+let enqueue t tm ~at ~seq =
+  tm.entry <- seq;
+  Float.Array.unsafe_set tm.at 1 at;
+  if Timing_wheel.fits t.wheel ~now:t.now ~at then
+    Timing_wheel.push t.wheel ~time:at ~seq tm.action tm
+  else Event_queue.push_seq t.queue ~time:at ~seq tm
+
+(* The ticket is drawn here, as an eager schedule would. A live entry
+   due no later than the new deadline stays where it is and re-inserts
+   itself at (deadline, ticket) when it pops; an earlier deadline needs
+   a fresh entry, and the old one is orphaned. *)
+let arm t tm ~at =
+  if not (at >= t.now) then check_at_fail t at;
+  let q = t.queue in
+  let seq = q.Event_queue.next_seq in
+  q.Event_queue.next_seq <- seq + 1;
+  tm.ticket <- seq;
+  Float.Array.unsafe_set tm.at 0 at;
+  if tm.entry < 0 || Float.Array.unsafe_get tm.at 1 > at then
+    enqueue t tm ~at ~seq
+
+let schedule t ~at fire =
+  let tm = timer fire in
+  arm t tm ~at;
+  tm
 
 (* A negative delay would silently schedule into the simulated past and
    a NaN delay would poison queue ordering; both are caller bugs, so
@@ -180,6 +227,10 @@ let check_delay delay =
     invalid_arg
       (Printf.sprintf "Engine.schedule_after: negative or NaN delay %g" delay)
 
+let arm_after t tm ~delay =
+  check_delay delay;
+  arm t tm ~at:(t.now +. delay)
+
 let schedule_after t ~delay fire =
   check_delay delay;
   schedule t ~at:(t.now +. delay) fire
@@ -187,6 +238,37 @@ let schedule_after t ~delay fire =
 let schedule_after_unit t ~delay fire =
   check_delay delay;
   schedule_unit t ~at:(t.now +. delay) fire
+
+let disarm tm = tm.ticket <- -1
+let armed tm = tm.ticket >= 0
+
+(* Returned by [settle] for an entry that fires nothing; compared by
+   address, and never handed out. *)
+let skip () = ()
+
+(* Timer entry [seq] reached the front of the queue. It fires only if
+   it is the timer's live entry and carries the current arm's ticket.
+   A live entry of a later arm re-inserts itself at that arm's
+   (deadline, ticket); orphans and entries of a disarmed timer are
+   discarded. Nothing here touches [now] or the fired count. *)
+let settle t tm seq =
+  if tm.entry <> seq then begin
+    t.discarded <- t.discarded + 1;
+    skip
+  end
+  else begin
+    tm.entry <- -1;
+    let ticket = tm.ticket in
+    if ticket = seq then begin
+      tm.ticket <- -1;
+      tm.action
+    end
+    else begin
+      if ticket < 0 then t.discarded <- t.discarded + 1
+      else enqueue t tm ~at:(Float.Array.unsafe_get tm.at 0) ~seq:ticket;
+      skip
+    end
+  end
 
 (* Earliest source by (time, seq): -2 = wheel, 0 = heap, -1 = both
    empty. Returns a bare int (the caller recomputes the time by branch)
@@ -212,9 +294,6 @@ let select_all t =
       else 0
     end
   end
-
-let cancel handle = handle.cancelled <- true
-let is_cancelled handle = handle.cancelled
 
 type stop_reason = Queue_empty | Horizon_reached | Budget_exhausted | Stopped
 
@@ -341,42 +420,37 @@ let run ?(until = infinity) ?(max_events = max_int) ?sim_budget ?wall_budget t
            reason := Horizon_reached;
            continue := false
          end
-         else if src = -2 then begin
-           (* Wheel events mirror the heap pop exactly: a cancelled
-              entry is dispatched and discarded without advancing
-              [now], a live one fires. The handle is read through the
-              exposed fields (valid: select_all just ran [ensure]);
-              the flag gate means never-cancelled entries skip the
-              handle load entirely. *)
-           let w = t.wheel in
-           let idx = w.Timing_wheel.min_idx in
-           let cancelled =
-             Bytes.unsafe_get w.Timing_wheel.flags idx <> '\000'
-             && (w.Timing_wheel.handles.(idx)).cancelled
+         else begin
+           (* A unit event on the wheel fires straight from its slot; a
+              timer entry, on either structure, goes through [settle]
+              and may fire nothing. The wheel's handle cell is read
+              only under its flag (valid: select_all just ran
+              [ensure]), so unit entries skip the handle load. *)
+           let fire =
+             if src = -2 then begin
+               let w = t.wheel in
+               let idx = w.Timing_wheel.min_idx in
+               if Bytes.unsafe_get w.Timing_wheel.flags idx = '\000' then
+                 Timing_wheel.drop_min w
+               else begin
+                 let tm = Array.unsafe_get w.Timing_wheel.handles idx in
+                 let seq = w.Timing_wheel.min_seq in
+                 ignore (Timing_wheel.drop_min w : unit -> unit);
+                 settle t tm seq
+               end
+             end
+             else begin
+               let q = t.queue in
+               let seq = Array.unsafe_get q.Event_queue.seqs 0 in
+               settle t (Event_queue.pop_exn q) seq
+             end
            in
-           let fire = Timing_wheel.drop_min t.wheel in
-           if cancelled then t.discarded <- t.discarded + 1
-           else begin
+           if fire != skip then begin
              t.now <- time;
              t.processed <- t.processed + 1;
              if time >= t.next_sample then fire_sampler t time;
              if t.has_hook then t.advance_hook time;
              fire ();
-             if t.processed >= max_events then begin
-               reason := Budget_exhausted;
-               continue := false
-             end
-           end
-         end
-         else begin
-           let ev = Event_queue.pop_exn t.queue in
-           if ev.handle.cancelled then t.discarded <- t.discarded + 1
-           else begin
-             t.now <- time;
-             t.processed <- t.processed + 1;
-             if time >= t.next_sample then fire_sampler t time;
-             if t.has_hook then t.advance_hook time;
-             ev.fire ();
              if t.processed >= max_events then begin
                reason := Budget_exhausted;
                continue := false

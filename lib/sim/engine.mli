@@ -1,15 +1,16 @@
 (** Discrete-event simulation engine: thunks scheduled at absolute times,
-    O(1) timer cancellation, deterministic processing order. *)
+    re-armable timers, deterministic processing order. *)
 
-type handle
-type event
+type timer
+(** A re-armable timer: an action plus, while armed, a deadline and the
+    tie-break ticket of its last arm. See {!arm}. *)
 
 type t = private {
-  queue : event Event_queue.t;
+  queue : timer Event_queue.t;
   mutable now : float;
   mutable processed : int;
   mutable horizon : float;
-  wheel : handle Timing_wheel.t;
+  wheel : timer Timing_wheel.t;
   mutable advance_hook : float -> unit;
   mutable has_hook : bool;
   mutable sampler : float -> unit;
@@ -26,10 +27,12 @@ type t = private {
     all mutation still goes through the API.
 
     [probes] is the run's telemetry probe set: the engine registers
-    [sim.events_scheduled] (the heap's ticket counter),
-    [sim.events_fired] ([processed]), [sim.events_discarded]
-    ([discarded]), the [sim.queue_depth] level and the wheel's counts,
-    and every component built on the engine adds its own. *)
+    [sim.events_scheduled] (the heap's ticket counter: one per schedule
+    and per arm), [sim.events_fired] ([processed]),
+    [sim.events_discarded] ([discarded]: popped entries of disarmed
+    timers, and orphans), the [sim.queue_depth] level (stale timer
+    entries included) and the wheel's counts, and every component built
+    on the engine adds its own. *)
 
 val create : unit -> t
 (** Every bounded-horizon event rides a two-level hierarchical
@@ -48,7 +51,7 @@ val set_advance_hook : t -> (float -> unit) option -> unit
     event's time immediately before every live event fires, after the
     clock has advanced to it. Used by the hybrid packet/fluid
     bottleneck to integrate the fluid background up to each packet
-    event. The hook must not schedule, cancel, or mutate engine state —
+    event. The hook must not schedule, arm, disarm, or mutate engine state —
     it exists to advance co-simulated continuous state, so installing
     one whose effects are invisible to the event population leaves the
     run bit-identical (the unused-hook cost is one branch per event). *)
@@ -62,32 +65,75 @@ val set_sampler : t -> period:float -> (float -> unit) -> unit
     are pure functions of install time and event times, the sample
     sequence is deterministic and independent of pool scheduling,
     which is what makes sim-time-cadenced telemetry streams
-    [-j1]-vs-[-jN] byte-identical. The sampler must not schedule or
-    cancel events (it observes; it does not participate — and it draws
+    [-j1]-vs-[-jN] byte-identical. The sampler must not schedule, arm
+    or disarm (it observes; it does not participate — and it draws
     no tie-break tickets, so installing one never perturbs the run).
     Cost when no boundary is crossed: one float compare per event.
     Raises [Invalid_argument] unless [period > 0] and finite. *)
 
 val clear_sampler : t -> unit
 
-val schedule : t -> at:float -> (unit -> unit) -> handle
-(** Raises [Invalid_argument] if [at] is in the past or NaN. *)
+val schedule_unit : t -> at:float -> (unit -> unit) -> unit
+(** Schedule a one-shot event that is never stopped or moved: an event
+    the wheel accepts allocates no record at all. Raises
+    [Invalid_argument] if [at] is in the past or NaN. *)
 
-val schedule_after : t -> delay:float -> (unit -> unit) -> handle
+val schedule_after_unit : t -> delay:float -> (unit -> unit) -> unit
 (** Raises [Invalid_argument] if [delay] is negative or NaN — a
     negative delay would otherwise schedule into the simulated past. *)
 
-val schedule_unit : t -> at:float -> (unit -> unit) -> unit
-(** Like {!schedule} for events that are never cancelled: shares one
-    sentinel handle, so an event the wheel accepts allocates no record
-    at all. *)
+(** {2 Timers}
 
-val schedule_after_unit : t -> delay:float -> (unit -> unit) -> unit
+    A timer is allocated once by its owner and armed, re-armed and
+    disarmed any number of times; arming allocates nothing. It fires
+    exactly as if every arm were a fresh one-shot schedule and every
+    re-arm or disarm cancelled the previous one:
 
-val cancel : handle -> unit
-(** O(1); the event is discarded lazily when popped. *)
+    - {b Ticket at arm.} Each arm draws its tie-break ticket from the
+      shared counter at arm time and stores it with the deadline, so the
+      timer fires at (deadline, ticket) of its last arm — the slot an
+      eager cancel-and-reschedule would have given it — and
+      [sim.events_scheduled] counts arms like schedules.
+    - {b Deferred re-insert.} A timer has at most one live queued entry,
+      never later than its deadline. Re-arming to a deadline no earlier
+      than that entry moves only the stored (deadline, ticket); when the
+      entry pops early it re-inserts itself there (on the wheel when it
+      fits, else on the overflow heap under the same ticket).
+    - {b Orphans.} Re-arming to an earlier deadline queues a fresh live
+      entry; the timer records that entry's ticket, and the old entry,
+      whose ticket no longer matches, is an orphan discarded when it
+      pops.
+    - {b No side effects from stale pops.} A re-insert, an orphan, or an
+      entry of a disarmed timer does not advance [now], count as fired,
+      or call the sampler or the advance hook; orphans and disarmed
+      entries count in [sim.events_discarded].
 
-val is_cancelled : handle -> bool
+    A timer belongs to the engine it is first armed on. *)
+
+val timer : (unit -> unit) -> timer
+(** A disarmed timer that runs the action when it expires. *)
+
+val arm : t -> timer -> at:float -> unit
+(** Arm (or re-arm) the timer to fire at [at], replacing any earlier
+    arm. Raises [Invalid_argument] if [at] is in the past or NaN. *)
+
+val arm_after : t -> timer -> delay:float -> unit
+(** [arm] at [now + delay]. Raises [Invalid_argument] if [delay] is
+    negative or NaN. *)
+
+val disarm : timer -> unit
+(** O(1); the timer will not fire until armed again. A no-op on a
+    disarmed timer. *)
+
+val armed : timer -> bool
+(** Whether the timer is armed and has not fired since. A timer is
+    disarmed before its action runs, so the action may re-arm it. *)
+
+val schedule : t -> at:float -> (unit -> unit) -> timer
+(** A fresh timer armed once at [at]; keep it to {!disarm} the event.
+    Callers that never stop the event use {!schedule_unit}. *)
+
+val schedule_after : t -> delay:float -> (unit -> unit) -> timer
 
 type stop_reason = Queue_empty | Horizon_reached | Budget_exhausted | Stopped
 

@@ -113,14 +113,19 @@ let sift_down t i time seq payload =
   t.seqs.(!i) <- seq;
   t.payloads.(!i) <- payload
 
-let push t ~time payload =
+(* Insert under a ticket the caller drew from [next_seq] earlier: a
+   deferred timer entry keeps the ticket of its arm. *)
+let push_seq t ~time ~seq payload =
   if Float.is_nan time then invalid_arg "Event_queue.push: NaN time";
   if t.size = Array.length t.times then grow t;
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
   let i = t.size in
   t.size <- i + 1;
   sift_up t i time seq (Obj.repr payload)
+
+let push t ~time payload =
+  let seq = t.next_seq in
+  push_seq t ~time ~seq payload;
+  t.next_seq <- seq + 1
 
 let peek_time t = if t.size = 0 then None else Some t.times.(0)
 

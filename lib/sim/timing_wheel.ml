@@ -20,15 +20,14 @@
    [now] — is rejected by {!fits} and belongs on the overflow heap.
 
    Storage: one growable arena of parallel arrays (times / tie-break
-   seqs / fire thunks / cancellation handles) threaded into per-slot
+   seqs / fire thunks / timer handles) threaded into per-slot
    intrusive singly-linked lists by the [next] array; free entries are
    chained through [next] as well. A push is a pool alloc plus a list
    prepend — no per-slot arrays to grow, blit, or reallocate per
    engine — and a cascade relinks entries between levels without
-   copying a single payload. Handles are stored only for cancellable
-   entries ([flags] gates the read), which spares the write barrier on
-   the never-cancelled majority (link, pacing and feedback streams;
-   unit timers).
+   copying a single payload. Handles are stored only for timer entries
+   ([flags] gates the read), which spares the write barrier on the
+   unit-event majority (link, pacing and feedback streams).
 
    Exactness: entries within one level-0 slot differ by < 2^-12 s but
    are compared by full (time, seq) when the minimum is extracted, so
@@ -290,15 +289,15 @@ let fits t ~now ~at =
    S1(time) is inside the window. Stores into [times]/[seqs]/[next]
    are barrier-free (unboxed arrays); only the fire thunk — and the
    handle, when one exists — pays caml_modify. *)
-let insert_entry t s0 time seq fire handle cancellable =
+let insert_entry t s0 time seq fire handle is_timer =
   (if t.free < 0 then grow t);
   let idx = t.free in
   t.free <- Array.unsafe_get t.next idx;
   Array.unsafe_set t.times idx time;
   Array.unsafe_set t.seqs idx seq;
   Array.unsafe_set t.fires idx fire;
-  Bytes.unsafe_set t.flags idx (if cancellable then '\001' else '\000');
-  if cancellable then Array.unsafe_set t.handles idx handle;
+  Bytes.unsafe_set t.flags idx (if is_timer then '\001' else '\000');
+  if is_timer then Array.unsafe_set t.handles idx handle;
   let s1 = s0 asr l0_shift in
   if s1 = t.cur1 then begin
     let rel = s0 land slot_mask0 in
@@ -351,12 +350,12 @@ let push t ~time ~seq fire handle =
     time seq fire handle
     (handle != t.null)
 
-(* Fused fits + ticket + push: one cross-module call — and one
-   float-to-int conversion — on the schedule fast path. Returns [false]
-   (drawing no ticket) when the event must go to the overflow heap —
-   whose own push then draws the same counter value, preserving ticket
-   order. *)
-let try_push t q ~now ~at fire handle =
+(* Fused fits + ticket + push of a unit event: one cross-module call —
+   and one float-to-int conversion — on the schedule fast path. Returns
+   [false] (drawing no ticket) when the event must go to the overflow
+   heap — where the caller then draws the same counter value,
+   preserving ticket order. *)
+let try_push t q ~now ~at fire =
   if not (Float.is_finite at) then begin
     t.overflowed <- t.overflowed + 1;
     false
@@ -372,7 +371,7 @@ let try_push t q ~now ~at fire handle =
       (* The heap's own ticket counter, drawn inline to spare a call. *)
       let seq = q.Event_queue.next_seq in
       q.Event_queue.next_seq <- seq + 1;
-      insert_entry t s0 at seq fire handle (handle != t.null);
+      insert_entry t s0 at seq fire t.null false;
       true
     end
     else begin
@@ -555,15 +554,6 @@ let ensure t =
     t.min_seq <- t.seqs.(bi);
     t.min_ok <- true
   end
-
-let min_handle t =
-  ensure t;
-  if Bytes.unsafe_get t.flags t.min_idx = '\000' then t.null
-  else t.handles.(t.min_idx)
-
-let min_cancellable t =
-  ensure t;
-  Bytes.unsafe_get t.flags t.min_idx <> '\000'
 
 (* Remove the minimum entry and return its fire thunk. Precondition:
    not empty.

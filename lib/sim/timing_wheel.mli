@@ -17,8 +17,8 @@
     between levels without copying payloads, and a push into a fresh
     engine never reallocates per-slot storage.
 
-    The wheel is generic in the cancellation-handle type ['h] so the
-    engine can store its own handles without a dependency cycle.
+    The wheel is generic in the handle type ['h] so the engine can
+    store its own timers without a dependency cycle.
 
     The record type is exposed [private] so the engine's run loop can
     read the cached minimum as direct field loads: without flambda, a
@@ -42,7 +42,7 @@ type 'h t = private {
   mutable flags : Bytes.t;
       (** ['\001'] iff the entry's [handles] cell is live; the handle
           array is written — and must be read — only under this flag,
-          which spares a write barrier on never-cancelled entries. *)
+          which spares a write barrier on unit-event entries. *)
   mutable next : int array;
   mutable free : int;
   head0 : int array;
@@ -85,7 +85,7 @@ val min_time : 'h t -> float
 val create : null:'h -> unit -> 'h t
 (** [null] is the filler stored in empty arena cells (it must be a
     value the caller never dereferences through). An entry pushed with
-    the [null] handle is treated as non-cancellable. *)
+    the [null] handle is a unit event: its [flags] cell stays clear. *)
 
 val add_probes : 'h t -> Ebrc_telemetry.Telemetry.Probe.set -> unit
 (** Register the wheel's [wheel.*] counters in a probe set. *)
@@ -95,40 +95,32 @@ val is_empty : 'h t -> bool
 
 val fits : 'h t -> now:float -> at:float -> bool
 (** Whether an event at absolute time [at] lands inside the wheel
-    window. Call this {e before} drawing a tie-break ticket: a [false]
-    answer means the event must go to the overflow heap, whose own push
-    draws the ticket instead — that ordering is what keeps the merged
+    window; on [false] the event belongs on the overflow heap, under the
+    same ticket it would have taken here, which keeps the merged
     dispatch order bit-identical to a pure-heap run. May advance the
     cursor when the wheel is idle (re-anchoring at [now]). *)
 
 val push : 'h t -> time:float -> seq:int -> (unit -> unit) -> 'h -> unit
 (** Insert an event. Precondition: {!fits} just returned [true] for
     this [time]. [seq] is the ticket drawn from the heap's shared
-    sequence counter. *)
+    sequence counter — for a timer entry, the ticket of its arm. *)
 
 val try_push :
-  'h t -> 'a Event_queue.t -> now:float -> at:float ->
-  (unit -> unit) -> 'h -> bool
-(** Fused {!fits} + ticket draw + {!push}: one cross-module call on the
-    schedule fast path. On [true] the event is on the wheel with a
-    ticket from [q]'s sequence counter; on [false] {e no ticket was
-    drawn} — the caller must push to [q], whose own push draws the next
-    counter value, preserving global ticket order. *)
+  'h t -> 'a Event_queue.t -> now:float -> at:float -> (unit -> unit) ->
+  bool
+(** Fused {!fits} + ticket draw + {!push} of a unit event (handle
+    [null]): one cross-module call on the schedule fast path. On [true]
+    the event is on the wheel with a ticket from [q]'s sequence
+    counter; on [false] {e no ticket was drawn} — the caller must draw
+    the next counter value for its overflow entry, preserving global
+    ticket order. *)
 
 val ensure : 'h t -> unit
 (** Locate the (time, seq)-minimum pending entry and publish it in
     [min_time]/[min_seq]/[min_idx] (cached; a no-op when already
-    located). The wheel must not be empty. Cancelled entries are still
-    pending — like the heap, the wheel dispatches them for the caller
-    to discard. *)
-
-val min_handle : 'h t -> 'h
-(** Handle of the minimum entry ([null] for non-cancellable entries),
-    for the engine's cancellation check. Implies {!ensure}. *)
-
-val min_cancellable : 'h t -> bool
-(** Whether the minimum entry carries a live handle. Implies
-    {!ensure}. *)
+    located). The wheel must not be empty. Stale timer entries are
+    still pending — like the heap, the wheel dispatches them for the
+    caller to settle. *)
 
 val drop_min : 'h t -> unit -> unit
 (** Remove the minimum entry and return its fire thunk, invalidating

@@ -17,31 +17,12 @@ type t = {
   mutable delayed : int;                (* in-order packets since last ACK *)
   ack_every : int;                      (* b: packets per ACK *)
   delack_timeout : float;
-  mutable delack_timer : Engine.handle option;
+  mutable delack_timer : Engine.timer;  (* set once in [create] *)
   mutable last_echo : float;
   mutable send_ack : acked:int -> dup:bool -> echo:float -> unit;
   mutable received : int;
   mutable bytes : int;
 }
-
-let create ?(ack_every = 2) ?(delack_timeout = 0.1) ~engine ~flow () =
-  if ack_every < 1 then invalid_arg "Tcp_receiver.create: ack_every >= 1";
-  if delack_timeout <= 0.0 then
-    invalid_arg "Tcp_receiver.create: delack_timeout <= 0";
-  {
-    engine;
-    flow;
-    expected = 0;
-    out_of_order = Seq_set.create ~capacity:64 ();
-    delayed = 0;
-    ack_every;
-    delack_timeout;
-    delack_timer = None;
-    last_echo = 0.0;
-    send_ack = (fun ~acked:_ ~dup:_ ~echo:_ -> ());
-    received = 0;
-    bytes = 0;
-  }
 
 let set_ack_sink t f = t.send_ack <- f
 
@@ -49,29 +30,39 @@ let expected t = t.expected
 let received t = t.received
 let bytes t = t.bytes
 
-let cancel_delack t =
-  match t.delack_timer with
-  | Some h ->
-      Engine.cancel h;
-      t.delack_timer <- None
-  | None -> ()
-
 let ack_now t ~dup ~echo =
-  cancel_delack t;
+  Engine.disarm t.delack_timer;
   t.delayed <- 0;
   t.send_ack ~acked:(t.expected - 1) ~dup ~echo
 
 let arm_delack t =
-  (* [match], not [= None]: option equality is a polymorphic-compare
-     call, and this runs per in-order packet. *)
-  match t.delack_timer with
-  | Some _ -> ()
-  | None ->
-    t.delack_timer <-
-      Some
-        (Engine.schedule_after t.engine ~delay:t.delack_timeout (fun () ->
-             t.delack_timer <- None;
-             if t.delayed > 0 then ack_now t ~dup:false ~echo:t.last_echo))
+  if not (Engine.armed t.delack_timer) then
+    Engine.arm_after t.engine t.delack_timer ~delay:t.delack_timeout
+
+let create ?(ack_every = 2) ?(delack_timeout = 0.1) ~engine ~flow () =
+  if ack_every < 1 then invalid_arg "Tcp_receiver.create: ack_every >= 1";
+  if delack_timeout <= 0.0 then
+    invalid_arg "Tcp_receiver.create: delack_timeout <= 0";
+  let t =
+    {
+      engine;
+      flow;
+      expected = 0;
+      out_of_order = Seq_set.create ~capacity:64 ();
+      delayed = 0;
+      ack_every;
+      delack_timeout;
+      delack_timer = Engine.timer ignore;
+      last_echo = 0.0;
+      send_ack = (fun ~acked:_ ~dup:_ ~echo:_ -> ());
+      received = 0;
+      bytes = 0;
+    }
+  in
+  t.delack_timer <-
+    Engine.timer (fun () ->
+        if t.delayed > 0 then ack_now t ~dup:false ~echo:t.last_echo);
+  t
 
 let on_data t (pkt : Ebrc_net.Packet.t) =
   t.received <- t.received + 1;

@@ -55,7 +55,7 @@ type t = {
   mutable rto : float;
   min_rto : float;
   mutable backoff : int;
-  mutable timer : Engine.handle option;
+  mutable rto_timer : Engine.timer;    (* set once in [create] *)
   mutable timed_seq : int;             (* Karn: seq being timed, -1 none *)
   mutable timed_at : float;
   mutable retransmitted : Seq_set.t;
@@ -71,53 +71,6 @@ type t = {
   rtt_acc : Ebrc_stats.Welford.t;
   mutable on_rate_sample : float -> unit;
 }
-
-let create ?(packet_size = 1000) ?(initial_cwnd = 2.0) ?(max_window = 1e9)
-    ?(min_rto = 0.2) ?(variant = Reno) ~engine ~flow () =
-  if packet_size <= 0 then invalid_arg "Tcp_sender.create: packet_size <= 0";
-  let t =
-  {
-    engine;
-    flow;
-    variant;
-    packet_size;
-    transmit = (fun _ -> ());
-    cwnd = initial_cwnd;
-    ssthresh = 1e9;
-    max_window;
-    snd_una = 0;
-    snd_nxt = 0;
-    dup_acks = 0;
-    phase = Slow_start;
-    recover = -1;
-    srtt = 0.0;
-    rttvar = 0.0;
-    rto = 1.0;
-    min_rto;
-    backoff = 1;
-    timer = None;
-    timed_seq = -1;
-    timed_at = 0.0;
-    retransmitted = Seq_set.create ~capacity:64 ();
-    packets_sent = 0;
-    retransmits = 0;
-    timeouts = 0;
-    fast_retransmits = 0;
-    loss_events = 0;
-    last_event_at = neg_infinity;
-    packets_at_last_event = 0;
-    loss_intervals = Ebrc_stats.Floatbuf.create ();
-    rtt_acc = Ebrc_stats.Welford.create ();
-    on_rate_sample = (fun _ -> ());
-  }
-  in
-  let probes = engine.Engine.probes in
-  Tm.Probe.add probes k_timeouts (fun () -> t.timeouts);
-  Tm.Probe.add probes k_fast_retx (fun () -> t.fast_retransmits);
-  (* Every timeout and every fast retransmit halves the window. *)
-  Tm.Probe.add probes k_cwnd_halved (fun () ->
-      t.timeouts + t.fast_retransmits);
-  t
 
 let set_transmit t f = t.transmit <- f
 let set_rate_sample_hook t f = t.on_rate_sample <- f
@@ -142,19 +95,10 @@ let note_congestion_event t =
 
 (* --- RTO timer --- *)
 
-let cancel_timer t =
-  match t.timer with
-  | Some h ->
-      Engine.cancel h;
-      t.timer <- None
-  | None -> ()
+let arm_timer t =
+  Engine.arm_after t.engine t.rto_timer ~delay:(t.rto *. float_of_int t.backoff)
 
-let rec arm_timer t =
-  cancel_timer t;
-  let delay = t.rto *. float_of_int t.backoff in
-  t.timer <- Some (Engine.schedule_after t.engine ~delay (fun () -> on_timeout t))
-
-and send_segment t ~seq ~retransmission =
+let send_segment t ~seq ~retransmission =
   let now = t.engine.Engine.now in
   let pkt = Packet.data ~flow:t.flow ~seq ~size:t.packet_size ~sent_at:now in
   if retransmission then begin
@@ -172,7 +116,7 @@ and send_segment t ~seq ~retransmission =
   end;
   t.transmit pkt
 
-and try_send t =
+let try_send t =
   let w = int_of_float (window t) in
   let sent_any = ref false in
   while flight_size t < w do
@@ -180,12 +124,9 @@ and try_send t =
     t.snd_nxt <- t.snd_nxt + 1;
     sent_any := true
   done;
-  (match t.timer with
-   | None when !sent_any -> arm_timer t
-   | _ -> ())
+  if !sent_any && not (Engine.armed t.rto_timer) then arm_timer t
 
-and on_timeout t =
-  t.timer <- None;
+let on_timeout t =
   if flight_size t > 0 then begin
     t.timeouts <- t.timeouts + 1;
     if Tm.is_on () then
@@ -207,6 +148,54 @@ and on_timeout t =
     t.snd_nxt <- t.snd_una + 1;
     arm_timer t
   end
+
+let create ?(packet_size = 1000) ?(initial_cwnd = 2.0) ?(max_window = 1e9)
+    ?(min_rto = 0.2) ?(variant = Reno) ~engine ~flow () =
+  if packet_size <= 0 then invalid_arg "Tcp_sender.create: packet_size <= 0";
+  let t =
+  {
+    engine;
+    flow;
+    variant;
+    packet_size;
+    transmit = (fun _ -> ());
+    cwnd = initial_cwnd;
+    ssthresh = 1e9;
+    max_window;
+    snd_una = 0;
+    snd_nxt = 0;
+    dup_acks = 0;
+    phase = Slow_start;
+    recover = -1;
+    srtt = 0.0;
+    rttvar = 0.0;
+    rto = 1.0;
+    min_rto;
+    backoff = 1;
+    rto_timer = Engine.timer ignore;
+    timed_seq = -1;
+    timed_at = 0.0;
+    retransmitted = Seq_set.create ~capacity:64 ();
+    packets_sent = 0;
+    retransmits = 0;
+    timeouts = 0;
+    fast_retransmits = 0;
+    loss_events = 0;
+    last_event_at = neg_infinity;
+    packets_at_last_event = 0;
+    loss_intervals = Ebrc_stats.Floatbuf.create ();
+    rtt_acc = Ebrc_stats.Welford.create ();
+    on_rate_sample = (fun _ -> ());
+  }
+  in
+  t.rto_timer <- Engine.timer (fun () -> on_timeout t);
+  let probes = engine.Engine.probes in
+  Tm.Probe.add probes k_timeouts (fun () -> t.timeouts);
+  Tm.Probe.add probes k_fast_retx (fun () -> t.fast_retransmits);
+  (* Every timeout and every fast retransmit halves the window. *)
+  Tm.Probe.add probes k_cwnd_halved (fun () ->
+      t.timeouts + t.fast_retransmits);
+  t
 
 let update_rtt t sample =
   Ebrc_stats.Welford.add t.rtt_acc sample;
@@ -281,7 +270,8 @@ let on_ack t ~acked ~dup ~echo:_ =
         | Congestion_avoidance ->
             t.cwnd <- t.cwnd +. (float_of_int newly_acked /. t.cwnd));
         t.on_rate_sample (window t);
-        if flight_size t > 0 then arm_timer t else cancel_timer t;
+        if flight_size t > 0 then arm_timer t
+        else Engine.disarm t.rto_timer;
         try_send t
       end
     end

@@ -54,56 +54,12 @@ type t = {
   min_rate : float;
   max_rate : float;
   nofeedback_rtts : float;            (* timer horizon in RTTs; 0 = off *)
-  mutable nofeedback_timer : Engine.handle option;
+  mutable nofeedback_timer : Engine.timer;  (* set once in [create] *)
   mutable rate_halvings : int;
   mutable send_tick : unit -> unit;   (* preallocated send-loop thunk *)
 }
 
-let rec create ?(packet_size = 1000) ?(conform_to_analysis = false)
-    ?(initial_rate = 1.0) ?(min_rate = 0.1) ?(max_rate = 1e6)
-    ?(nofeedback_rtts = 4.0) ~engine ~flow ~formula () =
-  if packet_size <= 0 then invalid_arg "Tfrc_sender.create: packet_size <= 0";
-  if initial_rate <= 0.0 then
-    invalid_arg "Tfrc_sender.create: initial_rate <= 0";
-  if max_rate <= min_rate then
-    invalid_arg "Tfrc_sender.create: max_rate <= min_rate";
-  let t =
-    {
-      engine;
-      flow;
-      formula;
-      packet_size;
-      conform_to_analysis;
-      transmit = (fun _ -> ());
-    rate = initial_rate;
-    srtt = 0.0;
-    seq = 0;
-    sent = 0;
-    running = false;
-    saw_loss = false;
-    last_recv_rate = 0.0;
-    feedbacks = 0;
-    rate_changes = 0;
-    rate_stats = Welford.create ();
-    rtt_stats = Welford.create ();
-    on_rate_change = (fun _ -> ());
-    initial_rate;
-    min_rate;
-    max_rate;
-      nofeedback_rtts;
-      nofeedback_timer = None;
-      rate_halvings = 0;
-      send_tick = (fun () -> ());
-    }
-  in
-  t.send_tick <- (fun () -> send_loop t);
-  let probes = engine.Engine.probes in
-  Tm.Probe.add probes k_rate_changes (fun () -> t.rate_changes);
-  Tm.Probe.add probes k_halvings (fun () -> t.rate_halvings);
-  Tm.Probe.add probes k_feedbacks (fun () -> t.feedbacks);
-  t
-
-and send_loop t =
+let send_loop t =
   if t.running then begin
     let pkt =
       Packet.data ~flow:t.flow ~seq:t.seq ~size:t.packet_size
@@ -145,29 +101,65 @@ let set_rate t rate =
    protects against reverse-path loss and receiver failure; a flow that
    stops hearing feedback decays toward the floor instead of blasting
    at its last rate. *)
-let rec arm_nofeedback_timer t =
-  if t.nofeedback_rtts > 0.0 then begin
-    (match t.nofeedback_timer with
-    | Some h ->
-        Engine.cancel h;
-        t.nofeedback_timer <- None
-    | None -> ());
-    let horizon =
-      t.nofeedback_rtts *. if t.srtt > 0.0 then t.srtt else 1.0
-    in
-    t.nofeedback_timer <-
-      Some
-        (Engine.schedule_after t.engine ~delay:horizon (fun () ->
-             t.nofeedback_timer <- None;
-             if t.running then begin
-               t.rate_halvings <- t.rate_halvings + 1;
-               if Atomic.get Tm.on then
-                 Tm.event "tfrc.nofeedback_halving"
-                   ~time:(t.engine.Engine.now) ~flow:t.flow ~value:t.rate;
-               set_rate t (t.rate /. 2.0);
-               arm_nofeedback_timer t
-             end))
+let arm_nofeedback_timer t =
+  if t.nofeedback_rtts > 0.0 then
+    Engine.arm_after t.engine t.nofeedback_timer
+      ~delay:(t.nofeedback_rtts *. if t.srtt > 0.0 then t.srtt else 1.0)
+
+let on_nofeedback t =
+  if t.running then begin
+    t.rate_halvings <- t.rate_halvings + 1;
+    if Atomic.get Tm.on then
+      Tm.event "tfrc.nofeedback_halving" ~time:(t.engine.Engine.now)
+        ~flow:t.flow ~value:t.rate;
+    set_rate t (t.rate /. 2.0);
+    arm_nofeedback_timer t
   end
+
+let create ?(packet_size = 1000) ?(conform_to_analysis = false)
+    ?(initial_rate = 1.0) ?(min_rate = 0.1) ?(max_rate = 1e6)
+    ?(nofeedback_rtts = 4.0) ~engine ~flow ~formula () =
+  if packet_size <= 0 then invalid_arg "Tfrc_sender.create: packet_size <= 0";
+  if initial_rate <= 0.0 then
+    invalid_arg "Tfrc_sender.create: initial_rate <= 0";
+  if max_rate <= min_rate then
+    invalid_arg "Tfrc_sender.create: max_rate <= min_rate";
+  let t =
+    {
+      engine;
+      flow;
+      formula;
+      packet_size;
+      conform_to_analysis;
+      transmit = (fun _ -> ());
+    rate = initial_rate;
+    srtt = 0.0;
+    seq = 0;
+    sent = 0;
+    running = false;
+    saw_loss = false;
+    last_recv_rate = 0.0;
+    feedbacks = 0;
+    rate_changes = 0;
+    rate_stats = Welford.create ();
+    rtt_stats = Welford.create ();
+    on_rate_change = (fun _ -> ());
+    initial_rate;
+    min_rate;
+    max_rate;
+      nofeedback_rtts;
+      nofeedback_timer = Engine.timer ignore;
+      rate_halvings = 0;
+      send_tick = (fun () -> ());
+    }
+  in
+  t.send_tick <- (fun () -> send_loop t);
+  t.nofeedback_timer <- Engine.timer (fun () -> on_nofeedback t);
+  let probes = engine.Engine.probes in
+  Tm.Probe.add probes k_rate_changes (fun () -> t.rate_changes);
+  Tm.Probe.add probes k_halvings (fun () -> t.rate_halvings);
+  Tm.Probe.add probes k_feedbacks (fun () -> t.feedbacks);
+  t
 
 let start t =
   if not t.running then begin
@@ -178,11 +170,7 @@ let start t =
 
 let stop t =
   t.running <- false;
-  match t.nofeedback_timer with
-  | Some h ->
-      Engine.cancel h;
-      t.nofeedback_timer <- None
-  | None -> ()
+  Engine.disarm t.nofeedback_timer
 
 let on_feedback t ~p_estimate ~recv_rate ~rtt_echo ~hold =
   t.feedbacks <- t.feedbacks + 1;

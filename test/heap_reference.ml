@@ -1,6 +1,7 @@
 (* Reference model of the engine's dispatch contract: every event on
    one binary heap, ordered by (time, scheduling order), with lazy
-   cancellation — the scheduler the timing wheel replaced. The wheel
+   cancellation — the scheduler the timing wheel replaced. Timers are
+   eager here: a re-arm is a cancel plus a fresh schedule. The wheel
    tests run the same schedule programs through both and require
    identical dispatch logs. *)
 
@@ -20,6 +21,27 @@ let schedule t ~at fire =
   h
 
 let schedule_unit t ~at fire = ignore (schedule t ~at fire : handle)
+
+(* A re-armable timer modelled eagerly: each arm cancels the previous
+   one-shot event and schedules a fresh one. *)
+type timer = { action : unit -> unit; mutable pending : handle option }
+
+let timer action = { action; pending = None }
+
+let disarm tm =
+  (match tm.pending with Some h -> cancel h | None -> ());
+  tm.pending <- None
+
+let arm t tm ~at =
+  disarm tm;
+  tm.pending <-
+    Some
+      (schedule t ~at (fun () ->
+           tm.pending <- None;
+           tm.action ()))
+
+(* Tie-break tickets drawn so far: one per schedule and per arm. *)
+let tickets t = t.queue.EQ.next_seq
 
 let schedule_after_unit t ~delay fire =
   if not (delay >= 0.0) then

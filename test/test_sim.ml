@@ -133,10 +133,10 @@ let test_engine_cancel () =
   let e = E.create () in
   let fired = ref false in
   let h = E.schedule e ~at:1.0 (fun () -> fired := true) in
-  E.cancel h;
+  E.disarm h;
   ignore (E.run e);
   Alcotest.(check bool) "cancelled" false !fired;
-  Alcotest.(check bool) "is_cancelled" true (E.is_cancelled h)
+  Alcotest.(check bool) "disarmed" false (E.armed h)
 
 let test_engine_cancel_from_event () =
   (* An earlier event cancels a later one at the same or later time. *)
@@ -145,7 +145,7 @@ let test_engine_cancel_from_event () =
   let h = ref None in
   ignore
     (E.schedule e ~at:1.0 (fun () ->
-         match !h with Some h -> E.cancel h | None -> ()));
+         match !h with Some h -> E.disarm h | None -> ()));
   h := Some (E.schedule e ~at:2.0 (fun () -> fired := true));
   ignore (E.run e);
   Alcotest.(check bool) "not fired" false !fired

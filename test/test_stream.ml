@@ -199,7 +199,7 @@ let test_counter_sections_pinned () =
   in
   Alcotest.(check int) "sampled records" 8 (List.length sections);
   Alcotest.(check string) "counters sections digest"
-    "6f20a5865bfd2b16cab99ae7beac8e0b"
+    "f588e2d78c15e620231dcecdb9649450"
     (Digest.to_hex (Digest.string (String.concat "\n" sections)))
 
 let test_stream_schema () =

@@ -291,7 +291,7 @@ let test_scenario_counters_j1_vs_j4 () =
     t1 t4
 
 (* Every counter of the bench's fixed-seed telemetry record, pinned to
-   its value there (BENCH_2026-10-17T061944Z.json, telemetry_summary):
+   its value there (BENCH_2026-10-17T202715Z.json, telemetry_summary):
    the seed-9 DropTail run's non-zero sim/net/protocol counters, then
    the cache.* counters of a RED cold run and two memo lookups. A
    probe lost or double-registered changes a value or drops a name;
@@ -299,12 +299,12 @@ let test_scenario_counters_j1_vs_j4 () =
 let seed9_counters =
   [
     ("link.delivered", 10999); ("link.drops", 762); ("queue.drops", 762);
-    ("queue.enqueues", 11039); ("sim.events_discarded", 8092);
+    ("queue.enqueues", 11039); ("sim.events_discarded", 28);
     ("sim.events_fired", 30130); ("sim.events_scheduled", 38666);
     ("tcp.cwnd_halvings", 6); ("tcp.fast_retransmits", 3);
     ("tcp.timeouts", 3); ("tfrc.feedbacks", 365); ("tfrc.loss_events", 10);
     ("tfrc.rate_changes", 257); ("tfrc.wali_updates", 8);
-    ("wheel.pushed", 38666); ("wheel.rotations", 158);
+    ("wheel.pushed", 30432); ("wheel.rotations", 158);
   ]
 
 let seed9_cache_counters =

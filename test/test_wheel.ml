@@ -1,8 +1,10 @@
 (* Tests for the timing-wheel event core: dispatch-order equivalence
-   with the pure-heap reference model (the bit-identity contract),
-   wheel window edges (rollover, far-future overflow, behind-cursor
-   reschedules after a salvaged abort), cancellation across cascades,
-   and the pinned flock dispatch fingerprint. *)
+   with the pure-heap reference model (the bit-identity contract), for
+   one-shot events and for re-armable timers, wheel window edges
+   (rollover, far-future overflow, behind-cursor reschedules after a
+   salvaged abort), cancellation across cascades, the deferred timer
+   re-insert's edge cases, and the pinned flock dispatch
+   fingerprint. *)
 
 module E = Ebrc.Engine
 module TW = Ebrc.Timing_wheel
@@ -21,20 +23,38 @@ module type SCHED = sig
   val schedule_after_unit : t -> delay:float -> (unit -> unit) -> unit
   val cancel : handle -> unit
   val run : t -> unit
+
+  type timer
+
+  val timer : (unit -> unit) -> timer
+  val arm : t -> timer -> at:float -> unit
+  val disarm : timer -> unit
+  val tickets : t -> int
 end
 
-module Wheel : SCHED = struct
+module Wheel : SCHED with type t = E.t = struct
   type t = E.t
-  type handle = E.handle
+  type handle = E.timer
 
   let create = E.create
   let now = E.now
   let schedule = E.schedule
   let schedule_unit = E.schedule_unit
   let schedule_after_unit = E.schedule_after_unit
-  let cancel = E.cancel
+  let cancel = E.disarm
   let run e = ignore (E.run e : E.stop_reason)
+
+  type timer = E.timer
+
+  let timer = E.timer
+  let arm = E.arm
+  let disarm = E.disarm
+  let tickets e = e.E.queue.Ebrc.Event_queue.next_seq
 end
+
+(* One step of a timer program: arm timer [k] [d] seconds ahead,
+   disarm it, or schedule a unit event [d] seconds ahead. *)
+type op = Arm of int * float | Disarm of int | Unit of float
 
 module Programs (S : SCHED) = struct
   (* Interpret one schedule program and return the dispatch log.
@@ -65,6 +85,40 @@ module Programs (S : SCHED) = struct
       prog;
     S.run e;
     List.rev !log
+
+  (* Interpret one timer program: each (time, op) step runs from a unit
+     event at that time, on three timers. Timer 0 re-arms itself from
+     its own action (up to three times), so arms made while a timer
+     fires are covered too. Returns the (time, label) dispatch log, the
+     ticket count and the scheduler. *)
+  let run_timer_program steps =
+    let e = S.create () in
+    let log = ref [] in
+    let note label = log := (S.now e, label) :: !log in
+    let timers = Array.make 3 (S.timer ignore) in
+    let self_arms = ref 0 in
+    Array.iteri
+      (fun k _ ->
+        timers.(k) <-
+          S.timer (fun () ->
+              note (Printf.sprintf "timer %d" k);
+              if k = 0 && !self_arms < 3 then begin
+                incr self_arms;
+                S.arm e timers.(0) ~at:(S.now e +. 0.25)
+              end))
+      timers;
+    List.iteri
+      (fun i (at, op) ->
+        S.schedule_unit e ~at (fun () ->
+            match op with
+            | Arm (k, d) -> S.arm e timers.(k) ~at:(S.now e +. d)
+            | Disarm k -> S.disarm timers.(k)
+            | Unit d ->
+                S.schedule_unit e ~at:(S.now e +. d) (fun () ->
+                    note (Printf.sprintf "unit %d" i))))
+      steps;
+    S.run e;
+    (List.rev !log, S.tickets e, e)
 
   (* Same-instant burst: thousands of events at one time. *)
   let burst () =
@@ -110,6 +164,35 @@ let prop_wheel_heap_identical =
       in
       On_wheel.run_program prog = On_heap.run_program prog)
 
+(* Random timer programs: arms (to later and earlier deadlines, some
+   past the 16 s horizon), disarms and unit events on three timers,
+   at times and delays quantized to 1/16 s so that ties are common.
+   The engine's deferred re-arms must dispatch exactly like the
+   reference's cancel-and-reschedule, and draw the same tickets. *)
+let prop_timers_match_reference =
+  QCheck.Test.make ~name:"timers dispatch like cancel-and-reschedule"
+    ~count:200
+    QCheck.(
+      list_of_size
+        Gen.(int_range 1 80)
+        (quad (float_range 0.0 30.0) (int_range 0 3) (int_range 0 2)
+           (float_range 0.0 24.0)))
+    (fun raw ->
+      let q x = float_of_int (int_of_float (x *. 16.0)) /. 16.0 in
+      let steps =
+        List.map
+          (fun (at, kind, k, d) ->
+            ( q at,
+              match kind with
+              | 0 | 1 -> Arm (k, q d)
+              | 2 -> Disarm k
+              | _ -> Unit (q d) ))
+          raw
+      in
+      let wlog, wtickets, _ = On_wheel.run_timer_program steps in
+      let hlog, htickets, _ = On_heap.run_timer_program steps in
+      wlog = hlog && wtickets = htickets)
+
 (* Same-instant burst: the events land in one level-0 slot, forcing
    the slot sort; FIFO (ticket) order must survive it. *)
 let test_same_time_burst () =
@@ -150,13 +233,134 @@ let test_cancel_across_cascade () =
      moves it down to level 0; the canceller fires first. *)
   let doomed = E.schedule e ~at:1.5 (fun () -> log := "doomed" :: !log) in
   E.schedule_unit e ~at:1.4375 (fun () ->
-      E.cancel doomed;
+      E.disarm doomed;
       log := "canceller" :: !log);
   E.schedule_unit e ~at:1.5625 (fun () -> log := "after" :: !log);
   ignore (E.run e);
   Alcotest.(check (list string))
     "cancelled entry discarded after cascade" [ "canceller"; "after" ]
     (List.rev !log)
+
+(* ---------------------- timer re-arms ---------------------- *)
+
+let log_t = Alcotest.(list (pair (float 0.0) string))
+
+(* Run [steps] on both schedulers: the logs and ticket counts must
+   match each other and [expected]; returns the engine. *)
+let timer_case name steps expected =
+  let wlog, wtickets, e = On_wheel.run_timer_program steps in
+  let hlog, htickets, _ = On_heap.run_timer_program steps in
+  Alcotest.check log_t (name ^ ": dispatch log") expected wlog;
+  Alcotest.check log_t (name ^ ": same as reference") hlog wlog;
+  Alcotest.(check int) (name ^ ": tickets") htickets wtickets;
+  e
+
+(* Re-arming to an earlier deadline queues a fresh entry; the old one
+   is an orphan, discarded when it pops without firing. *)
+let test_orphaned_earlier_rearm () =
+  let e =
+    timer_case "orphan"
+      [ (0.0, Arm (1, 5.0)); (1.0, Arm (1, 1.0)) ]
+      [ (2.0, "timer 1") ]
+  in
+  Alcotest.(check int) "orphan discarded" 1 e.E.discarded;
+  Alcotest.(check int) "fired: two steps and the timer" 3 e.E.processed;
+  (* The orphan at 5 s pops while the timer is armed again, deferred
+     to 8 s: it is still an orphan, not a second live entry. *)
+  let e =
+    timer_case "orphan, then deferred"
+      [ (0.0, Arm (1, 5.0)); (1.0, Arm (1, 1.0)); (1.5, Arm (1, 6.5)) ]
+      [ (8.0, "timer 1") ]
+  in
+  Alcotest.(check int) "orphan discarded while armed" 1 e.E.discarded;
+  Alcotest.(check int) "queued: steps, two arms, one re-insert" 6
+    e.E.wheel.TW.pushed
+
+(* A disarmed timer keeps its queued entry; re-armed before that entry
+   pops, to a later deadline, the entry is reused (nothing discarded);
+   to an earlier one, it is orphaned. *)
+let test_disarm_then_rearm () =
+  let later =
+    timer_case "later"
+      [ (0.0, Arm (1, 3.0)); (1.0, Disarm 1); (1.5, Arm (1, 2.5)) ]
+      [ (4.0, "timer 1") ]
+  in
+  Alcotest.(check int) "later: nothing discarded" 0 later.E.discarded;
+  let earlier =
+    timer_case "earlier"
+      [ (0.0, Arm (1, 3.0)); (1.0, Disarm 1); (1.5, Arm (1, 0.5)) ]
+      [ (2.0, "timer 1") ]
+  in
+  Alcotest.(check int) "earlier: orphan discarded" 1 earlier.E.discarded;
+  let disarmed =
+    timer_case "disarmed" [ (0.0, Arm (1, 3.0)); (1.0, Disarm 1) ] []
+  in
+  Alcotest.(check int) "disarmed entry discarded" 1 disarmed.E.discarded
+
+(* A re-arm past the 16 s wheel horizon: the early entry pops at 1 s
+   and re-inserts itself on the overflow heap under the re-arm's
+   ticket, so it still ties correctly against unit events scheduled
+   for the same instant before and after that re-arm. *)
+let test_rearm_past_horizon () =
+  let steps =
+    [ (0.0, Arm (1, 1.0)); (0.25, Unit 29.75); (0.5, Arm (1, 29.5));
+      (0.75, Unit 29.25) ]
+  in
+  ignore
+    (timer_case "past horizon" steps
+       [ (30.0, "unit 1"); (30.0, "timer 1"); (30.0, "unit 3") ]
+      : E.t);
+  let e = E.create () in
+  let fired = ref [] in
+  let tm = E.timer (fun () -> fired := E.now e :: !fired) in
+  E.arm e tm ~at:1.0;
+  let ticket = ref (-1) in
+  E.schedule_unit e ~at:0.5 (fun () ->
+      ticket := e.E.queue.Ebrc.Event_queue.next_seq;
+      E.arm e tm ~at:30.0);
+  ignore (E.run ~until:10.0 e);
+  Alcotest.(check int) "re-inserted on the overflow heap" 1
+    (Ebrc.Event_queue.size e.E.queue);
+  Alcotest.(check int) "wheel empty" 0 (TW.count e.E.wheel);
+  Alcotest.(check int) "under the re-arm's ticket" !ticket
+    e.E.queue.Ebrc.Event_queue.seqs.(0);
+  Alcotest.(check int) "stale pop fired nothing" 1 e.E.processed;
+  Alcotest.(check bool) "still armed" true (E.armed tm);
+  ignore (E.run e);
+  Alcotest.(check (list (float 0.0))) "fires once at 30 s" [ 30.0 ] !fired
+
+(* The deferred timer's live entry sits at 2 s with its first ticket;
+   the unit event for 3 s is scheduled between the arm and the re-arm
+   to 3 s, so it holds the smaller ticket and fires first. *)
+let test_deferred_tie () =
+  ignore
+    (timer_case "tie"
+       [ (0.0, Arm (1, 2.0)); (0.5, Unit 2.5); (1.0, Arm (1, 2.0)) ]
+       [ (3.0, "unit 1"); (3.0, "timer 1") ]
+      : E.t)
+
+(* A stale pop (here the deferred entry at 1 s) must not move the
+   clock, count as fired, or reach the sampler or the advance hook. A
+   sim-budget abort leaves [now] at the last fired event, which shows
+   whether the stale pop moved it. *)
+let test_stale_pop_is_silent () =
+  let e = E.create () in
+  let hooked = ref [] and sampled = ref [] in
+  E.set_advance_hook e (Some (fun time -> hooked := time :: !hooked));
+  E.set_sampler e ~period:0.5 (fun b -> sampled := b :: !sampled);
+  let tm = E.timer ignore in
+  E.arm e tm ~at:1.0;
+  E.arm e tm ~at:2.0;
+  (match E.run ~sim_budget:1.5 e with
+  | exception E.Budget_exceeded _ -> ()
+  | _ -> Alcotest.fail "expected Budget_exceeded");
+  Alcotest.(check (float 0.0)) "clock unmoved" 0.0 (E.now e);
+  Alcotest.(check int) "nothing fired" 0 e.E.processed;
+  Alcotest.(check (list (float 0.0))) "no hook call" [] !hooked;
+  Alcotest.(check (list (float 0.0))) "no sample" [] !sampled;
+  ignore (E.run e);
+  Alcotest.(check (list (float 0.0))) "hook at the deadline" [ 2.0 ] !hooked;
+  Alcotest.(check (list (float 0.0))) "one sample" [ 0.5 ] !sampled
 
 (* A sim-budget abort leaves the cursor at the slot of the aborted
    event while [now] stays behind it; a reschedule in that gap is
@@ -199,7 +403,9 @@ let test_flock_fingerprints_agree () =
   Alcotest.(check int) "dispatch fingerprint" 3452388182890055845
     w.Ebrc.Flock.fingerprint
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_wheel_heap_identical ]
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_wheel_heap_identical; prop_timers_match_reference ]
 
 let () =
   Alcotest.run "wheel"
@@ -216,6 +422,17 @@ let () =
             test_budget_salvage_reschedule;
           Alcotest.test_case "flock fingerprints" `Quick
             test_flock_fingerprints_agree;
+        ] );
+      ( "timers",
+        [
+          Alcotest.test_case "orphaned earlier re-arm" `Quick
+            test_orphaned_earlier_rearm;
+          Alcotest.test_case "disarm then re-arm" `Quick test_disarm_then_rearm;
+          Alcotest.test_case "re-arm past the horizon" `Quick
+            test_rearm_past_horizon;
+          Alcotest.test_case "deferred timer tie" `Quick test_deferred_tie;
+          Alcotest.test_case "stale pop is silent" `Quick
+            test_stale_pop_is_silent;
         ] );
       ("properties", qsuite);
     ]
