@@ -373,6 +373,284 @@ let test_seed9_counters_pinned () =
     (stats.Rc.hits, stats.Rc.misses)
 
 (* ------------------------------------------------------------------ *)
+(* Fleet and harness counter pins.                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Fixed in-process fleet activity, each count pinned by name: the
+   pool, the task queue, the chaos shim, the result store and a worker
+   drain. Each module's typed tally must equal its telemetry names,
+   and every name must read 0 after [Tm.reset]. [pool.steals] depends
+   on the schedule and is left out. *)
+module Rc = Ebrc.Result_cache
+module Chaos = Ebrc_chaos.Io_fault
+module Task_queue = Ebrc_serve.Task_queue
+module Worker = Ebrc_serve.Worker
+
+let fleet_names =
+  [
+    "cache.bytes_read"; "cache.bytes_written"; "cache.corrupt";
+    "cache.disk_hits"; "cache.hits"; "cache.misses"; "cache.store_errors";
+    "cache.stores"; "cache.tmp_reclaimed"; "chaos.clock_skews"; "chaos.eio";
+    "chaos.enospc"; "chaos.fsync_lost"; "chaos.torn_writes"; "pool.chunks";
+    "pool.jobs"; "pool.task_failures"; "pool.task_retries"; "pool.tasks";
+    "pool.tasks_submitted"; "queue.claim_conflicts"; "queue.claims";
+    "queue.completed"; "queue.failed"; "queue.leases_reclaimed";
+    "queue.poisoned"; "scrub.checked"; "scrub.ok"; "scrub.quarantined";
+    "worker.publish_failed"; "worker.publish_retries"; "worker.tasks_cached";
+    "worker.tasks_failed"; "worker.tasks_ran";
+  ]
+
+let has_prefix p s =
+  String.length s >= String.length p && String.sub s 0 (String.length p) = p
+
+(* The fleet names under [prefixes] (all by default), as name/value
+   pairs in name order. *)
+let fleet_counters ?(prefixes = [ "" ]) () =
+  List.filter_map
+    (fun s ->
+      if
+        s.Tm.snap_kind = Tm.Counter
+        && List.mem s.Tm.snap_name fleet_names
+        && List.exists (fun p -> has_prefix p s.Tm.snap_name) prefixes
+      then Some (s.Tm.snap_name, s.Tm.count)
+      else None)
+    (Tm.snapshot ())
+
+let check_counters msg expected ?prefixes () =
+  Alcotest.(check (list (pair string int))) msg expected
+    (fleet_counters ?prefixes ())
+
+let fleet_dir =
+  let n = ref 0 in
+  fun name ->
+    incr n;
+    let d =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "ebrc-test-telemetry-%d-%s-%d" (Unix.getpid ()) name !n)
+    in
+    Unix.mkdir d 0o755;
+    d
+
+let file_size path = (Unix.stat path).Unix.st_size
+
+let test_fleet_pool () =
+  let pool_counters domains =
+    with_telemetry_on @@ fun () ->
+    Pool.with_pool ~domains (fun pool ->
+        ignore (Pool.init pool 6 Fun.id);
+        ignore
+          (Pool.try_init ~retries:1 pool 3 (fun ~attempt:_ i ->
+               if i = 1 then failwith "fleet pin" else i)));
+    fleet_counters ~prefixes:[ "pool." ] ()
+  in
+  let pins chunks =
+    [
+      ("pool.chunks", chunks); ("pool.jobs", 2); ("pool.task_failures", 1);
+      ("pool.task_retries", 1); ("pool.tasks", 9);
+      ("pool.tasks_submitted", 9);
+    ]
+  in
+  (* One domain runs each job inline as one chunk; two domains grab
+     one index per chunk. *)
+  Alcotest.(check (list (pair string int))) "pool, 1 domain" (pins 2)
+    (pool_counters 1);
+  Alcotest.(check (list (pair string int))) "pool, 2 domains" (pins 9)
+    (pool_counters 2)
+
+let test_fleet_task_queue () =
+  with_telemetry_on @@ fun () ->
+  let q = Task_queue.create ~dir:(fleet_dir "queue") () in
+  List.iter
+    (fun d -> Task_queue.enqueue q ~digest:d ~spec:"{}")
+    [ "d1"; "d2"; "d3" ];
+  let claim worker ttl digest = Task_queue.claim q ~worker ~ttl ~digest in
+  let outcome =
+    Alcotest.testable
+      (fun ppf o ->
+        Format.pp_print_string ppf
+          (match o with
+          | Task_queue.Claimed -> "Claimed"
+          | Busy -> "Busy"
+          | Gone -> "Gone"))
+      ( = )
+  in
+  Alcotest.check outcome "claim" Task_queue.Claimed (claim "w1" 60.0 "d1");
+  Alcotest.check outcome "conflict" Task_queue.Busy (claim "w2" 60.0 "d1");
+  Alcotest.check outcome "expired claim" Task_queue.Claimed
+    (claim "w1" (-1.0) "d2");
+  Alcotest.check outcome "reclaim" Task_queue.Claimed (claim "w2" 60.0 "d2");
+  Task_queue.complete q ~digest:"d1";
+  Task_queue.fail q ~worker:"w2" ~digest:"d2" ~message:"fleet pin";
+  Task_queue.poison q ~digest:"d3" ~message:"fleet pin";
+  Alcotest.check outcome "gone" Task_queue.Gone (claim "w1" 60.0 "d1");
+  check_counters "queue" ~prefixes:[ "queue." ]
+    [
+      ("queue.claim_conflicts", 1); ("queue.claims", 3);
+      ("queue.completed", 1); ("queue.failed", 1);
+      ("queue.leases_reclaimed", 1); ("queue.poisoned", 1);
+    ]
+    ()
+
+let test_fleet_chaos () =
+  with_telemetry_on @@ fun () ->
+  Chaos.set_seed (Some 42);
+  Fun.protect ~finally:(fun () -> Chaos.set_seed None) @@ fun () ->
+  let path = Filename.concat (fleet_dir "chaos") "f" in
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
+  let faulty f = try f () with Sys_error _ -> () in
+  for _ = 1 to 200 do
+    faulty (fun () -> Chaos.guard_open path);
+    faulty (fun () -> Chaos.guard_rename path);
+    faulty (fun () -> Chaos.write oc "0123456789abcdef");
+    ignore (Chaos.maim "0123456789");
+    Chaos.fsync oc;
+    ignore (Chaos.now ())
+  done;
+  check_counters "chaos" ~prefixes:[ "chaos." ]
+    [
+      ("chaos.clock_skews", 21); ("chaos.eio", 21); ("chaos.enospc", 5);
+      ("chaos.fsync_lost", 54); ("chaos.torn_writes", 31);
+    ]
+    ();
+  let s = Chaos.stats () in
+  check_counters "Io_fault.stats = chaos.*" ~prefixes:[ "chaos." ]
+    [
+      ("chaos.clock_skews", s.Chaos.clock_skews); ("chaos.eio", s.Chaos.eio);
+      ("chaos.enospc", s.Chaos.enospc); ("chaos.fsync_lost", s.Chaos.fsync_lost);
+      ("chaos.torn_writes", s.Chaos.torn_writes);
+    ]
+    ()
+
+let fleet_config seed =
+  {
+    Ebrc.Scenario.default_config with
+    n_tfrc = 1;
+    n_tcp = 1;
+    with_probe = false;
+    queue = Ebrc.Scenario.Drop_tail { capacity = 25 };
+    bottleneck_bps = 5e6;
+    duration = 2.0;
+    warmup = 0.4;
+    seed;
+  }
+
+let check_cache_stats () =
+  let s = Rc.stats () in
+  check_counters "Result_cache.stats = cache.*" ~prefixes:[ "cache." ]
+    [
+      ("cache.bytes_read", List.assoc "cache.bytes_read" (fleet_counters ()));
+      ("cache.bytes_written",
+       List.assoc "cache.bytes_written" (fleet_counters ()));
+      ("cache.corrupt", s.Rc.corrupt); ("cache.disk_hits", s.Rc.disk_hits);
+      ("cache.hits", s.Rc.hits); ("cache.misses", s.Rc.misses);
+      ("cache.store_errors", s.Rc.store_errors); ("cache.stores", s.Rc.stores);
+      ("cache.tmp_reclaimed",
+       List.assoc "cache.tmp_reclaimed" (fleet_counters ()));
+    ]
+    ()
+
+let test_fleet_result_cache () =
+  with_telemetry_on @@ fun () ->
+  let dir = fleet_dir "store" in
+  let cfg1 = fleet_config 3 and cfg2 = fleet_config 4 in
+  let record cfg = Filename.concat dir (Rc.digest_of_config cfg ^ ".json") in
+  Rc.store_to ~dir cfg1 (Ebrc.Scenario.run cfg1);
+  Rc.store_to ~dir cfg2 (Ebrc.Scenario.run cfg2);
+  let written = file_size (record cfg1) + file_size (record cfg2) in
+  Alcotest.(check bool) "record loads" true (Rc.load_from ~dir cfg1 <> None);
+  (* Truncate the second record: its load is corrupt, scrub
+     quarantines it. *)
+  let torn = 40 in
+  Unix.truncate (record cfg2) torn;
+  Alcotest.(check bool) "torn record rejected" true
+    (Rc.load_from ~dir cfg2 = None);
+  let read = file_size (record cfg1) + torn in
+  let tmp name age =
+    let p = Filename.concat dir name in
+    let oc = open_out p in
+    output_string oc "x";
+    close_out oc;
+    let t = Unix.gettimeofday () -. age in
+    Unix.utimes p t t
+  in
+  tmp ".stale.1.tmp" 7200.0;
+  tmp ".fresh.2.tmp" 0.0;
+  let reclaimed = Rc.gc_tmp dir in
+  Alcotest.(check int) "one stale tmp reclaimed" 1 reclaimed;
+  let rep = Rc.scrub ~dir () in
+  check_counters "store" ~prefixes:[ "cache."; "scrub." ]
+    [
+      ("cache.bytes_read", read); ("cache.bytes_written", written);
+      ("cache.corrupt", 1); ("cache.disk_hits", 0); ("cache.hits", 0);
+      ("cache.misses", 0); ("cache.store_errors", 0); ("cache.stores", 2);
+      ("cache.tmp_reclaimed", 1); ("scrub.checked", 2); ("scrub.ok", 1);
+      ("scrub.quarantined", 1);
+    ]
+    ();
+  check_cache_stats ();
+  Alcotest.(check int) "gc_tmp = cache.tmp_reclaimed" reclaimed
+    (List.assoc "cache.tmp_reclaimed" (fleet_counters ()));
+  check_counters "scrub_report = scrub.*" ~prefixes:[ "scrub." ]
+    [
+      ("scrub.checked", rep.Rc.scrub_checked); ("scrub.ok", rep.Rc.scrub_ok);
+      ("scrub.quarantined", List.length rep.Rc.scrub_quarantined);
+    ]
+    ()
+
+let test_fleet_worker () =
+  with_telemetry_on @@ fun () ->
+  let root = fleet_dir "worker" in
+  let qdir = Filename.concat root "queue" and store = Filename.concat root "store" in
+  let q = Task_queue.create ~dir:qdir () in
+  let cfg1 = fleet_config 5 and cfg2 = fleet_config 6 in
+  List.iter
+    (fun cfg ->
+      Task_queue.enqueue q ~digest:(Rc.digest_of_config cfg)
+        ~spec:(Ebrc.Codec.encode cfg))
+    [ cfg1; cfg2 ];
+  Task_queue.enqueue q ~digest:"nonsense" ~spec:"{\"not\":\"a config\"}";
+  (* cfg1 is already published: the worker completes it from the store. *)
+  Rc.store_to ~dir:store cfg1 (Ebrc.Scenario.run cfg1);
+  let rec1 = file_size (Filename.concat store (Rc.digest_of_config cfg1 ^ ".json")) in
+  let o =
+    Worker.run { (Worker.default ~queue_dir:qdir) with Worker.store_dir = store }
+  in
+  let rec2 = file_size (Filename.concat store (Rc.digest_of_config cfg2 ^ ".json")) in
+  Alcotest.(check (list string)) "queue drained" [] (Task_queue.pending q);
+  check_counters "worker drain"
+    [
+      ("cache.bytes_read", rec1 + rec2); ("cache.bytes_written", rec1 + rec2);
+      ("cache.corrupt", 0); ("cache.disk_hits", 0); ("cache.hits", 0);
+      ("cache.misses", 0); ("cache.store_errors", 0); ("cache.stores", 2);
+      ("cache.tmp_reclaimed", 0); ("chaos.clock_skews", 0); ("chaos.eio", 0);
+      ("chaos.enospc", 0); ("chaos.fsync_lost", 0); ("chaos.torn_writes", 0);
+      ("pool.chunks", 1); ("pool.jobs", 1); ("pool.task_failures", 0);
+      ("pool.task_retries", 0); ("pool.tasks", 1); ("pool.tasks_submitted", 1);
+      ("queue.claim_conflicts", 0); ("queue.claims", 3);
+      ("queue.completed", 2); ("queue.failed", 1);
+      ("queue.leases_reclaimed", 0); ("queue.poisoned", 0);
+      ("scrub.checked", 0); ("scrub.ok", 0); ("scrub.quarantined", 0);
+      ("worker.publish_failed", 0); ("worker.publish_retries", 0);
+      ("worker.tasks_cached", 1); ("worker.tasks_failed", 1);
+      ("worker.tasks_ran", 1);
+    ]
+    ();
+  check_cache_stats ();
+  check_counters "Worker.outcome = worker.*"
+    ~prefixes:[ "worker.tasks_" ]
+    [
+      ("worker.tasks_cached", o.Worker.cached);
+      ("worker.tasks_failed", o.Worker.failed);
+      ("worker.tasks_ran", o.Worker.ran);
+    ]
+    ();
+  Tm.reset ();
+  List.iter
+    (fun (name, v) -> Alcotest.(check int) (name ^ " zeroed by reset") 0 v)
+    (fleet_counters ())
+
+(* ------------------------------------------------------------------ *)
 (* Export schemas.                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -555,6 +833,12 @@ let () =
         [
           Alcotest.test_case "seed-9 counters" `Quick
             test_seed9_counters_pinned;
+          Alcotest.test_case "fleet: pool" `Quick test_fleet_pool;
+          Alcotest.test_case "fleet: task queue" `Quick test_fleet_task_queue;
+          Alcotest.test_case "fleet: chaos" `Quick test_fleet_chaos;
+          Alcotest.test_case "fleet: result store" `Quick
+            test_fleet_result_cache;
+          Alcotest.test_case "fleet: worker drain" `Quick test_fleet_worker;
         ] );
       ( "export",
         [
