@@ -85,7 +85,7 @@ bench-scale:
 # Diff the newest two BENCH_*.json records; exits non-zero when any
 # hot-path micro-benchmark regressed by more than 20%, a fixed-seed
 # counter drifted, or a determinism gate (stream bit-identity, flows1m
-# reruns, sweep-service and chaos-soak store identity) broke.
+# reruns, sweep-service store identity) broke.
 bench-compare:
 	dune exec bench/compare.exe
 

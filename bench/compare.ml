@@ -35,15 +35,9 @@ let parse_json path s =
 (* Comparison.                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Hot-path regressions below this baseline are reported, not fatal:
-   sub-millisecond in-process kernels swing well past 20% between
-   runs of identical binaries (frequency scaling, cache state,
-   neighbouring load — observed repeatedly on the 100us-1ms figure
-   kernels even at a 1 s OLS quota), so gating them would make the
-   target flaky. The packet-path scenario kernels this gate exists
-   for all sit in the tens of milliseconds. *)
-let noise_floor_ns = 1_000_000.0
-let regression_threshold = 0.20
+(* Record ordering and the regression rule are shared with `ebrc
+   bench-trend`. *)
+module Records = Ebrc_obs.Bench_records
 
 let read_file path =
   let ic = open_in_bin path in
@@ -53,7 +47,7 @@ let read_file path =
   s
 
 let bench_files () =
-  let files, warnings = Ebrc_obs.Bench_records.list_ordered ~dir:"." in
+  let files, warnings = Records.list_ordered ~dir:"." in
   List.iter (fun w -> Printf.eprintf "bench-compare: %s\n" w) warnings;
   files
 
@@ -171,9 +165,11 @@ let compare_figure_seconds old_json new_json =
       compared faster slower (figure_skips new_json) absent
   end
 
-(* A/B blocks whose alternate code paths have been deleted. A baseline
-   record that still carries one is reported once as removed; there is
-   nothing left to compare it against. *)
+(* Blocks the bench no longer measures: A/B blocks whose alternate
+   code paths have been deleted, and the chaos soak, which `make
+   chaos-e2e` (scripts/chaos_ci.sh) runs with stricter checks. A
+   baseline record that still carries one is reported once as removed;
+   there is nothing left to compare it against. *)
 let retired_blocks =
   [
     "lanes_ablation";
@@ -182,6 +178,7 @@ let retired_blocks =
     "hybrid_ablation";
     "faults_ablation";
     "gap_skip_ablation";
+    "chaos_soak";
   ]
 
 let report_retired old_json new_json =
@@ -191,7 +188,7 @@ let report_retired old_json new_json =
       retired_blocks
   in
   if gone <> [] then
-    Printf.printf "  removed A/B blocks (not compared): %s\n\n"
+    Printf.printf "  removed blocks (not compared): %s\n\n"
       (String.concat ", " gone)
 
 let () =
@@ -224,8 +221,8 @@ let () =
           | Some new_ns ->
               let ratio = new_ns /. old_ns in
               let flag =
-                if ratio > 1.0 +. regression_threshold then
-                  if old_ns >= noise_floor_ns then begin
+                if ratio > 1.0 +. Records.regression_threshold then
+                  if old_ns >= Records.noise_floor_ns then begin
                     regressions := (name, ratio) :: !regressions;
                     "  REGRESSED"
                   end
@@ -339,7 +336,7 @@ let () =
                   with
                   | Some (Num base_ms) when base_ms > 0.0 ->
                       let ratio = off_ms /. base_ms in
-                      if ratio > 1.0 +. regression_threshold then begin
+                      if ratio > 1.0 +. Records.regression_threshold then begin
                         Printf.printf
                           "  stream ablation: %s — stream-off scenario %.1f \
                            ms vs %.1f ms telemetry-off baseline (%.2fx; \
@@ -435,45 +432,8 @@ let () =
             | _ -> false)
         | None -> false
       in
-      (* Chaos soak: a sweep served under injected I/O faults and
-         random worker kills, scrubbed and resumed fault-free, must
-         end with a store byte-identical to the fault-free reference
-         run. Disagreement means chaos leaked into results — fatal.
-         [store_identical] is null when the soak was skipped (no CLI
-         binary next to the bench), and absent in pre-chaos records. *)
-      let chaos_broken =
-        match member "chaos_soak" new_json with
-        | Some cs -> (
-            (match
-               ( member "soak_seconds" cs,
-                 member "soak_exit" cs,
-                 member "scrub_quarantined" cs )
-             with
-            | Some (Num soak), Some (Num code), Some (Num quarantined) ->
-                Printf.printf
-                  "  chaos soak: %.1f s under faults + kills (exit %.0f), \
-                   %.0f record(s) quarantined by scrub\n"
-                  soak code quarantined
-            | _ -> ());
-            match member "store_identical" cs with
-            | Some (Bool true) ->
-                Printf.printf
-                  "  chaos soak: resumed store byte-identical to the \
-                   fault-free run\n\n";
-                false
-            | Some (Bool false) ->
-                Printf.printf
-                  "  chaos soak: FAIL — store after soak + scrub + resume \
-                   is NOT byte-identical to the fault-free run\n\n";
-                true
-            | _ ->
-                Printf.printf "  chaos soak: skipped\n\n";
-                false)
-        | None -> false
-      in
       let failed = ref false in
       if service_broken then failed := true;
-      if chaos_broken then failed := true;
       if stream_broken then failed := true;
       if flows1m_broken then failed := true;
       (match List.rev !regressions with

@@ -949,124 +949,12 @@ let measure_sweep_service () =
       { svc_tasks = tasks; svc_serial_seconds; svc_worker1_seconds;
         svc_worker2_seconds; svc_warm_resume_seconds; svc_store_identical }
 
-(* Chaos soak: the same manifest served twice — once fault-free (the
-   reference), once under the fault-injecting shim plus the chaos
-   monkey (random worker SIGKILLs), followed by a scrub and a
-   fault-free resume. The headline is correctness, not speed: the
-   resumed store must be byte-identical to the fault-free reference —
-   faults may cost retries and wall-clock, never bytes. *)
-type chaos_soak = {
-  cs_tasks : int;
-  cs_baseline_seconds : float;  (* fault-free serve, cold store *)
-  cs_soak_seconds : float;      (* serve under --chaos + --chaos-kill *)
-  cs_resume_seconds : float;    (* fault-free resume over the soaked queue *)
-  cs_soak_exit : int;           (* soak exit code (1 = degraded, expected) *)
-  cs_scrub_quarantined : int;   (* records quarantined after the soak *)
-  cs_store_identical : bool;    (* resumed store bytes == reference bytes *)
-}
-
-let measure_chaos_soak () =
-  let tasks = 6 in
-  (* Long enough per task (~2.5 s wall) that the chaos monkey's 0.5–2 s
-     kill schedule lands mid-simulation; quick mode shortens the soak
-     but still eats several kills. *)
-  let duration = if quick then 1200.0 else 3000.0 in
-  let m = Ebrc_serve.Manifest.demo ~tasks ~duration () in
-  Printf.printf
-    "#############################################################\n\
-     # Chaos soak: %d tasks under injected I/O faults + worker kills\n\
-     #############################################################\n\n%!"
-    tasks;
-  let root =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ebrc-bench-chaos.%d" (Unix.getpid ()))
-  in
-  rm_rf root;
-  Unix.mkdir root 0o755;
-  Fun.protect ~finally:(fun () -> rm_rf root)
-  @@ fun () ->
-  match ebrc_binary () with
-  | None ->
-      Printf.printf
-        "  chaos soak skipped: bin/ebrc_cli.exe not found next to the bench \
-         binary\n\n";
-      { cs_tasks = tasks; cs_baseline_seconds = nan; cs_soak_seconds = nan;
-        cs_resume_seconds = nan; cs_soak_exit = -1; cs_scrub_quarantined = -1;
-        cs_store_identical = false }
-  | Some ebrc ->
-      let manifest_path = Filename.concat root "soak.json" in
-      Ebrc_serve.Manifest.save ~path:manifest_path m;
-      let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
-      let serve ?(env = []) ~queue extra =
-        let argv =
-          Array.of_list
-            ([ ebrc; "serve"; manifest_path; "--queue"; queue; "--workers";
-               "2"; "--quiet" ]
-            @ extra)
-        in
-        let full_env = Array.append (Unix.environment ()) (Array.of_list env) in
-        let t0 = Unix.gettimeofday () in
-        let pid =
-          Unix.create_process_env ebrc argv full_env Unix.stdin devnull
-            devnull
-        in
-        let _, status = Unix.waitpid [] pid in
-        let code =
-          match status with Unix.WEXITED c -> c | _ -> 255
-        in
-        (Unix.gettimeofday () -. t0, code)
-      in
-      let qref = Filename.concat root "qref"
-      and qsoak = Filename.concat root "qsoak" in
-      (* Fault-free reference arm. *)
-      let cs_baseline_seconds, base_code = serve ~queue:qref [] in
-      if base_code <> 0 then
-        Printf.eprintf "bench: fault-free reference serve exited %d\n%!"
-          base_code;
-      (* Soak arm: I/O faults in workers, lease-churn-friendly knobs,
-         and the supervisor's chaos monkey killing workers. Exit 1
-         (poisoned/failed tasks) is an expected soak outcome. *)
-      let cs_soak_seconds, cs_soak_exit =
-        serve ~queue:qsoak
-          ~env:[ "EBRC_LEASE_GRACE=2" ]
-          [ "--ttl"; "5"; "--watchdog"; "15"; "--chaos"; "99";
-            "--chaos-kill"; "42" ]
-      in
-      (* Scrub the battered store, then resume fault-free: publication
-         is idempotent, so the sweep self-heals to the reference. *)
-      let soak_store = Filename.concat qsoak "store" in
-      let scrub_report = Ebrc.Result_cache.scrub ~dir:soak_store () in
-      let cs_scrub_quarantined =
-        List.length scrub_report.Ebrc.Result_cache.scrub_quarantined
-      in
-      let cs_resume_seconds, resume_code = serve ~queue:qsoak [] in
-      if resume_code <> 0 then
-        Printf.eprintf "bench: post-soak resume exited %d\n%!" resume_code;
-      Unix.close devnull;
-      let cs_store_identical =
-        resume_code = 0
-        && String.equal
-             (store_fingerprint (Filename.concat qref "store"))
-             (store_fingerprint soak_store)
-      in
-      Printf.printf
-        "  fault-free   %.2f s\n\
-        \  chaos soak   %.2f s (exit %d)\n\
-        \  scrub        %d record(s) quarantined\n\
-        \  resume       %.2f s\n\
-        \  store identical to fault-free run: %b\n\n"
-        cs_baseline_seconds cs_soak_seconds cs_soak_exit cs_scrub_quarantined
-        cs_resume_seconds cs_store_identical;
-      { cs_tasks = tasks; cs_baseline_seconds; cs_soak_seconds;
-        cs_resume_seconds; cs_soak_exit; cs_scrub_quarantined;
-        cs_store_identical }
-
 (* ------------------------------------------------------------------ *)
 (* BENCH_<UTC-date>.json.                                              *)
 (* ------------------------------------------------------------------ *)
 
 let write_json ~figure_seconds ~microbench ~frontier ~telem ~stream ~flows
-    ~flows1m ~cache ~sweep ~service ~chaos =
+    ~flows1m ~cache ~sweep ~service =
   let module J = Ebrc_obs.Json in
   let ns_per_run, minor_per_run = microbench in
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
@@ -1198,23 +1086,6 @@ let write_json ~figure_seconds ~microbench ~frontier ~telem ~stream ~flows
                  /. service.svc_warm_resume_seconds) );
               ("store_identical", bool service.svc_store_identical);
             ] );
-        (* store_identical is null (not false) when the soak was
-           skipped, so bench-compare can tell "not run" from
-           "byte-identity broken". *)
-        ( "chaos_soak",
-          J.Obj
-            [
-              ("tasks", int chaos.cs_tasks);
-              ("baseline_seconds", num chaos.cs_baseline_seconds);
-              ("soak_seconds", num chaos.cs_soak_seconds);
-              ("resume_seconds", num chaos.cs_resume_seconds);
-              ("soak_exit", int chaos.cs_soak_exit);
-              ("scrub_quarantined", int chaos.cs_scrub_quarantined);
-              ( "store_identical",
-                if Float.is_finite chaos.cs_soak_seconds then
-                  bool chaos.cs_store_identical
-                else J.Null );
-            ] );
       ]
   in
   let oc = open_out path in
@@ -1224,15 +1095,13 @@ let write_json ~figure_seconds ~microbench ~frontier ~telem ~stream ~flows
   Printf.printf "bench record written to %s\n" path
 
 let () =
-  (* EBRC_BENCH_ONLY=sweep|serve|chaos|wheel|scale: a single
+  (* EBRC_BENCH_ONLY=sweep|serve|wheel|scale: a single
      measurement block, no JSON — for iterating on the pool, the fleet,
      the scheduler or the hybrid engine without a full bench run. *)
   if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "sweep" then
     ignore (measure_parallel_sweep ())
   else if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "serve" then
     ignore (measure_sweep_service ())
-  else if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "chaos" then
-    ignore (measure_chaos_soak ())
   else if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "wheel" then
     ignore (measure_flows100k ())
   else if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "scale" then
@@ -1254,8 +1123,7 @@ let () =
     let cache = measure_cache () in
     let sweep = measure_parallel_sweep () in
     let service = measure_sweep_service () in
-    let chaos = measure_chaos_soak () in
     write_json ~figure_seconds ~microbench ~frontier ~telem ~stream ~flows
-      ~flows1m ~cache ~sweep ~service ~chaos;
+      ~flows1m ~cache ~sweep ~service;
     print_endline "\nbench: done."
   end

@@ -4,20 +4,22 @@
 module Tm = Ebrc_telemetry.Telemetry
 module Prng = Ebrc_rng.Prng
 
-let m_eio = Tm.Counter.make ~help:"chaos: injected EIO faults" "chaos.eio"
+(* One count per injected fault: [stats] reads these, and so do the
+   [chaos.*] telemetry names. *)
+let c_eio = Tm.Probe.count ~help:"chaos: injected EIO faults" "chaos.eio"
 
-let m_enospc =
-  Tm.Counter.make ~help:"chaos: injected ENOSPC faults" "chaos.enospc"
+let c_enospc =
+  Tm.Probe.count ~help:"chaos: injected ENOSPC faults" "chaos.enospc"
 
-let m_torn =
-  Tm.Counter.make ~help:"chaos: injected torn writes" "chaos.torn_writes"
+let c_torn =
+  Tm.Probe.count ~help:"chaos: injected torn writes" "chaos.torn_writes"
 
-let m_fsync_lost =
-  Tm.Counter.make ~help:"chaos: fsync barriers silently lost"
+let c_fsync_lost =
+  Tm.Probe.count ~help:"chaos: fsync barriers silently lost"
     "chaos.fsync_lost"
 
-let m_skews =
-  Tm.Counter.make ~help:"chaos: skewed clock readings" "chaos.clock_skews"
+let c_skews =
+  Tm.Probe.count ~help:"chaos: skewed clock readings" "chaos.clock_skews"
 
 type stats = {
   eio : int;
@@ -45,11 +47,6 @@ let lock = Mutex.create ()
    ref load on the hot path). *)
 let rng : Prng.t option ref = ref None
 let seed_ref : int option ref = ref None
-let s_eio = ref 0
-let s_enospc = ref 0
-let s_torn = ref 0
-let s_fsync_lost = ref 0
-let s_skews = ref 0
 
 let locked f =
   Mutex.lock lock;
@@ -59,24 +56,21 @@ let set_seed s =
   locked (fun () ->
       seed_ref := s;
       rng := Option.map (fun root -> Prng.stream ~root 0) s;
-      s_eio := 0;
-      s_enospc := 0;
-      s_torn := 0;
-      s_fsync_lost := 0;
-      s_skews := 0)
+      List.iter
+        (fun c -> Atomic.set c 0)
+        [ c_eio; c_enospc; c_torn; c_fsync_lost; c_skews ])
 
 let seed () = locked (fun () -> !seed_ref)
 let enabled () = !rng <> None
 
 let stats () =
-  locked (fun () ->
-      {
-        eio = !s_eio;
-        enospc = !s_enospc;
-        torn_writes = !s_torn;
-        fsync_lost = !s_fsync_lost;
-        clock_skews = !s_skews;
-      })
+  {
+    eio = Atomic.get c_eio;
+    enospc = Atomic.get c_enospc;
+    torn_writes = Atomic.get c_torn;
+    fsync_lost = Atomic.get c_fsync_lost;
+    clock_skews = Atomic.get c_skews;
+  }
 
 let () =
   match Sys.getenv_opt "EBRC_CHAOS" with
@@ -85,10 +79,6 @@ let () =
       match int_of_string_opt v with
       | Some s -> set_seed (Some s)
       | None -> ())
-
-let count counter cell =
-  incr cell;
-  if Tm.is_on () then Tm.Counter.incr counter
 
 let injected what path =
   Sys_error (Printf.sprintf "%s: chaos injected %s" path what)
@@ -100,11 +90,11 @@ let guard_open path =
       locked (fun () ->
           let u = Prng.float_unit g in
           if u < p_open_eio then begin
-            count m_eio s_eio;
+            Atomic.incr c_eio;
             raise (injected "EIO on open" path)
           end
           else if u < p_open_eio +. p_open_enospc then begin
-            count m_enospc s_enospc;
+            Atomic.incr c_enospc;
             raise (injected "ENOSPC on open" path)
           end)
 
@@ -114,7 +104,7 @@ let guard_rename path =
   | Some g ->
       locked (fun () ->
           if Prng.float_unit g < p_rename_eio then begin
-            count m_eio s_eio;
+            Atomic.incr c_eio;
             raise (injected "EIO on rename" path)
           end)
 
@@ -126,12 +116,12 @@ let write oc s =
         locked (fun () ->
             let u = Prng.float_unit g in
             if u < p_write_eio then begin
-              count m_eio s_eio;
+              Atomic.incr c_eio;
               `Eio
             end
             else if u < p_write_eio +. p_write_torn && String.length s > 1
             then begin
-              count m_torn s_torn;
+              Atomic.incr c_torn;
               `Torn (1 + Prng.int g (String.length s - 1))
             end
             else `None)
@@ -153,7 +143,7 @@ let maim s =
   | Some g ->
       locked (fun () ->
           if Prng.float_unit g < p_write_torn && String.length s > 1 then begin
-            count m_torn s_torn;
+            Atomic.incr c_torn;
             String.sub s 0 (1 + Prng.int g (String.length s - 1))
           end
           else s)
@@ -166,7 +156,7 @@ let fsync oc =
       let lost =
         locked (fun () ->
             if Prng.float_unit g < p_fsync_lost then begin
-              count m_fsync_lost s_fsync_lost;
+              Atomic.incr c_fsync_lost;
               true
             end
             else false)
@@ -182,7 +172,7 @@ let now () =
   | Some g ->
       locked (fun () ->
           if Prng.float_unit g < p_skew then begin
-            count m_skews s_skews;
+            Atomic.incr c_skews;
             t +. (((Prng.float_unit g *. 2.0) -. 1.0) *. skew_magnitude)
           end
           else t)

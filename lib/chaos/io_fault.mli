@@ -70,6 +70,7 @@ type stats = {
 }
 
 val stats : unit -> stats
-(** Faults injected since the last [set_seed]. All zero (and staying
-    zero) when the shim is off — pinned by tests as the structural
-    zero-overhead contract. *)
+(** Faults injected since the last [set_seed] or telemetry reset: the
+    [chaos.*] telemetry counters, read as a record. All zero (and
+    staying zero) when the shim is off — pinned by tests as the
+    structural zero-overhead contract. *)

@@ -22,11 +22,11 @@ module Few_flows = Ebrc_analysis.Few_flows
 module Many_sources = Ebrc_analysis.Many_sources
 module Tm = Ebrc_telemetry.Telemetry
 
-let m_figures_run =
-  Tm.Counter.make ~help:"figure/table runners executed" "exp.figures_run"
+let c_figures_run =
+  Tm.Probe.count ~help:"figure/table runners executed" "exp.figures_run"
 
-let m_tables =
-  Tm.Counter.make ~help:"result tables produced by runners" "exp.tables"
+let c_tables =
+  Tm.Probe.count ~help:"result tables produced by runners" "exp.tables"
 
 let cell = Table.cell_float
 
@@ -1688,10 +1688,8 @@ let run_batch ?jobs ~quick entries =
     (fun (id, r) ->
       match r with
       | Ok tables ->
-          if Tm.is_on () then begin
-            Tm.Counter.incr m_figures_run;
-            Tm.Counter.add m_tables (List.length tables)
-          end;
+          Atomic.incr c_figures_run;
+          ignore (Atomic.fetch_and_add c_tables (List.length tables));
           Ebrc_telemetry.Stream.figure_event ~id ~phase:"done"
             ~tables:(List.length tables) ();
           (id, Ok tables)

@@ -5,8 +5,8 @@
 
 module Tm = Ebrc_telemetry.Telemetry
 
-let m_reports =
-  Tm.Counter.make ~help:"markdown reports generated" "exp.reports"
+let c_reports =
+  Tm.Probe.count ~help:"markdown reports generated" "exp.reports"
 
 type options = {
   ids : string list;          (* empty = whole registry *)
@@ -27,7 +27,7 @@ let default_options =
 
 let generate_result ?(options = default_options) () =
   Tm.with_span ~cat:"report" "report:generate" @@ fun () ->
-  if Tm.is_on () then Tm.Counter.incr m_reports;
+  Atomic.incr c_reports;
   Ebrc_telemetry.Stream.manifest ~cmd:"report"
     ~attrs:
       [

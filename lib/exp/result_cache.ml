@@ -18,29 +18,52 @@
 module Tm = Ebrc_telemetry.Telemetry
 module Chaos = Ebrc_chaos.Io_fault
 
-let m_bytes_read =
-  Tm.Counter.make ~help:"scenario cache bytes read from disk"
+(* One count per cache event: [stats] reads the first six, and
+   [gc_tmp] and [scrub] add their call's tallies once at the end. *)
+let c_hits = Tm.Probe.count ~help:"scenario cache memo hits" "cache.hits"
+
+let c_disk_hits =
+  Tm.Probe.count ~help:"scenario cache disk hits" "cache.disk_hits"
+
+let c_misses =
+  Tm.Probe.count ~help:"scenario cache misses (full runs)" "cache.misses"
+
+let c_stores =
+  Tm.Probe.count ~help:"scenario cache disk records written" "cache.stores"
+
+let c_corrupt =
+  Tm.Probe.count ~help:"corrupt scenario cache records ignored"
+    "cache.corrupt"
+
+let c_store_errors =
+  Tm.Probe.count ~help:"scenario cache disk-store failures"
+    "cache.store_errors"
+
+let c_bytes_read =
+  Tm.Probe.count ~help:"scenario cache bytes read from disk"
     "cache.bytes_read"
 
-let m_bytes_written =
-  Tm.Counter.make ~help:"scenario cache bytes written to disk"
+let c_bytes_written =
+  Tm.Probe.count ~help:"scenario cache bytes written to disk"
     "cache.bytes_written"
 
-let m_tmp_reclaimed =
-  Tm.Counter.make ~help:"stale cache tmp files reclaimed at startup"
+let c_tmp_reclaimed =
+  Tm.Probe.count ~help:"stale cache tmp files reclaimed at startup"
     "cache.tmp_reclaimed"
 
-let m_scrub_checked =
-  Tm.Counter.make ~help:"store records examined by the scrubber"
+let c_scrub_checked =
+  Tm.Probe.count ~help:"store records examined by the scrubber"
     "scrub.checked"
 
-let m_scrub_ok =
-  Tm.Counter.make ~help:"store records that passed scrub verification"
+let c_scrub_ok =
+  Tm.Probe.count ~help:"store records that passed scrub verification"
     "scrub.ok"
 
-let m_scrub_quarantined =
-  Tm.Counter.make ~help:"corrupt store records moved to quarantine"
+let c_scrub_quarantined =
+  Tm.Probe.count ~help:"corrupt store records moved to quarantine"
     "scrub.quarantined"
+
+let add c n = ignore (Atomic.fetch_and_add c n)
 
 (* Bump whenever Scenario.run's observable behaviour changes.
    v5: result gains tfrc_halvings + fault_stats; key gains faults.
@@ -67,29 +90,6 @@ type stats = {
 
 let lock = Mutex.create ()
 let memo : (string, Scenario.result) Hashtbl.t = Hashtbl.create 64
-let s_hits = ref 0
-let s_disk_hits = ref 0
-let s_misses = ref 0
-let s_stores = ref 0
-let s_corrupt = ref 0
-let s_store_errors = ref 0
-
-(* One count per cache event: [stats] reads these refs, and so do the
-   [cache.*] telemetry names, as process-wide probes ([Tm.reset] zeroes
-   them through [reset_stats]). *)
-let () =
-  List.iter
-    (fun (name, help, r) ->
-      Tm.Probe.add Tm.Probe.process (Tm.Probe.counter ~help name) (fun () -> !r))
-    [
-      ("cache.hits", "scenario cache memo hits", s_hits);
-      ("cache.disk_hits", "scenario cache disk hits", s_disk_hits);
-      ("cache.misses", "scenario cache misses (full runs)", s_misses);
-      ("cache.stores", "scenario cache disk records written", s_stores);
-      ("cache.corrupt", "corrupt scenario cache records ignored", s_corrupt);
-      ("cache.store_errors", "scenario cache disk-store failures",
-       s_store_errors);
-    ]
 let store_warned = ref false
 
 let locked f =
@@ -99,27 +99,20 @@ let locked f =
 let clear_memory () = locked (fun () -> Hashtbl.reset memo)
 
 let stats () =
-  locked (fun () ->
-      {
-        hits = !s_hits;
-        disk_hits = !s_disk_hits;
-        misses = !s_misses;
-        stores = !s_stores;
-        corrupt = !s_corrupt;
-        store_errors = !s_store_errors;
-      })
+  {
+    hits = Atomic.get c_hits;
+    disk_hits = Atomic.get c_disk_hits;
+    misses = Atomic.get c_misses;
+    stores = Atomic.get c_stores;
+    corrupt = Atomic.get c_corrupt;
+    store_errors = Atomic.get c_store_errors;
+  }
 
 let reset_stats () =
-  locked (fun () ->
-      s_hits := 0;
-      s_disk_hits := 0;
-      s_misses := 0;
-      s_stores := 0;
-      s_corrupt := 0;
-      s_store_errors := 0;
-      store_warned := false)
-
-let () = Tm.on_reset reset_stats
+  List.iter
+    (fun c -> Atomic.set c 0)
+    [ c_hits; c_disk_hits; c_misses; c_stores; c_corrupt; c_store_errors ];
+  locked (fun () -> store_warned := false)
 
 (* ------------------------------ key ------------------------------- *)
 
@@ -312,14 +305,14 @@ let disk_load ~dir ~key digest =
   else
     match
       let s = read_file path in
-      if Tm.is_on () then Tm.Counter.add m_bytes_read (String.length s);
+      add c_bytes_read (String.length s);
       decode_record s
     with
     (* The full key is compared, so a digest collision (or a renamed
        file) can never serve the wrong result. *)
     | Valid (k, r) when k = key -> Some r
     | _ | (exception _) ->
-        locked (fun () -> incr s_corrupt);
+        Atomic.incr c_corrupt;
         None
 
 let disk_store ~dir ~cfg digest r =
@@ -346,15 +339,15 @@ let disk_store ~dir ~cfg digest r =
     String.length record
   with
   | n ->
-      locked (fun () -> incr s_stores);
-      if Tm.is_on () then Tm.Counter.add m_bytes_written n
+      Atomic.incr c_stores;
+      add c_bytes_written n
   | exception e ->
       (* A read-only or vanished cache directory (or a full disk) must
          never fail the experiment — the result is still returned from
          memory. Count the failure and warn once per process so the
          silent-degradation mode is at least visible. *)
+      Atomic.incr c_store_errors;
       locked (fun () ->
-          incr s_store_errors;
           if not !store_warned then begin
             store_warned := true;
             Printf.eprintf
@@ -407,23 +400,24 @@ let gc_tmp ?(max_age = 3600.0) dir =
   | exception Sys_error _ -> 0
   | entries ->
       let now = Unix.gettimeofday () in
-      Array.fold_left
-        (fun n e ->
-          if String.length e > 0 && e.[0] = '.'
-             && Filename.check_suffix e ".tmp"
-          then
-            let p = Filename.concat dir e in
-            match Unix.stat p with
-            | st when now -. st.Unix.st_mtime > max_age -> (
-                match Unix.unlink p with
-                | () ->
-                    if Tm.is_on () then Tm.Counter.incr m_tmp_reclaimed;
-                    n + 1
-                | exception Unix.Unix_error _ -> n)
-            | _ -> n
-            | exception Unix.Unix_error _ -> n
-          else n)
-        0 entries
+      let reclaim e =
+        String.length e > 0 && e.[0] = '.'
+        && Filename.check_suffix e ".tmp"
+        &&
+        let p = Filename.concat dir e in
+        match Unix.stat p with
+        | st when now -. st.Unix.st_mtime > max_age -> (
+            match Unix.unlink p with
+            | () -> true
+            | exception Unix.Unix_error _ -> false)
+        | _ -> false
+        | exception Unix.Unix_error _ -> false
+      in
+      let n =
+        Array.fold_left (fun n e -> if reclaim e then n + 1 else n) 0 entries
+      in
+      add c_tmp_reclaimed n;
+      n
 
 (* ------------------------------ scrub ----------------------------- *)
 
@@ -459,7 +453,6 @@ let scrub ?quarantine ~dir () =
   List.iter
     (fun digest ->
       incr checked;
-      if Tm.is_on () then Tm.Counter.incr m_scrub_checked;
       let path = Filename.concat dir (digest ^ ".json") in
       let verdict =
         match read_file path with
@@ -467,9 +460,7 @@ let scrub ?quarantine ~dir () =
         | exception _ -> Corrupt
       in
       match verdict with
-      | Valid _ ->
-          incr ok;
-          if Tm.is_on () then Tm.Counter.incr m_scrub_ok
+      | Valid _ -> incr ok
       | Stale | Corrupt ->
           (* Never silently delete: the corpse moves to quarantine under
              its own name (suffixed if a previous scrub already parked
@@ -488,10 +479,12 @@ let scrub ?quarantine ~dir () =
           match Unix.rename path dst with
           | () ->
               quarantined := digest :: !quarantined;
-              if verdict = Stale then stale := digest :: !stale;
-              if Tm.is_on () then Tm.Counter.incr m_scrub_quarantined
+              if verdict = Stale then stale := digest :: !stale
           | exception Unix.Unix_error _ -> ())
     (list_store ~dir);
+  add c_scrub_checked !checked;
+  add c_scrub_ok !ok;
+  add c_scrub_quarantined (List.length !quarantined);
   {
     scrub_checked = !checked;
     scrub_ok = !ok;
@@ -508,7 +501,7 @@ let run cfg =
     let key = Codec.encode cfg in
     match locked (fun () -> Hashtbl.find_opt memo key) with
     | Some r ->
-        locked (fun () -> incr s_hits);
+        Atomic.incr c_hits;
         r
     | None -> (
         let digest = digest_of_key key in
@@ -519,15 +512,13 @@ let run cfg =
         in
         match from_disk with
         | Some r ->
-            locked (fun () ->
-                incr s_disk_hits;
-                Hashtbl.replace memo key r);
+            Atomic.incr c_disk_hits;
+            locked (fun () -> Hashtbl.replace memo key r);
             r
         | None ->
             let r = Scenario.run cfg in
-            locked (fun () ->
-                incr s_misses;
-                Hashtbl.replace memo key r);
+            Atomic.incr c_misses;
+            locked (fun () -> Hashtbl.replace memo key r);
             (match !dir_ref with
             | None -> ()
             | Some dir -> disk_store ~dir ~cfg digest r);

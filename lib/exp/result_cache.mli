@@ -103,8 +103,8 @@ val scrub : ?quarantine:string -> dir:string -> unit -> scrub_report
     result decode. Stale-version, corrupt or truncated records are
     moved — never deleted — into [quarantine] (default
     [dir/quarantine]), so re-serving the manifest recomputes exactly
-    the quarantined digests. Emits [scrub.checked] / [scrub.ok] /
-    [scrub.quarantined] telemetry. Invariant (property-tested):
+    the quarantined digests. Adds the report's tallies to the
+    [scrub.checked] / [scrub.ok] / [scrub.quarantined] counters. Invariant (property-tested):
     quarantined ∪ surviving = the original record set. *)
 
 type stats = {
@@ -121,4 +121,7 @@ type stats = {
 }
 
 val stats : unit -> stats
+(** The [cache.*] telemetry counters of the same names, read as a
+    record. Zeroed by {!reset_stats} and by a telemetry reset. *)
+
 val reset_stats : unit -> unit

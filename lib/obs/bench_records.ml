@@ -74,6 +74,16 @@ let list_ordered ~dir =
   in
   (List.map snd keyed, warnings)
 
+(* Hot-path regressions below this baseline are reported, not fatal:
+   sub-millisecond in-process kernels swing well past 20% between
+   runs of identical binaries (frequency scaling, cache state,
+   neighbouring load — observed repeatedly on the 100us-1ms figure
+   kernels even at a 1 s OLS quota), so gating them would make the
+   gate flaky. The packet-path scenario kernels it exists for all sit
+   in the tens of milliseconds. *)
+let noise_floor_ns = 1e6
+let regression_threshold = 0.20
+
 let load_all ~dir =
   let files, warnings = list_ordered ~dir in
   let warnings = ref (List.rev warnings) in

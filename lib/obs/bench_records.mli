@@ -27,6 +27,17 @@ val list_ordered : dir:string -> string list * string list
     missing-timestamp files last), plus one warning per file whose
     name carries no recognisable timestamp. *)
 
+val regression_threshold : float
+(** The regression rule of bench-compare (newest record against the
+    previous one) and [ebrc bench-trend] (last against best): a
+    hot-path timing regressed when it exceeds its baseline by more
+    than this fraction (0.20)... *)
+
+val noise_floor_ns : float
+(** ...and the baseline is at least this many ns per run (1 ms).
+    Below it, run-to-run noise routinely exceeds the threshold, so a
+    slower timing is reported but never flagged. *)
+
 val load_all : dir:string -> record list * string list
 (** {!list_ordered}, with each record parsed. Unreadable or
     unparsable files are dropped with a warning. *)

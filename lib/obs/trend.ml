@@ -15,11 +15,6 @@ type series = {
   changed : bool;
 }
 
-(* Mirror compare.ml's thresholds so "trend says regressed" and
-   "compare would have failed" agree about what counts as signal. *)
-let noise_floor_ns = 1e6
-let regression_threshold = 0.20
-
 let ols_slope points =
   (* points : (float index, value) list, n >= 2 *)
   let n = float_of_int (List.length points) in
@@ -86,8 +81,8 @@ let analyze records =
             ols_slope (List.map (fun (i, v) -> (float_of_int i, v)) pts)
         in
         let regressed =
-          group = Ns && n >= 2 && best >= noise_floor_ns
-          && last > best *. (1.0 +. regression_threshold)
+          group = Ns && n >= 2 && best >= Bench_records.noise_floor_ns
+          && last > best *. (1.0 +. Bench_records.regression_threshold)
         in
         let improved = group = Ns && n >= 2 && last <= first *. 0.8 in
         let changed = group = Counter && n >= 2 && last <> first in

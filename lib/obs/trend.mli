@@ -20,7 +20,8 @@ type series = {
       (** least-squares slope per record over (record index, value) *)
   regressed : bool;
       (** timings only: last is >20% above best and the best is above
-          the 1 ms/run noise floor (mirrors compare.ml's gate) *)
+          the 1 ms/run noise floor — bench-compare's rule,
+          {!Bench_records.regression_threshold} *)
   improved : bool;  (** timings only: last is ≤80% of first *)
   changed : bool;
       (** counters only: last differs from first — a behaviour drift,

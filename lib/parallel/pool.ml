@@ -11,20 +11,20 @@
 
 module Tm = Ebrc_telemetry.Telemetry
 
-let m_jobs = Tm.Counter.make ~help:"parallel jobs submitted" "pool.jobs"
-let m_tasks = Tm.Counter.make ~help:"tasks drained by pool jobs" "pool.tasks"
-let m_chunks = Tm.Counter.make ~help:"work chunks executed" "pool.chunks"
+let c_jobs = Tm.Probe.count ~help:"parallel jobs submitted" "pool.jobs"
+let c_tasks = Tm.Probe.count ~help:"tasks drained by pool jobs" "pool.tasks"
+let c_chunks = Tm.Probe.count ~help:"work chunks executed" "pool.chunks"
 
-let m_steals =
-  Tm.Counter.make
+let c_steals =
+  Tm.Probe.count
     ~help:"chunks executed by a domain other than the submitter" "pool.steals"
 
 let m_chunk_seconds =
   Tm.Histogram.make ~help:"wall-clock seconds per executed chunk"
     "pool.chunk_seconds"
 
-let m_tasks_submitted =
-  Tm.Counter.make
+let c_tasks_submitted =
+  Tm.Probe.count
     ~help:"tasks posted with jobs (drained or not); ETA denominator"
     "pool.tasks_submitted"
 
@@ -67,21 +67,17 @@ let execute job =
     if lo >= job.length || Atomic.get job.failure <> None then
       continue := false
     else begin
-      let hi = lo + 1 in
       let telem = Tm.is_on () in
       let t0 = if telem then Tm.wall_now () else 0.0 in
-      (try job.run_chunk lo hi
+      (try job.run_chunk lo (lo + 1)
        with e ->
          let bt = Printexc.get_raw_backtrace () in
          (* Keep the first failure; later ones lose the race. *)
          ignore (Atomic.compare_and_set job.failure None (Some (e, bt))));
-      if telem then begin
-        Tm.Counter.incr m_chunks;
-        Tm.Counter.add m_tasks (hi - lo);
-        if (Domain.self () :> int) <> job.submitter then
-          Tm.Counter.incr m_steals;
-        Tm.Histogram.observe m_chunk_seconds (Tm.wall_now () -. t0)
-      end;
+      Atomic.incr c_chunks;
+      Atomic.incr c_tasks;
+      if (Domain.self () :> int) <> job.submitter then Atomic.incr c_steals;
+      if telem then Tm.Histogram.observe m_chunk_seconds (Tm.wall_now () -. t0);
       (* Live-stream progress probe: rate-limited inside, one atomic
          load when streaming is off. *)
       Ebrc_telemetry.Stream.wall_tick ()
@@ -144,18 +140,14 @@ let check_open t =
 
 let run t ~length run_chunk =
   if length > 0 then begin
-    if Tm.is_on () then begin
-      Tm.Counter.incr m_jobs;
-      Tm.Counter.add m_tasks_submitted length;
-      if t.n_domains = 1 || length = 1 then begin
-        (* The inline fast path bypasses [execute]; account for it
-           here so pool.tasks totals match across domain counts. *)
-        Tm.Counter.incr m_chunks;
-        Tm.Counter.add m_tasks length
-      end
-    end;
+    Atomic.incr c_jobs;
+    ignore (Atomic.fetch_and_add c_tasks_submitted length);
     if t.n_domains = 1 || length = 1 then begin
-      (* Inline fast path: no handoff, exceptions propagate directly. *)
+      (* Inline fast path: no handoff, exceptions propagate directly.
+         It bypasses [execute], so it counts its one chunk here and
+         pool.tasks totals match across domain counts. *)
+      Atomic.incr c_chunks;
+      ignore (Atomic.fetch_and_add c_tasks length);
       run_chunk 0 length;
       Ebrc_telemetry.Stream.wall_tick ()
     end
@@ -213,11 +205,11 @@ let () =
              e.t_seed e.t_attempts (Printexc.to_string e.t_exn))
     | _ -> None)
 
-let m_task_failures =
-  Tm.Counter.make ~help:"tasks whose final attempt raised" "pool.task_failures"
+let c_task_failures =
+  Tm.Probe.count ~help:"tasks whose final attempt raised" "pool.task_failures"
 
-let m_task_retries =
-  Tm.Counter.make ~help:"task attempts retried after a failure"
+let c_task_retries =
+  Tm.Probe.count ~help:"task attempts retried after a failure"
     "pool.task_retries"
 
 let try_init ?(retries = 0) ?seed_of t n f =
@@ -238,11 +230,11 @@ let try_init ?(retries = 0) ?seed_of t n f =
         | exception e ->
             let bt = Printexc.get_raw_backtrace () in
             if a < retries then begin
-              if Tm.is_on () then Tm.Counter.incr m_task_retries;
+              Atomic.incr c_task_retries;
               attempt (a + 1)
             end
             else begin
-              if Tm.is_on () then Tm.Counter.incr m_task_failures;
+              Atomic.incr c_task_failures;
               Error
                 { t_index = i; t_seed = seed_of i; t_attempts = a + 1;
                   t_exn = e; t_backtrace = bt }

@@ -5,24 +5,24 @@ module Tm = Ebrc_telemetry.Telemetry
 module Json = Ebrc_obs.Json
 module Chaos = Ebrc_chaos.Io_fault
 
-let m_claims = Tm.Counter.make ~help:"queue leases claimed" "queue.claims"
+let c_claims = Tm.Probe.count ~help:"queue leases claimed" "queue.claims"
 
-let m_conflicts =
-  Tm.Counter.make ~help:"queue claim attempts lost to a live lease"
+let c_conflicts =
+  Tm.Probe.count ~help:"queue claim attempts lost to a live lease"
     "queue.claim_conflicts"
 
-let m_reclaimed =
-  Tm.Counter.make ~help:"expired queue leases reclaimed"
+let c_reclaimed =
+  Tm.Probe.count ~help:"expired queue leases reclaimed"
     "queue.leases_reclaimed"
 
-let m_completed =
-  Tm.Counter.make ~help:"queue tasks completed" "queue.completed"
+let c_completed =
+  Tm.Probe.count ~help:"queue tasks completed" "queue.completed"
 
-let m_failed =
-  Tm.Counter.make ~help:"queue tasks terminally failed" "queue.failed"
+let c_failed =
+  Tm.Probe.count ~help:"queue tasks terminally failed" "queue.failed"
 
-let m_poisoned =
-  Tm.Counter.make ~help:"queue tasks poisoned by the crash-loop breaker"
+let c_poisoned =
+  Tm.Probe.count ~help:"queue tasks poisoned by the crash-loop breaker"
     "queue.poisoned"
 
 type t = {
@@ -192,17 +192,17 @@ let claim t ~worker ~ttl ~digest =
     let body = lease_body ~worker ~deadline:(now +. ttl) in
     let try_create () =
       if create_exclusive path body then begin
-        if Tm.is_on () then Tm.Counter.incr m_claims;
+        Atomic.incr c_claims;
         Claimed
       end
       else begin
-        if Tm.is_on () then Tm.Counter.incr m_conflicts;
+        Atomic.incr c_conflicts;
         Busy
       end
     in
     if not (Sys.file_exists path) then try_create ()
     else if not (lease_expired t path ~now) then begin
-      if Tm.is_on () then Tm.Counter.incr m_conflicts;
+      Atomic.incr c_conflicts;
       Busy
     end
     else begin
@@ -216,7 +216,7 @@ let claim t ~worker ~ttl ~digest =
       match Unix.rename path grave with
       | () ->
           (try Unix.unlink grave with Unix.Unix_error _ -> ());
-          if Tm.is_on () then Tm.Counter.incr m_reclaimed;
+          Atomic.incr c_reclaimed;
           try_create ()
       | exception Unix.Unix_error _ -> Busy
     end
@@ -230,7 +230,7 @@ let release t ~digest = unlink_quiet (lease_path t digest)
 let complete t ~digest =
   unlink_quiet (task_path t digest);
   unlink_quiet (lease_path t digest);
-  if Tm.is_on () then Tm.Counter.incr m_completed
+  Atomic.incr c_completed
 
 let fail t ~worker ~digest ~message =
   atomic_write_retry (failed_path t digest)
@@ -240,7 +240,7 @@ let fail t ~worker ~digest ~message =
           ("message", Str message) ]);
   unlink_quiet (task_path t digest);
   unlink_quiet (lease_path t digest);
-  if Tm.is_on () then Tm.Counter.incr m_failed
+  Atomic.incr c_failed
 
 let record_messages dir ~path_of =
   List.filter_map
@@ -271,7 +271,7 @@ let poison t ~digest ~message =
     (record [ ("digest", Json.Str digest); ("message", Json.Str message) ]);
   unlink_quiet (task_path t digest);
   unlink_quiet (lease_path t digest);
-  if Tm.is_on () then Tm.Counter.incr m_poisoned
+  Atomic.incr c_poisoned
 
 let poisoned t = record_messages t.poisoned_dir ~path_of:(poisoned_path t)
 let clear_poison t ~digest = unlink_quiet (poisoned_path t digest)

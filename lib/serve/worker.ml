@@ -9,24 +9,24 @@ module Flight = Ebrc_telemetry.Flight
 module Pool = Ebrc_parallel.Pool
 module Chaos = Ebrc_chaos.Io_fault
 
-let m_ran =
-  Tm.Counter.make ~help:"sweep tasks simulated and published"
+let c_ran =
+  Tm.Probe.count ~help:"sweep tasks simulated and published"
     "worker.tasks_ran"
 
-let m_cached =
-  Tm.Counter.make ~help:"sweep tasks satisfied by the store on lease"
+let c_cached =
+  Tm.Probe.count ~help:"sweep tasks satisfied by the store on lease"
     "worker.tasks_cached"
 
-let m_failed =
-  Tm.Counter.make ~help:"sweep tasks marked terminally failed"
+let c_failed =
+  Tm.Probe.count ~help:"sweep tasks marked terminally failed"
     "worker.tasks_failed"
 
-let m_publish_retries =
-  Tm.Counter.make ~help:"publications retried after a failed read-back"
+let c_publish_retries =
+  Tm.Probe.count ~help:"publications retried after a failed read-back"
     "worker.publish_retries"
 
-let m_publish_failed =
-  Tm.Counter.make ~help:"publications that never verified on read-back"
+let c_publish_failed =
+  Tm.Probe.count ~help:"publications that never verified on read-back"
     "worker.publish_failed"
 
 type config = {
@@ -73,17 +73,22 @@ let run cfg =
   (* domains:1 spawns nothing; the pool only supplies the per-task
      exception barrier + retry policy of [run_isolated]. *)
   let pool = Pool.create ~domains:1 () in
-  let ran = ref 0 and cached = ref 0 and failed = ref 0 in
+  (* The outcome is this call's growth of the worker.* counts. *)
+  let since c =
+    let c0 = Atomic.get c in
+    fun () -> Atomic.get c - c0
+  in
+  let ran = since c_ran and cached = since c_cached
+  and failed = since c_failed in
   let publish_failures : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let executed () = !ran + !failed in
+  let executed () = ran () + failed () in
   let under_cap () =
     match cfg.max_tasks with Some n -> executed () < n | None -> true
   in
   let mark_failed digest message =
     Task_queue.fail q ~worker:cfg.worker_id ~digest ~message;
     Stream.task ~key:digest ~phase:"failed" ();
-    if Tm.is_on () then Tm.Counter.incr m_failed;
-    incr failed
+    Atomic.incr c_failed
   in
   (* Publish with read-back verification: [store_to] degrades store
      failures to a warning by design, so under injected faults (or a
@@ -96,7 +101,7 @@ let run cfg =
       Rc.store_to ~dir:cfg.store_dir scenario_cfg r;
       if Rc.published ~dir:cfg.store_dir scenario_cfg then true
       else if attempt < 8 then begin
-        if Tm.is_on () then Tm.Counter.incr m_publish_retries;
+        Atomic.incr c_publish_retries;
         go (attempt + 1)
       end
       else false
@@ -122,11 +127,10 @@ let run cfg =
                 ("publish_s", Json.Num (t2 -. t1));
               ]
             ();
-          if Tm.is_on () then Tm.Counter.incr m_ran;
-          incr ran
+          Atomic.incr c_ran
         end
         else begin
-          if Tm.is_on () then Tm.Counter.incr m_publish_failed;
+          Atomic.incr c_publish_failed;
           let strikes =
             1
             + (match Hashtbl.find_opt publish_failures digest with
@@ -179,8 +183,7 @@ let run cfg =
               Task_queue.complete q ~digest;
               Stream.task ~key:digest ~phase:"done"
                 ~attrs:[ ("cached", Json.Bool true) ] ();
-              if Tm.is_on () then Tm.Counter.incr m_cached;
-              incr cached
+              Atomic.incr c_cached
             end
             else execute digest scenario_cfg)
   in
@@ -209,9 +212,9 @@ let run cfg =
               | Busy | Gone -> ()
               | Claimed ->
                   progressed := true;
-                  let t0 = Unix.gettimeofday () and ran0 = !ran in
+                  let t0 = Unix.gettimeofday () and ran0 = ran () in
                   run_claimed digest;
-                  if !ran > ran0 then observe (Unix.gettimeofday () -. t0))
+                  if ran () > ran0 then observe (Unix.gettimeofday () -. t0))
           pending;
         if not (under_cap ()) then stop := true
         else if not !progressed then
@@ -222,4 +225,4 @@ let run cfg =
           Unix.sleepf (rescan_period ~cap:cfg.poll ~service:!service)
   done;
   Pool.shutdown pool;
-  { ran = !ran; cached = !cached; failed = !failed }
+  { ran = ran (); cached = cached (); failed = failed () }

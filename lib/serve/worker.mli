@@ -36,6 +36,9 @@ val default : queue_dir:string -> config
     [poll] = 0.2s, no task cap, [exit_when_drained = true];
     [store_dir] = [<queue_dir>/store]. *)
 
+(** The growth of the process-wide [worker.tasks_*] telemetry counts
+    over one {!run} call, so one worker runs per process at a time
+    (the [ebrc worker] command). *)
 type outcome = {
   ran : int;  (** tasks simulated and published by this worker *)
   cached : int;

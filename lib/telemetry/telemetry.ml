@@ -1,10 +1,11 @@
-(* Process-wide metrics and event tracing. See telemetry.mli for the
-   probe/push split; the load-bearing choices here are (a) the
-   simulator never touches this registry on its hot path — its counts
-   are fields on the components, read through probes — and (b) every
-   registry write takes one mutex, which the remaining push sites
-   (fleet activity, loss-interval histograms, structured events) hit
-   at most a few times per simulated round trip.
+(* Process-wide metrics and event tracing. See telemetry.mli for how
+   counts and observations reach the registry; the load-bearing choices
+   here are (a) nothing counts through this registry on a hot path — a
+   counter's total is one atomic that its owner bumps, or that an
+   engine's absorb adds a run's growth into — and (b) every other
+   registry write takes one mutex, which the observation sites
+   (loss-interval histograms, chunk timings, structured events, spans)
+   hit at most a few times per simulated round trip.
 
    Totals are integer sums, so they do not depend on how runs were
    partitioned across domains — the property the -j1-vs-jN
@@ -48,7 +49,8 @@ type metric = {
   mname : string;
   mkind : kind;
   mhelp : string;
-  mutable count : int;   (* counter value / number of samples *)
+  total : int Atomic.t;  (* a counter's value; 0 for other kinds *)
+  mutable count : int;   (* number of gauge/histogram samples *)
   stats : float array;   (* [| sum; min; max |] — unboxed *)
   bkts : int array;      (* [||] unless the metric is a histogram *)
 }
@@ -56,6 +58,7 @@ type metric = {
 let metrics : (string, metric) Hashtbl.t = Hashtbl.create 64
 
 let clear_metric m =
+  Atomic.set m.total 0;
   m.count <- 0;
   m.stats.(0) <- 0.0;
   m.stats.(1) <- infinity;
@@ -73,7 +76,8 @@ let register kind ?(help = "") name =
           m
       | None ->
           let m =
-            { mname = name; mkind = kind; mhelp = help; count = 0;
+            { mname = name; mkind = kind; mhelp = help;
+              total = Atomic.make 0; count = 0;
               stats = [| 0.0; infinity; neg_infinity |];
               bkts =
                 (match kind with
@@ -127,18 +131,6 @@ let bucket_list m =
   done;
   Array.of_list !out
 
-let read_count m = locked (fun () -> m.count)
-
-module Counter = struct
-  type t = metric
-
-  let make ?help name = register Counter ?help name
-  let add m n = if Atomic.get on then locked (fun () -> m.count <- m.count + n)
-  let incr m = add m 1
-  let value = read_count
-  let name m = m.mname
-end
-
 module Histogram = struct
   type t = metric
 
@@ -150,7 +142,7 @@ module Histogram = struct
           record_sample m v;
           let b = bucket_of v in
           m.bkts.(b) <- m.bkts.(b) + 1)
-  let count = read_count
+  let count m = locked (fun () -> m.count)
   let sum m = locked (fun () -> m.stats.(0))
   let quantile m q = quantile_of_buckets (locked (fun () -> bucket_list m)) q
 end
@@ -164,6 +156,7 @@ module Probe = struct
 
   let counter ?help name = register Counter ?help name
   let gauge ?help name = register Gauge ?help name
+  let count ?help name = (register Counter ?help name).total
 
   (* One entry per key: its getters, and for a counter the value
      already added to the totals. *)
@@ -204,8 +197,6 @@ module Probe = struct
       Array.unsafe_set out i (value (Array.unsafe_get v i))
     done
 
-  let process = create ()
-
   let absorb s =
     if Atomic.get on then begin
       let v = view s in
@@ -215,7 +206,8 @@ module Probe = struct
             (fun i e ->
               match e.key.mkind with
               | Counter ->
-                  e.key.count <- e.key.count + cur.(i) - e.absorbed;
+                  let grown = cur.(i) - e.absorbed in
+                  ignore (Atomic.fetch_and_add e.key.total grown);
                   e.absorbed <- cur.(i)
               | Gauge -> record_sample e.key (float_of_int cur.(i))
               | Histogram -> ())
@@ -239,21 +231,19 @@ type snapshot = {
 }
 
 let snapshot () =
-  let live =
-    Array.map (fun e -> (e.Probe.key, Probe.value e)) (Probe.view Probe.process)
-  in
   locked (fun () ->
       Hashtbl.fold
         (fun _ (m : metric) acc ->
+          (* Counters take no samples, so their range is nan. *)
           let has = m.count > 0 in
           {
             snap_name = m.mname;
             snap_kind = m.mkind;
             snap_help = m.mhelp;
             count =
-              Array.fold_left
-                (fun n (k, v) -> if k == m then n + v else n)
-                m.count live;
+              (match m.mkind with
+              | Counter -> Atomic.get m.total
+              | Gauge | Histogram -> m.count);
             sum = (match m.mkind with Histogram -> m.stats.(0) | _ -> 0.0);
             min_v = (if has then m.stats.(1) else nan);
             max_v = (if has then m.stats.(2) else nan);
@@ -393,17 +383,8 @@ let spans () = locked (fun () -> List.rev !span_log)
 (* Reset.                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let reset_hooks : (unit -> unit) list ref = ref []   (* guarded by [mutex] *)
-
-let on_reset f = locked (fun () -> reset_hooks := f :: !reset_hooks)
-
 let reset () =
-  let hooks =
-    locked (fun () ->
-        Hashtbl.iter (fun _ m -> clear_metric m) metrics;
-        clear_events ();
-        span_log := [];
-        !reset_hooks)
-  in
-  (* Outside the lock: a hook takes its owner's own lock. *)
-  List.iter (fun f -> f ()) hooks
+  locked (fun () ->
+      Hashtbl.iter (fun _ m -> clear_metric m) metrics;
+      clear_events ();
+      span_log := [])

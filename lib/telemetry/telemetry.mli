@@ -1,22 +1,26 @@
 (** Process-wide metrics and structured event tracing for the
     simulator, the protocols, the sweep fleet and the domain pool.
 
-    Two ways a count reaches the registry:
+    One way a count reaches the registry: every counter is a probe.
+    The component that counts an event owns the count and bumps it
+    unconditionally, whether telemetry is on or off; the registry only
+    reads it. A counter's process-wide total is one [int Atomic.t]:
 
-    - {e Probes} (pull). The simulator's hot-path counts (events,
-      wheel, link, queue, TCP, TFRC, fluid, faults, loss modules) are
-      plain [mutable int] fields on the component that owns them,
-      bumped unconditionally. Each component registers read-only
-      getters over those fields ({!Probe.add}) in a run-local
-      {!Probe.set} owned by its engine. The engine adds the run's
-      growth into the process-wide totals once per [run] call
-      ({!Probe.absorb}); the stream sampler reads the same getters at
-      sim-time boundaries. Recording therefore costs an integer
-      increment whether telemetry is on or off.
-    - {e Push} ({!Counter}, {!Histogram}). Low-rate fleet activity
-      (cache, pool, worker, task queue, chaos) and event-shaped data
-      (loss-interval histograms) record directly into the registry
-      under one lock, gated on {!is_on}.
+    - Process-wide components (cache, pool, worker, task queue, chaos,
+      figure runners) take it from {!Probe.count} and bump it with
+      [Atomic.incr] / [Atomic.fetch_and_add]; {!snapshot}, stream
+      progress records and flight dumps read it live.
+    - The simulator's per-run components (events, wheel, link, queue,
+      TCP, TFRC, fluid, faults, loss modules) keep plain [mutable int]
+      fields and register read-only getters over them ({!Probe.add})
+      in a run-local {!Probe.set} owned by their engine. The engine
+      adds the run's growth into the total once per [run] call while
+      recording is on ({!Probe.absorb}); the stream sampler reads the
+      same getters at sim-time boundaries.
+
+    Observations are not counts: {!Histogram} samples, gauge levels,
+    {!event}s and spans record into the registry under one lock, gated
+    on {!is_on}.
 
     Determinism contract: counter values and histogram bucket/count
     totals are integer sums, so they do not depend on how runs were
@@ -45,33 +49,12 @@ val wall_now : unit -> float
     and by the pool's chunk timings. *)
 
 val reset : unit -> unit
-(** Zero every registered metric, clear the event ring and span log,
-    and run the {!on_reset} hooks (which zero the counts behind
-    {!Probe.process}). Handles stay valid. *)
-
-val on_reset : (unit -> unit) -> unit
-(** Register a hook {!reset} runs: the owner of process-wide probed
-    counts zeroes them there. *)
+(** Zero every registered metric — the {!Probe.count} atomics too —
+    and clear the event ring and span log. Handles stay valid. *)
 
 (** {1 Metrics} *)
 
 type kind = Counter | Gauge | Histogram
-
-module Counter : sig
-  (** A push counter, for low-rate activity outside the simulator. *)
-
-  type t
-
-  val make : ?help:string -> string -> t
-  (** Find-or-create the counter with this name. Raises
-      [Invalid_argument] if the name is already registered with a
-      different metric kind. *)
-
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val value : t -> int
-  val name : t -> string
-end
 
 module Histogram : sig
   (** Log2-bucketed histogram: value [v] lands in the bucket whose
@@ -93,11 +76,18 @@ module Histogram : sig
 end
 
 module Probe : sig
-  (** Read-only getters over counts a component keeps itself. *)
+  (** Counts a component keeps itself, read by the registry. *)
+
+  val count : ?help:string -> string -> int Atomic.t
+  (** Find-or-create the counter with this name and return its total,
+      for a process-wide owner to bump directly (no gate, no lock).
+      Every call with the same name returns the same atomic. Raises
+      [Invalid_argument] if the name is already registered with a
+      different metric kind. *)
 
   type key
-  (** A registered pull metric: name, kind and help text. Declared
-      once per module, like a push counter. *)
+  (** A registered run-local metric: name, kind and help text.
+      Declared once per module. *)
 
   val counter : ?help:string -> string -> key
   (** Find-or-create a counter-kind metric read through probes. The
@@ -117,11 +107,6 @@ module Probe : sig
 
   val create : unit -> set
   val add : set -> key -> (unit -> int) -> unit
-
-  val process : set
-  (** Probes over process-wide components (the result cache's
-      tallies). {!snapshot} reads them live; nothing absorbs them; their
-      owner zeroes them from an {!on_reset} hook. *)
 
   val absorb : set -> unit
   (** When recording is on: add each counter's growth since the
@@ -149,8 +134,8 @@ type snapshot = {
   snap_help : string;
   count : int;          (** counter value / number of samples *)
   sum : float;          (** histogram sum of observations; 0 otherwise *)
-  min_v : float;        (** [nan] when no samples *)
-  max_v : float;        (** [nan] when no samples *)
+  min_v : float;        (** [nan] when no samples (always, for a counter) *)
+  max_v : float;        (** [nan] when no samples (always, for a counter) *)
   buckets : (float * int) array;
       (** Non-empty only for histograms: (bucket lower bound, count)
           for each non-zero bucket, in increasing bound order. *)

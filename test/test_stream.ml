@@ -66,7 +66,7 @@ let awkward_stream () =
   (* A wall period no tick reaches: only finalize's closing progress
      record is written. *)
   Stream.enable ~path ~period_sim:1.0 ~period_wall:1e12;
-  Tm.Counter.incr (Tm.Counter.make ("test.stream." ^ awkward));
+  Atomic.incr (Tm.Probe.count ("test.stream." ^ awkward));
   let floats =
     List.mapi (fun i v -> (Printf.sprintf "f%d" i, J.Num v)) awkward_floats
   in

@@ -21,20 +21,18 @@ let with_telemetry_on f =
 (* Gating and metric basics.                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Observations are gated; counts are kept by their owners either way
+   (see "counter"). *)
 let test_disabled_records_nothing () =
   scrub ();
-  let c = Tm.Counter.make "test.gate.counter" in
   let probes = Tm.Probe.create () in
   Tm.Probe.add probes (Tm.Probe.gauge "test.gate.gauge") (fun () -> 3);
   let h = Tm.Histogram.make "test.gate.histogram" in
-  Tm.Counter.incr c;
-  Tm.Counter.add c 10;
   Tm.Probe.absorb probes;
   Tm.Histogram.observe h 1.5;
   Tm.event "test.gate.event" ~time:1.0;
   let r = Tm.with_span "test.gate.span" (fun () -> 42) in
   Alcotest.(check int) "span passes result through" 42 r;
-  Alcotest.(check int) "counter untouched" 0 (Tm.Counter.value c);
   Alcotest.(check int) "gauge untouched" 0
     (List.find (fun s -> s.Tm.snap_name = "test.gate.gauge") (Tm.snapshot ()))
       .Tm.count;
@@ -42,17 +40,30 @@ let test_disabled_records_nothing () =
   Alcotest.(check int) "no events" 0 (List.length (Tm.events ()));
   Alcotest.(check int) "no spans" 0 (List.length (Tm.spans ()))
 
+let snap name = List.find (fun s -> s.Tm.snap_name = name) (Tm.snapshot ())
+
+let check_no_range msg (s : Tm.snapshot) =
+  Alcotest.(check bool) (msg ^ ": min and max are nan") true
+    (Float.is_nan s.Tm.min_v && Float.is_nan s.Tm.max_v)
+
 let test_counter_basics () =
   with_telemetry_on @@ fun () ->
-  let c = Tm.Counter.make ~help:"h" "test.counter.basics" in
-  Tm.Counter.incr c;
-  Tm.Counter.add c 41;
-  Alcotest.(check int) "value" 42 (Tm.Counter.value c);
-  Alcotest.(check string) "name" "test.counter.basics" (Tm.Counter.name c);
-  (* find-or-create: same handle state through a second make *)
-  let c' = Tm.Counter.make "test.counter.basics" in
-  Tm.Counter.incr c';
-  Alcotest.(check int) "shared registration" 43 (Tm.Counter.value c)
+  let c = Tm.Probe.count ~help:"h" "test.counter.basics" in
+  Atomic.incr c;
+  ignore (Atomic.fetch_and_add c 41);
+  let s = snap "test.counter.basics" in
+  Alcotest.(check int) "value" 42 s.Tm.count;
+  Alcotest.(check bool) "kind and help" true
+    (s.Tm.snap_kind = Tm.Counter && s.Tm.snap_help = "h");
+  check_no_range "counter" s;
+  (* find-or-create: the same atomic through a second registration *)
+  let c' = Tm.Probe.count "test.counter.basics" in
+  Atomic.incr c';
+  Alcotest.(check int) "shared registration" 43 (Atomic.get c);
+  (* Owners keep counting while recording is off. *)
+  Tm.set_enabled false;
+  Atomic.incr c;
+  Alcotest.(check int) "kept while off" 44 (snap "test.counter.basics").Tm.count
 
 let test_gauge_extremes () =
   with_telemetry_on @@ fun () ->
@@ -140,11 +151,9 @@ let test_probe_totals () =
   a := 10;
   level := 4;
   Tm.Probe.absorb set;
-  let snap name =
-    List.find (fun s -> s.Tm.snap_name = name) (Tm.snapshot ())
-  in
   Alcotest.(check int) "counter total = final value" 12
     (snap "test.probe.counter").Tm.count;
+  check_no_range "absorbed counter" (snap "test.probe.counter");
   let gs = snap "test.probe.gauge" in
   Alcotest.(check int) "one level per absorb" 2 gs.Tm.count;
   Alcotest.(check (float 0.0)) "gauge max" 7.0 gs.Tm.max_v;
@@ -164,19 +173,20 @@ let test_probe_totals () =
 
 let test_kind_clash_rejected () =
   scrub ();
-  ignore (Tm.Counter.make "test.clash.name");
+  ignore (Tm.Probe.count "test.clash.name");
   match Tm.Probe.gauge "test.clash.name" with
   | _ -> Alcotest.fail "expected Invalid_argument on kind clash"
   | exception Invalid_argument _ -> ()
 
 let test_reset_zeroes () =
   with_telemetry_on @@ fun () ->
-  let c = Tm.Counter.make "test.reset.counter" in
-  Tm.Counter.add c 7;
+  let c = Tm.Probe.count "test.reset.counter" in
+  ignore (Atomic.fetch_and_add c 7);
   Tm.event "test.reset.event" ~time:0.0;
   ignore (Tm.with_span "test.reset.span" Fun.id);
   Tm.reset ();
-  Alcotest.(check int) "counter zeroed" 0 (Tm.Counter.value c);
+  Alcotest.(check int) "counter zeroed" 0 (Atomic.get c);
+  Alcotest.(check int) "snapshot zeroed" 0 (snap "test.reset.counter").Tm.count;
   Alcotest.(check int) "events cleared" 0 (List.length (Tm.events ()));
   Alcotest.(check int) "spans cleared" 0 (List.length (Tm.spans ()));
   Alcotest.(check int) "dropped cleared" 0 (Tm.events_dropped ())
@@ -222,17 +232,14 @@ let test_event_fields () =
 
 let record_tasks_under ~domains =
   with_telemetry_on @@ fun () ->
-  let c = Tm.Counter.make "test.merge.counter" in
+  let c = Tm.Probe.count "test.merge.counter" in
   let h = Tm.Histogram.make "test.merge.histogram" in
   Pool.with_pool ~domains (fun pool ->
       ignore
         (Pool.init pool 64 (fun i ->
-             Tm.Counter.add c 3;
+             ignore (Atomic.fetch_and_add c 3);
              Tm.Histogram.observe h (float_of_int ((i mod 7) + 1));
              i)));
-  let snap name =
-    List.find (fun s -> s.Tm.snap_name = name) (Tm.snapshot ())
-  in
   let cs = snap "test.merge.counter" and hs = snap "test.merge.histogram" in
   (cs.Tm.count, hs.Tm.count, hs.Tm.sum, Array.to_list hs.Tm.buckets)
 
@@ -675,13 +682,13 @@ let awkward = "q\"b\\n\n\001\195\169"
 let awkward_floats = [ 0.1; 1.0 /. 3.0; nan; 1e300 ]
 
 let populate () =
-  let c = Tm.Counter.make "test.export.counter" in
+  let c = Tm.Probe.count "test.export.counter" in
   let h = Tm.Histogram.make "test.export.histogram" in
-  Tm.Counter.add c 5;
+  ignore (Atomic.fetch_and_add c 5);
   Tm.Histogram.observe h 2.0;
   Tm.event "test.export.event" ~time:1.5 ~flow:3 ~value:9.0;
   ignore (Tm.with_span ~cat:"test" "test.export.span" Fun.id);
-  Tm.Counter.incr (Tm.Counter.make ~help:awkward ("test.export." ^ awkward));
+  Atomic.incr (Tm.Probe.count ~help:awkward ("test.export." ^ awkward));
   let h' = Tm.Histogram.make ("test.export.hist." ^ awkward) in
   List.iter (Tm.Histogram.observe h') [ 0.1; 1.0 /. 3.0; 1e300 ];
   List.iter
