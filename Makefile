@@ -4,12 +4,12 @@
 
 all: build
 
-# The full gate: build everything, run the test suites, take a fresh
-# bench record, and diff it against the previous one (fails on
-# hot-path regressions > 20% or fixed-seed telemetry drift; set
-# EBRC_COMPARE_WARN_ONLY=1 when a simulator change makes drift
-# intentional).
-ci: build json-lint test serve-e2e chaos-e2e figures-e2e bench-quick bench-compare
+# The full gate: build everything, run the test suites, print the
+# trend over the checked-in bench records, take a fresh bench record,
+# and judge it against the previous one (fails on hot-path regressions
+# > 20% or any fixed-seed counter drift; set EBRC_COMPARE_WARN_ONLY=1
+# when a simulator change makes drift intentional).
+ci: build json-lint test serve-e2e chaos-e2e figures-e2e bench-trend bench-quick bench-compare
 
 build:
 	dune build @all
@@ -82,10 +82,11 @@ bench-full:
 bench-scale:
 	EBRC_BENCH_ONLY=scale dune exec bench/main.exe
 
-# Diff the newest two BENCH_*.json records; exits non-zero when any
-# hot-path micro-benchmark regressed by more than 20%, a fixed-seed
-# counter drifted, or a determinism gate (stream bit-identity, flows1m
-# reruns, sweep-service store identity) broke.
+# Judge the newest BENCH_*.json record against the previous one;
+# exits non-zero when any hot-path micro-benchmark regressed by more
+# than 20%, a fixed-seed counter changed at all, or a determinism gate
+# (stream bit-identity, flows1m reruns, sweep-service store identity)
+# broke.
 bench-compare:
 	dune exec bench/compare.exe
 

@@ -781,14 +781,7 @@ let bench_trend_cmd =
       & info [ "dir" ] ~docv:"DIR"
           ~doc:"Directory holding the BENCH_*.json records.")
   in
-  let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the trend report as JSON to $(docv).")
-  in
-  let run dir json_out =
+  let run dir =
     let records, warnings = Ebrc_obs.Bench_records.load_all ~dir in
     List.iter (fun w -> Printf.eprintf "ebrc bench-trend: warning: %s\n" w)
       warnings;
@@ -798,17 +791,8 @@ let bench_trend_cmd =
       let files =
         List.map (fun r -> r.Ebrc_obs.Bench_records.file) records
       in
-      let series = Ebrc_obs.Trend.analyze records in
-      print_string (Ebrc_obs.Trend.render ~files series);
-      Option.iter
-        (fun path ->
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () ->
-              output_string oc (Ebrc_obs.Trend.to_json ~files ~warnings series));
-          Printf.printf "trend json written to %s\n" path)
-        json_out;
+      print_string
+        (Ebrc_obs.Bench_records.(render ~files (analyze records)));
       `Ok ()
     end
   in
@@ -818,7 +802,7 @@ let bench_trend_cmd =
          "Analyze perf trends across all checked-in BENCH_*.json records: \
           first/last/best, per-record slope, and regression flags per \
           hot-path timing and telemetry counter.")
-    Term.(ret (const run $ dir $ json_out))
+    Term.(ret (const run $ dir))
 
 (* --- manifest / serve / worker: the multi-process sweep service --- *)
 

@@ -26,7 +26,6 @@ module Tfrc_sender = Ebrc_tfrc.Tfrc_sender
 module Tfrc_receiver = Ebrc_tfrc.Tfrc_receiver
 module Loss_history = Ebrc_tfrc.Loss_history
 module Probe_source = Ebrc_sources.Probe_source
-module Flow_pool = Ebrc_sources.Flow_pool
 module Fluid = Ebrc_net.Fluid
 module Formula = Ebrc_formulas.Formula
 module Stream = Ebrc_telemetry.Stream
@@ -172,11 +171,9 @@ let fluid_config cfg (bg : background) =
     ~resolution:bg.bg_resolution ~flows:bg.bg_flows ~capacity_pps
     ~base_rtt:(base_rtt cfg) ~qmax ()
 
-(* Per-flow endpoints built by [run]. Counter snapshots and the final
-   per-flow measurements live in a struct-of-arrays Flow_pool keyed by
-   flow id (TFRC flow i -> slot i, TCP flow j -> slot n_tfrc + j), so
-   the measurement pass walks flat columns instead of chasing mutable
-   fields through an array of records. *)
+(* Per-flow endpoints built by [run]. The warmup counter marks live in
+   flat int arrays keyed by flow id (TFRC flow i -> slot i, TCP flow
+   j -> slot n_tfrc + j). *)
 type tfrc_flow = { ts : Tfrc_sender.t; tr : Tfrc_receiver.t }
 type tcp_flow = { cs : Tcp_sender.t; cr : Tcp_receiver.t }
 
@@ -284,12 +281,6 @@ let run cfg =
   let feedback_sink sink =
     match fault with Some f -> Fault.wrap_feedback f sink | None -> sink
   in
-  (* SoA measurement state: one slot per foreground flow (TFRC i -> i,
-     TCP j -> n_tfrc + j). *)
-  let pool = Flow_pool.create ~capacity:(max 1 (cfg.n_tfrc + cfg.n_tcp)) in
-  for _ = 1 to cfg.n_tfrc + cfg.n_tcp do
-    ignore (Flow_pool.add pool : int)
-  done;
   (* --- TFRC flows: ids 0 .. n_tfrc-1 --- *)
   let tfrc_flows =
     Array.init cfg.n_tfrc (fun i ->
@@ -389,9 +380,12 @@ let run cfg =
   (* --- warmup phase, snapshot, measurement phase --- *)
   guarded_run ~until:cfg.warmup;
   let probe_recv_snapshot = ref 0 and probe_ivs_snapshot = ref 0 in
-  let snap_recv = pool.Flow_pool.snap_recv
-  and snap_ivs = pool.Flow_pool.snap_ivs
-  and snap_pairs = pool.Flow_pool.snap_pairs in
+  (* Warmup marks, one slot per foreground flow (TFRC i -> i, TCP
+     j -> n_tfrc + j). *)
+  let n_fg = cfg.n_tfrc + cfg.n_tcp in
+  let snap_recv = Array.make n_fg 0
+  and snap_ivs = Array.make n_fg 0
+  and snap_pairs = Array.make n_fg 0 in
   Array.iteri
     (fun i fl ->
       snap_recv.(i) <- Tfrc_receiver.received fl.tr;
@@ -419,21 +413,12 @@ let run cfg =
     if Array.length ivs = 0 then 0.0
     else float_of_int (Array.length ivs) /. Array.fold_left ( +. ) 0.0 ivs
   in
-  (* The final measures are computed into the pool's float columns
-     first (throughput in [rate], RTT in [rtt], loss-event rate in
-     [loss_rate]) and then materialized as records for the result. *)
-  let measure_into slot ~flow ~recv_now ~mean_rtt:r ~ivs ~pairs =
-    let thr = float_of_int (recv_now - snap_recv.(slot)) /. window in
-    let rtt = if Float.is_nan r || r <= 0.0 then rtt0 else r in
-    let ler = interval_rate ivs in
-    Float.Array.set pool.Flow_pool.rate slot thr;
-    Float.Array.set pool.Flow_pool.rtt slot rtt;
-    Float.Array.set pool.Flow_pool.loss_rate slot ler;
+  let measure slot ~flow ~recv_now ~mean_rtt:r ~ivs ~pairs =
     {
       flow;
-      throughput_pps = thr;
-      loss_event_rate = ler;
-      mean_rtt = rtt;
+      throughput_pps = float_of_int (recv_now - snap_recv.(slot)) /. window;
+      loss_event_rate = interval_rate ivs;
+      mean_rtt = (if Float.is_nan r || r <= 0.0 then rtt0 else r);
       loss_intervals = ivs;
       estimate_pairs = pairs;
     }
@@ -444,7 +429,7 @@ let run cfg =
         let hist = Tfrc_receiver.history fl.tr in
         let ivs = tail (Loss_history.completed_intervals hist) snap_ivs.(i) in
         let pairs = tail (Loss_history.estimate_pairs hist) snap_pairs.(i) in
-        measure_into i ~flow:(Tfrc_sender.flow fl.ts)
+        measure i ~flow:(Tfrc_sender.flow fl.ts)
           ~recv_now:(Tfrc_receiver.received fl.tr)
           ~mean_rtt:(Tfrc_sender.mean_rtt fl.ts) ~ivs ~pairs)
       tfrc_flows
@@ -454,7 +439,7 @@ let run cfg =
       (fun i fl ->
         let s = cfg.n_tfrc + i in
         let ivs = tail (Tcp_sender.loss_event_intervals fl.cs) snap_ivs.(s) in
-        measure_into s ~flow:s
+        measure s ~flow:s
           ~recv_now:(Tcp_receiver.received fl.cr)
           ~mean_rtt:(Tcp_sender.mean_rtt fl.cs) ~ivs ~pairs:[||])
       tcp_flows

@@ -1,4 +1,4 @@
-(** Locating and time-ordering `BENCH_*.json` perf records.
+(** The one reader and judge of `BENCH_*.json` perf records.
 
     Two filename shapes coexist historically: day-only
     ([BENCH_2026-08-05.json], from before bench runs were timestamped)
@@ -8,7 +8,11 @@
     so record order is derived from the {e embedded timestamp}
     instead: day-only files normalise to midnight UTC, records without
     a recognisable timestamp sort last (with a warning) in filename
-    order. *)
+    order.
+
+    Two views share one table reader and one rule set: {!gate}
+    (bench-compare: the newest record against the previous one) and
+    {!analyze} ([ebrc bench-trend]: every record, last against best). *)
 
 val timestamp_of_filename : string -> string option
 (** [Some "YYYY-MM-DDTHHMMSSZ"] for the two known shapes (day-only
@@ -17,7 +21,6 @@ val timestamp_of_filename : string -> string option
 
 type record = {
   file : string;  (** base filename *)
-  ts : string option;  (** normalised timestamp, [None] when missing *)
   json : Json.t;
 }
 
@@ -27,17 +30,69 @@ val list_ordered : dir:string -> string list * string list
     missing-timestamp files last), plus one warning per file whose
     name carries no recognisable timestamp. *)
 
-val regression_threshold : float
-(** The regression rule of bench-compare (newest record against the
-    previous one) and [ebrc bench-trend] (last against best): a
-    hot-path timing regressed when it exceeds its baseline by more
-    than this fraction (0.20)... *)
-
-val noise_floor_ns : float
-(** ...and the baseline is at least this many ns per run (1 ms).
-    Below it, run-to-run noise routinely exceeds the threshold, so a
-    slower timing is reported but never flagged. *)
-
 val load_all : dir:string -> record list * string list
 (** {!list_ordered}, with each record parsed. Unreadable or
     unparsable files are dropped with a warning. *)
+
+(** {1 Tables and rules} *)
+
+type group =
+  | Ns  (** [microbench_ns_per_run]: hot-path timings, ns per run *)
+  | Counter  (** [telemetry_summary.counters]: fixed-seed event counts *)
+
+val table : group -> Json.t -> (string * float) list
+(** The group's finite numbers, in record order; [[]] when the record
+    has no such table. *)
+
+val regressed : baseline:float -> current:float -> bool
+(** The timing rule: [current] exceeds [baseline] by more than 20%
+    and [baseline] is at least 1 ms (in ns per run). Below that floor,
+    run-to-run noise routinely exceeds the threshold, so a slower
+    timing is reported but never flagged. *)
+
+val drifted : baseline:float -> current:float -> bool
+(** The counter rule: any change, from 0 too. Counter totals at equal
+    seeds are deterministic, so a change means the simulation changed
+    behaviour. *)
+
+(** {1 The gate} *)
+
+type severity = Fail | Warn | Info
+type finding = { severity : severity; subject : string; detail : string }
+
+val gate : warn_only:bool -> baseline:Json.t -> current:Json.t -> finding list
+(** Judge [current] against [baseline]. [Fail]s: a timing that
+    {!regressed}; a counter that {!drifted}; the stream-off arm
+    ([stream_ablation.scenario_off_ms]) regressed against the
+    telemetry-off arm ([telemetry_summary.disabled_ms]) of the same
+    record; and any identity gate ([stream_ablation.bit_identical],
+    [flows1m.bit_identical], [sweep_service.store_identical]) reading
+    [false]. [warn_only] demotes drift and the stream-off gate to
+    [Warn], never an identity gate. Everything else is [Info]: each
+    compared timing, the met/missed targets, and each top-level block
+    in [baseline] but not in [current]. A check whose input is missing
+    is skipped: timings and counters need both records, the other
+    checks only [current]. *)
+
+(** {1 The trend} *)
+
+type series = {
+  key : string;
+  group : group;
+  n : int;  (** records carrying this key *)
+  first : float;
+  last : float;
+  best : float;  (** min over the series (timings); [nan] for counters *)
+  slope : float;
+      (** least-squares slope per record over (record index, value) *)
+  regressed : bool;  (** timings only: {!regressed} last against best *)
+  improved : bool;  (** timings only: last is ≤80% of first *)
+  changed : bool;  (** counters only: {!drifted} last against first *)
+}
+
+val analyze : record list -> series list
+(** Records must already be in time order ({!load_all}). Series are
+    sorted: timings first, then counters, each by key. *)
+
+val render : files:string list -> series list -> string
+(** Human-readable trend table. *)

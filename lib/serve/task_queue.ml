@@ -5,25 +5,26 @@ module Tm = Ebrc_telemetry.Telemetry
 module Json = Ebrc_obs.Json
 module Chaos = Ebrc_chaos.Io_fault
 
-let c_claims = Tm.Probe.count ~help:"queue leases claimed" "queue.claims"
+let c_claims =
+  Tm.Probe.count ~help:"queue leases claimed" "task_queue.claims"
 
 let c_conflicts =
   Tm.Probe.count ~help:"queue claim attempts lost to a live lease"
-    "queue.claim_conflicts"
+    "task_queue.claim_conflicts"
 
 let c_reclaimed =
   Tm.Probe.count ~help:"expired queue leases reclaimed"
-    "queue.leases_reclaimed"
+    "task_queue.leases_reclaimed"
 
 let c_completed =
-  Tm.Probe.count ~help:"queue tasks completed" "queue.completed"
+  Tm.Probe.count ~help:"queue tasks completed" "task_queue.completed"
 
 let c_failed =
-  Tm.Probe.count ~help:"queue tasks terminally failed" "queue.failed"
+  Tm.Probe.count ~help:"queue tasks terminally failed" "task_queue.failed"
 
 let c_poisoned =
   Tm.Probe.count ~help:"queue tasks poisoned by the crash-loop breaker"
-    "queue.poisoned"
+    "task_queue.poisoned"
 
 type t = {
   root : string;

@@ -12,10 +12,7 @@
 
    Column ownership is by convention: a source that uses the pool
    decides which columns it maintains (Flock keeps [rate] as its tick
-   gap and [seq] as the per-flow sequence; the scenario keeps the
-   warmup-snapshot marks and fills rate/rtt/loss_rate at measurement
-   time). Unused columns cost their allocation once and nothing per
-   event. *)
+   gap, [next_send], [seq] as the per-flow sequence and [sent]). *)
 
 type t = {
   cap : int;
@@ -23,13 +20,8 @@ type t = {
   rate : floatarray;       (* per-flow pacing value: pkt/s for senders,
                               tick gap (s) for Flock *)
   next_send : floatarray;  (* absolute next-send time, s *)
-  rtt : floatarray;        (* smoothed / measured RTT, s *)
-  loss_rate : floatarray;  (* loss-event rate estimate *)
   seq : int array;         (* next sequence number *)
   sent : int array;        (* packets sent *)
-  snap_recv : int array;   (* warmup snapshot: packets received *)
-  snap_ivs : int array;    (* warmup snapshot: loss intervals *)
-  snap_pairs : int array;  (* warmup snapshot: RTT sample pairs *)
 }
 
 let create ~capacity =
@@ -40,13 +32,8 @@ let create ~capacity =
     n = 0;
     rate = Float.Array.make capacity 0.0;
     next_send = Float.Array.make capacity 0.0;
-    rtt = Float.Array.make capacity 0.0;
-    loss_rate = Float.Array.make capacity 0.0;
     seq = Array.make capacity 0;
     sent = Array.make capacity 0;
-    snap_recv = Array.make capacity 0;
-    snap_ivs = Array.make capacity 0;
-    snap_pairs = Array.make capacity 0;
   }
 
 let length t = t.n

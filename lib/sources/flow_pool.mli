@@ -1,31 +1,24 @@
 (** Struct-of-arrays per-flow hot state for 10⁴–10⁶ cheap flows.
 
-    Flat unboxed columns (rate, next-send time, RTT, loss-event rate)
-    plus int columns (sequence, sent, warmup-snapshot marks) replace
-    one heap record per flow: each access pattern stays dense and
-    prefetchable, and a flow costs a few cache lines instead of a
-    pointer chase per field. The record is exposed [private]
-    (precedent: {!Ebrc_sim.Engine.t}) so hot loops touch columns
-    directly; column {e contents} are freely mutable through the
-    fields, only the pool's bookkeeping goes through the API.
+    Flat unboxed columns (rate, next-send time) plus int columns
+    (sequence, sent) replace one heap record per flow: each access
+    pattern stays dense and prefetchable, and a flow costs a few cache
+    lines instead of a pointer chase per field. The record is exposed
+    [private] (precedent: {!Ebrc_sim.Engine.t}) so hot loops touch
+    columns directly; column {e contents} are freely mutable through
+    the fields, only the pool's bookkeeping goes through the API.
 
     Column ownership is by convention — the source using the pool
     decides which columns it maintains ({!Flock} keeps [rate] as its
-    tick gap; the scenario keeps the snapshot marks). Unused columns
-    cost one allocation and nothing per event. *)
+    tick gap). *)
 
 type t = private {
   cap : int;
   mutable n : int;
   rate : floatarray;       (** pacing value: pkt/s, or tick gap (s) *)
   next_send : floatarray;  (** absolute next-send time, s *)
-  rtt : floatarray;        (** smoothed / measured RTT, s *)
-  loss_rate : floatarray;  (** loss-event rate estimate *)
   seq : int array;         (** next sequence number *)
   sent : int array;        (** packets sent *)
-  snap_recv : int array;   (** warmup snapshot: packets received *)
-  snap_ivs : int array;    (** warmup snapshot: loss intervals *)
-  snap_pairs : int array;  (** warmup snapshot: RTT sample pairs *)
 }
 
 val create : capacity:int -> t

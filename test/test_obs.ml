@@ -1,10 +1,9 @@
 (* Tests for the observability toolkit library: the JSON reader, the
    BENCH_*.json locator's dual filename shapes and timestamp ordering,
-   and the longitudinal trend analytics. *)
+   and the two views of bench records: the gate and the trend. *)
 
 module J = Ebrc_obs.Json
 module BR = Ebrc_obs.Bench_records
-module Trend = Ebrc_obs.Trend
 
 (* ------------------------------ json ------------------------------ *)
 
@@ -119,24 +118,105 @@ let test_load_all_drops_bad_records () =
         (Option.bind (J.member "a" r.BR.json) J.to_int)
   | _ -> Alcotest.fail "unreachable"
 
+(* ------------------------------ gate ------------------------------ *)
+
+let bench_json ?(ns = []) ?(ctr = []) () =
+  let nums kvs = J.Obj (List.map (fun (k, v) -> (k, J.Num v)) kvs) in
+  J.Obj
+    [
+      ("microbench_ns_per_run", nums ns);
+      ("telemetry_summary", J.Obj [ ("counters", nums ctr) ]);
+    ]
+
+(* The severities of [gate]'s findings on one subject. *)
+let judge ?(warn_only = false) ~baseline ~current subject =
+  List.filter_map
+    (fun f -> if f.BR.subject = subject then Some f.BR.severity else None)
+    (BR.gate ~warn_only ~baseline ~current)
+
+let severity =
+  Alcotest.testable
+    (fun ppf s ->
+      Format.pp_print_string ppf
+        (match s with BR.Fail -> "Fail" | Warn -> "Warn" | Info -> "Info"))
+    ( = )
+
+let test_gate_timings () =
+  let baseline = bench_json ~ns:[ ("big", 2e6); ("tiny", 1e3) ] () in
+  let current = bench_json ~ns:[ ("big", 2.5e6); ("tiny", 1e4) ] () in
+  Alcotest.(check (list severity)) ">= 1 ms at 1.25x fails" [ BR.Fail ]
+    (judge ~baseline ~current "big");
+  Alcotest.(check (list severity)) "sub-ms at 10x is reported only"
+    [ BR.Info ] (judge ~baseline ~current "tiny")
+
+let test_gate_counter_drift () =
+  let baseline = bench_json ~ctr:[ ("born", 0.0); ("nudged", 1000.0) ] () in
+  let current = bench_json ~ctr:[ ("born", 3.0); ("nudged", 1001.0) ] () in
+  Alcotest.(check (list severity)) "0 -> 3 fails" [ BR.Fail ]
+    (judge ~baseline ~current "born");
+  Alcotest.(check (list severity)) "1000 -> 1001 fails" [ BR.Fail ]
+    (judge ~baseline ~current "nudged");
+  Alcotest.(check (list severity)) "warn-only demotes drift" [ BR.Warn ]
+    (judge ~warn_only:true ~baseline ~current "nudged");
+  Alcotest.(check (list severity)) "equal counters pass" []
+    (judge ~baseline ~current:baseline "nudged")
+
+let test_gate_identity () =
+  List.iter
+    (fun (block, field) ->
+      let record ok = J.Obj [ (block, J.Obj [ (field, J.Bool ok) ]) ] in
+      let subject = block ^ "." ^ field in
+      Alcotest.(check (list severity)) (subject ^ " true passes") [ BR.Info ]
+        (judge ~baseline:(record true) ~current:(record true) subject);
+      Alcotest.(check (list severity)) (subject ^ " false fails warn-only")
+        [ BR.Fail ]
+        (judge ~warn_only:true ~baseline:(record true)
+           ~current:(record false) subject))
+    [
+      ("stream_ablation", "bit_identical");
+      ("flows1m", "bit_identical");
+      ("sweep_service", "store_identical");
+    ]
+
+let test_gate_stream_off () =
+  let record off_ms =
+    J.Obj
+      [
+        ("telemetry_summary", J.Obj [ ("disabled_ms", J.Num 5.0) ]);
+        ("stream_ablation", J.Obj [ ("scenario_off_ms", J.Num off_ms) ]);
+      ]
+  in
+  let subject = "stream_ablation.scenario_off_ms" in
+  let baseline = record 5.0 in
+  Alcotest.(check (list severity)) "within 20% passes" [ BR.Info ]
+    (judge ~baseline ~current:(record 5.5) subject);
+  Alcotest.(check (list severity)) "1.3x fails" [ BR.Fail ]
+    (judge ~baseline ~current:(record 6.5) subject);
+  Alcotest.(check (list severity)) "warn-only demotes it" [ BR.Warn ]
+    (judge ~warn_only:true ~baseline ~current:(record 6.5) subject)
+
+let test_gate_missing_blocks () =
+  let baseline =
+    J.Obj
+      [
+        ("chaos_soak", J.Obj []);
+        ("flows1m", J.Obj [ ("bit_identical", J.Bool true) ]);
+      ]
+  in
+  let current = J.Obj [] in
+  Alcotest.(check (list severity)) "block gone from current is reported"
+    [ BR.Info ] (judge ~baseline ~current "chaos_soak");
+  Alcotest.(check (list severity)) "its gate is skipped" []
+    (judge ~baseline ~current "flows1m.bit_identical");
+  Alcotest.(check int) "blocks missing from both: no finding" 0
+    (List.length (BR.gate ~warn_only:false ~baseline:current ~current))
+
 (* ------------------------------ trend ----------------------------- *)
 
 let synthetic_record i ns_kvs ctr_kvs =
   {
     BR.file = Printf.sprintf "BENCH_2026-08-0%dT000000Z.json" (i + 1);
-    ts = Some (Printf.sprintf "2026-08-0%dT000000Z" (i + 1));
-    json =
-      J.Obj
-        [
-          ( "microbench_ns_per_run",
-            J.Obj (List.map (fun (k, v) -> (k, J.Num v)) ns_kvs) );
-          ( "telemetry_summary",
-            J.Obj
-              [
-                ( "counters",
-                  J.Obj (List.map (fun (k, v) -> (k, J.Num v)) ctr_kvs) );
-              ] );
-        ];
+    json = bench_json ~ns:ns_kvs ~ctr:ctr_kvs ();
   }
 
 let test_trend_flags () =
@@ -153,57 +233,49 @@ let test_trend_flags () =
         [ ("stable", 100.0); ("drift", 120.0) ];
     ]
   in
-  let series = Trend.analyze records in
+  let series = BR.analyze records in
   let find key =
-    match List.find_opt (fun s -> s.Trend.key = key) series with
+    match List.find_opt (fun s -> s.BR.key = key) series with
     | Some s -> s
     | None -> Alcotest.failf "series %s missing" key
   in
   let slow = find "slow" in
-  Alcotest.(check int) "n records" 3 slow.Trend.n;
-  Alcotest.(check bool) "slow regressed" true slow.Trend.regressed;
-  Alcotest.(check bool) "positive slope" true (slow.Trend.slope > 0.0);
-  Alcotest.(check (float 1e-6)) "first" 2e6 slow.Trend.first;
-  Alcotest.(check (float 1e-6)) "last" 3e6 slow.Trend.last;
-  Alcotest.(check (float 1e-6)) "best" 2e6 slow.Trend.best;
+  Alcotest.(check int) "n records" 3 slow.BR.n;
+  Alcotest.(check bool) "slow regressed" true slow.BR.regressed;
+  Alcotest.(check bool) "positive slope" true (slow.BR.slope > 0.0);
+  Alcotest.(check (float 1e-6)) "first" 2e6 slow.BR.first;
+  Alcotest.(check (float 1e-6)) "last" 3e6 slow.BR.last;
+  Alcotest.(check (float 1e-6)) "best" 2e6 slow.BR.best;
   let fast = find "fast" in
-  Alcotest.(check bool) "fast improved" true fast.Trend.improved;
-  Alcotest.(check bool) "fast not regressed" false fast.Trend.regressed;
+  Alcotest.(check bool) "fast improved" true fast.BR.improved;
+  Alcotest.(check bool) "fast not regressed" false fast.BR.regressed;
   (* A 10x swing below the 1 ms noise floor stays unflagged. *)
   Alcotest.(check bool) "sub-ms never regresses" false
-    (find "tiny").Trend.regressed;
+    (find "tiny").BR.regressed;
   Alcotest.(check bool) "stable counter unchanged" false
-    (find "stable").Trend.changed;
+    (find "stable").BR.changed;
   let drift = find "drift" in
-  Alcotest.(check bool) "drifting counter flagged" true drift.Trend.changed;
-  Alcotest.(check bool) "counter group" true (drift.Trend.group = Trend.Counter);
-  (* Renderings: the table carries the flag, the JSON parses. *)
+  Alcotest.(check bool) "drifting counter flagged" true drift.BR.changed;
+  Alcotest.(check bool) "counter group" true (drift.BR.group = BR.Counter);
+  (* The table carries the flag. *)
   let files = List.map (fun r -> r.BR.file) records in
-  let table = Trend.render ~files series in
+  let table = BR.render ~files series in
   let contains ~sub s =
     let n = String.length sub and m = String.length s in
     let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
     n = 0 || go 0
   in
   Alcotest.(check bool) "table flags regression" true
-    (contains ~sub:"REGRESSED" table);
-  match J.parse (Trend.to_json ~files ~warnings:[] series) with
-  | Ok j -> (
-      match J.member "series" j with
-      | Some (J.List l) ->
-          Alcotest.(check int) "all series exported" (List.length series)
-            (List.length l)
-      | _ -> Alcotest.fail "to_json missing series array")
-  | Error e -> Alcotest.failf "to_json not valid JSON: %s" e
+    (contains ~sub:"REGRESSED" table)
 
 let test_trend_single_record () =
   (* One record: nothing to compare, nothing flagged. *)
-  let series = Trend.analyze [ synthetic_record 0 [ ("a", 5e6) ] [] ] in
+  let series = BR.analyze [ synthetic_record 0 [ ("a", 5e6) ] [] ] in
   match series with
   | [ s ] ->
-      Alcotest.(check int) "n" 1 s.Trend.n;
-      Alcotest.(check bool) "not regressed" false s.Trend.regressed;
-      Alcotest.(check bool) "not improved" false s.Trend.improved
+      Alcotest.(check int) "n" 1 s.BR.n;
+      Alcotest.(check bool) "not regressed" false s.BR.regressed;
+      Alcotest.(check bool) "not improved" false s.BR.improved
   | l -> Alcotest.failf "expected 1 series, got %d" (List.length l)
 
 let () =
@@ -222,6 +294,14 @@ let () =
           Alcotest.test_case "timestamp ordering" `Quick test_list_ordered;
           Alcotest.test_case "load_all drops bad" `Quick
             test_load_all_drops_bad_records;
+        ] );
+      ( "gate",
+        [
+          Alcotest.test_case "timings" `Quick test_gate_timings;
+          Alcotest.test_case "counter drift" `Quick test_gate_counter_drift;
+          Alcotest.test_case "identity gates" `Quick test_gate_identity;
+          Alcotest.test_case "stream-off timing" `Quick test_gate_stream_off;
+          Alcotest.test_case "missing blocks" `Quick test_gate_missing_blocks;
         ] );
       ( "trend",
         [

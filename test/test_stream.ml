@@ -560,7 +560,7 @@ let test_status_tasks_and_merge () =
       [
         "{\"type\":\"task\",\"id\":\"aaa\",\"phase\":\"leased\",\"t_wall\":1.0}";
         "{\"type\":\"task\",\"id\":\"aaa\",\"phase\":\"done\",\"t_wall\":3.5}";
-        "{\"type\":\"progress\",\"t_wall\":3.5,\"counters\":{\"queue.claims\":1}}";
+        "{\"type\":\"progress\",\"t_wall\":3.5,\"counters\":{\"task_queue.claims\":1}}";
         "{\"type\":\"stream_end\"}";
       ]
   in
@@ -569,7 +569,7 @@ let test_status_tasks_and_merge () =
       [
         "{\"type\":\"task\",\"id\":\"bbb\",\"phase\":\"leased\",\"t_wall\":1.2}";
         "{\"type\":\"task\",\"id\":\"bbb\",\"phase\":\"failed\",\"t_wall\":2.0}";
-        "{\"type\":\"progress\",\"t_wall\":4.0,\"counters\":{\"queue.claims\":2,\"queue.failed\":1}}";
+        "{\"type\":\"progress\",\"t_wall\":4.0,\"counters\":{\"task_queue.claims\":2,\"task_queue.failed\":1}}";
       ]
   in
   (match v1.S.tasks with
@@ -582,9 +582,9 @@ let test_status_tasks_and_merge () =
   let m = S.merge [ v1; v2 ] in
   Alcotest.(check int) "rows concatenate" 2 (List.length m.S.tasks);
   Alcotest.(check (option int)) "counters sum by key" (Some 3)
-    (List.assoc_opt "queue.claims" m.S.counters);
+    (List.assoc_opt "task_queue.claims" m.S.counters);
   Alcotest.(check (option int)) "singleton counters survive" (Some 1)
-    (List.assoc_opt "queue.failed" m.S.counters);
+    (List.assoc_opt "task_queue.failed" m.S.counters);
   Alcotest.(check bool) "fleet unfinished while any member is" false
     m.S.finished;
   Alcotest.(check bool) "t_progress takes the max" true

@@ -400,9 +400,10 @@ let fleet_names =
     "cache.stores"; "cache.tmp_reclaimed"; "chaos.clock_skews"; "chaos.eio";
     "chaos.enospc"; "chaos.fsync_lost"; "chaos.torn_writes"; "pool.chunks";
     "pool.jobs"; "pool.task_failures"; "pool.task_retries"; "pool.tasks";
-    "pool.tasks_submitted"; "queue.claim_conflicts"; "queue.claims";
-    "queue.completed"; "queue.failed"; "queue.leases_reclaimed";
-    "queue.poisoned"; "scrub.checked"; "scrub.ok"; "scrub.quarantined";
+    "pool.tasks_submitted"; "scrub.checked"; "scrub.ok"; "scrub.quarantined";
+    "task_queue.claim_conflicts"; "task_queue.claims";
+    "task_queue.completed"; "task_queue.failed";
+    "task_queue.leases_reclaimed"; "task_queue.poisoned";
     "worker.publish_failed"; "worker.publish_retries"; "worker.tasks_cached";
     "worker.tasks_failed"; "worker.tasks_ran";
   ]
@@ -490,11 +491,11 @@ let test_fleet_task_queue () =
   Task_queue.fail q ~worker:"w2" ~digest:"d2" ~message:"fleet pin";
   Task_queue.poison q ~digest:"d3" ~message:"fleet pin";
   Alcotest.check outcome "gone" Task_queue.Gone (claim "w1" 60.0 "d1");
-  check_counters "queue" ~prefixes:[ "queue." ]
+  check_counters "queue" ~prefixes:[ "task_queue." ]
     [
-      ("queue.claim_conflicts", 1); ("queue.claims", 3);
-      ("queue.completed", 1); ("queue.failed", 1);
-      ("queue.leases_reclaimed", 1); ("queue.poisoned", 1);
+      ("task_queue.claim_conflicts", 1); ("task_queue.claims", 3);
+      ("task_queue.completed", 1); ("task_queue.failed", 1);
+      ("task_queue.leases_reclaimed", 1); ("task_queue.poisoned", 1);
     ]
     ()
 
@@ -634,10 +635,10 @@ let test_fleet_worker () =
       ("chaos.enospc", 0); ("chaos.fsync_lost", 0); ("chaos.torn_writes", 0);
       ("pool.chunks", 1); ("pool.jobs", 1); ("pool.task_failures", 0);
       ("pool.task_retries", 0); ("pool.tasks", 1); ("pool.tasks_submitted", 1);
-      ("queue.claim_conflicts", 0); ("queue.claims", 3);
-      ("queue.completed", 2); ("queue.failed", 1);
-      ("queue.leases_reclaimed", 0); ("queue.poisoned", 0);
       ("scrub.checked", 0); ("scrub.ok", 0); ("scrub.quarantined", 0);
+      ("task_queue.claim_conflicts", 0); ("task_queue.claims", 3);
+      ("task_queue.completed", 2); ("task_queue.failed", 1);
+      ("task_queue.leases_reclaimed", 0); ("task_queue.poisoned", 0);
       ("worker.publish_failed", 0); ("worker.publish_retries", 0);
       ("worker.tasks_cached", 1); ("worker.tasks_failed", 1);
       ("worker.tasks_ran", 1);
