@@ -463,6 +463,38 @@ let test_chain_validation () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* Bit-exact pin of the two-hop topology on the two quick A9 rows and
+   a link-flap run: drops and utilisation on each link and each class's
+   pooled loss-event rate, floats as "%h". *)
+let test_chain_pinned () =
+  let module C = Ebrc.Chain_scenario in
+  let base = { C.default_config with duration = 60.0; warmup = 15.0 } in
+  let flaps =
+    Some { Ebrc.Fault.first_down = 10.0; down_mean = 0.5; up_mean = 6.0;
+           flap_jitter = 0.3; park = false }
+  in
+  List.iter
+    (fun (name, cfg, expected) ->
+      let r = C.run cfg in
+      Alcotest.(check string) name expected
+        (Printf.sprintf "%d %d %h %h %h %h" r.C.drops_link1 r.C.drops_link2
+           r.C.utilization1 r.C.utilization2 r.C.tfrc.loss_event_rate
+           r.C.tcp.loss_event_rate))
+    [
+      ( "single bottleneck (fast L2)",
+        { base with link2_bps = 100e6; cross_rate_fraction = 0.0 },
+        "100 0 0x1.f5a4448ed502ap-1 0x1.915036d8aa688p-4 \
+         0x1.8212d9eba4018p-11 0x1.d466269e35912p-10" );
+      ( "dual bottleneck + cross",
+        base,
+        "0 315 0x1.5abfc8a892ba5p-1 0x1.f1800a7c5ac47p-1 \
+         0x1.4aa4c94c079fap-9 0x1.370ddd20bee8dp-9" );
+      ( "link flaps",
+        { base with faults = Some { Ebrc.Fault.none with Ebrc.Fault.flaps } },
+        "0 162 0x1.2764f89040844p-1 0x1.bfbf567aef42dp-1 \
+         0x1.882df562c192bp-9 0x1.b4f56c6aadebp-9" );
+    ]
+
 let () =
   Alcotest.run "extensions"
     [
@@ -518,5 +550,6 @@ let () =
           Alcotest.test_case "degenerates to dumbbell" `Quick test_chain_single_bottleneck_degenerates;
           Alcotest.test_case "cross traffic moves losses" `Quick test_chain_cross_traffic_moves_losses;
           Alcotest.test_case "validation" `Quick test_chain_validation;
+          Alcotest.test_case "pinned bit-exact" `Quick test_chain_pinned;
         ] );
     ]
