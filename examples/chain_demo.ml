@@ -1,36 +1,36 @@
 (* The two-router chain: reproduce the paper's lab topology (second
    router as pure delay) and then load the second link with cross
    traffic, showing the end-to-end loss process become a superposition
-   of two congestion points.
+   of two congestion points. The chain is a scenario with a second hop.
 
    Run with: dune exec examples/chain_demo.exe *)
 
-module C = Ebrc.Chain_scenario
+module S = Ebrc.Scenario
 
 let show name cfg =
-  let r = C.run cfg in
+  let r = S.run cfg in
+  let hop = Option.get r.S.hop_stats in
   Printf.printf "%s\n" name;
   Printf.printf "  drops: link1 %d, link2 %d    utilization: %.2f / %.2f\n"
-    r.C.drops_link1 r.C.drops_link2 r.C.utilization1 r.C.utilization2;
-  Printf.printf
-    "  TFRC: x = %6.1f pkt/s  p = %.5f  rtt = %.1f ms\n"
-    r.C.tfrc.throughput_pps r.C.tfrc.loss_event_rate
-    (1000.0 *. r.C.tfrc.mean_rtt);
-  Printf.printf
-    "  TCP : x = %6.1f pkt/s  p = %.5f  rtt = %.1f ms\n\n"
-    r.C.tcp.throughput_pps r.C.tcp.loss_event_rate
-    (1000.0 *. r.C.tcp.mean_rtt)
+    r.S.queue_drops hop.S.hop_drops r.S.link_utilization hop.S.hop_utilization;
+  let line label ms =
+    Printf.printf "  %s: x = %6.1f pkt/s  p = %.5f  rtt = %.1f ms\n" label
+      (S.mean_throughput ms) (S.pooled_loss_rate ms)
+      (1000.0 *. S.mean_rtt ms)
+  in
+  line "TFRC" r.S.tfrc;
+  line "TCP " r.S.tcp;
+  print_newline ()
 
 let () =
-  let base =
-    { C.default_config with duration = 120.0; warmup = 30.0; seed = 4 }
-  in
+  let base = { S.chain_config with seed = 4 } in
+  let hop f = { base with second_hop = Option.map f base.second_hop } in
   Printf.printf
     "Two-router chain: 2 TFRC + 2 TCP through link1 (10 Mb/s) then link2.\n\n";
   show "1. Paper's lab shape: link2 fast (100 Mb/s), no cross traffic"
-    { base with link2_bps = 100e6; cross_rate_fraction = 0.0 };
+    (hop (fun h -> { h with S.hop_bps = 100e6; cross_fraction = 0.0 }));
   show "2. Equal links, no cross traffic (losses still at link1)"
-    { base with cross_rate_fraction = 0.0 };
+    (hop (fun h -> { h with S.cross_fraction = 0.0 }));
   show "3. Equal links + 30% Poisson cross traffic joining at router 2"
     base;
   print_endline

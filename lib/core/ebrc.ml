@@ -89,7 +89,6 @@ module Scenario = Ebrc_exp.Scenario
 module Result_cache = Ebrc_exp.Result_cache
 module Codec = Ebrc_exp.Codec
 module Audio_scenario = Ebrc_exp.Audio_scenario
-module Chain_scenario = Ebrc_exp.Chain_scenario
 module Paths = Ebrc_exp.Paths
 module Work = Ebrc_exp.Work
 module Figures = Ebrc_exp.Figures

@@ -94,8 +94,19 @@ let background_json (bg : Scenario.background) : Json.t =
       ("bg_resolution", float bg.bg_resolution);
     ]
 
-let to_json (c : Scenario.config) : Json.t =
+let hop_json (h : Scenario.hop) : Json.t =
   Obj
+    [
+      ("hop_bps", float h.Scenario.hop_bps);
+      ("hop_delay", float h.hop_delay);
+      ("hop_capacity", Int h.hop_capacity);
+      ("cross_fraction", float h.cross_fraction);
+    ]
+
+(* [second_hop] is omitted when [None], so every config without a hop
+   keeps the bytes (and so the cache key) it had before the field. *)
+let to_json (c : Scenario.config) : Json.t =
+  let fields : (string * Json.t) list =
     [
       ("seed", Int c.Scenario.seed);
       ("bottleneck_bps", float c.bottleneck_bps);
@@ -115,6 +126,11 @@ let to_json (c : Scenario.config) : Json.t =
       ("faults", opt faults_json c.faults);
       ("background", opt background_json c.background);
     ]
+  in
+  Obj
+    (match c.second_hop with
+    | None -> fields
+    | Some h -> fields @ [ ("second_hop", hop_json h) ])
 
 let encode c = Json.print (to_json c)
 
@@ -252,6 +268,14 @@ let background_of j : Scenario.background =
     bg_resolution = float_field "bg_resolution" j;
   }
 
+let hop_of j : Scenario.hop =
+  {
+    Scenario.hop_bps = float_field "hop_bps" j;
+    hop_delay = float_field "hop_delay" j;
+    hop_capacity = int "hop_capacity" j;
+    cross_fraction = float_field "cross_fraction" j;
+  }
+
 let config_of j : Scenario.config =
   {
     Scenario.seed = int "seed" j;
@@ -271,6 +295,7 @@ let config_of j : Scenario.config =
     warmup = float_field "warmup" j;
     faults = opt_field "faults" faults_of j;
     background = opt_field "background" background_of j;
+    second_hop = opt_field "second_hop" hop_of j;
   }
 
 let decoding dec j = try Ok (dec j) with Bad m -> Error m

@@ -1099,24 +1099,29 @@ let ablation_exact_vs_mc ~quick =
 let ablation_chain ~quick =
   let duration = if quick then 60.0 else 300.0 in
   let base =
-    { Chain_scenario.default_config with duration; warmup = duration /. 4.0 }
+    { Scenario.chain_config with duration; warmup = duration /. 4.0 }
+  in
+  let fast_hop =
+    Option.map
+      (fun h -> { h with Scenario.hop_bps = 100e6; cross_fraction = 0.0 })
+      base.second_hop
   in
   let+ rows =
-    tasks
+    each
       (fun (name, cfg) ->
-        let r = Chain_scenario.run cfg in
+        let+ r = Work.scenario cfg in
+        let hop = Option.get r.Scenario.hop_stats in
         [
           name;
-          string_of_int r.Chain_scenario.drops_link1;
-          string_of_int r.drops_link2;
-          cell ~decimals:1 r.tfrc.throughput_pps;
-          cell ~decimals:1 r.tcp.throughput_pps;
-          cell ~decimals:5 r.tfrc.loss_event_rate;
-          cell ~decimals:5 r.tcp.loss_event_rate;
+          string_of_int r.queue_drops;
+          string_of_int hop.hop_drops;
+          cell ~decimals:1 (Scenario.mean_throughput r.tfrc);
+          cell ~decimals:1 (Scenario.mean_throughput r.tcp);
+          cell ~decimals:5 (Scenario.pooled_loss_rate r.tfrc);
+          cell ~decimals:5 (Scenario.pooled_loss_rate r.tcp);
         ])
       [
-        ( "single bottleneck (fast L2)",
-          { base with link2_bps = 100e6; cross_rate_fraction = 0.0 } );
+        ("single bottleneck (fast L2)", { base with second_hop = fast_hop });
         ("dual bottleneck + cross", base);
       ]
   in

@@ -149,8 +149,10 @@ let measures_json arr = Json.List (Array.to_list (Array.map measure_json arr))
 
 let opt enc = function None -> Json.Null | Some v -> enc v
 
+(* [hop_stats] is omitted when [None], so a result without a hop keeps
+   its bytes. *)
 let result_json (r : Scenario.result) : Json.t =
-  Obj
+  let fields : (string * Json.t) list =
     [
       ("tfrc", measures_json r.Scenario.tfrc);
       ("tcp", measures_json r.tcp);
@@ -190,6 +192,20 @@ let result_json (r : Scenario.result) : Json.t =
               ])
           r.fluid_stats );
     ]
+  in
+  Obj
+    (match r.hop_stats with
+    | None -> fields
+    | Some h ->
+        fields
+        @ [
+            ( "hop_stats",
+              Obj
+                [
+                  ("hop_drops", Int h.Scenario.hop_drops);
+                  ("hop_utilization", Codec.float h.hop_utilization);
+                ] );
+          ])
 
 let serialize_result r = Json.print (result_json r)
 
@@ -265,6 +281,14 @@ let result_of j : Scenario.result =
             a_fg = Codec.float_field "a_fg" fs;
             mean_util = Codec.float_field "mean_util" fs;
             mean_drop = Codec.float_field "mean_drop" fs;
+          })
+        j;
+    hop_stats =
+      Codec.opt_field "hop_stats"
+        (fun h ->
+          {
+            Scenario.hop_drops = Codec.int "hop_drops" h;
+            hop_utilization = Codec.float_field "hop_utilization" h;
           })
         j;
   }

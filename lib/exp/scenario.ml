@@ -10,7 +10,19 @@
    Per-flow reverse-delay jitter (a few percent, fixed per flow) breaks
    the phase effects DropTail is prone to, mirroring the heterogeneous
    access links of the testbed. Measurements are taken between
-   [warmup] and [duration] via counter snapshots. *)
+   [warmup] and [duration] via counter snapshots.
+
+   An optional second hop generalises this to the paper's two-router
+   lab topology: a DropTail link after the bottleneck, with Poisson
+   cross-traffic joining at router 2 and leaving after the hop.
+
+     senders --> [ q1 | link ] --> [ q2 | hop ] --> receivers
+                                      ^
+                        cross-traffic (router 2)
+
+   With the hop fast and no cross traffic the second router purely
+   adds delay (the paper's setup); with comparable rates plus cross
+   traffic, end-to-end loss events superpose two congestion points. *)
 
 module Engine = Ebrc_sim.Engine
 module Prng = Ebrc_rng.Prng
@@ -44,6 +56,14 @@ type background = {
 let default_background ~flows =
   { bg_flows = flows; bg_share_cap = 0.9; bg_resolution = 1e-3 }
 
+type hop = {
+  hop_bps : float;
+  hop_delay : float;      (* propagation of the hop, seconds *)
+  hop_capacity : int;     (* DropTail capacity, packets *)
+  cross_fraction : float; (* Poisson cross load as a fraction of
+                             hop_bps, in [0, 1) *)
+}
+
 type config = {
   seed : int;
   bottleneck_bps : float;
@@ -67,6 +87,8 @@ type config = {
                                      the bottleneck; like [faults], a run
                                      with [None] is bit-identical to a
                                      packet-only run *)
+  second_hop : hop option;        (* a second DropTail link after the
+                                     bottleneck, with cross traffic *)
 }
 
 let default_config =
@@ -88,6 +110,7 @@ let default_config =
     warmup = 50.0;
     faults = None;
     background = None;
+    second_hop = None;
   }
 
 type flow_measure = {
@@ -99,6 +122,8 @@ type flow_measure = {
   estimate_pairs : (float * float) array;  (* TFRC only: (thetahat, theta) *)
 }
 
+type hop_stats = { hop_drops : int; hop_utilization : float }
+
 type result = {
   tfrc : flow_measure array;
   tcp : flow_measure array;
@@ -109,10 +134,17 @@ type result = {
   tfrc_halvings : int;           (* nofeedback-timer halvings, all senders *)
   fault_stats : Fault.stats option;  (* None when no injector was active *)
   fluid_stats : Fluid.stats option;  (* None when no fluid was attached *)
+  hop_stats : hop_stats option;      (* None without a second hop *)
 }
 
+(* One-way propagation delay of the forward path. *)
+let path_delay cfg =
+  match cfg.second_hop with
+  | None -> cfg.one_way_delay
+  | Some h -> cfg.one_way_delay +. h.hop_delay
+
 (* Mean base RTT, before queueing. *)
-let base_rtt cfg = 2.0 *. cfg.one_way_delay
+let base_rtt cfg = 2.0 *. path_delay cfg
 
 let bdp_packets cfg =
   cfg.bottleneck_bps *. base_rtt cfg /. (8.0 *. float_of_int cfg.packet_size)
@@ -191,15 +223,25 @@ let stream_key cfg =
     | Red_auto { capacity } -> Printf.sprintf "reda%d" capacity
     | Red_manual { capacity; _ } -> Printf.sprintf "redm%d" capacity
   in
-  Printf.sprintf "s%d:n%d+%d%s:d%g:w%g:%s%s%s" cfg.seed cfg.n_tfrc cfg.n_tcp
+  Printf.sprintf "s%d:n%d+%d%s:d%g:w%g:%s%s%s%s" cfg.seed cfg.n_tfrc
+    cfg.n_tcp
     (if cfg.with_probe then "+p" else "")
     cfg.duration cfg.warmup queue_tag
     (if cfg.faults <> None then ":f" else "")
     (if cfg.background <> None then ":bg" else "")
+    (match cfg.second_hop with
+    | None -> ""
+    | Some h ->
+        Printf.sprintf ":h%g/%g/%d/%g" h.hop_bps h.hop_delay h.hop_capacity
+          h.cross_fraction)
 
 let run cfg =
   if cfg.duration <= cfg.warmup then
     invalid_arg "Scenario.run: duration must exceed warmup";
+  (match cfg.second_hop with
+  | Some h when not (h.cross_fraction >= 0.0 && h.cross_fraction < 1.0) ->
+      invalid_arg "Scenario.run: cross_fraction must be in [0, 1)"
+  | _ -> ());
   let engine = Engine.create () in
   (* Live-stream sampling, attached once every component has
      registered its probes (below): the engine fires the sampler at
@@ -228,6 +270,27 @@ let run cfg =
     Link.create ~engine ~rate_bps:cfg.bottleneck_bps ~delay:cfg.one_way_delay
       ~queue ~rng:(Prng.split master)
   in
+  (* The second hop takes the next master split, and the bottleneck
+     forwards into it. *)
+  let hop =
+    Option.map
+      (fun h ->
+        let service_rate =
+          h.hop_bps /. (8.0 *. float_of_int cfg.packet_size)
+        in
+        let queue =
+          Queue_discipline.create ~service_rate ~capacity:h.hop_capacity
+            Queue_discipline.Drop_tail
+        in
+        let l =
+          Link.create ~engine ~rate_bps:h.hop_bps ~delay:h.hop_delay ~queue
+            ~rng:(Prng.split master)
+        in
+        Link.set_deliver link (fun pkt -> Link.send l pkt);
+        (h, l))
+      cfg.second_hop
+  in
+  let last_link = match hop with Some (_, l) -> l | None -> link in
   let rtt0 = base_rtt cfg in
   let formula =
     Formula.create ~rtt:rtt0 cfg.tfrc_formula_kind
@@ -257,9 +320,10 @@ let run cfg =
      round-trip times. *)
   if cfg.reverse_jitter < 0.0 || cfg.reverse_jitter >= 1.0 then
     invalid_arg "Scenario.run: reverse_jitter must be in [0, 1)";
+  let owd = path_delay cfg in
   let reverse_delay () =
     let j = cfg.reverse_jitter in
-    cfg.one_way_delay *. (1.0 -. j +. (2.0 *. j *. Prng.float_unit master))
+    owd *. (1.0 -. j +. (2.0 *. j *. Prng.float_unit master))
   in
   (* Fault injector. Its PRNG is a pure function of the scenario seed
      (Prng.stream, not a split of [master]), so configuring faults
@@ -344,17 +408,35 @@ let run cfg =
       Some (src, sink)
     end
   in
-  (* --- forward demux --- *)
-  Link.set_deliver link (fun pkt ->
+  (* --- optional Poisson cross traffic: id n_tfrc + n_tcp + 1; it
+     joins at router 2 and leaves after the hop --- *)
+  let cross =
+    match hop with
+    | Some (h, l) when h.cross_fraction > 0.0 ->
+        let rate =
+          h.cross_fraction *. h.hop_bps /. (8.0 *. float_of_int cfg.packet_size)
+        in
+        let src =
+          Probe_source.create ~packet_size:cfg.packet_size ~engine
+            ~flow:(probe_flow + 1) ~rate
+            ~pacing:(Probe_source.Poisson (Prng.split master))
+            ()
+        in
+        Probe_source.set_transmit src (fun pkt -> Link.send l pkt);
+        Some src
+    | _ -> None
+  in
+  (* --- forward demux; cross traffic sinks silently --- *)
+  Link.set_deliver last_link (fun pkt ->
       let now = engine.Engine.now in
       let f = pkt.Packet.flow in
       if f < cfg.n_tfrc then Tfrc_receiver.on_data tfrc_flows.(f).tr pkt
-      else if f < cfg.n_tfrc + cfg.n_tcp then
+      else if f < probe_flow then
         Tcp_receiver.on_data tcp_flows.(f - cfg.n_tfrc).cr pkt
       else
         match probe with
-        | Some (_, sink) -> Gap_sink.on_packet sink ~now pkt
-        | None -> ());
+        | Some (_, sink) when f = probe_flow -> Gap_sink.on_packet sink ~now pkt
+        | _ -> ());
   (* --- start: staggered over the first second to avoid lockstep --- *)
   Array.iter
     (fun fl ->
@@ -369,6 +451,10 @@ let run cfg =
   (match probe with
   | Some (src, _) ->
       Engine.schedule_unit engine ~at:0.5 (fun () -> Probe_source.start src)
+  | None -> ());
+  (match cross with
+  | Some src ->
+      Engine.schedule_unit engine ~at:0.2 (fun () -> Probe_source.start src)
   | None -> ());
   if Stream.sim_active () then begin
     let r = Stream.run_start ~key:(stream_key cfg) engine.Engine.probes in
@@ -405,6 +491,9 @@ let run cfg =
   | None -> ());
   let drops_at_warmup = Queue_discipline.drops queue in
   let delivered_at_warmup = Link.bytes_delivered link in
+  let hop_drops_at_warmup =
+    Queue_discipline.drops (Link.queue last_link)
+  and hop_delivered_at_warmup = Link.bytes_delivered last_link in
   guarded_run ~until:cfg.duration;
   stream_end ~ok:true;
   let window = cfg.duration -. cfg.warmup in
@@ -478,6 +567,18 @@ let run cfg =
         0 tfrc_flows;
     fault_stats = Option.map Fault.stats fault;
     fluid_stats = Option.map Fluid.stats fluid;
+    hop_stats =
+      Option.map
+        (fun (h, l) ->
+          {
+            hop_drops =
+              Queue_discipline.drops (Link.queue l) - hop_drops_at_warmup;
+            hop_utilization =
+              8.0
+              *. float_of_int (Link.bytes_delivered l - hop_delivered_at_warmup)
+              /. (h.hop_bps *. window);
+          })
+        hop;
   }
 
 (* Aggregate helpers used by the figure runners. *)
@@ -605,3 +706,23 @@ let robust_preset name =
   List.find_map
     (fun (n, _, cfg) -> if String.equal n name then Some cfg else None)
     robust_presets
+
+(* The two-router chain of ablation A9: equal 10 Mb/s DropTail-60 links
+   with 30% Poisson cross traffic on the second. A fast hop with no
+   cross traffic degenerates to the dumbbell. *)
+let chain_config =
+  {
+    default_config with
+    bottleneck_bps = 10e6;
+    one_way_delay = 0.01;
+    queue = Drop_tail { capacity = 60 };
+    n_tfrc = 2;
+    n_tcp = 2;
+    with_probe = false;
+    duration = 120.0;
+    warmup = 30.0;
+    second_hop =
+      Some
+        { hop_bps = 10e6; hop_delay = 0.02; hop_capacity = 60;
+          cross_fraction = 0.3 };
+  }

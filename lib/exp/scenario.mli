@@ -1,7 +1,8 @@
 (** The dumbbell scenario standing in for the paper's ns-2 and lab
     setups: TFRC, TCP and optional Poisson-probe flows sharing one
     bottleneck; fixed-delay reverse path; counter-snapshot measurement
-    over [warmup, duration]. *)
+    over [warmup, duration]. An optional second hop turns it into the
+    paper's two-router lab topology. *)
 
 type queue_config =
   | Drop_tail of { capacity : int }
@@ -25,6 +26,18 @@ type background = {
 
 val default_background : flows:int -> background
 (** share_cap 0.9, resolution 1 ms. *)
+
+type hop = {
+  hop_bps : float;
+  hop_delay : float;  (** Propagation of the hop, seconds. *)
+  hop_capacity : int;  (** DropTail queue capacity, packets. *)
+  cross_fraction : float;
+      (** Poisson cross-traffic load as a fraction of [hop_bps], in
+          [\[0, 1)]; 0 means no cross traffic. *)
+}
+(** A second DropTail link after the bottleneck (router 2). Every
+    foreground flow crosses both links; cross traffic joins at router
+    2 and leaves after the hop. *)
 
 type config = {
   seed : int;
@@ -57,6 +70,15 @@ type config = {
           packet/fluid engine). Like [faults], a run with [None] is
           bit-identical to a packet-only run: nothing is attached to
           the link or the engine. *)
+  second_hop : hop option;
+      (** The two-router chain: the bottleneck forwards into this hop,
+          and the receivers sit behind it. The base RTT and the
+          reverse delays use the path delay [one_way_delay +.
+          hop_delay]; faults still hit the bottleneck ingress. The hop
+          takes the master split after the bottleneck's and the cross
+          source the one after the probe's, so [None] leaves every
+          other run bit-identical. [run] raises [Invalid_argument] when
+          [cross_fraction] is outside [\[0, 1)]. *)
 }
 
 val default_config : config
@@ -70,6 +92,11 @@ type flow_measure = {
   mean_rtt : float;
   loss_intervals : float array;
   estimate_pairs : (float * float) array;  (** TFRC only: (θ̂ₙ, θₙ). *)
+}
+
+type hop_stats = {
+  hop_drops : int;  (** Drops at the hop's queue over the window. *)
+  hop_utilization : float;  (** Hop throughput over [hop_bps]. *)
 }
 
 type result = {
@@ -87,6 +114,9 @@ type result = {
   fluid_stats : Ebrc_net.Fluid.stats option;
       (** Fluid background state at the end of the run; [None] when no
           fluid was attached. *)
+  hop_stats : hop_stats option;
+      (** The second hop's measurements; [None] without a hop.
+          [link_utilization] and [queue_drops] stay the bottleneck's. *)
 }
 
 val run : config -> result
@@ -103,6 +133,8 @@ val stream_key : config -> string
     pure function of the config, independent of pool scheduling. *)
 
 val base_rtt : config -> float
+(** Twice the forward path's propagation delay, both hops included. *)
+
 val bdp_packets : config -> float
 
 val queue_capacity : config -> int
@@ -149,3 +181,9 @@ val robust_presets : (string * string * config) list
     ["robust-flaps"], ["robust-chaos"]. *)
 
 val robust_preset : string -> config option
+
+val chain_config : config
+(** The two-router chain of ablation A9: 2 TFRC + 2 TCP through a
+    10 Mb/s DropTail-60 bottleneck (10 ms), then a 10 Mb/s
+    DropTail-60 hop (20 ms) carrying 30% Poisson cross traffic; no
+    probe, seed 42, 120 s runs with a 30 s warmup. *)

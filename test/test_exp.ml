@@ -141,8 +141,8 @@ let test_bdp_and_rtt_helpers () =
   feq (S.bdp_packets quick_cfg) 93.75
 
 (* Golden fixed-seed oracle: the serialized result and the cache key
-   of four configs covering DropTail, RED, the hybrid fluid background
-   and fault injection. Any change to dispatch order, RNG consumption,
+   of five configs covering DropTail, RED, the hybrid fluid background,
+   fault injection and the two-router chain. Any change to dispatch order, RNG consumption,
    the result codec or the key codec moves a digest. The values are
    platform-pinned (x86-64, IEEE doubles); a deliberate simulator or
    codec change must update them in the same commit. The key digest is
@@ -171,6 +171,15 @@ let test_scenario_golden_digests () =
         { S.robust_blackout_config with S.duration = 60.0; warmup = 15.0 },
         "3138539c3562b5d4ac417bacbd9bce5a",
         "82c18448c52168a8fabea5f91e87ee75" );
+      ( "droptail chain + cross",
+        { base with
+          S.queue = S.Drop_tail { capacity = 100 };
+          second_hop =
+            Some
+              { S.hop_bps = 10e6; hop_delay = 0.01; hop_capacity = 60;
+                cross_fraction = 0.3 } },
+        "dc44092ab874ef39b5c9cfd347d02428",
+        "53fcb410dd41e994a4450920ffd06383" );
     ]
   in
   List.iter

@@ -423,66 +423,84 @@ let test_report_markdown_of_table () =
 
 (* ------------------------ chain scenario ------------------------ *)
 
+(* The two-router chain is a scenario with a second hop. *)
+let fast_hop (cfg : Ebrc.Scenario.config) =
+  {
+    cfg with
+    second_hop =
+      Option.map
+        (fun h ->
+          { h with Ebrc.Scenario.hop_bps = 100e6; cross_fraction = 0.0 })
+        cfg.second_hop;
+  }
+
 let test_chain_single_bottleneck_degenerates () =
-  let module C = Ebrc.Chain_scenario in
+  let module S = Ebrc.Scenario in
   let r =
-    C.run
-      {
-        C.default_config with
-        link2_bps = 100e6;
-        cross_rate_fraction = 0.0;
-        duration = 50.0;
-        warmup = 15.0;
-      }
+    S.run (fast_hop { S.chain_config with duration = 50.0; warmup = 15.0 })
   in
-  Alcotest.(check bool) "link1 saturated" true (r.C.utilization1 > 0.8);
-  Alcotest.(check bool) "link2 idle-ish" true (r.C.utilization2 < 0.2);
-  Alcotest.(check int) "no drops at link2" 0 r.C.drops_link2;
-  Alcotest.(check bool) "tfrc works" true (r.C.tfrc.throughput_pps > 10.0);
-  Alcotest.(check bool) "tcp works" true (r.C.tcp.throughput_pps > 10.0)
+  let hop = Option.get r.S.hop_stats in
+  Alcotest.(check bool) "link1 saturated" true (r.S.link_utilization > 0.8);
+  Alcotest.(check bool) "link2 idle-ish" true (hop.S.hop_utilization < 0.2);
+  Alcotest.(check int) "no drops at link2" 0 hop.S.hop_drops;
+  Alcotest.(check bool) "tfrc works" true
+    (S.mean_throughput r.S.tfrc > 10.0);
+  Alcotest.(check bool) "tcp works" true (S.mean_throughput r.S.tcp > 10.0)
 
 let test_chain_cross_traffic_moves_losses () =
-  let module C = Ebrc.Chain_scenario in
-  let r =
-    C.run { C.default_config with duration = 50.0; warmup = 15.0 }
-  in
+  let module S = Ebrc.Scenario in
+  let r = S.run { S.chain_config with duration = 50.0; warmup = 15.0 } in
+  let hop = Option.get r.S.hop_stats in
   Alcotest.(check bool)
-    (Printf.sprintf "most drops at link2 (%d vs %d)" r.C.drops_link2
-       r.C.drops_link1)
+    (Printf.sprintf "most drops at link2 (%d vs %d)" hop.S.hop_drops
+       r.S.queue_drops)
     true
-    (r.C.drops_link2 > r.C.drops_link1);
+    (hop.S.hop_drops > r.S.queue_drops);
   Alcotest.(check bool) "both classes see losses" true
-    (r.C.tfrc.loss_event_rate > 0.0 && r.C.tcp.loss_event_rate > 0.0)
+    (S.pooled_loss_rate r.S.tfrc > 0.0 && S.pooled_loss_rate r.S.tcp > 0.0)
 
 let test_chain_validation () =
-  let module C = Ebrc.Chain_scenario in
-  (match C.run { C.default_config with duration = 1.0; warmup = 2.0 } with
+  let module S = Ebrc.Scenario in
+  (match S.run { S.chain_config with duration = 1.0; warmup = 2.0 } with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ());
-  match C.run { C.default_config with cross_rate_fraction = 1.5 } with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
+  List.iter
+    (fun x ->
+      let cfg =
+        {
+          S.chain_config with
+          second_hop =
+            Option.map
+              (fun h -> { h with S.cross_fraction = x })
+              S.chain_config.second_hop;
+        }
+      in
+      match S.run cfg with
+      | _ -> Alcotest.failf "cross_fraction %g: expected Invalid_argument" x
+      | exception Invalid_argument _ -> ())
+    [ 1.5; 1.0; -0.1; nan ]
 
 (* Bit-exact pin of the two-hop topology on the two quick A9 rows and
    a link-flap run: drops and utilisation on each link and each class's
    pooled loss-event rate, floats as "%h". *)
 let test_chain_pinned () =
-  let module C = Ebrc.Chain_scenario in
-  let base = { C.default_config with duration = 60.0; warmup = 15.0 } in
+  let module S = Ebrc.Scenario in
+  let base = { S.chain_config with duration = 60.0; warmup = 15.0 } in
   let flaps =
     Some { Ebrc.Fault.first_down = 10.0; down_mean = 0.5; up_mean = 6.0;
            flap_jitter = 0.3; park = false }
   in
   List.iter
     (fun (name, cfg, expected) ->
-      let r = C.run cfg in
+      let r = S.run cfg in
+      let hop = Option.get r.S.hop_stats in
       Alcotest.(check string) name expected
-        (Printf.sprintf "%d %d %h %h %h %h" r.C.drops_link1 r.C.drops_link2
-           r.C.utilization1 r.C.utilization2 r.C.tfrc.loss_event_rate
-           r.C.tcp.loss_event_rate))
+        (Printf.sprintf "%d %d %h %h %h %h" r.S.queue_drops hop.S.hop_drops
+           r.S.link_utilization hop.S.hop_utilization
+           (S.pooled_loss_rate r.S.tfrc) (S.pooled_loss_rate r.S.tcp)))
     [
       ( "single bottleneck (fast L2)",
-        { base with link2_bps = 100e6; cross_rate_fraction = 0.0 },
+        fast_hop base,
         "100 0 0x1.f5a4448ed502ap-1 0x1.915036d8aa688p-4 \
          0x1.8212d9eba4018p-11 0x1.d466269e35912p-10" );
       ( "dual bottleneck + cross",

@@ -194,15 +194,15 @@ let test_chain_smoke () =
            flap_jitter = 0.3; park = false }
   in
   let cfg =
-    { Ebrc.Chain_scenario.default_config with
-      Ebrc.Chain_scenario.duration = 60.0;
+    { Scenario.chain_config with
+      Scenario.duration = 60.0;
       warmup = 15.0;
       faults = Some { Fault.none with Fault.flaps } }
   in
-  let a = Ebrc.Chain_scenario.run cfg in
-  let b = Ebrc.Chain_scenario.run cfg in
+  let a = Scenario.run cfg in
+  let b = Scenario.run cfg in
   Alcotest.(check bool) "chain under flaps still delivers" true
-    (a.Ebrc.Chain_scenario.tfrc.Ebrc.Chain_scenario.throughput_pps > 0.0);
+    (Scenario.mean_throughput a.Scenario.tfrc > 0.0);
   Alcotest.(check bool) "chain rerun identical" true (a = b)
 
 let test_audio_smoke () =

@@ -130,9 +130,7 @@ let test_exact_validation () =
       Ebrc.Exact.expect_over_estimator ~l:0 ~x0:1.0 ~a:1.0 Fun.id)
 
 let test_chain_base_rtt () =
-  feq
-    (Ebrc.Chain_scenario.base_rtt Ebrc.Chain_scenario.default_config)
-    0.06
+  feq (Ebrc.Scenario.base_rtt Ebrc.Scenario.chain_config) 0.06
 
 (* ------------------------ small accessors ------------------------ *)
 

@@ -84,6 +84,10 @@ let ornate_config =
             Some ({ Ebrc.Fault.start = 4.0; length = 0.3; period = 0.0 }, 0.5);
         };
     background = Some (Scenario.default_background ~flows:1000);
+    second_hop =
+      Some
+        { Scenario.hop_bps = 2.5e6; hop_delay = 0.015; hop_capacity = 40;
+          cross_fraction = 0.25 };
   }
 
 (* ----------------------------- manifest --------------------------- *)
@@ -182,17 +186,22 @@ let gen_config =
         { Scenario.bg_flows; bg_share_cap; bg_resolution })
       int float float
   in
+  let hop =
+    let+ hop_bps = float and+ hop_delay = float and+ hop_capacity = int
+    and+ cross_fraction = float in
+    { Scenario.hop_bps; hop_delay; hop_capacity; cross_fraction }
+  in
   let+ seed = int and+ bottleneck_bps = float and+ one_way_delay = float
   and+ queue = queue and+ packet_size = int and+ n_tfrc = int
   and+ n_tcp = int and+ with_probe = bool and+ tfrc_l = int
   and+ tfrc_formula_kind = formula and+ tfrc_comprehensive = bool
   and+ tfrc_conform_to_analysis = bool and+ reverse_jitter = float
   and+ duration = float and+ warmup = float and+ faults = opt faults
-  and+ background = opt background in
+  and+ background = opt background and+ second_hop = opt hop in
   { Scenario.seed; bottleneck_bps; one_way_delay; queue; packet_size; n_tfrc;
     n_tcp; with_probe; tfrc_l; tfrc_formula_kind; tfrc_comprehensive;
     tfrc_conform_to_analysis; reverse_jitter; duration; warmup; faults;
-    background }
+    background; second_hop }
 
 let arb_config = QCheck.make ~print:Codec.encode gen_config
 
@@ -239,6 +248,9 @@ let mutations : (Scenario.config -> Scenario.config option) list =
   let win (w : Fault.window) = { w with Fault.start = f w.Fault.start } in
   let bg (c : Scenario.config) g =
     Option.map (fun b -> { c with background = Some (g b) }) c.background
+  in
+  let hop (c : Scenario.config) g =
+    Option.map (fun h -> { c with second_hop = Some (g h) }) c.second_hop
   in
   Scenario.
     [
@@ -386,6 +398,19 @@ let mutations : (Scenario.config -> Scenario.config option) list =
       (fun c -> bg c (fun b -> { b with bg_flows = b.bg_flows + 1 }));
       (fun c -> bg c (fun b -> { b with bg_share_cap = f b.bg_share_cap }));
       (fun c -> bg c (fun b -> { b with bg_resolution = f b.bg_resolution }));
+      (fun c ->
+        Some
+          {
+            c with
+            second_hop =
+              (match c.second_hop with
+              | None -> chain_config.second_hop
+              | Some _ -> None);
+          });
+      (fun c -> hop c (fun h -> { h with hop_bps = f h.hop_bps }));
+      (fun c -> hop c (fun h -> { h with hop_delay = f h.hop_delay }));
+      (fun c -> hop c (fun h -> { h with hop_capacity = h.hop_capacity + 1 }));
+      (fun c -> hop c (fun h -> { h with cross_fraction = f h.cross_fraction }));
     ]
 
 let mutations_move_digest c =
@@ -442,11 +467,43 @@ let test_manifest_rejects_junk () =
              kvs)
     | _ -> Alcotest.fail "config is not an object"
   in
-  match Codec.of_json bad with
+  (match Codec.of_json bad with
   | Error e ->
       Alcotest.(check string) "nested error names the path"
         "queue.capacity: expected an integer" e
-  | Ok _ -> Alcotest.fail "fractional capacity accepted"
+  | Ok _ -> Alcotest.fail "fractional capacity accepted");
+  let bad =
+    match Codec.to_json ornate_config with
+    | J.Obj kvs ->
+        J.Obj
+          (List.map
+             (function
+               | "second_hop", J.Obj h ->
+                   ("second_hop", J.Obj (set "cross_fraction" (J.Bool true) h))
+               | kv -> kv)
+             kvs)
+    | _ -> Alcotest.fail "config is not an object"
+  in
+  match Codec.of_json bad with
+  | Error e ->
+      Alcotest.(check string) "hop error names the path"
+        "second_hop.cross_fraction: expected a float" e
+  | Ok _ -> Alcotest.fail "boolean cross_fraction accepted"
+
+(* A config without a second hop encodes with no [second_hop] key, so
+   its bytes, cache key and store record are those of a config from
+   before the field existed. *)
+let test_codec_omits_absent_hop () =
+  let module J = Ebrc_obs.Json in
+  let has_hop c = J.member "second_hop" (Codec.to_json c) <> None in
+  Alcotest.(check bool) "no second_hop key" false
+    (has_hop Scenario.default_config);
+  Alcotest.(check bool) "second_hop key when set" true
+    (has_hop ornate_config);
+  Alcotest.(check bool) "absent key decodes as None" true
+    (match Codec.decode (Codec.encode Scenario.default_config) with
+    | Ok c -> c.Scenario.second_hop = None
+    | Error _ -> false)
 
 (* ---------------------------- task queue -------------------------- *)
 
@@ -981,6 +1038,8 @@ let () =
             test_manifest_large_seeds;
           Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
           Alcotest.test_case "codec injective" `Quick test_codec_injective;
+          Alcotest.test_case "codec omits absent hop" `Quick
+            test_codec_omits_absent_hop;
           Alcotest.test_case "file io" `Quick test_manifest_file_io;
           Alcotest.test_case "rejects junk" `Quick test_manifest_rejects_junk;
         ] );
