@@ -72,13 +72,12 @@ let stats () =
     clock_skews = Atomic.get c_skews;
   }
 
-let () =
-  match Sys.getenv_opt "EBRC_CHAOS" with
-  | None | Some "" | Some "0" -> ()
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some s -> set_seed (Some s)
-      | None -> ())
+let seed_of_env () =
+  match Ebrc_obs.Env.knob ~empty:0 "EBRC_CHAOS" Ebrc_obs.Env.int with
+  | Some 0 | None -> None
+  | s -> s
+
+let () = Option.iter (fun s -> set_seed (Some s)) (seed_of_env ())
 
 let injected what path =
   Sys_error (Printf.sprintf "%s: chaos injected %s" path what)

@@ -49,12 +49,9 @@ type t = {
 }
 
 let default_jobs () =
-  match Sys.getenv_opt "EBRC_JOBS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 0 -> n
-      | _ -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+  match Ebrc_obs.Env.knob ~empty:0 "EBRC_JOBS" (Ebrc_obs.Env.int ~min:0) with
+  | Some n when n > 0 -> n
+  | _ -> Domain.recommended_domain_count ()
 
 let execute job =
   let continue = ref true in

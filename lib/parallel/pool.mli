@@ -25,7 +25,9 @@ val domains : t -> int
 
 val default_jobs : unit -> int
 (** The [EBRC_JOBS] environment variable if set to a positive integer,
-    else [Domain.recommended_domain_count ()]. *)
+    else (unset, empty or ["0"]) [Domain.recommended_domain_count ()].
+    @raise Invalid_argument naming [EBRC_JOBS] when it is set to
+    anything else. *)
 
 (** {2 Crash isolation}
 

@@ -49,12 +49,8 @@ let rec mkdir_p d =
    after that it reads as expired and gets reclaimed. Configurable
    per queue ([?torn_grace]) or fleet-wide via EBRC_LEASE_GRACE. *)
 let default_torn_grace () =
-  match Sys.getenv_opt "EBRC_LEASE_GRACE" with
-  | Some v -> (
-      match float_of_string_opt v with
-      | Some g when g >= 0.0 -> g
-      | _ -> 10.0)
-  | None -> 10.0
+  Option.value ~default:10.0
+    (Ebrc_obs.Env.knob ~empty:10.0 "EBRC_LEASE_GRACE" Ebrc_obs.Env.seconds)
 
 let create ?torn_grace ~dir () =
   let t =

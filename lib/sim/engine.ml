@@ -319,24 +319,17 @@ let parse_budget ~what s =
   | Some _ -> Error (what ^ " budget must be a positive float")
   | None -> Error (Printf.sprintf "invalid %s budget %S" what s)
 
-let budget_of_env ~what var =
-  match Sys.getenv_opt var with
-  | None -> None
-  | Some s -> (
-      match parse_budget ~what s with
-      | Ok b -> Some b
-      | Error msg -> invalid_arg (var ^ ": " ^ msg))
-
 (* Process-wide defaults, applied when [run] is not given an explicit
    budget. Orchestration guards, not simulation parameters: a run that
    stays within budget is bit-identical to an unbudgeted one, which is
    why budgets are deliberately absent from the result-cache key. A
    malformed env value fails at startup rather than silently leaving
    runs unbudgeted. *)
-let default_sim_budget = ref (budget_of_env ~what:"sim-time" "EBRC_SIM_BUDGET")
+let default_sim_budget =
+  ref (Ebrc_obs.Env.knob "EBRC_SIM_BUDGET" (parse_budget ~what:"sim-time"))
 
 let default_wall_budget =
-  ref (budget_of_env ~what:"wall-clock" "EBRC_WALL_BUDGET")
+  ref (Ebrc_obs.Env.knob "EBRC_WALL_BUDGET" (parse_budget ~what:"wall-clock"))
 
 let check_budget what = function
   | Some b when not (b > 0.0 && Float.is_finite b) ->

@@ -170,13 +170,6 @@ val parse_budget : what:string -> string -> (float, string) result
     ["wall-clock"]); the CLI's [--sim-budget]/[--wall-budget] flags and
     the env defaults share it. *)
 
-val budget_of_env : what:string -> string -> float option
-(** [budget_of_env ~what var] reads a budget from environment variable
-    [var]: [None] when unset. Raises [Invalid_argument] with
-    {!parse_budget}'s message, prefixed by [var], when the value is
-    malformed (["10s"], ["-1"], ...). The process-wide defaults below
-    are read this way at startup. *)
-
 val set_sim_budget : float option -> unit
 (** Process-wide default sim-time budget per [run] call, used when the
     call passes no explicit [?sim_budget] (env default:

@@ -98,15 +98,8 @@ let enable ~path:p ~period_sim ~period_wall =
 (* A malformed period fails at startup, naming the variable, rather
    than silently streaming at the default. *)
 let period_of_env name default =
-  match Sys.getenv_opt name with
-  | None | Some "" -> default
-  | Some v -> (
-      match float_of_string_opt v with
-      | Some f when Float.is_finite f && f >= 0.0 -> f
-      | _ ->
-          invalid_arg
-            (Printf.sprintf
-               "%s: expected a finite number of seconds >= 0, got %S" name v))
+  Option.value ~default
+    (Ebrc_obs.Env.knob ~empty:default name Ebrc_obs.Env.seconds)
 
 let enable_from_env () =
   match Sys.getenv_opt "EBRC_STREAM" with

@@ -278,6 +278,33 @@ let test_trend_single_record () =
       Alcotest.(check bool) "not improved" false s.BR.improved
   | l -> Alcotest.failf "expected 1 series, got %d" (List.length l)
 
+(* The checked knob decoder: unset is None, empty is [?empty] or goes
+   to the parser, and a rejected value names the variable. *)
+let test_env_knob () =
+  let module E = Ebrc_obs.Env in
+  Alcotest.(check (option int)) "unset" None
+    (E.knob ~empty:5 "EBRC_TEST_ENV_KNOB_UNSET" E.int);
+  let var = "EBRC_TEST_ENV_KNOB" in
+  Unix.putenv var "";
+  Alcotest.(check (option int)) "empty with ~empty" (Some 5)
+    (E.knob ~empty:5 var E.int);
+  Alcotest.check_raises "empty without ~empty"
+    (Invalid_argument (var ^ ": expected an integer, got \"\""))
+    (fun () -> ignore (E.knob var E.int));
+  Unix.putenv var "12";
+  Alcotest.(check (option int)) "int" (Some 12) (E.knob var (E.int ~min:12));
+  Alcotest.check_raises "below min"
+    (Invalid_argument (var ^ ": expected an integer >= 13, got \"12\""))
+    (fun () -> ignore (E.knob var (E.int ~min:13)));
+  Alcotest.(check (option (float 0.0))) "seconds" (Some 12.0)
+    (E.knob var E.seconds);
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) ("seconds rejects " ^ v) true
+        (Result.is_error (E.seconds v)))
+    [ "-1"; "inf"; "nan"; "1s"; "" ];
+  Unix.putenv var ""
+
 let () =
   Alcotest.run "obs"
     [
@@ -287,6 +314,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_json_errors;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
         ] );
+      ("env", [ Alcotest.test_case "knob decoder" `Quick test_env_knob ]);
       ( "bench_records",
         [
           Alcotest.test_case "filename shapes" `Quick

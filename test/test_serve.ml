@@ -581,19 +581,32 @@ let test_queue_torn_grace_config () =
   (* Explicit parameter wins. *)
   let q = Task_queue.create ~torn_grace:5.0 ~dir:(tmp_dir "grace-a") () in
   Alcotest.(check (float 1e-9)) "explicit grace" 5.0 (Task_queue.torn_grace q);
-  (* EBRC_LEASE_GRACE steers the default; junk and empty fall back. *)
+  (* EBRC_LEASE_GRACE steers the default; empty falls back, "0" is a
+     zero grace and junk fails naming the variable. *)
   Unix.putenv "EBRC_LEASE_GRACE" "123.5";
   let q = Task_queue.create ~dir:(tmp_dir "grace-b") () in
   Alcotest.(check (float 1e-9)) "env grace" 123.5 (Task_queue.torn_grace q);
-  Unix.putenv "EBRC_LEASE_GRACE" "not-a-float";
-  let q = Task_queue.create ~dir:(tmp_dir "grace-c") () in
-  Alcotest.(check (float 1e-9)) "junk env falls back" 10.0
-    (Task_queue.torn_grace q);
+  List.iter
+    (fun v ->
+      Unix.putenv "EBRC_LEASE_GRACE" v;
+      Alcotest.check_raises ("junk env " ^ v)
+        (Invalid_argument
+           (Printf.sprintf
+              "EBRC_LEASE_GRACE: expected a finite number of seconds >= 0, \
+               got %S" v))
+        (fun () -> ignore (Task_queue.create ~dir:(tmp_dir "grace-c") ())))
+    [ "not-a-float"; "-1"; "nan" ];
   Unix.putenv "EBRC_LEASE_GRACE" "123.5";
   let q = Task_queue.create ~torn_grace:2.0 ~dir:(tmp_dir "grace-d") () in
   Alcotest.(check (float 1e-9)) "explicit still beats env" 2.0
     (Task_queue.torn_grace q);
+  Unix.putenv "EBRC_LEASE_GRACE" "0";
+  let q = Task_queue.create ~dir:(tmp_dir "grace-f") () in
+  Alcotest.(check (float 1e-9)) "zero env grace" 0.0 (Task_queue.torn_grace q);
   Unix.putenv "EBRC_LEASE_GRACE" "";
+  let q = Task_queue.create ~dir:(tmp_dir "grace-g") () in
+  Alcotest.(check (float 1e-9)) "empty env falls back" 10.0
+    (Task_queue.torn_grace q);
   (* A short grace turns a freshly torn lease reclaimable quickly. *)
   let dir = tmp_dir "grace-e" in
   let q = Task_queue.create ~torn_grace:0.05 ~dir () in

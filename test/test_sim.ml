@@ -233,26 +233,33 @@ let test_engine_wall_watchdog () =
       Alcotest.(check bool) "aborted early" true (events < 1_000_000)
 
 (* A malformed env budget must not silently leave runs unbudgeted: it
-   fails with the --sim-budget flag's message, naming the variable. *)
+   fails with the --sim-budget flag's message, naming the variable. The
+   process-wide defaults read EBRC_SIM_BUDGET / EBRC_WALL_BUDGET this
+   way at startup; empty and "0" are malformed too. *)
 let test_engine_budget_env () =
   let var = "EBRC_TEST_ENV_BUDGET" in
+  let budget_of_env var =
+    Ebrc_obs.Env.knob var (E.parse_budget ~what:"sim-time")
+  in
   Unix.putenv var "2.5";
   Alcotest.(check (option (float 0.0)))
     "valid value parses" (Some 2.5)
-    (E.budget_of_env ~what:"sim-time" var);
+    (budget_of_env var);
   List.iter
     (fun (value, msg) ->
       Unix.putenv var value;
       Alcotest.check_raises value (Invalid_argument (var ^ ": " ^ msg))
-        (fun () -> ignore (E.budget_of_env ~what:"sim-time" var)))
+        (fun () -> ignore (budget_of_env var)))
     [
       ("10s", "invalid sim-time budget \"10s\"");
+      ("", "invalid sim-time budget \"\"");
+      ("0", "sim-time budget must be a positive float");
       ("-1", "sim-time budget must be a positive float");
       ("inf", "sim-time budget must be a positive float");
     ];
   Alcotest.(check (option (float 0.0)))
     "unset variable means no budget" None
-    (E.budget_of_env ~what:"sim-time" "EBRC_TEST_ENV_BUDGET_UNSET")
+    (budget_of_env "EBRC_TEST_ENV_BUDGET_UNSET")
 
 let test_engine_budget_defaults () =
   (* set_sim_budget installs a process-wide default that run picks up
