@@ -164,6 +164,33 @@ let fsync oc =
         try Unix.fsync (Unix.descr_of_out_channel oc)
         with Unix.Unix_error _ -> ()
 
+let publish ~tmp path content =
+  guard_open tmp;
+  let oc = open_out_bin tmp in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      write oc content;
+      fsync oc);
+  guard_rename path;
+  Sys.rename tmp path
+
+let rec mkdir_p d =
+  if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
+    mkdir_p (Filename.dirname d);
+    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
+let read_file path =
+  match
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  with
+  | s -> Some s
+  | exception (Sys_error _ | End_of_file) -> None
+
 let now () =
   let t = Unix.gettimeofday () in
   match !rng with

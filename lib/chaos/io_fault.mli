@@ -62,6 +62,21 @@ val fsync : out_channel -> unit
     Chaos on: flush, then fsync — except when the schedule injects a
     lost fsync, modelling data sitting in the page cache. *)
 
+val publish : tmp:string -> string -> string -> unit
+(** [publish ~tmp path content], the one durable publish path: check
+    {!guard_open} on [tmp], create it, {!write} [content], {!fsync},
+    check {!guard_rename} on [path], then rename [tmp] over [path]. A
+    reader sees the old file or the whole new one, never a prefix.
+    Raises [Sys_error] on an injected or real failure, possibly leaving
+    [tmp] behind; callers choose [tmp] so they can reclaim it. *)
+
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents; a directory that
+    appears concurrently is fine. *)
+
+val read_file : string -> string option
+(** A whole file's bytes; [None] when it cannot be read. *)
+
 val now : unit -> float
 (** [Unix.gettimeofday], skewed by up to ±30 s when the schedule
     injects clock skew. Feed lease deadlines and expiry checks through

@@ -317,24 +317,20 @@ let decode_record s =
 
 (* --------------------------- disk store --------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let disk_load ~dir ~key digest =
   let path = Filename.concat dir (digest ^ ".json") in
   if not (Sys.file_exists path) then None
   else
     match
-      let s = read_file path in
-      add c_bytes_read (String.length s);
-      decode_record s
+      Option.map
+        (fun s ->
+          add c_bytes_read (String.length s);
+          decode_record s)
+        (Chaos.read_file path)
     with
     (* The full key is compared, so a digest collision (or a renamed
        file) can never serve the wrong result. *)
-    | Valid (k, r) when k = key -> Some r
+    | Some (Valid (k, r)) when k = key -> Some r
     | _ | (exception _) ->
         Atomic.incr c_corrupt;
         None
@@ -342,24 +338,15 @@ let disk_load ~dir ~key digest =
 let disk_store ~dir ~cfg digest r =
   match
     (* Two workers publishing their first records race to create the
-       store; the loser's mkdir failing on an existing dir is fine. *)
-    (if not (Sys.file_exists dir) then
-       try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ());
-    let path = Filename.concat dir (digest ^ ".json") in
+       store; [mkdir_p] tolerates the loser's existing dir. The tmp is
+       dot-prefixed so [gc_tmp] can reclaim it. *)
+    Chaos.mkdir_p dir;
     let tmp =
       Filename.concat dir
         (Printf.sprintf ".%s.%d.tmp" digest (Unix.getpid ()))
     in
-    Chaos.guard_open tmp;
-    let oc = open_out_bin tmp in
     let record = record_string cfg r in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        Chaos.write oc record;
-        Chaos.fsync oc);
-    Chaos.guard_rename path;
-    Sys.rename tmp path;
+    Chaos.publish ~tmp (Filename.concat dir (digest ^ ".json")) record;
     String.length record
   with
   | n ->
@@ -445,12 +432,6 @@ let gc_tmp ?(max_age = 3600.0) dir =
 
 (* ------------------------------ scrub ----------------------------- *)
 
-let rec mkdir_p d =
-  if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* Full verification of a store record against the digest its file name
    claims: [decode_record]'s checks plus MD5(key) = digest. *)
 let verify_record ~digest s =
@@ -479,9 +460,9 @@ let scrub ?quarantine ~dir () =
       incr checked;
       let path = Filename.concat dir (digest ^ ".json") in
       let verdict =
-        match read_file path with
-        | s -> verify_record ~digest s
-        | exception _ -> Corrupt
+        match Chaos.read_file path with
+        | Some s -> verify_record ~digest s
+        | None -> Corrupt
       in
       match verdict with
       | Valid _ -> incr ok
@@ -489,7 +470,7 @@ let scrub ?quarantine ~dir () =
           (* Never silently delete: the corpse moves to quarantine under
              its own name (suffixed if a previous scrub already parked
              one) so it stays available for postmortem. *)
-          mkdir_p qdir;
+          Chaos.mkdir_p qdir;
           let dst =
             let base = Filename.concat qdir (digest ^ ".json") in
             if not (Sys.file_exists base) then base

@@ -36,13 +36,6 @@ type t = {
   torn_grace : float;
 }
 
-let rec mkdir_p d =
-  if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* A lease that cannot be parsed is usually a claimant killed between
    the O_EXCL create and the write. The torn file still holds the
    lease (we cannot know its deadline), but only for a grace period —
@@ -67,11 +60,8 @@ let create ?torn_grace ~dir () =
         | None -> default_torn_grace ());
     }
   in
-  mkdir_p t.tasks_dir;
-  mkdir_p t.leases_dir;
-  mkdir_p t.failed_dir;
-  mkdir_p t.poisoned_dir;
-  mkdir_p t.streams;
+  List.iter Chaos.mkdir_p
+    [ t.tasks_dir; t.leases_dir; t.failed_dir; t.poisoned_dir; t.streams ];
   t
 
 let dir t = t.root
@@ -93,46 +83,25 @@ let list_dir dir ~suffix =
              else None)
       |> List.sort String.compare
 
-let atomic_write path content =
-  let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
-  Chaos.guard_open tmp;
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Chaos.write oc content;
-      Chaos.fsync oc);
-  Chaos.guard_rename path;
-  Sys.rename tmp path
-
 (* Queue metadata writes must land even under fault injection — the
    faults are probabilistic, so a bounded retry converges almost
    surely. Chaos off: the first attempt is the only one. *)
 let atomic_write_retry path content =
   let rec go attempt =
-    match atomic_write path content with
+    let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
+    match Chaos.publish ~tmp path content with
     | () -> ()
     | exception Sys_error _ when Chaos.enabled () && attempt < 100 ->
         go (attempt + 1)
   in
   go 0
 
-let read_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> Some s
-  | exception Sys_error _ -> None
-
 let enqueue t ~digest ~spec =
   if not (Sys.file_exists (task_path t digest)) then
     atomic_write_retry (task_path t digest) (spec ^ "\n")
 
 let pending t = list_dir t.tasks_dir ~suffix:".json"
-let read_spec t ~digest = read_file (task_path t digest)
+let read_spec t ~digest = Chaos.read_file (task_path t digest)
 let leased t = List.length (list_dir t.leases_dir ~suffix:".lease")
 
 (* ------------------------------ leases ---------------------------- *)
@@ -165,7 +134,7 @@ let create_exclusive path content =
   | exception Unix.Unix_error (Unix.EEXIST, _, _) -> false
 
 let lease_expired t path ~now =
-  match read_file path with
+  match Chaos.read_file path with
   | None -> false (* vanished: released or completed; not ours to take *)
   | Some body -> (
       match
@@ -242,7 +211,7 @@ let fail t ~worker ~digest ~message =
 let record_messages dir ~path_of =
   List.filter_map
     (fun digest ->
-      match read_file (path_of digest) with
+      match Chaos.read_file (path_of digest) with
       | None -> None
       | Some body ->
           let message =
@@ -276,7 +245,7 @@ let clear_poison t ~digest = unlink_quiet (poisoned_path t digest)
 let lease_holders t =
   List.filter_map
     (fun digest ->
-      match read_file (lease_path t digest) with
+      match Chaos.read_file (lease_path t digest) with
       | None -> None
       | Some body -> (
           match
