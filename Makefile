@@ -43,11 +43,13 @@ chaos-e2e: build
 
 # Every figure as one batch, then every validation check as one batch,
 # cache off, on 1 and on 2 domains: each pair of outputs must be
-# byte-identical.
+# byte-identical, and the figures must match the pinned md5 in
+# scripts/figures-all.md5 (a deliberate result change re-pins it).
 figures-e2e: build
 	dune exec bin/ebrc_cli.exe -- figure all --no-cache -j 1 > figures-j1.out
 	dune exec bin/ebrc_cli.exe -- figure all --no-cache -j 2 > figures-j2.out
 	cmp figures-j1.out figures-j2.out
+	md5sum -c scripts/figures-all.md5
 	dune exec bin/ebrc_cli.exe -- validate --no-cache -j 1 > validate-j1.out
 	dune exec bin/ebrc_cli.exe -- validate --no-cache -j 2 > validate-j2.out
 	cmp validate-j1.out validate-j2.out
