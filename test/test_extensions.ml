@@ -480,6 +480,16 @@ let test_chain_validation () =
       | exception Invalid_argument _ -> ())
     [ 1.5; 1.0; -0.1; nan ]
 
+(* A9's two rows differ only in the hop, so the hop must be in the
+   stream key; a config without a hop keeps its old key. *)
+let test_chain_stream_keys () =
+  let module S = Ebrc.Scenario in
+  let k = S.stream_key in
+  Alcotest.(check bool) "hop rows differ" true
+    (k S.chain_config <> k (fast_hop S.chain_config));
+  Alcotest.(check string) "no hop, no tag" "s42:n4+4+p:d300:w50:reda0"
+    (k S.default_config)
+
 (* Bit-exact pin of the two-hop topology on the two quick A9 rows and
    a link-flap run: drops and utilisation on each link and each class's
    pooled loss-event rate, floats as "%h". *)
@@ -569,5 +579,6 @@ let () =
           Alcotest.test_case "cross traffic moves losses" `Quick test_chain_cross_traffic_moves_losses;
           Alcotest.test_case "validation" `Quick test_chain_validation;
           Alcotest.test_case "pinned bit-exact" `Quick test_chain_pinned;
+          Alcotest.test_case "stream keys" `Quick test_chain_stream_keys;
         ] );
     ]
