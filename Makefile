@@ -30,7 +30,7 @@ test:
 # manifest with 2 workers to completion, resume over a partial store,
 # warm-resume with --workers 0, retry a task left with a stale failure
 # record, and assert the exit-code contract (0 = all published, 2 =
-# bad manifest).
+# bad manifest, 124 = malformed environment knob).
 serve-e2e: build
 	sh scripts/serve_ci.sh
 

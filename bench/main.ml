@@ -9,8 +9,7 @@
    Part 2 runs Bechamel micro-benchmarks: one Test.make per figure (a
    representative kernel of that figure's computation) plus the
    component kernels and the ablation comparisons called out in
-   DESIGN.md (closed-form vs ODE comprehensive engine, DropTail vs
-   RED).
+   DESIGN.md (DropTail vs RED).
 
    Part 3 measures the domain-pool speedup of `figure all`: every
    figure's work as one batch.
@@ -133,7 +132,7 @@ let kernel_basic_control ~kind () =
         (Ebrc.Basic_control.simulate ~formula ~estimator ~process ~cycles:2000
            ()))
 
-let kernel_comprehensive ~engine () =
+let kernel_comprehensive () =
   Staged.stage (fun () ->
       let rng = Ebrc.Prng.create ~seed:5 in
       let process =
@@ -144,8 +143,8 @@ let kernel_comprehensive ~engine () =
       in
       let estimator = Ebrc.Loss_interval.of_tfrc ~l:8 in
       ignore
-        (Ebrc.Comprehensive_control.simulate ~engine ~formula ~estimator
-           ~process ~cycles:500 ()))
+        (Ebrc.Comprehensive_control.simulate ~formula ~estimator ~process
+           ~cycles:500 ()))
 
 let kernel_scenario ~queue () =
   Staged.stage (fun () ->
@@ -243,11 +242,7 @@ let tests =
       Test.make_grouped ~name:"ablations"
         [
           Test.make ~name:"comprehensive-closed-form"
-            (kernel_comprehensive
-               ~engine:Ebrc.Comprehensive_control.Closed_form ());
-          Test.make ~name:"comprehensive-ode"
-            (kernel_comprehensive
-               ~engine:Ebrc.Comprehensive_control.Ode_integration ());
+            (kernel_comprehensive ());
           Test.make ~name:"scenario-droptail"
             (kernel_scenario
                ~queue:(Ebrc.Scenario.Drop_tail { capacity = 100 })
@@ -301,76 +296,6 @@ let print_bench_results (ns_per_run, minor_per_run) =
       in
       Printf.printf "  %-45s %12.0f ns/run %s\n" name ns words)
     ns_per_run
-
-(* ------------------------------------------------------------------ *)
-(* ODE engine: accuracy-vs-time frontier.                              *)
-(* ------------------------------------------------------------------ *)
-
-type frontier_point = {
-  rtol : float;
-  adaptive_ns : float;      (* mean per uncached adaptive solve *)
-  max_rel_err : float;      (* vs the exact SQRT closed form *)
-}
-
-(* The SQRT formula admits an exact closed form for the cycle duration
-   (Proposition 3), so it calibrates the adaptive engine: for each
-   tolerance we measure the true cost of an *uncached* solve (distinct
-   theta per call defeats the memo) and the worst relative error
-   against the closed form over a grid of cycle lengths. *)
-let measure_ode_frontier () =
-  let formula = Ebrc.Formula.create ~rtt:1.0 Ebrc.Formula.Sqrt in
-  let estimator = Ebrc.Loss_interval.of_tfrc ~l:8 in
-  Ebrc.Loss_interval.prime estimator 20.0;
-  let thetas ~base n = Array.init n (fun i -> base +. (float_of_int i /. 8.0)) in
-  let n_err = 128 and n_time = 256 in
-  let time_per_call f n =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
-  in
-  let points =
-    List.map
-      (fun rtol ->
-        let max_rel_err = ref 0.0 in
-        Array.iter
-          (fun theta ->
-            let s =
-              Ebrc.Comprehensive_control.cycle_duration_ode_adaptive ~rtol
-                ~formula ~estimator ~theta ()
-            in
-            let c =
-              Ebrc.Comprehensive_control.cycle_duration_closed ~formula
-                ~estimator ~theta
-            in
-            max_rel_err := Float.max !max_rel_err (abs_float (s -. c) /. c))
-          (thetas ~base:60.0 n_err);
-        (* Fresh thetas so every timed call misses the memo. *)
-        let ths = thetas ~base:120.0 n_time in
-        let adaptive_ns =
-          time_per_call
-            (fun () ->
-              Array.iter
-                (fun theta ->
-                  ignore
-                    (Ebrc.Comprehensive_control.cycle_duration_ode_adaptive
-                       ~rtol ~formula ~estimator ~theta ()))
-                ths)
-            n_time
-        in
-        { rtol; adaptive_ns; max_rel_err = !max_rel_err })
-      [ 1e-3; 1e-6; 1e-9; 1e-12 ]
-  in
-  Printf.printf
-    "#############################################################\n\
-     # ODE engine: accuracy vs time (SQRT closed form as reference)\n\
-     #############################################################\n\n";
-  List.iter
-    (fun p ->
-      Printf.printf "  adaptive rtol %.0e  %12.0f ns/solve  max rel err %.2e\n"
-        p.rtol p.adaptive_ns p.max_rel_err)
-    points;
-  print_newline ();
-  points
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry ablation: recording on must stay within 10% of the silent *)
@@ -953,7 +878,7 @@ let measure_sweep_service () =
 (* BENCH_<UTC-date>.json.                                              *)
 (* ------------------------------------------------------------------ *)
 
-let write_json ~figure_seconds ~microbench ~frontier ~telem ~stream ~flows
+let write_json ~figure_seconds ~microbench ~telem ~stream ~flows
     ~flows1m ~cache ~sweep ~service =
   let module J = Ebrc_obs.Json in
   let ns_per_run, minor_per_run = microbench in
@@ -993,21 +918,6 @@ let write_json ~figure_seconds ~microbench ~frontier ~telem ~stream ~flows
               if v < 0.0005 then J.Str "skipped: sub-ms analytic figure"
               else num v)
             figure_seconds );
-        ( "ode_frontier",
-          J.Obj
-            [
-              ( "points",
-                J.List
-                  (List.map
-                     (fun p ->
-                       J.Obj
-                         [
-                           ("rtol", num p.rtol);
-                           ("adaptive_ns_per_solve", num p.adaptive_ns);
-                           ("max_rel_err", num p.max_rel_err);
-                         ])
-                     frontier) );
-            ] );
         ( "telemetry_summary",
           J.Obj
             [
@@ -1115,7 +1025,6 @@ let () =
     Gc.full_major ();
     let microbench = benchmark () in
     print_bench_results microbench;
-    let frontier = measure_ode_frontier () in
     let telem = measure_telemetry () in
     let stream = measure_stream_ablation () in
     let flows = measure_flows100k () in
@@ -1123,7 +1032,7 @@ let () =
     let cache = measure_cache () in
     let sweep = measure_parallel_sweep () in
     let service = measure_sweep_service () in
-    write_json ~figure_seconds ~microbench ~frontier ~telem ~stream ~flows
+    write_json ~figure_seconds ~microbench ~telem ~stream ~flows
       ~flows1m ~cache ~sweep ~service;
     print_endline "\nbench: done."
   end

@@ -1157,4 +1157,25 @@ let main =
       report_cmd; design_cmd; validate_cmd; status_cmd; bench_trend_cmd;
       manifest_cmd; serve_cmd; worker_cmd; scrub_cmd ]
 
-let () = exit (Cmd.eval main)
+(* Every environment knob, decoded once before dispatch: a malformed
+   value prints "ebrc: <VAR>: <reason>" and exits 124, like a malformed
+   flag, whichever command runs. The process-wide defaults (chaos seed,
+   engine budgets) are applied here; the other knobs are read again
+   where they are used, with the same decoders. *)
+let apply_env_knobs () =
+  Ebrc_chaos.Io_fault.set_seed (Ebrc_chaos.Io_fault.seed_of_env ());
+  let budget var what =
+    Ebrc_obs.Env.knob var (Ebrc.Engine.parse_budget ~what)
+  in
+  Ebrc.Engine.set_sim_budget (budget "EBRC_SIM_BUDGET" "sim-time");
+  Ebrc.Engine.set_wall_budget (budget "EBRC_WALL_BUDGET" "wall-clock");
+  ignore (Ebrc.Pool.default_jobs () : int);
+  ignore (Ebrc_serve.Task_queue.default_torn_grace () : float);
+  ignore (Ebrc.Telemetry_stream.env_config ())
+
+let () =
+  match apply_env_knobs () with
+  | () -> exit (Cmd.eval main)
+  | exception Invalid_argument msg ->
+      Printf.eprintf "ebrc: %s\n%!" msg;
+      exit Cmd.Exit.cli_error

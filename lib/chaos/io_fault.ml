@@ -77,8 +77,6 @@ let seed_of_env () =
   | Some 0 | None -> None
   | s -> s
 
-let () = Option.iter (fun s -> set_seed (Some s)) (seed_of_env ())
-
 let injected what path =
   Sys_error (Printf.sprintf "%s: chaos injected %s" path what)
 

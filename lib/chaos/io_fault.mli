@@ -5,8 +5,8 @@
     branch, and with no seed set each hook is byte-for-byte equivalent
     to the plain operation it wraps — [write] is [output_string],
     [now] is [Unix.gettimeofday], the guards are no-ops. Enabled by
-    [EBRC_CHAOS=<seed>] (read once at module init by {!seed_of_env})
-    or [set_seed].
+    [set_seed]; the [ebrc] CLI applies [EBRC_CHAOS=<seed>] (decoded by
+    {!seed_of_env}) before dispatch.
 
     When enabled, faults are scheduled from a dedicated
     {!Ebrc_rng.Prng.stream} under the chaos seed — the same discipline

@@ -10,21 +10,15 @@
 
      S_n = theta_n / f(1/thetahat_n) - V_n 1{thetahat_{n+1} > thetahat_n}
 
-   where V_n has the closed form implemented below. For arbitrary f we
-   integrate the growth ODE d theta/dt = f(1/(w1 theta + W_n)):
-   adaptively (Dormand-Prince 5(4), the default ODE engine) or with the
-   legacy fixed-step RK4 kept for A/B validation.
-
-   All engines are exposed; tests cross-validate them. *)
+   where V_n has the closed form implemented below. It is the only
+   cycle engine; the tests check it against a quadrature of the growth
+   ODE d theta/dt = f(1/(w1 theta + W_n)). *)
 
 module Formula = Ebrc_formulas.Formula
 module Loss_interval = Ebrc_estimator.Loss_interval
 module Loss_process = Ebrc_lossproc.Loss_process
 module Welford = Ebrc_stats.Welford
 module Cov_acc = Ebrc_stats.Cov_acc
-module Ode = Ebrc_numerics.Ode
-
-type engine = Closed_form | Ode_integration
 
 (* V_n of Proposition 3. thetahat1 = thetahat_{n+1}, thetahat0 =
    thetahat_n. Only valid for SQRT (c2 q terms vanish) and
@@ -64,78 +58,6 @@ let cycle_duration_closed ~formula ~estimator ~theta =
     base -. v_n ~formula ~w1 ~thetahat0 ~thetahat1
   else base
 
-(* Memo cache for the adaptive growth-time integration. The growth time
-   is a pure function of the derivative and the integration bounds,
-   which are fully determined by the formula's constants, (w1, W_n), the
-   threshold (thetahat_n = w1 * threshold + W_n) and theta — so repeated
-   replications over the same deterministic loss sequence never
-   re-integrate a cycle. Per-domain tables (Domain.DLS) keep parallel
-   sweeps race-free; each table is bounded and reset when full. *)
-type memo_key = {
-  kind : Formula.kind;
-  c1 : float;
-  c2 : float;
-  rtt : float;
-  rto : float;
-  w1 : float;
-  w_n : float;
-  threshold : float;
-  theta : float;
-  rtol : float;
-}
-
-let memo_max_entries = 65_536
-
-let memo_table : (memo_key, float) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
-
-(* Duration of cycle n by integrating the rate-growth ODE with the
-   adaptive Dormand-Prince engine and the per-(formula,
-   estimator-state) memo cache; valid for any formula f. theta(t)
-   counts packets since the last loss event; the rate is
-   f(1/thetahat_n) until theta(t) reaches the threshold, then grows as
-   d theta/dt = f(1/(w1 theta + W_n)). *)
-let cycle_duration_ode_adaptive ?(rtol = Ode.default_rtol)
-    ?(atol = Ode.default_atol) ~formula ~estimator ~theta () =
-  let thetahat0 = Loss_interval.estimate estimator in
-  let x0 = Formula.eval formula (1.0 /. thetahat0) in
-  let threshold = Loss_interval.open_interval_threshold estimator in
-  if theta <= threshold then theta /. x0
-  else begin
-    let u_n = threshold /. x0 in
-    let w1 = Loss_interval.first_weight estimator in
-    let w_n = Loss_interval.tail_weighted_sum estimator in
-    let key =
-      {
-        kind = Formula.kind formula;
-        c1 = Formula.c1 formula;
-        c2 = Formula.c2 formula;
-        rtt = Formula.rtt formula;
-        rto = Formula.rto formula;
-        w1;
-        w_n;
-        threshold;
-        theta;
-        rtol;
-      }
-    in
-    let tbl = Domain.DLS.get memo_table in
-    let growth_time =
-      match Hashtbl.find_opt tbl key with
-      | Some t -> t
-      | None ->
-          let deriv _t y = Formula.eval formula (1.0 /. ((w1 *. y) +. w_n)) in
-          let t =
-            Ode.time_to_reach_adaptive ~rtol ~atol deriv ~y0:threshold
-              ~target:theta
-          in
-          if Hashtbl.length tbl >= memo_max_entries then Hashtbl.reset tbl;
-          Hashtbl.add tbl key t;
-          t
-    in
-    u_n +. growth_time
-  end
-
 type result = {
   throughput : float;
   normalized : float;
@@ -147,17 +69,15 @@ type result = {
   cycles : int;
 }
 
-let simulate ?(engine = Closed_form) ?(warmup_cycles = 0)
-    ?(ode_rtol = Ode.default_rtol) ~formula ~estimator ~process ~cycles () =
+let simulate ?(warmup_cycles = 0) ~formula ~estimator ~process ~cycles () =
   if cycles < 2 then
     invalid_arg "Comprehensive_control.simulate: need >= 2 cycles";
-  (match (engine, Formula.kind formula) with
-  | Closed_form, (Formula.Sqrt | Formula.Pftk_simplified) -> ()
-  | Closed_form, (Formula.Pftk_standard | Formula.Aimd _) ->
+  (match Formula.kind formula with
+  | Formula.Sqrt | Formula.Pftk_simplified -> ()
+  | Formula.Pftk_standard | Formula.Aimd _ ->
       invalid_arg
-        "Comprehensive_control.simulate: closed form requires SQRT or \
-         PFTK-simplified; use Ode_integration"
-  | Ode_integration, _ -> ());
+        "Comprehensive_control.simulate: the closed form needs SQRT or \
+         PFTK-simplified");
   let l = Loss_interval.window estimator in
   for _ = 1 to l + warmup_cycles do
     Loss_interval.record estimator (Loss_process.next process)
@@ -169,13 +89,7 @@ let simulate ?(engine = Closed_form) ?(warmup_cycles = 0)
   for _ = 1 to cycles do
     let thetahat = Loss_interval.estimate estimator in
     let theta = Loss_process.next process in
-    let s =
-      match engine with
-      | Closed_form -> cycle_duration_closed ~formula ~estimator ~theta
-      | Ode_integration ->
-          cycle_duration_ode_adaptive ~rtol:ode_rtol ~formula ~estimator
-            ~theta ()
-    in
+    let s = cycle_duration_closed ~formula ~estimator ~theta in
     let x_n = Formula.eval formula (1.0 /. thetahat) in
     total_packets := !total_packets +. theta;
     total_time := !total_time +. s;

@@ -28,7 +28,6 @@
 module Descriptive = Ebrc_stats.Descriptive
 module Welford = Ebrc_stats.Welford
 module Cov_acc = Ebrc_stats.Cov_acc
-module Histogram = Ebrc_stats.Histogram
 module Ecdf = Ebrc_stats.Ecdf
 module Resample = Ebrc_stats.Resample
 module Student_t = Ebrc_stats.Student_t

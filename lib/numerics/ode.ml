@@ -1,69 +1,15 @@
-(* Explicit ODE integration. The comprehensive control's within-interval
-   send-rate growth obeys d theta/dt = f(1/(w1*theta + W)) (Eq. 16 of the
-   paper); for functions f without a closed-form solution we integrate it
-   numerically.
-
-   Two engines are provided:
-
-   - classic fixed-step RK4 ([integrate], [time_to_reach]), the test
-     oracle for the adaptive engine;
-   - an embedded Dormand–Prince 5(4) pair ([integrate_adaptive],
-     [time_to_reach_adaptive]) with per-step error control, FSAL reuse,
-     cubic-Hermite dense output, and a root-finding threshold-crossing
-     solve. At the default tolerances it needs orders of magnitude fewer
-     derivative evaluations than RK4 at step 1e-3 for the same accuracy. *)
+(* Explicit ODE integration for the fluid background (Fluid): an
+   embedded Dormand-Prince 5(4) pair with per-step error control and FSAL
+   reuse, driving a small vector system that advances in short bursts
+   between discrete packet events. *)
 
 exception
   Step_limit_exceeded of { t : float; y : float; steps : int; what : string }
 
 let step_limit ~t ~y ~steps what = raise (Step_limit_exceeded { t; y; steps; what })
 
-let rk4_step f t y h =
-  let k1 = f t y in
-  let k2 = f (t +. (h /. 2.0)) (y +. (h /. 2.0 *. k1)) in
-  let k3 = f (t +. (h /. 2.0)) (y +. (h /. 2.0 *. k2)) in
-  let k4 = f (t +. h) (y +. (h *. k3)) in
-  y +. (h /. 6.0 *. (k1 +. (2.0 *. k2) +. (2.0 *. k3) +. k4))
-
-let integrate ?(steps = 1000) f ~t0 ~t1 ~y0 =
-  if steps < 1 then invalid_arg "Ode.integrate: steps must be >= 1";
-  if not (t0 <= t1) then invalid_arg "Ode.integrate: t0 > t1";
-  let h = (t1 -. t0) /. float_of_int steps in
-  let y = ref y0 in
-  for i = 0 to steps - 1 do
-    let t = t0 +. (float_of_int i *. h) in
-    y := rk4_step f t !y h
-  done;
-  !y
-
-(* Integrate dy/dt = f(t, y) from y0 until y reaches [target] (f must be
-   positive so y is increasing); returns the elapsed time. Used to solve
-   theta(Tn + Sn-) = theta_n for the inter-loss duration Sn. *)
-let time_to_reach ?(step = 1e-3) ?(max_steps = 10_000_000) f ~y0 ~target =
-  if target <= y0 then 0.0
-  else begin
-    let t = ref 0.0 and y = ref y0 and n = ref 0 in
-    while !y < target && !n < max_steps do
-      let y' = rk4_step f !t !y step in
-      if y' >= target then begin
-        (* Linear interpolation inside the final step for accuracy. *)
-        let frac = (target -. !y) /. (y' -. !y) in
-        t := !t +. (frac *. step);
-        y := target
-      end
-      else begin
-        t := !t +. step;
-        y := y'
-      end;
-      incr n
-    done;
-    if !n >= max_steps then
-      step_limit ~t:!t ~y:!y ~steps:!n "Ode.time_to_reach";
-    !t
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Adaptive Dormand–Prince 5(4).                                       *)
+(* Dormand–Prince 5(4).                                                *)
 (* ------------------------------------------------------------------ *)
 
 type stats = { accepted : int; rejected : int; evals : int }
@@ -113,39 +59,6 @@ let c3 = 3.0 /. 10.0
 let c4 = 4.0 /. 5.0
 let c5 = 8.0 /. 9.0
 
-(* One trial step from (t, y) with slope k1 = f t y already known.
-   Returns (y5, err, k7). *)
-let dopri5_try f t y h k1 =
-  let k2 = f (t +. (c2 *. h)) (y +. (h *. a21 *. k1)) in
-  let k3 = f (t +. (c3 *. h)) (y +. (h *. ((a31 *. k1) +. (a32 *. k2)))) in
-  let k4 =
-    f (t +. (c4 *. h))
-      (y +. (h *. ((a41 *. k1) +. (a42 *. k2) +. (a43 *. k3))))
-  in
-  let k5 =
-    f (t +. (c5 *. h))
-      (y
-      +. (h *. ((a51 *. k1) +. (a52 *. k2) +. (a53 *. k3) +. (a54 *. k4))))
-  in
-  let k6 =
-    f (t +. h)
-      (y
-      +. (h
-         *. ((a61 *. k1) +. (a62 *. k2) +. (a63 *. k3) +. (a64 *. k4)
-            +. (a65 *. k5))))
-  in
-  let y5 =
-    y
-    +. (h *. ((b1 *. k1) +. (b3 *. k3) +. (b4 *. k4) +. (b5 *. k5) +. (b6 *. k6)))
-  in
-  let k7 = f (t +. h) y5 in
-  let err =
-    h
-    *. ((e1 *. k1) +. (e3 *. k3) +. (e4 *. k4) +. (e5 *. k5) +. (e6 *. k6)
-       +. (e7 *. k7))
-  in
-  (y5, err, k7)
-
 (* Standard step-size controller: order-5 error, safety 0.9, growth
    clamped to [0.2, 5]. *)
 let next_h h err_norm =
@@ -155,124 +68,9 @@ let next_h h err_norm =
   in
   h *. factor
 
-(* Cubic Hermite interpolant over an accepted step [t, t+h] with end
-   values (y0, y1) and end slopes (f0, f1); theta in [0, 1]. Its error
-   is O(h^4), below the O(h^5) local error the controller maintains. *)
-let hermite ~y0 ~y1 ~f0 ~f1 ~h theta =
-  let d = y1 -. y0 in
-  let c2_ = (3.0 *. d) -. (h *. ((2.0 *. f0) +. f1)) in
-  let c3_ = (-2.0 *. d) +. (h *. (f0 +. f1)) in
-  y0 +. (theta *. ((h *. f0) +. (theta *. (c2_ +. (theta *. c3_)))))
-
 let check_tols ~rtol ~atol name =
   if not (rtol > 0.0 && atol > 0.0) then
     invalid_arg (name ^ ": tolerances must be positive")
-
-(* Drive the adaptive stepper from (t0, y0). [stop] inspects each
-   accepted step (t, y, h, y5, k1, k7) and returns [Some result] to
-   finish early; [limit_t] caps integration time. Returns the state at
-   [limit_t] if reached first. *)
-let adaptive_loop ~rtol ~atol ~h0 ~max_steps ~limit_t ~stop f ~t0 ~y0 =
-  let t = ref t0 and y = ref y0 in
-  let k1 = ref (f t0 y0) in
-  let h = ref h0 in
-  let accepted = ref 0 and rejected = ref 0 and evals = ref 1 in
-  let result = ref None in
-  (try
-     while !result = None && !t < limit_t do
-       if !accepted + !rejected >= max_steps then
-         step_limit ~t:!t ~y:!y ~steps:(!accepted + !rejected)
-           "Ode adaptive: step budget exhausted";
-       if not (Float.is_finite !t && Float.is_finite !h && !h > 0.0) then
-         step_limit ~t:!t ~y:!y ~steps:(!accepted + !rejected)
-           "Ode adaptive: step size underflow/overflow";
-       (* A vanishing derivative lets the controller quintuple h forever
-          (e.g. a non-convergent time_to_reach target): cap the horizon. *)
-       if limit_t = infinity && !t >= 1e150 then
-         step_limit ~t:!t ~y:!y ~steps:(!accepted + !rejected)
-           "Ode adaptive: target not reached before t = 1e150";
-       let h_clamped = Float.min !h (limit_t -. !t) in
-       let h_try = if h_clamped > 0.0 then h_clamped else !h in
-       let y5, err, k7 = dopri5_try f !t !y h_try !k1 in
-       evals := !evals + 6;
-       let scale = atol +. (rtol *. Float.max (Float.abs !y) (Float.abs y5)) in
-       let err_norm = Float.abs err /. scale in
-       if err_norm <= 1.0 then begin
-         incr accepted;
-         (match stop ~t:!t ~y:!y ~h:h_try ~y5 ~f0:!k1 ~f1:k7 with
-         | Some r -> result := Some r
-         | None ->
-             t := !t +. h_try;
-             y := y5;
-             k1 := k7;
-             h := next_h h_try err_norm)
-       end
-       else begin
-         incr rejected;
-         h := next_h h_try err_norm
-       end
-     done
-   with Step_limit_exceeded _ as e ->
-     (* Re-raise with the loop's own bookkeeping already in the payload. *)
-     raise e);
-  let st = { accepted = !accepted; rejected = !rejected; evals = !evals } in
-  match !result with Some r -> (r, st) | None -> (!y, st)
-
-let default_h0 ~span = Float.max 1e-12 (1e-2 *. span)
-
-let integrate_adaptive_stats ?(rtol = default_rtol) ?(atol = default_atol)
-    ?h0 ?(max_steps = 100_000) f ~t0 ~t1 ~y0 =
-  check_tols ~rtol ~atol "Ode.integrate_adaptive";
-  if not (t0 <= t1) then invalid_arg "Ode.integrate_adaptive: t0 > t1";
-  if t0 = t1 then (y0, { accepted = 0; rejected = 0; evals = 0 })
-  else begin
-    let h0 = match h0 with Some h -> h | None -> default_h0 ~span:(t1 -. t0) in
-    adaptive_loop ~rtol ~atol ~h0 ~max_steps ~limit_t:t1
-      ~stop:(fun ~t:_ ~y:_ ~h:_ ~y5:_ ~f0:_ ~f1:_ -> None)
-      f ~t0 ~y0
-  end
-
-let integrate_adaptive ?rtol ?atol ?h0 ?max_steps f ~t0 ~t1 ~y0 =
-  fst (integrate_adaptive_stats ?rtol ?atol ?h0 ?max_steps f ~t0 ~t1 ~y0)
-
-(* Adaptive threshold crossing: step until an accepted step brackets
-   [target], then polish the crossing on the dense-output polynomial
-   with Brent. f must be positive (y increasing). *)
-let time_to_reach_adaptive_stats ?(rtol = default_rtol)
-    ?(atol = default_atol) ?h0 ?(max_steps = 100_000) f ~y0 ~target =
-  check_tols ~rtol ~atol "Ode.time_to_reach_adaptive";
-  if target <= y0 then (0.0, { accepted = 0; rejected = 0; evals = 0 })
-  else begin
-    let h0 =
-      match h0 with
-      | Some h -> h
-      | None ->
-          let f0 = f 0.0 y0 in
-          if f0 > 0.0 then Float.max 1e-12 (1e-2 *. ((target -. y0) /. f0))
-          else 1.0
-    in
-    let stop ~t ~y ~h ~y5 ~f0 ~f1 =
-      if y5 < target then None
-      else begin
-        (* The crossing lies inside [t, t + h]: find theta with
-           H(theta) = target on the Hermite interpolant. H(0) < target
-           <= H(1) up to interpolation error; fall back to the linear
-           estimate if rounding breaks the bracket. *)
-        let g theta = hermite ~y0:y ~y1:y5 ~f0 ~f1 ~h theta -. target in
-        let theta =
-          match Roots.brent ~tol:1e-15 g ~lo:0.0 ~hi:1.0 with
-          | theta -> theta
-          | exception Roots.No_bracket _ -> (target -. y) /. (y5 -. y)
-        in
-        Some (t +. (theta *. h))
-      end
-    in
-    adaptive_loop ~rtol ~atol ~h0 ~max_steps ~limit_t:infinity ~stop f ~t0:0.0
-      ~y0
-  end
-
-let time_to_reach_adaptive ?rtol ?atol ?h0 ?max_steps f ~y0 ~target =
-  fst (time_to_reach_adaptive_stats ?rtol ?atol ?h0 ?max_steps f ~y0 ~target)
 
 (* ------------------------------------------------------------------ *)
 (* Resumable vector systems.                                          *)

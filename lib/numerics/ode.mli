@@ -1,33 +1,14 @@
-(** Scalar ODE integration for the comprehensive-control growth equation
-    (Eq. 16): an adaptive embedded Dormand–Prince 5(4) engine with
-    per-step error control, dense output, and a root-finding threshold
-    solve, and a classic fixed-step RK4 engine kept as its test
-    oracle. *)
+(** Explicit ODE integration for the fluid background
+    ({!Ebrc_net.Fluid}): a resumable embedded Dormand–Prince 5(4)
+    stepper for small vector systems, with per-step error control and
+    FSAL reuse. *)
 
 exception
   Step_limit_exceeded of { t : float; y : float; steps : int; what : string }
 (** Raised when an integration exhausts its step budget (or the adaptive
     step size degenerates) before reaching its goal. [t], [y] are the
-    state at abandonment; [steps] the steps taken; [what] names the
-    failing entry point. *)
-
-val rk4_step : (float -> float -> float) -> float -> float -> float -> float
-(** [rk4_step f t y h] advances dy/dt = f(t, y) one step of size [h]. *)
-
-val integrate :
-  ?steps:int -> (float -> float -> float) -> t0:float -> t1:float ->
-  y0:float -> float
-(** Fixed-step RK4 over [t0, t1] with [steps] equal steps. *)
-
-val time_to_reach :
-  ?step:float -> ?max_steps:int -> (float -> float -> float) ->
-  y0:float -> target:float -> float
-(** Time for the increasing solution of dy/dt = f(t, y), y(0) = y0, to
-    reach [target], by fixed-step RK4 with linear interpolation in the
-    final step. Raises {!Step_limit_exceeded} if the step budget is
-    exhausted before [target] (e.g. a derivative decaying toward zero). *)
-
-(** {1 Adaptive Dormand–Prince 5(4)} *)
+    time and first state component at abandonment; [steps] the steps
+    taken; [what] names the failing entry point. *)
 
 type stats = {
   accepted : int;  (** accepted steps *)
@@ -40,35 +21,6 @@ val default_rtol : float
 
 val default_atol : float
 (** 1e-9 — the default absolute tolerance floor. *)
-
-val integrate_adaptive :
-  ?rtol:float -> ?atol:float -> ?h0:float -> ?max_steps:int ->
-  (float -> float -> float) -> t0:float -> t1:float -> y0:float -> float
-(** Adaptive integration of dy/dt = f(t, y) over [t0, t1]. Per-step
-    error is held to [atol + rtol * |y|]. [h0] is the initial trial
-    step (default: 1% of the span). Raises {!Step_limit_exceeded} after
-    [max_steps] (default 100_000) trial steps. *)
-
-val integrate_adaptive_stats :
-  ?rtol:float -> ?atol:float -> ?h0:float -> ?max_steps:int ->
-  (float -> float -> float) -> t0:float -> t1:float -> y0:float ->
-  float * stats
-(** Like {!integrate_adaptive}, also returning step statistics. *)
-
-val time_to_reach_adaptive :
-  ?rtol:float -> ?atol:float -> ?h0:float -> ?max_steps:int ->
-  (float -> float -> float) -> y0:float -> target:float -> float
-(** Adaptive analogue of {!time_to_reach}: steps until an accepted step
-    brackets [target], then polishes the crossing on the cubic-Hermite
-    dense-output polynomial with Brent's method. [f] must be positive
-    along the trajectory. Raises {!Step_limit_exceeded} when the budget
-    (default 100_000 trial steps) runs out, e.g. for a derivative that
-    decays before the threshold is reached. *)
-
-val time_to_reach_adaptive_stats :
-  ?rtol:float -> ?atol:float -> ?h0:float -> ?max_steps:int ->
-  (float -> float -> float) -> y0:float -> target:float -> float * stats
-(** Like {!time_to_reach_adaptive}, also returning step statistics. *)
 
 (** {1 Resumable vector systems}
 

@@ -41,23 +41,20 @@ let of_json s =
 
 (* ------------------------------- io ------------------------------- *)
 
+(* A failed save removes its tmp file, so the previous manifest and
+   nothing else is left behind. *)
 let save ~path m =
   let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_json m));
-  Sys.rename tmp path
+  try Ebrc_chaos.Io_fault.publish ~tmp path (to_json m)
+  with Sys_error _ as e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
 
 let load ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> of_json s
-  | exception Sys_error msg -> Error msg
+  match Ebrc_chaos.Io_fault.read_file path with
+  | Some s -> of_json s
+  | None ->
+      Error (if Sys.file_exists path then "cannot read" else "no such file")
 
 (* ------------------------------ demo ------------------------------ *)
 

@@ -29,9 +29,13 @@ val of_json : string -> (t, string) result
     ["tasks[2].queue.capacity: expected an integer"]. *)
 
 val save : path:string -> t -> unit
-(** Atomic tmp+rename write. *)
+(** Publishes {!to_json} through {!Ebrc_chaos.Io_fault.publish}: a
+    reader sees the previous manifest or the whole new one. Raises
+    [Sys_error] on failure, leaving the previous manifest in place. *)
 
 val load : path:string -> (t, string) result
+(** Reads through {!Ebrc_chaos.Io_fault.read_file} and decodes with
+    {!of_json}. *)
 
 val demo : ?seed0:int -> ?duration:float -> tasks:int -> unit -> t
 (** A small self-contained manifest for demos, CI and the bench:

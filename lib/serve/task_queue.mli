@@ -28,13 +28,16 @@
 
 type t
 
+val default_torn_grace : unit -> float
+(** [EBRC_LEASE_GRACE] in seconds (unset or empty: 10 s).
+    @raise Invalid_argument naming [EBRC_LEASE_GRACE] when that is not
+    a finite number of seconds >= 0. *)
+
 val create : ?torn_grace:float -> dir:string -> unit -> t
 (** Open (creating directories as needed) the queue rooted at [dir].
     [torn_grace] is the mtime grace period for unparsable (torn) lease
-    files before they read as expired; default from [EBRC_LEASE_GRACE]
-    (unset or empty: 10 s).
-    @raise Invalid_argument naming [EBRC_LEASE_GRACE] when that is not
-    a finite number of seconds >= 0. *)
+    files before they read as expired; default
+    {!default_torn_grace}. *)
 
 val dir : t -> string
 val streams_dir : t -> string

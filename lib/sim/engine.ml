@@ -322,14 +322,11 @@ let parse_budget ~what s =
 (* Process-wide defaults, applied when [run] is not given an explicit
    budget. Orchestration guards, not simulation parameters: a run that
    stays within budget is bit-identical to an unbudgeted one, which is
-   why budgets are deliberately absent from the result-cache key. A
-   malformed env value fails at startup rather than silently leaving
-   runs unbudgeted. *)
-let default_sim_budget =
-  ref (Ebrc_obs.Env.knob "EBRC_SIM_BUDGET" (parse_budget ~what:"sim-time"))
-
-let default_wall_budget =
-  ref (Ebrc_obs.Env.knob "EBRC_WALL_BUDGET" (parse_budget ~what:"wall-clock"))
+   why budgets are deliberately absent from the result-cache key. The
+   CLI sets them from EBRC_SIM_BUDGET / EBRC_WALL_BUDGET before
+   dispatch. *)
+let default_sim_budget = ref None
+let default_wall_budget = ref None
 
 let check_budget what = function
   | Some b when not (b > 0.0 && Float.is_finite b) ->

@@ -172,9 +172,9 @@ val parse_budget : what:string -> string -> (float, string) result
 
 val set_sim_budget : float option -> unit
 (** Process-wide default sim-time budget per [run] call, used when the
-    call passes no explicit [?sim_budget] (env default:
-    [EBRC_SIM_BUDGET]). [None] disables. Raises [Invalid_argument] on
-    non-positive budgets. *)
+    call passes no explicit [?sim_budget] (initially [None]; the [ebrc]
+    CLI sets it from [EBRC_SIM_BUDGET]). [None] disables. Raises
+    [Invalid_argument] on non-positive budgets. *)
 
 val set_wall_budget : float option -> unit
 (** Same for the wall-clock budget ([EBRC_WALL_BUDGET]). *)

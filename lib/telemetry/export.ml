@@ -46,10 +46,7 @@ let event (e : Telemetry.event) =
   Obj
     ([ ("type", Str "event"); ("t", Num e.time); ("kind", Str e.ev) ]
     @ (if e.flow >= 0 then [ ("flow", Int e.flow) ] else [])
-    @ [ ("value", Num e.value) ]
-    @
-    if e.attrs = [] then []
-    else [ ("attrs", Obj (List.map (fun (k, v) -> (k, Num v)) e.attrs)) ])
+    @ [ ("value", Num e.value) ])
 
 let span (s : Telemetry.span) =
   let open Json in

@@ -101,13 +101,20 @@ let period_of_env name default =
   Option.value ~default
     (Ebrc_obs.Env.knob ~empty:default name Ebrc_obs.Env.seconds)
 
-let enable_from_env () =
+let env_config () =
   match Sys.getenv_opt "EBRC_STREAM" with
-  | None | Some "" -> false
+  | None | Some "" -> None
   | Some p ->
-      let period_sim = period_of_env "EBRC_STREAM_PERIOD" 1.0 in
-      let period_wall = period_of_env "EBRC_STREAM_WALL" 0.5 in
-      enable ~path:p ~period_sim ~period_wall;
+      Some
+        ( p,
+          period_of_env "EBRC_STREAM_PERIOD" 1.0,
+          period_of_env "EBRC_STREAM_WALL" 0.5 )
+
+let enable_from_env () =
+  match env_config () with
+  | None -> false
+  | Some (path, period_sim, period_wall) ->
+      enable ~path ~period_sim ~period_wall;
       true
 
 (* ------------------------------------------------------------------ *)

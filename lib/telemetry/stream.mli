@@ -41,13 +41,16 @@ val enable : path:string -> period_sim:float -> period_wall:float -> unit
     the file is empty. Implies nothing about {!Telemetry.set_enabled}:
     callers turn the registry on themselves. *)
 
-val enable_from_env : unit -> bool
-(** Honour [EBRC_STREAM] (stream file path; unset/empty = off),
-    [EBRC_STREAM_PERIOD] (sim period, default 1.0) and
-    [EBRC_STREAM_WALL] (wall period, default 0.5). Returns whether
-    streaming was enabled.
+val env_config : unit -> (string * float * float) option
+(** [(path, period_sim, period_wall)] from [EBRC_STREAM] (stream file
+    path; unset/empty = off, [None]), [EBRC_STREAM_PERIOD] (sim period,
+    default 1.0) and [EBRC_STREAM_WALL] (wall period, default 0.5).
     @raise Invalid_argument naming the variable when a period is not
     a finite number >= 0. *)
+
+val enable_from_env : unit -> bool
+(** {!enable} with {!env_config}; returns whether streaming was
+    enabled. *)
 
 val disable : unit -> unit
 (** Stop streaming and close the file (no reordering; see

@@ -265,7 +265,6 @@ type event = {
   ev : string;
   flow : int;
   value : float;
-  attrs : (string * float) list;
 }
 
 (* The ring is a struct of arrays: recording stores the floats unboxed
@@ -278,7 +277,6 @@ type ring = {
   kinds : string array;
   flows : int array;
   values : float array;
-  attrss : (string * float) list array;
 }
 
 let event_capacity = ref 65536
@@ -287,7 +285,7 @@ let ev_start = ref 0   (* index of the oldest retained event *)
 let ev_len = ref 0
 let ev_dropped = ref 0
 
-let event ?(flow = -1) ?(value = 0.0) ?(attrs = []) ev ~time =
+let event ?(flow = -1) ?(value = 0.0) ev ~time =
   if Atomic.get on then begin
     Mutex.lock mutex;
     let r =
@@ -297,8 +295,7 @@ let event ?(flow = -1) ?(value = 0.0) ?(attrs = []) ev ~time =
           let n = !event_capacity in
           let r =
             { times = Array.make n 0.0; kinds = Array.make n "";
-              flows = Array.make n 0; values = Array.make n 0.0;
-              attrss = Array.make n [] }
+              flows = Array.make n 0; values = Array.make n 0.0 }
           in
           ring := Some r;
           r
@@ -321,7 +318,6 @@ let event ?(flow = -1) ?(value = 0.0) ?(attrs = []) ev ~time =
     r.kinds.(i) <- ev;
     r.flows.(i) <- flow;
     r.values.(i) <- value;
-    r.attrss.(i) <- attrs;
     Mutex.unlock mutex
   end
 
@@ -333,7 +329,7 @@ let events () =
           List.init !ev_len (fun k ->
               let i = (!ev_start + k) mod Array.length r.times in
               { time = r.times.(i); ev = r.kinds.(i); flow = r.flows.(i);
-                value = r.values.(i); attrs = r.attrss.(i) }))
+                value = r.values.(i) }))
   |> List.sort compare
 
 let events_dropped () = locked (fun () -> !ev_dropped)

@@ -157,12 +157,10 @@ type event = {
   ev : string;    (** event kind, e.g. ["link.drop"] *)
   flow : int;     (** flow id, [-1] when not flow-scoped *)
   value : float;  (** primary numeric attribute *)
-  attrs : (string * float) list;
 }
 
 val event :
-  ?flow:int -> ?value:float -> ?attrs:(string * float) list ->
-  string -> time:float -> unit
+  ?flow:int -> ?value:float -> string -> time:float -> unit
 (** Append a structured event to the process-wide ring buffer. When
     the ring is full the oldest event is overwritten (counted by
     {!events_dropped}), so memory stays bounded. No-op when

@@ -4,8 +4,9 @@
 # partial store resumes by recomputing only what is missing (and
 # byte-identically), --workers 0 is a warm resume over a complete
 # store, re-serving retries a task left with a stale failure record,
-# a missing manifest exits 2, seeds above 2^53 stay exact, and the
-# workers' telemetry streams read back as a finished, all-done fleet.
+# a missing manifest exits 2, seeds above 2^53 stay exact, the
+# workers' telemetry streams read back as a finished, all-done fleet,
+# and a malformed environment knob is a usage error (exit 124).
 set -eu
 
 EBRC=_build/default/bin/ebrc_cli.exe
@@ -101,4 +102,24 @@ for N in $(grep -o '"sim.events_fired":[0-9]*' "$WORK/status.out" | cut -d: -f2)
 done
 [ "$FIRED" -gt 0 ] || fail "no sim.events_fired in the merged worker counters"
 
-echo "serve_ci: OK (fresh sweep, partial resume byte-identical, warm resume, stale-failure retry, exit codes, exact large seeds, fleet telemetry)"
+# 8. Malformed environment knobs: whichever knob and command, the CLI
+#    prints "ebrc: <VAR>: <reason>" and exits 124 (a usage error), never
+#    an uncaught exception.
+knob_case() {
+  VAR=$1; VALUE=$2; shift 2
+  set +e
+  env "$VAR=$VALUE" "$EBRC" "$@" >/dev/null 2>"$WORK/knob.err"
+  RC=$?
+  set -e
+  [ "$RC" = 124 ] || fail "$VAR=$VALUE ebrc $* should exit 124, got $RC"
+  grep -q "^ebrc: $VAR: " "$WORK/knob.err" \
+    || fail "$VAR=$VALUE ebrc $*: no 'ebrc: $VAR:' line: $(cat "$WORK/knob.err")"
+  if grep -q "Fatal error" "$WORK/knob.err"; then
+    fail "$VAR=$VALUE ebrc $* died with an uncaught exception"
+  fi
+}
+knob_case EBRC_CHAOS abc list
+knob_case EBRC_SIM_BUDGET -1 list
+knob_case EBRC_JOBS abc figure 1
+
+echo "serve_ci: OK (fresh sweep, partial resume byte-identical, warm resume, stale-failure retry, exit codes, exact large seeds, fleet telemetry, malformed env knobs)"

@@ -157,6 +157,46 @@ let test_store_converges_under_chaos () =
   Alcotest.(check string) "record byte-identical to fault-free store"
     (record clean) (record faulty)
 
+(* ---------------- manifest publication under chaos ----------------- *)
+
+(* Every save under injected EIO and torn writes either raises
+   [Sys_error] and leaves the previous manifest byte-identical, or
+   publishes the whole new one; a failed save leaves no tmp file, and
+   whatever is left always loads. *)
+let test_manifest_save_under_chaos () =
+  let dir = tmp_dir "manifest" in
+  let path = Filename.concat dir "m.json" in
+  Manifest.save ~path (Manifest.demo ~tasks:1 ());
+  let failed = ref 0 and saved = ref 0 in
+  let stats =
+    with_chaos 4242 (fun () ->
+        for i = 1 to 200 do
+          let m = Manifest.demo ~tasks:(1 + (i mod 4)) ~seed0:i () in
+          let before = read_file path in
+          (match Manifest.save ~path m with
+          | () ->
+              incr saved;
+              Alcotest.(check string) "whole new manifest" (Manifest.to_json m)
+                (read_file path)
+          | exception Sys_error _ ->
+              incr failed;
+              Alcotest.(check string) "previous manifest intact" before
+                (read_file path));
+          match Manifest.load ~path with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "load after save %d: %s" i e
+        done;
+        Chaos.stats ())
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "both outcomes seen (%d saved, %d failed)" !saved !failed)
+    true
+    (!saved > 0 && !failed > 0);
+  Alcotest.(check bool) "torn writes and EIO injected" true
+    (stats.Chaos.torn_writes > 0 && stats.Chaos.eio > 0);
+  Alcotest.(check (list string)) "no tmp left behind" [ "m.json" ]
+    (Array.to_list (Sys.readdir dir))
+
 (* ------------------------- scrub property -------------------------- *)
 
 (* A pristine 3-record store, built once; each QCheck iteration copies
@@ -372,6 +412,8 @@ let () =
         [
           Alcotest.test_case "publication converges under chaos" `Quick
             test_store_converges_under_chaos;
+          Alcotest.test_case "manifest save under chaos" `Quick
+            test_manifest_save_under_chaos;
         ] );
       ( "scrub",
         [

@@ -207,22 +207,30 @@ let test_realtime_pftk_heavy_loss_nonconservative () =
 
 (* ------------------- comprehensive control --------------------- *)
 
-let run_comprehensive ?(seed = 21) ?(cycles = 50_000) ~engine ~kind ~l ~p ~cv
-    () =
+let run_comprehensive ?(seed = 21) ?(cycles = 50_000) ~kind ~l ~p ~cv () =
   let rng = Prng.create ~seed in
   let process = LP.iid_shifted_exponential rng ~p ~cv in
   let formula = F.create ~rtt:1.0 kind in
   let estimator = LI.of_tfrc ~l in
-  CC.simulate ~engine ~formula ~estimator ~process ~cycles ()
+  CC.simulate ~formula ~estimator ~process ~cycles ()
+
+(* The closed form against the quadrature oracle (Growth_quadrature):
+   both compute the exact Sₙ, so they agree to rounding. *)
+let closed_vs_quadrature ~formula ~estimator ~theta =
+  let closed = CC.cycle_duration_closed ~formula ~estimator ~theta in
+  let quad = Growth_quadrature.cycle_duration ~formula ~estimator ~theta in
+  abs_float (closed -. quad) /. quad
+
+let check_rel_err ~what err =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: rel err %.3g <= 1e-12" what err)
+    true (err <= 1e-12)
 
 let test_comprehensive_at_least_basic () =
   List.iter
     (fun kind ->
       let b = run_basic ~seed:31 ~kind ~l:8 ~p:0.05 ~cv:0.9 () in
-      let c =
-        run_comprehensive ~seed:31 ~engine:CC.Closed_form ~kind ~l:8 ~p:0.05
-          ~cv:0.9 ()
-      in
+      let c = run_comprehensive ~seed:31 ~kind ~l:8 ~p:0.05 ~cv:0.9 () in
       Alcotest.(check bool)
         (Printf.sprintf "%s: compr %.4f >= basic %.4f"
            (F.name (F.create kind))
@@ -231,18 +239,36 @@ let test_comprehensive_at_least_basic () =
         (c.CC.normalized >= b.BC.normalized -. 0.01))
     [ F.Sqrt; F.Pftk_simplified ]
 
+(* Every cycle of a seeded 3,000-cycle trajectory: the closed form
+   matches the quadrature, and [simulate]'s throughput is the
+   quadrature's sum(theta) / sum(S). *)
 let test_closed_form_matches_ode () =
   List.iter
     (fun kind ->
-      let a =
-        run_comprehensive ~seed:41 ~cycles:3000 ~engine:CC.Closed_form ~kind
-          ~l:8 ~p:0.05 ~cv:0.9 ()
-      in
-      let b =
-        run_comprehensive ~seed:41 ~cycles:3000 ~engine:CC.Ode_integration
-          ~kind ~l:8 ~p:0.05 ~cv:0.9 ()
-      in
-      feq ~eps:1e-2 a.CC.throughput b.CC.throughput)
+      let formula = F.create ~rtt:1.0 kind in
+      let cycles = 3000 and l = 8 in
+      let sim = run_comprehensive ~seed:41 ~cycles ~kind ~l ~p:0.05 ~cv:0.9 () in
+      let rng = Prng.create ~seed:41 in
+      let process = LP.iid_shifted_exponential rng ~p:0.05 ~cv:0.9 in
+      let estimator = LI.of_tfrc ~l in
+      for _ = 1 to l do
+        LI.record estimator (LP.next process)
+      done;
+      let packets = ref 0.0 and time = ref 0.0 and worst = ref 0.0 in
+      for _ = 1 to cycles do
+        let theta = LP.next process in
+        worst :=
+          Float.max !worst (closed_vs_quadrature ~formula ~estimator ~theta);
+        packets := !packets +. theta;
+        time :=
+          !time +. Growth_quadrature.cycle_duration ~formula ~estimator ~theta;
+        LI.record estimator theta
+      done;
+      let what = F.name formula in
+      check_rel_err ~what:(what ^ " worst cycle") !worst;
+      check_rel_err ~what:(what ^ " throughput")
+        (abs_float ((!packets /. !time) -. sim.CC.throughput)
+        /. sim.CC.throughput))
     [ F.Sqrt; F.Pftk_simplified ]
 
 let test_cycle_duration_no_growth_equals_basic () =
@@ -267,62 +293,28 @@ let test_cycle_duration_growth_shorter () =
 let test_cycle_duration_closed_vs_ode_single () =
   let estimator = LI.of_tfrc ~l:8 in
   LI.prime estimator 20.0;
-  let theta = 120.0 in
-  let s_closed =
-    CC.cycle_duration_closed ~formula:pftk_simpl ~estimator ~theta
-  in
-  let s_ode =
-    CC.cycle_duration_ode_adaptive ~formula:pftk_simpl ~estimator ~theta ()
-  in
-  feq ~eps:1e-3 s_closed s_ode
+  check_rel_err ~what:"PFTK-simplified"
+    (closed_vs_quadrature ~formula:pftk_simpl ~estimator ~theta:120.0)
 
-let test_cycle_duration_adaptive_vs_closed_sqrt () =
-  (* Acceptance bar for the adaptive engine: <= 1e-6 relative error
-     against the Proposition-3 closed form at the default tolerance. *)
+let test_cycle_duration_quadrature_vs_closed_sqrt () =
   let estimator = LI.of_tfrc ~l:8 in
   LI.prime estimator 20.0;
-  let theta = 120.0 in
-  let s_closed = CC.cycle_duration_closed ~formula:sqrt_f ~estimator ~theta in
-  let s_adaptive =
-    CC.cycle_duration_ode_adaptive ~formula:sqrt_f ~estimator ~theta ()
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "rel err %.3g <= 1e-6"
-       (abs_float (s_adaptive -. s_closed) /. s_closed))
-    true
-    (abs_float (s_adaptive -. s_closed) /. s_closed <= 1e-6)
-
-let test_adaptive_memo_deterministic () =
-  (* Second call hits the memo cache and must return the identical
-     float, and a fresh estimator with the same state must too. *)
-  let estimator = LI.of_tfrc ~l:8 in
-  LI.prime estimator 25.0;
-  let theta = 300.0 in
-  let s1 =
-    CC.cycle_duration_ode_adaptive ~formula:pftk_simpl ~estimator ~theta ()
-  in
-  let s2 =
-    CC.cycle_duration_ode_adaptive ~formula:pftk_simpl ~estimator ~theta ()
-  in
-  let estimator' = LI.of_tfrc ~l:8 in
-  LI.prime estimator' 25.0;
-  let s3 =
-    CC.cycle_duration_ode_adaptive ~formula:pftk_simpl ~estimator:estimator'
-      ~theta ()
-  in
-  Alcotest.(check bool) "memo hit identical" true (s1 = s2 && s1 = s3)
+  check_rel_err ~what:"SQRT"
+    (closed_vs_quadrature ~formula:sqrt_f ~estimator ~theta:120.0)
 
 let test_closed_form_rejects_pftk_standard () =
   let rng = Prng.create ~seed:1 in
   let process = LP.iid_exponential rng ~p:0.05 in
   let estimator = LI.of_tfrc ~l:8 in
-  match
-    CC.simulate ~engine:CC.Closed_form
-      ~formula:(F.create ~rtt:1.0 F.Pftk_standard)
-      ~estimator ~process ~cycles:10 ()
-  with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
+  Alcotest.check_raises "PFTK-standard"
+    (Invalid_argument
+       "Comprehensive_control.simulate: the closed form needs SQRT or \
+        PFTK-simplified")
+    (fun () ->
+      ignore
+        (CC.simulate
+           ~formula:(F.create ~rtt:1.0 F.Pftk_standard)
+           ~estimator ~process ~cycles:10 ()))
 
 let test_v_n_zero_when_equal () =
   feq (CC.v_n ~formula:sqrt_f ~w1:0.2 ~thetahat0:30.0 ~thetahat1:30.0) 0.0
@@ -525,23 +517,16 @@ let prop_basic_conservative_pftk_iid =
       in
       r.BC.normalized <= 1.05)
 
-let prop_adaptive_matches_closed_sqrt =
-  (* Satellite: RK45 vs the SQRT closed-form cycle duration, across
-     random estimator states and cycle lengths, to 1e-6 relative. *)
-  QCheck.Test.make ~name:"adaptive ODE = SQRT closed form to 1e-6" ~count:60
+let prop_quadrature_matches_closed =
+  QCheck.Test.make ~name:"quadrature = closed form to 1e-12" ~count:60
     QCheck.(
-      triple (int_range 2 16) (float_range 5.0 80.0) (float_range 1.1 20.0))
-    (fun (l, prime, growth) ->
+      quad bool (int_range 2 16) (float_range 5.0 80.0) (float_range 1.1 20.0))
+    (fun (pftk, l, prime, growth) ->
+      let formula = if pftk then pftk_simpl else sqrt_f in
       let estimator = LI.of_tfrc ~l in
       LI.prime estimator prime;
-      let theta = prime *. growth in
-      let s_closed =
-        CC.cycle_duration_closed ~formula:sqrt_f ~estimator ~theta
-      in
-      let s_adaptive =
-        CC.cycle_duration_ode_adaptive ~formula:sqrt_f ~estimator ~theta ()
-      in
-      abs_float (s_adaptive -. s_closed) /. s_closed <= 1e-6)
+      closed_vs_quadrature ~formula ~estimator ~theta:(prime *. growth)
+      <= 1e-12)
 
 let prop_comprehensive_ge_basic =
   QCheck.Test.make ~name:"Prop 2: comprehensive >= basic" ~count:8
@@ -549,8 +534,7 @@ let prop_comprehensive_ge_basic =
     (fun (l, p) ->
       let b = run_basic ~seed:l ~cycles:20_000 ~kind:F.Sqrt ~l ~p ~cv:0.9 () in
       let c =
-        run_comprehensive ~seed:l ~cycles:20_000 ~engine:CC.Closed_form
-          ~kind:F.Sqrt ~l ~p ~cv:0.9 ()
+        run_comprehensive ~seed:l ~cycles:20_000 ~kind:F.Sqrt ~l ~p ~cv:0.9 ()
       in
       c.CC.normalized >= b.BC.normalized -. 0.02)
 
@@ -559,7 +543,7 @@ let qsuite =
     [
       prop_basic_conservative_sqrt_iid;
       prop_basic_conservative_pftk_iid;
-      prop_adaptive_matches_closed_sqrt;
+      prop_quadrature_matches_closed;
       prop_comprehensive_ge_basic;
     ]
 
@@ -597,8 +581,7 @@ let () =
           Alcotest.test_case "no growth = basic cycle" `Quick test_cycle_duration_no_growth_equals_basic;
           Alcotest.test_case "growth shortens cycle" `Quick test_cycle_duration_growth_shorter;
           Alcotest.test_case "closed vs ODE single cycle" `Quick test_cycle_duration_closed_vs_ode_single;
-          Alcotest.test_case "adaptive vs closed (SQRT, 1e-6)" `Quick test_cycle_duration_adaptive_vs_closed_sqrt;
-          Alcotest.test_case "adaptive memo deterministic" `Quick test_adaptive_memo_deterministic;
+          Alcotest.test_case "quadrature vs closed (SQRT, 1e-12)" `Quick test_cycle_duration_quadrature_vs_closed_sqrt;
           Alcotest.test_case "closed form rejects PFTK-std" `Quick test_closed_form_rejects_pftk_standard;
           Alcotest.test_case "V_n zero when estimates equal" `Quick test_v_n_zero_when_equal;
         ] );

@@ -11,7 +11,7 @@ module Flock = Ebrc.Flock
 (* ------------------------- Ode.System ------------------------------ *)
 
 (* dy/dt = -y, y(0) = 1: resumed integration in many small bursts must
-   agree with one adaptive sweep and with exp(-t). *)
+   agree with one advance over the whole span and with exp(-t). *)
 let test_system_resume_matches_oneshot () =
   let f _t y dy = Float.Array.set dy 0 (-.Float.Array.get y 0) in
   let y0 = Float.Array.make 1 1.0 in
@@ -30,12 +30,29 @@ let test_system_resume_matches_oneshot () =
     (Printf.sprintf "resumed %.9g vs exact %.9g" resumed exact)
     true
     (Float.abs (resumed -. exact) /. exact < 1e-4);
-  let oneshot =
-    Ode.integrate_adaptive (fun _ y -> -.y) ~t0:0.0 ~t1:5.0 ~y0:1.0
-  in
+  let oneshot = Ode.System.create ~f ~t0:0.0 ~y0 () in
+  Ode.System.advance oneshot 5.0;
   Alcotest.(check bool)
-    "resumed agrees with one-shot scalar engine" true
-    (Float.abs (resumed -. oneshot) /. exact < 1e-4)
+    "resumed agrees with one advance" true
+    (Float.abs (resumed -. Ode.System.value oneshot 0) /. exact < 1e-4)
+
+(* dy/dt = y^2 from y(0) = 1 blows up at t = 1: the step size shrinks
+   toward the singularity and the integration stalls there, so an
+   advance to t = 2 runs out of steps instead of hanging. *)
+let test_system_step_budget () =
+  let f _t y dy =
+    let v = Float.Array.get y 0 in
+    Float.Array.set dy 0 (v *. v)
+  in
+  let sys = Ode.System.create ~f ~t0:0.0 ~y0:(Float.Array.make 1 1.0) () in
+  match Ode.System.advance ~max_steps:500 sys 2.0 with
+  | () -> Alcotest.fail "expected Step_limit_exceeded"
+  | exception Ode.Step_limit_exceeded { t; y; steps; _ } ->
+      Alcotest.(check int) "steps recorded" 500 steps;
+      Alcotest.(check bool)
+        (Printf.sprintf "stalled at the blow-up (t = %.9g, y = %g)" t y)
+        true
+        (Float.abs (t -. 1.0) < 1e-3 && y > 1e6)
 
 (* A 2-D rotation (harmonic oscillator): energy is conserved, so the
    vector path of the stepper is exercised with a known invariant. *)
@@ -235,6 +252,7 @@ let () =
             test_system_past_target_rejected;
           Alcotest.test_case "set/invalidate" `Quick
             test_system_set_invalidate;
+          Alcotest.test_case "step budget" `Quick test_system_step_budget;
         ] );
       ( "fluid",
         [

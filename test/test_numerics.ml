@@ -139,90 +139,80 @@ let test_trapezoid_invalid () =
 
 (* ----------------------------- ODE ----------------------------- *)
 
-let test_rk4_exponential_growth () =
-  feq ~eps:1e-8
-    (Ode.integrate ~steps:200 (fun _ y -> y) ~t0:0.0 ~t1:1.0 ~y0:1.0)
-    (exp 1.0)
+(* The fluid's DOPRI5 stepper on a scalar dy/dt = f(t, y): the state
+   at [t1] after one [advance] from [y0] at 0, and the stepper. *)
+let advance_scalar ?rtol ?atol f ~t1 ~y0 =
+  let sys =
+    Ode.System.create ?rtol ?atol
+      ~f:(fun t y dy -> Float.Array.set dy 0 (f t (Float.Array.get y 0)))
+      ~t0:0.0 ~y0:(Float.Array.make 1 y0) ()
+  in
+  Ode.System.advance sys t1;
+  (Ode.System.value sys 0, sys)
 
-let test_rk4_linear_time () =
-  feq (Ode.integrate ~steps:100 (fun t _ -> t) ~t0:0.0 ~t1:2.0 ~y0:1.0) 3.0
+let test_exponential_growth () =
+  feq ~eps:1e-5 (fst (advance_scalar (fun _ y -> y) ~t1:1.0 ~y0:1.0)) (exp 1.0)
 
+let test_linear_time () =
+  feq ~eps:1e-8 (fst (advance_scalar (fun t _ -> t) ~t1:2.0 ~y0:1.0)) 3.0
+
+(* Growth_quadrature.time_to_reach, the comprehensive-control oracle,
+   on growth laws with known solutions. *)
 let test_time_to_reach_constant_rate () =
-  feq ~eps:1e-6
-    (Ode.time_to_reach ~step:1e-3 (fun _ _ -> 5.0) ~y0:0.0 ~target:10.0)
+  feq ~eps:1e-12
+    (Growth_quadrature.time_to_reach (fun _ -> 5.0) ~y0:0.0 ~target:10.0)
     2.0
 
 let test_time_to_reach_sqrt_growth () =
   (* dy/dt = 2 sqrt(y): y(t) = (t + sqrt y0)^2; from y0=1 to 9 takes 2. *)
-  feq ~eps:1e-4
-    (Ode.time_to_reach ~step:1e-4 (fun _ y -> 2.0 *. sqrt y) ~y0:1.0
-       ~target:9.0)
-    2.0
-
-let test_time_to_reach_already_there () =
-  feq (Ode.time_to_reach (fun _ _ -> 1.0) ~y0:5.0 ~target:4.0) 0.0
-
-let test_time_to_reach_budget () =
-  match
-    Ode.time_to_reach ~step:1e-3 ~max_steps:10 (fun _ _ -> 1e-9) ~y0:0.0
-      ~target:1.0
-  with
-  | _ -> Alcotest.fail "expected Step_limit_exceeded"
-  | exception Ode.Step_limit_exceeded { steps; _ } ->
-      Alcotest.(check int) "steps recorded" 10 steps
-
-let test_adaptive_budget_nonconvergent () =
-  (* dy/dt = e^-t decays: y(inf) = y0 + 1 < target, so the threshold is
-     never reached and the adaptive stepper must fail loudly, not hang. *)
-  match
-    Ode.time_to_reach_adaptive ~max_steps:500
-      (fun t _ -> exp (-.t))
-      ~y0:0.0 ~target:2.0
-  with
-  | _ -> Alcotest.fail "expected Step_limit_exceeded"
-  | exception Ode.Step_limit_exceeded { y; _ } ->
-      Alcotest.(check bool) "abandoned below target" true (y < 2.0)
-
-let test_adaptive_exponential_growth () =
-  feq ~eps:1e-8
-    (Ode.integrate_adaptive ~rtol:1e-10 ~atol:1e-12 (fun _ y -> y) ~t0:0.0
-       ~t1:1.0 ~y0:1.0)
-    (exp 1.0)
-
-let test_adaptive_time_to_reach_sqrt_growth () =
-  (* dy/dt = 2 sqrt(y): y(t) = (t + sqrt y0)^2; from y0=1 to 9 takes 2. *)
-  feq ~eps:1e-8
-    (Ode.time_to_reach_adaptive ~rtol:1e-10 ~atol:1e-12
-       (fun _ y -> 2.0 *. sqrt y)
+  feq ~eps:1e-12
+    (Growth_quadrature.time_to_reach
+       (fun y -> 2.0 *. sqrt y)
        ~y0:1.0 ~target:9.0)
     2.0
 
-let test_adaptive_already_there () =
-  feq (Ode.time_to_reach_adaptive (fun _ _ -> 1.0) ~y0:5.0 ~target:4.0) 0.0
+let test_time_to_reach_already_there () =
+  feq (Growth_quadrature.time_to_reach (fun _ -> 1.0) ~y0:5.0 ~target:4.0) 0.0
 
-let test_adaptive_matches_fixed_rk4 () =
-  (* Tentpole cross-check: adaptive at tight tolerance agrees with
-     fine fixed-step RK4 to 1e-8 on a nonlinear growth law. *)
-  let f _ y = (0.3 *. y) +. (2.0 *. sqrt y) in
-  let fixed = Ode.time_to_reach ~step:1e-6 f ~y0:1.0 ~target:50.0 in
-  let adaptive =
-    Ode.time_to_reach_adaptive ~rtol:1e-12 ~atol:1e-14 f ~y0:1.0 ~target:50.0
+let test_step_budget () =
+  (* A healthy trajectory, a budget too small to cover the span: the
+     advance stops after exactly [max_steps] trial steps. *)
+  let sys =
+    Ode.System.create
+      ~f:(fun _ _ dy -> Float.Array.set dy 0 1.0)
+      ~t0:0.0 ~y0:(Float.Array.make 1 0.0) ()
   in
-  feq ~eps:1e-8 fixed adaptive
+  match Ode.System.advance ~max_steps:2 sys 1.0 with
+  | () -> Alcotest.fail "expected Step_limit_exceeded"
+  | exception Ode.Step_limit_exceeded { t; steps; _ } ->
+      Alcotest.(check int) "steps recorded" 2 steps;
+      Alcotest.(check bool) "abandoned short of the target" true (t < 1.0)
+
+let test_adaptive_exponential_growth () =
+  feq ~eps:1e-8
+    (fst
+       (advance_scalar ~rtol:1e-10 ~atol:1e-12 (fun _ y -> y) ~t1:1.0 ~y0:1.0))
+    (exp 1.0)
+
+let test_adaptive_already_there () =
+  (* Advancing to the current time takes no step and evaluates nothing. *)
+  let y, sys = advance_scalar (fun _ y -> y) ~t1:0.0 ~y0:5.0 in
+  feq y 5.0;
+  Alcotest.(check int) "no evals" 0 (Ode.System.stats sys).Ode.evals
 
 let test_adaptive_fewer_steps_stiffish () =
   (* A trajectory with a fast transient then a long slow tail: the
      adaptive stepper should cross it in a tiny fraction of the
      derivative evaluations a fixed 1e-3 step would need. *)
-  let f t y = (100.0 *. exp (-50.0 *. t)) +. (0.01 *. (1.0 +. (0.0 *. y))) in
-  let _, st =
-    Ode.time_to_reach_adaptive_stats f ~y0:0.0 ~target:10.0
-  in
-  (* Fixed-step RK4 at 1e-3 needs ~800k steps (~3.2M evals) to cover
-     the t ~ 800 tail; adaptive should use a few hundred evals. *)
+  let f t _ = (100.0 *. exp (-50.0 *. t)) +. 0.01 in
+  let y, sys = advance_scalar f ~t1:800.0 ~y0:0.0 in
+  feq ~eps:1e-5 y (2.0 +. 8.0);
+  (* Fixed-step RK4 at 1e-3 needs 800k steps (3.2M evals) to cover the
+     tail; adaptive should use a few hundred evals. *)
+  let evals = (Ode.System.stats sys).Ode.evals in
   Alcotest.(check bool)
-    (Printf.sprintf "adaptive evals = %d < 10000" st.Ode.evals)
-    true (st.Ode.evals < 10_000)
+    (Printf.sprintf "adaptive evals = %d < 10000" evals)
+    true (evals < 10_000)
 
 (* ------------------------- properties -------------------------- *)
 
@@ -303,22 +293,16 @@ let () =
         ] );
       ( "ode",
         [
-          Alcotest.test_case "exp growth" `Quick test_rk4_exponential_growth;
-          Alcotest.test_case "linear time" `Quick test_rk4_linear_time;
+          Alcotest.test_case "exp growth" `Quick test_exponential_growth;
+          Alcotest.test_case "linear time" `Quick test_linear_time;
           Alcotest.test_case "time_to_reach constant" `Quick test_time_to_reach_constant_rate;
           Alcotest.test_case "time_to_reach sqrt" `Quick test_time_to_reach_sqrt_growth;
           Alcotest.test_case "already there" `Quick test_time_to_reach_already_there;
-          Alcotest.test_case "budget exhausted" `Quick test_time_to_reach_budget;
-          Alcotest.test_case "adaptive budget (non-convergent)" `Quick
-            test_adaptive_budget_nonconvergent;
+          Alcotest.test_case "budget exhausted" `Quick test_step_budget;
           Alcotest.test_case "adaptive exp growth" `Quick
             test_adaptive_exponential_growth;
-          Alcotest.test_case "adaptive time_to_reach sqrt" `Quick
-            test_adaptive_time_to_reach_sqrt_growth;
           Alcotest.test_case "adaptive already there" `Quick
             test_adaptive_already_there;
-          Alcotest.test_case "adaptive matches fixed RK4 @1e-8" `Quick
-            test_adaptive_matches_fixed_rk4;
           Alcotest.test_case "adaptive far fewer steps (stiff-ish)" `Quick
             test_adaptive_fewer_steps_stiffish;
         ] );

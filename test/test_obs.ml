@@ -209,7 +209,24 @@ let test_gate_missing_blocks () =
   Alcotest.(check (list severity)) "its gate is skipped" []
     (judge ~baseline ~current "flows1m.bit_identical");
   Alcotest.(check int) "blocks missing from both: no finding" 0
-    (List.length (BR.gate ~warn_only:false ~baseline:current ~current))
+    (List.length (BR.gate ~warn_only:false ~baseline:current ~current));
+  (* A retired bench (here the deleted comprehensive-ode microbench
+     and its ode_frontier block) never fails the newer record. *)
+  let baseline =
+    J.Obj
+      [
+        ( "microbench_ns_per_run",
+          J.Obj [ ("comprehensive-ode", J.Num 2e6); ("kept", J.Num 2e6) ] );
+        ("ode_frontier", J.Obj [ ("points", J.List []) ]);
+      ]
+  in
+  let current =
+    J.Obj [ ("microbench_ns_per_run", J.Obj [ ("kept", J.Num 2e6) ]) ]
+  in
+  Alcotest.(check (list severity)) "retired block is Info" [ BR.Info ]
+    (judge ~baseline ~current "ode_frontier");
+  Alcotest.(check (list severity)) "retired microbench is not judged" []
+    (judge ~baseline ~current "comprehensive-ode")
 
 (* ------------------------------ trend ----------------------------- *)
 

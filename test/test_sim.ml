@@ -234,8 +234,8 @@ let test_engine_wall_watchdog () =
 
 (* A malformed env budget must not silently leave runs unbudgeted: it
    fails with the --sim-budget flag's message, naming the variable. The
-   process-wide defaults read EBRC_SIM_BUDGET / EBRC_WALL_BUDGET this
-   way at startup; empty and "0" are malformed too. *)
+   CLI reads EBRC_SIM_BUDGET / EBRC_WALL_BUDGET this way before
+   dispatch; empty and "0" are malformed too. *)
 let test_engine_budget_env () =
   let var = "EBRC_TEST_ENV_BUDGET" in
   let budget_of_env var =

@@ -3,7 +3,6 @@
 module D = Ebrc.Descriptive
 module W = Ebrc.Welford
 module C = Ebrc.Cov_acc
-module H = Ebrc.Histogram
 module R = Ebrc.Resample
 
 let feq ?(eps = 1e-9) a b =
@@ -192,33 +191,6 @@ let test_cov_acc_reset () =
   C.reset c;
   Alcotest.(check int) "count" 0 (C.count c)
 
-(* -------------------------- Histogram -------------------------- *)
-
-let test_histogram_basic () =
-  let h = H.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  List.iter (H.add h) [ 0.5; 1.5; 1.7; 9.99; -1.0; 10.0; 12.0 ];
-  Alcotest.(check int) "bin0" 1 (H.count h 0);
-  Alcotest.(check int) "bin1" 2 (H.count h 1);
-  Alcotest.(check int) "bin9" 1 (H.count h 9);
-  Alcotest.(check int) "underflow" 1 (H.underflow h);
-  Alcotest.(check int) "overflow" 2 (H.overflow h);
-  Alcotest.(check int) "total" 7 (H.total h)
-
-let test_histogram_centers () =
-  let h = H.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  feq (H.bin_center h 0) 0.5;
-  feq (H.bin_center h 9) 9.5
-
-let test_histogram_density () =
-  let h = H.create ~lo:0.0 ~hi:1.0 ~bins:4 in
-  List.iter (H.add h) [ 0.1; 0.3; 0.6; 0.9 ];
-  (* all 4 in range, width 0.25 -> each occupied bin density 1.0 *)
-  feq (H.density h 0) 1.0
-
-let test_histogram_invalid () =
-  raises_invalid "bins" (fun () -> H.create ~lo:0.0 ~hi:1.0 ~bins:0);
-  raises_invalid "bounds" (fun () -> H.create ~lo:1.0 ~hi:0.0 ~bins:3)
-
 (* -------------------------- Resample --------------------------- *)
 
 let test_jackknife_mean () =
@@ -343,13 +315,6 @@ let () =
           Alcotest.test_case "matches descriptive" `Quick test_cov_acc_matches;
           Alcotest.test_case "empty and single" `Quick test_cov_acc_small;
           Alcotest.test_case "reset" `Quick test_cov_acc_reset;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "basic binning" `Quick test_histogram_basic;
-          Alcotest.test_case "centers" `Quick test_histogram_centers;
-          Alcotest.test_case "density" `Quick test_histogram_density;
-          Alcotest.test_case "invalid args raise" `Quick test_histogram_invalid;
         ] );
       ( "resample",
         [

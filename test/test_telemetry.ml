@@ -214,15 +214,13 @@ let test_event_ring_bounded () =
 
 let test_event_fields () =
   with_telemetry_on @@ fun () ->
-  Tm.event "test.fields" ~time:2.5 ~flow:7 ~value:3.0
-    ~attrs:[ ("extra", 1.0) ];
+  Tm.event "test.fields" ~time:2.5 ~flow:7 ~value:3.0;
   match Tm.events () with
   | [ e ] ->
       Alcotest.(check string) "kind" "test.fields" e.Tm.ev;
       Alcotest.(check (float 0.0)) "time" 2.5 e.Tm.time;
       Alcotest.(check int) "flow" 7 e.Tm.flow;
-      Alcotest.(check (float 0.0)) "value" 3.0 e.Tm.value;
-      Alcotest.(check int) "attrs" 1 (List.length e.Tm.attrs)
+      Alcotest.(check (float 0.0)) "value" 3.0 e.Tm.value
   | es -> Alcotest.failf "expected 1 event, got %d" (List.length es)
 
 (* ------------------------------------------------------------------ *)
@@ -694,8 +692,7 @@ let populate () =
   List.iter (Tm.Histogram.observe h') [ 0.1; 1.0 /. 3.0; 1e300 ];
   List.iter
     (fun v ->
-      Tm.event ("test.export." ^ awkward) ~time:v ~value:v
-        ~attrs:(List.map (fun v -> (awkward, v)) awkward_floats))
+      Tm.event ("test.export." ^ awkward) ~time:v ~value:v)
     awkward_floats;
   ignore (Tm.with_span ~cat:awkward ("test.export." ^ awkward) Fun.id)
 
