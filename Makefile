@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all ci build json-lint test serve-e2e chaos-e2e figures-e2e serve-demo bench bench-quick bench-full bench-scale bench-compare bench-trend figures validate report examples telemetry-demo status-demo clean
+.PHONY: all ci build json-lint test serve-e2e chaos-e2e figures-e2e serve-demo bench bench-quick bench-full bench-scale bench-compare bench-trend profile figures validate report examples telemetry-demo status-demo clean
 
 all: build
 
@@ -83,6 +83,13 @@ bench-full:
 # (hybrid packet/fluid). No JSON record.
 bench-scale:
 	EBRC_BENCH_ONLY=scale dune exec bench/main.exe
+
+# Where the droptail kernel's time goes: ~5 s of the perfbench
+# droptail task in process, sampled every 100 us by a SIGPROF timer
+# and symbolised with nm; prints the top functions and per-module
+# shares. Linux (x86-64 or AArch64) with nm on the PATH; not part of ci.
+profile:
+	dune exec bench/profile.exe
 
 # Judge the newest BENCH_*.json record against the previous one;
 # exits non-zero when any hot-path micro-benchmark regressed by more

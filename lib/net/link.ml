@@ -4,13 +4,18 @@
    by measurement probes, never by protocols — protocols learn about
    losses end-to-end).
 
-   Allocation: the backlog and the in-flight (post-service, pre-delivery)
-   packets live in growable rings, and the service-completion and
-   delivery thunks are preallocated — the per-packet path allocates
-   nothing. Delivery events are scheduled per packet (preserving exact
-   event ordering), but share one thunk that pops the in-flight ring:
-   sound because service completions are ordered and the propagation
-   delay is constant, so deliveries are FIFO. *)
+   One ring from admission to delivery: service is FIFO and the
+   propagation delay is constant, so deliveries leave in admission
+   order and every admitted packet can stay in a single growable FIFO
+   ring until it is delivered. The ring reads, from its head: packets
+   served and awaiting propagation ([n_served] of them), then the
+   packet in service (when [busy]), then the backlog. Service moves
+   only the [n_served] boundary; delivery pops the head. The per-packet
+   path therefore stores one pointer (the admission push), and the
+   service-completion and delivery thunks are preallocated, so it
+   allocates nothing. Delivery events are scheduled per packet
+   (preserving exact event ordering) but share one thunk that pops the
+   head. *)
 
 module Engine = Ebrc_sim.Engine
 module Tm = Ebrc_telemetry.Telemetry
@@ -24,7 +29,11 @@ let k_link_delivered =
   Tm.Probe.counter ~help:"packets delivered downstream" "link.delivered"
 
 (* Growable FIFO ring of packets. Capacity is always a power of two
-   (64, doubled), so index wrap is a mask, not a division. *)
+   (64, doubled), so index wrap is a mask, not a division. A popped
+   cell is not cleared: it keeps a stale packet pointer until the ring
+   wraps round and reuses it (a store per pop would be a write barrier
+   per packet), so the ring retains at most its capacity's worth of
+   already-delivered packets. *)
 type ring = {
   mutable buf : Packet.t array;
   mutable head : int;
@@ -47,13 +56,9 @@ let ring_push r pkt =
   r.buf.((r.head + r.len) land (cap - 1)) <- pkt;
   r.len <- r.len + 1
 
-let ring_pop r =
-  if r.len = 0 then invalid_arg "Link: pop from empty ring";
-  let pkt = r.buf.(r.head) in
-  r.buf.(r.head) <- Packet.dummy;
-  r.head <- (r.head + 1) land (Array.length r.buf - 1);
-  r.len <- r.len - 1;
-  pkt
+(* The packet [i] places behind the head. *)
+let[@inline] ring_get r i =
+  Array.unsafe_get r.buf ((r.head + i) land (Array.length r.buf - 1))
 
 type t = {
   engine : Engine.t;
@@ -63,9 +68,8 @@ type t = {
   rng : Ebrc_rng.Prng.t;
   needs_u : bool;                 (* discipline consumes the uniform? *)
   mutable busy : bool;
-  backlog : ring;                 (* packets admitted by the discipline *)
-  in_flight : ring;               (* served, awaiting propagation *)
-  mutable in_service : Packet.t;
+  ring : ring;                    (* every admitted, undelivered packet *)
+  mutable n_served : int;         (* ring prefix served, in propagation *)
   mutable service_done : unit -> unit;
   mutable deliver_head : unit -> unit;
   mutable deliver : Packet.t -> unit;
@@ -82,12 +86,11 @@ type t = {
 let transmission_time t pkt = float_of_int (Packet.bits pkt) /. t.rate_bps
 
 let start_service t =
-  if t.backlog.len = 0 then t.busy <- false
+  if t.ring.len = t.n_served then t.busy <- false
   else begin
-    let pkt = ring_pop t.backlog in
+    let pkt = ring_get t.ring t.n_served in
     t.busy <- true;
-    t.in_service <- pkt;
-    let tx = transmission_time t pkt in
+    let tx = float_of_int (8 * pkt.Packet.size) /. t.rate_bps in
     let tx =
       match t.fluid with
       | None -> tx
@@ -116,9 +119,8 @@ let create ~engine ~rate_bps ~delay ~queue ~rng =
       rng;
       needs_u = Queue_discipline.needs_random queue;
       busy = false;
-      backlog = ring_create ();
-      in_flight = ring_create ();
-      in_service = Packet.dummy;
+      ring = ring_create ();
+      n_served = 0;
       service_done = (fun () -> ());
       deliver_head = (fun () -> ());
       deliver = (fun _ -> ());
@@ -132,15 +134,22 @@ let create ~engine ~rate_bps ~delay ~queue ~rng =
   Tm.Probe.add probes k_link_delivered (fun () -> t.delivered);
   Tm.Probe.add probes k_link_drops (fun () -> Queue_discipline.drops queue);
   Queue_discipline.add_probes queue probes;
-  t.deliver_head <- (fun () -> t.deliver (ring_pop t.in_flight));
+  t.deliver_head <-
+    (fun () ->
+      (* The head is the oldest served packet: deliveries are FIFO. *)
+      let r = t.ring in
+      let pkt = Array.unsafe_get r.buf r.head in
+      r.head <- (r.head + 1) land (Array.length r.buf - 1);
+      r.len <- r.len - 1;
+      t.n_served <- t.n_served - 1;
+      t.deliver pkt);
   t.service_done <-
     (fun () ->
       Queue_discipline.departure t.queue ~now:(t.engine.Engine.now);
-      let pkt = t.in_service in
-      t.in_service <- Packet.dummy;
+      let pkt = ring_get t.ring t.n_served in
+      t.n_served <- t.n_served + 1;
       t.delivered <- t.delivered + 1;
       t.bytes_delivered <- t.bytes_delivered + pkt.Packet.size;
-      ring_push t.in_flight pkt;
       Engine.schedule_unit t.engine ~at:(t.engine.Engine.now +. t.delay)
         t.deliver_head;
       start_service t);
@@ -169,7 +178,7 @@ let send t pkt =
       match Queue_discipline.offer ~bytes:pkt.Packet.size t.queue ~now ~u with
       | Queue_discipline.Drop -> drop_pkt t ~now pkt
       | Queue_discipline.Enqueue ->
-          ring_push t.backlog pkt;
+          ring_push t.ring pkt;
           if not t.busy then start_service t)
   | Some fl -> (
       (* Hybrid ingress: bring the fluid up to date and let the drop
@@ -188,7 +197,7 @@ let send t pkt =
       | Queue_discipline.Drop -> drop_pkt t ~now pkt
       | Queue_discipline.Enqueue ->
           Fluid.on_packet_arrival fl;
-          ring_push t.backlog pkt;
+          ring_push t.ring pkt;
           if not t.busy then start_service t)
 
 let queue t = t.queue

@@ -42,10 +42,12 @@
    walk of one slot list, where k is the slot population (single
    digits in the scenario benches, ~4 at the 100k-flow bench — against
    the ~17 cache-missing sift levels a 100k-entry binary heap pays per
-   pop). A slot crowded past [sort_threshold] — same-time bursts,
-   10^6-scale backlogs — is merge-sorted in place on first lookup and
-   then drains at O(1) per pop. A level-1 slot is cascaded into level
-   0 at most once per 1/16 s of simulated time. *)
+   pop). A one-entry slot — almost every level-0 slot in the dumbbell
+   scenarios — skips the walk: its head is its minimum. A slot crowded
+   past [sort_threshold] — same-time bursts, 10^6-scale backlogs — is
+   merge-sorted in place on first lookup and then drains at O(1) per
+   pop. A level-1 slot is cascaded into level 0 at most once per
+   1/16 s of simulated time. *)
 
 module Tm = Ebrc_telemetry.Telemetry
 
@@ -233,7 +235,7 @@ let ctz_table =
   done;
   tbl
 
-let ctz w =
+let[@inline] ctz w =
   Array.unsafe_get ctz_table ((((w land -w) * debruijn32) land 0xFFFFFFFF) lsr 27)
 
 (* First occupied slot in linear order; -1 if none. Level 0 only ever
@@ -535,8 +537,9 @@ let ensure t =
     let rel = occ_scan t.occ0 t.floor_w in
     t.floor_w <- rel lsr 5;
     let h = t.head0.(rel) in
-    (if rel = t.sorted_slot then begin
-       (* Still in ascending order: the minimum is the head. *)
+    (if Array.unsafe_get t.next h < 0 || rel = t.sorted_slot then begin
+       (* A single-entry slot is its own minimum; a slot still in
+          ascending order has its minimum at the head. *)
        t.min_idx <- h;
        t.min_prev <- -1
      end

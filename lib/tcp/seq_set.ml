@@ -8,18 +8,19 @@
    consecutively, so the identity hash distributes perfectly and
    probes almost never collide.
 
-   Deletion uses tombstones; the table rehashes when live + dead
-   entries pass half the capacity, which bounds probe lengths and
-   recycles tombstones. Capacities are powers of two. *)
+   Deletion is backward-shift (Knuth's Algorithm R): the entries after
+   a removed key that probed past its slot move back into the hole, so
+   no dead entry is left for a later probe to walk (consecutive keys
+   would leave whole runs of tombstones). The table grows when live
+   entries pass half the capacity, so an empty slot always ends a
+   walk. Capacities are powers of two. *)
 
 let empty_key = min_int
-let tomb_key = min_int + 1
 
 type t = {
   mutable slots : int array;
   mutable mask : int;
   mutable live : int;
-  mutable used : int; (* live + tombstones *)
 }
 
 let create ?(capacity = 64) () =
@@ -27,18 +28,11 @@ let create ?(capacity = 64) () =
   while !cap < capacity do
     cap := !cap * 2
   done;
-  {
-    slots = Array.make !cap empty_key;
-    mask = !cap - 1;
-    live = 0;
-    used = 0;
-  }
+  { slots = Array.make !cap empty_key; mask = !cap - 1; live = 0 }
 
 let cardinal t = t.live
 
-(* Probe until [seq] or an empty slot; tombstones are skipped. The
-   table always keeps empty slots (rehash below half load), so the
-   walk terminates. *)
+(* Probe until [seq] or an empty slot. *)
 let rec find_from slots mask seq i =
   let k = Array.unsafe_get slots i in
   if k = seq || k = empty_key then i
@@ -46,48 +40,49 @@ let rec find_from slots mask seq i =
 
 let mem t seq = t.slots.(find_from t.slots t.mask seq (seq land t.mask)) = seq
 
-(* Probe until [seq] or an empty slot, remembering the first tombstone
-   ([tomb = -1] if none seen). Stopping at a tombstone would let a key
-   further down the chain be duplicated, so the walk must reach an
-   empty slot before deciding the key is absent; the insert then reuses
-   the remembered tombstone if there was one. *)
-let rec insert_raw slots mask seq i tomb =
-  let k = Array.unsafe_get slots i in
-  if k = seq then false
-  else if k = empty_key then begin
-    Array.unsafe_set slots (if tomb >= 0 then tomb else i) seq;
-    true
-  end
-  else
-    let tomb = if k = tomb_key && tomb < 0 then i else tomb in
-    insert_raw slots mask seq ((i + 1) land mask) tomb
-
-let rehash t cap =
+let grow t =
+  let cap = 2 * (t.mask + 1) in
   let slots = Array.make cap empty_key in
   let mask = cap - 1 in
   Array.iter
     (fun k ->
-      if k <> empty_key && k <> tomb_key then
-        ignore (insert_raw slots mask k (k land mask) (-1)))
+      if k <> empty_key then
+        Array.unsafe_set slots (find_from slots mask k (k land mask)) k)
     t.slots;
   t.slots <- slots;
-  t.mask <- mask;
-  t.used <- t.live
+  t.mask <- mask
 
 let add t seq =
   if seq < 0 then invalid_arg "Seq_set.add: negative sequence number";
-  if 2 * (t.used + 1) > t.mask + 1 then
-    (* Grow only when at least half the occupancy is live; otherwise
-       same-size rehash just clears tombstones. *)
-    rehash t (if 4 * t.live > t.mask + 1 then 2 * (t.mask + 1) else t.mask + 1);
-  if insert_raw t.slots t.mask seq (seq land t.mask) (-1) then begin
-    t.live <- t.live + 1;
-    t.used <- t.used + 1
+  if 2 * (t.live + 1) > t.mask + 1 then grow t;
+  let i = find_from t.slots t.mask seq (seq land t.mask) in
+  if t.slots.(i) <> seq then begin
+    t.slots.(i) <- seq;
+    t.live <- t.live + 1
   end
+
+(* Fill the hole at [hole], scanning on from [j]: an entry whose home
+   slot lies cyclically in (hole, j] is still reachable from its home
+   and stays; any other entry probed past the hole and moves back into
+   it, leaving the hole at its old slot. The first empty slot ends the
+   run. *)
+let rec shift_back slots mask hole j =
+  let k = Array.unsafe_get slots j in
+  if k = empty_key then Array.unsafe_set slots hole empty_key
+  else
+    let home = k land mask in
+    let stays =
+      if hole <= j then hole < home && home <= j else hole < home || home <= j
+    in
+    if stays then shift_back slots mask hole ((j + 1) land mask)
+    else begin
+      Array.unsafe_set slots hole k;
+      shift_back slots mask j ((j + 1) land mask)
+    end
 
 let remove t seq =
   let i = find_from t.slots t.mask seq (seq land t.mask) in
   if t.slots.(i) = seq then begin
-    t.slots.(i) <- tomb_key;
+    shift_back t.slots t.mask i ((i + 1) land t.mask);
     t.live <- t.live - 1
   end

@@ -5,8 +5,8 @@
     array under the identity hash — no generic-hash or
     polymorphic-compare C calls — which sequence numbers' near-
     consecutive arrival pattern makes collision-free in practice.
-    Deletion is by tombstone with automatic same-size rehash, so probe
-    lengths stay bounded. *)
+    Deletion is backward-shift, so the table holds no dead entries and
+    a probe walks only live keys that share its run. *)
 
 type t
 
@@ -16,7 +16,7 @@ val create : ?capacity:int -> unit -> t
 val mem : t -> int -> bool
 val add : t -> int -> unit
 (** Idempotent. Raises [Invalid_argument] on negative values (the
-    encoding reserves two negative sentinels). *)
+    encoding reserves a negative sentinel for empty slots). *)
 
 val remove : t -> int -> unit
 (** A no-op when absent. *)

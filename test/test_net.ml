@@ -537,9 +537,78 @@ let prop_bernoulli_conservation =
       let offered, dropped = LM.stats lm in
       offered = 1000 && !passed + dropped = 1000)
 
+(* A DropTail link against a closed-form FIFO. Arrivals of mixed
+   sizes (zero gaps make bursts) are all scheduled up front, so at an
+   equal instant an arrival precedes a departure: its ticket is older.
+   At 2^20 bit/s a 128-byte (512-byte) packet takes exactly the
+   1/1024 s (1/256 s) gap, so such ties are common. The reference:
+   departure_k = max(arrival_k, departure_(k-1)) + 8 size_k / rate
+   for each admitted packet; an arrival is dropped when the admitted
+   packets not yet departed fill the queue; delivery is departure +
+   delay. Deliveries (time, flow, seq), drops and the queue's
+   occupancy right after each arrival must equal the reference. *)
+let prop_link_fifo_reference =
+  let rate = 1048576.0 in
+  let sizes = [| 40; 128; 512; 1000; 1500 |] in
+  let gaps = [| 0.0; 0.0; 1.0 /. 1024.0; 1.0 /. 256.0; 1.0 /. 64.0 |] in
+  QCheck.Test.make ~name:"link matches a closed-form FIFO" ~count:200
+    QCheck.(
+      triple (int_range 1 20) bool
+        (list_of_size
+           Gen.(int_range 1 150)
+           (pair (int_range 0 4) (int_range 0 4))))
+    (fun (cap, delayed, trace) ->
+      let delay = if delayed then 0.025 else 0.0 in
+      let arrivals =
+        let t = ref 0.0 in
+        List.mapi
+          (fun k (g, sz) ->
+            t := !t +. gaps.(g);
+            (k, !t, sizes.(sz)))
+          trace
+      in
+      (* The reference. *)
+      let deps = ref [] (* departure times of admitted packets *)
+      and last = ref 0.0 in
+      let exp_deliv = ref [] and exp_drops = ref [] and exp_occ = ref [] in
+      List.iter
+        (fun (k, a, size) ->
+          let waiting = List.length (List.filter (fun d -> d >= a) !deps) in
+          if waiting >= cap then exp_drops := (a, k mod 3, k) :: !exp_drops
+          else begin
+            let d = Float.max a !last +. (float_of_int (8 * size) /. rate) in
+            last := d;
+            deps := d :: !deps;
+            exp_deliv := (d +. delay, k mod 3, k) :: !exp_deliv
+          end;
+          exp_occ :=
+            List.length (List.filter (fun d -> d >= a) !deps) :: !exp_occ)
+        arrivals;
+      (* The link. *)
+      let engine = E.create () in
+      let q = QD.create ~capacity:cap QD.Drop_tail in
+      let link =
+        Link.create ~engine ~rate_bps:rate ~delay ~queue:q
+          ~rng:(Prng.create ~seed:1)
+      in
+      let deliv = ref [] and drops = ref [] and occ = ref [] in
+      Link.set_deliver link (fun p ->
+          deliv := (E.now engine, p.P.flow, p.P.seq) :: !deliv);
+      Link.set_on_drop link (fun p ->
+          drops := (E.now engine, p.P.flow, p.P.seq) :: !drops);
+      List.iter
+        (fun (k, a, size) ->
+          E.schedule_unit engine ~at:a (fun () ->
+              Link.send link (P.data ~flow:(k mod 3) ~seq:k ~size ~sent_at:a);
+              occ := QD.occupancy q :: !occ))
+        arrivals;
+      ignore (E.run engine);
+      !deliv = !exp_deliv && !drops = !exp_drops && !occ = !exp_occ)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_droptail_occupancy_bounded; prop_bernoulli_conservation ]
+    [ prop_droptail_occupancy_bounded; prop_bernoulli_conservation;
+      prop_link_fifo_reference ]
 
 let () =
   Alcotest.run "net"

@@ -315,6 +315,54 @@ let test_seq_set_growth_and_churn () =
       (Hashtbl.mem ref_tbl v) (Ebrc.Seq_set.mem s v)
   done
 
+(* Model check against [Set.Make (Int)]. Each step adds, removes
+   (ascending or descending) or looks up a run of consecutive keys —
+   the shape of TCP sequence numbers — starting a few keys before an
+   anchor. The anchors share home slots modulo every table size the
+   set reaches, so runs collide and wrap round the table's end, and
+   long runs grow the table from its 16-slot start. After every single
+   operation, [mem] of the touched key and its two neighbours and the
+   [cardinal] must agree with the model. *)
+module Int_set = Set.Make (Int)
+
+let prop_seq_set_model =
+  let anchors = [| 0; 16; 48; 64; 128; 1024 |] in
+  QCheck.Test.make ~name:"seq_set agrees with Set.Make (Int)" ~count:300
+    QCheck.(
+      list_of_size
+        Gen.(int_range 1 40)
+        (quad (int_range 0 3) (int_range 0 5) (int_range 0 7)
+           (int_range 1 24)))
+    (fun steps ->
+      let s = Ebrc.Seq_set.create ~capacity:16 () in
+      let model = ref Int_set.empty in
+      let agrees k =
+        List.for_all
+          (fun j ->
+            j < 0 || Ebrc.Seq_set.mem s j = Int_set.mem j !model)
+          [ k - 1; k; k + 1 ]
+        && Ebrc.Seq_set.cardinal s = Int_set.cardinal !model
+      in
+      List.for_all
+        (fun (kind, a, off, len) ->
+          let base = max 0 (anchors.(a) - 4 + off) in
+          let keys = List.init len (fun i -> base + i) in
+          let keys = if kind = 2 then List.rev keys else keys in
+          List.for_all
+            (fun k ->
+              (match kind with
+               | 0 ->
+                   Ebrc.Seq_set.add s k;
+                   model := Int_set.add k !model
+               | 1 | 2 ->
+                   Ebrc.Seq_set.remove s k;
+                   model := Int_set.remove k !model
+               | _ -> ());
+              agrees k)
+            keys)
+        steps
+      && Int_set.for_all (Ebrc.Seq_set.mem s) !model)
+
 let () =
   Alcotest.run "tcp"
     [
@@ -325,6 +373,7 @@ let () =
             test_seq_set_tombstone_no_duplicate;
           Alcotest.test_case "growth and churn" `Quick
             test_seq_set_growth_and_churn;
+          QCheck_alcotest.to_alcotest prop_seq_set_model;
         ] );
       ( "sender",
         [

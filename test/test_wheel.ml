@@ -130,6 +130,28 @@ module Programs (S : SCHED) = struct
     S.run e;
     List.rev !log
 
+  (* The single-entry-slot fast path, then pushes into that slot. An
+     event at 10 s schedules [b] alone into the slot at 20 s; the
+     20 s event, beyond the horizon when scheduled at 0, sits on the
+     overflow heap. Before it fires, the wheel publishes [b] as the
+     minimum of its one-entry slot; the heap event then schedules a
+     unit event at each of [times], all in [b]'s slot ([hook] sees the
+     scheduler at that moment). *)
+  let single_entry_slot ?(hook = ignore) times =
+    let e = S.create () in
+    let log = ref [] in
+    let mark x () = log := x :: !log in
+    let b = 20.0 +. ldexp 1.0 (-18) in
+    S.schedule_unit e ~at:20.0 (fun () ->
+        hook e;
+        mark "heap" ();
+        List.iter
+          (fun (label, at) -> S.schedule_unit e ~at (mark label))
+          times);
+    S.schedule_unit e ~at:10.0 (fun () -> S.schedule_unit e ~at:b (mark "b"));
+    S.run e;
+    List.rev !log
+
   (* A self-rescheduling tick crossing many 16 s windows. *)
   let rollover () =
     let e = S.create () in
@@ -202,6 +224,31 @@ let test_same_time_burst () =
     (wheel_log = List.init 5_000 Fun.id);
   Alcotest.(check bool) "burst identical to heap" true
     (wheel_log = On_heap.burst ())
+
+(* A one-entry slot's minimum is published, then the slot takes an
+   earlier entry (the new minimum, prepended) and then one at [b]'s
+   time with a later ticket (prepended behind the published head);
+   and, alone, the equal-time push after the fast path. *)
+let test_single_entry_slot () =
+  let b = 20.0 +. ldexp 1.0 (-18) in
+  let earlier = ("earlier", 20.0 +. ldexp 1.0 (-19)) and tie = ("tie", b) in
+  let published = ref false in
+  let hook e =
+    let w = e.E.wheel in
+    published :=
+      TW.count w = 1 && w.TW.min_ok && TW.min_time w = b
+      && w.TW.min_prev = -1
+  in
+  let wlog = On_wheel.single_entry_slot ~hook [ earlier; tie ] in
+  Alcotest.(check bool) "one-entry slot minimum published" true !published;
+  Alcotest.(check (list string))
+    "earlier, then tie behind the older ticket"
+    [ "heap"; "earlier"; "b"; "tie" ] wlog;
+  Alcotest.(check (list string)) "same as reference"
+    (On_heap.single_entry_slot [ earlier; tie ]) wlog;
+  Alcotest.(check (list string)) "tie alone"
+    (On_heap.single_entry_slot [ tie ])
+    (On_wheel.single_entry_slot [ tie ])
 
 (* ---------------------- window edges ----------------------- *)
 
@@ -413,6 +460,7 @@ let () =
       ( "edges",
         [
           Alcotest.test_case "same-time burst" `Quick test_same_time_burst;
+          Alcotest.test_case "single-entry slot" `Quick test_single_entry_slot;
           Alcotest.test_case "rollover" `Quick test_rollover;
           Alcotest.test_case "far-future overflow" `Quick
             test_far_future_overflow;
