@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all ci build json-lint test serve-e2e chaos-e2e figures-e2e serve-demo bench bench-quick bench-full bench-scale bench-compare bench-trend profile figures validate report examples telemetry-demo status-demo clean
+.PHONY: all ci build json-lint api-lint test serve-e2e chaos-e2e figures-e2e serve-demo bench bench-quick bench-full bench-scale bench-compare bench-trend profile figures validate report examples telemetry-demo status-demo clean
 
 all: build
 
@@ -9,7 +9,7 @@ all: build
 # and judge it against the previous one (fails on hot-path regressions
 # > 20% or any fixed-seed counter drift; set EBRC_COMPARE_WARN_ONLY=1
 # when a simulator change makes drift intentional).
-ci: build json-lint test serve-e2e chaos-e2e figures-e2e bench-trend bench-quick bench-compare
+ci: build json-lint api-lint test serve-e2e chaos-e2e figures-e2e bench-trend bench-quick bench-compare
 
 build:
 	dune build @all
@@ -22,6 +22,14 @@ build:
 json-lint:
 	@! grep -rnE --include='*.ml' '\{\\"|\\":%' lib bin bench \
 	  | grep -v -e '^lib/obs/json\.ml:' -e '^lib/serve/manifest\.ml:'
+
+# A public surface no bigger than its callers: lists every top-level
+# val of a lib/**/*.mli that nothing outside its own module calls, or
+# that only test/ calls, and fails on any that tools/api_lint/allowlist
+# does not name with a reason (and on a stale allowlist entry). Also
+# runs under `dune runtest`.
+api-lint:
+	dune exec tools/api_lint/main.exe -- . tools/api_lint/allowlist
 
 test:
 	dune runtest

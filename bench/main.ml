@@ -27,6 +27,27 @@ open Toolkit
 
 let quick = Sys.getenv_opt "EBRC_BENCH_FULL" <> Some "1"
 
+(* EBRC_BENCH_ONLY=sweep|serve|wheel|scale: a single measurement block,
+   no JSON — for iterating on the pool, the fleet, the scheduler or the
+   hybrid engine without a full bench run. Unset or empty runs the full
+   bench; any other value fails here, before anything is measured or
+   written. *)
+type only = Sweep | Serve | Wheel | Scale
+
+let only =
+  let parse = function
+    | "sweep" -> Ok (Some Sweep)
+    | "serve" -> Ok (Some Serve)
+    | "wheel" -> Ok (Some Wheel)
+    | "scale" -> Ok (Some Scale)
+    | v -> Error (Printf.sprintf "expected sweep, serve, wheel or scale, got %S" v)
+  in
+  match Ebrc_obs.Env.knob ~empty:None "EBRC_BENCH_ONLY" parse with
+  | v -> Option.join v
+  | exception Invalid_argument msg ->
+      Printf.eprintf "bench: %s\n%!" msg;
+      exit 124
+
 (* EBRC_JOBS is read by Pool.default_jobs; fall back to all cores. *)
 let jobs = Ebrc.Pool.default_jobs ()
 
@@ -1005,18 +1026,12 @@ let write_json ~figure_seconds ~microbench ~telem ~stream ~flows
   Printf.printf "bench record written to %s\n" path
 
 let () =
-  (* EBRC_BENCH_ONLY=sweep|serve|wheel|scale: a single
-     measurement block, no JSON — for iterating on the pool, the fleet,
-     the scheduler or the hybrid engine without a full bench run. *)
-  if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "sweep" then
-    ignore (measure_parallel_sweep ())
-  else if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "serve" then
-    ignore (measure_sweep_service ())
-  else if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "wheel" then
-    ignore (measure_flows100k ())
-  else if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "scale" then
-    ignore (measure_flows1m (measure_flows100k ()))
-  else begin
+  match only with
+  | Some Sweep -> ignore (measure_parallel_sweep ())
+  | Some Serve -> ignore (measure_sweep_service ())
+  | Some Wheel -> ignore (measure_flows100k ())
+  | Some Scale -> ignore (measure_flows1m (measure_flows100k ()))
+  | None ->
     let figure_seconds = regenerate_figures () in
     (* The regeneration phase leaves every memoized scenario result
        live in the cache; drop them and settle the heap so the
@@ -1035,4 +1050,3 @@ let () =
     write_json ~figure_seconds ~microbench ~telem ~stream ~flows
       ~flows1m ~cache ~sweep ~service;
     print_endline "\nbench: done."
-  end

@@ -702,9 +702,9 @@ let status_cmd =
     let files =
       match files with
       | [] -> (
-          match Sys.getenv_opt "EBRC_STREAM" with
-          | Some p when p <> "" -> [ p ]
-          | _ -> [])
+          match Ebrc.Telemetry_stream.env_config () with
+          | Some (p, _, _) -> [ p ]
+          | None -> [])
       | fs -> fs
     in
     if files = [] then
@@ -1169,6 +1169,13 @@ let apply_env_knobs () =
   in
   Ebrc.Engine.set_sim_budget (budget "EBRC_SIM_BUDGET" "sim-time");
   Ebrc.Engine.set_wall_budget (budget "EBRC_WALL_BUDGET" "wall-clock");
+  let cache = function
+    | "0" -> Ok false
+    | "1" -> Ok true
+    | v -> Error (Printf.sprintf "expected 0 or 1, got %S" v)
+  in
+  Option.iter Ebrc.Result_cache.set_enabled
+    (Ebrc_obs.Env.knob ~empty:true "EBRC_CACHE" cache);
   ignore (Ebrc.Pool.default_jobs () : int);
   ignore (Ebrc_serve.Task_queue.default_torn_grace () : float);
   ignore (Ebrc.Telemetry_stream.env_config ())

@@ -4,7 +4,7 @@
 
     This umbrella module re-exports the public API. The layering is:
 
-    - Foundations: {!Stats}, {!Prng}, {!Dist}, {!Point_process},
+    - Foundations: {!Stats}, {!Prng}, {!Dist},
       {!Convexity}, {!Roots}, {!Quadrature}, {!Ode}, and {!Pool} (the
       domain pool behind every [?jobs] parameter).
     - The paper's analytical objects: {!Formula} (SQRT / PFTK throughput
@@ -28,12 +28,10 @@
 module Descriptive = Ebrc_stats.Descriptive
 module Welford = Ebrc_stats.Welford
 module Cov_acc = Ebrc_stats.Cov_acc
-module Ecdf = Ebrc_stats.Ecdf
 module Resample = Ebrc_stats.Resample
 module Student_t = Ebrc_stats.Student_t
 module Prng = Ebrc_rng.Prng
 module Dist = Ebrc_rng.Dist
-module Point_process = Ebrc_rng.Point_process
 module Pool = Ebrc_parallel.Pool
 module Telemetry = Ebrc_telemetry.Telemetry
 module Telemetry_export = Ebrc_telemetry.Export

@@ -36,9 +36,6 @@ val internet_profiles : profile list
 val lab_profiles : pkt:int -> profile list
 val all_profiles : pkt:int -> profile list
 
-val internet_n_grid : int list
-val lab_n_grid : int list
-
 val to_config :
   ?seed:int ->
   ?duration:float ->

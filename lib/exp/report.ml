@@ -97,5 +97,3 @@ let save_result ?options ~path () =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc doc);
   failures
-
-let save ?options ~path () = ignore (save_result ?options ~path ())

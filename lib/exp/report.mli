@@ -26,8 +26,6 @@ val generate_result :
     in keep-going mode (always empty when [keep_going] is false, since
     the first failure raises). *)
 
-val save : ?options:options -> path:string -> unit -> unit
-
 val save_result :
   ?options:options -> path:string -> unit -> Figures.failure list
 (** Write the report and return the keep-going failures so callers can

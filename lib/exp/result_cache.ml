@@ -71,7 +71,7 @@ let add c n = ignore (Atomic.fetch_and_add c n)
    v7: the key is the config's Codec bytes, stored as a JSON object. *)
 let code_version = "ebrc-scenario-v7"
 
-let enabled_flag = ref (Sys.getenv_opt "EBRC_CACHE" <> Some "0")
+let enabled_flag = ref true
 let set_enabled b = enabled_flag := b
 let enabled () = !enabled_flag
 

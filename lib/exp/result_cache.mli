@@ -20,8 +20,8 @@ val run : Scenario.config -> Scenario.result
     exactly [Scenario.run]. *)
 
 val set_enabled : bool -> unit
-(** Default on; set [EBRC_CACHE=0] (or the CLI's [--no-cache]) to
-    bypass the cache entirely. *)
+(** Default on. The CLI turns it off for [--no-cache] and for
+    [EBRC_CACHE=0]. *)
 
 val enabled : unit -> bool
 
@@ -34,11 +34,6 @@ val dir : unit -> string option
 
 val clear_memory : unit -> unit
 (** Drop the in-memory memo (the disk store is untouched). *)
-
-val code_version : string
-(** The version tag every record carries; bumped whenever
-    [Scenario.run]'s observable behaviour or the record format
-    changes. *)
 
 val digest_of_config : Scenario.config -> string
 (** Hex MD5 of [Codec.encode cfg] — the on-disk record is
@@ -91,7 +86,7 @@ type scrub_report = {
           store order *)
   scrub_stale : string list;
       (** the quarantined digests whose record is intact but carries
-          another version tag than {!code_version}; the rest of
+          another version tag than the current code's; the rest of
           [scrub_quarantined] is corrupt *)
   scrub_dir : string;  (** the quarantine directory used *)
 }

@@ -403,7 +403,7 @@ let run cfg =
           ~pacing:(Probe_source.Poisson (Prng.split master))
           ()
       in
-      let sink = Gap_sink.create ~flow:probe_flow ~rtt_hint:rtt0 in
+      let sink = Gap_sink.create ~rtt_hint:rtt0 in
       Probe_source.set_transmit src forward;
       Some (src, sink)
     end
@@ -688,24 +688,6 @@ let robust_chaos_config =
             Some ({ Fault.start = 55.0; length = 10.0; period = 45.0 }, 0.1);
         };
   }
-
-let robust_presets =
-  [
-    ("robust-blackout",
-     "recurring one-way feedback blackouts; nofeedback halvings fire",
-     robust_blackout_config);
-    ("robust-flaps",
-     "random link up/down flaps; TFRC stays conservative vs f(p)",
-     robust_flaps_config);
-    ("robust-chaos",
-     "flaps + delay spikes + reordering + duplication + blackout",
-     robust_chaos_config);
-  ]
-
-let robust_preset name =
-  List.find_map
-    (fun (n, _, cfg) -> if String.equal n name then Some cfg else None)
-    robust_presets
 
 (* The two-router chain of ablation A9: equal 10 Mb/s DropTail-60 links
    with 30% Poisson cross traffic on the second. A fast hop with no

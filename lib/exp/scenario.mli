@@ -137,10 +137,6 @@ val base_rtt : config -> float
 
 val bdp_packets : config -> float
 
-val queue_capacity : config -> int
-(** Bottleneck queue capacity in packets, after the 0-means-2.5×BDP
-    default. *)
-
 val fluid_config : config -> background -> Ebrc_net.Fluid.config
 (** The fluid configuration [run] attaches for this background: drop
     profile mirroring the packet queue, capacity and qmax shared with
@@ -175,12 +171,6 @@ val robust_flaps_config : config
 val robust_chaos_config : config
 (** Flaps (park mode) + delay spikes + reordering + duplication + a
     one-shot blackout — the determinism workout. *)
-
-val robust_presets : (string * string * config) list
-(** [(name, description, config)]; names are ["robust-blackout"],
-    ["robust-flaps"], ["robust-chaos"]. *)
-
-val robust_preset : string -> config option
 
 val chain_config : config
 (** The two-router chain of ablation A9: 2 TFRC + 2 TCP through a

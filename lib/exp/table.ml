@@ -18,7 +18,6 @@ let add_row t row =
 
 let add_note t note = { t with notes = t.notes @ [ note ] }
 
-let cellf fmt = Printf.sprintf fmt
 let cell_float ?(decimals = 4) v =
   if Float.is_nan v then "nan"
   else if Float.is_integer v && abs_float v < 1e9 && decimals <= 4 then

@@ -8,7 +8,6 @@ val add_row : t -> string list -> t
 
 val add_note : t -> string -> t
 
-val cellf : ('a, unit, string) format -> 'a
 val cell_float : ?decimals:int -> float -> string
 
 val to_string : t -> string

@@ -3,9 +3,6 @@
 
 type region = { x_lo : float; x_hi : float }
 
-val default_region : region
-(** x in [1.5, 1000] packets — loss-event rates from 0.001 to 0.67. *)
-
 val f1_holds : ?region:region -> Formula.t -> bool
 (** (F1): x ↦ 1/f(1/x) convex on the region. True for SQRT and
     PFTK-simplified; false (but almost true) for PFTK-standard. *)

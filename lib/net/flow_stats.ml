@@ -1,16 +1,13 @@
-(* Per-flow measurement: packets/bytes sent and received, loss events as
+(* Per-flow measurement: packets and bytes received, loss events as
    defined by the paper (losses separated by less than one RTT belong to
-   the same loss event), loss-event intervals in packets, and RTT
-   samples. This is the "direct probing" instrumentation standing in for
-   the paper's tcpdump post-processing. *)
+   the same loss event) and loss-event intervals in packets. This is the
+   "direct probing" instrumentation standing in for the paper's tcpdump
+   post-processing. *)
 
-module Welford = Ebrc_stats.Welford
 module Floatbuf = Ebrc_stats.Floatbuf
 
 type t = {
-  flow : int;
   rtt_hint : float;             (* loss-event aggregation window, seconds *)
-  mutable sent : int;
   mutable received : int;
   mutable bytes_received : int;
   mutable lost : int;
@@ -18,17 +15,14 @@ type t = {
   mutable last_loss_event_at : float;
   mutable packets_since_event : int;
   intervals : Floatbuf.t;       (* completed loss-event intervals, packets *)
-  rtt_stats : Welford.t;
   mutable first_recv_at : float;
   mutable last_recv_at : float;
 }
 
-let create ~flow ~rtt_hint =
+let create ~rtt_hint =
   if rtt_hint <= 0.0 then invalid_arg "Flow_stats.create: rtt_hint <= 0";
   {
-    flow;
     rtt_hint;
-    sent = 0;
     received = 0;
     bytes_received = 0;
     lost = 0;
@@ -36,14 +30,9 @@ let create ~flow ~rtt_hint =
     last_loss_event_at = neg_infinity;
     packets_since_event = 0;
     intervals = Floatbuf.create ();
-    rtt_stats = Welford.create ();
     first_recv_at = nan;
     last_recv_at = nan;
   }
-
-let flow t = t.flow
-
-let on_send t = t.sent <- t.sent + 1
 
 let on_receive t ~now ~bytes =
   t.received <- t.received + 1;
@@ -64,9 +53,6 @@ let on_loss t ~now =
     t.last_loss_event_at <- now
   end
 
-let on_rtt_sample t rtt = Welford.add t.rtt_stats rtt
-
-let sent t = t.sent
 let received t = t.received
 let lost t = t.lost
 let loss_events t = t.loss_events
@@ -80,9 +66,6 @@ let interval_count t = Floatbuf.length t.intervals
 let loss_event_rate t =
   let n = Floatbuf.length t.intervals in
   if n = 0 then 0.0 else float_of_int n /. Floatbuf.sum t.intervals
-
-let mean_rtt t = Welford.mean t.rtt_stats
-let rtt_samples t = Welford.count t.rtt_stats
 
 let throughput_pps t =
   let d = t.last_recv_at -. t.first_recv_at in

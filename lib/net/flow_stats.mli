@@ -1,19 +1,15 @@
 (** Per-flow measurement probe: counts, loss events under the paper's
     definition (losses within one RTT aggregate into a single event),
-    loss-event intervals in packets, RTT samples, and throughput. *)
+    loss-event intervals in packets, and throughput. *)
 
 type t
 
-val create : flow:int -> rtt_hint:float -> t
+val create : rtt_hint:float -> t
 (** [rtt_hint] is the loss-event aggregation window (seconds). *)
 
-val flow : t -> int
-val on_send : t -> unit
 val on_receive : t -> now:float -> bytes:int -> unit
 val on_loss : t -> now:float -> unit
-val on_rtt_sample : t -> float -> unit
 
-val sent : t -> int
 val received : t -> int
 val lost : t -> int
 val loss_events : t -> int
@@ -28,7 +24,5 @@ val loss_event_rate : t -> float
 (** p = (#completed intervals) / (Σ packets in them); 0 before the first
     two loss events. *)
 
-val mean_rtt : t -> float
-val rtt_samples : t -> int
 val throughput_pps : t -> float
 val throughput_bps : t -> float

@@ -78,15 +78,8 @@ val window : t -> float
 val fg_rate : t -> float
 (** Current foreground arrival-rate estimate, pkt/s. *)
 
-val rtt : t -> float
-(** Load-dependent RTT: base_rtt + total queue / capacity. *)
-
 val drop_prob : t -> float
 (** Drop probability of the profile at the current total queue. *)
-
-val util : t -> float
-(** Instantaneous fraction of the bottleneck consumed by the fluid,
-    capped at share_cap. *)
 
 val fg_share : t -> float
 (** Service share left to the foreground: [1 - util], floored at

@@ -8,7 +8,7 @@ type t = {
   mutable expected : int;
 }
 
-let create ~flow ~rtt_hint = { stats = Flow_stats.create ~flow ~rtt_hint; expected = 0 }
+let create ~rtt_hint = { stats = Flow_stats.create ~rtt_hint; expected = 0 }
 
 let stats t = t.stats
 

@@ -4,6 +4,6 @@
 
 type t
 
-val create : flow:int -> rtt_hint:float -> t
+val create : rtt_hint:float -> t
 val stats : t -> Flow_stats.t
 val on_packet : t -> now:float -> Packet.t -> unit

@@ -161,7 +161,6 @@ let set_on_drop t f = t.on_drop <- f
 let attach_fluid t fl =
   t.fluid <- Some fl;
   Fluid.add_probes fl t.engine.Engine.probes
-let fluid t = t.fluid
 
 let drop_pkt t ~now pkt =
   (* The per-flow attribution the counters cannot carry. *)

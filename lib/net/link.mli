@@ -31,8 +31,6 @@ val attach_fluid : t -> Fluid.t -> unit
     estimate. An unattached link is structurally the packet-only code
     path. The fluid's probes join the link's engine. *)
 
-val fluid : t -> Fluid.t option
-
 val transmission_time : t -> Packet.t -> float
 val queue : t -> Queue_discipline.t
 val delivered : t -> int

@@ -102,7 +102,6 @@ let add_probes t set =
   Tm.Probe.add set k_occupancy (fun () -> t.occupancy)
 
 let occupancy t = t.occupancy
-let capacity t = t.capacity
 let drops t = t.drops
 let enqueues t = t.enqueues
 let average_queue t = t.avg

@@ -55,7 +55,6 @@ val departure : t -> now:float -> unit
 (** Record a packet finishing service. *)
 
 val occupancy : t -> int
-val capacity : t -> int
 val drops : t -> int
 
 val enqueues : t -> int

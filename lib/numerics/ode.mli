@@ -16,12 +16,6 @@ type stats = {
   evals : int;     (** derivative evaluations *)
 }
 
-val default_rtol : float
-(** 1e-6 — the documented default relative tolerance. *)
-
-val default_atol : float
-(** 1e-9 — the default absolute tolerance floor. *)
-
 (** {1 Resumable vector systems}
 
     An incremental DOPRI5 stepper for small ODE systems that advance in
@@ -43,7 +37,7 @@ module System : sig
     ?rtol:float -> ?atol:float -> ?h0:float -> f:deriv -> t0:float ->
     y0:floatarray -> unit -> t
   (** Fresh stepper at state [y0] (copied) and time [t0]. Tolerances
-      default to {!default_rtol} / {!default_atol}. *)
+      default to 1e-6 (relative) / 1e-9 (absolute floor). *)
 
   val time : t -> float
   (** Current integration time. *)

@@ -34,26 +34,11 @@ val load_all : dir:string -> record list * string list
 (** {!list_ordered}, with each record parsed. Unreadable or
     unparsable files are dropped with a warning. *)
 
-(** {1 Tables and rules} *)
+(** {1 Record groups} *)
 
 type group =
   | Ns  (** [microbench_ns_per_run]: hot-path timings, ns per run *)
   | Counter  (** [telemetry_summary.counters]: fixed-seed event counts *)
-
-val table : group -> Json.t -> (string * float) list
-(** The group's finite numbers, in record order; [[]] when the record
-    has no such table. *)
-
-val regressed : baseline:float -> current:float -> bool
-(** The timing rule: [current] exceeds [baseline] by more than 20%
-    and [baseline] is at least 1 ms (in ns per run). Below that floor,
-    run-to-run noise routinely exceeds the threshold, so a slower
-    timing is reported but never flagged. *)
-
-val drifted : baseline:float -> current:float -> bool
-(** The counter rule: any change, from 0 too. Counter totals at equal
-    seeds are deterministic, so a change means the simulation changed
-    behaviour. *)
 
 (** {1 The gate} *)
 
@@ -61,8 +46,13 @@ type severity = Fail | Warn | Info
 type finding = { severity : severity; subject : string; detail : string }
 
 val gate : warn_only:bool -> baseline:Json.t -> current:Json.t -> finding list
-(** Judge [current] against [baseline]. [Fail]s: a timing that
-    {!regressed}; a counter that {!drifted}; the stream-off arm
+(** Judge [current] against [baseline]. [Fail]s: a timing more than
+    20% above its baseline when the baseline is at least 1 ms (in ns
+    per run; below that floor run-to-run noise routinely exceeds the
+    threshold, so a slower timing is reported but never flagged); a
+    counter that changed at all, from 0 too (counter totals at equal
+    seeds are deterministic, so a change means the simulation changed
+    behaviour); the stream-off arm
     ([stream_ablation.scenario_off_ms]) regressed against the
     telemetry-off arm ([telemetry_summary.disabled_ms]) of the same
     record; and any identity gate ([stream_ablation.bit_identical],
@@ -85,9 +75,9 @@ type series = {
   best : float;  (** min over the series (timings); [nan] for counters *)
   slope : float;
       (** least-squares slope per record over (record index, value) *)
-  regressed : bool;  (** timings only: {!regressed} last against best *)
+  regressed : bool;  (** timings only: last against best, by the gate's timing rule *)
   improved : bool;  (** timings only: last is ≤80% of first *)
-  changed : bool;  (** counters only: {!drifted} last against first *)
+  changed : bool;  (** counters only: last differs from first *)
 }
 
 val analyze : record list -> series list

@@ -1,6 +1,7 @@
-(** Checked decoding of environment knobs ([EBRC_CHAOS], [EBRC_JOBS],
-    [EBRC_LEASE_GRACE], [EBRC_SIM_BUDGET]/[EBRC_WALL_BUDGET],
-    [EBRC_STREAM_PERIOD]/[EBRC_STREAM_WALL]). A value the knob's parser
+(** Checked decoding of environment knobs ([EBRC_CACHE], [EBRC_CHAOS],
+    [EBRC_JOBS], [EBRC_LEASE_GRACE], [EBRC_SIM_BUDGET]/[EBRC_WALL_BUDGET],
+    [EBRC_STREAM_PERIOD]/[EBRC_STREAM_WALL], and the bench's
+    [EBRC_BENCH_ONLY]). A value the knob's parser
     rejects fails at once, naming the variable, so a mistyped knob
     never silently means its default. *)
 

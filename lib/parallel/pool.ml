@@ -123,8 +123,6 @@ let create ?domains () =
     Array.init (n_domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
-let domains t = t.n_domains
-
 (* Run [run_chunk] over the index range [0, length). The caller drains
    indices alongside the workers, then waits for every worker to retire
    from the job before returning (so results are published and the

@@ -20,9 +20,6 @@ val create : ?domains:int -> unit -> t
     clamped to at least 1; a pool of 1 spawns nothing and runs every
     job inline. *)
 
-val domains : t -> int
-(** Total parallelism of the pool (workers + the calling domain). *)
-
 val default_jobs : unit -> int
 (** The [EBRC_JOBS] environment variable if set to a positive integer,
     else (unset, empty or ["0"]) [Domain.recommended_domain_count ()].

@@ -64,7 +64,6 @@ let create ?torn_grace ~dir () =
     [ t.tasks_dir; t.leases_dir; t.failed_dir; t.poisoned_dir; t.streams ];
   t
 
-let dir t = t.root
 let torn_grace t = t.torn_grace
 let streams_dir t = t.streams
 let task_path t digest = Filename.concat t.tasks_dir (digest ^ ".json")

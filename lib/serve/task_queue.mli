@@ -39,7 +39,6 @@ val create : ?torn_grace:float -> dir:string -> unit -> t
     files before they read as expired; default
     {!default_torn_grace}. *)
 
-val dir : t -> string
 val streams_dir : t -> string
 
 val torn_grace : t -> float

@@ -74,7 +74,6 @@ type t = {
          the existing box — a floatarray cell here measured {e worse},
          because every [Engine.now] call would box a fresh float. *)
   mutable processed : int;
-  mutable horizon : float;
   wheel : timer Timing_wheel.t;
   mutable advance_hook : float -> unit;
       (* Called with the event time before each live event fires (the
@@ -103,7 +102,6 @@ let create () =
       queue = Event_queue.create ();
       now = 0.0;
       processed = 0;
-      horizon = infinity;
       wheel = Timing_wheel.create ~null:null_timer ();
       advance_hook = nop_hook;
       has_hook = false;
@@ -366,7 +364,6 @@ let run ?(until = infinity) ?(max_events = max_int) ?sim_budget ?wall_budget t
   let wall_t0 =
     match wall_budget with Some _ -> Tm.wall_now () | None -> 0.0
   in
-  t.horizon <- until;
   let reason = ref Queue_empty in
   (try
      let continue = ref true in

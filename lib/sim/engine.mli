@@ -9,7 +9,6 @@ type t = private {
   queue : timer Event_queue.t;
   mutable now : float;
   mutable processed : int;
-  mutable horizon : float;
   wheel : timer Timing_wheel.t;
   mutable advance_hook : float -> unit;
   mutable has_hook : bool;

@@ -129,16 +129,6 @@ let push t ~time payload =
 
 let peek_time t = if t.size = 0 then None else Some t.times.(0)
 
-(* Allocation-free accessors for the hot loop: callers check
-   [is_empty] first. *)
-let top_time t =
-  if t.size = 0 then invalid_arg "Event_queue.top_time: empty queue";
-  t.times.(0)
-
-let top_seq t =
-  if t.size = 0 then invalid_arg "Event_queue.top_seq: empty queue";
-  t.seqs.(0)
-
 let pop_exn t =
   if t.size = 0 then invalid_arg "Event_queue.pop_exn: empty queue";
   let payload : 'a = Obj.obj t.payloads.(0) in

@@ -34,13 +34,6 @@ val push_seq : 'a t -> time:float -> seq:int -> 'a -> unit
 
 val peek_time : 'a t -> float option
 
-val top_time : 'a t -> float
-(** Time of the earliest event, without allocating. Raises on an empty
-    queue — check {!is_empty} first. *)
-
-val top_seq : 'a t -> int
-(** Tie-break ticket of the earliest event. Raises on an empty queue. *)
-
 val pop : 'a t -> (float * 'a) option
 
 val pop_exn : 'a t -> 'a

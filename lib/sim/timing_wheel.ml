@@ -183,7 +183,6 @@ let add_probes t set =
   Tm.Probe.add set k_overflowed (fun () -> t.overflowed)
 
 let count t = t.count0 + t.count1
-let is_empty t = t.count0 = 0 && t.count1 = 0
 
 let grow t =
   let cap = Array.length t.times in

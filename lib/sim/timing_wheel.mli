@@ -91,7 +91,6 @@ val add_probes : 'h t -> Ebrc_telemetry.Telemetry.Probe.set -> unit
 (** Register the wheel's [wheel.*] counters in a probe set. *)
 
 val count : 'h t -> int
-val is_empty : 'h t -> bool
 
 val fits : 'h t -> now:float -> at:float -> bool
 (** Whether an event at absolute time [at] lands inside the wheel

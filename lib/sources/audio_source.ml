@@ -108,8 +108,6 @@ let start t =
     send_loop t
   end
 
-let stop t = t.running <- false
-
 let sent t = t.sent
 let rate_units t = t.rate_units
 let rate_samples t = Array.of_list (List.rev t.rate_samples)

@@ -29,7 +29,6 @@ val on_receiver_packet : t -> seq:int -> unit
 
 val history : t -> Ebrc_tfrc.Loss_history.t
 val start : t -> unit
-val stop : t -> unit
 val sent : t -> int
 val rate_units : t -> float
 val rate_samples : t -> float array

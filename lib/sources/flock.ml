@@ -71,8 +71,6 @@ let create ?(flows = 100_000) ?(seed = 1) engine =
   done;
   t
 
-let events (t : t) = t.events
-let fingerprint (t : t) = t.fingerprint
 let pool (t : t) = t.pool
 
 let run ?(flows = 100_000) ?(duration = 10.0) ?(seed = 1) () =

@@ -11,7 +11,7 @@
     binary heap pays ~17 sift levels per operation where the timing
     wheel pays O(1).
 
-    Two runs agree on {!fingerprint} iff they dispatched the same
+    Two runs agree on the [fingerprint] of {!stats} iff they dispatched the same
     events in the same order, so the fingerprint is the scale-bench
     analogue of the scenario-level serialized-result bit-identity
     check. *)
@@ -25,12 +25,6 @@ val create : ?flows:int -> ?seed:int -> Ebrc_sim.Engine.t -> t
     uniformly over its own first period. Defaults: 100_000 flows,
     seed 1. The caller runs the engine. Per-flow state lives in a
     {!Flow_pool} (tick gap in [rate], sequence in [seq]). *)
-
-val events : t -> int
-(** Ticks dispatched so far. *)
-
-val fingerprint : t -> int
-(** Wrapping-int fold of [(flow, seq)] in dispatch order. *)
 
 val pool : t -> Flow_pool.t
 (** The flock's backing flow pool. *)

@@ -37,7 +37,6 @@ let create ~capacity =
   }
 
 let length t = t.n
-let capacity t = t.cap
 
 let add ?(rate = 0.0) ?(next_send = 0.0) t =
   if t.n >= t.cap then invalid_arg "Flow_pool.add: pool full";

@@ -30,5 +30,3 @@ val add : ?rate:float -> ?next_send:float -> t -> int
 
 val length : t -> int
 (** Flows added so far. *)
-
-val capacity : t -> int

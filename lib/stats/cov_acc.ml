@@ -7,16 +7,13 @@ type t = {
   mutable mean_x : float;
   mutable mean_y : float;
   mutable c : float;        (* sum of cross deviations *)
-  mutable m2x : float;
-  mutable m2y : float;
 }
 
 let create () =
-  { n = 0; mean_x = 0.0; mean_y = 0.0; c = 0.0; m2x = 0.0; m2y = 0.0 }
+  { n = 0; mean_x = 0.0; mean_y = 0.0; c = 0.0 }
 
 let reset t =
-  t.n <- 0; t.mean_x <- 0.0; t.mean_y <- 0.0;
-  t.c <- 0.0; t.m2x <- 0.0; t.m2y <- 0.0
+  t.n <- 0; t.mean_x <- 0.0; t.mean_y <- 0.0; t.c <- 0.0
 
 let add t x y =
   t.n <- t.n + 1;
@@ -26,20 +23,9 @@ let add t x y =
   t.mean_x <- t.mean_x +. (dx /. n);
   t.mean_y <- t.mean_y +. (dy /. n);
   (* Note: uses the updated mean_y, per the standard online update. *)
-  t.c <- t.c +. (dx *. (y -. t.mean_y));
-  t.m2x <- t.m2x +. (dx *. (x -. t.mean_x));
-  t.m2y <- t.m2y +. (dy *. (y -. t.mean_y))
+  t.c <- t.c +. (dx *. (y -. t.mean_y))
 
 let count t = t.n
-let mean_x t = if t.n = 0 then nan else t.mean_x
-let mean_y t = if t.n = 0 then nan else t.mean_y
 
 let covariance t =
   if t.n < 2 then 0.0 else t.c /. float_of_int (t.n - 1)
-
-let variance_x t = if t.n < 2 then 0.0 else t.m2x /. float_of_int (t.n - 1)
-let variance_y t = if t.n < 2 then 0.0 else t.m2y /. float_of_int (t.n - 1)
-
-let correlation t =
-  let sx = sqrt (variance_x t) and sy = sqrt (variance_y t) in
-  if sx = 0.0 || sy = 0.0 then 0.0 else covariance t /. (sx *. sy)

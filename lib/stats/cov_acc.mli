@@ -13,14 +13,6 @@ val add : t -> float -> float -> unit
 (** [add t x y] folds one (x, y) pair in. *)
 
 val count : t -> int
-val mean_x : t -> float
-val mean_y : t -> float
 
 val covariance : t -> float
 (** Unbiased; [0.] for fewer than 2 pairs. *)
-
-val variance_x : t -> float
-val variance_y : t -> float
-
-val correlation : t -> float
-(** [0.] when either marginal is constant. *)

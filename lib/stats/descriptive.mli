@@ -34,8 +34,6 @@ val autocovariance : float array -> lag:int -> float
 
 val autocorrelation : float array -> lag:int -> float
 
-val central_moment : float array -> order:int -> float
-
 val skewness : float array -> float
 (** Population skewness; 2 for an exponential distribution. *)
 

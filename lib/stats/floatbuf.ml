@@ -26,20 +26,9 @@ let get t i =
 
 let to_array t = Array.sub t.buf 0 t.len
 
-(* Elements from index [from] (inclusive) to the end; the tail added
-   since a snapshot of [length]. *)
-let tail t ~from =
-  if from < 0 || from > t.len then invalid_arg "Floatbuf.tail: bad index";
-  Array.sub t.buf from (t.len - from)
-
 let sum t =
   let acc = ref 0.0 in
   for i = 0 to t.len - 1 do
     acc := !acc +. t.buf.(i)
   done;
   !acc
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.buf.(i)
-  done

@@ -12,8 +12,4 @@ val get : t -> int -> float
 val to_array : t -> float array
 (** Fresh array of the [length] elements added so far. *)
 
-val tail : t -> from:int -> float array
-(** Elements added since a snapshot of [length] taken earlier. *)
-
 val sum : t -> float
-val iter : (float -> unit) -> t -> unit

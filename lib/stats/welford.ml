@@ -5,22 +5,18 @@ type t = {
   mutable n : int;
   mutable mean : float;
   mutable m2 : float;   (* sum of squared deviations *)
-  mutable m3 : float;
-  mutable m4 : float;
   mutable min : float;
   mutable max : float;
 }
 
 let create () =
-  { n = 0; mean = 0.0; m2 = 0.0; m3 = 0.0; m4 = 0.0;
-    min = infinity; max = neg_infinity }
+  { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
 
 let copy t =
-  { n = t.n; mean = t.mean; m2 = t.m2; m3 = t.m3; m4 = t.m4;
-    min = t.min; max = t.max }
+  { n = t.n; mean = t.mean; m2 = t.m2; min = t.min; max = t.max }
 
 let reset t =
-  t.n <- 0; t.mean <- 0.0; t.m2 <- 0.0; t.m3 <- 0.0; t.m4 <- 0.0;
+  t.n <- 0; t.mean <- 0.0; t.m2 <- 0.0;
   t.min <- infinity; t.max <- neg_infinity
 
 let add t x =
@@ -29,16 +25,8 @@ let add t x =
   let n = float_of_int t.n in
   let delta = x -. t.mean in
   let delta_n = delta /. n in
-  let delta_n2 = delta_n *. delta_n in
-  let term1 = delta *. delta_n *. n1 in
   t.mean <- t.mean +. delta_n;
-  t.m4 <-
-    t.m4
-    +. (term1 *. delta_n2 *. ((n *. n) -. (3.0 *. n) +. 3.0))
-    +. (6.0 *. delta_n2 *. t.m2)
-    -. (4.0 *. delta_n *. t.m3);
-  t.m3 <- t.m3 +. (term1 *. delta_n *. (n -. 2.0)) -. (3.0 *. delta_n *. t.m2);
-  t.m2 <- t.m2 +. term1;
+  t.m2 <- t.m2 +. (delta *. delta_n *. n1);
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x
 
@@ -48,26 +36,11 @@ let mean t = if t.n = 0 then nan else t.mean
 let variance t =
   if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
 
-let variance_population t =
-  if t.n = 0 then 0.0 else t.m2 /. float_of_int t.n
-
 let stddev t = sqrt (variance t)
 
 let coefficient_of_variation t =
   let mu = mean t in
   if mu = 0.0 || Float.is_nan mu then nan else stddev t /. mu
-
-let skewness t =
-  if t.n < 2 || t.m2 = 0.0 then 0.0
-  else
-    let n = float_of_int t.n in
-    sqrt n *. t.m3 /. (t.m2 ** 1.5)
-
-let kurtosis_excess t =
-  if t.n < 2 || t.m2 = 0.0 then 0.0
-  else
-    let n = float_of_int t.n in
-    (n *. t.m4 /. (t.m2 *. t.m2)) -. 3.0
 
 let minimum t = if t.n = 0 then nan else t.min
 let maximum t = if t.n = 0 then nan else t.max
@@ -83,10 +56,6 @@ let merge a b =
     t.n <- a.n + b.n;
     t.mean <- a.mean +. (delta *. nb /. n);
     t.m2 <- a.m2 +. b.m2 +. (delta *. delta *. na *. nb /. n);
-    (* Higher moments of the merge are not needed by callers; keep the
-       conservative approximation of dropping cross terms explicit. *)
-    t.m3 <- a.m3 +. b.m3;
-    t.m4 <- a.m4 +. b.m4;
     t.min <- min a.min b.min;
     t.max <- max a.max b.max;
     t

@@ -1,5 +1,5 @@
-(** Streaming moment accumulator (Welford's algorithm, extended to third
-    and fourth moments). Constant memory; suitable for simulator hot
+(** Streaming mean/variance accumulator (Welford's algorithm) with
+    extrema. Constant memory; suitable for simulator hot
     paths where storing every sample would be too costly. *)
 
 type t
@@ -19,14 +19,8 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased; [0.] for fewer than 2 samples. *)
 
-val variance_population : t -> float
-val stddev : t -> float
-
 val coefficient_of_variation : t -> float
 (** [nan] when mean is 0 or empty. *)
-
-val skewness : t -> float
-val kurtosis_excess : t -> float
 
 val minimum : t -> float
 (** [nan] when empty. *)
@@ -35,7 +29,7 @@ val maximum : t -> float
 (** [nan] when empty. *)
 
 val merge : t -> t -> t
-(** Combine two accumulators. Mean/variance/extrema merge exactly; the
-    third and fourth moments are approximate (cross terms dropped). *)
+(** Combine two accumulators (Chan et al.); exact for mean, variance and
+    extrema. *)
 
 val pp : Format.formatter -> t -> unit

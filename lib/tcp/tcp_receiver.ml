@@ -28,7 +28,6 @@ let set_ack_sink t f = t.send_ack <- f
 
 let expected t = t.expected
 let received t = t.received
-let bytes t = t.bytes
 
 let ack_now t ~dup ~echo =
   Engine.disarm t.delack_timer;

@@ -20,4 +20,3 @@ val on_data : t -> Ebrc_net.Packet.t -> unit
 
 val expected : t -> int
 val received : t -> int
-val bytes : t -> int

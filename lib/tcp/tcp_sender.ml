@@ -61,7 +61,6 @@ type t = {
   mutable retransmitted : Seq_set.t;
   (* --- statistics --- *)
   mutable packets_sent : int;
-  mutable retransmits : int;
   mutable timeouts : int;
   mutable fast_retransmits : int;
   mutable loss_events : int;
@@ -102,7 +101,6 @@ let send_segment t ~seq ~retransmission =
   let now = t.engine.Engine.now in
   let pkt = Packet.data ~flow:t.flow ~seq ~size:t.packet_size ~sent_at:now in
   if retransmission then begin
-    t.retransmits <- t.retransmits + 1;
     Seq_set.add t.retransmitted seq;
     (* Karn: never time a retransmitted segment. *)
     if t.timed_seq = seq then t.timed_seq <- -1
@@ -177,7 +175,6 @@ let create ?(packet_size = 1000) ?(initial_cwnd = 2.0) ?(max_window = 1e9)
     timed_at = 0.0;
     retransmitted = Seq_set.create ~capacity:64 ();
     packets_sent = 0;
-    retransmits = 0;
     timeouts = 0;
     fast_retransmits = 0;
     loss_events = 0;
@@ -293,7 +290,6 @@ let cwnd t = t.cwnd
 let ssthresh t = t.ssthresh
 let phase t = t.phase
 let packets_sent t = t.packets_sent
-let retransmits t = t.retransmits
 let timeouts t = t.timeouts
 let fast_retransmits t = t.fast_retransmits
 let loss_events t = t.loss_events

@@ -40,10 +40,8 @@ val on_ack : t -> acked:int -> dup:bool -> echo:float -> unit
 val cwnd : t -> float
 val ssthresh : t -> float
 val phase : t -> phase
-val flight_size : t -> int
 val window : t -> float
 val packets_sent : t -> int
-val retransmits : t -> int
 val timeouts : t -> int
 val fast_retransmits : t -> int
 val loss_events : t -> int

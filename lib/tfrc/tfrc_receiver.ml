@@ -11,18 +11,15 @@ type t = {
   engine : Engine.t;
   flow : int;
   history : Loss_history.t;
-  mutable feedback_interval : float;
+  feedback_interval : float;
   mutable send_feedback : Packet.t -> unit;
   mutable feedback_seq : int;
   mutable received : int;
-  mutable bytes : int;
   mutable received_at_last_report : int;
   mutable last_report_at : float;
   mutable last_data_stamp : float;
   mutable last_data_arrival : float;
   mutable started : bool;
-  mutable first_recv_at : float;
-  mutable last_recv_at : float;
 }
 
 let create ?(comprehensive = true) ~engine ~flow ~l ~rtt () =
@@ -36,23 +33,16 @@ let create ?(comprehensive = true) ~engine ~flow ~l ~rtt () =
     send_feedback = (fun _ -> ());
     feedback_seq = 0;
     received = 0;
-    bytes = 0;
     received_at_last_report = 0;
     last_report_at = 0.0;
     last_data_stamp = 0.0;
     last_data_arrival = 0.0;
     started = false;
-    first_recv_at = nan;
-    last_recv_at = nan;
   }
 
 let set_feedback_sink t f = t.send_feedback <- f
 
 let history t = t.history
-
-let set_rtt t rtt =
-  Loss_history.set_rtt t.history rtt;
-  if rtt > 0.0 then t.feedback_interval <- rtt
 
 let emit_report t =
   let now = t.engine.Engine.now in
@@ -88,11 +78,8 @@ let feedback_loop t =
 let on_data t (pkt : Packet.t) =
   let now = t.engine.Engine.now in
   t.received <- t.received + 1;
-  t.bytes <- t.bytes + pkt.size;
   t.last_data_stamp <- (Packet.sent_at pkt);
   t.last_data_arrival <- now;
-  if Float.is_nan t.first_recv_at then t.first_recv_at <- now;
-  t.last_recv_at <- now;
   Loss_history.on_packet t.history ~now ~seq:pkt.seq;
   if not t.started then begin
     t.started <- true;
@@ -104,9 +91,3 @@ let on_data t (pkt : Packet.t) =
   end
 
 let received t = t.received
-let bytes t = t.bytes
-
-let throughput_pps t =
-  let d = t.last_recv_at -. t.first_recv_at in
-  if Float.is_nan d || d <= 0.0 then 0.0
-  else float_of_int (t.received - 1) /. d

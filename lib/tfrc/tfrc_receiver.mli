@@ -13,12 +13,8 @@ val create :
   t
 
 val set_feedback_sink : t -> (Ebrc_net.Packet.t -> unit) -> unit
-val set_rtt : t -> float -> unit
-(** Update the loss-event aggregation window and feedback interval. *)
 
 val on_data : t -> Ebrc_net.Packet.t -> unit
 
 val history : t -> Loss_history.t
 val received : t -> int
-val bytes : t -> int
-val throughput_pps : t -> float

@@ -47,9 +47,7 @@ type t = {
   mutable last_recv_rate : float;
   mutable feedbacks : int;
   mutable rate_changes : int;
-  rate_stats : Welford.t;
   rtt_stats : Welford.t;
-  mutable on_rate_change : float -> unit;
   initial_rate : float;
   min_rate : float;
   max_rate : float;
@@ -78,7 +76,6 @@ let send_loop t =
   end
 
 let set_transmit t f = t.transmit <- f
-let set_rate_change_hook t f = t.on_rate_change <- f
 
 let update_rtt t sample =
   if sample > 0.0 then begin
@@ -90,11 +87,9 @@ let update_rtt t sample =
 let set_rate t rate =
   let rate = Float.min (Float.max rate t.min_rate) t.max_rate in
   t.rate <- rate;
-  Welford.add t.rate_stats rate;
   t.rate_changes <- t.rate_changes + 1;
   if Atomic.get Tm.on then
-    Tm.event "tfrc.rate" ~time:(t.engine.Engine.now) ~flow:t.flow ~value:rate;
-  t.on_rate_change rate
+    Tm.event "tfrc.rate" ~time:(t.engine.Engine.now) ~flow:t.flow ~value:rate
 
 (* The RFC 3448 nofeedback timer: if no receiver report arrives for
    [nofeedback_rtts] round-trip times, halve the rate and re-arm. This
@@ -141,9 +136,7 @@ let create ?(packet_size = 1000) ?(conform_to_analysis = false)
     last_recv_rate = 0.0;
     feedbacks = 0;
     rate_changes = 0;
-    rate_stats = Welford.create ();
     rtt_stats = Welford.create ();
-    on_rate_change = (fun _ -> ());
     initial_rate;
     min_rate;
     max_rate;
@@ -222,6 +215,5 @@ let srtt t = t.srtt
 let sent t = t.sent
 let feedbacks t = t.feedbacks
 let mean_rtt t = Welford.mean t.rtt_stats
-let mean_rate t = Welford.mean t.rate_stats
 let flow t = t.flow
 let rate_halvings t = t.rate_halvings

@@ -24,7 +24,6 @@ val create :
     arriving; 0 disables it. *)
 
 val set_transmit : t -> (Ebrc_net.Packet.t -> unit) -> unit
-val set_rate_change_hook : t -> (float -> unit) -> unit
 
 val start : t -> unit
 val stop : t -> unit
@@ -42,7 +41,6 @@ val srtt : t -> float
 val sent : t -> int
 val feedbacks : t -> int
 val mean_rtt : t -> float
-val mean_rate : t -> float
 val flow : t -> int
 
 val rate_halvings : t -> int

