@@ -30,11 +30,12 @@ let quick = Sys.getenv_opt "EBRC_BENCH_FULL" <> Some "1"
 (* EBRC_BENCH_ONLY=sweep|serve|wheel|scale: a single measurement block,
    no JSON — for iterating on the pool, the fleet, the scheduler or the
    hybrid engine without a full bench run. Unset or empty runs the full
-   bench; any other value fails here, before anything is measured or
+   bench. EBRC_JOBS is read by Pool.default_jobs (unset: all cores).
+   Either knob malformed fails here, before anything is measured or
    written. *)
 type only = Sweep | Serve | Wheel | Scale
 
-let only =
+let only, jobs =
   let parse = function
     | "sweep" -> Ok (Some Sweep)
     | "serve" -> Ok (Some Serve)
@@ -42,14 +43,14 @@ let only =
     | "scale" -> Ok (Some Scale)
     | v -> Error (Printf.sprintf "expected sweep, serve, wheel or scale, got %S" v)
   in
-  match Ebrc_obs.Env.knob ~empty:None "EBRC_BENCH_ONLY" parse with
-  | v -> Option.join v
+  match
+    let only = Ebrc_obs.Env.knob ~empty:None "EBRC_BENCH_ONLY" parse in
+    (Option.join only, Ebrc.Pool.default_jobs ())
+  with
+  | knobs -> knobs
   | exception Invalid_argument msg ->
       Printf.eprintf "bench: %s\n%!" msg;
       exit 124
-
-(* EBRC_JOBS is read by Pool.default_jobs; fall back to all cores. *)
-let jobs = Ebrc.Pool.default_jobs ()
 
 (* ------------------------------------------------------------------ *)
 (* Part 1: regenerate all figures/tables.                              *)

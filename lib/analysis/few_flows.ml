@@ -90,10 +90,12 @@ type competition_result = {
   aimd_share : float;     (* fraction of the capacity carried by AIMD *)
 }
 
-let simulate_competition ?(cycles = 2000) ?(l = 8) ?(dt = 0.01) p =
+(* Fluid time step, seconds. *)
+let dt = 0.01
+
+let simulate_competition ?(cycles = 2000) ?(l = 8) p =
   check p;
   if cycles < 1 then invalid_arg "Few_flows.simulate_competition: cycles < 1";
-  if dt <= 0.0 then invalid_arg "Few_flows.simulate_competition: dt <= 0";
   let k2 = p.alpha *. (1.0 +. p.beta) /. (2.0 *. (1.0 -. p.beta)) in
   let estimator = Ebrc_estimator.Loss_interval.of_tfrc ~l in
   Ebrc_estimator.Loss_interval.prime estimator

@@ -37,7 +37,7 @@ type competition_result = {
 }
 
 val simulate_competition :
-  ?cycles:int -> ?l:int -> ?dt:float -> params -> competition_result
+  ?cycles:int -> ?l:int -> params -> competition_result
 (** The paper's undisplayed experiment: one AIMD and one equation-based
     sender sharing the link in a fluid model (a loss event for both when
     the summed rate reaches capacity). The paper reports the p′/p

@@ -45,13 +45,9 @@ let warm_up estimator process =
     Loss_interval.record estimator (Loss_process.next process)
   done
 
-let simulate ?(warmup_cycles = 0) ?(collect_pairs = false) ~formula ~estimator
-    ~process ~cycles () =
+let simulate ?(collect_pairs = false) ~formula ~estimator ~process ~cycles () =
   if cycles < 2 then invalid_arg "Basic_control.simulate: need >= 2 cycles";
   warm_up estimator process;
-  for _ = 1 to warmup_cycles do
-    Loss_interval.record estimator (Loss_process.next process)
-  done;
   let total_packets = ref 0.0 and total_time = ref 0.0 in
   let c1 = Cov_acc.create () in
   let c2 = Cov_acc.create () in

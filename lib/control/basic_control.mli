@@ -19,7 +19,6 @@ type result = {
 }
 
 val simulate :
-  ?warmup_cycles:int ->
   ?collect_pairs:bool ->
   formula:Ebrc_formulas.Formula.t ->
   estimator:Ebrc_estimator.Loss_interval.t ->
@@ -28,7 +27,7 @@ val simulate :
   unit ->
   result
 (** Run [cycles] loss-event cycles after warming the estimator with one
-    full window (plus [warmup_cycles] extra). *)
+    full window. *)
 
 val palm_throughput :
   formula:Ebrc_formulas.Formula.t ->

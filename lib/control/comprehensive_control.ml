@@ -69,7 +69,7 @@ type result = {
   cycles : int;
 }
 
-let simulate ?(warmup_cycles = 0) ~formula ~estimator ~process ~cycles () =
+let simulate ~formula ~estimator ~process ~cycles () =
   if cycles < 2 then
     invalid_arg "Comprehensive_control.simulate: need >= 2 cycles";
   (match Formula.kind formula with
@@ -79,7 +79,7 @@ let simulate ?(warmup_cycles = 0) ~formula ~estimator ~process ~cycles () =
         "Comprehensive_control.simulate: the closed form needs SQRT or \
          PFTK-simplified");
   let l = Loss_interval.window estimator in
-  for _ = 1 to l + warmup_cycles do
+  for _ = 1 to l do
     Loss_interval.record estimator (Loss_process.next process)
   done;
   let total_packets = ref 0.0 and total_time = ref 0.0 in

@@ -31,7 +31,6 @@ val cycle_duration_closed :
     estimator. *)
 
 val simulate :
-  ?warmup_cycles:int ->
   formula:Ebrc_formulas.Formula.t ->
   estimator:Ebrc_estimator.Loss_interval.t ->
   process:Ebrc_lossproc.Loss_process.t ->

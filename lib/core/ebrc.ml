@@ -15,7 +15,8 @@
       throughput analysis), {!Theorems} (Theorems 1–2 as predicates).
     - The packet-level substrate standing in for ns-2 and the testbeds:
       {!Engine}, {!Packet}, {!Queue_discipline}, {!Link},
-      {!Loss_module}, {!Flow_stats}, {!Gap_sink}, {!Tcp_sender},
+      {!Loss_module}, {!Loss_events} (the paper's loss-event rule behind
+      p, p′ and p″), {!Gap_sink}, {!Tcp_sender},
       {!Tcp_receiver}, {!Tfrc_sender}, {!Tfrc_receiver},
       {!Loss_history}, {!Probe_source}, {!Audio_source}, {!Flock}.
     - The paper's evaluation: {!Breakdown} (the four TCP-friendliness
@@ -63,7 +64,7 @@ module Queue_discipline = Ebrc_net.Queue_discipline
 module Link = Ebrc_net.Link
 module Loss_module = Ebrc_net.Loss_module
 module Fluid = Ebrc_net.Fluid
-module Flow_stats = Ebrc_net.Flow_stats
+module Loss_events = Ebrc_net.Loss_events
 module Gap_sink = Ebrc_net.Gap_sink
 module Fault = Ebrc_net.Fault
 module Seq_set = Ebrc_tcp.Seq_set

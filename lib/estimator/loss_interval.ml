@@ -117,8 +117,6 @@ let open_interval_threshold t =
 
 let first_weight t = t.weights.(0)
 
-let weights t = Array.copy t.weights
-
 let copy t =
   {
     weights = t.weights;

@@ -45,5 +45,4 @@ val open_interval_threshold : t -> float
     starts growing (defines the paper's event Aₜ and the duration Uₙ). *)
 
 val first_weight : t -> float
-val weights : t -> float array
 val copy : t -> t

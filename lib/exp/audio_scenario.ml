@@ -11,6 +11,7 @@ module Prng = Ebrc_rng.Prng
 module Audio_source = Ebrc_sources.Audio_source
 module Loss_module = Ebrc_net.Loss_module
 module Loss_history = Ebrc_tfrc.Loss_history
+module Loss_events = Ebrc_net.Loss_events
 module Formula = Ebrc_formulas.Formula
 module Descriptive = Ebrc_stats.Descriptive
 module Fault = Ebrc_net.Fault
@@ -98,15 +99,14 @@ let run cfg =
         if Fault.active inj then Some inj else None
     | None -> None
   in
+  let hist = Audio_source.history source in
+  let events = Loss_history.loss_events hist in
   let channel pkt =
     if Loss_module.process dropper pkt then
       Engine.schedule_after_unit engine ~delay:cfg.one_way_delay (fun () ->
-          let before =
-            Loss_history.event_count (Audio_source.history source)
-          in
+          let before = Loss_events.events events in
           Audio_source.on_receiver_packet source ~seq:pkt.Ebrc_net.Packet.seq;
-          let hist = Audio_source.history source in
-          if measuring () && Loss_history.event_count hist > before then
+          if measuring () && Loss_events.events events > before then
             thetahats := Loss_history.average_interval hist :: !thetahats)
   in
   let channel =
@@ -118,23 +118,14 @@ let run cfg =
         incr rate_n
       end;
       channel pkt);
-  (* Counters snapshotted at warmup for the empirical loss-event rate. *)
+  (* Completed intervals at warmup: the mark for the empirical
+     loss-event rate. *)
   let ivs_at_warmup = ref 0 in
   Engine.schedule_unit engine ~at:cfg.warmup (fun () ->
-      ivs_at_warmup :=
-        Array.length
-          (Loss_history.completed_intervals (Audio_source.history source)));
+      ivs_at_warmup := Loss_events.completed events);
   Audio_source.start source;
   ignore (Engine.run ~until:cfg.duration engine);
-  let hist = Audio_source.history source in
-  let all_ivs = Loss_history.completed_intervals hist in
-  let ivs =
-    Array.sub all_ivs !ivs_at_warmup (Array.length all_ivs - !ivs_at_warmup)
-  in
-  let p_observed =
-    if Array.length ivs = 0 then 0.0
-    else float_of_int (Array.length ivs) /. Array.fold_left ( +. ) 0.0 ivs
-  in
+  let p_observed = Loss_events.rate events ~since:!ivs_at_warmup in
   let mean_rate = if !rate_n = 0 then 0.0 else !rate_sum /. float_of_int !rate_n in
   let normalized =
     if p_observed > 0.0 then mean_rate /. Formula.eval formula p_observed
@@ -152,6 +143,6 @@ let run cfg =
     p_observed;
     cv2_thetahat = cv2;
     mean_rate;
-    events = Loss_history.event_count hist;
+    events = Loss_events.events events;
     packets = Audio_source.sent source;
   }

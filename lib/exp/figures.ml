@@ -933,6 +933,7 @@ let lone_tcp ~variant ~seed ~buffer ~duration =
   let module Engine = Ebrc_sim.Engine in
   let module Link = Ebrc_net.Link in
   let module QD = Ebrc_net.Queue_discipline in
+  let module LE = Ebrc_net.Loss_events in
   let module TS = Tcp_sender in
   let module TR = Ebrc_tcp.Tcp_receiver in
   let module Trace = Ebrc_sim.Trace in
@@ -949,9 +950,10 @@ let lone_tcp ~variant ~seed ~buffer ~duration =
           TS.on_ack sender ~acked ~dup ~echo));
   let current = ref (Trace.create ()) in
   let best = ref (Trace.create ()) in
+  let events = TS.loss_events sender in
   let last_events = ref 0 in
   TS.set_rate_sample_hook sender (fun w ->
-      let ev = TS.loss_events sender in
+      let ev = LE.events events in
       if ev <> !last_events then begin
         last_events := ev;
         if Trace.length !current > Trace.length !best then best := !current;
@@ -963,8 +965,8 @@ let lone_tcp ~variant ~seed ~buffer ~duration =
   ignore (Engine.run ~until:duration engine);
   if Trace.length !current > Trace.length !best then best := !current;
   {
-    loss_events = TS.loss_events sender;
-    loss_event_rate = TS.loss_event_rate sender;
+    loss_events = LE.events events;
+    loss_event_rate = LE.rate events ~since:0;
     received = TR.received receiver;
     mean_rtt = TS.mean_rtt sender;
     timeouts = TS.timeouts sender;

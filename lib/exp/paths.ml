@@ -145,8 +145,7 @@ let lab_profiles ~pkt =
 let all_profiles ~pkt = internet_profiles @ lab_profiles ~pkt @ [ cable_modem ]
 
 (* Instantiate a scenario config for this profile and connection count. *)
-let to_config ?(seed = 42) ?(duration = 300.0) ?(warmup = 50.0)
-    ?(tfrc_l = 8) ?(formula_kind = Formula.Pftk_standard) ?comprehensive
+let to_config ?(seed = 42) ?(duration = 300.0) ?(warmup = 50.0) ?comprehensive
     profile ~n =
   let comprehensive =
     (* Default to the paper's setting for this profile: comprehensive
@@ -162,8 +161,6 @@ let to_config ?(seed = 42) ?(duration = 300.0) ?(warmup = 50.0)
     n_tfrc = n;
     n_tcp = n;
     with_probe = false;
-    tfrc_l;
-    tfrc_formula_kind = formula_kind;
     tfrc_comprehensive = comprehensive;
     duration;
     warmup;

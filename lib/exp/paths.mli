@@ -40,8 +40,6 @@ val to_config :
   ?seed:int ->
   ?duration:float ->
   ?warmup:float ->
-  ?tfrc_l:int ->
-  ?formula_kind:Ebrc_formulas.Formula.kind ->
   ?comprehensive:bool ->
   profile ->
   n:int ->

@@ -30,7 +30,7 @@ module Packet = Ebrc_net.Packet
 module Link = Ebrc_net.Link
 module Queue_discipline = Ebrc_net.Queue_discipline
 module Gap_sink = Ebrc_net.Gap_sink
-module Flow_stats = Ebrc_net.Flow_stats
+module Loss_events = Ebrc_net.Loss_events
 module Fault = Ebrc_net.Fault
 module Tcp_sender = Ebrc_tcp.Tcp_sender
 module Tcp_receiver = Ebrc_tcp.Tcp_receiver
@@ -403,7 +403,9 @@ let run cfg =
           ~pacing:(Probe_source.Poisson (Prng.split master))
           ()
       in
-      let sink = Gap_sink.create ~rtt_hint:rtt0 in
+      (* p''s window is the base RTT, like p's (the TFRC receivers
+         above). *)
+      let sink = Gap_sink.create ~window:rtt0 in
       Probe_source.set_transmit src forward;
       Some (src, sink)
     end
@@ -465,30 +467,32 @@ let run cfg =
   end;
   (* --- warmup phase, snapshot, measurement phase --- *)
   guarded_run ~until:cfg.warmup;
-  let probe_recv_snapshot = ref 0 and probe_ivs_snapshot = ref 0 in
-  (* Warmup marks, one slot per foreground flow (TFRC i -> i, TCP
-     j -> n_tfrc + j). *)
-  let n_fg = cfg.n_tfrc + cfg.n_tcp in
-  let snap_recv = Array.make n_fg 0
-  and snap_ivs = Array.make n_fg 0
-  and snap_pairs = Array.make n_fg 0 in
+  (* Warmup marks, one slot per measured flow, indexed by flow id (TFRC
+     i -> i, TCP j -> n_tfrc + j, the probe -> probe_flow). *)
+  let snap_recv = Array.make (probe_flow + 1) 0
+  and snap_ivs = Array.make (probe_flow + 1) 0
+  and snap_pairs = Array.make cfg.n_tfrc 0 in
+  let mark flow ~recv events =
+    snap_recv.(flow) <- recv;
+    snap_ivs.(flow) <- Loss_events.completed events
+  in
   Array.iteri
     (fun i fl ->
-      snap_recv.(i) <- Tfrc_receiver.received fl.tr;
-      snap_ivs.(i) <- Loss_history.interval_count (Tfrc_receiver.history fl.tr);
-      snap_pairs.(i) <- Loss_history.pair_count (Tfrc_receiver.history fl.tr))
+      let hist = Tfrc_receiver.history fl.tr in
+      mark i ~recv:(Tfrc_receiver.received fl.tr)
+        (Loss_history.loss_events hist);
+      snap_pairs.(i) <- Loss_history.pair_count hist)
     tfrc_flows;
   Array.iteri
     (fun j fl ->
-      let s = cfg.n_tfrc + j in
-      snap_recv.(s) <- Tcp_receiver.received fl.cr;
-      snap_ivs.(s) <- Tcp_sender.interval_count fl.cs)
+      mark (cfg.n_tfrc + j) ~recv:(Tcp_receiver.received fl.cr)
+        (Tcp_sender.loss_events fl.cs))
     tcp_flows;
-  (match probe with
-  | Some (_, sink) ->
-      probe_recv_snapshot := Flow_stats.received (Gap_sink.stats sink);
-      probe_ivs_snapshot := Flow_stats.interval_count (Gap_sink.stats sink)
-  | None -> ());
+  Option.iter
+    (fun (_, sink) ->
+      mark probe_flow ~recv:(Gap_sink.received sink)
+        (Gap_sink.loss_events sink))
+    probe;
   let drops_at_warmup = Queue_discipline.drops queue in
   let delivered_at_warmup = Link.bytes_delivered link in
   let hop_drops_at_warmup =
@@ -497,18 +501,14 @@ let run cfg =
   guarded_run ~until:cfg.duration;
   stream_end ~ok:true;
   let window = cfg.duration -. cfg.warmup in
-  let tail arr from = Array.sub arr from (Array.length arr - from) in
-  let interval_rate ivs =
-    if Array.length ivs = 0 then 0.0
-    else float_of_int (Array.length ivs) /. Array.fold_left ( +. ) 0.0 ivs
-  in
-  let measure slot ~flow ~recv_now ~mean_rtt:r ~ivs ~pairs =
+  let measure flow ~recv ~mean_rtt:r ~pairs events =
+    let since = snap_ivs.(flow) in
     {
       flow;
-      throughput_pps = float_of_int (recv_now - snap_recv.(slot)) /. window;
-      loss_event_rate = interval_rate ivs;
+      throughput_pps = float_of_int (recv - snap_recv.(flow)) /. window;
+      loss_event_rate = Loss_events.rate events ~since;
       mean_rtt = (if Float.is_nan r || r <= 0.0 then rtt0 else r);
-      loss_intervals = ivs;
+      loss_intervals = Loss_events.intervals events ~since;
       estimate_pairs = pairs;
     }
   in
@@ -516,40 +516,26 @@ let run cfg =
     Array.mapi
       (fun i fl ->
         let hist = Tfrc_receiver.history fl.tr in
-        let ivs = tail (Loss_history.completed_intervals hist) snap_ivs.(i) in
-        let pairs = tail (Loss_history.estimate_pairs hist) snap_pairs.(i) in
-        measure i ~flow:(Tfrc_sender.flow fl.ts)
-          ~recv_now:(Tfrc_receiver.received fl.tr)
-          ~mean_rtt:(Tfrc_sender.mean_rtt fl.ts) ~ivs ~pairs)
+        measure i ~recv:(Tfrc_receiver.received fl.tr)
+          ~mean_rtt:(Tfrc_sender.mean_rtt fl.ts)
+          ~pairs:(Loss_history.estimate_pairs hist ~since:snap_pairs.(i))
+          (Loss_history.loss_events hist))
       tfrc_flows
   in
   let tcp_measures =
     Array.mapi
-      (fun i fl ->
-        let s = cfg.n_tfrc + i in
-        let ivs = tail (Tcp_sender.loss_event_intervals fl.cs) snap_ivs.(s) in
-        measure s ~flow:s
-          ~recv_now:(Tcp_receiver.received fl.cr)
-          ~mean_rtt:(Tcp_sender.mean_rtt fl.cs) ~ivs ~pairs:[||])
+      (fun j fl ->
+        measure (cfg.n_tfrc + j) ~recv:(Tcp_receiver.received fl.cr)
+          ~mean_rtt:(Tcp_sender.mean_rtt fl.cs) ~pairs:[||]
+          (Tcp_sender.loss_events fl.cs))
       tcp_flows
   in
   let probe_measure =
-    match probe with
-    | None -> None
-    | Some (_, sink) ->
-        let st = Gap_sink.stats sink in
-        let ivs = tail (Flow_stats.loss_event_intervals st) !probe_ivs_snapshot in
-        Some
-          {
-            flow = probe_flow;
-            throughput_pps =
-              float_of_int (Flow_stats.received st - !probe_recv_snapshot)
-              /. window;
-            loss_event_rate = interval_rate ivs;
-            mean_rtt = rtt0;
-            loss_intervals = ivs;
-            estimate_pairs = [||];
-          }
+    Option.map
+      (fun (_, sink) ->
+        measure probe_flow ~recv:(Gap_sink.received sink) ~mean_rtt:rtt0
+          ~pairs:[||] (Gap_sink.loss_events sink))
+      probe
   in
   {
     tfrc = tfrc_measures;

@@ -62,14 +62,16 @@ type config = {
   profile : drop_profile;
   share_cap : float;     (* max capacity fraction the fluid may hold *)
   resolution : float;    (* sync quantum, s *)
-  rate_tau : float;      (* foreground arrival-rate EWMA time const, s *)
   w_min : float;         (* window floor, packets *)
   rtol : float;
   atol : float;
 }
 
-let default ?profile ?(share_cap = 0.95) ?(resolution = 1e-3)
-    ?(rate_tau = 0.1) ~flows ~capacity_pps ~base_rtt ~qmax () =
+(* Time constant of the foreground arrival-rate EWMA, s. *)
+let rate_tau = 0.1
+
+let default ?profile ?(share_cap = 0.95) ?(resolution = 1e-3) ~flows
+    ~capacity_pps ~base_rtt ~qmax () =
   let profile =
     match profile with Some p -> p | None -> Tail { ramp = 0.25 }
   in
@@ -81,7 +83,6 @@ let default ?profile ?(share_cap = 0.95) ?(resolution = 1e-3)
     profile;
     share_cap;
     resolution;
-    rate_tau;
     w_min = 1e-2;
     rtol = 1e-5;
     atol = 1e-7;
@@ -98,8 +99,6 @@ let validate cfg =
     invalid_arg "Fluid: share_cap not in (0,1]";
   if not (cfg.resolution > 0.0) then
     invalid_arg "Fluid: resolution must be positive";
-  if not (cfg.rate_tau > 0.0) then
-    invalid_arg "Fluid: rate_tau must be positive";
   (match cfg.profile with
   | Tail { ramp } ->
       if not (ramp > 0.0 && ramp <= 1.0) then
@@ -244,7 +243,7 @@ let sync t ~now =
   if target > t.synced_to then begin
     let dt = target -. t.synced_to in
     let inst = float_of_int t.arrivals /. dt in
-    let alpha = Float.min 1.0 (dt /. cfg.rate_tau) in
+    let alpha = Float.min 1.0 (dt /. rate_tau) in
     let a_fg = Float.Array.get t.inputs 0 in
     Float.Array.set t.inputs 0 (a_fg +. (alpha *. (inst -. a_fg)));
     t.arrivals <- 0;
@@ -295,9 +294,9 @@ let stats t =
 
 (* ------------------------- equilibrium ----------------------------- *)
 
-(* Fixed point of the fluid at constant foreground rate [a_fg]:
+(* Fixed point of the fluid with no foreground traffic:
    dW = 0 gives W* = sqrt(2/p); dq = 0 (backlogged) gives
-   N W*/R(q(p)) (1 - p) = C - a_fg, with q(p) the drop profile's
+   N W*/R(q(p)) (1 - p) = C, with q(p) the drop profile's
    inverse. The left side is strictly decreasing in p (window shrinks,
    survival shrinks, RTT grows), so the root is found by bisection.
    This is the analytic limit the Many_sources end-to-end test
@@ -322,9 +321,9 @@ let queue_at_drop cfg p =
       else
         max_th +. ((p -. max_p) /. (1.0 -. max_p) *. (cfg.qmax -. max_th))
 
-let equilibrium ?(a_fg = 0.0) cfg =
+let equilibrium cfg =
   validate cfg;
-  let c_eff = Float.max 1e-9 (cfg.capacity_pps -. a_fg) in
+  let c_eff = Float.max 1e-9 cfg.capacity_pps in
   let n = float_of_int cfg.flows in
   let excess p =
     let q = queue_at_drop cfg p in

@@ -35,7 +35,6 @@ type config = {
   profile : drop_profile;
   share_cap : float;     (** max capacity fraction the fluid may hold *)
   resolution : float;    (** sync quantum, seconds *)
-  rate_tau : float;      (** foreground rate EWMA time constant, s *)
   w_min : float;         (** window floor, packets *)
   rtol : float;
   atol : float;
@@ -43,10 +42,10 @@ type config = {
 
 val default :
   ?profile:drop_profile -> ?share_cap:float -> ?resolution:float ->
-  ?rate_tau:float -> flows:int -> capacity_pps:float -> base_rtt:float ->
-  qmax:float -> unit -> config
+  flows:int -> capacity_pps:float -> base_rtt:float -> qmax:float -> unit ->
+  config
 (** Defaults: DropTail-style [Tail {ramp = 0.25}], share_cap 0.95,
-    resolution 1 ms, rate_tau 100 ms. *)
+    resolution 1 ms. The foreground rate EWMA time constant is 100 ms. *)
 
 type t
 
@@ -112,10 +111,10 @@ type equilibrium = {
   eq_rate : float;   (** per-flow throughput, pkt/s *)
 }
 
-val equilibrium : ?a_fg:float -> config -> equilibrium
-(** Fixed point of the fluid at constant foreground rate [a_fg]
-    (default 0): dW = 0 gives W* = √(2/p); dq = 0 gives
-    N·W*/R·(1−p) = C − a_fg with q the drop profile's inverse at p.
+val equilibrium : config -> equilibrium
+(** Fixed point of the fluid with no foreground traffic: dW = 0 gives
+    W* = √(2/p); dq = 0 gives N·W*/R·(1−p) = C with q the drop
+    profile's inverse at p.
     Solved by bisection (the demand side is strictly decreasing in p).
     This is the analytic many-sources limit the end-to-end test
     compares simulated loss-event rates against. *)

@@ -5,7 +5,10 @@
 let simpson_step a b fa fm fb =
   (b -. a) /. 6.0 *. (fa +. (4.0 *. fm) +. fb)
 
-let adaptive_simpson ?(tol = 1e-10) ?(max_depth = 50) f ~lo ~hi =
+(* Recursion depth limit of the adaptive bisection. *)
+let max_depth = 50
+
+let adaptive_simpson ?(tol = 1e-10) f ~lo ~hi =
   if not (lo <= hi) then invalid_arg "Quadrature.adaptive_simpson: lo > hi";
   if lo = hi then 0.0
   else begin

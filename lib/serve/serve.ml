@@ -130,8 +130,7 @@ let plan_watch ?gc_max_age w =
     w.w_tasks;
   !outstanding
 
-let plan ?gc_max_age ~store_dir ~queue m =
-  plan_watch ?gc_max_age (watch ~store_dir ~queue m)
+let plan ~store_dir ~queue m = plan_watch (watch ~store_dir ~queue m)
 
 (* ---------------------------- worker fleet ------------------------ *)
 

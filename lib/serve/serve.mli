@@ -99,14 +99,13 @@ val verify : watch -> progress
 val progress : store_dir:string -> queue:Task_queue.t -> Manifest.t -> progress
 (** One-shot full count ({!verify} of a fresh {!watch}). *)
 
-val plan :
-  ?gc_max_age:float -> store_dir:string -> queue:Task_queue.t -> Manifest.t -> int
+val plan : store_dir:string -> queue:Task_queue.t -> Manifest.t -> int
 (** Enqueue every manifest task whose result is not already published
     (idempotent), returning how many are outstanding; poison verdicts
     and failure records for re-enqueued digests are cleared. Also reclaims stale store tmp
-    files ({!Ebrc_exp.Result_cache.gc_tmp}; [run] passes
-    [gc_max_age = 2 × ttl] so a live peer's in-flight publication is
-    never swept). *)
+    files ({!Ebrc_exp.Result_cache.gc_tmp} at its default age; [run]
+    uses 2 × ttl so a live peer's in-flight publication is never
+    swept). *)
 
 val backoff : int -> float
 (** Respawn delay after the [n]-th consecutive worker death (from 0):

@@ -20,12 +20,12 @@ module Engine = Ebrc_sim.Engine
 module Packet = Ebrc_net.Packet
 module Formula = Ebrc_formulas.Formula
 module Loss_history = Ebrc_tfrc.Loss_history
+module Loss_events = Ebrc_net.Loss_events
 
 type t = {
   engine : Engine.t;
   flow : int;
   period : float;                  (* fixed inter-packet time, s *)
-  base_size : int;                 (* bytes carried at rate 1 pkt-unit/s *)
   formula : Formula.t;
   history : Loss_history.t;        (* fed back by the receiver wire *)
   mutable transmit : Packet.t -> unit;
@@ -38,25 +38,26 @@ type t = {
 
 (* The audio sender's "rate" is in formula packet-units per second; each
    emitted packet carries rate * period packet-units of payload. We
-   encode payload as bytes = max 1 (round (units * base_size)). *)
-let create ?(comprehensive = false) ?(l = 4) ?(base_size = 100)
-    ?(initial_units = 1.0) ~engine ~flow ~period ~formula ~rtt () =
+   encode payload as bytes = max 1 (round (units * base_size)); the rate
+   starts at one unit/s. *)
+let base_size = 100
+
+let create ?(comprehensive = false) ?(l = 4) ~engine ~flow ~period ~formula
+    ~rtt () =
   if period <= 0.0 then invalid_arg "Audio_source.create: period <= 0";
-  if base_size <= 0 then invalid_arg "Audio_source.create: base_size <= 0";
   let history = Loss_history.create ~comprehensive ~l ~rtt () in
   Loss_history.add_probes history engine.Engine.probes;
   {
     engine;
     flow;
     period;
-    base_size;
     formula;
     history;
     transmit = (fun _ -> ());
     seq = 0;
     sent = 0;
     running = false;
-    rate_units = initial_units;
+    rate_units = 1.0;
     rate_samples = [];
   }
 
@@ -74,17 +75,15 @@ let update_rate t =
    (zero-delay feedback is acceptable for the Claim-2 loop: the paper's
    analysis is for the idealised control clocked by loss events). *)
 let on_receiver_packet t ~seq =
-  let before = Loss_history.event_count t.history in
   Loss_history.on_packet t.history ~now:(Engine.now t.engine) ~seq;
-  (* With the comprehensive rule the estimate can also rise between loss
-     events, so recompute every packet; for the basic control only at
-     new loss events. *)
-  if Loss_history.event_count t.history > before then update_rate t
-  else if Loss_history.has_loss t.history then update_rate t
+  (* From the first loss event on, recompute at every packet: with the
+     comprehensive rule the estimate can also rise between loss events. *)
+  if Loss_events.events (Loss_history.loss_events t.history) > 0 then
+    update_rate t
 
 let packet_bytes t =
   let units = t.rate_units *. t.period in
-  max 1 (int_of_float (Float.round (units *. float_of_int t.base_size)))
+  max 1 (int_of_float (Float.round (units *. float_of_int base_size)))
 
 let send_loop t =
   (* One self-rescheduling thunk per start, not one closure per packet. *)

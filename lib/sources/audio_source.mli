@@ -9,8 +9,6 @@ type t
 val create :
   ?comprehensive:bool ->
   ?l:int ->
-  ?base_size:int ->
-  ?initial_units:float ->
   engine:Ebrc_sim.Engine.t ->
   flow:int ->
   period:float ->
@@ -20,7 +18,7 @@ val create :
   t
 (** [period] is the fixed inter-packet time. The control rate is in
     formula packet-units/s; each packet carries rate·period units,
-    encoded as [base_size] bytes per unit. *)
+    encoded as 100 bytes per unit; the rate starts at one unit/s. *)
 
 val set_transmit : t -> (Ebrc_net.Packet.t -> unit) -> unit
 

@@ -96,20 +96,19 @@ type hybrid_stats = {
 }
 
 (* Foreground flows tick at ~1 pkt/s each through a bottleneck sized at
-   [capacity_factor] x their aggregate mean rate; the fluid background
+   2.5 x their aggregate mean rate; the fluid background
    aggregates [bg_flows] AIMD flows contending for the same queue. With
    [bg_flows = 0] no fluid is created and this is a packet-only link
    bench over the same event population. *)
 let run_hybrid ?(fg_flows = 20_000) ?(bg_flows = 200_000)
-    ?(duration = 10.0) ?(seed = 1) ?(base_rtt = 0.1)
-    ?(capacity_factor = 2.5) () =
+    ?(duration = 10.0) ?(seed = 1) ?(base_rtt = 0.1) () =
   if fg_flows <= 0 then invalid_arg "Flock.run_hybrid: fg_flows";
   if bg_flows < 0 then invalid_arg "Flock.run_hybrid: bg_flows";
   let engine = Engine.create () in
   let rng = Prng.create ~seed in
   let pkt_size = 1000 in
   (* Mean tick gap is 1 s, so the foreground offers ~fg_flows pkt/s. *)
-  let capacity_pps = capacity_factor *. float_of_int fg_flows in
+  let capacity_pps = 2.5 *. float_of_int fg_flows in
   let qmax = Float.max 64.0 (capacity_pps *. base_rtt) in
   let queue =
     Queue_discipline.create

@@ -49,10 +49,10 @@ type hybrid_stats = {
 
 val run_hybrid :
   ?fg_flows:int -> ?bg_flows:int -> ?duration:float -> ?seed:int ->
-  ?base_rtt:float -> ?capacity_factor:float -> unit -> hybrid_stats
+  ?base_rtt:float -> unit -> hybrid_stats
 (** The flows1m bench: [fg_flows] (default 20_000) packet-level
     periodic flows send real packets through a DropTail bottleneck
-    sized at [capacity_factor] (default 2.5) × their aggregate mean
+    sized at 2.5 × their aggregate mean
     rate, while a fluid aggregate of [bg_flows] (default 200_000) AIMD
     background flows contends for the same queue ([bg_flows = 0] runs
     the identical packet-only bench with no fluid attached).

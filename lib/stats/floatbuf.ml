@@ -1,7 +1,7 @@
 (* Growable append-only float buffer: the allocation-free replacement
    for the [float Queue.t] interval logs on the simulator hot path
    (a Queue cell per sample vs amortized doubling here), with O(1)
-   length and O(n) snapshot instead of a full Seq traversal. *)
+   length. *)
 
 type t = { mutable buf : float array; mutable len : int }
 
@@ -23,12 +23,3 @@ let add t x =
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Floatbuf.get: index out of bounds";
   t.buf.(i)
-
-let to_array t = Array.sub t.buf 0 t.len
-
-let sum t =
-  let acc = ref 0.0 in
-  for i = 0 to t.len - 1 do
-    acc := !acc +. t.buf.(i)
-  done;
-  !acc

@@ -8,8 +8,3 @@ val create : ?capacity:int -> unit -> t
 val length : t -> int
 val add : t -> float -> unit
 val get : t -> int -> float
-
-val to_array : t -> float array
-(** Fresh array of the [length] elements added so far. *)
-
-val sum : t -> float

@@ -11,12 +11,13 @@
        exponential backoff, followed by slow start.
 
    Loss events are tracked sender-side as the paper defines them for
-   TCP: congestion indications (fast retransmit or timeout) separated by
-   less than one smoothed RTT count as a single loss event; loss-event
-   intervals are measured in packets sent between events. *)
+   TCP: congestion indications (fast retransmit or timeout) within one
+   smoothed RTT of an event's start count as a single loss event;
+   loss-event intervals are measured in new segments sent. *)
 
 module Engine = Ebrc_sim.Engine
 module Packet = Ebrc_net.Packet
+module Loss_events = Ebrc_net.Loss_events
 module Tm = Ebrc_telemetry.Telemetry
 
 let k_timeouts =
@@ -53,7 +54,6 @@ type t = {
   mutable srtt : float;
   mutable rttvar : float;
   mutable rto : float;
-  min_rto : float;
   mutable backoff : int;
   mutable rto_timer : Engine.timer;    (* set once in [create] *)
   mutable timed_seq : int;             (* Karn: seq being timed, -1 none *)
@@ -63,10 +63,7 @@ type t = {
   mutable packets_sent : int;
   mutable timeouts : int;
   mutable fast_retransmits : int;
-  mutable loss_events : int;
-  mutable last_event_at : float;
-  mutable packets_at_last_event : int;
-  loss_intervals : Ebrc_stats.Floatbuf.t;
+  events : Loss_events.t;
   rtt_acc : Ebrc_stats.Welford.t;
   mutable on_rate_sample : float -> unit;
 }
@@ -80,17 +77,14 @@ let window t = Float.min t.cwnd t.max_window
 
 (* --- loss-event accounting (paper definition) --- *)
 
+(* p′ counts new segments sent, and its window follows the RTT
+   estimate at the indication: srtt, or the RTO before the first
+   sample. *)
 let note_congestion_event t =
-  let now = t.engine.Engine.now in
   let window = if t.srtt > 0.0 then t.srtt else t.rto in
-  if now -. t.last_event_at > window then begin
-    if t.loss_events > 0 then
-      Ebrc_stats.Floatbuf.add t.loss_intervals
-        (float_of_int (t.packets_sent - t.packets_at_last_event));
-    t.loss_events <- t.loss_events + 1;
-    t.packets_at_last_event <- t.packets_sent;
-    t.last_event_at <- now
-  end
+  ignore
+    (Loss_events.on_loss t.events ~now:t.engine.Engine.now ~window
+       ~count:t.packets_sent)
 
 (* --- RTO timer --- *)
 
@@ -147,8 +141,13 @@ let on_timeout t =
     arm_timer t
   end
 
-let create ?(packet_size = 1000) ?(initial_cwnd = 2.0) ?(max_window = 1e9)
-    ?(min_rto = 0.2) ?(variant = Reno) ~engine ~flow () =
+(* Initial window, packets, and minimum RTO, seconds (the ns-2
+   default). *)
+let initial_cwnd = 2.0
+let min_rto = 0.2
+
+let create ?(packet_size = 1000) ?(max_window = 1e9) ?(variant = Reno)
+    ~engine ~flow () =
   if packet_size <= 0 then invalid_arg "Tcp_sender.create: packet_size <= 0";
   let t =
   {
@@ -168,7 +167,6 @@ let create ?(packet_size = 1000) ?(initial_cwnd = 2.0) ?(max_window = 1e9)
     srtt = 0.0;
     rttvar = 0.0;
     rto = 1.0;
-    min_rto;
     backoff = 1;
     rto_timer = Engine.timer ignore;
     timed_seq = -1;
@@ -177,10 +175,7 @@ let create ?(packet_size = 1000) ?(initial_cwnd = 2.0) ?(max_window = 1e9)
     packets_sent = 0;
     timeouts = 0;
     fast_retransmits = 0;
-    loss_events = 0;
-    last_event_at = neg_infinity;
-    packets_at_last_event = 0;
-    loss_intervals = Ebrc_stats.Floatbuf.create ();
+    events = Loss_events.create ();
     rtt_acc = Ebrc_stats.Welford.create ();
     on_rate_sample = (fun _ -> ());
   }
@@ -206,7 +201,7 @@ let update_rtt t sample =
       ((1.0 -. beta) *. t.rttvar) +. (beta *. abs_float (t.srtt -. sample));
     t.srtt <- ((1.0 -. alpha) *. t.srtt) +. (alpha *. sample)
   end;
-  t.rto <- Float.max t.min_rto (t.srtt +. (4.0 *. t.rttvar))
+  t.rto <- Float.max min_rto (t.srtt +. (4.0 *. t.rttvar))
 
 let enter_fast_recovery t =
   t.fast_retransmits <- t.fast_retransmits + 1;
@@ -292,15 +287,7 @@ let phase t = t.phase
 let packets_sent t = t.packets_sent
 let timeouts t = t.timeouts
 let fast_retransmits t = t.fast_retransmits
-let loss_events t = t.loss_events
+let loss_events t = t.events
 let srtt t = t.srtt
 let mean_rtt t = Ebrc_stats.Welford.mean t.rtt_acc
 
-let loss_event_intervals t = Ebrc_stats.Floatbuf.to_array t.loss_intervals
-
-let interval_count t = Ebrc_stats.Floatbuf.length t.loss_intervals
-
-let loss_event_rate t =
-  let n = Ebrc_stats.Floatbuf.length t.loss_intervals in
-  if n = 0 then 0.0
-  else float_of_int n /. Ebrc_stats.Floatbuf.sum t.loss_intervals

@@ -3,9 +3,10 @@
     retransmit on three duplicate ACKs, NewReno hole repair, Jacobson
     RTO with Karn's rule and exponential backoff.
 
-    Loss events follow the paper's TCP-side definition: congestion
-    indications separated by less than one smoothed RTT form one event;
-    intervals are counted in packets sent between events. *)
+    Loss events follow the paper's TCP-side definition
+    ({!Ebrc_net.Loss_events}): congestion indications within one
+    smoothed RTT of an event's start join it; intervals are counted in
+    new segments sent. *)
 
 type t
 
@@ -15,9 +16,7 @@ type variant = Tahoe | Reno
 
 val create :
   ?packet_size:int ->
-  ?initial_cwnd:float ->
   ?max_window:float ->
-  ?min_rto:float ->
   ?variant:variant ->
   engine:Ebrc_sim.Engine.t ->
   flow:int ->
@@ -44,15 +43,9 @@ val window : t -> float
 val packets_sent : t -> int
 val timeouts : t -> int
 val fast_retransmits : t -> int
-val loss_events : t -> int
+val loss_events : t -> Ebrc_net.Loss_events.t
+(** The accountant behind p′: loss events and completed intervals. *)
+
 val srtt : t -> float
 val mean_rtt : t -> float
 
-val loss_event_intervals : t -> float array
-(** Completed loss-event intervals in packets sent. *)
-
-val interval_count : t -> int
-(** Number of completed intervals, without materialising the array. *)
-
-val loss_event_rate : t -> float
-(** p′ = (#completed intervals) / (Σ packets in them). *)

@@ -1,12 +1,11 @@
 (* TFRC receiver-side loss-event history (RFC 3448 section 5, as analysed
    by the paper).
 
-   Losses are detected from sequence-number gaps. A detected loss starts
-   a new loss event only if it occurs more than one round-trip time after
-   the start of the previous loss event; otherwise it belongs to the same
-   event. Loss-event intervals are counted in packets. The average loss
-   interval is the weighted moving average over the last L completed
-   intervals (theta_hat_n), optionally raised by the open interval (the
+   Losses are detected from sequence-number gaps and grouped into loss
+   events by the paper's rule ([Ebrc_net.Loss_events]); loss-event
+   intervals are counted in packets. The average loss interval is the
+   weighted moving average over the last L completed intervals
+   (theta_hat_n), optionally raised by the open interval (the
    comprehensive rule, paper Eq. (4)) — both implemented by
    [Ebrc_estimator.Loss_interval].
 
@@ -15,6 +14,7 @@
    force during the interval and the interval that actually materialised. *)
 
 module Loss_interval = Ebrc_estimator.Loss_interval
+module Loss_events = Ebrc_net.Loss_events
 module Floatbuf = Ebrc_stats.Floatbuf
 module Tm = Ebrc_telemetry.Telemetry
 
@@ -33,69 +33,60 @@ let m_intervals =
 type t = {
   estimator : Loss_interval.t;
   comprehensive : bool;
-  discounting : bool;                 (* history discounting, RFC 3448 5.5 *)
-  mutable discount : float;           (* current discount factor in (0,1] *)
+  events : Loss_events.t;
   mutable rtt : float;                (* loss-event aggregation window *)
   mutable expected_seq : int;
-  mutable packets_since_event : int;  (* open interval theta(t), packets *)
-  mutable event_count : int;
-  mutable last_event_at : float;
+  mutable received : int;             (* in-order arrivals *)
   mutable total_lost : int;
   pair_hats : Floatbuf.t;             (* theta_hat_n at each event *)
   pair_thetas : Floatbuf.t;           (* matching theta_n *)
-  intervals : Floatbuf.t;
 }
 
-let create ?(comprehensive = true) ?(discounting = false) ~l ~rtt () =
+let create ?(comprehensive = true) ~l ~rtt () =
   if rtt <= 0.0 then invalid_arg "Loss_history.create: rtt <= 0";
   {
     estimator = Loss_interval.of_tfrc ~l;
     comprehensive;
-    discounting;
-    discount = 1.0;
+    events = Loss_events.create ();
     rtt;
     expected_seq = 0;
-    packets_since_event = 0;
-    event_count = 0;
-    last_event_at = neg_infinity;
+    received = 0;
     total_lost = 0;
     pair_hats = Floatbuf.create ();
     pair_thetas = Floatbuf.create ();
-    intervals = Floatbuf.create ();
   }
 
 (* Every completed interval is one estimator update. *)
 let add_probes t set =
-  Tm.Probe.add set k_loss_events (fun () -> t.event_count);
-  Tm.Probe.add set k_wali_updates (fun () -> Floatbuf.length t.intervals)
+  Tm.Probe.add set k_loss_events (fun () -> Loss_events.events t.events);
+  Tm.Probe.add set k_wali_updates (fun () -> Loss_events.completed t.events)
 
 let set_rtt t rtt = if rtt > 0.0 then t.rtt <- rtt
 
+let open_interval t = Loss_events.open_interval t.events ~count:t.received
+
 let record_loss_event t ~now =
-  if now -. t.last_event_at > t.rtt then begin
-    if t.event_count > 0 then begin
-      let theta = float_of_int t.packets_since_event in
-      let theta = Float.max theta 1.0 in
+  let closed = open_interval t in
+  (* p's window is the RTT this history was given, the base RTT in
+     every scenario. *)
+  if Loss_events.on_loss t.events ~now ~window:t.rtt ~count:t.received
+  then begin
+    if Loss_events.events t.events > 1 then begin
+      let theta = float_of_int closed in
       if Loss_interval.filled t.estimator > 0 then begin
         Floatbuf.add t.pair_hats (Loss_interval.estimate t.estimator);
         Floatbuf.add t.pair_thetas theta
       end;
-      Floatbuf.add t.intervals theta;
       Loss_interval.record t.estimator theta;
-      Tm.Histogram.observe m_intervals theta;
-      t.discount <- 1.0
+      Tm.Histogram.observe m_intervals theta
     end;
     (* value = the open interval this event closes, in packets *)
     if Tm.is_on () then
-      Tm.event "tfrc.loss_event" ~time:now
-        ~value:(float_of_int t.packets_since_event);
-    t.event_count <- t.event_count + 1;
-    t.packets_since_event <- 0;
-    t.last_event_at <- now
+      Tm.event "tfrc.loss_event" ~time:now ~value:(float_of_int closed)
   end
 
 (* Process an arriving data packet; gaps imply losses (the simulated
-   paths never reorder). *)
+   paths never reorder). p counts in-order arrivals only. *)
 let on_packet t ~now ~seq =
   if seq > t.expected_seq then begin
     (* seq - expected_seq packets were lost; they all belong to (at
@@ -105,65 +96,20 @@ let on_packet t ~now ~seq =
   end;
   if seq >= t.expected_seq then begin
     t.expected_seq <- seq + 1;
-    t.packets_since_event <- t.packets_since_event + 1
+    t.received <- t.received + 1
   end
 
-let has_loss t = t.event_count > 0
-let event_count t = t.event_count
+let loss_events t = t.events
 let total_lost t = t.total_lost
-let open_interval t = t.packets_since_event
-
-(* History discounting (in the spirit of RFC 3448 section 5.5): when the
-   open interval has grown well beyond the historical average, the old
-   history under-represents how good conditions have become; we shrink
-   the contribution of the completed history toward the open interval by
-   a factor that decays with the open/average ratio, floored at 1/2 so
-   the history is never wiped out by one quiet spell. The factor resets
-   to 1 whenever a new loss event completes an interval. *)
-let update_discount t ~base ~open_interval =
-  if t.discounting && base > 0.0 && open_interval > 2.0 *. base then
-    t.discount <- Float.max 0.5 (2.0 *. base /. open_interval)
-  else t.discount <- 1.0
 
 (* Average loss interval: with the comprehensive rule the open interval
-   is allowed to raise (never lower) the estimate; with discounting the
-   completed history is additionally down-weighted during long quiet
-   spells, letting the estimate track improving conditions faster.
-
-   The discounted candidate uses exactly the weights of the Eq. (4)
-   open-interval candidate (w1 on the open interval, w_{i+2} on history
-   interval i, renormalised over the filled prefix) with the history
-   weights scaled by the discount factor, so disc = 1 recovers Eq. (4)
-   and disc -> 0 trusts the open interval alone. *)
-let discounted_candidate t ~open_interval =
-  let e = t.estimator in
-  let weights = Loss_interval.weights e in
-  let l = Array.length weights in
-  let m = min (Loss_interval.filled e) (l - 1) in
-  let w1 = weights.(0) in
-  let wsum = ref w1 and acc = ref (w1 *. open_interval) in
-  for i = 0 to m - 1 do
-    let w = t.discount *. weights.(i + 1) in
-    wsum := !wsum +. w;
-    acc := !acc +. (w *. Loss_interval.nth_back e i)
-  done;
-  !acc /. !wsum
-
+   is allowed to raise (never lower) the estimate. *)
 let average_interval t =
   if Loss_interval.filled t.estimator = 0 then infinity
-  else begin
-    let base = Loss_interval.estimate t.estimator in
-    let open_interval = float_of_int t.packets_since_event in
-    if not t.comprehensive then base
-    else begin
-      update_discount t ~base ~open_interval;
-      let compr =
-        Loss_interval.estimate_with_open_interval t.estimator ~open_interval
-      in
-      if t.discount >= 1.0 then compr
-      else Float.max compr (discounted_candidate t ~open_interval)
-    end
-  end
+  else if not t.comprehensive then Loss_interval.estimate t.estimator
+  else
+    Loss_interval.estimate_with_open_interval t.estimator
+      ~open_interval:(float_of_int (open_interval t))
 
 (* Loss-event rate estimate 1/theta_hat; 0 before any interval
    completes. *)
@@ -171,18 +117,9 @@ let p_estimate t =
   let avg = average_interval t in
   if avg = infinity then 0.0 else 1.0 /. avg
 
-let completed_intervals t = Floatbuf.to_array t.intervals
-
-let interval_count t = Floatbuf.length t.intervals
-
-let estimate_pairs t =
-  Array.init (Floatbuf.length t.pair_hats) (fun i ->
-      (Floatbuf.get t.pair_hats i, Floatbuf.get t.pair_thetas i))
+let estimate_pairs t ~since =
+  Array.init (Floatbuf.length t.pair_hats - since) (fun i ->
+      let j = since + i in
+      (Floatbuf.get t.pair_hats j, Floatbuf.get t.pair_thetas j))
 
 let pair_count t = Floatbuf.length t.pair_hats
-
-(* Empirical loss-event rate over the whole run (paper Eq. (1)):
-   completed intervals only. *)
-let empirical_p t =
-  let n = Floatbuf.length t.intervals in
-  if n = 0 then 0.0 else float_of_int n /. Floatbuf.sum t.intervals

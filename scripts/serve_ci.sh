@@ -104,23 +104,30 @@ done
 
 # 8. Malformed environment knobs: whichever knob and command, the CLI
 #    prints "ebrc: <VAR>: <reason>" and exits 124 (a usage error), never
-#    an uncaught exception.
+#    an uncaught exception. The bench does the same ("bench: <VAR>:")
+#    before it measures or writes anything.
 knob_case() {
-  VAR=$1; VALUE=$2; shift 2
+  NAME=$1; PROG=$2; VAR=$3; VALUE=$4; shift 4
   set +e
-  env "$VAR=$VALUE" "$EBRC" "$@" >/dev/null 2>"$WORK/knob.err"
+  env "$VAR=$VALUE" "$PROG" "$@" >/dev/null 2>"$WORK/knob.err"
   RC=$?
   set -e
-  [ "$RC" = 124 ] || fail "$VAR=$VALUE ebrc $* should exit 124, got $RC"
-  grep -q "^ebrc: $VAR: " "$WORK/knob.err" \
-    || fail "$VAR=$VALUE ebrc $*: no 'ebrc: $VAR:' line: $(cat "$WORK/knob.err")"
+  [ "$RC" = 124 ] || fail "$VAR=$VALUE $NAME $* should exit 124, got $RC"
+  grep -q "^$NAME: $VAR: " "$WORK/knob.err" \
+    || fail "$VAR=$VALUE $NAME $*: no '$NAME: $VAR:' line: $(cat "$WORK/knob.err")"
   if grep -q "Fatal error" "$WORK/knob.err"; then
-    fail "$VAR=$VALUE ebrc $* died with an uncaught exception"
+    fail "$VAR=$VALUE $NAME $* died with an uncaught exception"
   fi
 }
-knob_case EBRC_CHAOS abc list
-knob_case EBRC_SIM_BUDGET -1 list
-knob_case EBRC_JOBS abc figure 1
-knob_case EBRC_CACHE abc list
+knob_case ebrc "$EBRC" EBRC_CHAOS abc list
+knob_case ebrc "$EBRC" EBRC_SIM_BUDGET -1 list
+knob_case ebrc "$EBRC" EBRC_JOBS abc figure 1
+knob_case ebrc "$EBRC" EBRC_CACHE abc list
+BENCH=_build/default/bench/main.exe
+RECORDS=$(ls BENCH_*.json 2>/dev/null | wc -l)
+knob_case bench "$BENCH" EBRC_JOBS abc
+knob_case bench "$BENCH" EBRC_BENCH_ONLY wheels
+[ "$(ls BENCH_*.json 2>/dev/null | wc -l)" = "$RECORDS" ] \
+  || fail "a malformed bench knob still wrote a BENCH record"
 
 echo "serve_ci: OK (fresh sweep, partial resume byte-identical, warm resume, stale-failure retry, exit codes, exact large seeds, fleet telemetry, malformed env knobs)"

@@ -1,6 +1,6 @@
 (* Tests for the api-lint scan (tools/api_lint): which lib/ exports it
-   reports as dead or test-only, over small fixture trees that use the
-   real module and value names of the repository. *)
+   reports as dead or test-only, over small fixture trees modelled on
+   the repository's modules. *)
 
 let lib =
   [

@@ -162,72 +162,6 @@ let test_shifted_exp_sampler_ks () =
   Alcotest.(check bool) (Printf.sprintf "KS %.4f" d) true
     (d < 1.63 /. sqrt 5000.0)
 
-(* ----------------------- history discounting --------------------- *)
-
-let feed_seq h arrivals =
-  List.iter (fun (now, seq) -> Ebrc.Loss_history.on_packet h ~now ~seq) arrivals
-
-(* Two loss events 20 packets apart, then a long quiet run. *)
-let quiet_run_arrivals n =
-  let l = ref [] and t = ref 0.0 and seq = ref 0 in
-  let push ?(skip = 0) () =
-    seq := !seq + skip;
-    l := (!t, !seq) :: !l;
-    incr seq;
-    t := !t +. 0.01
-  in
-  for _ = 1 to 20 do push () done;
-  push ~skip:1 ();
-  for _ = 1 to 20 do push () done;
-  push ~skip:1 ();
-  for _ = 1 to n do push () done;
-  List.rev !l
-
-let test_discounting_accelerates_recovery () =
-  let mk discounting =
-    Ebrc.Loss_history.create ~comprehensive:true ~discounting ~l:8 ~rtt:0.001 ()
-  in
-  let plain = mk false and disc = mk true in
-  let arrivals = quiet_run_arrivals 500 in
-  feed_seq plain arrivals;
-  feed_seq disc arrivals;
-  let p_plain = Ebrc.Loss_history.p_estimate plain in
-  let p_disc = Ebrc.Loss_history.p_estimate disc in
-  Alcotest.(check bool)
-    (Printf.sprintf "discounted p %.5f <= plain p %.5f" p_disc p_plain)
-    true
-    (p_disc <= p_plain);
-  Alcotest.(check bool) "strictly lower on a long quiet run" true
-    (p_disc < p_plain)
-
-let test_discounting_inactive_on_short_runs () =
-  let mk discounting =
-    Ebrc.Loss_history.create ~comprehensive:true ~discounting ~l:8 ~rtt:0.001 ()
-  in
-  let plain = mk false and disc = mk true in
-  (* Quiet run shorter than 2x the average: no discounting. *)
-  let arrivals = quiet_run_arrivals 10 in
-  feed_seq plain arrivals;
-  feed_seq disc arrivals;
-  feq (Ebrc.Loss_history.p_estimate plain) (Ebrc.Loss_history.p_estimate disc)
-
-let test_discounting_never_lowers_estimate_below_base () =
-  (* The discounted average is still a one-sided raise: p can only go
-     down (interval estimate up) relative to the basic estimate. *)
-  let disc =
-    Ebrc.Loss_history.create ~comprehensive:true ~discounting:true ~l:8
-      ~rtt:0.001 ()
-  in
-  let basic =
-    Ebrc.Loss_history.create ~comprehensive:false ~l:8 ~rtt:0.001 ()
-  in
-  let arrivals = quiet_run_arrivals 300 in
-  feed_seq disc arrivals;
-  feed_seq basic arrivals;
-  Alcotest.(check bool) "p_disc <= p_basic" true
-    (Ebrc.Loss_history.p_estimate disc
-    <= Ebrc.Loss_history.p_estimate basic +. 1e-12)
-
 (* ------------------------- TCP Tahoe ---------------------------- *)
 
 let tahoe_loopback ~variant ~drop_p ~seed ~run_until =
@@ -512,12 +446,6 @@ let () =
       ( "ecdf",
         [
           Alcotest.test_case "shifted-exp sampler KS" `Quick test_shifted_exp_sampler_ks;
-        ] );
-      ( "discounting",
-        [
-          Alcotest.test_case "accelerates recovery" `Quick test_discounting_accelerates_recovery;
-          Alcotest.test_case "inactive on short runs" `Quick test_discounting_inactive_on_short_runs;
-          Alcotest.test_case "one-sided raise" `Quick test_discounting_never_lowers_estimate_below_base;
         ] );
       ( "tahoe",
         [

@@ -1,12 +1,14 @@
 (* Tests for the network elements: packets, DropTail and RED queues,
-   links, loss modules, flow statistics, and the gap-detecting sink. *)
+   links, loss modules, the loss-event accountant, and the probe's
+   gap-detecting sink. *)
 
 module P = Ebrc.Packet
 module QD = Ebrc.Queue_discipline
 module Link = Ebrc.Link
 module LM = Ebrc.Loss_module
-module FS = Ebrc.Flow_stats
+module LE = Ebrc.Loss_events
 module GS = Ebrc.Gap_sink
+module LH = Ebrc.Loss_history
 module E = Ebrc.Engine
 module Prng = Ebrc.Prng
 
@@ -444,62 +446,71 @@ let test_gilbert_elliott_burstiness () =
     true
     (rate > 0.02 && rate < 0.08)
 
-(* ----------------------- flow statistics ----------------------- *)
+(* ------------------- probe sink and accountant ------------------ *)
 
-let test_flow_stats_loss_event_aggregation () =
-  let fs = FS.create ~rtt_hint:0.1 in
-  (* Two losses within one RTT = one event; a later loss = another. *)
-  FS.on_loss fs ~now:1.0;
-  FS.on_loss fs ~now:1.05;
-  FS.on_loss fs ~now:2.0;
-  Alcotest.(check int) "two events" 2 (FS.loss_events fs);
-  Alcotest.(check int) "three packets lost" 3 (FS.lost fs)
+let pkt seq = P.data ~flow:0 ~seq ~size:100 ~sent_at:0.0
 
-let test_flow_stats_intervals () =
-  let fs = FS.create ~rtt_hint:0.1 in
-  FS.on_loss fs ~now:0.0;
-  for i = 1 to 10 do
-    FS.on_receive fs ~now:(0.0 +. (0.01 *. float_of_int i)) ~bytes:100
+let test_gap_sink_loss_event_aggregation () =
+  let gs = GS.create ~window:0.1 in
+  (* Two gaps within one window = one event; a later gap = another. *)
+  GS.on_packet gs ~now:0.0 (pkt 0);
+  GS.on_packet gs ~now:1.0 (pkt 2);
+  GS.on_packet gs ~now:1.05 (pkt 4);
+  GS.on_packet gs ~now:2.0 (pkt 6);
+  Alcotest.(check int) "two events" 2 (LE.events (GS.loss_events gs));
+  Alcotest.(check int) "received" 4 (GS.received gs)
+
+let test_gap_sink_intervals () =
+  let gs = GS.create ~window:0.1 in
+  (* Seq 0 lost: the first event. The arrival that reveals a gap counts
+     in the interval its event opens. *)
+  GS.on_packet gs ~now:0.0 (pkt 1);
+  for i = 2 to 10 do
+    GS.on_packet gs ~now:(0.01 *. float_of_int i) (pkt i)
   done;
-  FS.on_loss fs ~now:1.0;
-  for i = 1 to 20 do
-    FS.on_receive fs ~now:(1.0 +. (0.01 *. float_of_int i)) ~bytes:100
+  GS.on_packet gs ~now:1.0 (pkt 12);
+  for i = 13 to 31 do
+    GS.on_packet gs ~now:(1.0 +. (0.01 *. float_of_int (i - 12))) (pkt i)
   done;
-  FS.on_loss fs ~now:2.0;
-  let ivs = FS.loss_event_intervals fs in
+  GS.on_packet gs ~now:2.0 (pkt 33);
+  let ev = GS.loss_events gs in
+  let ivs = LE.intervals ev ~since:0 in
   Alcotest.(check int) "two completed intervals" 2 (Array.length ivs);
   feq ivs.(0) 10.0;
   feq ivs.(1) 20.0;
-  feq (FS.loss_event_rate fs) (2.0 /. 30.0)
-
-let test_flow_stats_throughput () =
-  let fs = FS.create ~rtt_hint:0.1 in
-  for i = 0 to 10 do
-    FS.on_receive fs ~now:(float_of_int i) ~bytes:1000
-  done;
-  feq (FS.throughput_pps fs) 1.0;
-  feq (FS.throughput_bps fs) (8.0 *. 11_000.0 /. 10.0)
-
-(* --------------------------- gap sink -------------------------- *)
+  feq (LE.rate ev ~since:0) (2.0 /. 30.0);
+  feq (LE.rate ev ~since:1) (1.0 /. 20.0)
 
 let test_gap_sink_detects_losses () =
-  let gs = GS.create ~rtt_hint:0.1 in
-  let pkt seq = P.data ~flow:0 ~seq ~size:100 ~sent_at:0.0 in
+  let gs = GS.create ~window:0.1 in
   GS.on_packet gs ~now:0.0 (pkt 0);
   GS.on_packet gs ~now:0.1 (pkt 1);
   GS.on_packet gs ~now:0.2 (pkt 3);   (* seq 2 lost *)
   GS.on_packet gs ~now:5.0 (pkt 10);  (* 4..9 lost, new event *)
-  let st = GS.stats gs in
-  Alcotest.(check int) "2 loss events" 2 (FS.loss_events st);
-  Alcotest.(check int) "received" 4 (FS.received st)
+  Alcotest.(check int) "2 loss events" 2 (LE.events (GS.loss_events gs));
+  Alcotest.(check int) "received" 4 (GS.received gs)
 
 let test_gap_sink_contiguous_no_loss () =
-  let gs = GS.create ~rtt_hint:0.1 in
+  let gs = GS.create ~window:0.1 in
   for i = 0 to 99 do
-    GS.on_packet gs ~now:(float_of_int i *. 0.01)
-      (P.data ~flow:0 ~seq:i ~size:100 ~sent_at:0.0)
+    GS.on_packet gs ~now:(float_of_int i *. 0.01) (pkt i)
   done;
-  Alcotest.(check int) "no events" 0 (FS.loss_events (GS.stats gs))
+  Alcotest.(check int) "no events" 0 (LE.events (GS.loss_events gs))
+
+(* p'' counts every arrival, p only in-order ones: the same trace with
+   one duplicate gives the probe a longer interval than TFRC's history. *)
+let test_duplicate_counts_toward_p2_only () =
+  let gs = GS.create ~window:0.5 and h = LH.create ~l:8 ~rtt:0.5 () in
+  List.iter
+    (fun (now, seq) ->
+      GS.on_packet gs ~now (pkt seq);
+      LH.on_packet h ~now ~seq)
+    [ (0.0, 1); (0.1, 2); (0.2, 2); (0.3, 3); (1.0, 5) ];
+  let ivs ev = Array.to_list (LE.intervals ev ~since:0) in
+  Alcotest.(check (list (float 0.0))) "p'' interval" [ 4.0 ]
+    (ivs (GS.loss_events gs));
+  Alcotest.(check (list (float 0.0))) "p interval" [ 3.0 ]
+    (ivs (LH.loss_events h))
 
 (* ------------------------- properties -------------------------- *)
 
@@ -598,10 +609,54 @@ let prop_link_fifo_reference =
       ignore (E.run engine);
       !deliv = !exp_deliv && !drops = !exp_drops && !occ = !exp_occ)
 
+(* The paper's rule over a whole trace, written as a list: an indication
+   opens an event when it comes more than its window after the previous
+   event's start; each interval is the count between consecutive
+   starts. Times are multiples of 1/4, so ties with the window are
+   exact. *)
+let prop_loss_events_match_model =
+  let dts = [| 0.0; 0.25; 0.5; 1.0 |] and windows = [| 0.25; 0.5; 1.0 |] in
+  QCheck.Test.make ~name:"loss-event accountant matches the paper's rule"
+    ~count:300
+    QCheck.(
+      list_of_size
+        Gen.(int_range 0 80)
+        (quad (int_range 0 3) (int_range 0 5) bool (int_range 0 2)))
+    (fun trace ->
+      let ev = LE.create () in
+      let now = ref 0.0 and count = ref 0 and starts = ref [] in
+      List.iter
+        (fun (dt, dn, loss, w) ->
+          now := !now +. dts.(dt);
+          count := !count + dn;
+          if loss then begin
+            let window = windows.(w) in
+            ignore (LE.on_loss ev ~now:!now ~window ~count:!count);
+            match !starts with
+            | (t0, _) :: _ when !now -. t0 <= window -> ()
+            | _ -> starts := (!now, !count) :: !starts
+          end)
+        trace;
+      let rec gaps = function
+        | a :: (b :: _ as rest) -> float_of_int (b - a) :: gaps rest
+        | _ -> []
+      in
+      let ivs = gaps (List.rev_map snd !starts) in
+      let rate ivs =
+        if ivs = [] then 0.0
+        else float_of_int (List.length ivs) /. List.fold_left ( +. ) 0.0 ivs
+      in
+      let half = List.length ivs / 2 in
+      LE.events ev = List.length !starts
+      && LE.completed ev = List.length ivs
+      && Array.to_list (LE.intervals ev ~since:0) = ivs
+      && LE.rate ev ~since:0 = rate ivs
+      && LE.rate ev ~since:half = rate (List.filteri (fun i _ -> i >= half) ivs))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_droptail_occupancy_bounded; prop_bernoulli_conservation;
-      prop_link_fifo_reference ]
+      prop_link_fifo_reference; prop_loss_events_match_model ]
 
 let () =
   Alcotest.run "net"
@@ -651,16 +706,13 @@ let () =
           Alcotest.test_case "telemetry counters" `Quick
             test_loss_module_telemetry_counters;
         ] );
-      ( "flow_stats",
-        [
-          Alcotest.test_case "loss-event aggregation" `Quick test_flow_stats_loss_event_aggregation;
-          Alcotest.test_case "intervals" `Quick test_flow_stats_intervals;
-          Alcotest.test_case "throughput" `Quick test_flow_stats_throughput;
-        ] );
       ( "gap_sink",
         [
+          Alcotest.test_case "loss-event aggregation" `Quick test_gap_sink_loss_event_aggregation;
+          Alcotest.test_case "intervals" `Quick test_gap_sink_intervals;
           Alcotest.test_case "detects losses" `Quick test_gap_sink_detects_losses;
           Alcotest.test_case "contiguous clean" `Quick test_gap_sink_contiguous_no_loss;
+          Alcotest.test_case "duplicate counts toward p'' only" `Quick test_duplicate_counts_toward_p2_only;
         ] );
       ("properties", qsuite);
     ]

@@ -131,7 +131,8 @@ let prop_loss_history_event_count =
       let rtt = 0.025 in
       let h = LH.create ~l:8 ~rtt () in
       List.iter (fun (now, seq) -> LH.on_packet h ~now ~seq) arrivals;
-      LH.event_count h = reference_events ~rtt arrivals)
+      Ebrc.Loss_events.events (LH.loss_events h)
+      = reference_events ~rtt arrivals)
 
 (* ------------------------ RED invariants ------------------------- *)
 

@@ -131,7 +131,8 @@ let run_tcp_under_bernoulli_loss ~p ~seed ~duration =
   ignore (E.schedule engine ~at:0.0 (fun () -> TS.start sender));
   ignore (E.run ~until:duration engine);
   let throughput = float_of_int (TR.received receiver) /. duration in
-  (throughput, TS.loss_event_rate sender, TS.mean_rtt sender)
+  (throughput, Ebrc.Loss_events.rate (TS.loss_events sender) ~since:0,
+   TS.mean_rtt sender)
 
 let test_tcp_matches_pftk_shape () =
   (* The PFTK paper validated f against measured TCP; we rerun that

@@ -124,7 +124,8 @@ let test_audio_rate_tracks_formula () =
 let test_audio_history_sees_events () =
   let src = run_audio ~kind:F.Pftk_simplified ~drop_p:0.1 ~until:60.0 ~seed:7 () in
   Alcotest.(check bool) "many loss events" true
-    (Ebrc.Loss_history.event_count (AS.history src) > 50)
+    (Ebrc.Loss_events.events (Ebrc.Loss_history.loss_events (AS.history src))
+     > 50)
 
 let test_audio_packet_length_varies () =
   (* The adaptation is in packet length: rate samples vary, emission

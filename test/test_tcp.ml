@@ -7,6 +7,7 @@ module E = Ebrc.Engine
 module P = Ebrc.Packet
 module LM = Ebrc.Loss_module
 module TS = Ebrc.Tcp_sender
+module LE = Ebrc.Loss_events
 module TR = Ebrc.Tcp_receiver
 module Prng = Ebrc.Prng
 
@@ -32,13 +33,16 @@ let loopback ?(delay = 0.1) ?(dropper = LM.lossless ()) ?(max_window = 1e9)
   ignore (E.run ~until:run_until engine);
   (sender, receiver)
 
+let events sender = LE.events (TS.loss_events sender)
+let intervals sender = LE.intervals (TS.loss_events sender) ~since:0
+
 let test_lossless_transfer_progresses () =
   let sender, receiver = loopback ~max_window:200.0 ~run_until:5.0 () in
   Alcotest.(check bool) "packets sent" true (TS.packets_sent sender > 100);
   Alcotest.(check bool) "receiver advanced" true (TR.expected receiver > 100);
   Alcotest.(check int) "no timeouts" 0 (TS.timeouts sender);
   Alcotest.(check int) "no fast retransmits" 0 (TS.fast_retransmits sender);
-  Alcotest.(check int) "no loss events" 0 (TS.loss_events sender)
+  Alcotest.(check int) "no loss events" 0 (events sender)
 
 let test_slow_start_doubles () =
   (* In slow start, cwnd grows by the number of newly acked packets:
@@ -84,7 +88,7 @@ let test_fast_retransmit_on_single_loss () =
   ignore (E.run ~until:10.0 engine);
   Alcotest.(check int) "one fast retransmit" 1 (TS.fast_retransmits sender);
   Alcotest.(check int) "no timeouts" 0 (TS.timeouts sender);
-  Alcotest.(check int) "one loss event" 1 (TS.loss_events sender);
+  Alcotest.(check int) "one loss event" 1 (events sender);
   (* The stream must keep progressing after recovery. *)
   Alcotest.(check bool) "recovered" true (TR.expected receiver > 200)
 
@@ -146,16 +150,16 @@ let test_random_loss_long_run_stable () =
   let rng = Prng.create ~seed:8 in
   let dropper = LM.bernoulli rng ~p:0.01 in
   let sender, receiver = loopback ~dropper ~max_window:1000.0 ~run_until:120.0 () in
-  Alcotest.(check bool) "many loss events" true (TS.loss_events sender > 20);
+  Alcotest.(check bool) "many loss events" true (events sender > 20);
   Alcotest.(check bool) "receiver advanced" true (TR.expected receiver > 2000);
-  let p = TS.loss_event_rate sender in
+  let p = LE.rate (TS.loss_events sender) ~since:0 in
   Alcotest.(check bool)
     (Printf.sprintf "loss-event rate %.4f in (0.001, 0.02)" p)
     true
     (p > 0.001 && p < 0.02);
   (* Loss events aggregate bursts: rate at most the packet drop rate. *)
-  let ivs = TS.loss_event_intervals sender in
-  Alcotest.(check int) "intervals = events - 1" (TS.loss_events sender - 1)
+  let ivs = intervals sender in
+  Alcotest.(check int) "intervals = events - 1" (events sender - 1)
     (Array.length ivs)
 
 let test_loss_event_intervals_positive () =
@@ -164,7 +168,31 @@ let test_loss_event_intervals_positive () =
   let sender, _ = loopback ~dropper ~max_window:1000.0 ~run_until:60.0 () in
   Array.iter
     (fun iv -> Alcotest.(check bool) "interval >= 0" true (iv >= 0.0))
-    (TS.loss_event_intervals sender)
+    (intervals sender)
+
+(* p′'s window follows srtt: the RTO, three srtt after the first
+   sample, fires first, and three duplicate ACKs come 0.3 s after it.
+   With srtt = 0.8 s the two indications form one loss event; with
+   srtt = 0.1 s they form two. *)
+let test_loss_event_window_follows_srtt () =
+  let run ~first_ack =
+    let engine = E.create () in
+    let sender = TS.create ~engine ~flow:0 () in
+    TS.set_transmit sender ignore;
+    let at t f = E.schedule_unit engine ~at:t f in
+    let ack ~dup () = TS.on_ack sender ~acked:0 ~dup ~echo:0.0 in
+    at 0.0 (fun () -> TS.start sender);
+    at first_ack (ack ~dup:false);
+    let dup_at = (4.0 *. first_ack) +. 0.3 in
+    for _ = 1 to 3 do at dup_at (ack ~dup:true) done;
+    ignore (E.run ~until:(dup_at +. 0.1) engine);
+    Alcotest.(check (float 1e-12)) "srtt" first_ack (TS.srtt sender);
+    Alcotest.(check int) "one timeout" 1 (TS.timeouts sender);
+    Alcotest.(check int) "one fast retransmit" 1 (TS.fast_retransmits sender);
+    events sender
+  in
+  Alcotest.(check int) "srtt 0.8 s: one event" 1 (run ~first_ack:0.8);
+  Alcotest.(check int) "srtt 0.1 s: two events" 2 (run ~first_ack:0.1)
 
 let test_max_window_respected () =
   let sender, _ = loopback ~max_window:10.0 ~run_until:10.0 () in
@@ -385,6 +413,8 @@ let () =
           Alcotest.test_case "timeout on burst" `Quick test_timeout_on_burst_loss;
           Alcotest.test_case "random loss stable" `Quick test_random_loss_long_run_stable;
           Alcotest.test_case "intervals positive" `Quick test_loss_event_intervals_positive;
+          Alcotest.test_case "loss-event window follows srtt" `Quick
+            test_loss_event_window_follows_srtt;
           Alcotest.test_case "max window" `Quick test_max_window_respected;
           Alcotest.test_case "mean rtt" `Quick test_mean_rtt_accumulates;
         ] );

@@ -4,6 +4,7 @@
 module E = Ebrc.Engine
 module P = Ebrc.Packet
 module LH = Ebrc.Loss_history
+module LE = Ebrc.Loss_events
 module TFS = Ebrc.Tfrc_sender
 module TFR = Ebrc.Tfrc_receiver
 module F = Ebrc.Formula
@@ -30,25 +31,27 @@ let feed_history ?(gap = 0.01) ?(comprehensive = false) ?(l = 8) ~rtt ~n
   done;
   h
 
+let events h = LE.events (LH.loss_events h)
+let intervals h = LE.intervals (LH.loss_events h) ~since:0
+
 let test_no_loss_no_events () =
   let h = feed_history ~rtt:0.1 ~n:100 ~missing:[] () in
-  Alcotest.(check int) "no events" 0 (LH.event_count h);
-  Alcotest.(check bool) "no loss" false (LH.has_loss h);
+  Alcotest.(check int) "no events" 0 (events h);
   feq (LH.p_estimate h) 0.0;
   Alcotest.(check int) "open interval counts" 100 (LH.open_interval h)
 
 let test_single_gap_one_event () =
   let h = feed_history ~rtt:0.1 ~n:100 ~missing:[ 50 ] () in
-  Alcotest.(check int) "one event" 1 (LH.event_count h);
+  Alcotest.(check int) "one event" 1 (events h);
   Alcotest.(check int) "one lost" 1 (LH.total_lost h);
   (* One event: no completed interval yet, p still 0. *)
   Alcotest.(check int) "no completed intervals" 0
-    (Array.length (LH.completed_intervals h))
+    (Array.length (intervals h))
 
 let test_two_gaps_two_events_one_interval () =
   let h = feed_history ~rtt:0.05 ~n:200 ~missing:[ 50; 150 ] () in
-  Alcotest.(check int) "two events" 2 (LH.event_count h);
-  let ivs = LH.completed_intervals h in
+  Alcotest.(check int) "two events" 2 (events h);
+  let ivs = intervals h in
   Alcotest.(check int) "one interval" 1 (Array.length ivs);
   (* 99 packets received between the two events (51..149 ex 150). *)
   feq ivs.(0) 99.0
@@ -56,13 +59,13 @@ let test_two_gaps_two_events_one_interval () =
 let test_losses_within_rtt_same_event () =
   (* Gap of 3 consecutive sequences: one loss event, 3 packets lost. *)
   let h = feed_history ~rtt:0.5 ~n:100 ~missing:[ 40; 41; 42 ] () in
-  Alcotest.(check int) "one event" 1 (LH.event_count h);
+  Alcotest.(check int) "one event" 1 (events h);
   Alcotest.(check int) "three lost" 3 (LH.total_lost h)
 
 let test_losses_separated_by_rtt_distinct_events () =
   (* Two gaps 0.02 s apart with rtt 0.001: distinct events. *)
   let h = feed_history ~gap:0.02 ~rtt:0.001 ~n:100 ~missing:[ 30; 32 ] () in
-  Alcotest.(check int) "two events" 2 (LH.event_count h)
+  Alcotest.(check int) "two events" 2 (events h)
 
 let test_p_estimate_periodic_loss () =
   (* Every 50th packet lost: intervals of ~49 received packets, so the
@@ -90,7 +93,7 @@ let test_comprehensive_open_interval_lowers_p () =
 
 let test_estimate_pairs_semantics () =
   let h = feed_history ~rtt:0.001 ~n:400 ~missing:[ 50; 150; 250 ] () in
-  let pairs = LH.estimate_pairs h in
+  let pairs = LH.estimate_pairs h ~since:0 in
   (* Events at 50,150,250: intervals complete at events 2 and 3, but the
      first interval has no preceding estimate (history empty). *)
   Alcotest.(check int) "one pair" 1 (Array.length pairs);
@@ -100,9 +103,9 @@ let test_estimate_pairs_semantics () =
 
 let test_empirical_p () =
   let h = feed_history ~rtt:0.001 ~n:400 ~missing:[ 100; 200; 300 ] () in
-  let ivs = LH.completed_intervals h in
+  let ivs = intervals h in
   Alcotest.(check int) "two intervals" 2 (Array.length ivs);
-  feq (LH.empirical_p h)
+  feq (LE.rate (LH.loss_events h) ~since:0)
     (2.0 /. Array.fold_left ( +. ) 0.0 ivs)
 
 let test_set_rtt_changes_aggregation () =
@@ -111,7 +114,7 @@ let test_set_rtt_changes_aggregation () =
   LH.on_packet h ~now:0.0 ~seq:0;
   LH.on_packet h ~now:0.1 ~seq:2;   (* loss event 1 *)
   LH.on_packet h ~now:0.2 ~seq:4;   (* > rtt later: event 2 *)
-  Alcotest.(check int) "two events with small rtt" 2 (LH.event_count h)
+  Alcotest.(check int) "two events with small rtt" 2 (events h)
 
 (* ------------------- receiver / sender loop -------------------- *)
 
@@ -227,7 +230,7 @@ let prop_history_event_count_monotone =
     QCheck.(list_of_size Gen.(int_range 0 30) (int_range 1 300))
     (fun missing ->
       let h = feed_history ~rtt:0.001 ~n:400 ~missing () in
-      LH.event_count h <= LH.total_lost h + 1
+      events h <= LH.total_lost h + 1
       && LH.total_lost h <= List.length (List.sort_uniq compare missing))
 
 let prop_p_estimate_bounded =

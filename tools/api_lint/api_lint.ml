@@ -1,10 +1,10 @@
 (* The public surface of lib/, measured by its callers. Every top-level
    [val] of a lib/**/*.mli is an export; a use is a reference to it from
    any other compilation unit, resolved through the names OCaml itself
-   resolves: library wrappers ([Ebrc_net.Flow_stats.sent]), sibling
+   resolves: library wrappers ([Ebrc_net.Gap_sink.received]), sibling
    modules of the same library, the [Ebrc] umbrella's aliases
    ([Ebrc.Telemetry_stream] is [Ebrc_telemetry.Stream]), local aliases
-   ([module FS = Ebrc.Flow_stats] ... [FS.sent]), [open M],
+   ([module GS = Ebrc.Gap_sink] ... [GS.received]), [open M],
    [let open M in] and [M.( ... )]. An export is dead when nothing
    outside its own module uses it, and test-only when every use is under
    test/.
@@ -133,7 +133,7 @@ type category = Lib | Bin | Bench | Examples | Test
 (* One compilation unit of a lib/ library. *)
 type unit_ = {
   lib : string;  (** dune library name *)
-  name : string;  (** module name, e.g. [Flow_stats] *)
+  name : string;  (** module name, e.g. [Gap_sink] *)
   exports : string list;  (** top-level vals of its .mli *)
   mutable aliases : (string * target) list;
       (** the module aliases it exports (a unit without an .mli, such as
