@@ -53,15 +53,23 @@ chaos-e2e: build
 # cache off, on 1 and on 2 domains: each pair of outputs must be
 # byte-identical, and the figures must match the pinned md5 in
 # scripts/figures-all.md5 (a deliberate result change re-pins it).
+# The figure runs also stream their simulations: the per-run records
+# ("run": lines) must match too. The manifest record carries the job
+# count and the figure records wall time, so those lines are left out.
 figures-e2e: build
-	dune exec bin/ebrc_cli.exe -- figure all --no-cache -j 1 > figures-j1.out
-	dune exec bin/ebrc_cli.exe -- figure all --no-cache -j 2 > figures-j2.out
+	rm -f figures-j1.stream figures-j2.stream
+	dune exec bin/ebrc_cli.exe -- figure all --no-cache -j 1 --stream figures-j1.stream --stream-wall 0 > figures-j1.out
+	dune exec bin/ebrc_cli.exe -- figure all --no-cache -j 2 --stream figures-j2.stream --stream-wall 0 > figures-j2.out
 	cmp figures-j1.out figures-j2.out
 	md5sum -c scripts/figures-all.md5
+	grep '"run":' figures-j1.stream > figures-j1.runs
+	grep '"run":' figures-j2.stream > figures-j2.runs
+	cmp figures-j1.runs figures-j2.runs
 	dune exec bin/ebrc_cli.exe -- validate --no-cache -j 1 > validate-j1.out
 	dune exec bin/ebrc_cli.exe -- validate --no-cache -j 2 > validate-j2.out
 	cmp validate-j1.out validate-j2.out
-	rm -f figures-j1.out figures-j2.out validate-j1.out validate-j2.out
+	rm -f figures-j1.out figures-j2.out validate-j1.out validate-j2.out \
+	  figures-j1.stream figures-j2.stream figures-j1.runs figures-j2.runs
 
 # The sweep service end to end, human-sized: write a demo manifest,
 # serve it with 2 workers (live fleet progress), then re-serve to show

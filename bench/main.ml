@@ -56,6 +56,9 @@ let only, jobs =
 (* Part 1: regenerate all figures/tables.                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Each figure runs as a batch of its own, so its seconds are what
+   `ebrc figure <id>` costs in a fresh process: nothing carries over
+   from an earlier figure unless EBRC_CACHE_DIR names a store. *)
 let regenerate_figures () =
   Printf.printf
     "#############################################################\n\
@@ -582,82 +585,14 @@ let measure_flows1m (packet_only : flows100k) =
     f1_identical = !identical }
 
 (* ------------------------------------------------------------------ *)
-(* Scenario result cache: cold vs warm, with hit/miss counters.        *)
-(* ------------------------------------------------------------------ *)
-
-type cache_measure = {
-  cache_cold_ms : float;
-  cache_warm_ms : float;       (* two repeat lookups of the cold run *)
-  cache_counters : (string * int) list;  (* the cache.* telemetry *)
-}
-
-(* Mirrors the real duplication in the figure suite: fig5, fig7 and the
-   scenario-red ablation all simulate the same RED config at seed 9, so
-   a warm cache pays one simulation for all three. *)
-let measure_cache () =
-  let cfg =
-    {
-      Ebrc.Scenario.default_config with
-      n_tfrc = 2;
-      n_tcp = 2;
-      queue = Ebrc.Scenario.Red_auto { capacity = 0 };
-      duration = 10.0;
-      warmup = 2.0;
-      seed = 9;
-    }
-  in
-  Ebrc.Result_cache.clear_memory ();
-  Ebrc.Result_cache.reset_stats ();
-  Ebrc.Telemetry.set_enabled true;
-  Ebrc.Telemetry.reset ();
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    (Unix.gettimeofday () -. t0) *. 1e3
-  in
-  let cache_cold_ms = time (fun () -> ignore (Ebrc.Result_cache.run cfg)) in
-  let cache_warm_ms =
-    time (fun () ->
-        ignore (Ebrc.Result_cache.run cfg);
-        ignore (Ebrc.Result_cache.run cfg))
-  in
-  let cache_counters =
-    List.filter_map
-      (fun s ->
-        let name = s.Ebrc.Telemetry.snap_name in
-        if
-          s.Ebrc.Telemetry.snap_kind = Ebrc.Telemetry.Counter
-          && String.length name > 6
-          && String.sub name 0 6 = "cache."
-        then Some (name, s.count)
-        else None)
-      (Ebrc.Telemetry.snapshot ())
-  in
-  Ebrc.Telemetry.set_enabled false;
-  Ebrc.Telemetry.reset ();
-  Printf.printf
-    "#############################################################\n\
-     # Scenario result cache (RED scenario, cold run then 2 lookups)\n\
-     #############################################################\n\n\
-    \  cold (miss)      %8.2f ms\n\
-    \  warm (2 hits)    %8.2f ms\n"
-    cache_cold_ms cache_warm_ms;
-  List.iter
-    (fun (k, v) -> Printf.printf "  %-18s %d\n" k v)
-    cache_counters;
-  print_newline ();
-  { cache_cold_ms; cache_warm_ms; cache_counters }
-
-(* ------------------------------------------------------------------ *)
 (* Part 3: domain-pool speedup of the whole figure batch.              *)
 (* ------------------------------------------------------------------ *)
 
 type speedup = {
   figure : string;
   par_jobs : int;
-  serial_seconds : float;     (* compute: cache off, memo cleared per leg *)
+  serial_seconds : float;     (* compute: no result store *)
   parallel_seconds : float;   (* compute: same sweep through the pool *)
-  warm_lookup_seconds : float; (* same sweep, memo warm: lookups only *)
   deterministic : bool;       (* tables byte-identical at 1 and N jobs *)
 }
 
@@ -667,20 +602,14 @@ type speedup = {
    exercised) before any timing, runs alternate serial/parallel, and
    each mode reports its best of [reps].
 
-   Honesty of the recorded speedup: both compute arms run with the
-   result cache disabled AND the in-memory memo cleared before every
-   leg, so they time simulation, never lookups. The separate
-   [warm_lookup_seconds] arm times a memoized figure (17 — all its
-   points are scenarios) with a warm memo — published so the record
-   shows the lookup-vs-compute gap instead of silently blending the
-   two. The [deterministic] flag asserts the pool's contract: tables
-   byte-identical at 1 and N jobs. *)
+   Both arms run with no result store, so they time simulation, never
+   store lookups. The [deterministic] flag asserts the pool's
+   contract: tables byte-identical at 1 and N jobs. *)
 let measure_parallel_sweep () =
   let fig = "all" in
-  let fig_warm = "17" in
   let par_jobs = max 2 (min 4 jobs) in
   let reps = 5 in
-  Ebrc.Result_cache.set_enabled false;
+  Ebrc.Result_cache.set_dir None;
   Printf.printf
     "#############################################################\n\
      # Parallel figure batch: figure %s at 1 vs %d jobs (best of %d)\n\
@@ -690,12 +619,8 @@ let measure_parallel_sweep () =
   ignore (Ebrc.Pool.init pool 64 (fun x -> x * x));
   let csv_of tables = String.concat "\n" (List.map Ebrc.Table.to_csv tables) in
   let time_run ~jobs =
-    (* Per-leg clear: even with the cache disabled nothing is memoized,
-       but the clear keeps the compute arms honest against any future
-       change to the cache-off semantics. Then settle the heap so
-       earlier phases' garbage doesn't land its collection cost on one
-       arm of the comparison. *)
-    Ebrc.Result_cache.clear_memory ();
+    (* Settle the heap so earlier phases' garbage doesn't land its
+       collection cost on one arm of the comparison. *)
     Gc.full_major ();
     let t0 = Unix.gettimeofday () in
     let tables = Ebrc.Figures.run_all ~jobs ~quick:true () in
@@ -714,31 +639,15 @@ let measure_parallel_sweep () =
   done;
   let serial_seconds = !serial_seconds
   and parallel_seconds = !parallel_seconds in
-  (* Lookup arm: cache on, memo warmed by one untimed pass. *)
-  Ebrc.Result_cache.set_enabled true;
-  Ebrc.Result_cache.clear_memory ();
-  ignore (Ebrc.Figures.run_one ~jobs:1 ~quick:true fig_warm);
-  let warm_lookup_seconds = ref infinity in
-  for _ = 1 to reps do
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    ignore (Ebrc.Figures.run_one ~jobs:1 ~quick:true fig_warm);
-    warm_lookup_seconds :=
-      Float.min !warm_lookup_seconds (Unix.gettimeofday () -. t0)
-  done;
-  let warm_lookup_seconds = !warm_lookup_seconds in
-  Ebrc.Result_cache.clear_memory ();
   Printf.printf
-    "  serial       %.2f s (compute, cache off)\n\
+    "  serial       %.2f s (compute, no store)\n\
     \  parallel     %.2f s (%d jobs)\n\
     \  speedup      %.2fx\n\
-    \  warm lookup  %.4f s (figure 17, memo hits only)\n\
     \  deterministic: %b\n\n"
     serial_seconds parallel_seconds par_jobs
     (serial_seconds /. parallel_seconds)
-    warm_lookup_seconds deterministic;
-  { figure = fig; par_jobs; serial_seconds; parallel_seconds;
-    warm_lookup_seconds; deterministic }
+    deterministic;
+  { figure = fig; par_jobs; serial_seconds; parallel_seconds; deterministic }
 
 (* ------------------------------------------------------------------ *)
 (* Part 4: the multi-process sweep service (ebrc serve / worker).      *)
@@ -901,7 +810,7 @@ let measure_sweep_service () =
 (* ------------------------------------------------------------------ *)
 
 let write_json ~figure_seconds ~microbench ~telem ~stream ~flows
-    ~flows1m ~cache ~sweep ~service =
+    ~flows1m ~sweep ~service =
   let module J = Ebrc_obs.Json in
   let ns_per_run, minor_per_run = microbench in
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
@@ -947,11 +856,7 @@ let write_json ~figure_seconds ~microbench ~telem ~stream ~flows
               ("enabled_ms", num telem.telem_on_ms);
               ("overhead_pct", pct telem.telem_on_ms telem.telem_off_ms);
               ("events", int telem.telem_events);
-              (* The cache.* counters from the warm-cache measurement
-                 ride in the same table so one record carries all
-                 fixed-seed totals. *)
-              ( "counters",
-                table int (telem.telem_counters @ cache.cache_counters) );
+              ("counters", table int telem.telem_counters);
             ] );
         ( "stream_ablation",
           J.Obj
@@ -980,12 +885,6 @@ let write_json ~figure_seconds ~microbench ~telem ~stream ~flows
               ("fluid_advances", int flows1m.f1_fluid_advances);
               ("bit_identical", bool flows1m.f1_identical);
             ] );
-        ( "scenario_cache",
-          J.Obj
-            [
-              ("cold_ms", num cache.cache_cold_ms);
-              ("warm_two_lookups_ms", num cache.cache_warm_ms);
-            ] );
         ( "parallel_figure_sweep",
           J.Obj
             [
@@ -994,8 +893,6 @@ let write_json ~figure_seconds ~microbench ~telem ~stream ~flows
               ("serial_seconds", num sweep.serial_seconds);
               ("parallel_seconds", num sweep.parallel_seconds);
               ("speedup", num (sweep.serial_seconds /. sweep.parallel_seconds));
-              ("warm_lookup_figure", J.Str "17");
-              ("warm_lookup_seconds", num sweep.warm_lookup_seconds);
               ("deterministic", bool sweep.deterministic);
             ] );
         ( "sweep_service",
@@ -1034,10 +931,8 @@ let () =
   | Some Scale -> ignore (measure_flows1m (measure_flows100k ()))
   | None ->
     let figure_seconds = regenerate_figures () in
-    (* The regeneration phase leaves every memoized scenario result
-       live in the cache; drop them and settle the heap so the
-       microbenches don't inherit its GC pressure. *)
-    Ebrc.Result_cache.clear_memory ();
+    (* Settle the heap so the microbenches don't inherit the
+       regeneration phase's GC pressure. *)
     Gc.full_major ();
     let microbench = benchmark () in
     print_bench_results microbench;
@@ -1045,9 +940,8 @@ let () =
     let stream = measure_stream_ablation () in
     let flows = measure_flows100k () in
     let flows1m = measure_flows1m flows in
-    let cache = measure_cache () in
     let sweep = measure_parallel_sweep () in
     let service = measure_sweep_service () in
     write_json ~figure_seconds ~microbench ~telem ~stream ~flows
-      ~flows1m ~cache ~sweep ~service;
+      ~flows1m ~sweep ~service;
     print_endline "\nbench: done."

@@ -64,18 +64,18 @@ let telemetry_args =
     const (fun jsonl trace summary -> (jsonl, trace, summary))
     $ jsonl $ trace $ summary)
 
-(* Scenario result cache: on by default (identical configs across
-   figures are simulated once); --no-cache forces every run. *)
+(* Scenario result store: on when EBRC_CACHE_DIR names one;
+   --no-cache forces every run. *)
 let no_cache_arg =
   Arg.(
     value & flag
     & info [ "no-cache" ]
         ~doc:
-          "Bypass the scenario result cache and re-simulate every \
-           scenario (outputs are byte-identical either way; see also \
-           EBRC_CACHE_DIR).")
+          "Bypass the on-disk scenario result store (EBRC_CACHE_DIR) \
+           and simulate every distinct scenario (outputs are \
+           byte-identical either way).")
 
-let apply_cache no_cache = if no_cache then Ebrc.Result_cache.set_enabled false
+let apply_cache no_cache = if no_cache then Ebrc.Result_cache.set_dir None
 
 (* Watchdog budgets (opt-in): cap every Engine.run in the process.
    Exceeding a budget raises Engine.Budget_exceeded — combine with
@@ -1174,8 +1174,8 @@ let apply_env_knobs () =
     | "1" -> Ok true
     | v -> Error (Printf.sprintf "expected 0 or 1, got %S" v)
   in
-  Option.iter Ebrc.Result_cache.set_enabled
-    (Ebrc_obs.Env.knob ~empty:true "EBRC_CACHE" cache);
+  if Ebrc_obs.Env.knob ~empty:true "EBRC_CACHE" cache = Some false then
+    Ebrc.Result_cache.set_dir None;
   ignore (Ebrc.Pool.default_jobs () : int);
   ignore (Ebrc_serve.Task_queue.default_torn_grace () : float);
   ignore (Ebrc.Telemetry_stream.env_config ())

@@ -84,9 +84,7 @@ let simulate_aimd ?(cycles = 1000) p =
    rates; the paper observed the deviation "does hold, but is somewhat
    less pronounced" than the isolated closed form. *)
 type competition_result = {
-  aimd_p : float;
-  ebrc_p : float;
-  ratio : float;          (* aimd_p / ebrc_p *)
+  ratio : float;          (* AIMD's loss-event rate over EBRC's *)
   aimd_share : float;     (* fraction of the capacity carried by AIMD *)
 }
 
@@ -129,8 +127,6 @@ let simulate_competition ?(cycles = 2000) ?(l = 8) p =
   let aimd_p = float_of_int !aimd_events /. !aimd_packets in
   let ebrc_p = float_of_int !ebrc_events /. !ebrc_packets in
   {
-    aimd_p;
-    ebrc_p;
     ratio = aimd_p /. ebrc_p;
     aimd_share = !aimd_packets /. (!aimd_packets +. !ebrc_packets);
   }

@@ -30,9 +30,7 @@ val simulate_ebrc : ?cycles:int -> ?l:int -> params -> float
     initial condition; converges to [ebrc_loss_event_rate]. *)
 
 type competition_result = {
-  aimd_p : float;
-  ebrc_p : float;
-  ratio : float;       (** aimd_p / ebrc_p *)
+  ratio : float;       (** AIMD's loss-event rate over EBRC's. *)
   aimd_share : float;  (** Fraction of the carried traffic that is AIMD. *)
 }
 

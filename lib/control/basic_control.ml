@@ -29,9 +29,6 @@ type result = {
   cov_theta_thetahat : float;  (* cov[theta_0, thetahat_0], condition C1 *)
   cov_rate_duration : float;   (* cov[X_0, S_0], condition C2 *)
   cv_thetahat : float;         (* coefficient of variation of thetahat *)
-  cv_theta : float;
-  mean_thetahat : float;
-  cycles : int;
   palm_mean_rate : float;      (* E0_N[X_0]: event-average of the rate *)
   rate_duration_pairs : (float * float) array;
       (* (X_n, S_n) per cycle when requested, for the (C3) diagnostic *)
@@ -52,7 +49,6 @@ let simulate ?(collect_pairs = false) ~formula ~estimator ~process ~cycles () =
   let c1 = Cov_acc.create () in
   let c2 = Cov_acc.create () in
   let w_thetahat = Welford.create () in
-  let w_theta = Welford.create () in
   let w_rate = Welford.create () in
   let pairs = if collect_pairs then Array.make cycles (0.0, 0.0) else [||] in
   for i = 1 to cycles do
@@ -65,7 +61,6 @@ let simulate ?(collect_pairs = false) ~formula ~estimator ~process ~cycles () =
     Cov_acc.add c1 theta thetahat;
     Cov_acc.add c2 x s;
     Welford.add w_thetahat thetahat;
-    Welford.add w_theta theta;
     Welford.add w_rate x;
     if collect_pairs then pairs.(i - 1) <- (x, s);
     Loss_interval.record estimator theta
@@ -80,9 +75,6 @@ let simulate ?(collect_pairs = false) ~formula ~estimator ~process ~cycles () =
     cov_theta_thetahat = Cov_acc.covariance c1;
     cov_rate_duration = Cov_acc.covariance c2;
     cv_thetahat = Welford.coefficient_of_variation w_thetahat;
-    cv_theta = Welford.coefficient_of_variation w_theta;
-    mean_thetahat = Welford.mean w_thetahat;
-    cycles;
     palm_mean_rate = Welford.mean w_rate;
     rate_duration_pairs = pairs;
   }

@@ -9,9 +9,6 @@ type result = {
   cov_theta_thetahat : float;  (** cov[θ₀, θ̂₀] — condition (C1). *)
   cov_rate_duration : float;   (** cov[X₀, S₀] — condition (C2). *)
   cv_thetahat : float;         (** Coefficient of variation of θ̂. *)
-  cv_theta : float;
-  mean_thetahat : float;
-  cycles : int;
   palm_mean_rate : float;      (** E⁰_N[X₀], the event-average rate. *)
   rate_duration_pairs : (float * float) array;
       (** (Xₙ, Sₙ) per cycle when [collect_pairs] was set — input to the

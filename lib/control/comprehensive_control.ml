@@ -17,8 +17,6 @@
 module Formula = Ebrc_formulas.Formula
 module Loss_interval = Ebrc_estimator.Loss_interval
 module Loss_process = Ebrc_lossproc.Loss_process
-module Welford = Ebrc_stats.Welford
-module Cov_acc = Ebrc_stats.Cov_acc
 
 (* V_n of Proposition 3. thetahat1 = thetahat_{n+1}, thetahat0 =
    thetahat_n. Only valid for SQRT (c2 q terms vanish) and
@@ -61,12 +59,6 @@ let cycle_duration_closed ~formula ~estimator ~theta =
 type result = {
   throughput : float;
   normalized : float;
-  p_observed : float;
-  cov_theta_thetahat : float;
-  cov_rate_duration : float;
-  cv_thetahat : float;
-  mean_thetahat : float;
-  cycles : int;
 }
 
 let simulate ~formula ~estimator ~process ~cycles () =
@@ -83,31 +75,14 @@ let simulate ~formula ~estimator ~process ~cycles () =
     Loss_interval.record estimator (Loss_process.next process)
   done;
   let total_packets = ref 0.0 and total_time = ref 0.0 in
-  let c1 = Cov_acc.create () in
-  let c2 = Cov_acc.create () in
-  let w_thetahat = Welford.create () in
   for _ = 1 to cycles do
-    let thetahat = Loss_interval.estimate estimator in
     let theta = Loss_process.next process in
     let s = cycle_duration_closed ~formula ~estimator ~theta in
-    let x_n = Formula.eval formula (1.0 /. thetahat) in
     total_packets := !total_packets +. theta;
     total_time := !total_time +. s;
-    Cov_acc.add c1 theta thetahat;
-    Cov_acc.add c2 x_n s;
-    Welford.add w_thetahat thetahat;
     Loss_interval.record estimator theta
   done;
   let throughput = !total_packets /. !total_time in
   let mean_theta = !total_packets /. float_of_int cycles in
   let p_observed = 1.0 /. mean_theta in
-  {
-    throughput;
-    normalized = throughput /. Formula.eval formula p_observed;
-    p_observed;
-    cov_theta_thetahat = Cov_acc.covariance c1;
-    cov_rate_duration = Cov_acc.covariance c2;
-    cv_thetahat = Welford.coefficient_of_variation w_thetahat;
-    mean_thetahat = Welford.mean w_thetahat;
-    cycles;
-  }
+  { throughput; normalized = throughput /. Formula.eval formula p_observed }

@@ -4,14 +4,8 @@
     must be SQRT or PFTK-simplified. *)
 
 type result = {
-  throughput : float;
-  normalized : float;
-  p_observed : float;
-  cov_theta_thetahat : float;
-  cov_rate_duration : float;
-  cv_thetahat : float;
-  mean_thetahat : float;
-  cycles : int;
+  throughput : float;  (** Time-average send rate, packets/s. *)
+  normalized : float;  (** throughput / f(p_observed). *)
 }
 
 val v_n :

@@ -67,7 +67,6 @@ let max_overshoot formula obs =
    a noise tolerance. *)
 type c3_verdict = {
   holds : bool;
-  bin_rates : float array;       (* mean X per bin, increasing *)
   bin_mean_durations : float array;
   violations : int;              (* adjacent bin pairs going the wrong way *)
 }
@@ -79,27 +78,20 @@ let check_c3 ?(bins = 8) ?(tolerance = 0.05) (pairs : (float * float) array) =
   let sorted = Array.copy pairs in
   Array.sort (fun (x1, _) (x2, _) -> compare x1 x2) sorted;
   let per = n / bins in
-  let bin_rates = Array.make bins 0.0 in
   let bin_mean_durations = Array.make bins 0.0 in
   for b = 0 to bins - 1 do
     let lo = b * per in
     let hi = if b = bins - 1 then n else lo + per in
     let count = float_of_int (hi - lo) in
-    let sx = ref 0.0 and ss = ref 0.0 in
+    let ss = ref 0.0 in
     for i = lo to hi - 1 do
-      let x, s = sorted.(i) in
-      sx := !sx +. x;
-      ss := !ss +. s
+      ss := !ss +. snd sorted.(i)
     done;
-    bin_rates.(b) <- !sx /. count;
     bin_mean_durations.(b) <- !ss /. count
   done;
   let violations = ref 0 in
   for b = 0 to bins - 2 do
-    let scale = Float.max bin_mean_durations.(b) 1e-12 in
     if bin_mean_durations.(b + 1) > bin_mean_durations.(b) *. (1.0 +. tolerance)
-    then incr violations;
-    ignore scale
+    then incr violations
   done;
-  { holds = !violations = 0; bin_rates; bin_mean_durations;
-    violations = !violations }
+  { holds = !violations = 0; bin_mean_durations; violations = !violations }

@@ -33,8 +33,8 @@ val max_overshoot : Ebrc_formulas.Formula.t -> observables -> float
 
 type c3_verdict = {
   holds : bool;
-  bin_rates : float array;
   bin_mean_durations : float array;
+      (** Mean Sₙ per equal-count bin, in increasing order of Xₙ. *)
   violations : int;
 }
 

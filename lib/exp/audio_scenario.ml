@@ -53,7 +53,6 @@ type result = {
   normalized_throughput : float;   (* x_bar / f(p_observed) *)
   p_observed : float;              (* empirical loss-event rate *)
   cv2_thetahat : float;            (* squared CV of the estimator *)
-  mean_rate : float;
   events : int;
   packets : int;
 }
@@ -142,7 +141,6 @@ let run cfg =
     normalized_throughput = normalized;
     p_observed;
     cv2_thetahat = cv2;
-    mean_rate;
     events = Loss_events.events events;
     packets = Audio_source.sent source;
   }

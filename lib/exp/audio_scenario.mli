@@ -32,7 +32,6 @@ type result = {
   normalized_throughput : float;  (** x̄ / f(p_observed). *)
   p_observed : float;
   cv2_thetahat : float;           (** Squared CV of θ̂ at loss events. *)
-  mean_rate : float;
   events : int;
   packets : int;
 }

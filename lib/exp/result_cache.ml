@@ -1,4 +1,4 @@
-(* Content-addressed scenario result cache.
+(* Content-addressed scenario result store.
 
    The key is the config's Codec bytes (floats in hex so the key is
    exact, not a rounding of the config). Records carry a code-version
@@ -6,22 +6,21 @@
    behaviour changes — a stale tag silently invalidates every old
    record, which is the safe failure mode.
 
-   Layering: an in-memory memo (mutex-guarded — sweep workers on pool
-   domains call [run] concurrently) in front of an optional on-disk
-   store of one JSON record per digest. Disk records carry the schema
-   number, the version tag and the full key; a record failing any of
-   those checks (or failing to parse) is counted as corrupt and
-   ignored, and the next store simply overwrites it. Floats are
-   serialized as hex-float strings ("%h" / [float_of_string]) so
-   results round-trip bit-exactly, including nan and infinity. *)
+   Within one process, [Work.run] already runs each distinct config of
+   a batch once; this module adds only the optional on-disk store of
+   one JSON record per digest, shared across processes. Disk records
+   carry the schema number, the version tag and the full key; a record
+   failing any of those checks (or failing to parse) is counted as
+   corrupt and ignored, and the next store simply overwrites it.
+   Floats are serialized as hex-float strings ("%h" /
+   [float_of_string]) so results round-trip bit-exactly, including nan
+   and infinity. *)
 
 module Tm = Ebrc_telemetry.Telemetry
 module Chaos = Ebrc_chaos.Io_fault
 
-(* One count per cache event: [stats] reads the first six, and
+(* One count per cache event: [stats] reads the first five, and
    [gc_tmp] and [scrub] add their call's tallies once at the end. *)
-let c_hits = Tm.Probe.count ~help:"scenario cache memo hits" "cache.hits"
-
 let c_disk_hits =
   Tm.Probe.count ~help:"scenario cache disk hits" "cache.disk_hits"
 
@@ -71,16 +70,11 @@ let add c n = ignore (Atomic.fetch_and_add c n)
    v7: the key is the config's Codec bytes, stored as a JSON object. *)
 let code_version = "ebrc-scenario-v7"
 
-let enabled_flag = ref true
-let set_enabled b = enabled_flag := b
-let enabled () = !enabled_flag
-
 let dir_ref = ref (Sys.getenv_opt "EBRC_CACHE_DIR")
 let set_dir d = dir_ref := d
 let dir () = !dir_ref
 
 type stats = {
-  hits : int;
   disk_hits : int;
   misses : int;
   stores : int;
@@ -88,31 +82,14 @@ type stats = {
   store_errors : int;
 }
 
-let lock = Mutex.create ()
-let memo : (string, Scenario.result) Hashtbl.t = Hashtbl.create 64
-let store_warned = ref false
-
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-let clear_memory () = locked (fun () -> Hashtbl.reset memo)
-
 let stats () =
   {
-    hits = Atomic.get c_hits;
     disk_hits = Atomic.get c_disk_hits;
     misses = Atomic.get c_misses;
     stores = Atomic.get c_stores;
     corrupt = Atomic.get c_corrupt;
     store_errors = Atomic.get c_store_errors;
   }
-
-let reset_stats () =
-  List.iter
-    (fun c -> Atomic.set c 0)
-    [ c_hits; c_disk_hits; c_misses; c_stores; c_corrupt; c_store_errors ];
-  locked (fun () -> store_warned := false)
 
 (* ------------------------------ key ------------------------------- *)
 
@@ -315,10 +292,16 @@ let decode_record s =
       | r -> r
       | exception Codec.Bad _ -> Corrupt)
 
-(* --------------------------- disk store --------------------------- *)
+(* ---------------------------- the store --------------------------- *)
 
-let disk_load ~dir ~key digest =
-  let path = Filename.concat dir (digest ^ ".json") in
+(* Every accessor takes an explicit directory: [run] passes [dir ()],
+   and the sweep service (lib/serve) treats the store as the shared
+   result backbone for many worker processes, so a publication is
+   visible to every other process the instant the rename lands. *)
+
+let load_from ~dir cfg =
+  let key = Codec.encode cfg in
+  let path = Filename.concat dir (digest_of_key key ^ ".json") in
   if not (Sys.file_exists path) then None
   else
     match
@@ -335,7 +318,8 @@ let disk_load ~dir ~key digest =
         Atomic.incr c_corrupt;
         None
 
-let disk_store ~dir ~cfg digest r =
+let store_to ~dir cfg r =
+  let digest = digest_of_config cfg in
   match
     (* Two workers publishing their first records race to create the
        store; [mkdir_p] tolerates the loser's existing dir. The tmp is
@@ -354,33 +338,16 @@ let disk_store ~dir ~cfg digest r =
       add c_bytes_written n
   | exception e ->
       (* A read-only or vanished cache directory (or a full disk) must
-         never fail the experiment — the result is still returned from
-         memory. Count the failure and warn once per process so the
+         never fail the experiment — the caller still has the result.
+         Count the failure, and warn on the first one counted (once
+         per process: only a telemetry reset zeroes the count) so the
          silent-degradation mode is at least visible. *)
-      Atomic.incr c_store_errors;
-      locked (fun () ->
-          if not !store_warned then begin
-            store_warned := true;
-            Printf.eprintf
-              "ebrc: warning: scenario cache store to %s failed (%s); \
-               continuing with the in-memory cache only\n\
-               %!"
-              dir (Printexc.to_string e)
-          end)
-
-(* ------------------------ store as a service ---------------------- *)
-
-(* The sweep service (lib/serve) treats the disk store as the shared
-   result backbone for many worker processes: every accessor below
-   takes an explicit directory and never touches the per-process memo,
-   so a million-task worker stays O(1) in memory and a publication is
-   visible to every other process the instant the rename lands. *)
-
-let load_from ~dir cfg =
-  let key = Codec.encode cfg in
-  disk_load ~dir ~key (digest_of_key key)
-
-let store_to ~dir cfg r = disk_store ~dir ~cfg (digest_of_config cfg) r
+      if Atomic.fetch_and_add c_store_errors 1 = 0 then
+        Printf.eprintf
+          "ebrc: warning: scenario cache store to %s failed (%s); \
+           continuing without storing results\n\
+           %!"
+          dir (Printexc.to_string e)
 
 (* Full load + verification, not a bare [Sys.file_exists]: a truncated
    or stale-version record counts as unpublished, so a resumed sweep
@@ -501,31 +468,15 @@ let scrub ?quarantine ~dir () =
 (* ------------------------------ run ------------------------------- *)
 
 let run cfg =
-  if not !enabled_flag then Scenario.run cfg
-  else begin
-    let key = Codec.encode cfg in
-    match locked (fun () -> Hashtbl.find_opt memo key) with
-    | Some r ->
-        Atomic.incr c_hits;
-        r
-    | None -> (
-        let digest = digest_of_key key in
-        let from_disk =
-          match !dir_ref with
-          | None -> None
-          | Some dir -> disk_load ~dir ~key digest
-        in
-        match from_disk with
-        | Some r ->
-            Atomic.incr c_disk_hits;
-            locked (fun () -> Hashtbl.replace memo key r);
-            r
-        | None ->
-            let r = Scenario.run cfg in
-            Atomic.incr c_misses;
-            locked (fun () -> Hashtbl.replace memo key r);
-            (match !dir_ref with
-            | None -> ()
-            | Some dir -> disk_store ~dir ~cfg digest r);
-            r)
-  end
+  match !dir_ref with
+  | None -> Scenario.run cfg
+  | Some dir -> (
+      match load_from ~dir cfg with
+      | Some r ->
+          Atomic.incr c_disk_hits;
+          r
+      | None ->
+          let r = Scenario.run cfg in
+          Atomic.incr c_misses;
+          store_to ~dir cfg r;
+          r)

@@ -1,9 +1,11 @@
-(** Content-addressed scenario result cache.
+(** Content-addressed scenario result store.
 
     The key of a config is its {!Codec.encode} bytes — the same bytes
-    as its sweep-manifest task — and keys an in-memory memo and an
-    optional on-disk store of one record per [MD5(key)], so [report],
-    [figures] and [bench] never pay for the same simulation twice.
+    as its sweep-manifest task — and names an optional on-disk store
+    of one record per [MD5(key)], shared across processes: a second
+    [report] or [figure] over the same store, or a sweep worker,
+    loads what an earlier process published. Within one process,
+    {!Work.run} already runs each distinct config of a batch once.
     [Scenario.run] is deterministic in its config, so a hit is
     byte-identical to a fresh run; floats are stored as hex-float
     strings for exact round-trips (including nan/infinity). Safe to
@@ -15,25 +17,16 @@
     code reads as a miss (and as "stale version" to {!scrub}). *)
 
 val run : Scenario.config -> Scenario.result
-(** Memo lookup, then disk lookup (when a cache directory is set),
-    then [Scenario.run] + store. With the cache disabled this is
-    exactly [Scenario.run]. *)
-
-val set_enabled : bool -> unit
-(** Default on. The CLI turns it off for [--no-cache] and for
-    [EBRC_CACHE=0]. *)
-
-val enabled : unit -> bool
+(** Exactly [Scenario.run] when no store is set ({!dir} is [None]).
+    Otherwise {!load_from}, and on a miss [Scenario.run] then
+    {!store_to}. *)
 
 val set_dir : string option -> unit
-(** On-disk store location; [None] (the default, unless
-    [EBRC_CACHE_DIR] is set) keeps the cache in-memory only. The
-    directory is created on first store. *)
+(** The store's location; [None] means no store. The default is
+    [EBRC_CACHE_DIR] when set; the CLI sets [None] for [--no-cache]
+    and [EBRC_CACHE=0]. The directory is created on first store. *)
 
 val dir : unit -> string option
-
-val clear_memory : unit -> unit
-(** Drop the in-memory memo (the disk store is untouched). *)
 
 val digest_of_config : Scenario.config -> string
 (** Hex MD5 of [Codec.encode cfg] — the on-disk record is
@@ -46,19 +39,19 @@ val serialize_result : Scenario.result -> string
 
 (** {2 Store as a service}
 
-    Explicit-directory accessors for the multi-process sweep service
-    (lib/serve): workers publish results into a shared store and serve
-    watches it for completion. None of these touch the in-process
-    memo, so a long-running worker stays O(1) in memory. *)
+    Explicit-directory accessors, used by {!run} with {!dir} and by the
+    multi-process sweep service (lib/serve): workers publish results
+    into a shared store and serve watches it for completion. Nothing
+    is kept in memory, so a long-running worker stays O(1). *)
 
 val load_from : dir:string -> Scenario.config -> Scenario.result option
 (** Load and fully verify (schema, version tag, full key) the record
     for this config; [None] when absent, stale or corrupt. *)
 
 val store_to : dir:string -> Scenario.config -> Scenario.result -> unit
-(** Publish a result into [dir] with the atomic tmp+rename discipline
-    (same failure behaviour as the implicit store: a failed write is
-    counted and warned, never raised). *)
+(** Publish a result into [dir] with the atomic tmp+rename discipline.
+    A failed write is counted ([cache.store_errors]), never raised; the
+    first one counted prints a warning. *)
 
 val published : dir:string -> Scenario.config -> bool
 (** [load_from] succeeds — a full verification, so a truncated or
@@ -103,20 +96,17 @@ val scrub : ?quarantine:string -> dir:string -> unit -> scrub_report
     quarantined ∪ surviving = the original record set. *)
 
 type stats = {
-  hits : int;        (** in-memory memo hits *)
-  disk_hits : int;   (** disk-record hits (schema + key verified) *)
-  misses : int;      (** full simulation runs *)
+  disk_hits : int;   (** {!run}'s disk-record hits (schema + key verified) *)
+  misses : int;      (** {!run}'s store misses (full simulation runs) *)
   stores : int;      (** disk records written *)
   corrupt : int;     (** unreadable/mismatched disk records ignored *)
   store_errors : int;
-      (** failed disk writes (unwritable [EBRC_CACHE_DIR], full disk):
-          warned once per process, counted per failure
-          ([cache.store_errors]); the run falls back to the in-memory
-          memo instead of raising mid-figure. *)
+      (** failed disk writes (unwritable [EBRC_CACHE_DIR], full disk),
+          counted per failure ([cache.store_errors]) and warned on the
+          first; the run returns its result instead of raising
+          mid-figure. *)
 }
 
 val stats : unit -> stats
 (** The [cache.*] telemetry counters of the same names, read as a
-    record. Zeroed by {!reset_stats} and by a telemetry reset. *)
-
-val reset_stats : unit -> unit
+    record. Zeroed by a telemetry reset. *)

@@ -209,31 +209,15 @@ let fluid_config cfg (bg : background) =
 type tfrc_flow = { ts : Tfrc_sender.t; tr : Tfrc_receiver.t }
 type tcp_flow = { cs : Tcp_sender.t; cr : Tcp_receiver.t }
 
-(* Stream-run identity: a pure function of the scenario config, so the
-   same simulation gets the same key no matter which pool domain it is
-   scheduled on or in what order. Distinct sweep points differ in at
-   least one of these fields; identical configs produce identical
-   (deterministic) runs, so a key collision merely makes the finalized
-   stream's stable sort see equal lines. Deliberately not the result
-   cache's digest: that lives upstream of this module. *)
+(* Stream-run identity: the MD5 of the config's marshalled bytes, so
+   two runs share a key only when their configs are structurally equal
+   (and then their records are identical too), whichever pool domain
+   runs them and in whatever order. [No_sharing] makes the bytes depend
+   on the value alone, not on how it was built. The bytes are not the
+   result cache's codec (that module depends on this one), and a key
+   need only agree within one build's stream files. *)
 let stream_key cfg =
-  let queue_tag =
-    match cfg.queue with
-    | Drop_tail { capacity } -> Printf.sprintf "dt%d" capacity
-    | Red_auto { capacity } -> Printf.sprintf "reda%d" capacity
-    | Red_manual { capacity; _ } -> Printf.sprintf "redm%d" capacity
-  in
-  Printf.sprintf "s%d:n%d+%d%s:d%g:w%g:%s%s%s%s" cfg.seed cfg.n_tfrc
-    cfg.n_tcp
-    (if cfg.with_probe then "+p" else "")
-    cfg.duration cfg.warmup queue_tag
-    (if cfg.faults <> None then ":f" else "")
-    (if cfg.background <> None then ":bg" else "")
-    (match cfg.second_hop with
-    | None -> ""
-    | Some h ->
-        Printf.sprintf ":h%g/%g/%d/%g" h.hop_bps h.hop_delay h.hop_capacity
-          h.cross_fraction)
+  Digest.to_hex (Digest.string (Marshal.to_string cfg [ Marshal.No_sharing ]))
 
 let run cfg =
   if cfg.duration <= cfg.warmup then

@@ -129,8 +129,11 @@ val run : config -> result
     result is bit-identical with streaming on or off. *)
 
 val stream_key : config -> string
-(** Config-derived identity used for this run's stream records — a
-    pure function of the config, independent of pool scheduling. *)
+(** The key of this run's stream records: the hex MD5 of the config's
+    marshalled bytes. Configs that differ in any field get different
+    keys, and equal configs the same key, independent of pool
+    scheduling. The bytes are the compiler's, so a key is stable
+    within one build, not across builds. *)
 
 val base_rtt : config -> float
 (** Twice the forward path's propagation delay, both hops included. *)

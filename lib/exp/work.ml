@@ -6,8 +6,10 @@
    results on the calling domain.
 
    Two scenario leaves with the same [Codec.encode] bytes (the result
-   cache's key) are one leaf of the batch, whichever figures declared
-   them. Every leaf is self-contained (its own seed, no shared mutable
+   store's key) are one leaf of the batch, whichever figures declared
+   them. This is the only in-process cache: [figure], [report] and
+   [validate] each run one batch, so none simulates a config twice.
+   Every leaf is self-contained (its own seed, no shared mutable
    state), so the projected values are identical for every [jobs]. *)
 
 module Pool = Ebrc_parallel.Pool
@@ -125,7 +127,7 @@ let run ?(jobs = 1) works =
   let leaves = Array.of_list (List.rev b.leaves) in
   Array.stable_sort (fun x y -> Float.compare y.cost x.cost) leaves;
   Pool.try_init (Pool.shared ~domains:jobs ()) (Array.length leaves)
-    (fun ~attempt:_ k -> leaves.(k).exec ())
+    (fun k -> leaves.(k).exec ())
   |> Array.iteri (fun k -> function
        | Ok () -> ()
        | Error e -> leaves.(k).error <- Some e);

@@ -9,7 +9,8 @@ type 'a t
 
 val scenario : Scenario.config -> Scenario.result t
 (** A scenario run through {!Result_cache.run}. Within one {!run},
-    configs with the same {!Codec.encode} bytes are run once. *)
+    configs with the same {!Codec.encode} bytes are run once, so a
+    command that runs one batch simulates no config twice. *)
 
 val task : (unit -> 'a) -> 'a t
 (** A self-contained computation (seeded Monte Carlo, a direct engine

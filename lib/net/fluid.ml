@@ -305,9 +305,7 @@ let stats t =
 type equilibrium = {
   eq_p : float;      (* drop probability *)
   eq_w : float;      (* per-flow window, packets *)
-  eq_q : float;      (* queue at the fixed point, packets *)
   eq_rtt : float;    (* round-trip time, s *)
-  eq_rate : float;   (* per-flow throughput, pkt/s *)
 }
 
 let queue_at_drop cfg p =
@@ -342,5 +340,4 @@ let equilibrium cfg =
   let p = 0.5 *. (!lo +. !hi) in
   let q = queue_at_drop cfg p in
   let r = cfg.base_rtt +. (q /. cfg.capacity_pps) in
-  let w = sqrt (2.0 /. p) in
-  { eq_p = p; eq_w = w; eq_q = q; eq_rtt = r; eq_rate = w /. r }
+  { eq_p = p; eq_w = sqrt (2.0 /. p); eq_rtt = r }

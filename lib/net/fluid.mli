@@ -106,9 +106,7 @@ val add_probes : t -> Ebrc_telemetry.Telemetry.Probe.set -> unit
 type equilibrium = {
   eq_p : float;      (** drop probability at the fixed point *)
   eq_w : float;      (** per-flow window, packets *)
-  eq_q : float;      (** queue, packets *)
   eq_rtt : float;    (** round-trip time, seconds *)
-  eq_rate : float;   (** per-flow throughput, pkt/s *)
 }
 
 val equilibrium : config -> equilibrium

@@ -252,14 +252,22 @@ let gate ~warn_only ~baseline ~current =
       ("flows1m", "bit_identical");
       ("sweep_service", "store_identical");
     ];
-  (match baseline with
-  | Json.Obj kvs ->
-      List.iter
-        (fun (k, _) ->
-          if Json.member k current = None then
-            add Info k "in the baseline only; not compared")
-        kvs
-  | _ -> ());
+  (* Blocks, and fields of a block both records keep, that a newer
+     bench no longer measures. *)
+  let rec baseline_only ~depth prefix baseline current =
+    match baseline with
+    | Json.Obj kvs ->
+        List.iter
+          (fun (k, b) ->
+            match Json.member k current with
+            | None -> add Info (prefix ^ k) "in the baseline only; not compared"
+            | Some c ->
+                if depth > 0 then
+                  baseline_only ~depth:(depth - 1) (prefix ^ k ^ ".") b c)
+          kvs
+    | _ -> ()
+  in
+  baseline_only ~depth:1 "" baseline current;
   List.rev !out
 
 (* ----------------------------- trend ----------------------------- *)

@@ -183,7 +183,6 @@ let run t ~length run_chunk =
 
 type task_error = {
   t_index : int;
-  t_seed : int;
   t_attempts : int;
   t_exn : exn;
   t_backtrace : Printexc.raw_backtrace;
@@ -196,8 +195,8 @@ let () =
     | Task_failed e ->
         Some
           (Printf.sprintf
-             "Pool.Task_failed (task #%d, seed %d, attempt %d): %s" e.t_index
-             e.t_seed e.t_attempts (Printexc.to_string e.t_exn))
+             "Pool.Task_failed (task #%d, attempt %d): %s" e.t_index
+             e.t_attempts (Printexc.to_string e.t_exn))
     | _ -> None)
 
 let c_task_failures =
@@ -207,11 +206,10 @@ let c_task_retries =
   Tm.Probe.count ~help:"task attempts retried after a failure"
     "pool.task_retries"
 
-let try_init ?(retries = 0) ?seed_of t n f =
+let try_init ?(retries = 0) t n f =
   check_open t;
   if n < 0 then invalid_arg "Pool.try_init: negative length";
   if retries < 0 then invalid_arg "Pool.try_init: negative retries";
-  let seed_of = match seed_of with Some g -> g | None -> fun i -> i in
   if n = 0 then [||]
   else begin
     let results = Array.make n None in
@@ -220,7 +218,7 @@ let try_init ?(retries = 0) ?seed_of t n f =
        publishes its own Ok/Error slot. *)
     let one i =
       let rec attempt a =
-        match f ~attempt:a i with
+        match f i with
         | v -> Ok v
         | exception e ->
             let bt = Printexc.get_raw_backtrace () in
@@ -231,8 +229,8 @@ let try_init ?(retries = 0) ?seed_of t n f =
             else begin
               Atomic.incr c_task_failures;
               Error
-                { t_index = i; t_seed = seed_of i; t_attempts = a + 1;
-                  t_exn = e; t_backtrace = bt }
+                { t_index = i; t_attempts = a + 1; t_exn = e;
+                  t_backtrace = bt }
             end
       in
       attempt 0
@@ -247,7 +245,7 @@ let try_init ?(retries = 0) ?seed_of t n f =
 (* Single-task crash isolation for callers that are not sweeps (the
    serve worker leases one task at a time). *)
 let run_isolated ?retries t f =
-  (try_init ?retries t 1 (fun ~attempt _ -> f ~attempt)).(0)
+  (try_init ?retries t 1 (fun _ -> f ())).(0)
 
 (* Lowest failing index, so the raised error is deterministic (the old
    first-failure-wins atomic depended on the chunk schedule). *)
@@ -268,7 +266,7 @@ let reap results =
 
 let init t n f =
   if n < 0 then invalid_arg "Pool.init: negative length";
-  reap (try_init t n (fun ~attempt:_ i -> f i))
+  reap (try_init t n f)
 
 let shutdown t =
   Mutex.lock t.lock;

@@ -33,11 +33,10 @@ val default_jobs : unit -> int
     preserved. {!try_init} exposes the per-task [result]s directly;
     {!init} is built on it and raises {!Task_failed} carrying the
     lowest failing index (deterministic, unlike a first-observed
-    race), its seed, and the original exception + backtrace. *)
+    race), its attempt count, and the original exception + backtrace. *)
 
 type task_error = {
   t_index : int;       (** task index within the job *)
-  t_seed : int;        (** [seed_of t_index]; the index itself by default *)
   t_attempts : int;    (** attempts made, including the failing one *)
   t_exn : exn;         (** the original exception *)
   t_backtrace : Printexc.raw_backtrace;
@@ -46,23 +45,17 @@ type task_error = {
 exception Task_failed of task_error
 
 val try_init :
-  ?retries:int -> ?seed_of:(int -> int) -> t -> int ->
-  (attempt:int -> int -> 'a) -> ('a, task_error) result array
+  ?retries:int -> t -> int -> (int -> 'a) -> ('a, task_error) result array
 (** Crash-isolated parallel [Array.init]: task [i] yields [Ok] of its
     value or [Error] describing its final failure; siblings always run
     to completion. [retries] (default 0) re-runs a failing task up to
-    that many extra times, passing the attempt number (0-based) so the
-    task can derive a fresh PRNG sub-stream per attempt, e.g.
-    [Prng.stream ~root (seed_of i + attempt)]. [seed_of] (default
-    [Fun.id]) records each task's seed in its [task_error] so a crash
-    report identifies the replication. *)
+    that many extra times. *)
 
 val run_isolated :
-  ?retries:int -> t -> (attempt:int -> 'a) -> ('a, task_error) result
+  ?retries:int -> t -> (unit -> 'a) -> ('a, task_error) result
 (** One task under the same per-task exception barrier as {!try_init}:
     [Ok] of the value or [Error] describing the final failure, with
-    [retries] extra attempts (the attempt number lets the task derive
-    a fresh PRNG sub-stream). It serves callers (the sweep-service
+    [retries] extra attempts. It serves callers (the sweep-service
     worker) whose unit of work is not a sweep index. *)
 
 val init : t -> int -> (int -> 'a) -> 'a array

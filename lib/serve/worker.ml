@@ -112,7 +112,7 @@ let run cfg =
     Stream.task ~key:digest ~phase:"leased" ();
     let t0 = Unix.gettimeofday () in
     match
-      Pool.run_isolated ~retries:cfg.retries pool (fun ~attempt:_ ->
+      Pool.run_isolated ~retries:cfg.retries pool (fun () ->
           Scenario.run scenario_cfg)
     with
     | Ok r ->

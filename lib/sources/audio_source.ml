@@ -33,7 +33,6 @@ type t = {
   mutable sent : int;
   mutable running : bool;
   mutable rate_units : float;      (* current f(1/theta_hat), "packets"/s *)
-  mutable rate_samples : float list;
 }
 
 (* The audio sender's "rate" is in formula packet-units per second; each
@@ -58,7 +57,6 @@ let create ?(comprehensive = false) ?(l = 4) ~engine ~flow ~period ~formula
     sent = 0;
     running = false;
     rate_units = 1.0;
-    rate_samples = [];
   }
 
 let set_transmit t f = t.transmit <- f
@@ -66,10 +64,7 @@ let history t = t.history
 
 let update_rate t =
   let p = Loss_history.p_estimate t.history in
-  if p > 0.0 then begin
-    t.rate_units <- Formula.eval t.formula p;
-    t.rate_samples <- t.rate_units :: t.rate_samples
-  end
+  if p > 0.0 then t.rate_units <- Formula.eval t.formula p
 
 (* The receiver notifies the sender of every arrived sequence number
    (zero-delay feedback is acceptable for the Claim-2 loop: the paper's
@@ -109,5 +104,4 @@ let start t =
 
 let sent t = t.sent
 let rate_units t = t.rate_units
-let rate_samples t = Array.of_list (List.rev t.rate_samples)
 let flow t = t.flow

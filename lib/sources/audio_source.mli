@@ -29,5 +29,4 @@ val history : t -> Ebrc_tfrc.Loss_history.t
 val start : t -> unit
 val sent : t -> int
 val rate_units : t -> float
-val rate_samples : t -> float array
 val flow : t -> int

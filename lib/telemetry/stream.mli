@@ -94,8 +94,11 @@ type run
     next sample can emit just the diff. *)
 
 val run_start : key:string -> Telemetry.Probe.set -> run
-(** Start a run stream keyed by [key] (a config-derived identity,
-    stable across schedules) over the run's probe set. Call it once
+(** Start a run stream keyed by [key] over the run's probe set. The
+    key must identify the run's inputs, stable across schedules, and
+    differ between runs whose records differ ({!finalize} orders
+    records by it; a scenario uses the digest of its config,
+    [Scenario.stream_key]). Call it once
     every component of the run is built: the view is fixed here, and
     probes added later are not streamed. Counter baselines are zero —
     the probed components were built for this run. *)

@@ -198,37 +198,22 @@ let test_scenario_golden_digests () =
 let cache_dir =
   Filename.concat (Filename.get_temp_dir_name ()) "ebrc_cache_test"
 
-(* Every cache test starts from a clean slate — no memo, no stats, no
-   stale disk records — and leaves the global cache state as it found
-   it (enabled, memory-only). *)
+(* Every cache test starts from a clean slate — no stats, no stale
+   disk records — and leaves the global cache state as it found it
+   (no store). *)
 let with_clean_cache f =
   if Sys.file_exists cache_dir && Sys.is_directory cache_dir then
     Array.iter
       (fun f -> Sys.remove (Filename.concat cache_dir f))
       (Sys.readdir cache_dir);
-  RC.clear_memory ();
-  RC.reset_stats ();
+  Ebrc.Telemetry.reset ();
   Fun.protect
     ~finally:(fun () ->
       RC.set_dir None;
-      RC.set_enabled true;
-      RC.clear_memory ();
-      RC.reset_stats ())
+      Ebrc.Telemetry.reset ())
     f
 
 let cache_cfg = { quick_cfg with duration = 20.0; seed = 21 }
-
-let test_cache_memo_roundtrip () =
-  with_clean_cache (fun () ->
-      let direct = RC.serialize_result (S.run cache_cfg) in
-      let first = RC.serialize_result (RC.run cache_cfg) in
-      let second = RC.serialize_result (RC.run cache_cfg) in
-      Alcotest.(check bool) "miss = direct" true (String.equal direct first);
-      Alcotest.(check bool) "hit = direct" true (String.equal direct second);
-      let s = RC.stats () in
-      Alcotest.(check int) "one miss" 1 s.RC.misses;
-      Alcotest.(check int) "one hit" 1 s.RC.hits;
-      Alcotest.(check int) "no corruption" 0 s.RC.corrupt)
 
 let test_cache_digest_separates_configs () =
   let d1 = RC.digest_of_config cache_cfg in
@@ -246,8 +231,8 @@ let test_cache_disk_roundtrip () =
       let first = RC.serialize_result (RC.run cache_cfg) in
       Alcotest.(check bool) "record written" true
         (Sys.file_exists (record_path cache_cfg));
-      (* Drop the memo: the next lookup must come from disk. *)
-      RC.clear_memory ();
+      Alcotest.(check bool) "miss = direct" true
+        (String.equal (RC.serialize_result (S.run cache_cfg)) first);
       let from_disk = RC.serialize_result (RC.run cache_cfg) in
       Alcotest.(check bool) "disk hit byte-identical" true
         (String.equal first from_disk);
@@ -264,8 +249,7 @@ let test_cache_corrupt_record_detected () =
       let oc = open_out path in
       output_string oc "{ not json ";
       close_out oc;
-      RC.clear_memory ();
-      RC.reset_stats ();
+      Ebrc.Telemetry.reset ();
       let recomputed = RC.serialize_result (RC.run cache_cfg) in
       Alcotest.(check bool) "recompute matches" true
         (String.equal good recomputed);
@@ -273,34 +257,64 @@ let test_cache_corrupt_record_detected () =
       Alcotest.(check int) "corruption counted" 1 s.RC.corrupt;
       Alcotest.(check int) "fell back to a real run" 1 s.RC.misses;
       (* The bad record was overwritten by the fresh store. *)
-      RC.clear_memory ();
       ignore (RC.run cache_cfg);
       Alcotest.(check int) "repaired record readable" 1
         (RC.stats ()).RC.disk_hits)
 
+(* With no store, [run] is [Scenario.run]: nothing is counted. *)
 let test_cache_disabled_bypasses () =
   with_clean_cache (fun () ->
-      RC.set_enabled false;
+      RC.set_dir None;
       ignore (RC.run cache_cfg);
       ignore (RC.run cache_cfg);
       let s = RC.stats () in
-      Alcotest.(check int) "no hits" 0 s.RC.hits;
-      Alcotest.(check int) "no misses counted" 0 s.RC.misses)
+      Alcotest.(check int) "no disk hits" 0 s.RC.disk_hits;
+      Alcotest.(check int) "no misses counted" 0 s.RC.misses;
+      Alcotest.(check int) "no stores" 0 s.RC.stores)
+
+(* [f ()]'s result and what it wrote to stderr. *)
+let capture_stderr f =
+  let path = Filename.temp_file "ebrc_stderr" ".txt" in
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let v =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
+  in
+  let ic = open_in_bin path in
+  let err = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  (v, err)
 
 let test_cache_store_failure_degrades () =
-  (* An unwritable cache dir must not abort the run: the store error is
-     counted, a warning is printed once, and the in-memory memo still
-     serves hits. *)
+  (* An unwritable cache dir must not abort the run: each store error
+     is counted, a warning is printed once, and every run returns its
+     freshly computed result. *)
   with_clean_cache (fun () ->
       RC.set_dir (Some "/dev/null/ebrc_nope");
-      let first = RC.serialize_result (RC.run cache_cfg) in
-      let second = RC.serialize_result (RC.run cache_cfg) in
-      Alcotest.(check bool) "memo still serves" true
+      let (first, second), err =
+        capture_stderr (fun () ->
+            let first = RC.serialize_result (RC.run cache_cfg) in
+            (first, RC.serialize_result (RC.run cache_cfg)))
+      in
+      Alcotest.(check bool) "recomputed byte-identically" true
         (String.equal first second);
       let s = RC.stats () in
-      Alcotest.(check bool) "store errors counted" true (s.RC.store_errors > 0);
+      Alcotest.(check int) "two store errors" 2 s.RC.store_errors;
       Alcotest.(check int) "no store claimed" 0 s.RC.stores;
-      Alcotest.(check int) "one hit from memory" 1 s.RC.hits)
+      Alcotest.(check int) "two misses" 2 s.RC.misses;
+      Alcotest.(check int) "one warning" 1
+        (List.length
+           (List.filter
+              (fun l -> String.starts_with ~prefix:"ebrc: warning:" l)
+              (String.split_on_char '\n' err))))
 
 let test_cache_robust_roundtrip () =
   (* A faulted config round-trips through the disk store: the record
@@ -317,7 +331,6 @@ let test_cache_robust_roundtrip () =
   with_clean_cache (fun () ->
       RC.set_dir (Some cache_dir);
       let first = RC.serialize_result (RC.run robust) in
-      RC.clear_memory ();
       let from_disk = RC.serialize_result (RC.run robust) in
       Alcotest.(check bool) "robust disk hit byte-identical" true
         (String.equal first from_disk);
@@ -340,11 +353,11 @@ let test_hybrid_cache_roundtrip () =
       let first = RC.serialize_result (RC.run cfg) in
       Alcotest.(check bool) "result carries fluid stats" true
         ((RC.run cfg).S.fluid_stats <> None);
-      RC.clear_memory ();
       let from_disk = RC.serialize_result (RC.run cfg) in
       Alcotest.(check bool) "hybrid disk hit byte-identical" true
         (String.equal first from_disk);
-      Alcotest.(check int) "served from disk" 1 (RC.stats ()).RC.disk_hits)
+      Alcotest.(check int) "both repeats served from disk" 2
+        (RC.stats ()).RC.disk_hits)
 
 (* The hybrid validation gate (CI-enforced version of figure h1): the
    same background population simulated packet-exact (n extra TCP
@@ -436,18 +449,20 @@ let test_hybrid_many_sources_limit () =
     (p_sim > 0.6 *. p_pred && p_sim < 1.67 *. p_pred)
 
 let test_figures_byte_identical_with_cache () =
-  (* Satellite guarantee: figure output is byte-identical cache-on
-     (cold and warm) vs cache-off. Fig 17 is the cheapest DES-backed
-     runner. *)
+  (* Figure output is byte-identical from a cold store, a warm store
+     and no store. Fig 17 is the cheapest DES-backed runner. *)
   let render () =
     String.concat "\n" (List.map T.to_csv (Fig.run_one ~quick:true "17"))
   in
   with_clean_cache (fun () ->
+      RC.set_dir (Some cache_dir);
       let cold = render () in
+      let misses = (RC.stats ()).RC.misses in
       let warm = render () in
-      Alcotest.(check bool) "warm cache pays no misses" true
-        ((RC.stats ()).RC.hits > 0);
-      RC.set_enabled false;
+      let s = RC.stats () in
+      Alcotest.(check bool) "warm store pays no misses" true
+        (misses > 0 && s.RC.misses = misses && s.RC.disk_hits = misses);
+      RC.set_dir None;
       let uncached = render () in
       Alcotest.(check bool) "cold = warm" true (String.equal cold warm);
       Alcotest.(check bool) "cached = uncached" true
@@ -558,7 +573,7 @@ let test_run_all_keep_going_collects () =
 let test_batch_dedups_scenarios () =
   (* Figures 5/7/8/9 declare the same bottleneck sweep and 10/11/12
      overlapping path profiles: one batch runs each distinct config
-     once, so a cold memo sees exactly one miss per config and no
+     once, so a cold store sees exactly one miss per config and no
      hits. *)
   let ids = [ "5"; "7"; "8"; "9"; "10"; "11"; "12" ] in
   let distinct =
@@ -569,6 +584,7 @@ let test_batch_dedups_scenarios () =
     |> List.length
   in
   with_clean_cache (fun () ->
+      RC.set_dir (Some cache_dir);
       List.iter
         (fun (id, r) ->
           Alcotest.(check bool) ("figure " ^ id ^ " rendered") true
@@ -576,7 +592,7 @@ let test_batch_dedups_scenarios () =
         (Fig.run ~jobs:2 ~quick:true ids);
       let st = RC.stats () in
       Alcotest.(check int) "misses = distinct configs" distinct st.RC.misses;
-      Alcotest.(check int) "no memo hits" 0 st.RC.hits)
+      Alcotest.(check int) "no disk hits" 0 st.RC.disk_hits)
 
 let test_analytic_figures_run () =
   (* The cheap, purely analytic figures should run here; the DES sweeps
@@ -611,7 +627,7 @@ let validate_quick_evidence =
   ]
 
 let test_validate_all_checks () =
-  (* All checks as one batch, cache off so both runs compute every
+  (* All checks as one batch, no store so both runs compute every
      leaf: every check passes, with the same verdicts and evidence at
      1 and 4 domains. *)
   let module V = Ebrc.Validate in
@@ -620,7 +636,7 @@ let test_validate_all_checks () =
       outcomes
   in
   with_clean_cache (fun () ->
-      RC.set_enabled false;
+      RC.set_dir None;
       let j1 = V.run ~jobs:1 ~quick:true V.checks in
       let j4 = V.run ~jobs:4 ~quick:true V.checks in
       List.iter
@@ -759,7 +775,6 @@ let () =
         ] );
       ( "result_cache",
         [
-          Alcotest.test_case "memo roundtrip" `Quick test_cache_memo_roundtrip;
           Alcotest.test_case "digest separates configs" `Quick
             test_cache_digest_separates_configs;
           Alcotest.test_case "disk roundtrip" `Quick test_cache_disk_roundtrip;

@@ -176,7 +176,7 @@ let test_replication_sweep_jobs_invariant () =
   in
   let sweep jobs =
     Pool.with_pool ~domains:jobs (fun pool ->
-        Pool.try_init pool 4 (fun ~attempt:_ i ->
+        Pool.try_init pool 4 (fun i ->
             Result_cache.serialize_result
               (Scenario.run { base with Scenario.seed = 500 + i }))
         |> Array.map (function

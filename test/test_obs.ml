@@ -226,7 +226,15 @@ let test_gate_missing_blocks () =
   Alcotest.(check (list severity)) "retired block is Info" [ BR.Info ]
     (judge ~baseline ~current "ode_frontier");
   Alcotest.(check (list severity)) "retired microbench is not judged" []
-    (judge ~baseline ~current "comprehensive-ode")
+    (judge ~baseline ~current "comprehensive-ode");
+  (* A field gone from a block both records keep is reported too. *)
+  let sweep fields = J.Obj [ ("parallel_figure_sweep", J.Obj fields) ] in
+  let kept = ("speedup", J.Num 1.8) in
+  Alcotest.(check (list severity)) "retired field is Info" [ BR.Info ]
+    (judge
+       ~baseline:(sweep [ kept; ("warm_lookup_seconds", J.Num 0.01) ])
+       ~current:(sweep [ kept ])
+       "parallel_figure_sweep.warm_lookup_seconds")
 
 (* ------------------------------ trend ----------------------------- *)
 

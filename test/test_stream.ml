@@ -251,18 +251,32 @@ let test_stream_schema () =
       "stream_end" ]
     (List.map (fun l -> record_type (parse l)) awkward_lines)
 
-(* The -j determinism contract: the same four scenarios streamed under
+(* The -j determinism contract: the same six scenarios streamed under
    a 1-domain and a 4-domain pool must produce byte-identical files
-   (wall progress off; finalize canonicalises run interleaving). *)
+   (wall progress off; finalize canonicalises run interleaving). The
+   last two differ from the first two only in [reverse_jitter] and
+   [background], so their runs must still get keys of their own. *)
+let stream_configs =
+  List.init 4 (fun i -> cfg (100 + i))
+  @ [
+      { (cfg 100) with Ebrc.Scenario.reverse_jitter = 0.3 };
+      {
+        (cfg 101) with
+        Ebrc.Scenario.background =
+          Some (Ebrc.Scenario.default_background ~flows:100);
+      };
+    ]
+
 let stream_bytes ~domains =
   scrub ();
   let path = Filename.temp_file "ebrc_stream_j" ".jsonl" in
   Tm.set_enabled true;
   Stream.enable ~path ~period_sim:0.5 ~period_wall:0.0;
+  let configs = Array.of_list stream_configs in
   Pool.with_pool ~domains (fun pool ->
       ignore
-        (Pool.init pool 4 (fun i ->
-             ignore (Ebrc.Scenario.run (cfg (100 + i)));
+        (Pool.init pool (Array.length configs) (fun i ->
+             ignore (Ebrc.Scenario.run configs.(i));
              i)));
   Stream.finalize ();
   scrub ();
@@ -274,7 +288,22 @@ let test_stream_j1_vs_j4 () =
   let s1 = stream_bytes ~domains:1 in
   let s4 = stream_bytes ~domains:4 in
   Alcotest.(check bool) "non-trivial stream" true (String.length s1 > 200);
-  Alcotest.(check string) "byte-identical across -j" s1 s4
+  Alcotest.(check string) "byte-identical across -j" s1 s4;
+  let keys =
+    String.split_on_char '\n' s1
+    |> List.filter_map (fun l ->
+           if l = "" then None
+           else
+             let j = parse l in
+             match (record_type j, J.member "run" j) with
+             | "run_start", Some (J.Str k) -> Some k
+             | _ -> None)
+  in
+  Alcotest.(check int) "one run per config" (List.length stream_configs)
+    (List.length keys);
+  Alcotest.(check int) "one key per distinct config"
+    (List.length stream_configs)
+    (List.length (List.sort_uniq String.compare keys))
 
 (* Finalize's canonical order on a shuffled multi-run stream: four
    interleaved runs (one key with an escaped quote, one with seqs past

@@ -297,8 +297,7 @@ let test_scenario_counters_j1_vs_j4 () =
 
 (* Every counter of the bench's fixed-seed telemetry record, pinned to
    its value there (BENCH_2026-10-17T202715Z.json, telemetry_summary):
-   the seed-9 DropTail run's non-zero sim/net/protocol counters, then
-   the cache.* counters of a RED cold run and two memo lookups. A
+   the seed-9 DropTail run's non-zero sim/net/protocol counters. A
    probe lost or double-registered changes a value or drops a name;
    bench-compare alone would skip a name missing from one record. *)
 let seed9_counters =
@@ -312,70 +311,29 @@ let seed9_counters =
     ("wheel.pushed", 30432); ("wheel.rotations", 158);
   ]
 
-let seed9_cache_counters =
-  [
-    ("cache.bytes_read", 0); ("cache.bytes_written", 0); ("cache.corrupt", 0);
-    ("cache.disk_hits", 0); ("cache.hits", 2); ("cache.misses", 1);
-    ("cache.store_errors", 0); ("cache.stores", 0); ("cache.tmp_reclaimed", 0);
-  ]
-
 let test_seed9_counters_pinned () =
-  let module Rc = Ebrc.Result_cache in
-  let seed9 queue =
-    {
-      Ebrc.Scenario.default_config with
-      n_tfrc = 2;
-      n_tcp = 2;
-      queue;
-      duration = 10.0;
-      warmup = 2.0;
-      seed = 9;
-    }
-  in
-  let counters ~keep =
+  let sim =
+    with_telemetry_on @@ fun () ->
+    ignore
+      (Ebrc.Scenario.run
+         {
+           Ebrc.Scenario.default_config with
+           n_tfrc = 2;
+           n_tcp = 2;
+           queue = Ebrc.Scenario.Drop_tail { capacity = 100 };
+           duration = 10.0;
+           warmup = 2.0;
+           seed = 9;
+         });
     List.filter_map
       (fun s ->
-        if s.Tm.snap_kind = Tm.Counter && keep s then
+        if s.Tm.snap_kind = Tm.Counter && s.Tm.count > 0 then
           Some (s.Tm.snap_name, s.Tm.count)
         else None)
       (Tm.snapshot ())
   in
-  let sim =
-    with_telemetry_on @@ fun () ->
-    ignore (Ebrc.Scenario.run (seed9 (Ebrc.Scenario.Drop_tail { capacity = 100 })));
-    counters ~keep:(fun s -> s.Tm.count > 0)
-  in
   Alcotest.(check (list (pair string int))) "seed-9 scenario counters"
-    seed9_counters sim;
-  let was_enabled = Rc.enabled () and was_dir = Rc.dir () in
-  let cache, stats =
-    with_telemetry_on @@ fun () ->
-    Fun.protect
-      ~finally:(fun () ->
-        Rc.set_enabled was_enabled;
-        Rc.set_dir was_dir;
-        Rc.clear_memory ();
-        Rc.reset_stats ())
-    @@ fun () ->
-    Rc.set_enabled true;
-    Rc.set_dir None;
-    Rc.clear_memory ();
-    Rc.reset_stats ();
-    let red = seed9 (Ebrc.Scenario.Red_auto { capacity = 0 }) in
-    for _ = 1 to 3 do
-      ignore (Rc.run red)
-    done;
-    ( counters ~keep:(fun s ->
-          String.length s.Tm.snap_name > 6
-          && String.sub s.Tm.snap_name 0 6 = "cache."),
-      Rc.stats () )
-  in
-  Alcotest.(check (list (pair string int))) "seed-9 cache counters"
-    seed9_cache_counters cache;
-  (* One count per cache event: [stats] and the cache.* names agree. *)
-  Alcotest.(check (pair int int)) "stats = cache.hits, cache.misses"
-    (List.assoc "cache.hits" cache, List.assoc "cache.misses" cache)
-    (stats.Rc.hits, stats.Rc.misses)
+    seed9_counters sim
 
 (* ------------------------------------------------------------------ *)
 (* Fleet and harness counter pins.                                     *)
@@ -394,7 +352,7 @@ module Worker = Ebrc_serve.Worker
 let fleet_names =
   [
     "cache.bytes_read"; "cache.bytes_written"; "cache.corrupt";
-    "cache.disk_hits"; "cache.hits"; "cache.misses"; "cache.store_errors";
+    "cache.disk_hits"; "cache.misses"; "cache.store_errors";
     "cache.stores"; "cache.tmp_reclaimed"; "chaos.clock_skews"; "chaos.eio";
     "chaos.enospc"; "chaos.fsync_lost"; "chaos.torn_writes"; "pool.chunks";
     "pool.jobs"; "pool.task_failures"; "pool.task_retries"; "pool.tasks";
@@ -445,7 +403,7 @@ let test_fleet_pool () =
     Pool.with_pool ~domains (fun pool ->
         ignore (Pool.init pool 6 Fun.id);
         ignore
-          (Pool.try_init ~retries:1 pool 3 (fun ~attempt:_ i ->
+          (Pool.try_init ~retries:1 pool 3 (fun i ->
                if i = 1 then failwith "fleet pin" else i)));
     fleet_counters ~prefixes:[ "pool." ] ()
   in
@@ -549,7 +507,7 @@ let check_cache_stats () =
       ("cache.bytes_written",
        List.assoc "cache.bytes_written" (fleet_counters ()));
       ("cache.corrupt", s.Rc.corrupt); ("cache.disk_hits", s.Rc.disk_hits);
-      ("cache.hits", s.Rc.hits); ("cache.misses", s.Rc.misses);
+      ("cache.misses", s.Rc.misses);
       ("cache.store_errors", s.Rc.store_errors); ("cache.stores", s.Rc.stores);
       ("cache.tmp_reclaimed",
        List.assoc "cache.tmp_reclaimed" (fleet_counters ()));
@@ -588,7 +546,7 @@ let test_fleet_result_cache () =
   check_counters "store" ~prefixes:[ "cache."; "scrub." ]
     [
       ("cache.bytes_read", read); ("cache.bytes_written", written);
-      ("cache.corrupt", 1); ("cache.disk_hits", 0); ("cache.hits", 0);
+      ("cache.corrupt", 1); ("cache.disk_hits", 0);
       ("cache.misses", 0); ("cache.store_errors", 0); ("cache.stores", 2);
       ("cache.tmp_reclaimed", 1); ("scrub.checked", 2); ("scrub.ok", 1);
       ("scrub.quarantined", 1);
@@ -627,7 +585,7 @@ let test_fleet_worker () =
   check_counters "worker drain"
     [
       ("cache.bytes_read", rec1 + rec2); ("cache.bytes_written", rec1 + rec2);
-      ("cache.corrupt", 0); ("cache.disk_hits", 0); ("cache.hits", 0);
+      ("cache.corrupt", 0); ("cache.disk_hits", 0);
       ("cache.misses", 0); ("cache.store_errors", 0); ("cache.stores", 2);
       ("cache.tmp_reclaimed", 0); ("chaos.clock_skews", 0); ("chaos.eio", 0);
       ("chaos.enospc", 0); ("chaos.fsync_lost", 0); ("chaos.torn_writes", 0);
