@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all ci build json-lint api-lint test serve-e2e chaos-e2e figures-e2e serve-demo bench bench-quick bench-full bench-scale bench-compare bench-trend profile figures validate report examples telemetry-demo status-demo clean
+.PHONY: all ci build opaque-check json-lint api-lint test serve-e2e chaos-e2e figures-e2e serve-demo bench bench-quick bench-full bench-scale bench-compare bench-trend profile figures validate report examples telemetry-demo status-demo clean
 
 all: build
 
@@ -9,10 +9,19 @@ all: build
 # and judge it against the previous one (fails on hot-path regressions
 # > 20% or any fixed-seed counter drift; set EBRC_COMPARE_WARN_ONLY=1
 # when a simulator change makes drift intentional).
-ci: build json-lint api-lint test serve-e2e chaos-e2e figures-e2e bench-trend bench-quick bench-compare
+ci: build opaque-check json-lint api-lint test serve-e2e chaos-e2e figures-e2e bench-trend bench-quick bench-compare
 
 build:
 	dune build @all
+
+# The build the simulator's speed rests on: dune-workspace selects the
+# release profile, under which dune compiles no lib/ module with
+# -opaque (the dev profile does, and then no cross-module call is ever
+# inlined), and restores the dev profile's compiler flags. Fails if a
+# lib/ module is compiled with -opaque or the default profile's OCaml
+# flags differ from the dev profile's.
+opaque-check:
+	sh scripts/opaque_check.sh
 
 # One JSON printer: every machine-output writer builds an
 # Ebrc_obs.Json.t and renders it with Json.print. Fails on a format

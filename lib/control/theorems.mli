@@ -33,9 +33,9 @@ val max_overshoot : Ebrc_formulas.Formula.t -> observables -> float
 
 type c3_verdict = {
   holds : bool;
-  bin_mean_durations : float array;
-      (** Mean Sₙ per equal-count bin, in increasing order of Xₙ. *)
   violations : int;
+      (** Adjacent equal-count bins, in increasing order of Xₙ, whose
+          mean Sₙ rises by more than the tolerance. *)
 }
 
 val check_c3 :

@@ -9,13 +9,17 @@
    order and every admitted packet can stay in a single growable FIFO
    ring until it is delivered. The ring reads, from its head: packets
    served and awaiting propagation ([n_served] of them), then the
-   packet in service (when [busy]), then the backlog. Service moves
-   only the [n_served] boundary; delivery pops the head. The per-packet
-   path therefore stores one pointer (the admission push), and the
-   service-completion and delivery thunks are preallocated, so it
-   allocates nothing. Delivery events are scheduled per packet
-   (preserving exact event ordering) but share one thunk that pops the
-   head. *)
+   packet in service (while the server lane holds an entry), then the
+   backlog. Service moves only the [n_served] boundary; delivery pops
+   the head. The per-packet path therefore stores one pointer (the
+   admission push), and allocates nothing.
+
+   The link's events ride two engine lanes ({!Engine.lane}) instead of
+   the timing wheel: the server lane holds the one pending service
+   completion, and the propagation lane one delivery per packet in
+   flight, in time order because the delay is constant. Each entry
+   takes its ticket where a [schedule_unit] would, so the dispatch
+   order is the one per-packet unit events would give. *)
 
 module Engine = Ebrc_sim.Engine
 module Tm = Ebrc_telemetry.Telemetry
@@ -67,11 +71,10 @@ type t = {
   queue : Queue_discipline.t;
   rng : Ebrc_rng.Prng.t;
   needs_u : bool;                 (* discipline consumes the uniform? *)
-  mutable busy : bool;
   ring : ring;                    (* every admitted, undelivered packet *)
   mutable n_served : int;         (* ring prefix served, in propagation *)
-  mutable service_done : unit -> unit;
-  mutable deliver_head : unit -> unit;
+  mutable server : Engine.lane;   (* the service completion, if busy *)
+  mutable line : Engine.lane;     (* one delivery per served packet *)
   mutable deliver : Packet.t -> unit;
   mutable on_drop : Packet.t -> unit;
   mutable delivered : int;
@@ -85,11 +88,11 @@ type t = {
 
 let transmission_time t pkt = float_of_int (Packet.bits pkt) /. t.rate_bps
 
+(* Called with the server idle: start on the next queued packet, if
+   any. *)
 let start_service t =
-  if t.ring.len = t.n_served then t.busy <- false
-  else begin
+  if t.ring.len > t.n_served then begin
     let pkt = ring_get t.ring t.n_served in
-    t.busy <- true;
     let tx = float_of_int (8 * pkt.Packet.size) /. t.rate_bps in
     let tx =
       match t.fluid with
@@ -103,8 +106,7 @@ let start_service t =
           Fluid.sync fl ~now:t.engine.Engine.now;
           tx /. Fluid.fg_share fl
     in
-    Engine.schedule_unit t.engine ~at:(t.engine.Engine.now +. tx)
-      t.service_done
+    Engine.lane_push t.engine t.server ~at:(t.engine.Engine.now +. tx)
   end
 
 let create ~engine ~rate_bps ~delay ~queue ~rng =
@@ -118,11 +120,10 @@ let create ~engine ~rate_bps ~delay ~queue ~rng =
       queue;
       rng;
       needs_u = Queue_discipline.needs_random queue;
-      busy = false;
       ring = ring_create ();
       n_served = 0;
-      service_done = (fun () -> ());
-      deliver_head = (fun () -> ());
+      server = Engine.lane ignore; (* until the lanes below close over [t] *)
+      line = Engine.lane ignore;
       deliver = (fun _ -> ());
       on_drop = (fun _ -> ());
       delivered = 0;
@@ -134,25 +135,24 @@ let create ~engine ~rate_bps ~delay ~queue ~rng =
   Tm.Probe.add probes k_link_delivered (fun () -> t.delivered);
   Tm.Probe.add probes k_link_drops (fun () -> Queue_discipline.drops queue);
   Queue_discipline.add_probes queue probes;
-  t.deliver_head <-
-    (fun () ->
-      (* The head is the oldest served packet: deliveries are FIFO. *)
-      let r = t.ring in
-      let pkt = Array.unsafe_get r.buf r.head in
-      r.head <- (r.head + 1) land (Array.length r.buf - 1);
-      r.len <- r.len - 1;
-      t.n_served <- t.n_served - 1;
-      t.deliver pkt);
-  t.service_done <-
-    (fun () ->
-      Queue_discipline.departure t.queue ~now:(t.engine.Engine.now);
-      let pkt = ring_get t.ring t.n_served in
-      t.n_served <- t.n_served + 1;
-      t.delivered <- t.delivered + 1;
-      t.bytes_delivered <- t.bytes_delivered + pkt.Packet.size;
-      Engine.schedule_unit t.engine ~at:(t.engine.Engine.now +. t.delay)
-        t.deliver_head;
-      start_service t);
+  t.line <-
+    Engine.lane (fun () ->
+        (* The head is the oldest served packet: deliveries are FIFO. *)
+        let r = t.ring in
+        let pkt = Array.unsafe_get r.buf r.head in
+        r.head <- (r.head + 1) land (Array.length r.buf - 1);
+        r.len <- r.len - 1;
+        t.n_served <- t.n_served - 1;
+        t.deliver pkt);
+  t.server <-
+    Engine.lane (fun () ->
+        Queue_discipline.departure t.queue ~now:t.engine.Engine.now;
+        let pkt = ring_get t.ring t.n_served in
+        t.n_served <- t.n_served + 1;
+        t.delivered <- t.delivered + 1;
+        t.bytes_delivered <- t.bytes_delivered + pkt.Packet.size;
+        Engine.lane_push t.engine t.line ~at:(t.engine.Engine.now +. t.delay);
+        start_service t);
   t
 
 let set_deliver t f = t.deliver <- f
@@ -178,7 +178,7 @@ let send t pkt =
       | Queue_discipline.Drop -> drop_pkt t ~now pkt
       | Queue_discipline.Enqueue ->
           ring_push t.ring pkt;
-          if not t.busy then start_service t)
+          if Engine.lane_is_empty t.server then start_service t)
   | Some fl -> (
       (* Hybrid ingress: bring the fluid up to date and let the drop
          decision see a queue inflated by the fluid backlog. Only
@@ -197,7 +197,7 @@ let send t pkt =
       | Queue_discipline.Enqueue ->
           Fluid.on_packet_arrival fl;
           ring_push t.ring pkt;
-          if not t.busy then start_service t)
+          if Engine.lane_is_empty t.server then start_service t)
 
 let queue t = t.queue
 let delivered t = t.delivered

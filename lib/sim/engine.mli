@@ -5,6 +5,10 @@ type timer
 (** A re-armable timer: an action plus, while armed, a deadline and the
     tie-break ticket of its last arm. See {!arm}. *)
 
+type lane
+(** A FIFO stream of unit events that all run one action. See
+    {!lane_push}. *)
+
 type t = private {
   queue : timer Event_queue.t;
   mutable now : float;
@@ -17,12 +21,18 @@ type t = private {
   mutable sample_period : float;
   mutable discarded : int;
   probes : Ebrc_telemetry.Telemetry.Probe.set;
+  mutable lanes : lane array;
+  mutable lane_min : lane;
+  mutable lane_count : int;
 }
 (** Exposed [private] (precedent: {!Timing_wheel.t}) so per-packet
     callers can read the clock as a direct field load
-    ([eng.Engine.now]): without flambda a cross-module call cannot be
-    inlined, and the simulator reads the clock several times per
-    event. [private] keeps every field read-only outside this module —
+    ([eng.Engine.now]), which costs the same under every build: without
+    flambda, ocamlopt inlines a small function across modules only when
+    the caller is compiled against the callee's [.cmx] without
+    [-opaque] (this repository's release build; see [dune-workspace]),
+    and the simulator reads the clock several times per event.
+    [private] keeps every field read-only outside this module —
     all mutation still goes through the API.
 
     [probes] is the run's telemetry probe set: the engine registers
@@ -30,16 +40,21 @@ type t = private {
     and per arm), [sim.events_fired] ([processed]),
     [sim.events_discarded] ([discarded]: popped entries of disarmed
     timers, and orphans), the [sim.queue_depth] level (stale timer
-    entries included) and the wheel's counts, and every component built
-    on the engine adds its own. *)
+    entries and lane entries included) and the wheel's counts, and every
+    component built on the engine adds its own.
+
+    [lanes] are the lanes pushed on this engine, [lane_min] the
+    non-empty one with the earliest head (an internal sentinel when all
+    are empty) and [lane_count] their queued entries. *)
 
 val create : unit -> t
-(** Every bounded-horizon event rides a two-level hierarchical
-    {!Timing_wheel}; the binary heap ([queue]) holds only overflow
-    events (far future, non-finite, or behind the wheel's cursor). The
-    wheel draws tie-break tickets from the heap's sequence counter and
-    extracts by exact (time, seq), so the dispatch order is the one a
-    pure binary heap would produce. *)
+(** Every bounded-horizon event not on a {!lane} rides a two-level
+    hierarchical {!Timing_wheel}; the binary heap ([queue]) holds only
+    overflow events (far future, non-finite, or behind the wheel's
+    cursor). The wheel and the lanes draw tie-break tickets from the
+    heap's sequence counter and the run loop extracts by exact
+    (time, seq), so the dispatch order is the one a pure binary heap
+    would produce. *)
 
 val now : t -> float
 val processed : t -> int
@@ -80,6 +95,35 @@ val schedule_unit : t -> at:float -> (unit -> unit) -> unit
 val schedule_after_unit : t -> delay:float -> (unit -> unit) -> unit
 (** Raises [Invalid_argument] if [delay] is negative or NaN — a
     negative delay would otherwise schedule into the simulated past. *)
+
+(** {2 Lanes}
+
+    A lane carries a stream of unit events whose times never decrease
+    in push order and which all run one action, such as a link's
+    service completions (one at a time) and its deliveries (a constant
+    delay after service). Its entries are a FIFO ring of
+    (time, ticket): a push appends, and only the head can be the next
+    event, so the stream never touches the timing wheel.
+
+    A lane entry dispatches exactly as the same event given to
+    {!schedule_unit} at the same moment would: {!lane_push} draws its
+    ticket from the shared counter at the point [schedule_unit] does,
+    and the run loop merges the earliest lane head with the wheel and
+    heap minima by (time, ticket). A lane entry that fires is a normal
+    event — it moves [now], counts in [sim.events_fired] and
+    [sim.queue_depth], calls the sampler and the advance hook, and
+    obeys [until] and the budgets. A lane belongs to the engine it is
+    first pushed on. *)
+
+val lane : (unit -> unit) -> lane
+(** An empty lane whose entries run the action. *)
+
+val lane_push : t -> lane -> at:float -> unit
+(** Queue one entry at [at]. Raises [Invalid_argument] if [at] is in
+    the past or NaN, or earlier than the lane's last queued entry. *)
+
+val lane_is_empty : lane -> bool
+(** Whether the lane has no queued entry. *)
 
 (** {2 Timers}
 

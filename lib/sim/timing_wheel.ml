@@ -27,7 +27,8 @@
    engine — and a cascade relinks entries between levels without
    copying a single payload. Handles are stored only for timer entries
    ([flags] gates the read), which spares the write barrier on the
-   unit-event majority (link, pacing and feedback streams).
+   unit-event majority (pacing, feedback and reverse-path streams; a
+   link's service and delivery streams ride engine lanes instead).
 
    Exactness: entries within one level-0 slot differ by < 2^-12 s but
    are compared by full (time, seq) when the minimum is extracted, so
@@ -267,18 +268,21 @@ let first_occ_from occ start =
 
 (* ------------------------------ push ------------------------------- *)
 
+(* Re-anchor an idle wheel at [now], so long gaps with nothing on the
+   wheel don't strand the cursor in the past. *)
+let[@inline] anchor t ~now =
+  if t.count0 = 0 && t.count1 = 0 then begin
+    let s1n = int_of_float (now *. l1_scale) in
+    if s1n > t.cur1 then t.cur1 <- s1n
+  end
+
 let fits t ~now ~at =
   if not (Float.is_finite at) then begin
     t.overflowed <- t.overflowed + 1;
     false
   end
   else begin
-    (* Re-anchor an idle wheel so long gaps with nothing on the wheel
-       don't strand the cursor in the past. *)
-    if t.count0 = 0 && t.count1 = 0 then begin
-      let s1n = int_of_float (now *. l1_scale) in
-      if s1n > t.cur1 then t.cur1 <- s1n
-    end;
+    anchor t ~now;
     let s1 = int_of_float (at *. l1_scale) in
     let ok = s1 >= t.cur1 && s1 - t.cur1 < n_slots in
     if not ok then t.overflowed <- t.overflowed + 1;
@@ -362,10 +366,7 @@ let try_push t q ~now ~at fire =
     false
   end
   else begin
-    if t.count0 = 0 && t.count1 = 0 then begin
-      let s1n = int_of_float (now *. l1_scale) in
-      if s1n > t.cur1 then t.cur1 <- s1n
-    end;
+    anchor t ~now;
     let s0 = int_of_float (at *. l0_scale) in
     let s1 = s0 asr l0_shift in
     if s1 >= t.cur1 && s1 - t.cur1 < n_slots then begin
@@ -414,6 +415,31 @@ let cascade t s1abs =
   t.floor_w <- 0;
   t.sorted_slot <- -1; (* level 0 now holds a fresh window's entries *)
   t.rotations <- t.rotations + 1
+
+(* The cursor moves of {!ensure} with level 0 empty, as if the
+   engine's lane entries — the earliest at [at] — were on the wheel:
+   none while [at] lies in level 0's span; otherwise to the nearer of
+   the first occupied level-1 slot (a cascade) and [at]'s slot (nothing
+   to move down, so level 0 stays empty). Either counts one rotation,
+   as the cascade of a slot holding those entries did. A finite [at]
+   is taken to be inside the horizon. *)
+let follow_lanes t ~at =
+  if Float.is_finite at then begin
+    let ls = int_of_float (at *. l1_scale) in
+    if ls > t.cur1 then begin
+      let s =
+        if t.count1 = 0 then max_int
+        else t.abs1.(first_occ_from t.occ1 ((t.cur1 + 1) land slot_mask))
+      in
+      if s <= ls then cascade t s
+      else begin
+        t.cur1 <- ls;
+        t.floor_w <- 0;
+        t.sorted_slot <- -1;
+        t.rotations <- t.rotations + 1
+      end
+    end
+  end
 
 (* (time, seq)-minimum of one slot list, published into the min cache
    together with its list predecessor (so {!drop_min} unlinks in O(1)

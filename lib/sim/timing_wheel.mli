@@ -21,12 +21,14 @@
     store its own timers without a dependency cycle.
 
     The record type is exposed [private] so the engine's run loop can
-    read the cached minimum as direct field loads: without flambda, a
-    cross-module call returning a [float] boxes its result, and the
-    scheduler peeks the minimum several times per event — that box was
-    measurable across a whole scenario. Call {!ensure} first; after it
-    returns (wheel non-empty), [min_time]/[min_seq]/[min_idx] are valid
-    until the next {!drop_min}.
+    read the cached minimum as direct field loads: a cross-module call
+    returning a [float] boxes its result unless it is inlined, and
+    without flambda that happens only for small functions compiled
+    without [-opaque]; the scheduler peeks the minimum several times per
+    event, and that box was measurable across a whole scenario. Call
+    {!ensure} first; after it returns (wheel non-empty),
+    [min_time]/[min_seq]/[min_idx] are valid until the next
+    {!drop_min}.
 
     Telemetry: [pushed], [rotations] (level-1 slots cascaded) and
     [overflowed] (events {!fits} rejected) are read through
@@ -113,6 +115,21 @@ val try_push :
     counter; on [false] {e no ticket was drawn} — the caller must draw
     the next counter value for its overflow entry, preserving global
     ticket order. *)
+
+val anchor : 'h t -> now:float -> unit
+(** Re-anchor the cursor at [now] if the wheel is empty, as {!fits}
+    does. The engine calls it when a lane entry is pushed with the
+    wheel and every lane empty, so that streams moved onto lanes leave
+    the cursor where it would be with their entries on the wheel. *)
+
+val follow_lanes : 'h t -> at:float -> unit
+(** With level 0 empty ([count0 = 0]) and the engine's earliest lane
+    entry at [at], move the cursor as {!ensure} would if the lane
+    entries were on the wheel: no move while [at] is in the current
+    level-1 span, else to the nearer of the first occupied level-1 slot
+    (cascading it) and [at]'s own slot. Counts a rotation when it
+    moves. Afterwards the wheel can hold the global minimum only if
+    level 0 is non-empty. *)
 
 val ensure : 'h t -> unit
 (** Locate the (time, seq)-minimum pending entry and publish it in

@@ -40,7 +40,21 @@ let arm t tm ~at =
            tm.pending <- None;
            tm.action ()))
 
-(* Tie-break tickets drawn so far: one per schedule and per arm. *)
+(* A lane modelled as what it stands for: every push a fresh unit
+   event running the lane's action, behind the engine's two push
+   checks (not in the past, not before the lane's last entry). *)
+type lane = { fire : unit -> unit; mutable last : float }
+
+let lane fire = { fire; last = neg_infinity }
+
+let lane_push t l ~at =
+  if not (at >= t.now && at >= l.last) then
+    invalid_arg "Heap_reference.lane_push: out-of-order time";
+  l.last <- at;
+  schedule_unit t ~at l.fire
+
+(* Tie-break tickets drawn so far: one per schedule, arm and lane
+   push. *)
 let tickets t = t.queue.EQ.next_seq
 
 let schedule_after_unit t ~delay fire =
@@ -48,15 +62,21 @@ let schedule_after_unit t ~delay fire =
     invalid_arg "Heap_reference.schedule_after_unit: negative delay";
   schedule_unit t ~at:(t.now +. delay) fire
 
-let run t =
+(* Like [Engine.run ~until]: an entry due after [until] stays queued,
+   and the clock moves to [until]. *)
+let run ?(until = infinity) t =
   let rec loop () =
-    match EQ.pop t.queue with
+    match EQ.peek_time t.queue with
     | None -> ()
-    | Some (time, (fire, h)) ->
-        if not h.cancelled then begin
-          t.now <- time;
-          fire ()
-        end;
-        loop ()
+    | Some time when time > until -> t.now <- until
+    | Some _ -> (
+        match EQ.pop t.queue with
+        | None -> ()
+        | Some (time, (fire, h)) ->
+            if not h.cancelled then begin
+              t.now <- time;
+              fire ()
+            end;
+            loop ())
   in
   loop ()

@@ -1,6 +1,6 @@
 (* Tests for the timing-wheel event core: dispatch-order equivalence
    with the pure-heap reference model (the bit-identity contract), for
-   one-shot events and for re-armable timers, wheel window edges
+   one-shot events, re-armable timers and FIFO lanes, wheel window edges
    (rollover, far-future overflow, behind-cursor reschedules after a
    salvaged abort), cancellation across cascades, the deferred timer
    re-insert's edge cases, and the pinned flock dispatch
@@ -22,7 +22,7 @@ module type SCHED = sig
   val schedule_unit : t -> at:float -> (unit -> unit) -> unit
   val schedule_after_unit : t -> delay:float -> (unit -> unit) -> unit
   val cancel : handle -> unit
-  val run : t -> unit
+  val run : ?until:float -> t -> unit
 
   type timer
 
@@ -30,6 +30,11 @@ module type SCHED = sig
   val arm : t -> timer -> at:float -> unit
   val disarm : timer -> unit
   val tickets : t -> int
+
+  type lane
+
+  val lane : (unit -> unit) -> lane
+  val lane_push : t -> lane -> at:float -> unit
 end
 
 module Wheel : SCHED with type t = E.t = struct
@@ -42,7 +47,7 @@ module Wheel : SCHED with type t = E.t = struct
   let schedule_unit = E.schedule_unit
   let schedule_after_unit = E.schedule_after_unit
   let cancel = E.disarm
-  let run e = ignore (E.run e : E.stop_reason)
+  let run ?until e = ignore (E.run ?until e : E.stop_reason)
 
   type timer = E.timer
 
@@ -50,11 +55,22 @@ module Wheel : SCHED with type t = E.t = struct
   let arm = E.arm
   let disarm = E.disarm
   let tickets e = e.E.queue.Ebrc.Event_queue.next_seq
+
+  type lane = E.lane
+
+  let lane = E.lane
+  let lane_push = E.lane_push
 end
 
 (* One step of a timer program: arm timer [k] [d] seconds ahead,
-   disarm it, or schedule a unit event [d] seconds ahead. *)
-type op = Arm of int * float | Disarm of int | Unit of float
+   disarm it, schedule a unit event [d] seconds ahead, or push onto
+   lane [j] [d] seconds after the later of now and the lane's last
+   entry. *)
+type op =
+  | Arm of int * float
+  | Disarm of int
+  | Unit of float
+  | Lane of int * float
 
 module Programs (S : SCHED) = struct
   (* Interpret one schedule program and return the dispatch log.
@@ -87,11 +103,18 @@ module Programs (S : SCHED) = struct
     List.rev !log
 
   (* Interpret one timer program: each (time, op) step runs from a unit
-     event at that time, on three timers. Timer 0 re-arms itself from
-     its own action (up to three times), so arms made while a timer
-     fires are covered too. Returns the (time, label) dispatch log, the
-     ticket count and the scheduler. *)
-  let run_timer_program steps =
+     event at that time, on three timers and two lanes. Timer 0
+     re-arms itself from its own action (up to three times), so arms
+     made while a timer fires are covered too. Lane 0 feeds lane 1
+     half a second later, as a link's server feeds its propagation
+     line, and lane 1 schedules a unit event a quarter second later,
+     as a delivery schedules the reverse path; each lane keeps its own
+     tail so every push is in order. With [until], the run first stops
+     there — leaving whatever is due later queued, lane entries
+     included — and the log marks the stop before the run resumes.
+     Returns the (time, label) dispatch log, the ticket count and the
+     scheduler. *)
+  let run_timer_program ?until steps =
     let e = S.create () in
     let log = ref [] in
     let note label = log := (S.now e, label) :: !log in
@@ -107,6 +130,26 @@ module Programs (S : SCHED) = struct
                 S.arm e timers.(0) ~at:(S.now e +. 0.25)
               end))
       timers;
+    let tails = Array.make 2 0.0 in
+    let lanes = Array.make 2 (S.lane ignore) in
+    let push j d =
+      let at = Float.max (S.now e +. d) tails.(j) in
+      tails.(j) <- at;
+      S.lane_push e lanes.(j) ~at
+    in
+    let fired = Array.make 2 0 in
+    lanes.(0) <-
+      S.lane (fun () ->
+          note (Printf.sprintf "lane 0 #%d" fired.(0));
+          fired.(0) <- fired.(0) + 1;
+          push 1 0.5);
+    lanes.(1) <-
+      S.lane (fun () ->
+          let n = fired.(1) in
+          note (Printf.sprintf "lane 1 #%d" n);
+          fired.(1) <- n + 1;
+          S.schedule_unit e ~at:(S.now e +. 0.25) (fun () ->
+              note (Printf.sprintf "after lane 1 #%d" n)));
     List.iteri
       (fun i (at, op) ->
         S.schedule_unit e ~at (fun () ->
@@ -115,8 +158,14 @@ module Programs (S : SCHED) = struct
             | Disarm k -> S.disarm timers.(k)
             | Unit d ->
                 S.schedule_unit e ~at:(S.now e +. d) (fun () ->
-                    note (Printf.sprintf "unit %d" i))))
+                    note (Printf.sprintf "unit %d" i))
+            | Lane (j, d) -> push j d))
       steps;
+    (match until with
+    | Some u ->
+        S.run ~until:u e;
+        log := (u, "until") :: !log
+    | None -> ());
     S.run e;
     (List.rev !log, S.tickets e, e)
 
@@ -213,6 +262,41 @@ let prop_timers_match_reference =
       in
       let wlog, wtickets, _ = On_wheel.run_timer_program steps in
       let hlog, htickets, _ = On_heap.run_timer_program steps in
+      wlog = hlog && wtickets = htickets)
+
+(* Random programs mixing FIFO lane pushes (some past the 16 s
+   horizon), unit events and timer arms, re-arms and disarms, at times
+   and delays quantized to 1/16 s: lane heads tie exactly with wheel
+   entries and with overflow-heap entries (steps past 16 s start on
+   the heap). Half the programs first run to a random [until] and stop
+   with entries — lane entries among them — still queued. The lanes
+   must dispatch like the unit events they stand for, and draw the
+   same tickets. *)
+let prop_lanes_match_reference =
+  QCheck.Test.make ~name:"lanes dispatch like unit events" ~count:300
+    QCheck.(
+      pair
+        (list_of_size
+           Gen.(int_range 1 60)
+           (quad (float_range 0.0 30.0) (int_range 0 5) (int_range 0 2)
+              (float_range 0.0 24.0)))
+        (option ~ratio:0.5 (float_range 0.0 40.0)))
+    (fun (raw, until) ->
+      let q x = float_of_int (int_of_float (x *. 16.0)) /. 16.0 in
+      let steps =
+        List.map
+          (fun (at, kind, k, d) ->
+            ( q at,
+              match kind with
+              | 0 -> Arm (k, q d)
+              | 1 -> Disarm k
+              | 2 -> Unit (q d)
+              | _ -> Lane (k land 1, if kind = 5 then q d else q (d /. 8.0)) ))
+          raw
+      in
+      let until = Option.map q until in
+      let wlog, wtickets, _ = On_wheel.run_timer_program ?until steps in
+      let hlog, htickets, _ = On_heap.run_timer_program ?until steps in
       wlog = hlog && wtickets = htickets)
 
 (* Same-instant burst: the events land in one level-0 slot, forcing
@@ -438,6 +522,95 @@ let test_budget_salvage_reschedule () =
     [ "a"; "late"; "b"; "c" ]
     (List.rev !log)
 
+(* ------------------------- lanes --------------------------- *)
+
+(* A lane head, a wheel entry and an overflow-heap entry all due at
+   20 s fire in ticket order, whichever structure holds each. A unit
+   event queued at 1 s is 19 s ahead, past the horizon, so it goes to
+   the heap; one queued at 10 s goes on the wheel; the lane entry is
+   pushed at either time, before or after the others. *)
+let test_lane_three_way_tie () =
+  let run_on (type s) (module S : SCHED with type t = s) (e : s) (at1, at10)
+      =
+    let log = ref [] in
+    let mark x () = log := x :: !log in
+    let l = S.lane (mark "lane") in
+    let queue = function
+      | "lane" -> S.lane_push e l ~at:20.0
+      | x -> S.schedule_unit e ~at:20.0 (mark x)
+    in
+    S.schedule_unit e ~at:1.0 (fun () -> List.iter queue at1);
+    S.schedule_unit e ~at:10.0 (fun () -> List.iter queue at10);
+    S.run e;
+    List.rev !log
+  in
+  List.iter
+    (fun ((at1, at10) as plan) ->
+      let w = run_on (module Wheel) (E.create ()) plan in
+      Alcotest.(check (list string)) "ticket order" (at1 @ at10) w;
+      Alcotest.(check (list string)) "same as reference"
+        (run_on (module H) (H.create ()) plan)
+        w)
+    [
+      ([ "lane"; "heap" ], [ "wheel" ]);
+      ([ "heap"; "lane" ], [ "wheel" ]);
+      ([ "heap" ], [ "wheel"; "lane" ]);
+    ]
+
+(* A rejected push raises [Invalid_argument] and changes nothing: no
+   ticket drawn, nothing queued. *)
+let test_lane_push_rejected () =
+  let e = E.create () in
+  let l = E.lane ignore in
+  E.lane_push e l ~at:2.0;
+  let rejects what at =
+    let tickets = e.E.queue.Ebrc.Event_queue.next_seq in
+    let pending = E.pending e in
+    (match E.lane_push e l ~at with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ());
+    Alcotest.(check int) (what ^ ": no ticket") tickets
+      e.E.queue.Ebrc.Event_queue.next_seq;
+    Alcotest.(check int) (what ^ ": nothing queued") pending (E.pending e)
+  in
+  rejects "before the lane's tail" 1.5;
+  rejects "NaN" Float.nan;
+  E.lane_push e l ~at:2.0;
+  E.schedule_unit e ~at:1.0 (fun () -> rejects "before now" 0.5);
+  ignore (E.run e);
+  Alcotest.(check int) "fired: the event and both lane entries" 3
+    e.E.processed
+
+(* Lane entries are ordinary events: they count in [pending] (the
+   [sim.queue_depth] gauge) while queued and in [processed] when they
+   fire, move the clock, reach the sampler and the advance hook, stop
+   at [until] and at [max_events], and never touch the wheel. *)
+let test_lane_entries_are_events () =
+  let e = E.create () in
+  let hooked = ref [] and sampled = ref [] and fired = ref [] in
+  E.set_advance_hook e (Some (fun time -> hooked := time :: !hooked));
+  E.set_sampler e ~period:1.0 (fun b -> sampled := b :: !sampled);
+  let l = E.lane (fun () -> fired := E.now e :: !fired) in
+  List.iter (fun at -> E.lane_push e l ~at) [ 0.5; 1.5; 1.5; 30.0 ];
+  Alcotest.(check int) "queued entries are pending" 4 (E.pending e);
+  Alcotest.(check int) "none on the wheel" 0 e.E.wheel.TW.pushed;
+  Alcotest.(check bool) "stopped at the horizon" true
+    (E.run ~until:1.0 e = E.Horizon_reached);
+  Alcotest.(check (float 0.0)) "clock at until" 1.0 (E.now e);
+  Alcotest.(check int) "three still queued" 3 (E.pending e);
+  Alcotest.(check bool) "event budget" true
+    (E.run ~max_events:2 e = E.Budget_exhausted);
+  Alcotest.(check int) "processed" 2 e.E.processed;
+  ignore (E.run e);
+  Alcotest.(check (list (float 0.0)))
+    "fired in order" [ 0.5; 1.5; 1.5; 30.0 ] (List.rev !fired);
+  Alcotest.(check (list (float 0.0))) "hook per entry" (List.rev !fired)
+    (List.rev !hooked);
+  Alcotest.(check (list (float 0.0))) "samples" [ 1.0; 2.0 ]
+    (List.rev !sampled);
+  Alcotest.(check int) "drained" 0 (E.pending e);
+  Alcotest.(check bool) "lane empty" true (E.lane_is_empty l)
+
 (* ------------------------- flock --------------------------- *)
 
 (* 500 periodic flows for 5 s at seed 7. The fingerprint folds every
@@ -452,7 +625,11 @@ let test_flock_fingerprints_agree () =
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_wheel_heap_identical; prop_timers_match_reference ]
+    [
+      prop_wheel_heap_identical;
+      prop_timers_match_reference;
+      prop_lanes_match_reference;
+    ]
 
 let () =
   Alcotest.run "wheel"
@@ -481,6 +658,13 @@ let () =
           Alcotest.test_case "deferred timer tie" `Quick test_deferred_tie;
           Alcotest.test_case "stale pop is silent" `Quick
             test_stale_pop_is_silent;
+        ] );
+      ( "lanes",
+        [
+          Alcotest.test_case "three-way tie" `Quick test_lane_three_way_tie;
+          Alcotest.test_case "push rejected" `Quick test_lane_push_rejected;
+          Alcotest.test_case "entries are events" `Quick
+            test_lane_entries_are_events;
         ] );
       ("properties", qsuite);
     ]
