@@ -47,7 +47,7 @@ test:
 # manifest with 2 workers to completion, resume over a partial store,
 # warm-resume with --workers 0, retry a task left with a stale failure
 # record, and assert the exit-code contract (0 = all published, 2 =
-# bad manifest, 124 = malformed environment knob).
+# bad manifest, 124 = malformed environment knob or flag value).
 serve-e2e: build
 	sh scripts/serve_ci.sh
 
@@ -59,26 +59,39 @@ chaos-e2e: build
 	sh scripts/chaos_ci.sh
 
 # Every figure as one batch, then every validation check as one batch,
-# cache off, on 1 and on 2 domains: each pair of outputs must be
-# byte-identical, and the figures must match the pinned md5 in
+# with no result store, on 1 and on 2 domains: each pair of outputs
+# must be byte-identical, and the figures must match the pinned md5 in
 # scripts/figures-all.md5 (a deliberate result change re-pins it).
 # The figure runs also stream their simulations: the per-run records
 # ("run": lines) must match too. The manifest record carries the job
 # count and the figure records wall time, so those lines are left out.
+# Then the result store: figure 17 with --store, cold and warm, prints
+# the same bytes as without a store, the warm run adds no record, and
+# the store scrubs clean.
 figures-e2e: build
-	rm -f figures-j1.stream figures-j2.stream
-	dune exec bin/ebrc_cli.exe -- figure all --no-cache -j 1 --stream figures-j1.stream --stream-wall 0 > figures-j1.out
-	dune exec bin/ebrc_cli.exe -- figure all --no-cache -j 2 --stream figures-j2.stream --stream-wall 0 > figures-j2.out
+	rm -rf figures-j1.stream figures-j2.stream figures-store
+	dune exec bin/ebrc_cli.exe -- figure all -j 1 --stream figures-j1.stream --stream-wall 0 > figures-j1.out
+	dune exec bin/ebrc_cli.exe -- figure all -j 2 --stream figures-j2.stream --stream-wall 0 > figures-j2.out
 	cmp figures-j1.out figures-j2.out
 	md5sum -c scripts/figures-all.md5
 	grep '"run":' figures-j1.stream > figures-j1.runs
 	grep '"run":' figures-j2.stream > figures-j2.runs
 	cmp figures-j1.runs figures-j2.runs
-	dune exec bin/ebrc_cli.exe -- validate --no-cache -j 1 > validate-j1.out
-	dune exec bin/ebrc_cli.exe -- validate --no-cache -j 2 > validate-j2.out
+	dune exec bin/ebrc_cli.exe -- validate -j 1 > validate-j1.out
+	dune exec bin/ebrc_cli.exe -- validate -j 2 > validate-j2.out
 	cmp validate-j1.out validate-j2.out
-	rm -f figures-j1.out figures-j2.out validate-j1.out validate-j2.out \
-	  figures-j1.stream figures-j2.stream figures-j1.runs figures-j2.runs
+	dune exec bin/ebrc_cli.exe -- figure 17 > figures-store-none.out
+	dune exec bin/ebrc_cli.exe -- figure 17 --store figures-store > figures-store-cold.out
+	n=$$(ls figures-store | grep -c '\.json$$'); test "$$n" -gt 0 && echo "$$n" > figures-store.count
+	dune exec bin/ebrc_cli.exe -- figure 17 --store figures-store > figures-store-warm.out
+	ls figures-store | grep -c '\.json$$' | cmp - figures-store.count
+	cmp figures-store-none.out figures-store-cold.out
+	cmp figures-store-cold.out figures-store-warm.out
+	dune exec bin/ebrc_cli.exe -- scrub figures-store
+	rm -rf figures-j1.out figures-j2.out validate-j1.out validate-j2.out \
+	  figures-j1.stream figures-j2.stream figures-j1.runs figures-j2.runs \
+	  figures-store figures-store-none.out figures-store-cold.out \
+	  figures-store-warm.out figures-store.count
 
 # The sweep service end to end, human-sized: write a demo manifest,
 # serve it with 2 workers (live fleet progress), then re-serve to show
@@ -156,7 +169,7 @@ telemetry-demo:
 # still going, the same command in another terminal shows live
 # progress and `--once` emits machine-readable JSON).
 status-demo:
-	dune exec bin/ebrc_cli.exe -- figure 17 --no-cache --stream ebrc.stream
+	dune exec bin/ebrc_cli.exe -- figure 17 --stream ebrc.stream
 	dune exec bin/ebrc_cli.exe -- status ebrc.stream
 	@echo
 	@echo "ebrc.stream : self-describing JSONL (meta/manifest/figure/delta"

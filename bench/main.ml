@@ -30,9 +30,9 @@ let quick = Sys.getenv_opt "EBRC_BENCH_FULL" <> Some "1"
 (* EBRC_BENCH_ONLY=sweep|serve|wheel|scale: a single measurement block,
    no JSON — for iterating on the pool, the fleet, the scheduler or the
    hybrid engine without a full bench run. Unset or empty runs the full
-   bench. EBRC_JOBS is read by Pool.default_jobs (unset: all cores).
-   Either knob malformed fails here, before anything is measured or
-   written. *)
+   bench. EBRC_JOBS=N sizes the domain pool (unset, empty or 0: one
+   domain per core). Either knob malformed fails here, before anything
+   is measured or written. *)
 type only = Sweep | Serve | Wheel | Scale
 
 let only, jobs =
@@ -45,7 +45,11 @@ let only, jobs =
   in
   match
     let only = Ebrc_obs.Env.knob ~empty:None "EBRC_BENCH_ONLY" parse in
-    (Option.join only, Ebrc.Pool.default_jobs ())
+    let jobs = Ebrc_obs.Env.knob ~empty:0 "EBRC_JOBS" (Ebrc_obs.Env.int ~min:0) in
+    ( Option.join only,
+      match jobs with
+      | Some n when n > 0 -> n
+      | _ -> Domain.recommended_domain_count () )
   with
   | knobs -> knobs
   | exception Invalid_argument msg ->
@@ -58,7 +62,7 @@ let only, jobs =
 
 (* Each figure runs as a batch of its own, so its seconds are what
    `ebrc figure <id>` costs in a fresh process: nothing carries over
-   from an earlier figure unless EBRC_CACHE_DIR names a store. *)
+   from an earlier figure. *)
 let regenerate_figures () =
   Printf.printf
     "#############################################################\n\
@@ -609,7 +613,6 @@ let measure_parallel_sweep () =
   let fig = "all" in
   let par_jobs = max 2 (min 4 jobs) in
   let reps = 5 in
-  Ebrc.Result_cache.set_dir None;
   Printf.printf
     "#############################################################\n\
      # Parallel figure batch: figure %s at 1 vs %d jobs (best of %d)\n\

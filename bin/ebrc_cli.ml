@@ -29,7 +29,7 @@ let jobs_arg =
           "Run sweep points on $(docv) worker domains (0 = one per \
            available core). Output is identical for every $(docv).")
 
-let resolve_jobs = function 0 -> Ebrc.Pool.default_jobs () | n -> n
+let resolve_jobs = function 0 -> Domain.recommended_domain_count () | n -> n
 
 (* Shared telemetry sinks: any of these flags turns recording on for
    the duration of the command; sinks are flushed on the way out, even
@@ -64,18 +64,18 @@ let telemetry_args =
     const (fun jsonl trace summary -> (jsonl, trace, summary))
     $ jsonl $ trace $ summary)
 
-(* Scenario result store: on when EBRC_CACHE_DIR names one;
-   --no-cache forces every run. *)
-let no_cache_arg =
+(* Scenario result store: off unless --store names one. *)
+let store_arg =
   Arg.(
-    value & flag
-    & info [ "no-cache" ]
+    value
+    & opt (some string) None
+    & info [ "store" ] ~docv:"DIR"
         ~doc:
-          "Bypass the on-disk scenario result store (EBRC_CACHE_DIR) \
-           and simulate every distinct scenario (outputs are \
-           byte-identical either way).")
-
-let apply_cache no_cache = if no_cache then Ebrc.Result_cache.set_dir None
+          "Load scenario results from, and publish them to, the \
+           content-addressed result store in $(docv) (the store `ebrc \
+           serve --store` uses; created on first write). Without it \
+           every distinct scenario is simulated. Outputs are \
+           byte-identical either way.")
 
 (* Watchdog budgets (opt-in): cap every Engine.run in the process.
    Exceeding a budget raises Engine.Budget_exceeded — combine with
@@ -94,8 +94,7 @@ let budget_args =
       & info [ "sim-budget" ] ~docv:"SECONDS"
           ~doc:
             "Abort any single simulation that schedules past $(docv) \
-             simulated seconds (raises Budget_exceeded; see also \
-             EBRC_SIM_BUDGET).")
+             simulated seconds (raises Budget_exceeded).")
   in
   let wall =
     Arg.(
@@ -104,8 +103,7 @@ let budget_args =
       & info [ "wall-budget" ] ~docv:"SECONDS"
           ~doc:
             "Abort any single simulation that runs longer than $(docv) \
-             wall-clock seconds (raises Budget_exceeded; see also \
-             EBRC_WALL_BUDGET).")
+             wall-clock seconds (raises Budget_exceeded).")
   in
   Term.(const (fun sim wall -> (sim, wall)) $ sim $ wall)
 
@@ -154,10 +152,13 @@ let with_telemetry (jsonl, trace, summary) f =
 
 (* Live observability: --stream starts the JSONL telemetry stream
    (tail it with `ebrc status`), --flight arms the crash flight
-   recorder. Both also honour their env knobs (EBRC_STREAM,
-   EBRC_STREAM_PERIOD, EBRC_STREAM_WALL, EBRC_FLIGHT) so a wrapper
-   script can arm them without touching the command line. *)
+   recorder. A period that is not a finite number >= 0 is a usage
+   error naming its flag. *)
 let obs_args =
+  let seconds_conv =
+    let parse s = Result.map_error (fun m -> `Msg m) (Ebrc_obs.Env.seconds s) in
+    Arg.conv ~docv:"SECONDS" (parse, Format.pp_print_float)
+  in
   let stream =
     Arg.(
       value
@@ -166,25 +167,24 @@ let obs_args =
           ~doc:
             "Enable telemetry and append live progress records (JSON lines) \
              to $(docv) while the command runs; watch with `ebrc status \
-             $(docv)`. See also EBRC_STREAM.")
+             $(docv)`.")
   in
   let period =
     Arg.(
-      value & opt float 1.0
+      value & opt seconds_conv 1.0
       & info [ "stream-period" ] ~docv:"SECONDS"
           ~doc:
             "Simulated-time sampling period for per-run delta records (0 \
              disables sim-time sampling; the stream stays deterministic \
-             for any value). See also EBRC_STREAM_PERIOD.")
+             for any value).")
   in
   let wall =
     Arg.(
-      value & opt float 0.5
+      value & opt seconds_conv 0.5
       & info [ "stream-wall" ] ~docv:"SECONDS"
           ~doc:
             "Wall-clock period for pool progress records (0 disables them; \
-             required for byte-identical streams). See also \
-             EBRC_STREAM_WALL.")
+             required for byte-identical streams).")
   in
   let flight =
     Arg.(
@@ -193,7 +193,7 @@ let obs_args =
           ~doc:
             "Arm the flight recorder: on a watchdog kill, failed task or \
              crash, dump recent events and counters to \
-             flight-<ts>.jsonl. See also EBRC_FLIGHT.")
+             flight-<ts>.jsonl.")
   in
   Term.(
     const (fun stream period wall flight -> (stream, period, wall, flight))
@@ -209,17 +209,13 @@ let finalize_stream_once =
     end
 
 let with_observability ~cmd ~attrs (stream, period, wall, flight) f =
-  let stream_on =
-    match stream with
-    | Some path ->
-        Ebrc.Telemetry_stream.enable ~path ~period_sim:period
-          ~period_wall:wall;
-        true
-    | None -> Ebrc.Telemetry_stream.enable_from_env ()
-  in
-  if flight then Ebrc.Telemetry_flight.set_enabled true
-  else ignore (Ebrc.Telemetry_flight.enable_from_env () : bool);
-  if not (stream_on || Ebrc.Telemetry_flight.active ()) then f ()
+  let stream_on = stream <> None in
+  Option.iter
+    (fun path ->
+      Ebrc.Telemetry_stream.enable ~path ~period_sim:period ~period_wall:wall)
+    stream;
+  if flight then Ebrc.Telemetry_flight.set_enabled true;
+  if not (stream_on || flight) then f ()
   else begin
     let stream_path = Ebrc.Telemetry_stream.path () in
     Ebrc.Telemetry.set_enabled true;
@@ -286,11 +282,11 @@ let figure_cmd =
       & opt (some dir) None
       & info [ "csv" ] ~docv:"DIR" ~doc:"Also write each table as CSV into $(docv).")
   in
-  let run id full csv jobs no_cache keep_going budgets telem obs =
+  let run id full csv jobs store keep_going budgets telem obs =
     let quick = not full in
     require_known_ids ~valid:(Ebrc.Figures.ids () @ [ "all" ]) [ id ];
     try
-      apply_cache no_cache;
+      Ebrc.Result_cache.set_dir store;
       apply_budgets budgets;
       let jobs = resolve_jobs jobs in
       with_observability ~cmd:"figure"
@@ -329,7 +325,7 @@ let figure_cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ id $ full $ csv $ jobs_arg $ no_cache_arg
+        (const run $ id $ full $ csv $ jobs_arg $ store_arg
        $ keep_going_arg $ budget_args $ telemetry_args
        $ obs_args))
 
@@ -603,9 +599,9 @@ let report_cmd =
       value & flag
       & info [ "full" ] ~doc:"Paper-scale sweeps instead of quick mode.")
   in
-  let run out ids full jobs no_cache keep_going budgets telem obs =
+  let run out ids full jobs store keep_going budgets telem obs =
     require_known_ids ~valid:(Ebrc.Figures.ids ()) ids;
-    apply_cache no_cache;
+    Ebrc.Result_cache.set_dir store;
     apply_budgets budgets;
     let jobs = resolve_jobs jobs in
     with_observability ~cmd:"report"
@@ -635,7 +631,7 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:"Regenerate figures into a self-contained markdown report.")
     Term.(
-      const run $ out $ ids $ full $ jobs_arg $ no_cache_arg $ keep_going_arg
+      const run $ out $ ids $ full $ jobs_arg $ store_arg $ keep_going_arg
       $ budget_args $ telemetry_args $ obs_args)
 
 (* --- validate: assert the paper's qualitative claims --- *)
@@ -646,8 +642,8 @@ let validate_cmd =
       value & flag
       & info [ "full" ] ~doc:"Run the long (paper-scale) validations.")
   in
-  let run full jobs no_cache telem obs =
-    apply_cache no_cache;
+  let run full jobs store telem obs =
+    Ebrc.Result_cache.set_dir store;
     let jobs = resolve_jobs jobs in
     with_observability ~cmd:"validate"
       ~attrs:
@@ -672,7 +668,7 @@ let validate_cmd =
           gate).")
     Term.(
       ret
-        (const run $ full $ jobs_arg $ no_cache_arg $ telemetry_args
+        (const run $ full $ jobs_arg $ store_arg $ telemetry_args
        $ obs_args))
 
 (* --- status: tail live telemetry streams --- *)
@@ -680,11 +676,9 @@ let validate_cmd =
 let status_cmd =
   let files =
     Arg.(
-      value & pos_all string []
+      non_empty & pos_all string []
       & info [] ~docv:"STREAM"
-          ~doc:
-            "Stream file(s) written by a running --stream invocation \
-             (default: $EBRC_STREAM).")
+          ~doc:"Stream file(s) written by a running --stream invocation.")
   in
   let once =
     Arg.(
@@ -699,18 +693,7 @@ let status_cmd =
           ~doc:"Refresh period of the live view.")
   in
   let run files once interval =
-    let files =
-      match files with
-      | [] -> (
-          match Ebrc.Telemetry_stream.env_config () with
-          | Some (p, _, _) -> [ p ]
-          | None -> [])
-      | fs -> fs
-    in
-    if files = [] then
-      `Error
-        (false, "no stream file: pass one or set EBRC_STREAM (see --stream)")
-    else if interval <= 0.0 then `Error (false, "interval must be > 0")
+    if interval <= 0.0 then `Error (false, "interval must be > 0")
     else begin
       let read f =
         match Ebrc_obs.Status.read_file f with
@@ -807,7 +790,7 @@ let bench_trend_cmd =
 (* --- manifest / serve / worker: the multi-process sweep service --- *)
 
 (* Shared by serve / worker / scrub: arm the deterministic I/O fault
-   shim (equivalent to EBRC_CHAOS=<seed>, and overriding it). *)
+   shim. Any integer arms it, 0 included. *)
 let chaos_arg =
   Arg.(
     value
@@ -817,12 +800,7 @@ let chaos_arg =
           "Arm the deterministic chaos layer: injected EIO/ENOSPC, torn \
            writes, lost fsync and lease clock skew on every queue and \
            store write, scheduled from a PRNG stream under $(docv) so \
-           the run is replayable. Equivalent to EBRC_CHAOS=$(docv).")
-
-let apply_chaos seed =
-  match seed with
-  | None -> ()
-  | Some s -> Ebrc_chaos.Io_fault.set_seed (Some s)
+           the run is replayable. Any integer arms it, 0 included.")
 
 let manifest_cmd =
   let path =
@@ -948,7 +926,7 @@ let serve_cmd =
     else if ttl <= 0.0 then `Error (false, "ttl must be > 0")
     else if max_strikes < 1 then `Error (false, "max-strikes must be >= 1")
     else begin
-      apply_chaos chaos;
+      Ebrc_chaos.Io_fault.set_seed chaos;
       let d = Ebrc_serve.Serve.default ~manifest_path in
       let queue_dir = Option.value ~default:d.Ebrc_serve.Serve.queue_dir queue in
       let cfg =
@@ -1048,7 +1026,7 @@ let worker_cmd =
     else if poll <= 0.0 then `Error (false, "poll must be > 0")
     else begin
       apply_budgets budgets;
-      apply_chaos chaos;
+      Ebrc_chaos.Io_fault.set_seed chaos;
       let d = Ebrc_serve.Worker.default ~queue_dir:queue in
       let cfg =
         {
@@ -1110,7 +1088,7 @@ let scrub_cmd =
              $(i,STORE)/quarantine). Nothing is ever deleted.")
   in
   let run store quarantine chaos =
-    apply_chaos chaos;
+    Ebrc_chaos.Io_fault.set_seed chaos;
     if not (Sys.file_exists store) then
       `Error (false, Printf.sprintf "no such store: %s" store)
     else begin
@@ -1157,31 +1135,12 @@ let main =
       report_cmd; design_cmd; validate_cmd; status_cmd; bench_trend_cmd;
       manifest_cmd; serve_cmd; worker_cmd; scrub_cmd ]
 
-(* Every environment knob, decoded once before dispatch: a malformed
-   value prints "ebrc: <VAR>: <reason>" and exits 124, like a malformed
-   flag, whichever command runs. The process-wide defaults (chaos seed,
-   engine budgets) are applied here; the other knobs are read again
-   where they are used, with the same decoders. *)
-let apply_env_knobs () =
-  Ebrc_chaos.Io_fault.set_seed (Ebrc_chaos.Io_fault.seed_of_env ());
-  let budget var what =
-    Ebrc_obs.Env.knob var (Ebrc.Engine.parse_budget ~what)
-  in
-  Ebrc.Engine.set_sim_budget (budget "EBRC_SIM_BUDGET" "sim-time");
-  Ebrc.Engine.set_wall_budget (budget "EBRC_WALL_BUDGET" "wall-clock");
-  let cache = function
-    | "0" -> Ok false
-    | "1" -> Ok true
-    | v -> Error (Printf.sprintf "expected 0 or 1, got %S" v)
-  in
-  if Ebrc_obs.Env.knob ~empty:true "EBRC_CACHE" cache = Some false then
-    Ebrc.Result_cache.set_dir None;
-  ignore (Ebrc.Pool.default_jobs () : int);
-  ignore (Ebrc_serve.Task_queue.default_torn_grace () : float);
-  ignore (Ebrc.Telemetry_stream.env_config ())
-
+(* The one environment knob, EBRC_LEASE_GRACE, decoded before dispatch:
+   a malformed value prints "ebrc: EBRC_LEASE_GRACE: <reason>" and exits
+   124, like a malformed flag, whichever command runs. It is read again
+   where queues are opened, with the same decoder. *)
 let () =
-  match apply_env_knobs () with
+  match ignore (Ebrc_serve.Task_queue.default_torn_grace () : float) with
   | () -> exit (Cmd.eval main)
   | exception Invalid_argument msg ->
       Printf.eprintf "ebrc: %s\n%!" msg;

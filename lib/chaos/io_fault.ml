@@ -72,11 +72,6 @@ let stats () =
     clock_skews = Atomic.get c_skews;
   }
 
-let seed_of_env () =
-  match Ebrc_obs.Env.knob ~empty:0 "EBRC_CHAOS" Ebrc_obs.Env.int with
-  | Some 0 | None -> None
-  | s -> s
-
 let injected what path =
   Sys_error (Printf.sprintf "%s: chaos injected %s" path what)
 

@@ -5,8 +5,8 @@
     branch, and with no seed set each hook is byte-for-byte equivalent
     to the plain operation it wraps — [write] is [output_string],
     [now] is [Unix.gettimeofday], the guards are no-ops. Enabled by
-    [set_seed]; the [ebrc] CLI applies [EBRC_CHAOS=<seed>] (decoded by
-    {!seed_of_env}) before dispatch.
+    [set_seed]; the [ebrc] CLI's [--chaos SEED] arms it with any integer
+    seed, 0 included.
 
     When enabled, faults are scheduled from a dedicated
     {!Ebrc_rng.Prng.stream} under the chaos seed — the same discipline
@@ -30,12 +30,6 @@ val set_seed : int option -> unit
 
 val seed : unit -> int option
 (** The active chaos seed, if armed. *)
-
-val seed_of_env : unit -> int option
-(** The seed [EBRC_CHAOS] asks for: [None] when it is unset, empty or
-    ["0"] (chaos off).
-    @raise Invalid_argument naming [EBRC_CHAOS] when it is set to
-    anything but an integer. *)
 
 val enabled : unit -> bool
 

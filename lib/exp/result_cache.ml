@@ -70,9 +70,8 @@ let add c n = ignore (Atomic.fetch_and_add c n)
    v7: the key is the config's Codec bytes, stored as a JSON object. *)
 let code_version = "ebrc-scenario-v7"
 
-let dir_ref = ref (Sys.getenv_opt "EBRC_CACHE_DIR")
+let dir_ref = ref None
 let set_dir d = dir_ref := d
-let dir () = !dir_ref
 
 type stats = {
   disk_hits : int;
@@ -294,7 +293,7 @@ let decode_record s =
 
 (* ---------------------------- the store --------------------------- *)
 
-(* Every accessor takes an explicit directory: [run] passes [dir ()],
+(* Every accessor takes an explicit directory: [run] passes the [set_dir] one,
    and the sweep service (lib/serve) treats the store as the shared
    result backbone for many worker processes, so a publication is
    visible to every other process the instant the rename lands. *)

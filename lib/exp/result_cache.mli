@@ -17,16 +17,14 @@
     code reads as a miss (and as "stale version" to {!scrub}). *)
 
 val run : Scenario.config -> Scenario.result
-(** Exactly [Scenario.run] when no store is set ({!dir} is [None]).
+(** Exactly [Scenario.run] when no store is set (see {!set_dir}).
     Otherwise {!load_from}, and on a miss [Scenario.run] then
     {!store_to}. *)
 
 val set_dir : string option -> unit
-(** The store's location; [None] means no store. The default is
-    [EBRC_CACHE_DIR] when set; the CLI sets [None] for [--no-cache]
-    and [EBRC_CACHE=0]. The directory is created on first store. *)
-
-val dir : unit -> string option
+(** The store's location; [None] (the default) means no store. The
+    CLI sets it from [--store DIR]. The directory is created on first
+    store. *)
 
 val digest_of_config : Scenario.config -> string
 (** Hex MD5 of [Codec.encode cfg] — the on-disk record is
@@ -39,7 +37,7 @@ val serialize_result : Scenario.result -> string
 
 (** {2 Store as a service}
 
-    Explicit-directory accessors, used by {!run} with {!dir} and by the
+    Explicit-directory accessors, used by {!run} with the {!set_dir} store and by the
     multi-process sweep service (lib/serve): workers publish results
     into a shared store and serve watches it for completion. Nothing
     is kept in memory, so a long-running worker stays O(1). *)
@@ -101,7 +99,7 @@ type stats = {
   stores : int;      (** disk records written *)
   corrupt : int;     (** unreadable/mismatched disk records ignored *)
   store_errors : int;
-      (** failed disk writes (unwritable [EBRC_CACHE_DIR], full disk),
+      (** failed disk writes (unwritable store directory, full disk),
           counted per failure ([cache.store_errors]) and warned on the
           first; the run returns its result instead of raising
           mid-figure. *)

@@ -1,9 +1,9 @@
-(** Checked decoding of environment knobs ([EBRC_CACHE], [EBRC_CHAOS],
-    [EBRC_JOBS], [EBRC_LEASE_GRACE], [EBRC_SIM_BUDGET]/[EBRC_WALL_BUDGET],
-    [EBRC_STREAM_PERIOD]/[EBRC_STREAM_WALL], and the bench's
-    [EBRC_BENCH_ONLY]). A value the knob's parser
-    rejects fails at once, naming the variable, so a mistyped knob
-    never silently means its default. *)
+(** Checked decoding of environment knobs ([EBRC_LEASE_GRACE], and the
+    bench's [EBRC_JOBS] and [EBRC_BENCH_ONLY]). A value the knob's
+    parser rejects fails at once, naming the variable, so a mistyped
+    knob never silently means its default. The value decoders are
+    shared with the CLI's flags ([seconds] checks [--stream-period]
+    and [--stream-wall]). *)
 
 val knob : ?empty:'a -> string -> (string -> ('a, string) result) -> 'a option
 (** [knob ?empty var parse]: [None] when [var] is unset; [Some empty]

@@ -48,11 +48,6 @@ type t = {
   mutable closed : bool;
 }
 
-let default_jobs () =
-  match Ebrc_obs.Env.knob ~empty:0 "EBRC_JOBS" (Ebrc_obs.Env.int ~min:0) with
-  | Some n when n > 0 -> n
-  | _ -> Domain.recommended_domain_count ()
-
 let execute job =
   let continue = ref true in
   while !continue do
@@ -105,8 +100,8 @@ let worker_loop t =
     end
   done
 
-let create ?domains () =
-  let n_domains = max 1 (match domains with Some d -> d | None -> default_jobs ()) in
+let create ?(domains = Domain.recommended_domain_count ()) () =
+  let n_domains = max 1 domains in
   let t =
     {
       n_domains;
@@ -290,10 +285,8 @@ let shared_pools : (int, t) Hashtbl.t = Hashtbl.create 4
 let shared_lock = Mutex.create ()
 let shared_at_exit = ref false
 
-let shared ?domains () =
-  let n =
-    max 1 (match domains with Some d -> d | None -> default_jobs ())
-  in
+let shared ?(domains = Domain.recommended_domain_count ()) () =
+  let n = max 1 domains in
   Mutex.lock shared_lock;
   let pool =
     match Hashtbl.find_opt shared_pools n with

@@ -16,15 +16,10 @@ type t
 val create : ?domains:int -> unit -> t
 (** [create ~domains ()] spawns [domains - 1] worker domains (the
     caller participates in every job, so [domains] is the total
-    parallelism). [domains] defaults to {!default_jobs}[ ()] and is
+    parallelism). [domains] defaults to
+    [Domain.recommended_domain_count ()] and is
     clamped to at least 1; a pool of 1 spawns nothing and runs every
     job inline. *)
-
-val default_jobs : unit -> int
-(** The [EBRC_JOBS] environment variable if set to a positive integer,
-    else (unset, empty or ["0"]) [Domain.recommended_domain_count ()].
-    @raise Invalid_argument naming [EBRC_JOBS] when it is set to
-    anything else. *)
 
 (** {2 Crash isolation}
 

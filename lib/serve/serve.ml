@@ -147,8 +147,7 @@ let spawn_worker cfg ~queue ~index =
   (try Sys.remove stream with Sys_error _ -> ());
   let chaos_args =
     (* Forward chaos to spawned workers with per-worker derived seeds
-       so the fleet doesn't inject faults in lockstep. An inherited
-       EBRC_CHAOS env var is overridden by this flag in the child. *)
+       so the fleet doesn't inject faults in lockstep. *)
     match Chaos.seed () with
     | None -> []
     | Some s -> [ "--chaos"; string_of_int (s + (1009 * (index + 1))) ]

@@ -496,8 +496,7 @@ let parse_budget ~what s =
    budget. Orchestration guards, not simulation parameters: a run that
    stays within budget is bit-identical to an unbudgeted one, which is
    why budgets are deliberately absent from the result-cache key. The
-   CLI sets them from EBRC_SIM_BUDGET / EBRC_WALL_BUDGET before
-   dispatch. *)
+   CLI sets them from --sim-budget / --wall-budget. *)
 let default_sim_budget = ref None
 let default_wall_budget = ref None
 

@@ -210,17 +210,17 @@ exception
 val parse_budget : what:string -> string -> (float, string) result
 (** Parse a budget in seconds: a positive finite float. The error
     message names the budget kind [what] (["sim-time"] or
-    ["wall-clock"]); the CLI's [--sim-budget]/[--wall-budget] flags and
-    the env defaults share it. *)
+    ["wall-clock"]); the CLI's [--sim-budget]/[--wall-budget] flags use
+    it. *)
 
 val set_sim_budget : float option -> unit
 (** Process-wide default sim-time budget per [run] call, used when the
     call passes no explicit [?sim_budget] (initially [None]; the [ebrc]
-    CLI sets it from [EBRC_SIM_BUDGET]). [None] disables. Raises
+    CLI sets it from [--sim-budget]). [None] disables. Raises
     [Invalid_argument] on non-positive budgets. *)
 
 val set_wall_budget : float option -> unit
-(** Same for the wall-clock budget ([EBRC_WALL_BUDGET]). *)
+(** Same for the wall-clock budget ([--wall-budget]). *)
 
 val run :
   ?until:float -> ?max_events:int -> ?sim_budget:float ->

@@ -19,20 +19,8 @@ let last_path : string option ref = ref None
 let dump_count = ref 0
 
 let set_enabled b = Atomic.set enabled b
-let active () = Atomic.get enabled
 let set_dir d = locked (fun () -> dir := d)
 let last_dump () = locked (fun () -> !last_path)
-
-let enable_from_env () =
-  match Sys.getenv_opt "EBRC_FLIGHT" with
-  | None | Some "" | Some "0" -> false
-  | Some "1" ->
-      set_enabled true;
-      true
-  | Some d ->
-      set_dir d;
-      set_enabled true;
-      true
 
 let max_events = 512
 

@@ -11,15 +11,9 @@
     and the CLI wrapper may all see one exception on its way up. *)
 
 val set_enabled : bool -> unit
-val active : unit -> bool
 
 val set_dir : string -> unit
 (** Directory for dump files (default ["."]). *)
-
-val enable_from_env : unit -> bool
-(** Honour [EBRC_FLIGHT]: unset/empty/["0"] = off; ["1"] = on, dumps
-    in the current directory; any other value = on, value is the dump
-    directory. Returns whether the recorder was enabled. *)
 
 val on_exn : reason:string -> ?attrs:(string * string) list -> exn -> unit
 (** Record a dump for [exn] if the recorder is active and this exact

@@ -53,7 +53,6 @@ let emit record =
 (* Lifecycle.                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let active () = Atomic.get on
 let sim_active () = Atomic.get on && !sim_period_v > 0.0
 let sim_period () = !sim_period_v
 let path () = !path_v
@@ -94,28 +93,6 @@ let enable ~path:p ~period_sim ~period_wall =
         flush oc
       end);
   Atomic.set on true
-
-(* A malformed period fails at startup, naming the variable, rather
-   than silently streaming at the default. *)
-let period_of_env name default =
-  Option.value ~default
-    (Ebrc_obs.Env.knob ~empty:default name Ebrc_obs.Env.seconds)
-
-let env_config () =
-  match Sys.getenv_opt "EBRC_STREAM" with
-  | None | Some "" -> None
-  | Some p ->
-      Some
-        ( p,
-          period_of_env "EBRC_STREAM_PERIOD" 1.0,
-          period_of_env "EBRC_STREAM_WALL" 0.5 )
-
-let enable_from_env () =
-  match env_config () with
-  | None -> false
-  | Some (path, period_sim, period_wall) ->
-      enable ~path ~period_sim ~period_wall;
-      true
 
 (* ------------------------------------------------------------------ *)
 (* Non-run records.                                                    *)

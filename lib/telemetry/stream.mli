@@ -41,22 +41,9 @@ val enable : path:string -> period_sim:float -> period_wall:float -> unit
     the file is empty. Implies nothing about {!Telemetry.set_enabled}:
     callers turn the registry on themselves. *)
 
-val env_config : unit -> (string * float * float) option
-(** [(path, period_sim, period_wall)] from [EBRC_STREAM] (stream file
-    path; unset/empty = off, [None]), [EBRC_STREAM_PERIOD] (sim period,
-    default 1.0) and [EBRC_STREAM_WALL] (wall period, default 0.5).
-    @raise Invalid_argument naming the variable when a period is not
-    a finite number >= 0. *)
-
-val enable_from_env : unit -> bool
-(** {!enable} with {!env_config}; returns whether streaming was
-    enabled. *)
-
 val disable : unit -> unit
 (** Stop streaming and close the file (no reordering; see
     {!finalize}). Safe when not enabled. *)
-
-val active : unit -> bool
 
 val sim_active : unit -> bool
 (** Streaming is on {e and} sim-time sampling is wanted — the test a

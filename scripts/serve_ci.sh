@@ -6,7 +6,8 @@
 # store, re-serving retries a task left with a stale failure record,
 # a missing manifest exits 2, seeds above 2^53 stay exact, the
 # workers' telemetry streams read back as a finished, all-done fleet,
-# and a malformed environment knob is a usage error (exit 124).
+# and a malformed environment knob or stream period is a usage error
+# (exit 124).
 set -eu
 
 EBRC=_build/default/bin/ebrc_cli.exe
@@ -102,10 +103,12 @@ for N in $(grep -o '"sim.events_fired":[0-9]*' "$WORK/status.out" | cut -d: -f2)
 done
 [ "$FIRED" -gt 0 ] || fail "no sim.events_fired in the merged worker counters"
 
-# 8. Malformed environment knobs: whichever knob and command, the CLI
-#    prints "ebrc: <VAR>: <reason>" and exits 124 (a usage error), never
-#    an uncaught exception. The bench does the same ("bench: <VAR>:")
-#    before it measures or writes anything.
+# 8. Malformed environment knobs: the CLI's one knob, EBRC_LEASE_GRACE,
+#    prints "ebrc: <VAR>: <reason>" and exits 124 (a usage error) under
+#    any command, never an uncaught exception. The bench does the same
+#    ("bench: <VAR>:") before it measures or writes anything. A stream
+#    period that is negative, NaN or infinite is a usage error naming
+#    its flag, and no stream file is created.
 knob_case() {
   NAME=$1; PROG=$2; VAR=$3; VALUE=$4; shift 4
   set +e
@@ -119,15 +122,30 @@ knob_case() {
     fail "$VAR=$VALUE $NAME $* died with an uncaught exception"
   fi
 }
-knob_case ebrc "$EBRC" EBRC_CHAOS abc list
-knob_case ebrc "$EBRC" EBRC_SIM_BUDGET -1 list
-knob_case ebrc "$EBRC" EBRC_JOBS abc figure 1
-knob_case ebrc "$EBRC" EBRC_CACHE abc list
+knob_case ebrc "$EBRC" EBRC_LEASE_GRACE abc list
+knob_case ebrc "$EBRC" EBRC_LEASE_GRACE -1 figure 1
 BENCH=_build/default/bench/main.exe
 RECORDS=$(ls BENCH_*.json 2>/dev/null | wc -l)
 knob_case bench "$BENCH" EBRC_JOBS abc
 knob_case bench "$BENCH" EBRC_BENCH_ONLY wheels
 [ "$(ls BENCH_*.json 2>/dev/null | wc -l)" = "$RECORDS" ] \
   || fail "a malformed bench knob still wrote a BENCH record"
+period_case() {
+  FLAG=$1; VALUE=$2
+  set +e
+  "$EBRC" figure 1 --stream "$WORK/bad.stream" "$FLAG=$VALUE" >/dev/null 2>"$WORK/knob.err"
+  RC=$?
+  set -e
+  [ "$RC" = 124 ] || fail "$FLAG=$VALUE should exit 124, got $RC"
+  grep -q "^ebrc: option '$FLAG': " "$WORK/knob.err" \
+    || fail "$FLAG=$VALUE: no line naming the flag: $(cat "$WORK/knob.err")"
+  if grep -q "Fatal error" "$WORK/knob.err"; then
+    fail "$FLAG=$VALUE died with an uncaught exception"
+  fi
+  [ ! -e "$WORK/bad.stream" ] || fail "$FLAG=$VALUE still created the stream file"
+}
+period_case --stream-period -1
+period_case --stream-period inf
+period_case --stream-wall nan
 
-echo "serve_ci: OK (fresh sweep, partial resume byte-identical, warm resume, stale-failure retry, exit codes, exact large seeds, fleet telemetry, malformed env knobs)"
+echo "serve_ci: OK (fresh sweep, partial resume byte-identical, warm resume, stale-failure retry, exit codes, exact large seeds, fleet telemetry, malformed env knobs and stream periods)"

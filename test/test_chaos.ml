@@ -376,35 +376,12 @@ let test_flight_attrs () =
           Alcotest.(check bool) "reason in dump" true
             (has_sub body "worker.task"))
 
-(* EBRC_CHAOS: unset, empty and "0" mean off; a value that is not an
-   integer fails naming the variable instead of silently leaving chaos
-   off. *)
-let test_chaos_env_checked () =
-  let old = Option.value ~default:"" (Sys.getenv_opt "EBRC_CHAOS") in
-  Fun.protect ~finally:(fun () -> Unix.putenv "EBRC_CHAOS" old) @@ fun () ->
-  List.iter
-    (fun (v, want) ->
-      Unix.putenv "EBRC_CHAOS" v;
-      Alcotest.(check (option int)) (Printf.sprintf "%S" v) want
-        (Chaos.seed_of_env ()))
-    [ ("", None); ("0", None); ("42", Some 42); (" -7 ", Some (-7)) ];
-  List.iter
-    (fun v ->
-      Unix.putenv "EBRC_CHAOS" v;
-      Alcotest.check_raises v
-        (Invalid_argument
-           (Printf.sprintf "EBRC_CHAOS: expected an integer, got %S" v))
-        (fun () -> ignore (Chaos.seed_of_env ())))
-    [ "abc"; "4x"; "1.5" ]
-
 let () =
   Alcotest.run "chaos"
     [
       ( "shim",
         [
           Alcotest.test_case "off = inert" `Quick test_chaos_off_inert;
-          Alcotest.test_case "EBRC_CHAOS checked" `Quick
-            test_chaos_env_checked;
           Alcotest.test_case "seeded determinism" `Quick
             test_chaos_seeded_determinism;
         ] );

@@ -636,7 +636,6 @@ let test_validate_all_checks () =
       outcomes
   in
   with_clean_cache (fun () ->
-      RC.set_dir None;
       let j1 = V.run ~jobs:1 ~quick:true V.checks in
       let j4 = V.run ~jobs:4 ~quick:true V.checks in
       List.iter

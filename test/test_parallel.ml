@@ -173,35 +173,9 @@ let test_batch_determinism () =
          | id, Error _ -> Alcotest.failf "figure %s failed" id)
     |> String.concat "\n"
   in
-  let dir = Ebrc.Result_cache.dir () in
-  Ebrc.Result_cache.set_dir None;
-  Fun.protect
-    ~finally:(fun () -> Ebrc.Result_cache.set_dir dir)
-    (fun () ->
-      Alcotest.(check string)
-        "batch identical at jobs=1 and jobs=4" (batch_csv ~jobs:1)
-        (batch_csv ~jobs:4))
-
-(* EBRC_JOBS: unset, empty and "0" mean one domain per core; a value
-   that is not an integer >= 0 fails naming the variable instead of
-   silently using every core. *)
-let test_jobs_env_checked () =
-  let old = Option.value ~default:"" (Sys.getenv_opt "EBRC_JOBS") in
-  Fun.protect ~finally:(fun () -> Unix.putenv "EBRC_JOBS" old) @@ fun () ->
-  let cores = Domain.recommended_domain_count () in
-  List.iter
-    (fun (v, want) ->
-      Unix.putenv "EBRC_JOBS" v;
-      Alcotest.(check int) (Printf.sprintf "%S" v) want (Pool.default_jobs ()))
-    [ ("", cores); ("0", cores); ("3", 3); (" 2 ", 2) ];
-  List.iter
-    (fun v ->
-      Unix.putenv "EBRC_JOBS" v;
-      Alcotest.check_raises v
-        (Invalid_argument
-           (Printf.sprintf "EBRC_JOBS: expected an integer >= 0, got %S" v))
-        (fun () -> ignore (Pool.default_jobs ())))
-    [ "abc"; "-2"; "2.5" ]
+  Alcotest.(check string)
+    "batch identical at jobs=1 and jobs=4" (batch_csv ~jobs:1)
+    (batch_csv ~jobs:4)
 
 let () =
   Alcotest.run "parallel"
@@ -211,7 +185,6 @@ let () =
           Alcotest.test_case "init = Array.init (1/2/8 domains)" `Quick
             test_init_matches_sequential;
           Alcotest.test_case "init = Array.init" `Quick test_init;
-          Alcotest.test_case "EBRC_JOBS checked" `Quick test_jobs_env_checked;
           Alcotest.test_case "empty and singleton" `Quick
             test_empty_and_singleton;
           Alcotest.test_case "exception propagation" `Quick

@@ -232,34 +232,25 @@ let test_engine_wall_watchdog () =
       Alcotest.(check bool) "elapsed reported" true (at >= 0.0);
       Alcotest.(check bool) "aborted early" true (events < 1_000_000)
 
-(* A malformed env budget must not silently leave runs unbudgeted: it
-   fails with the --sim-budget flag's message, naming the variable. The
-   CLI reads EBRC_SIM_BUDGET / EBRC_WALL_BUDGET this way before
-   dispatch; empty and "0" are malformed too. *)
-let test_engine_budget_env () =
-  let var = "EBRC_TEST_ENV_BUDGET" in
-  let budget_of_env var =
-    Ebrc_obs.Env.knob var (E.parse_budget ~what:"sim-time")
-  in
-  Unix.putenv var "2.5";
-  Alcotest.(check (option (float 0.0)))
-    "valid value parses" (Some 2.5)
-    (budget_of_env var);
+(* The --sim-budget / --wall-budget decoder: a malformed budget is a
+   usage error with one of these messages, never a silently unbudgeted
+   run; empty and "0" are malformed too. *)
+let test_engine_budget_parse () =
+  Alcotest.(check (result (float 0.0) string))
+    "valid value parses" (Ok 2.5)
+    (E.parse_budget ~what:"sim-time" " 2.5 ");
   List.iter
     (fun (value, msg) ->
-      Unix.putenv var value;
-      Alcotest.check_raises value (Invalid_argument (var ^ ": " ^ msg))
-        (fun () -> ignore (budget_of_env var)))
+      Alcotest.(check (result (float 0.0) string))
+        value (Error msg)
+        (E.parse_budget ~what:"sim-time" value))
     [
       ("10s", "invalid sim-time budget \"10s\"");
       ("", "invalid sim-time budget \"\"");
       ("0", "sim-time budget must be a positive float");
       ("-1", "sim-time budget must be a positive float");
       ("inf", "sim-time budget must be a positive float");
-    ];
-  Alcotest.(check (option (float 0.0)))
-    "unset variable means no budget" None
-    (budget_of_env "EBRC_TEST_ENV_BUDGET_UNSET")
+    ]
 
 let test_engine_budget_defaults () =
   (* set_sim_budget installs a process-wide default that run picks up
@@ -514,7 +505,7 @@ let () =
             test_engine_wall_watchdog;
           Alcotest.test_case "budget defaults" `Quick
             test_engine_budget_defaults;
-          Alcotest.test_case "budget env parse" `Quick test_engine_budget_env;
+          Alcotest.test_case "budget parse" `Quick test_engine_budget_parse;
           Alcotest.test_case "self-scheduling chain" `Quick test_engine_self_scheduling_chain;
           Alcotest.test_case "simultaneous fifo" `Quick test_engine_simultaneous_fifo;
         ] );

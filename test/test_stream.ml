@@ -497,43 +497,6 @@ let test_flight_dedups_same_exn () =
   | None -> Alcotest.fail "first on_exn produced no dump");
   Alcotest.(check bool) "same exception dumps once" true (p1 = p2)
 
-(* A malformed or negative period fails when the stream is armed from
-   the environment, naming the variable, instead of falling back to
-   the default or raising from [enable]. *)
-let test_env_periods () =
-  scrub ();
-  let path = Filename.temp_file "ebrc_stream_env" ".jsonl" in
-  let periods = [ "EBRC_STREAM_PERIOD"; "EBRC_STREAM_WALL" ] in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun v -> Unix.putenv v "") ("EBRC_STREAM" :: periods);
-      scrub ();
-      Sys.remove path)
-  @@ fun () ->
-  Unix.putenv "EBRC_STREAM" path;
-  List.iter
-    (fun (var, value) ->
-      List.iter (fun v -> Unix.putenv v "") periods;
-      Unix.putenv var value;
-      Alcotest.check_raises (var ^ "=" ^ value)
-        (Invalid_argument
-           (Printf.sprintf
-              "%s: expected a finite number of seconds >= 0, got %S" var value))
-        (fun () -> ignore (Stream.enable_from_env ())))
-    [
-      ("EBRC_STREAM_PERIOD", "1s");
-      ("EBRC_STREAM_PERIOD", "-1");
-      ("EBRC_STREAM_WALL", "fast");
-      ("EBRC_STREAM_WALL", "-0.5");
-      ("EBRC_STREAM_WALL", "nan");
-    ];
-  Alcotest.(check bool) "nothing armed" false (Stream.active ());
-  Unix.putenv "EBRC_STREAM_PERIOD" "0.25";
-  Unix.putenv "EBRC_STREAM_WALL" "0";
-  Alcotest.(check bool) "well-formed values arm the stream" true
-    (Stream.enable_from_env ());
-  Alcotest.(check (float 0.0)) "sim period" 0.25 (Stream.sim_period ())
-
 let test_status_view () =
   let lines, _ = streamed_run () in
   let v = Ebrc_obs.Status.of_lines lines in
@@ -639,7 +602,6 @@ let () =
             test_counter_sections_pinned;
           Alcotest.test_case "finalize shuffled fixture" `Quick
             test_finalize_fixture;
-          Alcotest.test_case "env periods validated" `Quick test_env_periods;
         ] );
       ( "flight",
         [
