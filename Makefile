@@ -18,8 +18,12 @@ build:
 # release profile, under which dune compiles no lib/ module with
 # -opaque (the dev profile does, and then no cross-module call is ever
 # inlined), and restores the dev profile's compiler flags. Fails if a
-# lib/ module is compiled with -opaque or the default profile's OCaml
-# flags differ from the dev profile's.
+# lib/ module is compiled with -opaque, the default profile's OCaml
+# flags differ from the dev profile's, or an event-core caller object
+# in lib/sim, lib/net, lib/tcp or lib/tfrc still calls a function it
+# should inline (nm -u; each object must still name one call it keeps
+# out of line, so a changed symbol mangling cannot pass unchecked), or
+# a module other than Engine names the engine's clock cell.
 opaque-check:
 	sh scripts/opaque_check.sh
 
@@ -124,8 +128,9 @@ bench-scale:
 
 # Where the droptail kernel's time goes: ~5 s of the perfbench
 # droptail task in process, sampled every 100 us by a SIGPROF timer
-# and symbolised with nm; prints the top functions and per-module
-# shares. Linux (x86-64 or AArch64) with nm on the PATH; not part of ci.
+# and symbolised with nm; prints the minor words allocated per run and
+# per event, the top functions and per-module shares. Linux (x86-64 or
+# AArch64) with nm on the PATH; not part of ci.
 profile:
 	dune exec bench/profile.exe
 

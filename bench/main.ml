@@ -123,7 +123,7 @@ let bench_red_offer () =
   let rng = Ebrc.Prng.create ~seed:1 in
   Staged.stage (fun () ->
       for _ = 1 to 100 do
-        match offer q ~now:0.0 ~u:(Ebrc.Prng.float_unit rng) with
+        match offer q ~bytes:1000 ~now:0.0 ~u:(Ebrc.Prng.float_unit rng) with
         | Enqueue -> if occupancy q > 100 then departure q ~now:0.0
         | Drop -> ()
       done)

@@ -11,7 +11,10 @@
    independent executable (read from /proc/self/maps); samples outside
    the executable are charged to the mapping they fall in. Prints the
    top functions and the share of each module (OCaml compilation unit,
-   the OCaml runtime's C functions, other C code, shared libraries).
+   the OCaml runtime's C functions, other C code, shared libraries),
+   after the minor-heap allocation of the sampled runs: words per run
+   and per fired event (the event counts come from one telemetry-on
+   rerun of each seed, after sampling).
 
    Linux on x86-64 or AArch64; needs `nm` on the PATH. Run with
    `make profile`. *)
@@ -135,6 +138,31 @@ let classify name =
   else if n > 5 && String.sub name 0 5 = "caml_" then ("[ocaml runtime]", name)
   else ("[C]", name)
 
+(* ----------------------------- allocation ---------------------------- *)
+
+(* Events fired by the run of each seed in [seeds], from the engine's
+   [sim.events_fired] counter with telemetry on. *)
+let events_per_seed seeds =
+  let module Tm = Ebrc.Telemetry in
+  Tm.set_enabled true;
+  let counts =
+    List.map
+      (fun seed ->
+        Tm.reset ();
+        ignore (Ebrc.Scenario.run (config seed));
+        match
+          List.find_opt
+            (fun (s : Tm.snapshot) -> s.Tm.snap_name = "sim.events_fired")
+            (Tm.snapshot ())
+        with
+        | Some s -> s.Tm.count
+        | None -> 0)
+      seeds
+  in
+  Tm.set_enabled false;
+  Tm.reset ();
+  counts
+
 (* ------------------------------- report ------------------------------ *)
 
 let tally tbl key =
@@ -158,6 +186,7 @@ let () =
   let exe = Sys.executable_name in
   let t0 = Unix.gettimeofday () in
   let runs = ref 0 in
+  let words0 = Gc.minor_words () in
   prof_start interval_us;
   while Unix.gettimeofday () -. t0 < budget_s do
     ignore (Ebrc.Scenario.run (config (1 + (!runs mod 12))));
@@ -165,6 +194,15 @@ let () =
   done;
   let samples, lost = prof_stop () in
   let wall = Unix.gettimeofday () -. t0 in
+  let words = Gc.minor_words () -. words0 in
+  (* Run [i] used seed [1 + i mod 12]: seed k ran [runs / 12] times,
+     once more if [k <= runs mod 12]. *)
+  let events =
+    List.fold_left ( + ) 0
+      (List.mapi
+         (fun i n -> n * ((!runs / 12) + if i < !runs mod 12 then 1 else 0))
+         (events_per_seed (List.init 12 (fun i -> 1 + i))))
+  in
   let maps =
     In_channel.with_open_text "/proc/self/maps" In_channel.input_all
     |> String.split_on_char '\n'
@@ -206,5 +244,10 @@ let () =
     (1000.0 *. wall /. float_of_int (max 1 !runs));
   Printf.printf "%d samples at %d us (%d lost)\n" (Array.length samples)
     interval_us lost;
+  Printf.printf
+    "allocation: %.0f minor words/run, %.2f words/event (%.0f events/run)\n"
+    (words /. float_of_int (max 1 !runs))
+    (words /. float_of_int (max 1 events))
+    (float_of_int events /. float_of_int (max 1 !runs));
   print_table (Printf.sprintf "top %d functions" top_n) total by_fn top_n;
   print_table "modules" total by_mod max_int

@@ -349,7 +349,7 @@ let run cfg =
         Tfrc_receiver.set_feedback_sink tr
           (feedback_sink (fun pkt ->
                Engine.schedule_unit engine
-                 ~at:(engine.Engine.now +. rd)
+                 ~at:(Engine.now engine +. rd)
                  (fun () -> Tfrc_sender.on_packet ts pkt)));
         { ts; tr })
   in
@@ -369,7 +369,7 @@ let run cfg =
         Tcp_sender.set_transmit cs forward;
         (* Acks take the same constant reverse delay as feedback. *)
         Tcp_receiver.set_ack_sink cr (fun ~acked ~dup ~echo ->
-            Engine.schedule_unit engine ~at:(engine.Engine.now +. rd)
+            Engine.schedule_unit engine ~at:(Engine.now engine +. rd)
               (fun () -> Tcp_sender.on_ack cs ~acked ~dup ~echo));
         { cs; cr })
   in
@@ -414,7 +414,7 @@ let run cfg =
   in
   (* --- forward demux; cross traffic sinks silently --- *)
   Link.set_deliver last_link (fun pkt ->
-      let now = engine.Engine.now in
+      let now = Engine.now engine in
       let f = pkt.Packet.flow in
       if f < cfg.n_tfrc then Tfrc_receiver.on_data tfrc_flows.(f).tr pkt
       else if f < probe_flow then

@@ -103,10 +103,10 @@ let start_service t =
              evaluated at service start (piecewise-constant per
              packet, like the queue's own service model). *)
           Fluid.set_pkt_occupancy fl (Queue_discipline.occupancy t.queue);
-          Fluid.sync fl ~now:t.engine.Engine.now;
+          Fluid.sync fl ~now:(Engine.now t.engine);
           tx /. Fluid.fg_share fl
     in
-    Engine.lane_push t.engine t.server ~at:(t.engine.Engine.now +. tx)
+    Engine.lane_push t.engine t.server ~at:(Engine.now t.engine +. tx)
   end
 
 let create ~engine ~rate_bps ~delay ~queue ~rng =
@@ -146,12 +146,12 @@ let create ~engine ~rate_bps ~delay ~queue ~rng =
         t.deliver pkt);
   t.server <-
     Engine.lane (fun () ->
-        Queue_discipline.departure t.queue ~now:t.engine.Engine.now;
+        Queue_discipline.departure t.queue ~now:(Engine.now t.engine);
         let pkt = ring_get t.ring t.n_served in
         t.n_served <- t.n_served + 1;
         t.delivered <- t.delivered + 1;
         t.bytes_delivered <- t.bytes_delivered + pkt.Packet.size;
-        Engine.lane_push t.engine t.line ~at:(t.engine.Engine.now +. t.delay);
+        Engine.lane_push t.engine t.line ~at:(Engine.now t.engine +. t.delay);
         start_service t);
   t
 
@@ -170,7 +170,7 @@ let drop_pkt t ~now pkt =
   t.on_drop pkt
 
 let send t pkt =
-  let now = t.engine.Engine.now in
+  let now = Engine.now t.engine in
   match t.fluid with
   | None -> (
       let u = if t.needs_u then Ebrc_rng.Prng.float_unit t.rng else 0.0 in

@@ -33,7 +33,7 @@ let sent_at t = Array.unsafe_get t.f 0
 
 (* [ [| sent_at |] ] is an inline minor-heap allocation;
    [Float.Array.create] would be a C call per packet. *)
-let make ~flow ~seq ~size ~kind ~sent_at =
+let[@inline] make ~flow ~seq ~size ~kind ~sent_at =
   { flow; seq; size; kind; f = [| sent_at |] }
 
 let dummy = make ~flow:(-1) ~seq:(-1) ~size:1 ~kind:Data ~sent_at:0.0
@@ -42,14 +42,15 @@ let copy pkt =
   { flow = pkt.flow; seq = pkt.seq; size = pkt.size; kind = pkt.kind;
     f = [| Array.unsafe_get pkt.f 0 |] }
 
-let data ~flow ~seq ~size ~sent_at =
+let[@inline] data ~flow ~seq ~size ~sent_at =
   if size <= 0 then invalid_arg "Packet.data: size must be positive";
   make ~flow ~seq ~size ~kind:Data ~sent_at
 
 let ack ~flow ~seq ~acked ~dup ~sent_at =
   make ~flow ~seq ~size:40 ~kind:(Ack { acked; dup }) ~sent_at
 
-let feedback ~flow ~seq ~p_estimate ~recv_rate ~rtt_echo ~hold ~sent_at =
+let[@inline] feedback ~flow ~seq ~p_estimate ~recv_rate ~rtt_echo ~hold
+    ~sent_at =
   make ~flow ~seq ~size:40
     ~kind:(Feedback { p_estimate; recv_rate; rtt_echo; hold })
     ~sent_at

@@ -111,7 +111,7 @@ let average_queue t = t.avg
    it, so skipping draws there changes nothing observable). *)
 let needs_random t = match t.kind with Drop_tail -> false | Red _ -> true
 
-let update_avg t ~now =
+let[@inline] update_avg t ~now =
   match t.kind with
   | Drop_tail -> ()
   | Red p ->
@@ -128,8 +128,12 @@ let update_avg t ~now =
 
 (* Decide the fate of an arriving packet and update state when enqueued.
    [u] must be a fresh uniform (0,1) draw for RED randomisation;
-   [bytes] only matters for byte-mode RED. *)
-let offer ?(bytes = 1000) t ~now ~u =
+   [bytes] only matters for byte-mode RED. Inlined into the link's
+   send path, so the clock and the draw reach it unboxed; an optional
+   [?bytes] would keep the body out of line (the compiler splits an
+   optional-argument function into a wrapper and an inner body, and
+   inlines only the wrapper). *)
+let[@inline] offer t ~bytes ~now ~u =
   match t.kind with
   | Drop_tail ->
       if t.occupancy >= t.capacity then begin
@@ -192,7 +196,7 @@ let offer ?(bytes = 1000) t ~now ~u =
    (Fluid.queue_pkts). A separate entry point rather than a parameter
    on [offer], so the packet-only path above stays byte-for-byte the
    pre-hybrid code. *)
-let offer_fluid ?(bytes = 1000) t ~now ~u ~extra =
+let offer_fluid t ~bytes ~now ~u ~extra =
   match t.kind with
   | Drop_tail ->
       if float_of_int t.occupancy +. extra >= float_of_int t.capacity then begin
@@ -266,7 +270,7 @@ let offer_fluid ?(bytes = 1000) t ~now ~u ~extra =
       verdict
 
 (* A packet departed the queue (finished service). *)
-let departure t ~now =
+let[@inline] departure t ~now =
   if t.occupancy <= 0 then
     invalid_arg "Queue_discipline.departure: queue empty";
   t.occupancy <- t.occupancy - 1;

@@ -33,14 +33,14 @@ type t
 val create : ?service_rate:float -> capacity:int -> kind -> t
 (** [service_rate] (pkt/s) enables RED's idle-time average decay. *)
 
-val offer : ?bytes:int -> t -> now:float -> u:float -> decision
-(** Decide the fate of an arriving packet; [u] must be a fresh uniform
-    (0,1) draw when {!needs_random} is true (any value otherwise);
-    [bytes] (default 1000) only matters for byte-mode RED. Updates
+val offer : t -> bytes:int -> now:float -> u:float -> decision
+(** Decide the fate of an arriving packet of [bytes] bytes; [u] must be
+    a fresh uniform (0,1) draw when {!needs_random} is true (any value
+    otherwise); [bytes] only matters for byte-mode RED. Updates
     occupancy and counters when enqueued. *)
 
 val offer_fluid :
-  ?bytes:int -> t -> now:float -> u:float -> extra:float -> decision
+  t -> bytes:int -> now:float -> u:float -> extra:float -> decision
 (** Hybrid-path variant of {!offer}: the drop decision (DropTail wall,
     RED average and hard-full check) sees the queue depth inflated by
     [extra] — the fluid background backlog in packets. Only the

@@ -229,6 +229,34 @@ let of_lines lines =
   List.iter (add_line f) lines;
   view_of f
 
+(* The records the serve progress line reads: task rows, the event
+   rate (from progress records) and the finished flag. *)
+let fleet_shows = function
+  | "task" | "progress" | "stream_end" -> true
+  | _ -> false
+
+(* Every stream writer prints the type tag first, so a record's tag is
+   readable without decoding the record: [Some tag] for a line that
+   starts {"type":"tag", [None] for any other line. *)
+let type_prefix = {|{"type":"|}
+
+let record_tag line =
+  let n = String.length type_prefix in
+  if not (String.starts_with ~prefix:type_prefix line) then None
+  else
+    match String.index_from_opt line n '"' with
+    | None -> None
+    | Some e ->
+        let tag = String.sub line n (e - n) in
+        if String.contains tag '\\' then None else Some tag
+
+(* The supervisor's fold: a record whose leading tag the progress line
+   does not show is skipped undecoded; any other line is folded whole. *)
+let add_fleet_line f line =
+  match record_tag line with
+  | Some typ when not (fleet_shows typ) -> ()
+  | Some _ | None -> add_line f line
+
 (* Bytes of a growing file, folded a complete line at a time; the
    bytes after the last newline wait for the rest of their line. *)
 type tail = { tf : fold; mutable partial : string }
@@ -240,20 +268,21 @@ let feed t chunk =
   let rec go start =
     match String.index_from_opt s start '\n' with
     | Some nl ->
-        add_line t.tf (String.sub s start (nl - start));
+        add_fleet_line t.tf (String.sub s start (nl - start));
         go (nl + 1)
     | None -> t.partial <- String.sub s start (String.length s - start)
   in
   go 0
 
 (* A pending partial line is read the way [read_file] reads a last
-   line without its newline: folded on a copy, so a torn record counts
-   as skipped now and is folded whole once the rest arrives. *)
+   line without its newline: folded on a copy, so a torn record it
+   decodes counts as skipped now and is folded whole once the rest
+   arrives. *)
 let tail_view t =
   if String.trim t.partial = "" then view_of t.tf
   else begin
     let f = copy_fold t.tf in
-    add_line f t.partial;
+    add_fleet_line f t.partial;
     view_of f
   end
 

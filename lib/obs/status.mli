@@ -49,22 +49,29 @@ val of_lines : string list -> view
 
 (** {1 Incremental reading}
 
-    For a reader that polls a growing stream file: feed it only the
-    bytes appended since the last poll. *)
+    For the sweep supervisor, which polls each worker's growing stream
+    file: feed it only the bytes appended since the last poll. *)
 
 type tail
 (** A fold over a byte stream: every complete line is folded once,
-    the bytes after the last newline are held for the next {!feed}. *)
+    the bytes after the last newline are held for the next {!feed}.
+    It keeps only what the supervisor's progress line shows. It folds
+    [task], [progress] and [stream_end] records, and skips every other
+    record by its type tag (the first field every stream writer
+    prints) without decoding it. *)
 
 val tail : unit -> tail
+(** An empty fold. *)
 
 val feed : tail -> string -> unit
 (** Append bytes (any chunking, lines may span calls). *)
 
 val tail_view : tail -> view
-(** The view of every byte fed so far. It equals {!read_file} of a
-    file holding those bytes: a pending partial last line is read as
-    {!read_file} reads it (a torn record is one [skipped] line). *)
+(** The view of every byte fed so far. Its [tasks], [counters],
+    [event_rate], [task_rate], [eta], [t_progress] and [finished]
+    equal those of {!read_file} of a file holding those bytes (a
+    pending partial last line is read as {!read_file} reads it); its
+    [runs], [figures] and [manifest] stay empty. *)
 
 val merge : view list -> view
 (** Fold per-worker views into one fleet snapshot (the serve watcher

@@ -87,30 +87,20 @@ type lane = {
   mutable seqs : int array;
   mutable head : int;
   mutable len : int;
-  mutable joined : bool;  (* listed in its engine's [lanes] *)
+  mutable slot : int;  (* index in its engine's [lanes]; -1 = not listed *)
 }
 
 let lane fire =
   { fire; times = Array.make 8 0.0; seqs = Array.make 8 0; head = 0;
-    len = 0; joined = false }
-
-(* The engine's earliest lane when every lane is empty; compared by
-   address and never pushed to. *)
-let no_lane = lane ignore
+    len = 0; slot = -1 }
 
 type t = {
   queue : timer Event_queue.t;
-  mutable now : float;
-      (* Boxed field, deliberately: [now] is read (cross-module) far
-         more often than it is stored, and passing it on is just the
-         existing box. A one-cell floatarray read through an inlined
-         [now] spares the box and write barrier of each store, but
-         every clock value handed to an out-of-line callee
-         ([Queue_discipline.departure ~now], a packet's [sent_at], ...)
-         is then boxed afresh: in the release build it ran ~2% faster
-         in-process on the droptail dumbbell (median of 10 alternated
-         pairs, 6 wins: within the host's noise) while allocating 9%
-         more minor words. *)
+  clock : floatarray;
+      (* [0] = the clock. A cell, not a mutable float field: a float
+         field in this mixed record is a boxed pointer, so each fired
+         event would allocate a box and pay a write barrier to store
+         it. Read through the inlined {!now}. *)
   mutable processed : int;
   wheel : timer Timing_wheel.t;
   mutable advance_hook : float -> unit;
@@ -131,11 +121,14 @@ type t = {
       (* This run's probes: the engine's own counts, the wheel's, and
          those of every component built on this engine. *)
   mutable lanes : lane array;  (* every lane pushed on this engine *)
-  mutable lane_min : lane;
-      (* the non-empty lane whose head is earliest by (time, seq);
-         [no_lane] when all are empty *)
+  mutable lane_min : int;
+      (* index in [lanes] of the non-empty lane whose head is earliest
+         by (time, seq); -1 when all are empty. An int, so moving it
+         pays no write barrier. *)
   mutable lane_count : int;  (* entries queued on all lanes *)
 }
+
+let[@inline] now t = Float.Array.unsafe_get t.clock 0
 
 let pending t =
   Event_queue.size t.queue + Timing_wheel.count t.wheel + t.lane_count
@@ -144,7 +137,7 @@ let create () =
   let t =
     {
       queue = Event_queue.create ();
-      now = 0.0;
+      clock = Float.Array.make 1 0.0;
       processed = 0;
       wheel = Timing_wheel.create ~null:null_timer ();
       advance_hook = nop_hook;
@@ -155,7 +148,7 @@ let create () =
       discarded = 0;
       probes = Tm.Probe.create ();
       lanes = [||];
-      lane_min = no_lane;
+      lane_min = -1;
       lane_count = 0;
     }
   in
@@ -182,7 +175,7 @@ let set_sampler t ~period f =
     invalid_arg "Engine.set_sampler: period must be > 0 and finite";
   t.sampler <- f;
   t.sample_period <- period;
-  t.next_sample <- t.now +. period
+  t.next_sample <- now t +. period
 
 let clear_sampler t =
   t.sampler <- nop_hook;
@@ -206,16 +199,15 @@ let fire_sampler t time =
   t.next_sample <- !next;
   t.sampler b
 
-let now t = t.now
 let processed t = t.processed
 
-(* Cold path of the past/NaN check. The compare itself ([at >= t.now],
+(* Cold path of the past/NaN check. The compare itself ([at >= now t],
    which also rejects NaN) is inlined at each call site — without
    flambda a [check_at] helper would cost a call per schedule. *)
 let check_at_fail t at =
   invalid_arg
     (Printf.sprintf "Engine.schedule: time %g is in the past (now %g)" at
-       t.now)
+       (now t))
 
 (* Unit events: the [fits] check runs before any ticket is drawn — a
    wheel-accepted event takes its ticket from the heap's [next_seq]
@@ -224,9 +216,10 @@ let check_at_fail t at =
    regardless of destination, which is the whole dispatch-order
    argument. On the heap a unit event rides a fresh timer, armed and
    queued at its ticket. *)
-let schedule_unit t ~at fire =
-  if not (at >= t.now) then check_at_fail t at;
-  if not (Timing_wheel.try_push t.wheel t.queue ~now:t.now ~at fire) then begin
+let[@inline] schedule_unit t ~at fire =
+  if not (at >= now t) then check_at_fail t at;
+  if not (Timing_wheel.try_push t.wheel t.queue ~now:(now t) ~at fire)
+  then begin
     let q = t.queue in
     let seq = q.Event_queue.next_seq in
     q.Event_queue.next_seq <- seq + 1;
@@ -238,10 +231,10 @@ let schedule_unit t ~at fire =
 
 (* Queue [tm]'s live entry at (at, seq): the wheel when it fits, the
    overflow heap otherwise. *)
-let enqueue t tm ~at ~seq =
+let[@inline] enqueue t tm ~at ~seq =
   tm.entry <- seq;
   Float.Array.unsafe_set tm.at 1 at;
-  if Timing_wheel.fits t.wheel ~now:t.now ~at then
+  if Timing_wheel.fits t.wheel ~now:(now t) ~at then
     Timing_wheel.push t.wheel ~time:at ~seq tm.action tm
   else Event_queue.push_seq t.queue ~time:at ~seq tm
 
@@ -249,8 +242,8 @@ let enqueue t tm ~at ~seq =
    due no later than the new deadline stays where it is and re-inserts
    itself at (deadline, ticket) when it pops; an earlier deadline needs
    a fresh entry, and the old one is orphaned. *)
-let arm t tm ~at =
-  if not (at >= t.now) then check_at_fail t at;
+let[@inline] arm t tm ~at =
+  if not (at >= now t) then check_at_fail t at;
   let q = t.queue in
   let seq = q.Event_queue.next_seq in
   q.Event_queue.next_seq <- seq + 1;
@@ -267,22 +260,24 @@ let schedule t ~at fire =
 (* A negative delay would silently schedule into the simulated past and
    a NaN delay would poison queue ordering; both are caller bugs, so
    reject loudly rather than clamp. [not (delay >= 0)] catches both. *)
-let check_delay delay =
-  if not (delay >= 0.0) then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule_after: negative or NaN delay %g" delay)
+let check_delay_fail delay =
+  invalid_arg
+    (Printf.sprintf "Engine.schedule_after: negative or NaN delay %g" delay)
 
-let arm_after t tm ~delay =
+let[@inline] check_delay delay =
+  if not (delay >= 0.0) then check_delay_fail delay
+
+let[@inline] arm_after t tm ~delay =
   check_delay delay;
-  arm t tm ~at:(t.now +. delay)
+  arm t tm ~at:(now t +. delay)
 
 let schedule_after t ~delay fire =
   check_delay delay;
-  schedule t ~at:(t.now +. delay) fire
+  schedule t ~at:(now t +. delay) fire
 
 let schedule_after_unit t ~delay fire =
   check_delay delay;
-  schedule_unit t ~at:(t.now +. delay) fire
+  schedule_unit t ~at:(now t +. delay) fire
 
 let disarm tm = tm.ticket <- -1
 let armed tm = tm.ticket >= 0
@@ -296,6 +291,9 @@ let lane_order_fail l at =
   invalid_arg
     (Printf.sprintf "Engine.lane_push: time %g is before the lane's last \
                      entry %g" at last)
+
+let lane_foreign_fail () =
+  invalid_arg "Engine.lane_push: the lane belongs to another engine"
 
 let lane_grow l =
   let cap = Array.length l.seqs in
@@ -314,30 +312,40 @@ let lane_grow l =
    the earliest if its new head is. A fresh ticket is larger than every
    queued one, so only a strictly earlier time wins. *)
 let lane_started t l =
-  if not l.joined then begin
-    l.joined <- true;
+  if l.slot < 0 then begin
+    l.slot <- Array.length t.lanes;
     t.lanes <- Array.append t.lanes [| l |]
   end;
-  if t.lane_count = 1 then Timing_wheel.anchor t.wheel ~now:t.now;
+  if t.lane_count = 1 then Timing_wheel.anchor t.wheel ~now:(now t);
   let m = t.lane_min in
   if
-    m == no_lane
-    || Array.unsafe_get l.times l.head < Array.unsafe_get m.times m.head
-  then t.lane_min <- l
+    m < 0
+    || Array.unsafe_get l.times l.head
+       < (let ml = Array.unsafe_get t.lanes m in
+          Array.unsafe_get ml.times ml.head)
+  then t.lane_min <- l.slot
 
 (* The ticket is drawn where [schedule_unit] draws it for a
    wheel-accepted event: after the checks, before anything is queued.
-   Inlined, so the caller's [at] stays an unboxed float; the rare
+   A lane listed on another engine is refused when it starts (it is
+   empty), before it could become this engine's [lane_min]: its [slot]
+   indexes the other engine's [lanes]. Inlined, so the caller's [at] stays an unboxed float; the rare
    paths are out of line. *)
 let[@inline] lane_push t l ~at =
-  if not (at >= t.now) then check_at_fail t at;
+  if not (at >= now t) then check_at_fail t at;
   let n = l.len in
-  if
-    n > 0
-    && at
-       < Array.unsafe_get l.times
-           ((l.head + n - 1) land (Array.length l.seqs - 1))
-  then lane_order_fail l at;
+  if n > 0 then begin
+    if
+      at
+      < Array.unsafe_get l.times
+          ((l.head + n - 1) land (Array.length l.seqs - 1))
+    then lane_order_fail l at
+  end
+  else if
+    l.slot >= 0
+    && (l.slot >= Array.length t.lanes
+        || Array.unsafe_get t.lanes l.slot != l)
+  then lane_foreign_fail ();
   if n = Array.length l.seqs then lane_grow l;
   let q = t.queue in
   let seq = q.Event_queue.next_seq in
@@ -349,35 +357,43 @@ let[@inline] lane_push t l ~at =
   t.lane_count <- t.lane_count + 1;
   if n = 0 then lane_started t l
 
-(* The non-empty lane with the earliest (time, seq) head among
-   [lanes.(i..)], or [best]. Top-level and tail-recursive, so the
-   rescan after each lane pop allocates nothing. *)
-let rec lane_scan lanes i best =
-  if i = Array.length lanes then best
-  else begin
-    let l = Array.unsafe_get lanes i in
-    if l.len = 0 then lane_scan lanes (i + 1) best
-    else if best == no_lane then lane_scan lanes (i + 1) l
-    else begin
-      let lt = Array.unsafe_get l.times l.head in
-      let bt = Array.unsafe_get best.times best.head in
-      if
-        lt < bt
-        || (lt = bt
-            && Array.unsafe_get l.seqs l.head
-               < Array.unsafe_get best.seqs best.head)
-      then lane_scan lanes (i + 1) l
-      else lane_scan lanes (i + 1) best
-    end
-  end
-
-(* Pop the earliest lane head and return its lane's action. *)
-let lane_pop t =
-  let l = t.lane_min in
+(* Pop the earliest lane head and return its lane's action. Only when
+   another lane still holds entries can a different head now be the
+   earliest, and only then are the lanes rescanned, for the non-empty
+   one with the earliest (time, seq) head; otherwise the popped lane
+   stays the minimum while it holds any. The rescan is a loop, so it
+   inlines into the run loop with the rest of the pop (a recursive
+   helper would be a call per pop); [best] is a local [ref] that does
+   not escape, which ocamlopt keeps in a register. *)
+let[@inline] lane_pop t =
+  let lanes = t.lanes in
+  let l = Array.unsafe_get lanes t.lane_min in
   l.head <- (l.head + 1) land (Array.length l.seqs - 1);
-  l.len <- l.len - 1;
-  t.lane_count <- t.lane_count - 1;
-  t.lane_min <- lane_scan t.lanes 0 no_lane;
+  let n = l.len - 1 in
+  l.len <- n;
+  let c = t.lane_count - 1 in
+  t.lane_count <- c;
+  if c <> n then begin
+    let best = ref (-1) in
+    for i = 0 to Array.length lanes - 1 do
+      let x = Array.unsafe_get lanes i in
+      if x.len > 0 then
+        if !best < 0 then best := i
+        else begin
+          let b = Array.unsafe_get lanes !best in
+          let xt = Array.unsafe_get x.times x.head in
+          let bt = Array.unsafe_get b.times b.head in
+          if
+            xt < bt
+            || (xt = bt
+                && Array.unsafe_get x.seqs x.head
+                   < Array.unsafe_get b.seqs b.head)
+          then best := i
+        end
+    done;
+    t.lane_min <- !best
+  end
+  else if n = 0 then t.lane_min <- -1;
   l.fire
 
 (* Returned by [settle] for an entry that fires nothing; compared by
@@ -389,7 +405,7 @@ let skip () = ()
    A live entry of a later arm re-inserts itself at that arm's
    (deadline, ticket); orphans and entries of a disarmed timer are
    discarded. Nothing here touches [now] or the fired count. *)
-let settle t tm seq =
+let[@inline] settle t tm seq =
   if tm.entry <> seq then begin
     t.discarded <- t.discarded + 1;
     skip
@@ -419,14 +435,15 @@ let settle t tm seq =
    would cascade the next occupied level-1 slot while lane entries due
    before it are still to fire, and the unit events they schedule in
    between would then fall behind the cursor onto the heap. *)
-let select_all t =
+let[@inline] select_all t =
   let w = t.wheel in
   let q = t.queue in
-  let l = t.lane_min in
+  let m = t.lane_min in
   let on_wheel =
     if w.Timing_wheel.count0 > 0 then true
-    else if l == no_lane then w.Timing_wheel.count1 > 0
+    else if m < 0 then w.Timing_wheel.count1 > 0
     else begin
+      let l = Array.unsafe_get t.lanes m in
       Timing_wheel.follow_lanes w ~at:(Array.unsafe_get l.times l.head);
       w.Timing_wheel.count0 > 0
     end
@@ -449,9 +466,10 @@ let select_all t =
       end
     end
   in
-  if l == no_lane then src
+  if m < 0 then src
   else if src = -1 then -3
   else begin
+    let l = Array.unsafe_get t.lanes m in
     let lt = Array.unsafe_get l.times l.head in
     let ot =
       if src = -2 then Float.Array.unsafe_get w.Timing_wheel.fmin 0
@@ -533,7 +551,7 @@ let run ?(until = infinity) ?(max_events = max_int) ?sim_budget ?wall_budget t
   (* Budgets resolve to a deadline once at entry; the per-event cost
      with watchdogs off is one float compare and one option match. *)
   let sim_deadline =
-    match sim_budget with Some b -> t.now +. b | None -> infinity
+    match sim_budget with Some b -> now t +. b | None -> infinity
   in
   let wall_t0 =
     match wall_budget with Some _ -> Tm.wall_now () | None -> 0.0
@@ -552,11 +570,11 @@ let run ?(until = infinity) ?(max_events = max_int) ?sim_budget ?wall_budget t
            if src = -2 then Float.Array.unsafe_get t.wheel.Timing_wheel.fmin 0
            else if src = 0 then Array.unsafe_get t.queue.Event_queue.times 0
            else
-             let l = t.lane_min in
+             let l = Array.unsafe_get t.lanes t.lane_min in
              Array.unsafe_get l.times l.head
          in
          if time > sim_deadline then begin
-           (* [t.now] stays at the last fired event: the engine (and the
+           (* The clock stays at the last fired event: the engine (and the
               caller's per-flow measures) remain queryable, so partial
               statistics can be salvaged by the handler. *)
            let e =
@@ -580,7 +598,7 @@ let run ?(until = infinity) ?(max_events = max_int) ?sim_budget ?wall_budget t
           | _ -> ());
          if time > until then begin
            (* Leave it queued for a later resumed run and stop. *)
-           t.now <- until;
+           Float.Array.unsafe_set t.clock 0 until;
            reason := Horizon_reached;
            continue := false
          end
@@ -612,7 +630,7 @@ let run ?(until = infinity) ?(max_events = max_int) ?sim_budget ?wall_budget t
              end
            in
            if fire != skip then begin
-             t.now <- time;
+             Float.Array.unsafe_set t.clock 0 time;
              t.processed <- t.processed + 1;
              if time >= t.next_sample then fire_sampler t time;
              if t.has_hook then t.advance_hook time;

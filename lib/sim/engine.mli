@@ -11,7 +11,7 @@ type lane
 
 type t = private {
   queue : timer Event_queue.t;
-  mutable now : float;
+  clock : floatarray;
   mutable processed : int;
   wheel : timer Timing_wheel.t;
   mutable advance_hook : float -> unit;
@@ -22,18 +22,31 @@ type t = private {
   mutable discarded : int;
   probes : Ebrc_telemetry.Telemetry.Probe.set;
   mutable lanes : lane array;
-  mutable lane_min : lane;
+  mutable lane_min : int;
   mutable lane_count : int;
 }
-(** Exposed [private] (precedent: {!Timing_wheel.t}) so per-packet
-    callers can read the clock as a direct field load
-    ([eng.Engine.now]), which costs the same under every build: without
-    flambda, ocamlopt inlines a small function across modules only when
-    the caller is compiled against the callee's [.cmx] without
-    [-opaque] (this repository's release build; see [dune-workspace]),
-    and the simulator reads the clock several times per event.
-    [private] keeps every field read-only outside this module —
-    all mutation still goes through the API.
+(** Exposed [private] (precedent: {!Timing_wheel.t}) so the run loop's
+    helpers and per-packet callers can reach the engine's state by direct
+    field loads; [private] keeps every field read-only outside this
+    module — all mutation still goes through the API — except the
+    contents of [clock]: a [floatarray] stays writable through its
+    cells, so only this module may store to it (read it through
+    {!now}; [make opaque-check] fails if another module names the
+    field).
+
+    [clock] is a one-cell [floatarray] holding the simulated time, read
+    through {!now}: a mutable float field in this record would be a
+    boxed pointer, so each fired event would allocate a box and pay a
+    write barrier to store it, where a cell store is one unboxed write.
+    [now] is inlined wherever the caller is compiled against this
+    module's [.cmx] without [-opaque] (the release build; see
+    [dune-workspace]). So are the per-event calls it feeds — the
+    scheduling calls here, the wheel's push and pop, the link's queue
+    decision, packet construction — which carry [[@inline]] in
+    [lib/sim], [lib/net], [lib/tcp] and [lib/tfrc], so that a clock
+    value or event time stays unboxed through them: a float passed to
+    an out-of-line call is boxed. [make opaque-check] fails if those
+    calls stop being inlined.
 
     [probes] is the run's telemetry probe set: the engine registers
     [sim.events_scheduled] (the heap's ticket counter: one per schedule
@@ -43,9 +56,11 @@ type t = private {
     entries and lane entries included) and the wheel's counts, and every
     component built on the engine adds its own.
 
-    [lanes] are the lanes pushed on this engine, [lane_min] the
-    non-empty one with the earliest head (an internal sentinel when all
-    are empty) and [lane_count] their queued entries. *)
+    [lanes] are the lanes pushed on this engine, in first-push order;
+    [lane_min] is the index in [lanes] of the non-empty one with the
+    earliest (time, ticket) head, or -1 when all are empty (an int, so
+    moving it pays no write barrier); [lane_count] is their queued
+    entries. *)
 
 val create : unit -> t
 (** Every bounded-horizon event not on a {!lane} rides a two-level
@@ -57,6 +72,9 @@ val create : unit -> t
     would produce. *)
 
 val now : t -> float
+(** The simulated time: of the event firing now, or of the last one
+    fired; [until] after a run stopped at its horizon. *)
+
 val processed : t -> int
 val pending : t -> int
 
@@ -113,14 +131,16 @@ val schedule_after_unit : t -> delay:float -> (unit -> unit) -> unit
     event — it moves [now], counts in [sim.events_fired] and
     [sim.queue_depth], calls the sampler and the advance hook, and
     obeys [until] and the budgets. A lane belongs to the engine it is
-    first pushed on. *)
+    first pushed on: pushing it on another engine while it is empty
+    raises [Invalid_argument]. *)
 
 val lane : (unit -> unit) -> lane
 (** An empty lane whose entries run the action. *)
 
 val lane_push : t -> lane -> at:float -> unit
 (** Queue one entry at [at]. Raises [Invalid_argument] if [at] is in
-    the past or NaN, or earlier than the lane's last queued entry. *)
+    the past or NaN, earlier than the lane's last queued entry, or the
+    lane is empty and belongs to another engine. *)
 
 val lane_is_empty : lane -> bool
 (** Whether the lane has no queued entry. *)

@@ -214,11 +214,11 @@ let grow t =
 (* 32 slots per word (OCaml ints carry 63 usable bits, so 64-per-word
    would lose the top slot of every word to shift overflow). *)
 
-let occ_set occ i =
+let[@inline] occ_set occ i =
   let w = i lsr 5 in
   Array.unsafe_set occ w (Array.unsafe_get occ w lor (1 lsl (i land 31)))
 
-let occ_clear occ i =
+let[@inline] occ_clear occ i =
   let w = i lsr 5 in
   Array.unsafe_set occ w
     (Array.unsafe_get occ w land lnot (1 lsl (i land 31)))
@@ -276,7 +276,7 @@ let[@inline] anchor t ~now =
     if s1n > t.cur1 then t.cur1 <- s1n
   end
 
-let fits t ~now ~at =
+let[@inline] fits t ~now ~at =
   if not (Float.is_finite at) then begin
     t.overflowed <- t.overflowed + 1;
     false
@@ -289,20 +289,14 @@ let fits t ~now ~at =
     ok
   end
 
-(* Write one entry into the arena and prepend it to its slot list.
-   [s0] = floor(time * 4096); the caller has already established that
-   S1(time) is inside the window. Stores into [times]/[seqs]/[next]
-   are barrier-free (unboxed arrays); only the fire thunk — and the
-   handle, when one exists — pays caml_modify. *)
-let insert_entry t s0 time seq fire handle is_timer =
-  (if t.free < 0 then grow t);
-  let idx = t.free in
-  t.free <- Array.unsafe_get t.next idx;
-  Array.unsafe_set t.times idx time;
-  Array.unsafe_set t.seqs idx seq;
-  Array.unsafe_set t.fires idx fire;
-  Bytes.unsafe_set t.flags idx (if is_timer then '\001' else '\000');
-  if is_timer then Array.unsafe_set t.handles idx handle;
+(* Prepend arena entry [idx], already written, to its slot list.
+   [s0] = floor(time * 65536); the caller has already established that
+   S1(time) is inside the window. The entry's time and seq are read
+   back from the arena, so this out-of-line half takes no float
+   argument (a float passed to a call is boxed). *)
+let link_entry t s0 idx =
+  let time = Array.unsafe_get t.times idx in
+  let seq = Array.unsafe_get t.seqs idx in
   let s1 = s0 asr l0_shift in
   if s1 = t.cur1 then begin
     let rel = s0 land slot_mask0 in
@@ -346,10 +340,26 @@ let insert_entry t s0 time seq fire handle is_timer =
   end;
   t.pushed <- t.pushed + 1
 
+(* Write one entry into the arena and link it into its slot. Inlined
+   into every push site, so the caller's time reaches the arena
+   unboxed. Stores into [times]/[seqs]/[next] are barrier-free
+   (unboxed arrays); only the fire thunk — and the handle, when one
+   exists — pays caml_modify. *)
+let[@inline] insert_entry t s0 time seq fire handle is_timer =
+  (if t.free < 0 then grow t);
+  let idx = t.free in
+  t.free <- Array.unsafe_get t.next idx;
+  Array.unsafe_set t.times idx time;
+  Array.unsafe_set t.seqs idx seq;
+  Array.unsafe_set t.fires idx fire;
+  Bytes.unsafe_set t.flags idx (if is_timer then '\001' else '\000');
+  if is_timer then Array.unsafe_set t.handles idx handle;
+  link_entry t s0 idx
+
 (* Precondition: {!fits} just returned [true] for this time (and no
    push or pop intervened). [seq] is the caller's tie-break ticket,
    drawn from the same counter as heap pushes. *)
-let push t ~time ~seq fire handle =
+let[@inline] push t ~time ~seq fire handle =
   insert_entry t
     (int_of_float (time *. l0_scale))
     time seq fire handle
@@ -360,7 +370,7 @@ let push t ~time ~seq fire handle =
    [false] (drawing no ticket) when the event must go to the overflow
    heap — where the caller then draws the same counter value,
    preserving ticket order. *)
-let try_push t q ~now ~at fire =
+let[@inline] try_push t q ~now ~at fire =
   if not (Float.is_finite at) then begin
     t.overflowed <- t.overflowed + 1;
     false
@@ -423,7 +433,7 @@ let cascade t s1abs =
    to move down, so level 0 stays empty). Either counts one rotation,
    as the cascade of a slot holding those entries did. A finite [at]
    is taken to be inside the horizon. *)
-let follow_lanes t ~at =
+let[@inline] follow_lanes t ~at =
   if Float.is_finite at then begin
     let ls = int_of_float (at *. l1_scale) in
     if ls > t.cur1 then begin
@@ -553,7 +563,7 @@ let sort_list t h =
   fold_runs t.times t.seqs t.next t.sort_runs 0 (-1)
 
 (* Locate the (time, seq)-minimum entry. Precondition: not empty. *)
-let ensure t =
+let[@inline] ensure t =
   if not t.min_ok then begin
     if t.count0 = 0 then begin
       let rel1 = first_occ_from t.occ1 ((t.cur1 + 1) land slot_mask) in
@@ -591,7 +601,7 @@ let ensure t =
    through the wheel's API. The retention this causes ends at the next
    push that reuses the cell, or with the engine (one wheel per engine,
    one engine per simulation). *)
-let drop_min t =
+let[@inline] drop_min t =
   ensure t;
   let rel = t.min_slot in
   let idx = t.min_idx in

@@ -163,7 +163,7 @@ let run_hybrid ?(fg_flows = 20_000) ?(bg_flows = 200_000)
       Array.unsafe_set seqs i seq;
       Array.unsafe_set sent_col i (Array.unsafe_get sent_col i + 1);
       sent := !sent + 1;
-      let now = engine.Engine.now in
+      let now = Engine.now engine in
       Link.send link
         (Packet.data ~flow:i ~seq ~size:pkt_size ~sent_at:now);
       let gap = Float.Array.unsafe_get gaps i in

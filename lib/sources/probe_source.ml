@@ -56,7 +56,7 @@ let send_loop t =
       t.sent <- t.sent + 1;
       t.transmit pkt;
       Engine.schedule_unit t.engine
-        ~at:(t.engine.Engine.now +. next_gap t)
+        ~at:(Engine.now t.engine +. next_gap t)
         tick
     end
   in

@@ -83,7 +83,7 @@ let window t = Float.min t.cwnd t.max_window
 let note_congestion_event t =
   let window = if t.srtt > 0.0 then t.srtt else t.rto in
   ignore
-    (Loss_events.on_loss t.events ~now:t.engine.Engine.now ~window
+    (Loss_events.on_loss t.events ~now:(Engine.now t.engine) ~window
        ~count:t.packets_sent)
 
 (* --- RTO timer --- *)
@@ -92,7 +92,7 @@ let arm_timer t =
   Engine.arm_after t.engine t.rto_timer ~delay:(t.rto *. float_of_int t.backoff)
 
 let send_segment t ~seq ~retransmission =
-  let now = t.engine.Engine.now in
+  let now = Engine.now t.engine in
   let pkt = Packet.data ~flow:t.flow ~seq ~size:t.packet_size ~sent_at:now in
   if retransmission then begin
     Seq_set.add t.retransmitted seq;
@@ -122,7 +122,7 @@ let on_timeout t =
   if flight_size t > 0 then begin
     t.timeouts <- t.timeouts + 1;
     if Tm.is_on () then
-      Tm.event "tcp.timeout" ~time:(t.engine.Engine.now) ~flow:t.flow
+      Tm.event "tcp.timeout" ~time:(Engine.now t.engine) ~flow:t.flow
         ~value:t.cwnd;
     note_congestion_event t;
     t.ssthresh <- Float.max (float_of_int (flight_size t) /. 2.0) 2.0;
@@ -206,7 +206,7 @@ let update_rtt t sample =
 let enter_fast_recovery t =
   t.fast_retransmits <- t.fast_retransmits + 1;
   if Tm.is_on () then
-    Tm.event "tcp.fast_retransmit" ~time:(t.engine.Engine.now) ~flow:t.flow
+    Tm.event "tcp.fast_retransmit" ~time:(Engine.now t.engine) ~flow:t.flow
       ~value:t.cwnd;
   note_congestion_event t;
   t.ssthresh <- Float.max (float_of_int (flight_size t) /. 2.0) 2.0;
@@ -227,7 +227,7 @@ let enter_fast_recovery t =
   arm_timer t
 
 let on_ack t ~acked ~dup ~echo:_ =
-  let now = t.engine.Engine.now in
+  let now = Engine.now t.engine in
   if acked >= t.snd_una then begin
     (* New (or repeated-but-advancing) cumulative ACK. *)
     if acked >= t.snd_una && not dup then begin

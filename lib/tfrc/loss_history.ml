@@ -87,7 +87,7 @@ let record_loss_event t ~now =
 
 (* Process an arriving data packet; gaps imply losses (the simulated
    paths never reorder). p counts in-order arrivals only. *)
-let on_packet t ~now ~seq =
+let[@inline] on_packet t ~now ~seq =
   if seq > t.expected_seq then begin
     (* seq - expected_seq packets were lost; they all belong to (at
        most) one new loss event here since they were back-to-back. *)

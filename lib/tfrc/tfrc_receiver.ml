@@ -45,7 +45,7 @@ let set_feedback_sink t f = t.send_feedback <- f
 let history t = t.history
 
 let emit_report t =
-  let now = t.engine.Engine.now in
+  let now = Engine.now t.engine in
   let elapsed = now -. t.last_report_at in
   let recv_rate =
     if elapsed <= 0.0 then 0.0
@@ -68,15 +68,15 @@ let feedback_loop t =
   let rec tick () =
     emit_report t;
     Engine.schedule_unit t.engine
-      ~at:(t.engine.Engine.now +. t.feedback_interval)
+      ~at:(Engine.now t.engine +. t.feedback_interval)
       tick
   in
   Engine.schedule_unit t.engine
-    ~at:(t.engine.Engine.now +. t.feedback_interval)
+    ~at:(Engine.now t.engine +. t.feedback_interval)
     tick
 
 let on_data t (pkt : Packet.t) =
-  let now = t.engine.Engine.now in
+  let now = Engine.now t.engine in
   t.received <- t.received + 1;
   t.last_data_stamp <- (Packet.sent_at pkt);
   t.last_data_arrival <- now;

@@ -61,7 +61,7 @@ let send_loop t =
   if t.running then begin
     let pkt =
       Packet.data ~flow:t.flow ~seq:t.seq ~size:t.packet_size
-        ~sent_at:(t.engine.Engine.now)
+        ~sent_at:(Engine.now t.engine)
     in
     t.seq <- t.seq + 1;
     t.sent <- t.sent + 1;
@@ -71,7 +71,7 @@ let send_loop t =
        packet. *)
     let floor_ = if t.rate > t.min_rate then t.rate else t.min_rate in
     let gap = 1.0 /. floor_ in
-    Engine.schedule_unit t.engine ~at:(t.engine.Engine.now +. gap)
+    Engine.schedule_unit t.engine ~at:(Engine.now t.engine +. gap)
       t.send_tick
   end
 
@@ -89,7 +89,7 @@ let set_rate t rate =
   t.rate <- rate;
   t.rate_changes <- t.rate_changes + 1;
   if Atomic.get Tm.on then
-    Tm.event "tfrc.rate" ~time:(t.engine.Engine.now) ~flow:t.flow ~value:rate
+    Tm.event "tfrc.rate" ~time:(Engine.now t.engine) ~flow:t.flow ~value:rate
 
 (* The RFC 3448 nofeedback timer: if no receiver report arrives for
    [nofeedback_rtts] round-trip times, halve the rate and re-arm. This
@@ -105,7 +105,7 @@ let on_nofeedback t =
   if t.running then begin
     t.rate_halvings <- t.rate_halvings + 1;
     if Atomic.get Tm.on then
-      Tm.event "tfrc.nofeedback_halving" ~time:(t.engine.Engine.now)
+      Tm.event "tfrc.nofeedback_halving" ~time:(Engine.now t.engine)
         ~flow:t.flow ~value:t.rate;
     set_rate t (t.rate /. 2.0);
     arm_nofeedback_timer t
@@ -168,7 +168,7 @@ let stop t =
 let on_feedback t ~p_estimate ~recv_rate ~rtt_echo ~hold =
   t.feedbacks <- t.feedbacks + 1;
   arm_nofeedback_timer t;
-  let now = t.engine.Engine.now in
+  let now = Engine.now t.engine in
   (* Exclude the receiver hold time from the RTT sample — without this
      a starved flow echoes a stale timestamp, its smoothed RTT explodes,
      and f(p, srtt) pins the rate at the floor (a death spiral). *)

@@ -263,7 +263,7 @@ let test_red_gentle_softens_wall () =
   (* Drive the average to ~18 (between max_th and 2*max_th). *)
   let drive q =
     for _ = 1 to 18 do
-      ignore (QD.offer q ~now:0.0 ~u:0.999999)
+      ignore (QD.offer q ~bytes:1000 ~now:0.0 ~u:0.999999)
     done
   in
   let hard = mk false and soft = mk true in
@@ -271,14 +271,14 @@ let test_red_gentle_softens_wall () =
   drive soft;
   (* Non-gentle: forced drop. Gentle: probabilistic (u near 1 passes). *)
   Alcotest.(check bool) "hard wall drops" true
-    (QD.offer hard ~now:0.0 ~u:0.999999 = QD.Drop);
+    (QD.offer hard ~bytes:1000 ~now:0.0 ~u:0.999999 = QD.Drop);
   Alcotest.(check bool) "gentle can pass" true
-    (QD.offer soft ~now:0.0 ~u:0.999999 = QD.Enqueue);
+    (QD.offer soft ~bytes:1000 ~now:0.0 ~u:0.999999 = QD.Enqueue);
   (* But gentle still drops with high probability there (pb ~ 0.28). *)
   let rng = Prng.create ~seed:41 in
   let drops = ref 0 in
   for _ = 1 to 1000 do
-    match QD.offer soft ~now:0.0 ~u:(Prng.float_unit rng) with
+    match QD.offer soft ~bytes:1000 ~now:0.0 ~u:(Prng.float_unit rng) with
     | QD.Drop -> incr drops
     | QD.Enqueue -> QD.departure soft ~now:0.0
   done;

@@ -46,7 +46,7 @@ let test_packet_invalid_size () =
 
 let test_droptail_accepts_until_full () =
   let q = QD.create ~capacity:3 QD.Drop_tail in
-  let offer () = QD.offer q ~now:0.0 ~u:0.5 in
+  let offer () = QD.offer q ~bytes:1000 ~now:0.0 ~u:0.5 in
   Alcotest.(check bool) "1" true (offer () = QD.Enqueue);
   Alcotest.(check bool) "2" true (offer () = QD.Enqueue);
   Alcotest.(check bool) "3" true (offer () = QD.Enqueue);
@@ -57,10 +57,10 @@ let test_droptail_accepts_until_full () =
 
 let test_droptail_departure_frees_slot () =
   let q = QD.create ~capacity:1 QD.Drop_tail in
-  ignore (QD.offer q ~now:0.0 ~u:0.5);
-  Alcotest.(check bool) "full" true (QD.offer q ~now:0.0 ~u:0.5 = QD.Drop);
+  ignore (QD.offer q ~bytes:1000 ~now:0.0 ~u:0.5);
+  Alcotest.(check bool) "full" true (QD.offer q ~bytes:1000 ~now:0.0 ~u:0.5 = QD.Drop);
   QD.departure q ~now:1.0;
-  Alcotest.(check bool) "freed" true (QD.offer q ~now:1.0 ~u:0.5 = QD.Enqueue)
+  Alcotest.(check bool) "freed" true (QD.offer q ~bytes:1000 ~now:1.0 ~u:0.5 = QD.Enqueue)
 
 let test_departure_empty_raises () =
   let q = QD.create ~capacity:1 QD.Drop_tail in
@@ -81,7 +81,7 @@ let test_red_no_drops_below_min_th () =
     Alcotest.(check bool)
       (Printf.sprintf "enqueue %d" i)
       true
-      (QD.offer q ~now:(float_of_int i) ~u:0.0001 = QD.Enqueue)
+      (QD.offer q ~bytes:1000 ~now:(float_of_int i) ~u:0.0001 = QD.Enqueue)
   done;
   Alcotest.(check int) "no drops" 0 (QD.drops q)
 
@@ -92,7 +92,7 @@ let test_red_drops_probabilistically_between_thresholds () =
   let rng = Prng.create ~seed:5 in
   for i = 1 to 200 do
     incr offered;
-    match QD.offer q ~now:(float_of_int i *. 0.01) ~u:(Prng.float_unit rng) with
+    match QD.offer q ~bytes:1000 ~now:(float_of_int i *. 0.01) ~u:(Prng.float_unit rng) with
     | QD.Drop -> incr dropped
     | QD.Enqueue ->
         (* Serve occasionally to stay around 10 packets. *)
@@ -107,17 +107,17 @@ let test_red_forced_drop_above_max_th () =
   let q = QD.create ~capacity:1000 (QD.Red { red_params with wq = 1.0 }) in
   (* wq = 1: the average tracks the instantaneous queue exactly. *)
   for i = 1 to 20 do
-    ignore (QD.offer q ~now:(float_of_int i *. 1e-3) ~u:0.999)
+    ignore (QD.offer q ~bytes:1000 ~now:(float_of_int i *. 1e-3) ~u:0.999)
   done;
   (* occupancy/avg now >= max_th = 15 -> forced drop regardless of u. *)
   Alcotest.(check bool) "forced drop" true
-    (QD.offer q ~now:0.05 ~u:0.999999 = QD.Drop)
+    (QD.offer q ~bytes:1000 ~now:0.05 ~u:0.999999 = QD.Drop)
 
 let test_red_hard_limit () =
   let q = QD.create ~capacity:2 (QD.Red { red_params with min_th = 100.0; max_th = 200.0 }) in
-  ignore (QD.offer q ~now:0.0 ~u:0.5);
-  ignore (QD.offer q ~now:0.0 ~u:0.5);
-  Alcotest.(check bool) "hard full" true (QD.offer q ~now:0.0 ~u:0.5 = QD.Drop)
+  ignore (QD.offer q ~bytes:1000 ~now:0.0 ~u:0.5);
+  ignore (QD.offer q ~bytes:1000 ~now:0.0 ~u:0.5);
+  Alcotest.(check bool) "hard full" true (QD.offer q ~bytes:1000 ~now:0.0 ~u:0.5 = QD.Drop)
 
 let test_red_average_decays_when_idle () =
   let q =
@@ -126,14 +126,14 @@ let test_red_average_decays_when_idle () =
   in
   (* u close to 1 means "never randomly dropped". *)
   for i = 1 to 10 do
-    ignore (QD.offer q ~now:(float_of_int i *. 1e-3) ~u:0.999999)
+    ignore (QD.offer q ~bytes:1000 ~now:(float_of_int i *. 1e-3) ~u:0.999999)
   done;
   let avg_busy = QD.average_queue q in
   while QD.occupancy q > 0 do
     QD.departure q ~now:0.011
   done;
   (* After a long idle period the EWMA must have decayed. *)
-  ignore (QD.offer q ~now:10.0 ~u:1e-9);
+  ignore (QD.offer q ~bytes:1000 ~now:10.0 ~u:1e-9);
   Alcotest.(check bool)
     (Printf.sprintf "decayed: %.3f -> %.3f" avg_busy (QD.average_queue q))
     true
@@ -522,7 +522,7 @@ let prop_droptail_occupancy_bounded =
       let q = QD.create ~capacity:cap QD.Drop_tail in
       List.for_all
         (fun enqueue ->
-          if enqueue then ignore (QD.offer q ~now:0.0 ~u:0.5)
+          if enqueue then ignore (QD.offer q ~bytes:1000 ~now:0.0 ~u:0.5)
           else if QD.occupancy q > 0 then QD.departure q ~now:0.0;
           QD.occupancy q <= cap)
         ops)

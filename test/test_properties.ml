@@ -162,7 +162,7 @@ let prop_red_never_overflows_and_counts =
         (fun i (arrive, u) ->
           let now = float_of_int i *. 0.01 in
           if arrive then (
-            match QD.offer q ~now ~u with
+            match QD.offer q ~bytes:1000 ~now ~u with
             | QD.Enqueue -> incr enq
             | QD.Drop -> incr dropped)
           else if QD.occupancy q > 0 then begin

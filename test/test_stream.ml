@@ -393,13 +393,46 @@ let test_finalize_fixture () =
     (fixed @ runs @ [ "{\"type\":\"stream_end\"}" ])
     (lines_of path)
 
-(* The serve watcher's incremental fold: a real stream plus a torn last
-   line, fed in chunks of several sizes; after every chunk the view
-   equals Status.read_file of the bytes fed so far. *)
+(* The serve supervisor's incremental fold: a real stream with task and
+   progress records spliced in, plus a torn last line, fed in chunks of
+   several sizes. After every chunk each field the progress line and
+   the fleet merge read equals Status.read_file's of the bytes fed so
+   far, while the run records are skipped undecoded (no run rows). *)
 let test_status_tail_fold () =
   let module S = Ebrc_obs.Status in
   let lines, _ = streamed_run () in
-  let bytes = String.concat "\n" lines ^ "\n{\"type\":\"delta\",\"ru" in
+  let task id phase t =
+    J.print
+      (J.Obj
+         [ ("type", J.Str "task"); ("id", J.Str id); ("phase", J.Str phase);
+           ("t_wall", J.Num t) ])
+  in
+  let progress t events tasks =
+    J.print
+      (J.Obj
+         [ ("type", J.Str "progress"); ("t_wall", J.Num t);
+           ( "counters",
+             J.Obj
+               [ ("pool.tasks", J.Int tasks);
+                 ("pool.tasks_submitted", J.Int 4);
+                 ("sim.events_fired", J.Int events) ] ) ])
+  in
+  let n = List.length lines in
+  let spliced =
+    List.concat
+      (List.mapi
+         (fun i l ->
+           if i = 1 then [ task "a" "leased" 10.0; progress 10.0 0 0; l ]
+           else if i = n / 2 then
+             [ task "a" "done" 10.5; task "b" "leased" 10.5;
+               progress 10.5 4000 1; l ]
+           else if i = n - 1 then [ progress 11.25 9000 2; l ]
+           else [ l ])
+         lines)
+  in
+  let bytes =
+    String.concat "\n" spliced ^ "\n{\"type\":\"progress\",\"t_w"
+  in
   let path = Filename.temp_file "ebrc_tail" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let view_of_prefix n =
@@ -410,27 +443,43 @@ let test_status_tail_fold () =
     | Ok v -> v
     | Error e -> Alcotest.fail e
   in
-  let same what a b =
-    Alcotest.(check string) what
-      (J.print (S.to_json a))
-      (J.print (S.to_json b));
-    Alcotest.(check int) (what ^ " skipped") a.S.skipped b.S.skipped;
-    Alcotest.(check bool) (what ^ " finished") a.S.finished b.S.finished
+  let rows (v : S.view) =
+    List.map (fun (r : S.figure_row) -> (r.S.fig_id, r.S.phase)) v.S.tasks
+  in
+  let same what (a : S.view) (b : S.view) =
+    Alcotest.(check (list (pair string string))) (what ^ " tasks")
+      (rows a) (rows b);
+    Alcotest.(check (list (pair string int))) (what ^ " counters")
+      a.S.counters b.S.counters;
+    List.iter
+      (fun (name, x, y) ->
+        Alcotest.(check bool) (what ^ " " ^ name) true (Float.equal x y))
+      [ ("event_rate", a.S.event_rate, b.S.event_rate);
+        ("task_rate", a.S.task_rate, b.S.task_rate);
+        ("eta", a.S.eta, b.S.eta);
+        ("t_progress", a.S.t_progress, b.S.t_progress) ];
+    Alcotest.(check bool) (what ^ " finished") a.S.finished b.S.finished;
+    Alcotest.(check int) (what ^ " no run rows") 0 (List.length b.S.runs)
   in
   List.iter
     (fun chunk ->
       let t = S.tail () in
       let fed = ref 0 in
       while !fed < String.length bytes do
-        let n = min chunk (String.length bytes - !fed) in
-        S.feed t (String.sub bytes !fed n);
-        fed := !fed + n;
+        let k = min chunk (String.length bytes - !fed) in
+        S.feed t (String.sub bytes !fed k);
+        fed := !fed + k;
         if chunk >= 64 || !fed = String.length bytes then
           same
             (Printf.sprintf "chunk %d at byte %d" chunk !fed)
             (view_of_prefix !fed) (S.tail_view t)
       done;
-      Alcotest.(check int) "torn tail skipped" 1 (S.tail_view t).S.skipped)
+      let v = S.tail_view t in
+      Alcotest.(check int) "torn tail skipped" 1 v.S.skipped;
+      Alcotest.(check int) "two task rows" 2 (List.length v.S.tasks);
+      Alcotest.(check bool) "event rate from first and last progress" true
+        (Float.equal v.S.event_rate (9000.0 /. 1.25));
+      Alcotest.(check bool) "finished" true v.S.finished)
     [ 1; 7; 64; 333; String.length bytes ]
 
 let test_flight_dump_on_budget () =

@@ -103,13 +103,15 @@ module Programs (S : SCHED) = struct
     List.rev !log
 
   (* Interpret one timer program: each (time, op) step runs from a unit
-     event at that time, on three timers and two lanes. Timer 0
+     event at that time, on three timers and four lanes. Timer 0
      re-arms itself from its own action (up to three times), so arms
-     made while a timer fires are covered too. Lane 0 feeds lane 1
-     half a second later, as a link's server feeds its propagation
-     line, and lane 1 schedules a unit event a quarter second later,
-     as a delivery schedules the reverse path; each lane keeps its own
-     tail so every push is in order. With [until], the run first stops
+     made while a timer fires are covered too. Lanes come in two
+     server/line pairs, as two links would have them: an even lane
+     feeds the odd lane after it half a second later, as a link's
+     server feeds its propagation line, and an odd lane schedules a
+     unit event a quarter second later, as a delivery schedules the
+     reverse path; each lane keeps its own tail so every push is in
+     order. With [until], the run first stops
      there — leaving whatever is due later queued, lane entries
      included — and the log marks the stop before the run resumes.
      Returns the (time, label) dispatch log, the ticket count and the
@@ -130,26 +132,26 @@ module Programs (S : SCHED) = struct
                 S.arm e timers.(0) ~at:(S.now e +. 0.25)
               end))
       timers;
-    let tails = Array.make 2 0.0 in
-    let lanes = Array.make 2 (S.lane ignore) in
+    let tails = Array.make 4 0.0 in
+    let lanes = Array.make 4 (S.lane ignore) in
     let push j d =
       let at = Float.max (S.now e +. d) tails.(j) in
       tails.(j) <- at;
       S.lane_push e lanes.(j) ~at
     in
-    let fired = Array.make 2 0 in
-    lanes.(0) <-
-      S.lane (fun () ->
-          note (Printf.sprintf "lane 0 #%d" fired.(0));
-          fired.(0) <- fired.(0) + 1;
-          push 1 0.5);
-    lanes.(1) <-
-      S.lane (fun () ->
-          let n = fired.(1) in
-          note (Printf.sprintf "lane 1 #%d" n);
-          fired.(1) <- n + 1;
-          S.schedule_unit e ~at:(S.now e +. 0.25) (fun () ->
-              note (Printf.sprintf "after lane 1 #%d" n)));
+    let fired = Array.make 4 0 in
+    Array.iteri
+      (fun j _ ->
+        lanes.(j) <-
+          S.lane (fun () ->
+              let n = fired.(j) in
+              note (Printf.sprintf "lane %d #%d" j n);
+              fired.(j) <- n + 1;
+              if j land 1 = 0 then push (j + 1) 0.5
+              else
+                S.schedule_unit e ~at:(S.now e +. 0.25) (fun () ->
+                    note (Printf.sprintf "after lane %d #%d" j n))))
+      lanes;
     List.iteri
       (fun i (at, op) ->
         S.schedule_unit e ~at (fun () ->
@@ -264,14 +266,15 @@ let prop_timers_match_reference =
       let hlog, htickets, _ = On_heap.run_timer_program steps in
       wlog = hlog && wtickets = htickets)
 
-(* Random programs mixing FIFO lane pushes (some past the 16 s
-   horizon), unit events and timer arms, re-arms and disarms, at times
-   and delays quantized to 1/16 s: lane heads tie exactly with wheel
-   entries and with overflow-heap entries (steps past 16 s start on
-   the heap). Half the programs first run to a random [until] and stop
-   with entries — lane entries among them — still queued. The lanes
-   must dispatch like the unit events they stand for, and draw the
-   same tickets. *)
+(* Random programs mixing FIFO lane pushes onto four lanes (some past
+   the 16 s horizon), unit events and timer arms, re-arms and disarms,
+   at times and delays quantized to 1/16 s: lane heads tie exactly
+   with each other, with wheel entries and with overflow-heap entries
+   (steps past 16 s start on the heap), and a lane often drains while
+   another still holds entries. Half the programs first run to a
+   random [until] and stop with entries — lane entries among them —
+   still queued. The lanes must dispatch like the unit events they
+   stand for, and draw the same tickets. *)
 let prop_lanes_match_reference =
   QCheck.Test.make ~name:"lanes dispatch like unit events" ~count:300
     QCheck.(
@@ -291,7 +294,11 @@ let prop_lanes_match_reference =
               | 0 -> Arm (k, q d)
               | 1 -> Disarm k
               | 2 -> Unit (q d)
-              | _ -> Lane (k land 1, if kind = 5 then q d else q (d /. 8.0)) ))
+              | _ ->
+                  (* kind 3..5 and k 0..2: every lane index 0..3 *)
+                  Lane
+                    ( (kind + k) land 3,
+                      if kind = 5 then q d else q (d /. 8.0) ) ))
           raw
       in
       let until = Option.map q until in
@@ -557,6 +564,38 @@ let test_lane_three_way_tie () =
       ([ "heap" ], [ "wheel"; "lane" ]);
     ]
 
+(* Two lanes, where the earliest one drains while the other still holds
+   entries, and then refills from a unit event: once ahead of the other
+   lane's head (it becomes the earliest again) and once at a tie with
+   it (the older ticket, on the other lane, goes first); the other lane
+   then drains alone. Exercises both ways [lane_pop] finds the next
+   earliest lane, against the reference. *)
+let test_lane_drains_beside_another () =
+  let run_on (type s) (module S : SCHED with type t = s) (e : s) =
+    let log = ref [] in
+    let mark x () = log := Printf.sprintf "%s@%g" x (S.now e) :: !log in
+    let a = S.lane (mark "a") and b = S.lane (mark "b") in
+    List.iter (fun at -> S.lane_push e a ~at) [ 1.0; 2.0 ];
+    List.iter (fun at -> S.lane_push e b ~at) [ 1.5; 3.0; 4.0; 5.0 ];
+    S.schedule_unit e ~at:2.5 (fun () ->
+        mark "unit" ();
+        S.lane_push e a ~at:2.75);
+    S.schedule_unit e ~at:3.25 (fun () ->
+        mark "unit" ();
+        S.lane_push e a ~at:4.0);
+    S.run e;
+    List.rev !log
+  in
+  let w = run_on (module Wheel) (E.create ()) in
+  Alcotest.(check (list string))
+    "dispatch order"
+    [ "a@1"; "b@1.5"; "a@2"; "unit@2.5"; "a@2.75"; "b@3"; "unit@3.25";
+      "b@4"; "a@4"; "b@5" ]
+    w;
+  Alcotest.(check (list string)) "same as reference"
+    (run_on (module H) (H.create ()))
+    w
+
 (* A rejected push raises [Invalid_argument] and changes nothing: no
    ticket drawn, nothing queued. *)
 let test_lane_push_rejected () =
@@ -580,6 +619,35 @@ let test_lane_push_rejected () =
   ignore (E.run e);
   Alcotest.(check int) "fired: the event and both lane entries" 3
     e.E.processed
+
+(* A lane belongs to the engine it is first pushed on. Pushing it, once
+   drained, on another engine is refused like any rejected push (no
+   ticket, nothing queued), both on an engine with no lanes and on one
+   whose own first lane sits at the foreign lane's index; the other
+   engine's own lanes still run. *)
+let test_lane_other_engine_rejected () =
+  let a = E.create () and b = E.create () in
+  let la = E.lane ignore and lb = E.lane ignore in
+  E.lane_push a la ~at:1.0;
+  ignore (E.run a);
+  let rejects what e l =
+    let tickets = e.E.queue.Ebrc.Event_queue.next_seq in
+    let pending = E.pending e in
+    (match E.lane_push e l ~at:2.0 with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ());
+    Alcotest.(check int) (what ^ ": no ticket") tickets
+      e.E.queue.Ebrc.Event_queue.next_seq;
+    Alcotest.(check int) (what ^ ": nothing queued") pending (E.pending e)
+  in
+  rejects "engine with no lanes" b la;
+  E.lane_push b lb ~at:2.0;
+  rejects "engine with its own lane in that slot" b la;
+  ignore (E.run b);
+  Alcotest.(check int) "b fired its own lane's entry" 1 b.E.processed;
+  E.lane_push a la ~at:3.0;
+  ignore (E.run a);
+  Alcotest.(check int) "a still runs its lane" 2 a.E.processed
 
 (* Lane entries are ordinary events: they count in [pending] (the
    [sim.queue_depth] gauge) while queued and in [processed] when they
@@ -662,7 +730,11 @@ let () =
       ( "lanes",
         [
           Alcotest.test_case "three-way tie" `Quick test_lane_three_way_tie;
+          Alcotest.test_case "drains beside another" `Quick
+            test_lane_drains_beside_another;
           Alcotest.test_case "push rejected" `Quick test_lane_push_rejected;
+          Alcotest.test_case "push on another engine rejected" `Quick
+            test_lane_other_engine_rejected;
           Alcotest.test_case "entries are events" `Quick
             test_lane_entries_are_events;
         ] );
