@@ -27,14 +27,20 @@ build:
 opaque-check:
 	sh scripts/opaque_check.sh
 
-# One JSON printer: every machine-output writer builds an
-# Ebrc_obs.Json.t and renders it with Json.print. Fails on a format
+# One JSON printer and one reader. Every machine-output writer builds
+# an Ebrc_obs.Json.t and renders it with Json.print: fails on a format
 # template that builds a JSON object or field ({\" or \":%) anywhere
 # in lib/, bin/ or bench/ outside the printer itself and the manifest
-# envelope.
+# envelope. Every reader decodes through Json's checked field decoders
+# (Json.field, Json.int, ...): fails on a lenient lookup
+# (Json.member, Json.to_float, Json.to_int or Json.to_string) there
+# outside lib/obs/json.ml.
 json-lint:
 	@! grep -rnE --include='*.ml' '\{\\"|\\":%' lib bin bench \
 	  | grep -v -e '^lib/obs/json\.ml:' -e '^lib/serve/manifest\.ml:'
+	@! grep -rnE --include='*.ml' --include='*.mli' \
+	  'Json\.(member|to_float|to_int|to_string)\b' lib bin bench \
+	  | grep -v -e '^lib/obs/json\.ml:'
 
 # A public surface no bigger than its callers: lists every top-level
 # val of a lib/**/*.mli that nothing outside its own module calls, or

@@ -1094,11 +1094,9 @@ let scrub_cmd =
     else begin
       let module Rc = Ebrc.Result_cache in
       let r = Rc.scrub ?quarantine ~dir:store () in
-      let stale d = List.mem d r.Rc.scrub_stale in
       List.iter
-        (fun digest ->
-          Printf.printf "scrub: quarantined %s (%s) -> %s\n" digest
-            (if stale digest then "stale version" else "corrupt")
+        (fun (digest, why) ->
+          Printf.printf "scrub: quarantined %s (%s) -> %s\n" digest why
             r.Rc.scrub_dir)
         r.Rc.scrub_quarantined;
       let n_quarantined = List.length r.Rc.scrub_quarantined in
@@ -1119,9 +1117,11 @@ let scrub_cmd =
          "Verify every record in a sweep result store against its \
           content digest, schema and version tag; corrupt, truncated \
           and stale-version records (written by another code version) \
-          are moved to quarantine/ (never deleted) and reported as \
-          such, so re-serving the manifest recomputes exactly those \
-          digests. Exit 1 when anything was quarantined.")
+          are moved to quarantine/ (never deleted) and reported with \
+          the reason (for a corrupt record, the parse error, the path \
+          of the field that does not decode, or a digest mismatch), so \
+          re-serving the manifest recomputes exactly those digests. \
+          Exit 1 when anything was quarantined.")
     Term.(ret (const run $ store $ quarantine $ chaos_arg))
 
 let main =

@@ -105,15 +105,15 @@ let digest_of_config cfg = digest_of_key (Codec.encode cfg)
 
 (* ------------------------- store record -------------------------- *)
 
-let floats arr = Json.List (Array.to_list (Array.map Codec.float arr))
+let floats arr = Json.List (Array.to_list (Array.map Json.hex arr))
 
 let measure_json (m : Scenario.flow_measure) : Json.t =
   Obj
     [
       ("flow", Int m.Scenario.flow);
-      ("throughput_pps", Codec.float m.throughput_pps);
-      ("loss_event_rate", Codec.float m.loss_event_rate);
-      ("mean_rtt", Codec.float m.mean_rtt);
+      ("throughput_pps", Json.hex m.throughput_pps);
+      ("loss_event_rate", Json.hex m.loss_event_rate);
+      ("mean_rtt", Json.hex m.mean_rtt);
       ("loss_intervals", floats m.loss_intervals);
       ( "estimate_pairs",
         List
@@ -133,9 +133,9 @@ let result_json (r : Scenario.result) : Json.t =
       ("tfrc", measures_json r.Scenario.tfrc);
       ("tcp", measures_json r.tcp);
       ("probe", opt measure_json r.probe);
-      ("link_utilization", Codec.float r.link_utilization);
+      ("link_utilization", Json.hex r.link_utilization);
       ("queue_drops", Int r.queue_drops);
-      ("sim_time", Codec.float r.sim_time);
+      ("sim_time", Json.hex r.sim_time);
       ("tfrc_halvings", Int r.tfrc_halvings);
       ( "fault_stats",
         opt
@@ -160,11 +160,11 @@ let result_json (r : Scenario.result) : Json.t =
                 ("accepted", Int s.ode.Ebrc_numerics.Ode.accepted);
                 ("rejected", Int s.ode.rejected);
                 ("evals", Int s.ode.evals);
-                ("w", Codec.float s.w);
-                ("q", Codec.float s.q);
-                ("a_fg", Codec.float s.a_fg);
-                ("mean_util", Codec.float s.mean_util);
-                ("mean_drop", Codec.float s.mean_drop);
+                ("w", Json.hex s.w);
+                ("q", Json.hex s.q);
+                ("a_fg", Json.hex s.a_fg);
+                ("mean_util", Json.hex s.mean_util);
+                ("mean_drop", Json.hex s.mean_drop);
               ])
           r.fluid_stats );
     ]
@@ -179,7 +179,7 @@ let result_json (r : Scenario.result) : Json.t =
               Obj
                 [
                   ("hop_drops", Int h.Scenario.hop_drops);
-                  ("hop_utilization", Codec.float h.hop_utilization);
+                  ("hop_utilization", Json.hex h.hop_utilization);
                 ] );
           ])
 
@@ -197,99 +197,96 @@ let record_string cfg r =
   ^ "\n"
 
 let float_array name j =
-  Array.of_list (List.map (Codec.to_float name) (Codec.list name Fun.id j))
+  Array.of_list (List.map (Json.of_hex name) (Json.list name Fun.id j))
 
 let measure_of j : Scenario.flow_measure =
   {
-    Scenario.flow = Codec.int "flow" j;
-    throughput_pps = Codec.float_field "throughput_pps" j;
-    loss_event_rate = Codec.float_field "loss_event_rate" j;
-    mean_rtt = Codec.float_field "mean_rtt" j;
+    Scenario.flow = Json.int "flow" j;
+    throughput_pps = Json.hex_field "throughput_pps" j;
+    loss_event_rate = Json.hex_field "loss_event_rate" j;
+    mean_rtt = Json.hex_field "mean_rtt" j;
     loss_intervals = float_array "loss_intervals" j;
     estimate_pairs =
       Array.of_list
-        (Codec.list "estimate_pairs"
+        (Json.list "estimate_pairs"
            (fun p ->
              match p with
              | Json.List [ a; b ] ->
-                 (Codec.to_float "pair" a, Codec.to_float "pair" b)
-             | _ -> Codec.bad "estimate_pairs: expected a pair")
+                 (Json.of_hex "pair" a, Json.of_hex "pair" b)
+             | _ -> Json.bad "estimate_pairs: expected a pair")
            j);
   }
 
-let measures name j = Array.of_list (Codec.list name measure_of j)
+let measures name j = Array.of_list (Json.list name measure_of j)
 
 let result_of j : Scenario.result =
   {
     Scenario.tfrc = measures "tfrc" j;
     tcp = measures "tcp" j;
-    probe = Codec.opt_field "probe" measure_of j;
-    link_utilization = Codec.float_field "link_utilization" j;
-    queue_drops = Codec.int "queue_drops" j;
-    sim_time = Codec.float_field "sim_time" j;
-    tfrc_halvings = Codec.int "tfrc_halvings" j;
+    probe = Json.opt_field "probe" measure_of j;
+    link_utilization = Json.hex_field "link_utilization" j;
+    queue_drops = Json.int "queue_drops" j;
+    sim_time = Json.hex_field "sim_time" j;
+    tfrc_halvings = Json.int "tfrc_halvings" j;
     fault_stats =
-      Codec.opt_field "fault_stats"
+      Json.opt_field "fault_stats"
         (fun fs ->
           {
-            Fault.transitions = Codec.int "transitions" fs;
-            down_drops = Codec.int "down_drops" fs;
-            parked = Codec.int "parked" fs;
-            spiked = Codec.int "spiked" fs;
-            reordered = Codec.int "reordered" fs;
-            duplicated = Codec.int "duplicated" fs;
-            blackout_drops = Codec.int "blackout_drops" fs;
+            Fault.transitions = Json.int "transitions" fs;
+            down_drops = Json.int "down_drops" fs;
+            parked = Json.int "parked" fs;
+            spiked = Json.int "spiked" fs;
+            reordered = Json.int "reordered" fs;
+            duplicated = Json.int "duplicated" fs;
+            blackout_drops = Json.int "blackout_drops" fs;
           })
         j;
     fluid_stats =
-      Codec.opt_field "fluid_stats"
+      Json.opt_field "fluid_stats"
         (fun fs ->
           {
-            Fluid.advances = Codec.int "advances" fs;
+            Fluid.advances = Json.int "advances" fs;
             ode =
               {
-                Ebrc_numerics.Ode.accepted = Codec.int "accepted" fs;
-                rejected = Codec.int "rejected" fs;
-                evals = Codec.int "evals" fs;
+                Ebrc_numerics.Ode.accepted = Json.int "accepted" fs;
+                rejected = Json.int "rejected" fs;
+                evals = Json.int "evals" fs;
               };
-            w = Codec.float_field "w" fs;
-            q = Codec.float_field "q" fs;
-            a_fg = Codec.float_field "a_fg" fs;
-            mean_util = Codec.float_field "mean_util" fs;
-            mean_drop = Codec.float_field "mean_drop" fs;
+            w = Json.hex_field "w" fs;
+            q = Json.hex_field "q" fs;
+            a_fg = Json.hex_field "a_fg" fs;
+            mean_util = Json.hex_field "mean_util" fs;
+            mean_drop = Json.hex_field "mean_drop" fs;
           })
         j;
     hop_stats =
-      Codec.opt_field "hop_stats"
+      Json.opt_field "hop_stats"
         (fun h ->
           {
-            Scenario.hop_drops = Codec.int "hop_drops" h;
-            hop_utilization = Codec.float_field "hop_utilization" h;
+            Scenario.hop_drops = Json.int "hop_drops" h;
+            hop_utilization = Json.hex_field "hop_utilization" h;
           })
         j;
   }
 
-type record = Valid of string * Scenario.result | Stale | Corrupt
+type record = Valid of string * Scenario.result | Stale | Corrupt of string
 
 (* Parse and check a store record: schema, version tag, a key that
    decodes as a config, and a result that decodes. [Valid] carries the
-   key's codec bytes. *)
+   key's codec bytes, [Corrupt] the parse error or the decoder's
+   message, which names the field. *)
 let decode_record s =
-  match Json.parse s with
-  | Error _ -> Corrupt
-  | Ok j -> (
-      match
-        if Codec.int "schema" j <> 1 then Corrupt
-        else if Codec.str "version" j <> code_version then Stale
-        else
-          let key = Codec.field "key" j in
-          match Codec.of_json key with
-          | Error _ -> Corrupt
-          | Ok _ ->
-              Valid (Json.print key, Codec.nested "result" result_of j)
-      with
-      | r -> r
-      | exception Codec.Bad _ -> Corrupt)
+  let check j =
+    if Json.int "schema" j <> 1 then Json.bad "schema: unsupported schema";
+    if Json.str "version" j <> code_version then Stale
+    else begin
+      ignore (Json.nested "key" Codec.config_of j);
+      Valid (Json.print (Json.field "key" j), Json.nested "result" result_of j)
+    end
+  in
+  match Json.decode check s with
+  | Ok r -> r
+  | Error m -> Corrupt m
 
 (* ---------------------------- the store --------------------------- *)
 
@@ -402,13 +399,13 @@ let gc_tmp ?(max_age = 3600.0) dir =
    claims: [decode_record]'s checks plus MD5(key) = digest. *)
 let verify_record ~digest s =
   match decode_record s with
-  | Valid (k, _) when digest_of_key k <> digest -> Corrupt
+  | Valid (k, _) when digest_of_key k <> digest -> Corrupt "digest mismatch"
   | v -> v
 
 type scrub_report = {
   scrub_checked : int;
   scrub_ok : int;
-  scrub_quarantined : string list;
+  scrub_quarantined : (string * string) list;
   scrub_stale : string list;
   scrub_dir : string;
 }
@@ -428,11 +425,11 @@ let scrub ?quarantine ~dir () =
       let verdict =
         match Chaos.read_file path with
         | Some s -> verify_record ~digest s
-        | None -> Corrupt
+        | None -> Corrupt "unreadable"
       in
       match verdict with
       | Valid _ -> incr ok
-      | Stale | Corrupt ->
+      | Stale | Corrupt _ ->
           (* Never silently delete: the corpse moves to quarantine under
              its own name (suffixed if a previous scrub already parked
              one) so it stays available for postmortem. *)
@@ -449,7 +446,12 @@ let scrub ?quarantine ~dir () =
           in
           match Unix.rename path dst with
           | () ->
-              quarantined := digest :: !quarantined;
+              let why =
+                match verdict with
+                | Corrupt m -> "corrupt: " ^ m
+                | _ -> "stale version"
+              in
+              quarantined := (digest, why) :: !quarantined;
               if verdict = Stale then stale := digest :: !stale
           | exception Unix.Unix_error _ -> ())
     (list_store ~dir);

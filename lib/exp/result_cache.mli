@@ -72,9 +72,12 @@ val gc_tmp : ?max_age:float -> string -> int
 type scrub_report = {
   scrub_checked : int;  (** records examined *)
   scrub_ok : int;  (** records that verified clean *)
-  scrub_quarantined : string list;
-      (** digests whose records were moved to quarantine, sorted by
-          store order *)
+  scrub_quarantined : (string * string) list;
+      (** digests whose records were moved to quarantine, in store
+          order, each with why: ["stale version"], or ["corrupt: "]
+          and the parse error (with its offset), the decoder's message
+          (naming the field by its path), ["digest mismatch"] or
+          ["unreadable"] *)
   scrub_stale : string list;
       (** the quarantined digests whose record is intact but carries
           another version tag than the current code's; the rest of

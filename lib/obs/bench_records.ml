@@ -97,23 +97,29 @@ let load_all ~dir =
 
 type group = Ns | Counter
 
-let numbers = function
-  | Some (Json.Obj kvs) ->
+(* Old records lack fields newer benches write, so a value that does not
+   decode (absent, or not a number) reads as [None] and a non-finite
+   number is dropped: neither is compared. *)
+let finite dec j =
+  match Json.decoding dec j with
+  | Ok f when Float.is_finite f -> Some f
+  | _ -> None
+
+(* The finite numbers of the object [dec] reads from [json]. *)
+let numbers dec json =
+  match Json.decoding dec json with
+  | Ok (Json.Obj kvs as o) ->
       List.filter_map
-        (fun (k, v) ->
-          match Json.to_float v with
-          | Some f when Float.is_finite f -> Some (k, f)
-          | _ -> None)
+        (fun (k, _) -> Option.map (fun f -> (k, f)) (finite (Json.num k) o))
         kvs
   | _ -> []
 
 let table group json =
   numbers
     (match group with
-    | Ns -> Json.member "microbench_ns_per_run" json
-    | Counter ->
-        Option.bind (Json.member "telemetry_summary" json)
-          (Json.member "counters"))
+    | Ns -> Json.field "microbench_ns_per_run"
+    | Counter -> Json.nested "telemetry_summary" (Json.field "counters"))
+    json
 
 (* ---------------------------- rules ------------------------------ *)
 
@@ -146,19 +152,10 @@ let gate ~warn_only ~baseline ~current =
   in
   let demoted = if warn_only then Warn else Fail in
   let met ok = if ok then "met" else "missed" in
-  let num path =
-    match
-      Option.bind
-        (List.fold_left
-           (fun j k -> Option.bind j (Json.member k))
-           (Some current) path)
-        Json.to_float
-    with
-    | Some f when Float.is_finite f -> Some f
-    | _ -> None
-  in
-  let info path fmt =
-    Option.iter (fun v -> add Info (String.concat "." path) (fmt v)) (num path)
+  let num block field = finite (Json.nested block (Json.num field)) current in
+  let info block field fmt =
+    Option.iter (fun v -> add Info (block ^ "." ^ field) (fmt v))
+      (num block field)
   in
   (* (key, baseline, current) for the keys of a table in both records. *)
   let both tbl =
@@ -191,7 +188,7 @@ let gate ~warn_only ~baseline ~current =
     add Info "telemetry_summary.counters"
       (pf "%d compared, all unchanged" (List.length counters));
   (match
-     both (fun j -> numbers (Json.member "figure_regeneration_seconds" j))
+     both (numbers (Json.field "figure_regeneration_seconds"))
    with
   | [] -> ()
   | figs ->
@@ -201,19 +198,19 @@ let gate ~warn_only ~baseline ~current =
            (List.length figs)
            (count (fun (_, b, c) -> c < b))
            (count (fun (_, b, c) -> c > b))));
-  info [ "parallel_figure_sweep"; "speedup" ] (fun sp ->
+  info "parallel_figure_sweep" "speedup" (fun sp ->
       pf "%.2fx (>= 1.6x %s)" sp (met (sp >= 1.6)));
-  info [ "flows100k"; "wheel_ns_per_packet" ] (pf "%.0f (informational)");
-  info [ "flows1m"; "ratio_vs_flows100k" ] (fun r ->
+  info "flows100k" "wheel_ns_per_packet" (pf "%.0f (informational)");
+  info "flows1m" "ratio_vs_flows100k" (fun r ->
       pf "%.2fx (<= 2x %s)" r (met (r <= 2.0)));
-  info [ "telemetry_summary"; "overhead_pct" ] (fun p ->
+  info "telemetry_summary" "overhead_pct" (fun p ->
       pf "%+.1f%% (<= 10%% %s)" p (met (p <= 10.0)));
-  info [ "stream_ablation"; "overhead_pct" ] (fun p ->
+  info "stream_ablation" "overhead_pct" (fun p ->
       pf "%+.1f%% (<= 15%% %s)" p (met (p <= 15.0)));
   (match
-     ( num [ "sweep_service"; "serial_seconds" ],
-       num [ "sweep_service"; "worker1_seconds" ],
-       num [ "sweep_service"; "worker2_seconds" ] )
+     ( num "sweep_service" "serial_seconds",
+       num "sweep_service" "worker1_seconds",
+       num "sweep_service" "worker2_seconds" )
    with
   | Some serial, Some w1, Some w2 ->
       add Info "sweep_service"
@@ -221,14 +218,14 @@ let gate ~warn_only ~baseline ~current =
            (met (w2 <= w1)) (w1 /. serial)
            (met (w1 /. serial <= 1.3)))
   | _ -> ());
-  info [ "sweep_service"; "cold_over_warm" ] (fun r ->
+  info "sweep_service" "cold_over_warm" (fun r ->
       pf "warm resume %.0fx faster than cold (>= 50x %s)" r (met (r >= 50.0)));
   (* Disabled streaming must be free: the stream-off arm against the
      telemetry ablation's own disabled arm (same config, same seed).
      It moves with the host, so warn-only demotes it. *)
   (match
-     ( num [ "telemetry_summary"; "disabled_ms" ],
-       num [ "stream_ablation"; "scenario_off_ms" ] )
+     ( num "telemetry_summary" "disabled_ms",
+       num "stream_ablation" "scenario_off_ms" )
    with
   | Some b, Some c ->
       add
@@ -242,11 +239,11 @@ let gate ~warn_only ~baseline ~current =
      result. Fatal even under warn-only. *)
   List.iter
     (fun (block, field) ->
-      match Option.bind (Json.member block current) (Json.member field) with
-      | Some (Json.Bool ok) ->
+      match Json.decoding (Json.nested block (Json.bool field)) current with
+      | Ok ok ->
           add (if ok then Info else Fail) (block ^ "." ^ field)
             (string_of_bool ok)
-      | _ -> ())
+      | Error _ -> ())
     [
       ("stream_ablation", "bit_identical");
       ("flows1m", "bit_identical");
@@ -259,9 +256,10 @@ let gate ~warn_only ~baseline ~current =
     | Json.Obj kvs ->
         List.iter
           (fun (k, b) ->
-            match Json.member k current with
-            | None -> add Info (prefix ^ k) "in the baseline only; not compared"
-            | Some c ->
+            match Json.decoding (Json.field k) current with
+            | Error _ ->
+                add Info (prefix ^ k) "in the baseline only; not compared"
+            | Ok c ->
                 if depth > 0 then
                   baseline_only ~depth:(depth - 1) (prefix ^ k ^ ".") b c)
           kvs

@@ -43,18 +43,13 @@ let scalar_to_string = function
   | Json.Null -> "null"
   | Json.List _ | Json.Obj _ -> "<json>"
 
-let fget j k = Option.bind (Json.member k j) Json.to_float
-let iget j k = Option.bind (Json.member k j) Json.to_int
-let sget j k = Option.bind (Json.member k j) Json.to_string
-
+(* A counter section: an object of integers. *)
 let counters_of j =
-  match Json.member "counters" j with
-  | Some (Json.Obj fields) ->
-      List.filter_map
-        (fun (k, v) ->
-          match Json.to_int v with Some n -> Some (k, n) | None -> None)
-        fields
-  | _ -> []
+  Json.nested "counters"
+    (function
+      | Json.Obj kvs as c -> List.map (fun (k, _) -> (k, Json.int k c)) kvs
+      | _ -> Json.bad "expected an object")
+    j
 
 (* The fold behind [of_lines], kept open so a caller can feed a growing
    file a line at a time (the serve watcher's incremental fleet view).
@@ -96,94 +91,88 @@ let copy_fold f =
     tasks_tbl = Hashtbl.copy f.tasks_tbl;
   }
 
-let on_run f j ~ended =
-  match (sget j "run", iget j "seq") with
-  | Some key, Some seq ->
-      let prev = Hashtbl.find_opt f.run_tbl key in
-      if prev = None then f.run_order <- key :: f.run_order;
-      let base =
-        match prev with
-        | Some r -> r
-        | None ->
-            { run_key = key; seq = 0; t_sim = 0.0; events = 0; pending = 0;
-              ended = false; run_ok = false }
-      in
-      let t_sim =
-        match fget j "t_sim" with Some t -> t | None -> base.t_sim
-      in
-      let d_events =
-        match iget j "d_events" with Some d -> d | None -> 0
-      in
-      let pending =
-        match iget j "pending" with Some p -> p | None -> base.pending
-      in
-      let run_ok =
-        match Json.member "ok" j with Some (Json.Bool b) -> b | _ -> base.run_ok
-      in
-      Hashtbl.replace f.run_tbl key
-        { base with seq = max base.seq seq; t_sim;
-          events = base.events + d_events; pending;
-          ended = base.ended || ended; run_ok }
-  | _ -> f.skipped_f <- f.skipped_f + 1
+let on_run f j typ =
+  let key = Json.str "run" j and seq = Json.int "seq" j in
+  let prev = Hashtbl.find_opt f.run_tbl key in
+  let base =
+    match prev with
+    | Some r -> { r with seq = max r.seq seq }
+    | None ->
+        { run_key = key; seq = max 0 seq; t_sim = 0.0; events = 0; pending = 0;
+          ended = false; run_ok = false }
+  in
+  (* A run_start carries its key and seq only. *)
+  let row =
+    if typ = "run_start" then base
+    else
+      let ended = typ = "run_end" in
+      { base with
+        t_sim = Json.num "t_sim" j;
+        events = base.events + Json.int "d_events" j;
+        pending = Json.int "pending" j;
+        ended = base.ended || ended;
+        run_ok = (if ended then Json.bool "ok" j else base.run_ok) }
+  in
+  if prev = None then f.run_order <- key :: f.run_order;
+  Hashtbl.replace f.run_tbl key row
 
 (* Figure and task records share one lifecycle shape: id + phase +
    wall clock, with figures additionally carrying a table count.
    [start] names the phase whose wall clock anchors elapsed time.
    Returns the new row order. *)
-let on_lifecycle f tbl order j ~start =
-  match (sget j "id", sget j "phase") with
-  | Some id, Some phase ->
-      let t = match fget j "t_wall" with Some t -> t | None -> nan in
-      let prev = Hashtbl.find_opt tbl id in
-      let order = if prev = None then id :: order else order in
-      let base =
-        match prev with
-        | Some r -> r
-        | None ->
-            { fig_id = id; phase; t_start = nan; t_last = t; tables = 0 }
-      in
-      let t_start = if phase = start then t else base.t_start in
-      let tables =
-        match iget j "tables" with Some n -> n | None -> base.tables
-      in
-      Hashtbl.replace tbl id { base with phase; t_start; t_last = t; tables };
-      order
-  | _ ->
-      f.skipped_f <- f.skipped_f + 1;
-      order
+let on_lifecycle tbl order j ~start =
+  let id = Json.str "id" j and phase = Json.str "phase" j in
+  let t = Json.num "t_wall" j in
+  let prev = Hashtbl.find_opt tbl id in
+  let base =
+    match prev with
+    | Some r -> r
+    | None -> { fig_id = id; phase; t_start = nan; t_last = t; tables = 0 }
+  in
+  let t_start = if phase = start then t else base.t_start in
+  (* Only a figure's done record carries a table count. *)
+  let tables =
+    match Json.opt_field "tables" Fun.id j with
+    | None -> base.tables
+    | Some _ -> Json.int "tables" j
+  in
+  Hashtbl.replace tbl id { base with phase; t_start; t_last = t; tables };
+  if prev = None then id :: order else order
+
+(* Each record is decoded whole before the fold changes, so a record
+   that does not decode leaves no trace but the skipped count. Only a
+   stream_end that is the last record folded marks the stream finished:
+   an invocation that appends to a finished stream file makes it live
+   again. *)
+let fold_record f j =
+  let typ = Json.str "type" j in
+  (match typ with
+  | "run_start" | "delta" | "run_end" -> on_run f j typ
+  | "figure" ->
+      f.fig_order <- on_lifecycle f.fig_tbl f.fig_order j ~start:"start"
+  | "task" ->
+      f.task_order <- on_lifecycle f.tasks_tbl f.task_order j ~start:"leased"
+  | "progress" ->
+      let p = (Json.num "t_wall" j, counters_of j) in
+      if f.first_progress = None then f.first_progress <- Some p;
+      f.last_progress <- Some p
+  | "manifest" -> (
+      match j with
+      | Json.Obj fields ->
+          f.manifest_f <-
+            List.filter_map
+              (fun (k, v) ->
+                if k = "type" then None else Some (k, scalar_to_string v))
+              fields
+      | _ -> ())
+  | _ -> ());
+  f.finished_f <- typ = "stream_end"
 
 let add_line f line =
   if String.trim line <> "" then
-    match Json.parse line with
+    match Json.decode (fold_record f) line with
+    | Ok () -> ()
     | Error _ -> f.skipped_f <- f.skipped_f + 1
-    | Ok j -> (
-        match sget j "type" with
-        | Some "run_start" -> on_run f j ~ended:false
-        | Some "delta" -> on_run f j ~ended:false
-        | Some "run_end" -> on_run f j ~ended:true
-        | Some "figure" ->
-            f.fig_order <- on_lifecycle f f.fig_tbl f.fig_order j ~start:"start"
-        | Some "task" ->
-            f.task_order <-
-              on_lifecycle f f.tasks_tbl f.task_order j ~start:"leased"
-        | Some "progress" ->
-            let p =
-              ( (match fget j "t_wall" with Some t -> t | None -> nan),
-                counters_of j )
-            in
-            if f.first_progress = None then f.first_progress <- Some p;
-            f.last_progress <- Some p
-        | Some "manifest" -> (
-            match j with
-            | Json.Obj fields ->
-                f.manifest_f <-
-                  List.filter_map
-                    (fun (k, v) ->
-                      if k = "type" then None else Some (k, scalar_to_string v))
-                    fields
-            | _ -> ())
-        | Some "stream_end" -> f.finished_f <- true
-        | Some _ | None -> ())
 
 let view_of f =
   let counters, t_progress =
@@ -235,26 +224,12 @@ let fleet_shows = function
   | "task" | "progress" | "stream_end" -> true
   | _ -> false
 
-(* Every stream writer prints the type tag first, so a record's tag is
-   readable without decoding the record: [Some tag] for a line that
-   starts {"type":"tag", [None] for any other line. *)
-let type_prefix = {|{"type":"|}
-
-let record_tag line =
-  let n = String.length type_prefix in
-  if not (String.starts_with ~prefix:type_prefix line) then None
-  else
-    match String.index_from_opt line n '"' with
-    | None -> None
-    | Some e ->
-        let tag = String.sub line n (e - n) in
-        if String.contains tag '\\' then None else Some tag
-
 (* The supervisor's fold: a record whose leading tag the progress line
-   does not show is skipped undecoded; any other line is folded whole. *)
+   does not show is skipped undecoded, though like any folded record it
+   ends a finished stream; any other line is folded whole. *)
 let add_fleet_line f line =
-  match record_tag line with
-  | Some typ when not (fleet_shows typ) -> ()
+  match Json.head line with
+  | Some (typ, _) when not (fleet_shows typ) -> f.finished_f <- false
   | Some _ | None -> add_line f line
 
 (* Bytes of a growing file, folded a complete line at a time; the

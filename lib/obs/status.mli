@@ -2,6 +2,10 @@
     parses the JSONL records `Ebrc_telemetry.Stream` writes and folds
     them into one progress snapshot — per-run delta cursors, figure
     lifecycle, pool counters with an ETA from the completed-task rate.
+    Every record is read through [Json]'s checked decoders: a record
+    missing a field its type always carries (a renamed field), or
+    holding a value of the wrong type, is skipped and counted like an
+    unparsable line. A record of an unknown type is ignored.
     Tolerant of a file being mid-write: a torn final line (or any
     unparsable line) is skipped, everything before it still counts. *)
 
@@ -41,8 +45,12 @@ type view = {
       (** (tasks_submitted - tasks) / task_rate, seconds; [nan]
           unknown *)
   t_progress : float;  (** wall clock of latest progress; [nan] none *)
-  finished : bool;  (** a stream_end record was seen *)
-  skipped : int;  (** unparsable lines (usually a torn tail) *)
+  finished : bool;
+      (** the last record folded is a stream_end: a later record (an
+          invocation appending to a finished stream) makes the stream
+          live again *)
+  skipped : int;
+      (** unparsable or undecodable lines (usually a torn tail) *)
 }
 
 val of_lines : string list -> view
@@ -58,7 +66,8 @@ type tail
     It keeps only what the supervisor's progress line shows. It folds
     [task], [progress] and [stream_end] records, and skips every other
     record by its type tag (the first field every stream writer
-    prints) without decoding it. *)
+    prints, read by [Json.head]) without decoding it; a skipped record
+    still ends a finished stream. *)
 
 val tail : unit -> tail
 (** An empty fold. *)
@@ -70,8 +79,9 @@ val tail_view : tail -> view
 (** The view of every byte fed so far. Its [tasks], [counters],
     [event_rate], [task_rate], [eta], [t_progress] and [finished]
     equal those of {!read_file} of a file holding those bytes (a
-    pending partial last line is read as {!read_file} reads it); its
-    [runs], [figures] and [manifest] stay empty. *)
+    pending partial last line is read as {!read_file} reads it) when
+    every record it skips by tag decodes; its [runs], [figures] and
+    [manifest] stay empty. *)
 
 val merge : view list -> view
 (** Fold per-worker views into one fleet snapshot (the serve watcher

@@ -25,19 +25,16 @@ let to_json { tasks } =
   Buffer.contents buf
 
 let of_json s =
-  match Json.parse s with
-  | Error e -> Error e
-  | Ok j ->
-      Codec.decoding
-        (fun j ->
-          if Codec.int "schema" j <> 1 then
-            Codec.bad "schema: unsupported manifest schema";
-          let v = Codec.str "codec" j in
-          if v <> codec_version then
-            Codec.bad "codec: unsupported manifest codec %S (want %S)" v
-              codec_version;
-          { tasks = Codec.list "tasks" Codec.config_of j })
-        j
+  Json.decode
+    (fun j ->
+      if Json.int "schema" j <> 1 then
+        Json.bad "schema: unsupported manifest schema";
+      let v = Json.str "codec" j in
+      if v <> codec_version then
+        Json.bad "codec: unsupported manifest codec %S (want %S)" v
+          codec_version;
+      { tasks = Json.list "tasks" Codec.config_of j })
+    s
 
 (* ------------------------------- io ------------------------------- *)
 

@@ -115,7 +115,7 @@ let lease_body ~worker ~deadline =
   Json.(
     record
       [ ("worker", Str worker); ("pid", Int (Unix.getpid ()));
-        ("deadline", Str (Printf.sprintf "%h" deadline)) ])
+        ("deadline", hex deadline) ])
 
 (* O_EXCL create: the one atomic "exactly one winner" primitive the
    whole queue rests on. Under chaos the body may land torn
@@ -136,15 +136,10 @@ let lease_expired t path ~now =
   match Chaos.read_file path with
   | None -> false (* vanished: released or completed; not ours to take *)
   | Some body -> (
-      match
-        Option.bind (Json.parse body |> Result.to_option) (fun j ->
-            Option.bind (Json.member "deadline" j) Json.to_string)
-      with
-      | Some s -> (
-          match float_of_string_opt s with
-          | Some deadline -> now > deadline
-          | None -> true)
-      | None -> (
+      match Json.decode (Json.hex_field "deadline") body with
+      | Ok deadline -> now > deadline
+      | Error _ -> (
+          (* Torn, or a deadline that does not read: the grace. *)
           match Unix.stat path with
           | st -> now -. st.Unix.st_mtime > t.torn_grace
           | exception Unix.Unix_error _ -> false))
@@ -214,12 +209,9 @@ let record_messages dir ~path_of =
       | None -> None
       | Some body ->
           let message =
-            match
-              Option.bind (Json.parse body |> Result.to_option) (fun j ->
-                  Option.bind (Json.member "message" j) Json.to_string)
-            with
-            | Some m -> m
-            | None -> "unreadable failure record"
+            match Json.decode (Json.str "message") body with
+            | Ok m -> m
+            | Error _ -> "unreadable failure record"
           in
           Some (digest, message))
     (list_dir dir ~suffix:".json")
@@ -246,13 +238,9 @@ let lease_holders t =
     (fun digest ->
       match Chaos.read_file (lease_path t digest) with
       | None -> None
-      | Some body -> (
-          match
-            Option.bind (Json.parse body |> Result.to_option) (fun j ->
-                Option.bind (Json.member "worker" j) Json.to_string)
-          with
-          | Some w -> Some (digest, w)
-          | None -> None))
+      | Some body ->
+          Result.to_option (Json.decode (Json.str "worker") body)
+          |> Option.map (fun w -> (digest, w)))
     (list_dir t.leases_dir ~suffix:".lease")
 
 let reclaim_worker t ~worker =

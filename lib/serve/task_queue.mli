@@ -35,8 +35,9 @@ val default_torn_grace : unit -> float
 
 val create : ?torn_grace:float -> dir:string -> unit -> t
 (** Open (creating directories as needed) the queue rooted at [dir].
-    [torn_grace] is the mtime grace period for unparsable (torn) lease
-    files before they read as expired; default
+    [torn_grace] is the mtime grace period for lease files with no
+    readable deadline (torn, or unparsable) before they read as
+    expired; default
     {!default_torn_grace}. *)
 
 val streams_dir : t -> string

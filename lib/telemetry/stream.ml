@@ -232,69 +232,15 @@ let recent () =
       let k = min n recent_cap in
       List.init k (fun i -> recent_ring.((n - k + i) mod recent_cap)))
 
-(* Field scanners for our own writer's output (records are printed by
-   [Json.print], so the shapes are known; this is not a JSON
-   parser). They compare in place and allocate only the value they
-   return: finalize runs them once per line. *)
-
-let occurs_at line i pat =
-  let m = String.length pat in
-  i + m <= String.length line
-  && (let rec eq j = j = m || (line.[i + j] = pat.[j] && eq (j + 1)) in
-      eq 0)
-
-(* Index just past the first occurrence of [pat] in [line], or -1. *)
-let find_after line pat =
-  let rec go i =
-    if i + String.length pat > String.length line then -1
-    else if occurs_at line i pat then i + String.length pat
-    else go (i + 1)
-  in
-  go 0
-
-(* The string value starting just past its opening quote, unescaped by
-   dropping each backslash; [None] when unterminated. *)
-let string_at line pos =
-  let n = String.length line and b = Buffer.create 32 in
-  let rec scan j =
-    if j >= n then None
-    else
-      match line.[j] with
-      | '"' -> Some (Buffer.contents b)
-      | '\\' when j + 1 < n ->
-          Buffer.add_char b line.[j + 1];
-          scan (j + 2)
-      | c ->
-          Buffer.add_char b c;
-          scan (j + 1)
-  in
-  scan pos
-
-let int_at line pos =
-  let n = String.length line in
-  let j = ref (if pos < n && line.[pos] = '-' then pos + 1 else pos) in
-  while !j < n && line.[!j] >= '0' && line.[!j] <= '9' do
-    incr j
-  done;
-  int_of_string_opt (String.sub line pos (!j - pos))
-
-let record_rank line =
-  let p = find_after line "\"type\":\"" in
-  if p < 0 then None
-  else if occurs_at line p "run_start\"" then Some 0
-  else if occurs_at line p "delta\"" then Some 1
-  else if occurs_at line p "run_end\"" then Some 2
-  else None
-
-(* (run key, seq, rank): the canonical order of run records. *)
-let run_sort_key line rank =
-  let field pat read =
-    let p = find_after line pat in
-    if p < 0 then None else read line p
-  in
-  ( Option.value (field "\"run\":\"" string_at) ~default:"",
-    Option.value (field "\"seq\":" int_at) ~default:0,
-    rank )
+(* A run record's place in the canonical order: (run key, seq, rank),
+   read from the line's head, never from the whole line. [None] for a
+   non-run record. *)
+let run_sort_key line =
+  match Json.head line with
+  | Some ((("run_start" | "delta" | "run_end") as tag), run) ->
+      let key, seq = Option.value run ~default:("", 0) in
+      Some (key, seq, match tag with "run_start" -> 0 | "delta" -> 1 | _ -> 2)
+  | Some _ | None -> None
 
 let finalize () =
   let p = locked (fun () -> !path_v) in
@@ -325,9 +271,9 @@ let finalize () =
       let fixed = ref [] and runs = ref [] in
       List.iter
         (fun l ->
-          match record_rank l with
+          match run_sort_key l with
           | None -> fixed := l :: !fixed
-          | Some rank -> runs := (run_sort_key l rank, l) :: !runs)
+          | Some k -> runs := (k, l) :: !runs)
         !lines;
       let runs =
         List.stable_sort (fun (a, _) (b, _) -> compare a b) !runs

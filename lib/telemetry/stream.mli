@@ -114,7 +114,8 @@ val finalize : unit -> unit
     then close the stream and rewrite the file in canonical order:
     non-run records (meta/manifest/progress/figure) keep their
     original order, run records are stably sorted by
-    (run key, seq, record rank), and a [stream_end] record is
+    (run key, seq, record rank), read from each line's head by
+    [Json.head] without parsing the rest, and a [stream_end] record is
     appended. The rewrite goes through a temp file + rename, so
     readers never observe a half-written file. Canonical order is what
     turns "same simulations, different pool interleaving" into

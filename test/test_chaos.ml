@@ -259,7 +259,9 @@ let scrub_partition_prop (mask, mode_bits, at) =
   in
   let rep = Rc.scrub ~dir () in
   let surviving = Rc.list_store ~dir in
-  let quarantined = List.sort String.compare rep.Rc.scrub_quarantined in
+  let quarantined =
+    List.sort String.compare (List.map fst rep.Rc.scrub_quarantined)
+  in
   (* Partition: nothing deleted, every record accounted for. *)
   List.sort String.compare (quarantined @ surviving)
   = List.sort String.compare (List.map fst records)
@@ -302,7 +304,7 @@ let test_scrub_clean_store () =
   let rep = Rc.scrub ~dir () in
   Alcotest.(check int) "all checked" (List.length records) rep.Rc.scrub_checked;
   Alcotest.(check int) "all ok" (List.length records) rep.Rc.scrub_ok;
-  Alcotest.(check (list string)) "nothing quarantined" []
+  Alcotest.(check (list (pair string string))) "nothing quarantined" []
     rep.Rc.scrub_quarantined;
   Alcotest.(check bool) "empty store is fine" true
     ((Rc.scrub ~dir:(tmp_dir "scrub-empty") ()).Rc.scrub_checked = 0)
@@ -339,7 +341,8 @@ let test_scrub_stale_version () =
   let n = List.length records in
   Alcotest.(check int) "all checked" (n + 1) rep.Rc.scrub_checked;
   Alcotest.(check int) "current records ok" n rep.Rc.scrub_ok;
-  Alcotest.(check (list string)) "v6 record quarantined" [ v6_digest ]
+  Alcotest.(check (list (pair string string))) "v6 record quarantined"
+    [ (v6_digest, "stale version") ]
     rep.Rc.scrub_quarantined;
   Alcotest.(check (list string)) "reported as stale" [ v6_digest ]
     rep.Rc.scrub_stale;
@@ -349,9 +352,36 @@ let test_scrub_stale_version () =
   let d, bytes = List.hd records in
   write d (String.sub bytes 0 40);
   let rep = Rc.scrub ~dir () in
-  Alcotest.(check (list string)) "truncated record quarantined" [ d ]
-    rep.Rc.scrub_quarantined;
+  (match rep.Rc.scrub_quarantined with
+  | [ (d', why) ] ->
+      Alcotest.(check string) "truncated record quarantined" d d';
+      Alcotest.(check bool) ("corrupt, with the parse offset: " ^ why) true
+        (String.starts_with ~prefix:"corrupt: " why && has_sub why "at offset")
+  | q -> Alcotest.failf "expected one quarantined record, got %d" (List.length q));
   Alcotest.(check (list string)) "and not reported stale" [] rep.Rc.scrub_stale
+
+(* A record with one field renamed is quarantined as corrupt, and the
+   reason names the field by its path. *)
+let test_scrub_names_field () =
+  let records = Lazy.force pristine in
+  let dir = tmp_dir "scrub-renamed" in
+  let d, bytes = List.hd records in
+  let at =
+    match find_sub bytes "\"mean_rtt\":" with
+    | Some i -> i
+    | None -> Alcotest.fail "record has no mean_rtt field"
+  in
+  let renamed =
+    String.sub bytes 0 at ^ "\"mean_rtx\":"
+    ^ String.sub bytes (at + 11) (String.length bytes - at - 11)
+  in
+  let oc = open_out_bin (Filename.concat dir (d ^ ".json")) in
+  output_string oc renamed;
+  close_out oc;
+  let rep = Rc.scrub ~dir () in
+  Alcotest.(check (list (pair string string))) "quarantined, field named"
+    [ (d, "corrupt: result.tfrc[0].mean_rtt: missing") ]
+    rep.Rc.scrub_quarantined
 
 (* ------------------------ flight recorder -------------------------- *)
 
@@ -397,6 +427,8 @@ let () =
           Alcotest.test_case "clean store" `Quick test_scrub_clean_store;
           Alcotest.test_case "stale version" `Quick test_scrub_stale_version;
           QCheck_alcotest.to_alcotest scrub_partition;
+          Alcotest.test_case "corrupt record names its field" `Quick
+            test_scrub_names_field;
         ] );
       ( "flight",
         [ Alcotest.test_case "failure attrs" `Quick test_flight_attrs ] );

@@ -23,12 +23,8 @@ let test_json_values () =
     (ok "\"\\u0041\\u00e9\"" = J.Str "A?");
   Alcotest.(check bool) "array" true
     (ok "[1, 2.0]" = J.List [ J.Int 1; J.Num 2.0 ]);
-  match ok "{\"k\": {\"n\": 7}}" |> J.member "k" with
-  | Some inner -> (
-      match J.member "n" inner with
-      | Some v -> Alcotest.(check (option int)) "nested" (Some 7) (J.to_int v)
-      | None -> Alcotest.fail "missing n")
-  | None -> Alcotest.fail "missing k"
+  Alcotest.(check bool) "nested" true
+    (J.decoding (J.nested "k" (J.int "n")) (ok "{\"k\": {\"n\": 7}}") = Ok 7)
 
 let test_json_errors () =
   let bad s =
@@ -43,15 +39,61 @@ let test_json_errors () =
   bad "1 2" (* trailing content *);
   bad "\"\\q\"" (* unknown escape *)
 
+(* The checked decoders: a wrong type or a missing field is an error
+   that names the field by its path. *)
 let test_json_accessors () =
-  Alcotest.(check (option int)) "to_int rejects fraction" None
-    (J.to_int (J.Num 1.5));
-  Alcotest.(check bool) "null to_float is nan" true
-    (match J.to_float J.Null with Some f -> Float.is_nan f | None -> false);
-  Alcotest.(check (option string)) "to_string" (Some "x")
-    (J.to_string (J.Str "x"));
+  let obj kvs = J.Obj kvs in
+  let err dec j =
+    match J.decoding dec j with
+    | Ok _ -> Alcotest.fail "decoded"
+    | Error m -> m
+  in
+  Alcotest.(check string) "int rejects fraction" "n: expected an integer"
+    (err (J.int "n") (obj [ ("n", J.Num 1.5) ]));
+  Alcotest.(check bool) "null num is nan" true
+    (Float.is_nan (J.num "x" (obj [ ("x", J.Null) ])));
+  Alcotest.(check (float 0.0)) "num reads an int" 3.0
+    (J.num "x" (obj [ ("x", J.Int 3) ]));
+  Alcotest.(check string) "num rejects a string" "x: expected a number"
+    (err (J.num "x") (obj [ ("x", J.Str "1") ]));
+  Alcotest.(check string) "str" "x" (J.str "x" (obj [ ("x", J.Str "x") ]));
+  Alcotest.(check string) "missing, nested path" "a.b[1].c: missing"
+    (err
+       (J.nested "a" (J.list "b" (J.bool "c")))
+       (obj [ ("a", obj [ ("b", J.List [ obj [ ("c", J.Bool true) ]; obj [] ]) ]) ]));
+  Alcotest.(check (option int)) "opt_field: null is absent" None
+    (J.opt_field "x" (fun _ -> 1) (obj [ ("x", J.Null) ]));
+  List.iter
+    (fun f ->
+      let back = J.hex_field "f" (obj [ ("f", J.hex f) ]) in
+      Alcotest.(check bool) (Printf.sprintf "hex %h round-trips" f) true
+        (Printf.sprintf "%h" f = Printf.sprintf "%h" back))
+    [ 0.1; -0.0; 5e-324; infinity; nan ];
+  Alcotest.(check (float 0.0)) "of_hex takes a plain number" 2.5
+    (J.of_hex "f" (J.Num 2.5));
   Alcotest.(check string) "print escapes strings" "\"a\\\"b\\\\c\\n\\u0001\""
     (J.print (J.Str "a\"b\\c\n\001"))
+
+(* A record's head: its type tag and, right after it, a run key and
+   seq; strings read as [parse] reads them, and nothing past the head
+   is read, so a torn tail does not matter. *)
+let test_json_head () =
+  let check name expect line =
+    Alcotest.(check (option (pair string (option (pair string int)))))
+      name expect (J.head line)
+  in
+  check "run record" (Some ("delta", Some ("k", 3)))
+    {|{"type":"delta","run":"k","seq":3,"t_sim":|};
+  check "escaped key" (Some ("run_end", Some ("a\"q\n", 12)))
+    {|{"type":"run_end","run":"a\"q\n","seq":12}|};
+  check "other record" (Some ("task", None))
+    {|{"type":"task","id":"abc","run":"zzz","seq":1}|};
+  check "tag only" (Some ("stream_end", None)) {|{"type":"stream_end"}|};
+  check "fractional seq" (Some ("delta", None))
+    {|{"type":"delta","run":"k","seq":1.5}|};
+  check "no leading tag" None {|{"run":"k","type":"delta"}|};
+  check "torn tag" None {|{"type":"del|};
+  check "not an object" None "[1]"
 
 (* -------------------------- bench records ------------------------- *)
 
@@ -114,8 +156,8 @@ let test_load_all_drops_bad_records () =
   match records with
   | [ r ] ->
       Alcotest.(check string) "file" "BENCH_2026-08-01T000001Z.json" r.BR.file;
-      Alcotest.(check (option int)) "payload parsed" (Some 1)
-        (Option.bind (J.member "a" r.BR.json) J.to_int)
+      Alcotest.(check bool) "payload parsed" true
+        (J.decoding (J.int "a") r.BR.json = Ok 1)
   | _ -> Alcotest.fail "unreachable"
 
 (* ------------------------------ gate ------------------------------ *)
@@ -338,6 +380,7 @@ let () =
           Alcotest.test_case "values" `Quick test_json_values;
           Alcotest.test_case "errors" `Quick test_json_errors;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
+          Alcotest.test_case "head" `Quick test_json_head;
         ] );
       ("env", [ Alcotest.test_case "knob decoder" `Quick test_env_knob ]);
       ( "bench_records",

@@ -467,7 +467,7 @@ let test_manifest_rejects_junk () =
              kvs)
     | _ -> Alcotest.fail "config is not an object"
   in
-  (match Codec.of_json bad with
+  (match J.decoding Codec.config_of bad with
   | Error e ->
       Alcotest.(check string) "nested error names the path"
         "queue.capacity: expected an integer" e
@@ -484,7 +484,7 @@ let test_manifest_rejects_junk () =
              kvs)
     | _ -> Alcotest.fail "config is not an object"
   in
-  match Codec.of_json bad with
+  match J.decoding Codec.config_of bad with
   | Error e ->
       Alcotest.(check string) "hop error names the path"
         "second_hop.cross_fraction: expected a float" e
@@ -495,7 +495,9 @@ let test_manifest_rejects_junk () =
    before the field existed. *)
 let test_codec_omits_absent_hop () =
   let module J = Ebrc_obs.Json in
-  let has_hop c = J.member "second_hop" (Codec.to_json c) <> None in
+  let has_hop c =
+    Result.is_ok (J.decoding (J.field "second_hop") (Codec.to_json c))
+  in
   Alcotest.(check bool) "no second_hop key" false
     (has_hop Scenario.default_config);
   Alcotest.(check bool) "second_hop key when set" true
@@ -577,6 +579,34 @@ let test_queue_torn_lease () =
   Alcotest.check claim_tt "aged torn lease is reclaimed" Task_queue.Claimed
     (Task_queue.claim q ~worker:"w" ~ttl:60.0 ~digest:"t1")
 
+(* A lease body that parses but whose deadline is not a hex float (or
+   a number) is read like a torn one: it holds for the grace period
+   after its mtime, then expires. A plain number is a deadline. *)
+let test_queue_unreadable_deadline () =
+  let dir = tmp_dir "junk-deadline" in
+  let q = Task_queue.create ~torn_grace:60.0 ~dir () in
+  Task_queue.enqueue q ~digest:"t1" ~spec:"{}";
+  let lease = Filename.concat (Filename.concat dir "leases") "t1.lease" in
+  let write body =
+    let oc = open_out_bin lease in
+    output_string oc body;
+    close_out oc
+  in
+  write {|{"schema":1,"worker":"w","pid":1,"deadline":"junk"}|};
+  Alcotest.check claim_tt "junk deadline holds within the grace"
+    Task_queue.Busy
+    (Task_queue.claim q ~worker:"x" ~ttl:60.0 ~digest:"t1");
+  let old = Unix.gettimeofday () -. 3600.0 in
+  Unix.utimes lease old old;
+  Alcotest.check claim_tt "junk deadline expires past the grace"
+    Task_queue.Claimed
+    (Task_queue.claim q ~worker:"x" ~ttl:60.0 ~digest:"t1");
+  Sys.remove lease;
+  write (Printf.sprintf {|{"schema":1,"worker":"w","pid":1,"deadline":%.0f}|} old);
+  Alcotest.check claim_tt "past number deadline is reclaimed"
+    Task_queue.Claimed
+    (Task_queue.claim q ~worker:"x" ~ttl:60.0 ~digest:"t1")
+
 let test_queue_torn_grace_config () =
   (* Explicit parameter wins. *)
   let q = Task_queue.create ~torn_grace:5.0 ~dir:(tmp_dir "grace-a") () in
@@ -646,8 +676,8 @@ let test_queue_record_bodies () =
   ignore (Task_queue.claim q ~worker:awkward ~ttl:60.0 ~digest:"d1");
   let lease = body "leases" "d1.lease" in
   let deadline =
-    match Ebrc_obs.Json.(Result.map (member "deadline") (parse lease)) with
-    | Ok (Some (Ebrc_obs.Json.Str d)) -> d
+    match Ebrc_obs.Json.(Result.bind (parse lease) (decoding (str "deadline"))) with
+    | Ok d -> d
     | _ -> Alcotest.failf "lease without a deadline: %s" lease
   in
   Alcotest.(check string) "lease body"
@@ -1008,8 +1038,8 @@ let test_worker_phase_latency () =
       (fun l ->
         match J.parse l with
         | Ok j
-          when J.member "type" j = Some (J.Str "task")
-               && J.member "phase" j = Some (J.Str "done") ->
+          when J.decoding (J.str "type") j = Ok "task"
+               && J.decoding (J.str "phase") j = Ok "done" ->
             Some j
         | _ -> None)
       lines
@@ -1019,8 +1049,8 @@ let test_worker_phase_latency () =
     (fun j ->
       List.iter
         (fun attr ->
-          match Option.bind (J.member attr j) J.to_float with
-          | Some x ->
+          match J.decoding (J.num attr) j with
+          | Ok x ->
               Alcotest.(check bool) (attr ^ " non-negative") true (x >= 0.0)
           | _ -> Alcotest.failf "done record lacks numeric %s" attr)
         [ "compute_s"; "publish_s" ])
@@ -1062,6 +1092,8 @@ let () =
           Alcotest.test_case "expired lease reclaim" `Quick
             test_queue_expired_lease_reclaim;
           Alcotest.test_case "torn lease" `Quick test_queue_torn_lease;
+          Alcotest.test_case "unreadable deadline" `Quick
+            test_queue_unreadable_deadline;
           Alcotest.test_case "torn-grace config" `Quick
             test_queue_torn_grace_config;
           Alcotest.test_case "poison lifecycle" `Quick

@@ -43,8 +43,11 @@ let parse line =
   | Ok j -> j
   | Error e -> Alcotest.failf "unparsable stream line (%s): %s" e line
 
+(* A field's value, through the checked decoder; [None] when absent. *)
+let member k j = Result.to_option (J.decoding (J.field k) j)
+
 let record_type j =
-  match J.member "type" j with Some (J.Str t) -> t | _ -> "?"
+  match member "type" j with Some (J.Str t) -> t | _ -> "?"
 
 (* Every writer's output is in the printer's canonical form. *)
 let canonical line =
@@ -108,13 +111,13 @@ let streamed_run () =
   (ls, snap)
 
 let section_ints j section =
-  match J.member section j with
+  match member section j with
   | Some (J.Obj kvs) ->
       List.map
         (fun (name, v) ->
-          match J.to_int v with
-          | Some d -> (name, d)
-          | None -> Alcotest.failf "non-integer %s value for %s" section name)
+          match v with
+          | J.Int d -> (name, d)
+          | _ -> Alcotest.failf "non-integer %s value for %s" section name)
         kvs
   | _ -> []
 
@@ -211,7 +214,7 @@ let test_stream_schema () =
   | first :: _ -> (
       let j = parse first in
       Alcotest.(check string) "first line is meta" "meta" (record_type j);
-      match J.member "schema" j with
+      match member "schema" j with
       | Some (J.Int _) -> ()
       | _ -> Alcotest.fail "meta line missing schema")
   | [] -> Alcotest.fail "empty stream");
@@ -228,17 +231,17 @@ let test_stream_schema () =
       | "delta" | "run_end" as ty ->
           List.iter
             (fun k ->
-              if J.member k j = None then
+              if member k j = None then
                 Alcotest.failf "%s record missing %S: %s" ty k line)
             [ "run"; "seq"; "t_sim"; "d_events"; "pending" ];
           if ty = "run_end" then begin
             seen_end := true;
-            match J.member "ok" j with
+            match member "ok" j with
             | Some (J.Bool _) -> ()
             | _ -> Alcotest.fail "run_end missing ok"
           end
       | "run_start" ->
-          if J.member "run" j = None then
+          if member "run" j = None then
             Alcotest.fail "run_start missing run key"
       | "meta" | "stream_end" -> ()
       | other -> Alcotest.failf "unexpected record type %S" other)
@@ -297,7 +300,7 @@ let test_stream_j1_vs_j4 () =
            if l = "" then None
            else
              let j = parse l in
-             match (record_type j, J.member "run" j) with
+             match (record_type j, member "run" j) with
              | "run_start", Some (J.Str k) -> Some k
              | _ -> None)
   in
@@ -384,8 +387,8 @@ let test_finalize_fixture () =
   in
   let key l =
     let j = parse l in
-    ( Option.get (Option.bind (J.member "run" j) J.to_string),
-      Option.get (Option.bind (J.member "seq" j) J.to_int),
+    ( J.str "run" j,
+      J.int "seq" j,
       Option.get (rank j) )
   in
   let runs = List.stable_sort (fun a b -> compare (key a) (key b)) runs in
@@ -509,10 +512,10 @@ let test_flight_dump_on_budget () =
           let j = parse first in
           Alcotest.(check string) "first line is flight header" "flight"
             (record_type j);
-          (match J.member "reason" j with
+          (match member "reason" j with
           | Some (J.Str "engine.budget") -> ()
           | _ -> Alcotest.fail "dump reason is not engine.budget");
-          match J.member "exn" j with
+          match member "exn" j with
           | Some (J.Str _) -> ()
           | _ -> Alcotest.fail "dump missing exn")
       | [] -> Alcotest.fail "empty flight dump");
@@ -542,7 +545,7 @@ let test_flight_dedups_same_exn () =
       Sys.remove p;
       canonical header;
       Alcotest.(check (option string)) "header attr" (Some awkward)
-        (Option.bind (J.member awkward (parse header)) J.to_string)
+        (Result.to_option (J.decoding (J.str awkward) (parse header)))
   | None -> Alcotest.fail "first on_exn produced no dump");
   Alcotest.(check bool) "same exception dumps once" true (p1 = p2)
 
@@ -566,7 +569,7 @@ let test_status_view () =
   (* The machine rendering carries the view. *)
   let rendered = J.print (Ebrc_obs.Status.to_json v) in
   canonical rendered;
-  match J.member "finished" (parse rendered) with
+  match member "finished" (parse rendered) with
   | Some (J.Bool true) -> ()
   | _ -> Alcotest.fail "to_json finished flag wrong"
 
@@ -585,6 +588,102 @@ let test_status_awkward_values () =
   Alcotest.(check (list string)) "run key" [ awkward ]
     (List.map (fun r -> r.S.run_key) v.S.runs);
   canonical (J.print (S.to_json v))
+
+(* A stream file that a second invocation appended to: the first
+   invocation's stream_end is left mid-file, so a reader that stops
+   after it must see a live stream, the tail fold as much as the full
+   one, and only the closing stream_end finishes it again. *)
+let test_status_finished_only_last () =
+  let module S = Ebrc_obs.Status in
+  scrub ();
+  let path = Filename.temp_file "ebrc_stream_twice" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path; scrub ()) @@ fun () ->
+  Tm.set_enabled true;
+  List.iter
+    (fun seed ->
+      Stream.enable ~path ~period_sim:1.0 ~period_wall:0.0;
+      Stream.manifest ~cmd:"figure" ~attrs:[ ("seed", J.Int seed) ] ();
+      ignore (Ebrc.Scenario.run (cfg seed));
+      Stream.finalize ())
+    [ 1; 2 ];
+  let lines = lines_of path in
+  let rec upto_first_end acc = function
+    | l :: rest ->
+        if record_type (parse l) = "stream_end" then List.rev (l :: acc)
+        else upto_first_end (l :: acc) rest
+    | [] -> Alcotest.fail "no stream_end"
+  in
+  let first = upto_first_end [] lines in
+  let next = List.nth lines (List.length first) in
+  let finished ls =
+    let t = S.tail () in
+    S.feed t (String.concat "\n" ls ^ "\n");
+    let full = (S.of_lines ls).S.finished in
+    Alcotest.(check bool) "tail fold agrees" full (S.tail_view t).S.finished;
+    full
+  in
+  Alcotest.(check bool) "first invocation's end: finished" true
+    (finished first);
+  Alcotest.(check bool) "a record after it: live" false
+    (finished (first @ [ next ]));
+  Alcotest.(check bool) "whole file: finished" true (finished lines);
+  Alcotest.(check int) "both ends kept" 2
+    (List.length
+       (List.filter (fun l -> record_type (parse l) = "stream_end") lines))
+
+(* A record whose required field is renamed, or holds the wrong type,
+   is skipped and counted, not folded as if the field were absent; the
+   rest of the stream folds as before. *)
+let test_status_strict_fields () =
+  let module S = Ebrc_obs.Status in
+  let lines, _ = streamed_run () in
+  let edit f line =
+    match parse line with
+    | J.Obj kvs -> J.print (J.Obj (List.map f kvs))
+    | _ -> Alcotest.fail "record is not an object"
+  in
+  let rename a b (k, v) = if k = a then (b, v) else (k, v) in
+  let retype a v' (k, v) = if k = a then (k, v') else (k, v) in
+  let broken =
+    [ edit (rename "t_sim" "t_sin");
+      edit (retype "t_sim" (J.Str "x"));
+      edit (retype "pending" (J.Num 1.5));
+      edit (rename "run" "rum") ]
+  in
+  (* Break the first few deltas, one way each. *)
+  let n = ref 0 in
+  let mutated =
+    List.map
+      (fun l ->
+        if record_type (parse l) = "delta" && !n < List.length broken then begin
+          incr n;
+          (List.nth broken (!n - 1)) l
+        end
+        else l)
+      lines
+  in
+  let extra =
+    [ {|{"type":"task","id":"a","phaze":"done","t_wall":1}|};
+      {|{"type":"figure","id":"f","phase":"start","t_wall":"soon"}|};
+      {|{"type":"progress","t_wall":2,"counters":{"pool.tasks":"3"}}|};
+      {|{"type":"progress","t_wall":2}|};
+      {|{"typ":"meta"}|} ]
+  in
+  let v = S.of_lines (mutated @ extra) in
+  Alcotest.(check int) "every broken record skipped"
+    (List.length broken + List.length extra) v.S.skipped;
+  Alcotest.(check int) "no task or figure row" 0
+    (List.length v.S.tasks + List.length v.S.figures);
+  Alcotest.(check (list (pair string int))) "no counters" [] v.S.counters;
+  let clean = S.of_lines lines in
+  Alcotest.(check int) "clean stream: none skipped" 0 clean.S.skipped;
+  match (v.S.runs, clean.S.runs) with
+  | [ r ], [ c ] ->
+      Alcotest.(check bool) "run still ends" true r.S.ended;
+      Alcotest.(check bool) "skipped deltas' events are missing" true
+        (r.S.events < c.S.events);
+      Alcotest.(check (float 0.0)) "last t_sim unchanged" c.S.t_sim r.S.t_sim
+  | _ -> Alcotest.fail "expected one run row each"
 
 (* Task lifecycle records (the sweep-service worker's stream) and the
    multi-worker merge the serve watcher builds on. *)
@@ -668,5 +767,9 @@ let () =
             test_status_tail_fold;
           Alcotest.test_case "escaped values fold" `Quick
             test_status_awkward_values;
+          Alcotest.test_case "finished only at the last record" `Quick
+            test_status_finished_only_last;
+          Alcotest.test_case "renamed or retyped fields skipped" `Quick
+            test_status_strict_fields;
         ] );
     ]

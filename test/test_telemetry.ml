@@ -626,7 +626,8 @@ module J = Ebrc_obs.Json
 let parse s =
   match J.parse s with Ok j -> j | Error e -> Alcotest.failf "bad JSON: %s" e
 
-let member = J.member
+(* A field's value, through the checked decoder; [None] when absent. *)
+let member k j = Result.to_option (J.decoding (J.field k) j)
 
 let read_file path =
   let ic = open_in_bin path in
